@@ -6,6 +6,9 @@ modality and bridging them through active-speaker evidence, and emits a
 directed channel-collaboration graph plus evaluation metrics.
 """
 
+# set before the submodule imports: pipeline stamps its checkpoints with it
+__version__ = "0.1.0"
+
 from .catalog import Dataset, ingest, normalize, validate, write
 from .distcluster import (
     ClusterLabels,
@@ -20,8 +23,6 @@ from .distcluster import (
 )
 from .pipeline import PipelineConfig, PipelineRun, run_pipeline
 from .synth import GroundTruth, SynthConfig, corrupt, generate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ClusterLabels",

@@ -11,7 +11,6 @@ never speaks on camera.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DanglingReference
@@ -198,21 +197,24 @@ def identities_from_json(payload) -> list[IdentityComponent]:
     ]
 
 
-def graph_to_dot(graph: AssociationGraph, min_votes: int = 1) -> str:
-    """Association graph in DOT form: faces on top, speakers below."""
-    lines = ["graph associations {", "  rankdir=TB;"]
-    for f in graph.face_nodes:
-        lines.append(f'  face_{f} [label="face {f}", shape=circle];')
-    for s in graph.speaker_nodes:
-        lines.append(f'  spk_{s} [label="speaker {s}", shape=box];')
-    for e in graph.edges:
-        style = "" if e.vote_count >= min_votes else " style=dashed"
-        lines.append(f'  face_{e.face_cluster} -- spk_{e.speaker_cluster} [label="{e.vote_count}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def graph_from_json(payload) -> AssociationGraph:
+    return AssociationGraph(
+        tuple(payload["face_nodes"]),
+        tuple(payload["speaker_nodes"]),
+        tuple(AssociationEdge(e["face"], e["speaker"], e["votes"]) for e in payload["edges"]),
+    )
 
 
-def write_graph_json(graph: AssociationGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def conflicts_to_json(conflicts: list[ConflictEntry]) -> list[dict]:
+    return [
+        {
+            "identity_id": c.identity_id,
+            "face_clusters": list(c.face_clusters),
+            "speaker_clusters": list(c.speaker_clusters),
+            "edges": [
+                {"face": e.face_cluster, "speaker": e.speaker_cluster, "votes": e.vote_count}
+                for e in c.merging_edges
+            ],
+        }
+        for c in conflicts
+    ]

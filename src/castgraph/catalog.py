@@ -12,6 +12,7 @@ A dataset directory holds:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -160,6 +161,23 @@ class Dataset:
             and self.speaker_dim == other.speaker_dim
         )
 
+    def digest(self) -> str:
+        """SHA-256 over every record, in order, and every embedding's bytes."""
+        h = hashlib.sha256()
+        h.update(repr((list(self.channels.values()), list(self.videos.values()), self.pairs)).encode())
+        h.update(repr((self.face_dim, self.speaker_dim)).encode())
+        for t in self.tracks.values():
+            h.update(repr((t.track_id, t.video_id, t.start_frame, t.end_frame,
+                           t.embedding_frames, t.speaker_confidence, t.embeddings.shape)).encode())
+            h.update(np.ascontiguousarray(t.embeddings, dtype="<f4"))
+        for s in self.segments.values():
+            # a missing embedding hashes as shape None and no bytes
+            shape = None if s.embedding is None else s.embedding.shape
+            h.update(repr((s.segment_id, s.video_id, s.start_s, s.end_s, s.origin, shape)).encode())
+            if s.embedding is not None:
+                h.update(np.ascontiguousarray(s.embedding, dtype="<f4"))
+        return h.hexdigest()
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -182,31 +200,39 @@ class ValidationReport:
 
 # --- embedding matrix files -------------------------------------------------
 
-def write_emb(path: Path, matrix: np.ndarray) -> None:
+def _emb_parts(matrix: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The ``.emb`` header of a matrix, and the matrix as contiguous little-endian float32."""
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
     if matrix.ndim != 2:
         raise ValueError("embedding matrix must be 2-D")
     count, dim = matrix.shape
+    return EMB_MAGIC + struct.pack("<IQ", dim, count), matrix
+
+
+def emb_bytes(matrix: np.ndarray) -> bytes:
+    """An embedding matrix in the ``.emb`` format."""
+    return b"".join(_emb_parts(matrix))
+
+
+def emb_from_bytes(data: bytes, source) -> np.ndarray:
+    """Parse ``.emb`` bytes into a read-only view over them; source names the file in errors."""
+    if len(data) < 16 or data[:4] != EMB_MAGIC:
+        raise MalformedRecord(source, 0, "bad embedding file header")
+    dim, count = struct.unpack("<IQ", data[4:16])
+    if len(data) < 16 + 4 * dim * count:
+        raise MalformedRecord(source, 0, "truncated embedding payload")
+    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=16).reshape(count, dim)
+
+
+def write_emb(path: Path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<I", dim))
-        fh.write(struct.pack("<Q", count))
-        fh.write(matrix.tobytes(order="C"))
+        fh.writelines(_emb_parts(matrix))
 
 
 def read_emb(path: Path) -> np.ndarray:
     if not path.is_file():
         raise MissingFile(path)
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != EMB_MAGIC:
-            raise MalformedRecord(path, 0, "bad embedding file header")
-        dim = struct.unpack("<I", header[4:8])[0]
-        count = struct.unpack("<Q", header[8:16])[0]
-        payload = fh.read(4 * dim * count)
-        if len(payload) != 4 * dim * count:
-            raise MalformedRecord(path, 0, "truncated embedding payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
+    return emb_from_bytes(path.read_bytes(), path).copy()
 
 
 # --- timestamps ---------------------------------------------------------------

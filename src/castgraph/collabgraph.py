@@ -8,7 +8,6 @@ evaluation counts as "collaborations".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -249,8 +248,3 @@ def collab_graph_dot(ds: Dataset, edges) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def write_edges_json(edges, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(edges_to_json(edges), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -149,26 +150,30 @@ class ClusterLabels:
         return bool(np.all(self.labels == -1))
 
     def to_csv(self, path, point_ids=None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("point_id,label\n")
-            for idx, label in enumerate(self.labels):
-                point_id = point_ids[idx] if point_ids is not None else idx
-                fh.write(f"{point_id},{int(label)}\n")
+        ids = point_ids if point_ids is not None else range(len(self.labels))
+        Path(path).write_text(labels_csv(ids, self.labels), encoding="utf-8")
+
+
+def labels_csv(point_ids, labels) -> str:
+    """``point_id,label`` lines under a header, one per point, in the given order."""
+    return "point_id,label\n" + "".join(f"{p},{int(l)}\n" for p, l in zip(point_ids, labels))
+
+
+def labels_from_text(text: str) -> tuple[list[str], ClusterLabels]:
+    ids: list[str] = []
+    values: list[int] = []
+    for line in text.splitlines()[1:]:
+        line = line.strip()
+        if not line:
+            continue
+        point_id, label = line.rsplit(",", 1)
+        ids.append(point_id)
+        values.append(int(label))
+    return ids, ClusterLabels(np.asarray(values, dtype=np.int64))
 
 
 def labels_from_csv(path) -> tuple[list[str], ClusterLabels]:
-    ids: list[str] = []
-    values: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            point_id, label = line.rsplit(",", 1)
-            ids.append(point_id)
-            values.append(int(label))
-    return ids, ClusterLabels(np.asarray(values, dtype=np.int64))
+    return labels_from_text(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import linear_sum_assignment
 
+from . import collabgraph
 from .errors import EmptyReference, KeyMismatch, LengthMismatch
 
 
@@ -181,6 +182,74 @@ def der(reference, hypothesis) -> float:
     if total_ref == 0.0:
         raise EmptyReference("reference timeline has zero speech time")
     return error / total_ref
+
+
+# --- pipeline evaluation -----------------------------------------------------------
+
+def _scores(truth_labels, pred_labels) -> dict:
+    return {
+        "homogeneity": homogeneity(truth_labels, pred_labels),
+        "completeness": completeness(truth_labels, pred_labels),
+        "v_measure": v_measure(truth_labels, pred_labels),
+    }
+
+
+def evaluate_run(run, truth) -> dict:
+    """Score a finished PipelineRun's results against generator ground truth.
+
+    An entity's true identity is the most frequent one among its member
+    tracks. A video's predicted host is its most frequent speaker label,
+    the smallest on ties. DER is averaged over videos with reference speech.
+    """
+    report: dict = {}
+    entity_truth = []
+    for entity in run.entities:
+        identities = [truth.track_identity[run.piece_sources[t]] for t in entity.member_track_ids]
+        entity_truth.append(max(set(identities), key=identities.count))
+    if entity_truth:
+        entity_pred = [run.face_labels[e.entity_id] for e in run.entities]
+        report["face_clustering"] = _scores(entity_truth, entity_pred)
+    segment_ids = sorted(run.speaker_labels)
+    if segment_ids:
+        report["speaker_clustering"] = _scores(
+            [truth.segment_identity[i] for i in segment_ids], [run.speaker_labels[i] for i in segment_ids]
+        )
+
+    video_truth: dict[str, int] = {}
+    video_pred: dict[str, int] = {}
+    ders = []
+    for video_id in sorted(run.ds.videos):
+        segments = run.segments_by_video.get(video_id, [])
+        hyp = [
+            (s.start_s, s.end_s, run.speaker_labels[s.segment_id])
+            for s in segments
+            if s.segment_id in run.speaker_labels
+        ]
+        host = truth.video_hosts.get(video_id)
+        if hyp and host is not None:
+            counts = Counter(label for _, _, label in hyp)
+            best = max(counts.values())
+            video_pred[video_id] = min(l for l, c in counts.items() if c == best)
+            video_truth[video_id] = host
+        ref = [
+            (s.start_s, s.end_s, str(truth.segment_identity[s.segment_id]))
+            for s in segments
+            if s.segment_id in truth.segment_identity
+        ]
+        if ref:
+            ders.append(der(ref, [(start, end, str(label)) for start, end, label in hyp]))
+    if video_truth:
+        report["assignment_accuracy"] = assignment_accuracy(video_truth, video_pred)
+    if ders:
+        report["mean_der"] = sum(ders) / len(ders)
+
+    stats = collabgraph.graph_stats(
+        run.edges, channels=run.ds.channels.keys(), ground_truth=truth.event_triples()
+    )
+    report["collaborations"] = stats.to_json()
+    if truth.planted_growth_ratio is not None:
+        report["growth_factor"] = collabgraph.growth_factor(run.ds.videos.values(), run.edges)
+    return report
 
 
 # --- plain-text report -------------------------------------------------------------

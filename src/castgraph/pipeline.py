@@ -1,49 +1,51 @@
-"""Staged pipeline with restartable checkpoints.
+"""Staged pipeline with restartable, stamped checkpoints.
 
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
-global speaker clustering -> bridge -> graph. Each stage writes one artifact
-into the output directory and consumes only earlier artifacts plus the
-dataset, so a run can resume from any point. All artifacts are serialized
-with sorted keys; for a fixed dataset and configuration the bytes are
-identical no matter how many worker threads are used.
+global speaker clustering -> bridge -> graph. Each stage is one row of the
+stage table, run by one generic step (:meth:`PipelineRun.step`). Every file is
+written to a temporary name and renamed into place. For a fixed dataset and
+configuration the bytes do not depend on the thread count or the output path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
-from . import collabgraph, metrics
-from .catalog import AVPair, Dataset, FaceTrack
+from .catalog import AVPair, Dataset, emb_bytes, emb_from_bytes
 from .diarize import DiarizationSummary, diarize_video, filter_segments, reconcile
 from .distcluster import (
-    ClusterLabels,
     CondensedDistanceMatrix,
     DbscanConfig,
     HdbscanParams,
     cluster_with_fallback,
     distance_matrix,
-    labels_from_csv,
+    labels_csv,
+    labels_from_text,
 )
 from .errors import PipelineStageError
 from .synth import GroundTruth
-from .tracks import TrackEntity, TrackPolicy, assign_active_speakers, merge_tracks, split_tracks_with_sources
+from .tracks import (
+    TrackEntity,
+    TrackPolicy,
+    assign_active_speakers,
+    cut_piece,
+    frame_rows,
+    merge_tracks,
+    split_tracks_with_sources,
+)
 
-CHECKPOINTS = {
-    "split": "01_tracks_split.jsonl",
-    "pair": "02_av_pairs.jsonl",
-    "merge": "03_entities.jsonl",
-    "diarize": "04_diarization.jsonl",
-    "cluster_faces": "05_face_labels.csv",
-    "cluster_speakers": "06_speaker_labels.csv",
-    "bridge": "07_identities.json",
-    "graph": "08_graph.json",
-}
+CLUSTERING = ("min_cluster_size", "min_samples", "dbscan_eps")
+ENTITY_FIELDS = ("entity_id", "video_id", "member_track_ids", "paired_segments", "total_frames")
 
 
 @dataclass
@@ -72,15 +74,57 @@ class PipelineConfig:
         return TrackPolicy(self.max_len_frames, self.min_len_frames, self.conf_threshold)
 
 
-def _dump_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _load_json(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _jsonl(rows) -> bytes:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+
+
+def _rows(data: bytes) -> list[dict]:
+    return [json.loads(line) for line in data.splitlines() if line.strip()]
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to a temporary file next to path, then rename it over path."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _labels_codec(attr: str, name: str):
+    """encode and decode for a stage whose result is one id -> label dict."""
+
+    def encode(run) -> dict[str, bytes]:
+        labels = getattr(run, attr)
+        return {name: labels_csv(labels, labels.values()).encode()}
+
+    def decode(run, files: dict[str, bytes]) -> None:
+        ids, labels = labels_from_text(files[name].decode())
+        setattr(run, attr, {i: int(l) for i, l in zip(ids, labels.labels)})
+
+    return encode, decode
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table; calling it runs the stage on a PipelineRun."""
+
+    name: str
+    files: tuple[str, ...]  # checkpoint files; the first one names the stamp file
+    fields: tuple[str, ...]  # PipelineConfig fields the stage reads
+    upstream: tuple[str, ...]  # earlier stages whose results it reads
+    compute: Callable  # (run) -> None
+    encode: Callable  # (run) -> {file name: bytes}
+    decode: Callable  # (run, {file name: bytes}) -> None
+
+    def __call__(self, run: PipelineRun) -> None:
+        run.step(self)
 
 
 class PipelineRun:
@@ -91,419 +135,224 @@ class PipelineRun:
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.config = config or PipelineConfig()
+        self.dataset_digest = ds.digest()
+        # each stage's stamp; stage results are attributes its compute or decode sets
+        self.stamps: dict[str, str] = {}
+        # each video's segments in dataset order, shared by diarize and evaluation
+        self.segments_by_video: dict[str, list] = {}
+        for segment in ds.segments.values():
+            self.segments_by_video.setdefault(segment.video_id, []).append(segment)
 
-        self.pieces: list[FaceTrack] = []
-        self.piece_sources: dict[str, str] = {}
-        self.av_pairs: list[AVPair] = []
-        self.entities: list[TrackEntity] = []
-        self.diarization: dict[str, dict] = {}
-        self.face_labels: dict[str, int] = {}
-        self.speaker_labels: dict[str, int] = {}
-        self.face_fallback = False
-        self.speaker_fallback = False
-        self.identities = []
-        self.association = None
-        self.conflicts = []
-        self.edges = []
-        self.creators: dict[int, str] = {}
+    def stamp(self, stage: Stage, files: dict[str, bytes]) -> bytes:
+        """Record the stage's stamp over its inputs and these checkpoint bytes; return the stamp line."""
+        config = {field: getattr(self.config, field) for field in stage.fields}
+        upstream = [self.stamps[name] for name in stage.upstream]
+        head = [stage.name, __version__, self.dataset_digest, config, upstream]
+        h = hashlib.sha256(json.dumps(head).encode())
+        for name in stage.files:
+            h.update(f"\n{name} {len(files[name])}\n".encode())
+            h.update(files[name])
+        self.stamps[stage.name] = h.hexdigest()
+        return f"{self.stamps[stage.name]}\n".encode()
 
-    def _checkpoint(self, stage: str) -> Path:
-        return self.out / CHECKPOINTS[stage]
+    def step(self, stage: Stage) -> None:
+        """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it."""
+        stamp_path = self.out / (Path(stage.files[0]).stem + ".stamp")
+        if self.config.resume:
+            try:
+                files = {name: (self.out / name).read_bytes() for name in stage.files}
+                stored = stamp_path.read_bytes()
+            except FileNotFoundError:
+                stored = None
+            if stored is not None and stored == self.stamp(stage, files):
+                stage.decode(self, files)
+                return
+        stage.compute(self)
+        files = stage.encode(self)
+        for name, data in files.items():
+            _write_atomic(self.out / name, data)
+        _write_atomic(stamp_path, self.stamp(stage, files))
 
-    def _reusable(self, stage: str) -> bool:
-        return self.config.resume and self._checkpoint(stage).is_file()
-
-    # --- stages ---------------------------------------------------------------
-
-    def stage_split(self) -> None:
-        path = self._checkpoint("split")
-        if self._reusable("split"):
-            self.pieces, self.piece_sources = self._load_split(path)
-            return
+    def compute_split(self) -> None:
         self.pieces, self.piece_sources = split_tracks_with_sources(
             self.ds.tracks.values(), self.config.track_policy
         )
+
+    def encode_split(self) -> dict[str, bytes]:
         rows = []
         for piece in self.pieces:
             source = self.ds.tracks[self.piece_sources[piece.track_id]]
-            source_rows = [
-                idx
-                for idx, frame in enumerate(source.embedding_frames)
-                if piece.start_frame <= frame <= piece.end_frame
-            ]
-            rows.append(
-                {
-                    "piece_id": piece.track_id,
-                    "source_track_id": source.track_id,
-                    "video_id": piece.video_id,
-                    "start_frame": piece.start_frame,
-                    "end_frame": piece.end_frame,
-                    "source_rows": source_rows,
-                    "speaker_confidence": piece.speaker_confidence,
-                }
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+            rows.append({
+                "piece_id": piece.track_id,
+                "source_track_id": source.track_id,
+                "video_id": piece.video_id,
+                "start_frame": piece.start_frame,
+                "end_frame": piece.end_frame,
+                "source_rows": frame_rows(source, piece.start_frame, piece.end_frame),
+                "speaker_confidence": piece.speaker_confidence,
+            })
+        return {"01_tracks_split.jsonl": _jsonl(rows)}
 
-    def _load_split(self, path: Path):
-        pieces: list[FaceTrack] = []
-        sources: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                source = self.ds.tracks[row["source_track_id"]]
-                idxs = row["source_rows"]
-                pieces.append(
-                    FaceTrack(
-                        track_id=row["piece_id"],
-                        video_id=row["video_id"],
-                        start_frame=row["start_frame"],
-                        end_frame=row["end_frame"],
-                        embeddings=source.embeddings[idxs],
-                        embedding_frames=tuple(source.embedding_frames[i] for i in idxs),
-                        speaker_confidence=row["speaker_confidence"],
-                    )
-                )
-                sources[row["piece_id"]] = row["source_track_id"]
-        return pieces, sources
+    def decode_split(self, files: dict[str, bytes]) -> None:
+        self.pieces, self.piece_sources = [], {}
+        for r in _rows(files["01_tracks_split.jsonl"]):
+            source = self.ds.tracks[r["source_track_id"]]
+            piece = cut_piece(source, r["piece_id"], r["start_frame"], r["end_frame"], r["source_rows"])
+            self.pieces.append(piece)
+            self.piece_sources[r["piece_id"]] = source.track_id
 
-    def stage_pair(self) -> None:
-        path = self._checkpoint("pair")
-        if self._reusable("pair"):
-            self.av_pairs = []
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        r = json.loads(line)
-                        self.av_pairs.append(AVPair(r["track_id"], r["segment_id"], r["confidence"]))
-            return
-        self.av_pairs = assign_active_speakers(
-            self.pieces, self.ds.segments.values(), self.config.track_policy
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            for pair in self.av_pairs:
-                fh.write(
-                    json.dumps(
-                        {
-                            "track_id": pair.track_id,
-                            "segment_id": pair.segment_id,
-                            "confidence": pair.confidence,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    def compute_pair(self) -> None:
+        segments = self.ds.segments.values()
+        self.av_pairs = assign_active_speakers(self.pieces, segments, self.config.track_policy)
 
-    def stage_merge(self) -> None:
-        path = self._checkpoint("merge")
-        if self._reusable("merge"):
-            self.entities = []
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    row = json.loads(line)
-                    self.entities.append(
-                        TrackEntity(
-                            entity_id=row["entity_id"],
-                            video_id=row["video_id"],
-                            member_track_ids=tuple(row["member_track_ids"]),
-                            representative_face=np.asarray(
-                                row["representative_face"], dtype=np.float32
-                            ),
-                            paired_segments=tuple(row["paired_segments"]),
-                            total_frames=row["total_frames"],
-                        )
-                    )
-            return
-        self.entities = merge_tracks(
-            self.pieces,
-            self.config.hdbscan_params,
-            self.av_pairs,
-            # an explicit --dbscan-eps overrides the merge-specific default
-            self.config.dbscan_config if self.config.dbscan_eps is not None else None,
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            for entity in self.entities:
-                fh.write(
-                    json.dumps(
-                        {
-                            "entity_id": entity.entity_id,
-                            "video_id": entity.video_id,
-                            "member_track_ids": list(entity.member_track_ids),
-                            "representative_face": [float(x) for x in entity.representative_face],
-                            "paired_segments": list(entity.paired_segments),
-                            "total_frames": entity.total_frames,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    def encode_pair(self) -> dict[str, bytes]:
+        return {"02_av_pairs.jsonl": _jsonl(map(asdict, self.av_pairs))}
 
-    def stage_diarize(self) -> None:
-        path = self._checkpoint("diarize")
-        if self._reusable("diarize"):
-            self.diarization = {}
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    row = json.loads(line)
-                    self.diarization[row["video_id"]] = row
-            return
+    def decode_pair(self, files: dict[str, bytes]) -> None:
+        self.av_pairs = [AVPair(**row) for row in _rows(files["02_av_pairs.jsonl"])]
 
-        by_video: dict[str, list] = {}
-        for segment in self.ds.segments.values():
-            by_video.setdefault(segment.video_id, []).append(segment)
+    def compute_merge(self) -> None:
+        # an explicit --dbscan-eps overrides the merge-specific default
+        fallback = self.config.dbscan_config if self.config.dbscan_eps is not None else None
+        self.entities = merge_tracks(self.pieces, self.config.hdbscan_params, self.av_pairs, fallback)
 
+    def encode_merge(self) -> dict[str, bytes]:
+        rows = [{f: getattr(e, f) for f in ENTITY_FIELDS} for e in self.entities]
+        # representative faces go to a sidecar, one float32 row per entity in jsonl order
+        faces = [e.representative_face for e in self.entities]
+        matrix = np.stack(faces) if faces else np.empty((0, self.ds.face_dim))
+        return {"03_entities.jsonl": _jsonl(rows), "03_entities.emb": emb_bytes(matrix)}
+
+    def decode_merge(self, files: dict[str, bytes]) -> None:
+        faces = emb_from_bytes(files["03_entities.emb"], "03_entities.emb")
+        self.entities = []
+        for row, face in zip(_rows(files["03_entities.jsonl"]), faces, strict=True):
+            row["member_track_ids"] = tuple(row["member_track_ids"])
+            row["paired_segments"] = tuple(row["paired_segments"])
+            self.entities.append(TrackEntity(representative_face=face, **row))
+
+    def compute_diarize(self) -> None:
+        config = self.config
         def run_one(video_id: str) -> dict:
-            kept, rejected = filter_segments(by_video[video_id], self.config.min_segment_s)
-            if not kept:
-                summary = DiarizationSummary(video_id, 0, 0, 0.0, False, rejected)
-                return {
-                    "video_id": video_id,
-                    "labels": {},
-                    "reconciled": [],
-                    "summary": summary.to_json(),
-                }
-            labels, summary = diarize_video(
-                kept, self.config.hdbscan_params, self.config.dbscan_config, rejected
-            )
-            summary.video_id = video_id
-            rec = reconcile(labels, self.av_pairs)
+            kept, rejected = filter_segments(self.segments_by_video[video_id], config.min_segment_s)
+            if kept:
+                labels, summary = diarize_video(kept, config.hdbscan_params, config.dbscan_config, rejected)
+            else:
+                labels, summary = {}, DiarizationSummary(video_id, 0, 0, 0.0, False, rejected)
             return {
                 "video_id": video_id,
                 "labels": {k: int(v) for k, v in labels.items()},
-                "reconciled": [
-                    {
-                        "segment_id": r.segment_id,
-                        "speaker_label": r.speaker_label,
-                        "paired_track_id": r.paired_track_id,
-                        "pair_confidence": r.pair_confidence,
-                    }
-                    for r in rec
-                ],
+                "reconciled": [asdict(r) for r in reconcile(labels, self.av_pairs)],
                 "summary": summary.to_json(),
             }
 
-        video_ids = sorted(by_video)
-        if self.config.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
+        video_ids = sorted(self.segments_by_video)
+        if config.threads > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(run_one, video_ids))
         else:
             results = [run_one(v) for v in video_ids]
         self.diarization = {r["video_id"]: r for r in results}
-        with open(path, "w", encoding="utf-8") as fh:
-            for video_id in video_ids:
-                fh.write(json.dumps(self.diarization[video_id], sort_keys=True) + "\n")
 
-    def _cluster_points(self, ids: list[str], points: np.ndarray, path: Path) -> tuple[dict[str, int], bool]:
-        if not ids:
-            ClusterLabels(np.empty(0, dtype=np.int64)).to_csv(path, [])
-            return {}, False
-        if len(ids) >= 2:
-            matrix = distance_matrix(points, workers=self.config.threads)
+    def encode_diarize(self) -> dict[str, bytes]:
+        return {"04_diarization.jsonl": _jsonl(self.diarization[v] for v in sorted(self.diarization))}
+
+    def decode_diarize(self, files: dict[str, bytes]) -> None:
+        self.diarization = {row["video_id"]: row for row in _rows(files["04_diarization.jsonl"])}
+
+    def _cluster_points(self, points: dict[str, np.ndarray]) -> dict[str, int]:
+        """Global cluster labels for id -> vector points."""
+        if not points:
+            return {}
+        if len(points) >= 2:
+            matrix = distance_matrix(np.stack(list(points.values())), workers=self.config.threads)
         else:
             matrix = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
-        labels, used_fallback = cluster_with_fallback(
-            matrix, self.config.hdbscan_params, self.config.dbscan_config
-        )
-        labels.to_csv(path, ids)
-        return {i: int(l) for i, l in zip(ids, labels.labels)}, used_fallback
+        labels, _ = cluster_with_fallback(matrix, self.config.hdbscan_params, self.config.dbscan_config)
+        return {i: int(l) for i, l in zip(points, labels.labels)}
 
-    def stage_cluster_faces(self) -> None:
-        path = self._checkpoint("cluster_faces")
-        if self._reusable("cluster_faces"):
-            ids, labels = labels_from_csv(path)
-            self.face_labels = {i: int(l) for i, l in zip(ids, labels.labels)}
-            return
-        ids = [e.entity_id for e in self.entities]
-        points = (
-            np.stack([e.representative_face.astype(np.float64) for e in self.entities])
-            if self.entities
-            else np.empty((0, self.ds.face_dim))
-        )
-        self.face_labels, self.face_fallback = self._cluster_points(ids, points, path)
+    def compute_cluster_faces(self) -> None:
+        points = {e.entity_id: e.representative_face.astype(np.float64) for e in self.entities}
+        self.face_labels = self._cluster_points(points)
 
-    def stage_cluster_speakers(self) -> None:
-        path = self._checkpoint("cluster_speakers")
-        if self._reusable("cluster_speakers"):
-            ids, labels = labels_from_csv(path)
-            self.speaker_labels = {i: int(l) for i, l in zip(ids, labels.labels)}
-            return
-        kept, _ = filter_segments(
-            sorted(self.ds.segments.values(), key=lambda s: s.segment_id),
-            self.config.min_segment_s,
-        )
-        ids = [s.segment_id for s in kept]
-        points = (
-            np.stack([s.embedding.astype(np.float64) for s in kept])
-            if kept
-            else np.empty((0, self.ds.speaker_dim))
-        )
-        self.speaker_labels, self.speaker_fallback = self._cluster_points(ids, points, path)
+    def compute_cluster_speakers(self) -> None:
+        segments = sorted(self.ds.segments.values(), key=lambda s: s.segment_id)
+        kept, _ = filter_segments(segments, self.config.min_segment_s)
+        points = {s.segment_id: s.embedding.astype(np.float64) for s in kept}
+        self.speaker_labels = self._cluster_points(points)
 
-    def stage_bridge(self) -> None:
-        path = self._checkpoint("bridge")
-        track_to_entity = {
-            track_id: entity.entity_id
-            for entity in self.entities
-            for track_id in entity.member_track_ids
-        }
-        if self._reusable("bridge"):
-            payload = _load_json(path)
-            self.identities = bridge_mod.identities_from_json(payload["identities"])
-            self.association = bridge_mod.AssociationGraph(
-                tuple(payload["association"]["face_nodes"]),
-                tuple(payload["association"]["speaker_nodes"]),
-                tuple(
-                    bridge_mod.AssociationEdge(e["face"], e["speaker"], e["votes"])
-                    for e in payload["association"]["edges"]
-                ),
-            )
-            self.conflicts = bridge_mod.conflict_report(
-                self.association, self.identities, self.config.min_votes
-            )
-            return
-        usable_pairs = [p for p in self.av_pairs if p.segment_id in self.speaker_labels]
+    def compute_bridge(self) -> None:
+        track_to_entity = {t: e.entity_id for e in self.entities for t in e.member_track_ids}
+        pairs = [p for p in self.av_pairs if p.segment_id in self.speaker_labels]
         self.association = bridge_mod.build_graph(
-            self.face_labels, self.speaker_labels, usable_pairs, track_to_entity
+            self.face_labels, self.speaker_labels, pairs, track_to_entity
         )
         self.identities = bridge_mod.resolve_identities(self.association, self.config.min_votes)
-        self.conflicts = bridge_mod.conflict_report(
-            self.association, self.identities, self.config.min_votes
-        )
-        _dump_json(
-            path,
-            {
-                "association": bridge_mod.graph_to_json(self.association),
-                "identities": bridge_mod.identities_to_json(self.identities),
-                "conflicts": [
-                    {
-                        "identity_id": c.identity_id,
-                        "face_clusters": list(c.face_clusters),
-                        "speaker_clusters": list(c.speaker_clusters),
-                        "edges": [
-                            {"face": e.face_cluster, "speaker": e.speaker_cluster, "votes": e.vote_count}
-                            for e in c.merging_edges
-                        ],
-                    }
-                    for c in self.conflicts
-                ],
-            },
-        )
+        self.conflicts = bridge_mod.conflict_report(self.association, self.identities, self.config.min_votes)
 
-    def stage_graph(self) -> None:
-        path = self._checkpoint("graph")
+    def encode_bridge(self) -> dict[str, bytes]:
+        payload = {
+            "association": bridge_mod.graph_to_json(self.association),
+            "identities": bridge_mod.identities_to_json(self.identities),
+            "conflicts": bridge_mod.conflicts_to_json(self.conflicts),
+        }
+        return {"07_identities.json": _json(payload)}
+
+    def decode_bridge(self, files: dict[str, bytes]) -> None:
+        payload = json.loads(files["07_identities.json"])
+        self.association = bridge_mod.graph_from_json(payload["association"])
+        self.identities = bridge_mod.identities_from_json(payload["identities"])
+        self.conflicts = bridge_mod.conflict_report(self.association, self.identities, self.config.min_votes)
+
+    def compute_graph(self) -> None:
         index = collabgraph.build_appearance_index(
             self.ds, self.identities, self.entities, self.face_labels, self.speaker_labels
         )
         self.creators = collabgraph.assign_creators(index)
         self.edges = collabgraph.detect_collaborations(index, self.creators)
-        stats = collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys())
-        _dump_json(
-            path,
-            {
-                "creators": {str(k): v for k, v in self.creators.items()},
-                "edges": collabgraph.edges_to_json(self.edges),
-                "stats": stats.to_json(),
-            },
-        )
-        with open(self.out / "graph.dot", "w", encoding="utf-8") as fh:
-            fh.write(collabgraph.collab_graph_dot(self.ds, self.edges))
 
-    # --- evaluation -------------------------------------------------------------
+    def encode_graph(self) -> dict[str, bytes]:
+        payload = {
+            "creators": {str(k): v for k, v in self.creators.items()},
+            "edges": collabgraph.edges_to_json(self.edges),
+            "stats": collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys()).to_json(),
+        }
+        dot = collabgraph.collab_graph_dot(self.ds, self.edges)
+        return {"08_graph.json": _json(payload), "graph.dot": dot.encode()}
+
+    def decode_graph(self, files: dict[str, bytes]) -> None:
+        payload = json.loads(files["08_graph.json"])
+        self.creators = {int(k): v for k, v in payload["creators"].items()}
+        self.edges = collabgraph.edges_from_json(payload["edges"])
+
+    STAGES = tuple((stage.name, stage) for stage in (
+        Stage("split", ("01_tracks_split.jsonl",), ("max_len_frames", "min_len_frames"), (),
+              compute_split, encode_split, decode_split),
+        Stage("pair", ("02_av_pairs.jsonl",), ("conf_threshold",), ("split",),
+              compute_pair, encode_pair, decode_pair),
+        Stage("merge", ("03_entities.jsonl", "03_entities.emb"), CLUSTERING, ("split", "pair"),
+              compute_merge, encode_merge, decode_merge),
+        Stage("diarize", ("04_diarization.jsonl",), ("min_segment_s", *CLUSTERING), ("pair",),
+              compute_diarize, encode_diarize, decode_diarize),
+        Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("merge",),
+              compute_cluster_faces, *_labels_codec("face_labels", "05_face_labels.csv")),
+        Stage("cluster_speakers", ("06_speaker_labels.csv",), ("min_segment_s", *CLUSTERING), (),
+              compute_cluster_speakers, *_labels_codec("speaker_labels", "06_speaker_labels.csv")),
+        Stage("bridge", ("07_identities.json",), ("min_votes",),
+              ("pair", "merge", "cluster_faces", "cluster_speakers"),
+              compute_bridge, encode_bridge, decode_bridge),
+        Stage("graph", ("08_graph.json", "graph.dot"), (),
+              ("merge", "cluster_faces", "cluster_speakers", "bridge"),
+              compute_graph, encode_graph, decode_graph),
+    ))
 
     def evaluate(self, truth: GroundTruth) -> dict:
         """Score the run against generator ground truth."""
-        report: dict = {}
-
-        entity_truth: list[int] = []
-        entity_pred: list[int] = []
-        for entity in self.entities:
-            identities = [
-                truth.track_identity[self.piece_sources[t]] for t in entity.member_track_ids
-            ]
-            entity_truth.append(max(set(identities), key=identities.count))
-            entity_pred.append(self.face_labels[entity.entity_id])
-        if entity_truth:
-            report["face_clustering"] = {
-                "homogeneity": metrics.homogeneity(entity_truth, entity_pred),
-                "completeness": metrics.completeness(entity_truth, entity_pred),
-                "v_measure": metrics.v_measure(entity_truth, entity_pred),
-            }
-
-        seg_truth = []
-        seg_pred = []
-        for segment_id, label in sorted(self.speaker_labels.items()):
-            seg_truth.append(truth.segment_identity[segment_id])
-            seg_pred.append(label)
-        if seg_truth:
-            report["speaker_clustering"] = {
-                "homogeneity": metrics.homogeneity(seg_truth, seg_pred),
-                "completeness": metrics.completeness(seg_truth, seg_pred),
-                "v_measure": metrics.v_measure(seg_truth, seg_pred),
-            }
-
-        video_truth: dict[str, int] = {}
-        video_pred: dict[str, int] = {}
-        by_video: dict[str, list[int]] = {}
-        for segment_id, label in self.speaker_labels.items():
-            by_video.setdefault(self.ds.segments[segment_id].video_id, []).append(label)
-        for video_id, labels in by_video.items():
-            host = truth.video_hosts.get(video_id)
-            if host is None:
-                continue
-            counts: dict[int, int] = {}
-            for label in labels:
-                counts[label] = counts.get(label, 0) + 1
-            best = max(counts.values())
-            video_pred[video_id] = min(l for l, c in counts.items() if c == best)
-            video_truth[video_id] = host
-        if video_truth:
-            report["assignment_accuracy"] = metrics.assignment_accuracy(video_truth, video_pred)
-
-        ders = []
-        for video_id in sorted(self.ds.videos):
-            ref = [
-                (s.start_s, s.end_s, str(truth.segment_identity[s.segment_id]))
-                for s in self.ds.segments.values()
-                if s.video_id == video_id and s.segment_id in truth.segment_identity
-            ]
-            hyp = [
-                (s.start_s, s.end_s, str(self.speaker_labels[s.segment_id]))
-                for s in self.ds.segments.values()
-                if s.video_id == video_id and s.segment_id in self.speaker_labels
-            ]
-            if ref:
-                ders.append(metrics.der(ref, hyp))
-        if ders:
-            report["mean_der"] = sum(ders) / len(ders)
-
-        stats = collabgraph.graph_stats(
-            self.edges, channels=self.ds.channels.keys(), ground_truth=truth.event_triples()
-        )
-        report["collaborations"] = stats.to_json()
-        if truth.planted_growth_ratio is not None:
-            report["growth_factor"] = collabgraph.growth_factor(
-                self.ds.videos.values(), self.edges
-            )
-        return report
-
-    # --- driver -------------------------------------------------------------------
-
-    STAGES = (
-        ("split", stage_split),
-        ("pair", stage_pair),
-        ("merge", stage_merge),
-        ("diarize", stage_diarize),
-        ("cluster_faces", stage_cluster_faces),
-        ("cluster_speakers", stage_cluster_speakers),
-        ("bridge", stage_bridge),
-        ("graph", stage_graph),
-    )
+        return metrics.evaluate_run(self, truth)
 
     def run_until(self, last_stage: str) -> None:
+        if last_stage not in dict(self.STAGES):
+            raise ValueError(f"unknown stage {last_stage!r}")
         for name, stage in self.STAGES:
             try:
                 stage(self)
@@ -511,15 +360,9 @@ class PipelineRun:
                 raise PipelineStageError(name, exc) from exc
             if name == last_stage:
                 return
-        raise ValueError(f"unknown stage {last_stage!r}")
 
     def run(self, truth: GroundTruth | None = None) -> dict:
-        for name, stage in self.STAGES:
-            try:
-                stage(self)
-            except Exception as exc:
-                raise PipelineStageError(name, exc) from exc
-        stats = collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys())
+        self.run_until("graph")
         report = {
             "videos": len(self.ds.videos),
             "tracks": len(self.ds.tracks),
@@ -531,17 +374,20 @@ class PipelineRun:
             "speaker_clusters": len({l for l in self.speaker_labels.values() if l != -1}),
             "identities": len(self.identities),
             "conflicts": len(self.conflicts),
-            "graph": stats.to_json(),
+            "graph": collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys()).to_json(),
         }
         if truth is not None:
             try:
                 report["evaluation"] = self.evaluate(truth)
             except Exception as exc:
                 raise PipelineStageError("eval", exc) from exc
-            with open(self.out / "report_table.txt", "w", encoding="utf-8") as fh:
-                fh.write(metrics.format_evaluation_table(report["evaluation"]))
-        _dump_json(self.out / "report.json", report)
+            table = metrics.format_evaluation_table(report["evaluation"])
+            _write_atomic(self.out / "report_table.txt", table.encode())
+        _write_atomic(self.out / "report.json", _json(report))
         return report
+
+
+CHECKPOINTS = {name: stage.files[0] for name, stage in PipelineRun.STAGES}
 
 
 def run_pipeline(

@@ -63,27 +63,31 @@ def split_tracks_with_sources(
             piece_end = min(piece_start + policy.max_len_frames - 1, track.end_frame)
             if piece_end - piece_start + 1 < policy.min_len_frames:
                 continue
-            keep = [
-                idx
-                for idx, frame in enumerate(track.embedding_frames)
-                if piece_start <= frame <= piece_end
-            ]
+            keep = frame_rows(track, piece_start, piece_end)
             if not keep:
                 continue
             piece_id = track.track_id if single else f"{track.track_id}#{k}"
             sources[piece_id] = track.track_id
-            out.append(
-                FaceTrack(
-                    track_id=piece_id,
-                    video_id=track.video_id,
-                    start_frame=piece_start,
-                    end_frame=piece_end,
-                    embeddings=track.embeddings[keep],
-                    embedding_frames=tuple(track.embedding_frames[i] for i in keep),
-                    speaker_confidence=track.speaker_confidence,
-                )
-            )
+            out.append(cut_piece(track, piece_id, piece_start, piece_end, keep))
     return out, sources
+
+
+def frame_rows(track: FaceTrack, start_frame: int, end_frame: int) -> list[int]:
+    """Indices of the track's embeddings whose source frame lies in [start_frame, end_frame]."""
+    return [idx for idx, frame in enumerate(track.embedding_frames) if start_frame <= frame <= end_frame]
+
+
+def cut_piece(track: FaceTrack, piece_id: str, start_frame: int, end_frame: int, rows) -> FaceTrack:
+    """The piece of track over [start_frame, end_frame] keeping the given embedding rows."""
+    return FaceTrack(
+        track_id=piece_id,
+        video_id=track.video_id,
+        start_frame=start_frame,
+        end_frame=end_frame,
+        embeddings=track.embeddings[rows],
+        embedding_frames=tuple(track.embedding_frames[i] for i in rows),
+        speaker_confidence=track.speaker_confidence,
+    )
 
 
 def track_time_span(track: FaceTrack) -> tuple[float, float]:

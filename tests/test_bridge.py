@@ -9,7 +9,6 @@ from castgraph.bridge import (
     AssociationGraph,
     build_graph,
     conflict_report,
-    graph_to_dot,
     resolve_identities,
 )
 from castgraph.catalog import AVPair
@@ -164,9 +163,3 @@ def test_conflict_report_clean_cases():
     identities = resolve_identities(graph)
     assert conflict_report(graph, identities) == []
 
-
-def test_dot_export_mentions_every_edge():
-    graph = AssociationGraph((0,), (0, 1), (AssociationEdge(0, 0, 2),))
-    dot = graph_to_dot(graph)
-    assert "face_0 -- spk_0" in dot
-    assert "spk_1" in dot

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from castgraph import pipeline
+from castgraph.errors import PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, generate
 
@@ -94,6 +97,90 @@ def test_resume_from_partial_checkpoints(tmp_path):
     clean = run_pipeline(ds, tmp_path / "clean", PipelineConfig(), truth)
     assert resumed == clean
 
+
+def test_resume_with_changed_config_recomputes(tmp_path):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(conf_threshold=0.5), truth)
+    resumed = run_pipeline(ds, out, PipelineConfig(conf_threshold=1.5, resume=True), truth)
+    fresh = run_pipeline(ds, tmp_path / "fresh", PipelineConfig(conf_threshold=1.5), truth)
+    assert fresh["av_pairs"] == 0
+    assert resumed == fresh
+    assert read_tree(out) == read_tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize(
+    "stage, damage",
+    [
+        ("merge", lambda text: "".join(text.splitlines(keepends=True)[: text.count("\n") // 2])),
+        ("cluster_faces", lambda text: text.replace(",0\n", ",1\n", 1)),
+    ],
+    ids=["truncated-at-a-line", "edited-same-length"],
+)
+def test_resume_over_damaged_checkpoint_recomputes(tmp_path, stage, damage):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    fresh = run_pipeline(ds, out, PipelineConfig(), truth)
+    before = read_tree(out)
+    path = out / CHECKPOINTS[stage]
+    damaged = damage(path.read_text())
+    assert damaged != path.read_text()
+    path.write_text(damaged)
+    assert run_pipeline(ds, out, PipelineConfig(resume=True), truth) == fresh
+    assert read_tree(out) == before
+
+
+def test_resume_reuses_only_checkpoints_whose_inputs_match(tmp_path):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(min_votes=1), truth)
+    before = {p.name: p.stat() for p in out.iterdir()}
+    run_pipeline(ds, out, PipelineConfig(min_votes=2, resume=True), truth)
+    after = {p.name: p.stat() for p in out.iterdir()}
+    assert before.keys() == after.keys()
+    for name, stat in before.items():
+        if name[:3] in {"01_", "02_", "03_", "04_", "05_", "06_"}:
+            assert (after[name].st_ino, after[name].st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns), name
+        elif name[:3] in {"07_", "08_"}:
+            assert after[name].st_ino != stat.st_ino, name
+
+
+def test_resume_in_a_copied_directory_reuses_every_checkpoint(tmp_path):
+    ds, truth = generate(CFG)
+    first = run_pipeline(ds, tmp_path / "a", PipelineConfig(), truth)
+    copy = tmp_path / "b"
+    shutil.copytree(tmp_path / "a", copy)
+    before = {p.name: p.stat().st_ino for p in copy.iterdir()}
+    assert run_pipeline(ds, copy, PipelineConfig(resume=True), truth) == first
+    after = {p.name: p.stat().st_ino for p in copy.iterdir()}
+    assert {n for n in before if after[n] != before[n]} == {"report.json", "report_table.txt"}
+
+
+def test_writes_are_atomic_and_leave_no_temporary_files(tmp_path, monkeypatch):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    assert not list(out.glob("*.tmp"))
+    before = read_tree(out)
+
+    def replace_fails(src, dst):
+        raise OSError("no space left on device")
+
+    # a write that fails midway must leave the previous file whole
+    monkeypatch.setattr(pipeline.os, "replace", replace_fails)
+    with pytest.raises(PipelineStageError):
+        run_pipeline(ds, out, PipelineConfig(min_votes=2), truth)
+    monkeypatch.undo()
+    assert read_tree(out) == before
+    assert not list(out.glob("*.tmp"))
+
+
+
+def test_unknown_stage_is_rejected_before_any_work(tmp_path):
+    ds, _ = generate(CFG)
+    with pytest.raises(ValueError):
+        PipelineRun(ds, tmp_path, PipelineConfig()).run_until("no_such_stage")
+    assert not list(tmp_path.iterdir())
 
 # --- cli --------------------------------------------------------------------------
 
