@@ -60,11 +60,11 @@ def build_graph(
     for pair in av_pairs:
         entity_id = track_to_entity.get(pair.track_id)
         if entity_id is None:
-            raise DanglingReference(pair.track_id, "av pair track has no entity")
+            raise DanglingReference(f"av pair track {pair.track_id!r} has no entity")
         if entity_id not in face_labels:
-            raise DanglingReference(entity_id, "entity missing from face labels")
+            raise DanglingReference(f"entity {entity_id!r} missing from face labels")
         if pair.segment_id not in speaker_labels:
-            raise DanglingReference(pair.segment_id, "segment missing from speaker labels")
+            raise DanglingReference(f"segment {pair.segment_id!r} missing from speaker labels")
         face = face_labels[entity_id]
         speaker = speaker_labels[pair.segment_id]
         if face == -1 or speaker == -1:

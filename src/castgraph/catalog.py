@@ -35,15 +35,6 @@ DEFAULT_FACE_DIM = 1792
 DEFAULT_SPEAKER_DIM = 1024
 FRAME_RATE = 25.0
 
-MANIFEST_FILES = (
-    "channels.json",
-    "videos.json",
-    "tracks.jsonl",
-    "segments.jsonl",
-    "pairs.jsonl",
-)
-
-
 def normalize(v: np.ndarray) -> np.ndarray:
     """Scale a vector to unit Euclidean norm, preserving direction.
 
@@ -190,9 +181,6 @@ class Violation:
 class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
 
-    def add(self, record_id: str, kind: str, detail: str) -> None:
-        self.violations.append(Violation(record_id, kind, detail))
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -238,6 +226,8 @@ def read_emb(path: Path) -> np.ndarray:
 # --- timestamps ---------------------------------------------------------------
 
 def parse_timestamp(raw: str) -> datetime:
+    if not isinstance(raw, str):
+        raise TypeError(f"timestamp must be a string, got {type(raw).__name__}")
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
@@ -248,9 +238,120 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+# --- rules ------------------------------------------------------------------
+# One generator per record kind yields the record's violations against the
+# dataset built so far; embedding values enter as one "usable" flag.
+
+def _usable_rows(matrix: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D matrix: every value finite and at least one non-zero."""
+    squares = np.einsum("ij,ij->i", matrix, matrix)
+    usable = (squares > 0) & (squares < np.inf)
+    # a float32 sum of squares can overflow or underflow: decide those rows exactly
+    suspect = np.flatnonzero(~usable)
+    usable[suspect] = np.isfinite(matrix[suspect]).all(axis=1) & matrix[suspect].any(axis=1)
+    return usable
+
+
+def _embedding_fault(record_id: str, embeddings: np.ndarray) -> Violation:
+    if np.isfinite(embeddings).all():
+        return Violation(record_id, "ZeroVector", "an embedding row is all zero")
+    return Violation(record_id, "NonFinite", "an embedding row is not finite")
+
+
+def _channel_rules(channel: Channel, ds: Dataset):
+    if not channel.channel_id:
+        yield Violation("<channel>", "EmptyKey", "channel_id is empty")
+
+
+def _video_rules(video: Video, ds: Dataset):
+    if video.channel_id not in ds.channels:
+        yield Violation(video.video_id, "DanglingReference", f"channel {video.channel_id!r}")
+    if not math.isfinite(video.duration_s):
+        yield Violation(video.video_id, "NonFinite", f"duration_s {video.duration_s}")
+    elif video.duration_s < 0:
+        yield Violation(video.video_id, "NegativeDuration", f"{video.duration_s}")
+    history = video.view_history or ()
+    for (prev_ts, prev_count), (ts, count) in zip(history, history[1:]):
+        if ts <= prev_ts:
+            yield Violation(video.video_id, "ViewHistoryOrder", "timestamps not increasing")
+        if count < prev_count:
+            yield Violation(video.video_id, "ViewHistoryOrder", "counts decreasing")
+
+
+def _track_rules(track: FaceTrack, ds: Dataset, usable: bool):
+    track_id, count = track.track_id, track.embeddings.shape[0]
+    if track.video_id not in ds.videos:
+        yield Violation(track_id, "DanglingReference", f"video {track.video_id!r}")
+    if track.start_frame < 0 or track.start_frame > track.end_frame:
+        yield Violation(track_id, "FrameRange", f"start {track.start_frame} > end {track.end_frame}")
+    if count == 0:
+        yield Violation(track_id, "NoEmbeddings", "track has no face embeddings")
+    if count != len(track.embedding_frames):
+        yield Violation(track_id, "FrameIndex", "embedding/frame count mismatch")
+    if count and track.embeddings.shape[1] != ds.face_dim:
+        detail = f"expected {ds.face_dim}, got {track.embeddings.shape[1]}"
+        yield Violation(track_id, "DimensionMismatch", detail)
+    if not usable:
+        yield _embedding_fault(track_id, track.embeddings)
+    for frame in track.embedding_frames:
+        if not track.start_frame <= frame <= track.end_frame:
+            yield Violation(track_id, "FrameIndex", f"embedding frame {frame} outside track")
+    conf = track.speaker_confidence
+    if conf is not None and not math.isfinite(conf):
+        yield Violation(track_id, "NonFinite", "speaker_confidence not finite")
+
+
+def _segment_rules(segment: SpeechSegment, ds: Dataset, usable: bool):
+    segment_id, start, end = segment.segment_id, segment.start_s, segment.end_s
+    if segment.video_id not in ds.videos:
+        yield Violation(segment_id, "DanglingReference", f"video {segment.video_id!r}")
+    if not -math.inf < start < end < math.inf:
+        kind = "TimeRange" if math.isfinite(start) and math.isfinite(end) else "NonFinite"
+        yield Violation(segment_id, kind, f"[{start}, {end}]")
+    if segment.origin not in ("vad", "active_speaker"):
+        yield Violation(segment_id, "BadOrigin", segment.origin)
+    if segment.embedding is not None:
+        if segment.embedding.shape[0] != ds.speaker_dim:
+            detail = f"expected {ds.speaker_dim}, got {segment.embedding.shape[0]}"
+            yield Violation(segment_id, "DimensionMismatch", detail)
+        if not usable:
+            yield _embedding_fault(segment_id, segment.embedding)
+
+
+def _pair_rules(pair: AVPair, ds: Dataset):
+    pair_id = f"pair({pair.track_id},{pair.segment_id})"
+    track = ds.tracks.get(pair.track_id)
+    segment = ds.segments.get(pair.segment_id)
+    if track is None:
+        yield Violation(pair_id, "DanglingReference", f"track {pair.track_id!r}")
+    if segment is None:
+        yield Violation(pair_id, "DanglingReference", f"segment {pair.segment_id!r}")
+    if track is not None and segment is not None and track.video_id != segment.video_id:
+        yield Violation(pair_id, "CrossVideoPair", f"{track.video_id} != {segment.video_id}")
+    if not math.isfinite(pair.confidence):
+        yield Violation(pair_id, "NonFinite", "confidence not finite")
+
+
+def validate(ds: Dataset) -> ValidationReport:
+    """Run every record rule over a dataset; violations are reported, never raised."""
+    found = []
+    for channel in ds.channels.values():
+        found += _channel_rules(channel, ds)
+    for video in ds.videos.values():
+        found += _video_rules(video, ds)
+    for track in ds.tracks.values():
+        found += _track_rules(track, ds, bool(_usable_rows(track.embeddings).all()))
+    for segment in ds.segments.values():
+        usable = segment.embedding is None or bool(_usable_rows(segment.embedding[None]).all())
+        found += _segment_rules(segment, ds, usable)
+    for pair in ds.pairs:
+        found += _pair_rules(pair, ds)
+    return ValidationReport(found)
+
+
 # --- ingest -------------------------------------------------------------------
 
-def _load_json(path: Path):
+def load_json(path: Path):
     if not path.is_file():
         raise MissingFile(path)
     with open(path, encoding="utf-8") as fh:
@@ -265,8 +366,7 @@ def _iter_jsonl(path: Path):
         raise MissingFile(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 yield lineno, json.loads(line)
@@ -274,29 +374,99 @@ def _iter_jsonl(path: Path):
                 raise MalformedRecord(path, lineno, exc.msg) from exc
 
 
+def _entries(root: Path, name: str):
+    """(line, record) per record of a manifest file; in a .json array, line is the position."""
+    if name.endswith(".jsonl"):
+        return _iter_jsonl(root / name)
+    records = load_json(root / name)
+    if not isinstance(records, list):
+        raise MalformedRecord(name, 1, "top-level value is not an array")
+    return enumerate(records, start=1)
+
+
 class _EmbStore:
-    """Lazily loaded .emb matrices, keyed by file name within the dataset dir."""
+    """Lazily loaded .emb matrices and their ``_usable_rows``, keyed by file name."""
 
     def __init__(self, root: Path):
         self.root = root
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, tuple[np.ndarray, list[bool]]] = {}
 
-    def matrix(self, name: str) -> np.ndarray:
+    def row(self, name: str, index: int) -> tuple[np.ndarray, bool]:
         if name not in self._cache:
-            self._cache[name] = read_emb(self.root / name)
-        return self._cache[name]
-
-    def row(self, name: str, index: int, source: str, lineno: int) -> np.ndarray:
-        matrix = self.matrix(name)
+            matrix = read_emb(self.root / name)
+            self._cache[name] = matrix, _usable_rows(matrix).tolist()
+        matrix, usable = self._cache[name]
         if not 0 <= index < matrix.shape[0]:
-            raise MalformedRecord(source, lineno, f"row {index} out of range for {name}")
-        return matrix[index]
+            raise ValueError(f"row {index} out of range for {name}")
+        return matrix[index], usable[index]
 
 
-def _require(record: dict, key: str, source, lineno: int):
-    if key not in record:
-        raise MalformedRecord(source, lineno, f"missing field {key!r}")
-    return record[key]
+# Each parser returns (id, record, extra rule arguments) for one JSON object.
+def _parse_channel(rec: dict, ds: Dataset, store: _EmbStore):
+    channel = Channel(str(rec["channel_id"]), str(rec.get("name", "")))
+    return channel.channel_id, channel, ()
+
+
+def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
+    history = rec.get("view_history")
+    video = Video(
+        video_id=str(rec["video_id"]),
+        channel_id=str(rec["channel_id"]),
+        published_at=parse_timestamp(rec["published_at"]),
+        duration_s=float(rec["duration_s"]),
+        view_history=None if history is None else tuple(
+            (parse_timestamp(ts), int(count)) for ts, count in history
+        ),
+    )
+    return video.video_id, video, ()
+
+
+def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
+    rows, frames, usable = [], [], True
+    for ref in rec["embeddings"]:
+        row, ok = store.row(ref["file"], int(ref["row"]))
+        rows.append(row)
+        frames.append(int(ref["frame"]))
+        usable = usable and ok
+    embeddings = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
+    if ds.face_dim is None and rows:
+        ds.face_dim = embeddings.shape[1]
+    conf = rec.get("speaker_confidence")
+    track = FaceTrack(
+        track_id=str(rec["track_id"]),
+        video_id=str(rec["video_id"]),
+        start_frame=int(rec["start_frame"]),
+        end_frame=int(rec["end_frame"]),
+        embeddings=embeddings,
+        embedding_frames=tuple(frames),
+        speaker_confidence=None if conf is None else float(conf),
+    )
+    return track.track_id, track, (usable,)
+
+
+def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
+    embedding, usable, ref = None, True, rec.get("embedding")
+    if ref is not None:
+        embedding, usable = store.row(ref["file"], int(ref["row"]))
+        if ds.speaker_dim is None:
+            ds.speaker_dim = embedding.shape[0]
+    segment = SpeechSegment(
+        segment_id=str(rec["segment_id"]),
+        video_id=str(rec["video_id"]),
+        start_s=float(rec["start_s"]),
+        end_s=float(rec["end_s"]),
+        origin=str(rec.get("origin", "vad")),
+        embedding=embedding,
+    )
+    return segment.segment_id, segment, (usable,)
+
+
+def _parse_pair(rec: dict, ds: Dataset, store: _EmbStore):
+    pair = AVPair(str(rec["track_id"]), str(rec["segment_id"]), float(rec.get("confidence", 0.0)))
+    return None, pair, ()
+
+
+_TYPED_ERRORS = {"DanglingReference": DanglingReference, "DimensionMismatch": DimensionMismatch}
 
 
 def ingest(
@@ -304,139 +474,46 @@ def ingest(
     face_dim: int | None = None,
     speaker_dim: int | None = None,
 ) -> Dataset:
-    """Load and fully validate a dataset directory.
+    """Load and fully validate a dataset directory in one pass.
 
-    Embedding dimensions are taken from the first referenced .emb file of each
-    modality unless given explicitly; with no embeddings at all the defaults
-    (1792 faces, 1024 speakers) apply. Any invariant violation raises instead
-    of producing a partially valid dataset.
+    Each record is checked by the rules of ``validate`` as soon as it is parsed;
+    the first fault raises DanglingReference, DimensionMismatch or MalformedRecord
+    naming ``file:line`` and the record. Embedding dimensions are taken from the
+    first referenced .emb file of each modality unless given explicitly; with no
+    embeddings at all the defaults (1792 faces, 1024 speakers) apply.
     """
     root = Path(manifest_dir)
     store = _EmbStore(root)
-    ds = Dataset()
-
-    for entry in _load_json(root / "channels.json"):
-        channel = Channel(str(entry["channel_id"]), str(entry.get("name", "")))
-        if not channel.channel_id:
-            raise MalformedRecord("channels.json", 0, "empty channel_id")
-        if channel.channel_id in ds.channels:
-            raise MalformedRecord("channels.json", 0, f"duplicate channel {channel.channel_id!r}")
-        ds.channels[channel.channel_id] = channel
-
-    for entry in _load_json(root / "videos.json"):
-        history = None
-        if entry.get("view_history") is not None:
-            history = tuple(
-                (parse_timestamp(ts), int(count)) for ts, count in entry["view_history"]
-            )
-        video = Video(
-            video_id=str(entry["video_id"]),
-            channel_id=str(entry["channel_id"]),
-            published_at=parse_timestamp(entry["published_at"]),
-            duration_s=float(entry["duration_s"]),
-            view_history=history,
-        )
-        if video.video_id in ds.videos:
-            raise MalformedRecord("videos.json", 0, f"duplicate video {video.video_id!r}")
-        if video.channel_id not in ds.channels:
-            raise DanglingReference(video.channel_id, f"video {video.video_id}")
-        ds.videos[video.video_id] = video
-
-    for lineno, rec in _iter_jsonl(root / "tracks.jsonl"):
-        track_id = str(_require(rec, "track_id", "tracks.jsonl", lineno))
-        video_id = str(_require(rec, "video_id", "tracks.jsonl", lineno))
-        if video_id not in ds.videos:
-            raise DanglingReference(video_id, f"track {track_id}")
-        refs = _require(rec, "embeddings", "tracks.jsonl", lineno)
-        if not refs:
-            raise MalformedRecord("tracks.jsonl", lineno, "track without embeddings")
-        rows = []
-        frames = []
-        try:
-            for ref in refs:
-                rows.append(store.row(ref["file"], int(ref["row"]), "tracks.jsonl", lineno))
-                frames.append(int(ref["frame"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecord("tracks.jsonl", lineno, f"bad embedding reference: {exc}") from exc
-        matrix = np.stack(rows)
-        if face_dim is None:
-            face_dim = matrix.shape[1]
-        if matrix.shape[1] != face_dim:
-            raise DimensionMismatch(face_dim, matrix.shape[1], f"track {track_id}")
-        conf = rec.get("speaker_confidence")
-        try:
-            track = FaceTrack(
-                track_id=track_id,
-                video_id=video_id,
-                start_frame=int(rec["start_frame"]),
-                end_frame=int(rec["end_frame"]),
-                embeddings=matrix,
-                embedding_frames=tuple(frames),
-                speaker_confidence=None if conf is None else float(conf),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecord("tracks.jsonl", lineno, str(exc)) from exc
-        if track.track_id in ds.tracks:
-            raise MalformedRecord("tracks.jsonl", lineno, f"duplicate track {track_id!r}")
-        if track.start_frame > track.end_frame or track.start_frame < 0:
-            raise MalformedRecord("tracks.jsonl", lineno, "bad frame range")
-        ds.tracks[track.track_id] = track
-
-    for lineno, rec in _iter_jsonl(root / "segments.jsonl"):
-        segment_id = str(_require(rec, "segment_id", "segments.jsonl", lineno))
-        video_id = str(_require(rec, "video_id", "segments.jsonl", lineno))
-        if video_id not in ds.videos:
-            raise DanglingReference(video_id, f"segment {segment_id}")
-        embedding = None
-        ref = rec.get("embedding")
-        if ref is not None:
+    ds = Dataset(face_dim=face_dim, speaker_dim=speaker_dim)
+    for name, parse, rules, table in (
+        ("channels.json", _parse_channel, _channel_rules, ds.channels),
+        ("videos.json", _parse_video, _video_rules, ds.videos),
+        ("tracks.jsonl", _parse_track, _track_rules, ds.tracks),
+        ("segments.jsonl", _parse_segment, _segment_rules, ds.segments),
+        ("pairs.jsonl", _parse_pair, _pair_rules, None),
+    ):
+        for lineno, rec in _entries(root, name):
+            if not isinstance(rec, dict):
+                raise MalformedRecord(name, lineno, "record is not an object")
             try:
-                embedding = store.row(ref["file"], int(ref["row"]), "segments.jsonl", lineno).copy()
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(
-                    "segments.jsonl", lineno, f"bad embedding reference: {exc}"
-                ) from exc
-            if speaker_dim is None:
-                speaker_dim = embedding.shape[0]
-            if embedding.shape[0] != speaker_dim:
-                raise DimensionMismatch(speaker_dim, embedding.shape[0], f"segment {segment_id}")
-        try:
-            segment = SpeechSegment(
-                segment_id=segment_id,
-                video_id=video_id,
-                start_s=float(rec["start_s"]),
-                end_s=float(rec["end_s"]),
-                origin=str(rec.get("origin", "vad")),
-                embedding=embedding,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecord("segments.jsonl", lineno, str(exc)) from exc
-        if segment.segment_id in ds.segments:
-            raise MalformedRecord("segments.jsonl", lineno, f"duplicate segment {segment_id!r}")
-        if not segment.start_s < segment.end_s:
-            raise MalformedRecord("segments.jsonl", lineno, "start_s must be < end_s")
-        ds.segments[segment.segment_id] = segment
-
-    for lineno, rec in _iter_jsonl(root / "pairs.jsonl"):
-        pair = AVPair(
-            track_id=str(_require(rec, "track_id", "pairs.jsonl", lineno)),
-            segment_id=str(_require(rec, "segment_id", "pairs.jsonl", lineno)),
-            confidence=float(rec.get("confidence", 0.0)),
-        )
-        if pair.track_id not in ds.tracks:
-            raise DanglingReference(pair.track_id, f"pairs.jsonl:{lineno}")
-        if pair.segment_id not in ds.segments:
-            raise DanglingReference(pair.segment_id, f"pairs.jsonl:{lineno}")
-        track_video = ds.tracks[pair.track_id].video_id
-        segment_video = ds.segments[pair.segment_id].video_id
-        if track_video != segment_video:
-            raise MalformedRecord(
-                "pairs.jsonl", lineno, f"pair spans videos {track_video!r} and {segment_video!r}"
-            )
-        ds.pairs.append(pair)
-
-    ds.face_dim = face_dim if face_dim is not None else DEFAULT_FACE_DIM
-    ds.speaker_dim = speaker_dim if speaker_dim is not None else DEFAULT_SPEAKER_DIM
+                key, record, extra = parse(rec, ds, store)
+            except KeyError as exc:
+                raise MalformedRecord(name, lineno, f"missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedRecord(name, lineno, f"bad record: {exc}") from exc
+            for v in rules(record, ds, *extra):
+                reason = f"{v.record_id}: {v.kind}: {v.detail}"
+                if v.kind in _TYPED_ERRORS:
+                    raise _TYPED_ERRORS[v.kind](f"{name}:{lineno}: {reason}")
+                raise MalformedRecord(name, lineno, reason)
+            if table is None:
+                ds.pairs.append(record)
+            elif key in table:
+                raise MalformedRecord(name, lineno, f"duplicate id {key!r}")
+            else:
+                table[key] = record
+    ds.face_dim = ds.face_dim or DEFAULT_FACE_DIM
+    ds.speaker_dim = ds.speaker_dim or DEFAULT_SPEAKER_DIM
     return ds
 
 
@@ -524,86 +601,3 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
     )
     write_emb(root / "faces.emb", face_matrix)
     write_emb(root / "speakers.emb", speaker_matrix)
-
-
-# --- validate -----------------------------------------------------------------
-
-def validate(ds: Dataset) -> ValidationReport:
-    """Check every dataset invariant; violations are reported, never raised."""
-    report = ValidationReport()
-
-    for channel in ds.channels.values():
-        if not channel.channel_id:
-            report.add("<channel>", "EmptyKey", "channel_id is empty")
-
-    for video in ds.videos.values():
-        if video.channel_id not in ds.channels:
-            report.add(video.video_id, "DanglingReference", f"channel {video.channel_id!r}")
-        if video.duration_s < 0:
-            report.add(video.video_id, "NegativeDuration", f"{video.duration_s}")
-        if video.view_history:
-            prev_ts, prev_count = None, None
-            for ts, count in video.view_history:
-                if prev_ts is not None and ts <= prev_ts:
-                    report.add(video.video_id, "ViewHistoryOrder", "timestamps not increasing")
-                if prev_count is not None and count < prev_count:
-                    report.add(video.video_id, "ViewHistoryOrder", "counts decreasing")
-                prev_ts, prev_count = ts, count
-
-    for track in ds.tracks.values():
-        if track.video_id not in ds.videos:
-            report.add(track.track_id, "DanglingReference", f"video {track.video_id!r}")
-        if track.start_frame < 0 or track.start_frame > track.end_frame:
-            report.add(
-                track.track_id,
-                "FrameRange",
-                f"start {track.start_frame} > end {track.end_frame}",
-            )
-        if track.embeddings.shape[0] == 0:
-            report.add(track.track_id, "NoEmbeddings", "track has no face embeddings")
-        if track.embeddings.shape[0] != len(track.embedding_frames):
-            report.add(track.track_id, "FrameIndex", "embedding/frame count mismatch")
-        if track.embeddings.shape[0] and track.embeddings.shape[1] != ds.face_dim:
-            report.add(
-                track.track_id,
-                "DimensionMismatch",
-                f"expected {ds.face_dim}, got {track.embeddings.shape[1]}",
-            )
-        if track.embeddings.size and not np.all(np.isfinite(track.embeddings)):
-            report.add(track.track_id, "NonFinite", "face embedding has non-finite values")
-        for frame in track.embedding_frames:
-            if not track.start_frame <= frame <= track.end_frame:
-                report.add(track.track_id, "FrameIndex", f"embedding frame {frame} outside track")
-        conf = track.speaker_confidence
-        if conf is not None and not math.isfinite(conf):
-            report.add(track.track_id, "NonFinite", "speaker_confidence not finite")
-
-    for segment in ds.segments.values():
-        if segment.video_id not in ds.videos:
-            report.add(segment.segment_id, "DanglingReference", f"video {segment.video_id!r}")
-        if not segment.start_s < segment.end_s:
-            report.add(segment.segment_id, "TimeRange", f"[{segment.start_s}, {segment.end_s}]")
-        if segment.origin not in ("vad", "active_speaker"):
-            report.add(segment.segment_id, "BadOrigin", segment.origin)
-        if segment.embedding is not None:
-            if segment.embedding.shape[0] != ds.speaker_dim:
-                report.add(
-                    segment.segment_id,
-                    "DimensionMismatch",
-                    f"expected {ds.speaker_dim}, got {segment.embedding.shape[0]}",
-                )
-            if not np.all(np.isfinite(segment.embedding)):
-                report.add(segment.segment_id, "NonFinite", "speaker embedding has non-finite values")
-
-    for i, pair in enumerate(ds.pairs):
-        pair_id = f"pair[{i}]({pair.track_id},{pair.segment_id})"
-        track = ds.tracks.get(pair.track_id)
-        segment = ds.segments.get(pair.segment_id)
-        if track is None:
-            report.add(pair_id, "DanglingReference", f"track {pair.track_id!r}")
-        if segment is None:
-            report.add(pair_id, "DanglingReference", f"segment {pair.segment_id!r}")
-        if track is not None and segment is not None and track.video_id != segment.video_id:
-            report.add(pair_id, "CrossVideoPair", f"{track.video_id} != {segment.video_id}")
-
-    return report

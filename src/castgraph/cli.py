@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 on success, 1 on a pipeline/processing error, 2 on usage or
-I/O problems (missing files, malformed manifests).
+I/O problems and on every error ``catalog.ingest`` raises (missing file,
+malformed record, dangling reference, wrong embedding dimension).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, collabgraph
-from .errors import CastgraphError, MalformedRecord, MissingFile
+from .errors import CastgraphError, DanglingReference, DimensionMismatch, MalformedRecord, MissingFile
 from .metrics import format_evaluation_table
 from .pipeline import CHECKPOINTS, PipelineConfig, PipelineRun
 from .synth import GroundTruth, SynthConfig, corrupt, generate
@@ -143,25 +144,24 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "validate":
-            report = catalog.validate(catalog.ingest(args.dataset))
-            for violation in report.violations:
-                print(f"{violation.record_id}: {violation.kind}: {violation.detail}")
-            print(f"{len(report.violations)} violation(s)")
-            return 0 if report.ok else 1
+            catalog.ingest(args.dataset)
+            print("0 violation(s)")
+            return 0
 
         if args.command == "export-dot":
             graph_file = args.out / CHECKPOINTS["graph"]
-            if not graph_file.is_file():
-                raise MissingFile(graph_file)
+            payload = catalog.load_json(graph_file)
             ds = catalog.ingest(args.dataset)
-            with open(graph_file, encoding="utf-8") as fh:
-                edges = collabgraph.edges_from_json(json.load(fh)["edges"])
+            try:
+                edges = collabgraph.edges_from_json(payload["edges"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRecord(graph_file, 0, f"bad graph: {exc!r}") from exc
             sys.stdout.write(collabgraph.collab_graph_dot(ds, edges))
             return 0
 
         return _run_stages(args, _STAGE_CUTOFF[args.command], show_table=args.command == "eval")
 
-    except (MissingFile, MalformedRecord) as exc:
+    except (MissingFile, MalformedRecord, DanglingReference, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CastgraphError as exc:

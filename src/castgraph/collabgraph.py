@@ -227,6 +227,11 @@ def edges_from_json(payload) -> list[CollaborationEdge]:
     ]
 
 
+def _dot_quote(text: str) -> str:
+    """text as a DOT quoted string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def collab_graph_dot(ds: Dataset, edges) -> str:
     """Collaboration graph in DOT form.
 
@@ -241,10 +246,12 @@ def collab_graph_dot(ds: Dataset, edges) -> str:
     for channel_id in sorted(ds.channels):
         name = ds.channels[channel_id].name or channel_id
         count = videos_per_channel.get(channel_id, 0)
-        lines.append(f'  "{channel_id}" [label="{name} ({count} videos)"];')
+        label = _dot_quote(f"{name} ({count} videos)")
+        lines.append(f"  {_dot_quote(channel_id)} [label={label}];")
     for edge in edges:
-        label = f"ID{edge.identity_id}, {len(edge.video_ids)}"
-        lines.append(f'  "{edge.from_channel}" -> "{edge.to_channel}" [label="{label}"];')
+        source, target = _dot_quote(edge.from_channel), _dot_quote(edge.to_channel)
+        label = _dot_quote(f"ID{edge.identity_id}, {len(edge.video_ids)}")
+        lines.append(f"  {source} -> {target} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

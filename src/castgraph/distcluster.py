@@ -31,7 +31,7 @@ def cosine_distance(a, b) -> float:
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
-        raise DimensionMismatch(va.shape[0], vb.shape[0])
+        raise DimensionMismatch(f"expected dimension {va.shape[0]}, got {vb.shape[0]}")
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:
@@ -87,7 +87,7 @@ def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
     """
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
-        raise DimensionMismatch("uniform", "ragged", "distance_matrix input")
+        raise DimensionMismatch("distance_matrix input is not a 2-D array of uniform rows")
     n = arr.shape[0]
     if n < 2:
         raise TooFewPoints(n, 2)

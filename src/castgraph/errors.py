@@ -22,18 +22,11 @@ class MalformedRecord(CastgraphError):
 
 
 class DimensionMismatch(CastgraphError):
-    def __init__(self, expected, got, context=""):
-        detail = f" ({context})" if context else ""
-        super().__init__(f"expected dimension {expected}, got {got}{detail}")
-        self.expected = expected
-        self.got = got
+    pass
 
 
 class DanglingReference(CastgraphError):
-    def __init__(self, ref_id, context=""):
-        detail = f" in {context}" if context else ""
-        super().__init__(f"unresolved reference {ref_id!r}{detail}")
-        self.ref_id = ref_id
+    pass
 
 
 class ZeroVector(CastgraphError):

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .catalog import (
     FaceTrack,
     SpeechSegment,
     Video,
+    load_json,
 )
-from .errors import InfeasibleConfig
+from .errors import InfeasibleConfig, MalformedRecord
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 VIDEO_DURATION_S = 120.0
@@ -112,8 +114,11 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        """Read a saved ground truth; raises MissingFile or MalformedRecord."""
+        try:
+            return cls.from_json(load_json(Path(path)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecord(path, 0, f"bad ground truth: {exc!r}") from exc
 
 
 # --- sphere sampling ----------------------------------------------------------

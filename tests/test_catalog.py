@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from castgraph import cli
 from castgraph.catalog import (
+    _usable_rows,
     ingest,
     normalize,
     read_emb,
@@ -211,3 +221,218 @@ def test_validate_cross_video_pair(synth_dataset):
     report = validate(ds)
     ds.pairs.pop()
     assert any(v.kind == "CrossVideoPair" for v in report.violations)
+
+
+def test_usable_rows_matches_its_definition_at_extreme_values():
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((12, 6)).astype(np.float32)
+    matrix[1] = 0.0
+    matrix[2] = -0.0
+    matrix[3, 2] = np.nan
+    matrix[4, 0] = np.inf
+    matrix[5, 5] = -np.inf
+    matrix[6] = 3e38  # squares overflow float32
+    matrix[7] = 1e-40  # squares underflow float32
+    matrix[8] = 0.0
+    matrix[8, 3] = 1e-45
+    expected = np.isfinite(matrix).all(axis=1) & matrix.any(axis=1)
+    assert _usable_rows(matrix).tolist() == expected.tolist()
+    assert expected[6:9].all() and not expected[1:6].any()
+
+
+# --- one rule set: every bad manifest is a typed error, in ingest, validate and the CLI ----
+
+def read_records(path: Path) -> list:
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in path.read_text().splitlines()]
+    return json.loads(path.read_text())
+
+
+def write_records(path: Path, records: list) -> None:
+    if path.suffix == ".jsonl":
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    else:
+        path.write_text(json.dumps(records))
+
+
+def edit_record(root: Path, name: str, change) -> dict:
+    """Apply change to the first record of a manifest file and return the record."""
+    records = read_records(root / name)
+    change(records[0])
+    write_records(root / name, records)
+    return records[0]
+
+
+def no_channel_id(root, ds):
+    edit_record(root, "channels.json", lambda r: r.pop("channel_id"))
+
+
+def no_duration(root, ds):
+    edit_record(root, "videos.json", lambda r: r.pop("duration_s"))
+
+
+def bad_timestamp(root, ds):
+    edit_record(root, "videos.json", lambda r: r.update(published_at="yesterday"))
+
+
+def channels_object(root, ds):
+    records = json.loads((root / "channels.json").read_text())
+    (root / "channels.json").write_text(json.dumps({"channels": records}))
+
+
+def negative_duration(root, ds):
+    video_id = edit_record(root, "videos.json", lambda r: r.update(duration_s=-5.0))["video_id"]
+    ds.videos[video_id] = dataclasses.replace(ds.videos[video_id], duration_s=-5.0)
+
+
+def bad_origin(root, ds):
+    segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(origin="zzz"))["segment_id"]
+    ds.segments[segment_id].origin = "zzz"
+
+
+def nan_speaker_confidence(root, ds):
+    change = lambda r: r.update(speaker_confidence=math.nan)  # noqa: E731
+    track_id = edit_record(root, "tracks.jsonl", change)["track_id"]
+    ds.tracks[track_id].speaker_confidence = math.nan
+
+
+def nan_speaker_embedding(root, ds):
+    record = next(r for r in read_records(root / "segments.jsonl") if r["embedding"])
+    speakers = read_emb(root / "speakers.emb")
+    speakers[record["embedding"]["row"], 0] = np.nan
+    write_emb(root / "speakers.emb", speakers)
+    segment = ds.segments[record["segment_id"]]
+    segment.embedding = segment.embedding.copy()
+    segment.embedding[0] = np.nan
+
+
+def infinite_end(root, ds):
+    segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(end_s="INF"))["segment_id"]
+    path = root / "segments.jsonl"
+    path.write_text(path.read_text().replace('"end_s": "INF"', '"end_s": 1e309', 1))
+    ds.segments[segment_id].end_s = math.inf
+
+
+def zero_face_row(root, ds):
+    record = read_records(root / "tracks.jsonl")[0]
+    faces = read_emb(root / "faces.emb")
+    faces[record["embeddings"][0]["row"]] = 0.0
+    write_emb(root / "faces.emb", faces)
+    track = ds.tracks[record["track_id"]]
+    track.embeddings = track.embeddings.copy()
+    track.embeddings[0] = 0.0
+
+
+def dangling_segment_video(root, ds):
+    change = lambda r: r.update(video_id="vMISSING")  # noqa: E731
+    segment_id = edit_record(root, "segments.jsonl", change)["segment_id"]
+    ds.segments[segment_id].video_id = "vMISSING"
+
+
+# (mutation, file it breaks, typed error, violation kind; None for a structural fault)
+BAD_MANIFESTS = [
+    (no_channel_id, "channels.json", MalformedRecord, None),
+    (no_duration, "videos.json", MalformedRecord, None),
+    (bad_timestamp, "videos.json", MalformedRecord, None),
+    (channels_object, "channels.json", MalformedRecord, None),
+    (negative_duration, "videos.json", MalformedRecord, "NegativeDuration"),
+    (bad_origin, "segments.jsonl", MalformedRecord, "BadOrigin"),
+    (nan_speaker_confidence, "tracks.jsonl", MalformedRecord, "NonFinite"),
+    (nan_speaker_embedding, "segments.jsonl", MalformedRecord, "NonFinite"),
+    (infinite_end, "segments.jsonl", MalformedRecord, "NonFinite"),
+    (zero_face_row, "tracks.jsonl", MalformedRecord, "ZeroVector"),
+    (dangling_segment_video, "segments.jsonl", DanglingReference, "DanglingReference"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, source, error, kind",
+    [pytest.param(*case, id=case[0].__name__) for case in BAD_MANIFESTS],
+)
+def test_bad_manifest_is_one_typed_error_everywhere(
+    tmp_path, capsys, synth_dataset, mutate, source, error, kind
+):
+    ds = copy.deepcopy(synth_dataset[0])
+    root = tmp_path / "data"
+    write(ds, root)
+    mutate(root, ds)
+
+    with pytest.raises(error) as raised:
+        ingest(root)
+    assert type(raised.value) is error
+    assert f"{source}:" in str(raised.value)
+    if kind is not None:
+        assert f": {kind}: " in str(raised.value)
+        assert kind in {v.kind for v in validate(ds).violations}
+
+    for argv in (["validate", root], ["run", root, "--out", tmp_path / "out"]):
+        assert cli.main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+# --- fuzz ---------------------------------------------------------------------------
+
+MANIFESTS = ("channels.json", "videos.json", "tracks.jsonl", "segments.jsonl", "pairs.jsonl")
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    cfg = SynthConfig(
+        n_channels=2,
+        n_videos=4,
+        n_identities=2,
+        face_dim=8,
+        speaker_dim=6,
+        angular_noise_deg=3.0,
+        offscreen_speaker_fraction=0.5,
+        collaboration_rate=0.5,
+        rng_seed=12,
+    )
+    root = tmp_path_factory.mktemp("small") / "data"
+    write(generate(cfg)[0], root)
+    return root
+
+
+def field_paths(value, prefix=()):
+    """Paths to every field and list item inside a record."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from field_paths(child, prefix + (key,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_exits_0_or_2(small_manifest, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "data"
+        shutil.copytree(small_manifest, root)
+        action = data.draw(st.sampled_from(["drop", "set", "truncate", "magic", "object"]))
+        if action in ("drop", "set"):
+            name = data.draw(st.sampled_from(MANIFESTS))
+            records = read_records(root / name)
+            if records:
+                index = data.draw(st.integers(0, len(records) - 1))
+                *parents, key = data.draw(st.sampled_from(list(field_paths(records[index]))))
+                target = records[index]
+                for step in parents:
+                    target = target[step]
+                if action == "drop":
+                    del target[key]
+                else:
+                    target[key] = data.draw(st.sampled_from([None, "zzz", math.nan, 1e309, -1]))
+                write_records(root / name, records)
+        elif action in ("truncate", "magic"):
+            path = root / data.draw(st.sampled_from(["faces.emb", "speakers.emb"]))
+            raw = path.read_bytes()
+            if action == "truncate":
+                path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+            else:
+                path.write_bytes(b"EMB0" + raw[4:])
+        else:
+            path = root / data.draw(st.sampled_from(["channels.json", "videos.json"]))
+            path.write_text(json.dumps({"records": json.loads(path.read_text())}))
+        assert cli.main(["validate", str(root)]) in (0, 2)

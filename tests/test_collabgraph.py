@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -250,3 +251,32 @@ def test_dot_labels_channels_and_edges():
     assert '"Beta (2 videos)"' in dot
     assert '"A" -> "B" [label="ID3, 2"]' in dot
     assert dot.startswith("digraph")
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    ds = Dataset()
+    names = {'q"1': 'Bob "the" Builder', "back\\slash": "ends in \\", 'both\\"': '\\"mixed"'}
+    ds.channels = {cid: Channel(cid, name) for cid, name in names.items()}
+    ds.videos = {"v0": video("v0", 'q"1')}
+
+    class E:
+        from_channel, to_channel, identity_id = 'q"1', "back\\slash", 1
+        video_ids = ("v0",)
+
+    dot = collab_graph_dot(ds, [E()])
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    body = dot.splitlines()[1:-1]
+    node = re.compile(rf"  ({quoted}) \[label=({quoted})\];")
+    edge = re.compile(rf"  ({quoted}) -> ({quoted}) \[label=({quoted})\];")
+    assert all(node.fullmatch(line) or edge.fullmatch(line) for line in body), dot
+
+    def unquote(text):
+        return re.sub(r"\\(.)", r"\1", text[1:-1])
+
+    nodes = [node.fullmatch(line).groups() for line in body if node.fullmatch(line)]
+    counts = {'q"1': 1, "back\\slash": 0, 'both\\"': 0}
+    assert {unquote(cid): unquote(label) for cid, label in nodes} == {
+        cid: f"{name} ({counts[cid]} videos)" for cid, name in names.items()
+    }
+    (source, target, _), = [edge.fullmatch(line).groups() for line in body if edge.fullmatch(line)]
+    assert (unquote(source), unquote(target)) == ('q"1', "back\\slash")

@@ -272,3 +272,40 @@ def test_cli_validate_rejects_malformed_manifest(tmp_path):
     (data / "segments.jsonl").write_text("\n".join(lines) + "\n")
     result = run_cli("validate", data)
     assert result.returncode == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny") / "data"
+    synth = run_cli(
+        "synth", "--out", data, "--channels", 2, "--videos", 4, "--identities", 2,
+        "--face-dim", 16, "--speaker-dim", 12, "--seed", 9,
+    )
+    assert synth.returncode == 0, synth.stderr
+    return data
+
+
+BAD_JSON_FILES = {"missing": None, "not_json": "{not json", "wrong_shape": "[1, 2]"}
+
+
+@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
+def test_cli_bad_ground_truth_exits_2(tmp_path, tiny_data, content):
+    truth = tmp_path / "truth.json"
+    if content is not None:
+        truth.write_text(content)
+    result = run_cli("run", tiny_data, "--out", tmp_path / "out", "--ground-truth", truth)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "truth.json" in result.stderr
+
+
+@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
+def test_cli_export_dot_bad_graph_exits_2(tmp_path, tiny_data, content):
+    out = tmp_path / "out"
+    out.mkdir()
+    if content is not None:
+        (out / CHECKPOINTS["graph"]).write_text(content)
+    result = run_cli("export-dot", tiny_data, "--out", out)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert CHECKPOINTS["graph"] in result.stderr
