@@ -10,23 +10,12 @@ directed channel-collaboration graph plus evaluation metrics.
 __version__ = "0.1.0"
 
 from .catalog import Dataset, ingest, normalize, validate, write
-from .distcluster import (
-    ClusterLabels,
-    CondensedDistanceMatrix,
-    DbscanConfig,
-    HdbscanParams,
-    cluster_with_fallback,
-    cosine_distance,
-    dbscan,
-    distance_matrix,
-    hdbscan,
-)
+from .distcluster import ClusterLabels, DbscanConfig, HdbscanParams, cluster_points, cosine_distance
 from .pipeline import PipelineConfig, PipelineRun, run_pipeline
 from .synth import GroundTruth, SynthConfig, corrupt, generate
 
 __all__ = [
     "ClusterLabels",
-    "CondensedDistanceMatrix",
     "Dataset",
     "DbscanConfig",
     "GroundTruth",
@@ -34,13 +23,10 @@ __all__ = [
     "PipelineConfig",
     "PipelineRun",
     "SynthConfig",
-    "cluster_with_fallback",
+    "cluster_points",
     "corrupt",
     "cosine_distance",
-    "dbscan",
-    "distance_matrix",
     "generate",
-    "hdbscan",
     "ingest",
     "normalize",
     "run_pipeline",

@@ -351,37 +351,59 @@ def validate(ds: Dataset) -> ValidationReport:
 
 # --- ingest -------------------------------------------------------------------
 
-def load_json(path: Path):
+def _read_text(path: Path, source) -> str:
+    """The file decoded as UTF-8 once; a byte that is not UTF-8 raises MalformedRecord at source:line."""
     if not path.is_file():
         raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(path, exc.lineno, exc.msg) from exc
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(source, line, f"byte {data[exc.start]:#04x} is not UTF-8") from exc
 
 
-def _iter_jsonl(path: Path):
-    if not path.is_file():
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(path, lineno, exc.msg) from exc
+def load_json(path: Path, source=None):
+    """One JSON document; faults name source (default: the path) and the line."""
+    source = path if source is None else source
+    try:
+        return json.loads(_read_text(path, source))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(source, exc.lineno, exc.msg) from exc
 
 
 def _entries(root: Path, name: str):
     """(line, record) per record of a manifest file; in a .json array, line is the position."""
-    if name.endswith(".jsonl"):
-        return _iter_jsonl(root / name)
-    records = load_json(root / name)
-    if not isinstance(records, list):
-        raise MalformedRecord(name, 1, "top-level value is not an array")
-    return enumerate(records, start=1)
+    if name.endswith(".json"):
+        records = load_json(root / name, name)
+        if not isinstance(records, list):
+            raise MalformedRecord(name, 1, "top-level value is not an array")
+        yield from enumerate(records, start=1)
+        return
+    for lineno, line in enumerate(_read_text(root / name, name).split("\n"), start=1):
+        if line.strip():
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(name, lineno, exc.msg) from exc
+
+
+_REQUIRED = object()
+
+
+def _field(rec, key: str, convert, default=_REQUIRED, where: str = ""):
+    """convert(rec[key]) (default if absent; null allowed if default is None); faults name where + key."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"field {where.rstrip('.')!r}: not an object")
+    value = rec.get(key, default)
+    if value is _REQUIRED:
+        raise KeyError(where + key)
+    if value is None and default is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {where + key!r}: {exc}") from exc
 
 
 class _EmbStore:
@@ -391,31 +413,32 @@ class _EmbStore:
         self.root = root
         self._cache: dict[str, tuple[np.ndarray, list[bool]]] = {}
 
-    def row(self, name: str, index: int) -> tuple[np.ndarray, bool]:
+    def row(self, ref, where: str) -> tuple[np.ndarray, bool]:
+        """The row a ``{"file", "row"}`` reference names, and whether it is usable."""
+        name, index = _field(ref, "file", str, where=where), _field(ref, "row", int, where=where)
         if name not in self._cache:
             matrix = read_emb(self.root / name)
             self._cache[name] = matrix, _usable_rows(matrix).tolist()
         matrix, usable = self._cache[name]
         if not 0 <= index < matrix.shape[0]:
-            raise ValueError(f"row {index} out of range for {name}")
+            raise ValueError(f"field {where + 'row'!r}: {index} out of range for {name}")
         return matrix[index], usable[index]
 
 
 # Each parser returns (id, record, extra rule arguments) for one JSON object.
 def _parse_channel(rec: dict, ds: Dataset, store: _EmbStore):
-    channel = Channel(str(rec["channel_id"]), str(rec.get("name", "")))
+    channel = Channel(_field(rec, "channel_id", str), _field(rec, "name", str, ""))
     return channel.channel_id, channel, ()
 
 
 def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
-    history = rec.get("view_history")
     video = Video(
-        video_id=str(rec["video_id"]),
-        channel_id=str(rec["channel_id"]),
-        published_at=parse_timestamp(rec["published_at"]),
-        duration_s=float(rec["duration_s"]),
-        view_history=None if history is None else tuple(
-            (parse_timestamp(ts), int(count)) for ts, count in history
+        video_id=_field(rec, "video_id", str),
+        channel_id=_field(rec, "channel_id", str),
+        published_at=_field(rec, "published_at", parse_timestamp),
+        duration_s=_field(rec, "duration_s", float),
+        view_history=_field(
+            rec, "view_history", lambda h: tuple((parse_timestamp(t), int(n)) for t, n in h), None
         ),
     )
     return video.video_id, video, ()
@@ -423,23 +446,22 @@ def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
 
 def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
     rows, frames, usable = [], [], True
-    for ref in rec["embeddings"]:
-        row, ok = store.row(ref["file"], int(ref["row"]))
+    for i, ref in enumerate(_field(rec, "embeddings", list)):
+        row, ok = store.row(ref, f"embeddings[{i}].")
         rows.append(row)
-        frames.append(int(ref["frame"]))
+        frames.append(_field(ref, "frame", int, where=f"embeddings[{i}]."))
         usable = usable and ok
     embeddings = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
     if ds.face_dim is None and rows:
         ds.face_dim = embeddings.shape[1]
-    conf = rec.get("speaker_confidence")
     track = FaceTrack(
-        track_id=str(rec["track_id"]),
-        video_id=str(rec["video_id"]),
-        start_frame=int(rec["start_frame"]),
-        end_frame=int(rec["end_frame"]),
+        track_id=_field(rec, "track_id", str),
+        video_id=_field(rec, "video_id", str),
+        start_frame=_field(rec, "start_frame", int),
+        end_frame=_field(rec, "end_frame", int),
         embeddings=embeddings,
         embedding_frames=tuple(frames),
-        speaker_confidence=None if conf is None else float(conf),
+        speaker_confidence=_field(rec, "speaker_confidence", float, None),
     )
     return track.track_id, track, (usable,)
 
@@ -447,23 +469,23 @@ def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
 def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
     embedding, usable, ref = None, True, rec.get("embedding")
     if ref is not None:
-        embedding, usable = store.row(ref["file"], int(ref["row"]))
+        embedding, usable = store.row(ref, "embedding.")
         if ds.speaker_dim is None:
             ds.speaker_dim = embedding.shape[0]
     segment = SpeechSegment(
-        segment_id=str(rec["segment_id"]),
-        video_id=str(rec["video_id"]),
-        start_s=float(rec["start_s"]),
-        end_s=float(rec["end_s"]),
-        origin=str(rec.get("origin", "vad")),
+        segment_id=_field(rec, "segment_id", str),
+        video_id=_field(rec, "video_id", str),
+        start_s=_field(rec, "start_s", float),
+        end_s=_field(rec, "end_s", float),
+        origin=_field(rec, "origin", str, "vad"),
         embedding=embedding,
     )
     return segment.segment_id, segment, (usable,)
 
 
 def _parse_pair(rec: dict, ds: Dataset, store: _EmbStore):
-    pair = AVPair(str(rec["track_id"]), str(rec["segment_id"]), float(rec.get("confidence", 0.0)))
-    return None, pair, ()
+    ids = _field(rec, "track_id", str), _field(rec, "segment_id", str)
+    return None, AVPair(*ids, _field(rec, "confidence", float, 0.0)), ()
 
 
 _TYPED_ERRORS = {"DanglingReference": DanglingReference, "DimensionMismatch": DimensionMismatch}

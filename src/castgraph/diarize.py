@@ -4,16 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .catalog import SpeechSegment
-from .distcluster import (
-    CondensedDistanceMatrix,
-    DbscanConfig,
-    HdbscanParams,
-    cluster_with_fallback,
-    distance_matrix,
-)
+from .distcluster import DbscanConfig, HdbscanParams, cluster_points
+from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 from .errors import NoSegments
 
 DEFAULT_MIN_SEGMENT_S = 1.0
@@ -82,12 +75,7 @@ def diarize_video(
         raise NoSegments("no retained segments to diarize")
     video_id = ordered[0].video_id
 
-    points = np.stack([s.embedding for s in ordered])
-    if len(ordered) >= 2:
-        matrix = distance_matrix(points)
-    else:
-        matrix = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
-    labels, used_fallback = cluster_with_fallback(matrix, params, fallback)
+    labels, used_fallback = cluster_points([s.embedding for s in ordered], params, fallback)
 
     assignment = {s.segment_id: int(l) for s, l in zip(ordered, labels.labels)}
     durations = [s.duration_s for s in ordered]

@@ -1,17 +1,20 @@
 """Cosine-distance kernels and density-based clustering.
 
 Everything here is a pure function of its inputs. The clustering entry point
-used by the rest of the pipeline is :func:`cluster_with_fallback`, which runs
-hierarchical density clustering and falls back to plain density clustering
-when the hierarchy labels everything as noise (the single-identity failure
-mode) or when there are too few points for a hierarchy at all.
+used by the rest of the pipeline is :func:`cluster_points`: vectors in, one
+label per vector out. The distance matrix is built inside it, and
+:func:`cluster_with_fallback` then runs hierarchical density clustering and
+falls back to plain density clustering when the hierarchy labels everything
+as noise (the single-identity failure mode) or when there are too few points
+for a hierarchy at all. The hierarchy never selects its root, so fewer than
+2 * min_cluster_size points that are not all identical come back all noise
+without building it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -149,10 +152,6 @@ class ClusterLabels:
     def all_noise(self) -> bool:
         return bool(np.all(self.labels == -1))
 
-    def to_csv(self, path, point_ids=None) -> None:
-        ids = point_ids if point_ids is not None else range(len(self.labels))
-        Path(path).write_text(labels_csv(ids, self.labels), encoding="utf-8")
-
 
 def labels_csv(point_ids, labels) -> str:
     """``point_id,label`` lines under a header, one per point, in the given order."""
@@ -170,10 +169,6 @@ def labels_from_text(text: str) -> tuple[list[str], ClusterLabels]:
         ids.append(point_id)
         values.append(int(label))
     return ids, ClusterLabels(np.asarray(values, dtype=np.int64))
-
-
-def labels_from_csv(path) -> tuple[list[str], ClusterLabels]:
-    return labels_from_text(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -221,17 +216,13 @@ def _mutual_reachability(m: CondensedDistanceMatrix, core: np.ndarray) -> np.nda
     return mr
 
 
-def _prim_mst(n: int, weights: CondensedDistanceMatrix | np.ndarray):
+def _prim_mst(n: int, square: np.ndarray):
     """Exact MST on the dense weight matrix.
 
     Returns (n-1) edges as (i, j, w) with i < j. On equal weights the edge
     with the smaller (i, j) pair wins, which pins down the tree (and hence
     the whole hierarchy) for inputs with duplicate distances.
     """
-    if isinstance(weights, CondensedDistanceMatrix):
-        square = weights.to_square()
-    else:
-        square = weights
     in_tree = np.zeros(n, dtype=bool)
     best_w = np.full(n, INFTY)
     best_parent = np.full(n, -1, dtype=np.int64)
@@ -431,10 +422,14 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels:
         raise TooFewPoints(n, params.min_cluster_size)
     if np.all(m.entries == 0.0):
         return ClusterLabels(np.zeros(n, dtype=np.int64))
+    # a true split needs min_cluster_size points on each side, and the root
+    # itself is never selected: below that no cluster can come out
+    if n < 2 * params.min_cluster_size:
+        return ClusterLabels(np.full(n, -1, dtype=np.int64))
 
     core = _core_distances(m, params.effective_min_samples)
     mr = CondensedDistanceMatrix(n, _mutual_reachability(m, core))
-    edges = _prim_mst(n, mr)
+    edges = _prim_mst(n, mr.to_square())
     merges = _single_linkage(n, edges)
     point_rows, cluster_children, birth_lambda = _condense_tree(
         n, merges, params.min_cluster_size
@@ -544,3 +539,27 @@ def cluster_with_fallback(
     eps = config.eps if config.eps is not None else k_distance_eps(m)
     min_pts = min(config.min_pts, m.n)
     return dbscan(m, eps, min_pts), True
+
+
+def cluster_points(
+    vectors,
+    params: HdbscanParams,
+    fallback: DbscanConfig | None = None,
+    workers: int = 1,
+) -> tuple[ClusterLabels, bool]:
+    """Cluster labels for a set of vectors, one per vector in order, and whether the fallback ran.
+
+    No vectors give no labels and no fallback. A single vector skips the
+    distance matrix and gets the fallback's one-point decision. A zero vector
+    raises ZeroVector at any n.
+    """
+    points = np.asarray(vectors, dtype=np.float64)
+    if len(points) == 0:
+        return ClusterLabels(np.empty(0, dtype=np.int64)), False
+    if len(points) == 1:
+        if not points.any():
+            raise ZeroVector("cluster_points input contains a zero vector")
+        matrix = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
+    else:
+        matrix = distance_matrix(points, workers)
+    return cluster_with_fallback(matrix, params, fallback)

@@ -23,15 +23,8 @@ from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
 from .catalog import AVPair, Dataset, emb_bytes, emb_from_bytes
 from .diarize import DiarizationSummary, diarize_video, filter_segments, reconcile
-from .distcluster import (
-    CondensedDistanceMatrix,
-    DbscanConfig,
-    HdbscanParams,
-    cluster_with_fallback,
-    distance_matrix,
-    labels_csv,
-    labels_from_text,
-)
+from .distcluster import DbscanConfig, HdbscanParams, cluster_points, labels_csv, labels_from_text
+from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 from .errors import PipelineStageError
 from .synth import GroundTruth
 from .tracks import (
@@ -233,6 +226,10 @@ class PipelineRun:
 
     def compute_diarize(self) -> None:
         config = self.config
+        pairs_by_video: dict[str, list[AVPair]] = {}
+        for pair in self.av_pairs:
+            pairs_by_video.setdefault(self.ds.segments[pair.segment_id].video_id, []).append(pair)
+
         def run_one(video_id: str) -> dict:
             kept, rejected = filter_segments(self.segments_by_video[video_id], config.min_segment_s)
             if kept:
@@ -242,7 +239,7 @@ class PipelineRun:
             return {
                 "video_id": video_id,
                 "labels": {k: int(v) for k, v in labels.items()},
-                "reconciled": [asdict(r) for r in reconcile(labels, self.av_pairs)],
+                "reconciled": [asdict(r) for r in reconcile(labels, pairs_by_video.get(video_id, []))],
                 "summary": summary.to_json(),
             }
 
@@ -262,24 +259,17 @@ class PipelineRun:
 
     def _cluster_points(self, points: dict[str, np.ndarray]) -> dict[str, int]:
         """Global cluster labels for id -> vector points."""
-        if not points:
-            return {}
-        if len(points) >= 2:
-            matrix = distance_matrix(np.stack(list(points.values())), workers=self.config.threads)
-        else:
-            matrix = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
-        labels, _ = cluster_with_fallback(matrix, self.config.hdbscan_params, self.config.dbscan_config)
+        cfg = self.config
+        labels, _ = cluster_points(list(points.values()), cfg.hdbscan_params, cfg.dbscan_config, cfg.threads)
         return {i: int(l) for i, l in zip(points, labels.labels)}
 
     def compute_cluster_faces(self) -> None:
-        points = {e.entity_id: e.representative_face.astype(np.float64) for e in self.entities}
-        self.face_labels = self._cluster_points(points)
+        self.face_labels = self._cluster_points({e.entity_id: e.representative_face for e in self.entities})
 
     def compute_cluster_speakers(self) -> None:
         segments = sorted(self.ds.segments.values(), key=lambda s: s.segment_id)
         kept, _ = filter_segments(segments, self.config.min_segment_s)
-        points = {s.segment_id: s.embedding.astype(np.float64) for s in kept}
-        self.speaker_labels = self._cluster_points(points)
+        self.speaker_labels = self._cluster_points({s.segment_id: s.embedding for s in kept})
 
     def compute_bridge(self) -> None:
         track_to_entity = {t: e.entity_id for e in self.entities for t in e.member_track_ids}

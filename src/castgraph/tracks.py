@@ -8,13 +8,8 @@ from itertools import groupby
 import numpy as np
 
 from .catalog import FRAME_RATE, AVPair, FaceTrack, SpeechSegment, normalize
-from .distcluster import (
-    CondensedDistanceMatrix,
-    DbscanConfig,
-    HdbscanParams,
-    cluster_with_fallback,
-    distance_matrix,
-)
+from .distcluster import DbscanConfig, HdbscanParams, cluster_points
+from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 
 
 @dataclass(frozen=True)
@@ -173,11 +168,7 @@ def merge_tracks(
     for video_id, members_iter in groupby(ordered, key=lambda t: t.video_id):
         members = list(members_iter)
         reps = np.stack([representative_embedding(t) for t in members])
-        if len(members) >= 2:
-            matrix = distance_matrix(reps)
-        else:
-            matrix = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
-        labels, _ = cluster_with_fallback(matrix, params, fallback)
+        labels, _ = cluster_points(reps, params, fallback)
 
         groups: dict[int, list[int]] = {}
         singleton_key = -1

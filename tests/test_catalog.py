@@ -323,34 +323,53 @@ def zero_face_row(root, ds):
     track.embeddings[0] = 0.0
 
 
+def null_start_frame(root, ds):
+    edit_record(root, "tracks.jsonl", lambda r: r.update(start_frame=None))
+
+
+def null_embedding_reference(root, ds):
+    edit_record(root, "tracks.jsonl", lambda r: r["embeddings"].__setitem__(1, None))
+
+
+def non_utf8_byte(root, ds):
+    path = root / "segments.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"segment_id": "', b'"segment_id": "\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+
+
 def dangling_segment_video(root, ds):
     change = lambda r: r.update(video_id="vMISSING")  # noqa: E731
     segment_id = edit_record(root, "segments.jsonl", change)["segment_id"]
     ds.segments[segment_id].video_id = "vMISSING"
 
 
-# (mutation, file it breaks, typed error, violation kind; None for a structural fault)
+# (mutation, file it breaks, typed error, violation kind or None for a structural fault,
+#  and for a structural fault how its message goes on after the file name: line and field)
 BAD_MANIFESTS = [
-    (no_channel_id, "channels.json", MalformedRecord, None),
-    (no_duration, "videos.json", MalformedRecord, None),
-    (bad_timestamp, "videos.json", MalformedRecord, None),
-    (channels_object, "channels.json", MalformedRecord, None),
-    (negative_duration, "videos.json", MalformedRecord, "NegativeDuration"),
-    (bad_origin, "segments.jsonl", MalformedRecord, "BadOrigin"),
-    (nan_speaker_confidence, "tracks.jsonl", MalformedRecord, "NonFinite"),
-    (nan_speaker_embedding, "segments.jsonl", MalformedRecord, "NonFinite"),
-    (infinite_end, "segments.jsonl", MalformedRecord, "NonFinite"),
-    (zero_face_row, "tracks.jsonl", MalformedRecord, "ZeroVector"),
-    (dangling_segment_video, "segments.jsonl", DanglingReference, "DanglingReference"),
+    (no_channel_id, "channels.json", MalformedRecord, None, ":1: missing field 'channel_id'"),
+    (no_duration, "videos.json", MalformedRecord, None, ":1: missing field 'duration_s'"),
+    (bad_timestamp, "videos.json", MalformedRecord, None, ":1: bad record: field 'published_at': "),
+    (channels_object, "channels.json", MalformedRecord, None, ":1: top-level value is not an array"),
+    (null_start_frame, "tracks.jsonl", MalformedRecord, None, ":1: bad record: field 'start_frame': "),
+    (null_embedding_reference, "tracks.jsonl", MalformedRecord, None, ":1: bad record: field 'embeddings[1]': "),
+    (non_utf8_byte, "segments.jsonl", MalformedRecord, None, ":2: byte 0xff is not UTF-8"),
+    (negative_duration, "videos.json", MalformedRecord, "NegativeDuration", None),
+    (bad_origin, "segments.jsonl", MalformedRecord, "BadOrigin", None),
+    (nan_speaker_confidence, "tracks.jsonl", MalformedRecord, "NonFinite", None),
+    (nan_speaker_embedding, "segments.jsonl", MalformedRecord, "NonFinite", None),
+    (infinite_end, "segments.jsonl", MalformedRecord, "NonFinite", None),
+    (zero_face_row, "tracks.jsonl", MalformedRecord, "ZeroVector", None),
+    (dangling_segment_video, "segments.jsonl", DanglingReference, "DanglingReference", None),
 ]
 
 
 @pytest.mark.parametrize(
-    "mutate, source, error, kind",
+    "mutate, source, error, kind, detail",
     [pytest.param(*case, id=case[0].__name__) for case in BAD_MANIFESTS],
 )
 def test_bad_manifest_is_one_typed_error_everywhere(
-    tmp_path, capsys, synth_dataset, mutate, source, error, kind
+    tmp_path, capsys, synth_dataset, mutate, source, error, kind, detail
 ):
     ds = copy.deepcopy(synth_dataset[0])
     root = tmp_path / "data"
@@ -360,7 +379,7 @@ def test_bad_manifest_is_one_typed_error_everywhere(
     with pytest.raises(error) as raised:
         ingest(root)
     assert type(raised.value) is error
-    assert f"{source}:" in str(raised.value)
+    assert str(raised.value).startswith(f"{source}{detail or ':'}")
     if kind is not None:
         assert f": {kind}: " in str(raised.value)
         assert kind in {v.kind for v in validate(ds).violations}

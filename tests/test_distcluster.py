@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from castgraph.distcluster import (
-    ClusterLabels,
     CondensedDistanceMatrix,
     DbscanConfig,
     HdbscanParams,
+    cluster_points,
     cluster_with_fallback,
     cosine_distance,
     dbscan,
     distance_matrix,
     hdbscan,
     k_distance_eps,
+    labels_csv,
+    labels_from_text,
 )
 from castgraph.errors import DimensionMismatch, TooFewPoints, ZeroVector
 from castgraph.synth import sample_blobs
@@ -149,6 +151,34 @@ def test_hdbscan_oracle_other_min_cluster_size(mcs):
         got = hdbscan(m, HdbscanParams(mcs, mcs)).labels.tolist()
         expected = oracle_hdbscan(m.to_square().tolist(), mcs, mcs)
         assert got == expected
+
+
+@pytest.mark.parametrize("min_samples", [None, 1, 3])
+@pytest.mark.parametrize("mcs", [2, 3, 4])
+def test_hdbscan_oracle_below_two_min_cluster_sizes(mcs, min_samples):
+    # n in [mcs, 2*mcs) has no split with two big-enough sides, so it comes
+    # back all noise without a hierarchy; n = 2*mcs is the first that can split
+    params = HdbscanParams(mcs, min_samples)
+    ms = params.effective_min_samples
+    split_seen = False
+    for n in range(mcs, 2 * mcs + 1):
+        for seed in range(12):
+            points, _ = sample_blobs(n, 2, 16, 20.0, seed=6000 + 100 * n + seed)
+            rng = np.random.default_rng(seed)
+            for _ in range(seed % 3):  # partly duplicated, never all identical
+                i, j = rng.choice(n, size=2, replace=False)
+                points[j] = points[i]
+            m = distance_matrix(points)
+            if np.all(m.entries == 0.0):
+                continue
+            got = hdbscan(m, params).labels.tolist()
+            assert got == oracle_hdbscan(m.to_square().tolist(), mcs, ms), (n, seed)
+            if n < 2 * mcs:
+                assert got == [-1] * n
+            split_seen |= max(got) >= 0
+    # the boundary is live: two blobs of mcs points split, unless the core
+    # distances (min_samples > mcs) reach into the other blob
+    assert split_seen or ms > mcs
 
 
 def test_hdbscan_permutation_invariant():
@@ -326,14 +356,48 @@ def test_fallback_single_point_gets_label():
     assert labels.labels.tolist() == [0]
 
 
+# --- cluster_points: one policy per degenerate input ------------------------------
+
+# (id, vectors, expected labels or the error raised, whether the fallback ran)
+DEGENERATE_INPUTS = [
+    ("no_points", np.empty((0, 3)), [], False),
+    ("one_point", [[0.3, 0.4, 1.2]], [0], True),
+    # the hierarchy finds only noise; the k-distance eps is their distance, so they join
+    ("two_distinct_points", np.eye(2), [0, 0], True),
+    ("two_identical_points", np.tile([0.3, 0.4, 1.2], (2, 1)), [0, 0], False),
+    ("five_identical_points", np.tile([0.3, 0.4, 1.2], (5, 1)), [0] * 5, False),
+    ("zero_vector", [[0.0, 0.0], [1.0, 0.0]], ZeroVector, None),
+    ("lone_zero_vector", [[0.0, 0.0]], ZeroVector, None),
+]
+
+
+@pytest.mark.parametrize(
+    "vectors, expected, used", [pytest.param(*case[1:], id=case[0]) for case in DEGENERATE_INPUTS]
+)
+def test_cluster_points_degenerate_inputs(vectors, expected, used):
+    if expected is ZeroVector:
+        with pytest.raises(ZeroVector):
+            cluster_points(vectors, PARAMS)
+        return
+    labels, used_fallback = cluster_points(vectors, PARAMS)
+    assert labels.labels.tolist() == expected
+    assert labels.labels.dtype == np.int64
+    assert used_fallback is used
+
+
+def test_cluster_points_matches_matrix_path():
+    points, _ = sample_blobs(30, 3, 64, 8.0, seed=8)
+    labels, used = cluster_points(list(points), PARAMS, workers=2)
+    expected, expected_used = cluster_with_fallback(distance_matrix(points), PARAMS)
+    assert labels.labels.tolist() == expected.labels.tolist()
+    assert used == expected_used
+
+
 # --- label csv -------------------------------------------------------------------
 
-def test_labels_csv_round_trip(tmp_path):
-    labels = ClusterLabels(np.asarray([0, 1, -1, 0]))
-    path = tmp_path / "labels.csv"
-    labels.to_csv(path, ["a", "b", "c", "d"])
-    from castgraph.distcluster import labels_from_csv
-
-    ids, loaded = labels_from_csv(path)
+def test_labels_csv_round_trip():
+    text = labels_csv(["a", "b", "c", "d"], np.asarray([0, 1, -1, 0]))
+    assert text == "point_id,label\na,0\nb,1\nc,-1\nd,0\n"
+    ids, loaded = labels_from_text(text)
     assert ids == ["a", "b", "c", "d"]
     assert loaded.labels.tolist() == [0, 1, -1, 0]

@@ -285,18 +285,25 @@ def tiny_data(tmp_path_factory):
     return data
 
 
-BAD_JSON_FILES = {"missing": None, "not_json": "{not json", "wrong_shape": "[1, 2]"}
+BAD_JSON_FILES = {
+    "missing": None,
+    "not_json": b"{not json",
+    "wrong_shape": b"[1, 2]",
+    "not_utf8": b'[\n"\xff"]',
+}
 
 
 @pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
 def test_cli_bad_ground_truth_exits_2(tmp_path, tiny_data, content):
     truth = tmp_path / "truth.json"
     if content is not None:
-        truth.write_text(content)
+        truth.write_bytes(content)
     result = run_cli("run", tiny_data, "--out", tmp_path / "out", "--ground-truth", truth)
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
     assert "truth.json" in result.stderr
+    if content == BAD_JSON_FILES["not_utf8"]:
+        assert "truth.json:2: byte 0xff is not UTF-8" in result.stderr
 
 
 @pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
@@ -304,7 +311,7 @@ def test_cli_export_dot_bad_graph_exits_2(tmp_path, tiny_data, content):
     out = tmp_path / "out"
     out.mkdir()
     if content is not None:
-        (out / CHECKPOINTS["graph"]).write_text(content)
+        (out / CHECKPOINTS["graph"]).write_bytes(content)
     result = run_cli("export-dot", tiny_data, "--out", out)
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
