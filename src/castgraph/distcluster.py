@@ -9,12 +9,18 @@ as noise (the single-identity failure mode) or when there are too few points
 for a hierarchy at all. The hierarchy never selects its root, so fewer than
 2 * min_cluster_size points that are not all identical come back all noise
 without building it.
+
+The condensed distance array, 8 * n(n-1)/2 bytes (143 MB at n = 5990), is
+the only n^2 allocation of a clustering call; no n x n square is built. Core
+distances come from one sequential pass over its rows, Prim reads each
+joining point's distances to the points outside the tree from it, and DBSCAN
+reads it one row at a time (CondensedDistanceMatrix.row).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,24 +61,42 @@ class CondensedDistanceMatrix:
 
     n: int
     entries: np.ndarray
+    # d(i, j) for i < j sits at starts[i] + (j - i - 1), which is also
+    # column[i] + j: starts[i] indexes d(i, i+1), the head of row i's upper part
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
         expected = self.n * (self.n - 1) // 2
         if self.entries.shape != (expected,):
             raise ValueError(f"expected {expected} condensed entries, got {self.entries.shape}")
+        i = np.arange(self.n, dtype=np.int64)
+        self.starts = i * (2 * self.n - 1 - i) // 2
+        self.column = self.starts - i - 1
 
     def index(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
-        return self.n * i - i * (i + 1) // 2 + (j - i - 1)
+        return int(self.column[i]) + j
 
     def get(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
         return float(self.entries[self.index(i, j)])
 
+    def row(self, v: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Row v of the square form, d(v, j) for every j, gathered in O(n)."""
+        if out is None:
+            out = np.empty(self.n, dtype=np.float64)
+        np.take(self.entries, self.column[:v] + v, out=out[:v])
+        out[v] = 0.0
+        start = int(self.starts[v])
+        out[v + 1 :] = self.entries[start : start + self.n - v - 1]
+        return out
+
     def to_square(self) -> np.ndarray:
+        """The n x n form; for oracles and tests, clustering never builds it."""
         square = np.zeros((self.n, self.n), dtype=np.float64)
         k = 0
         for i in range(self.n - 1):
@@ -82,11 +106,19 @@ class CondensedDistanceMatrix:
         return square + square.T
 
 
+# rows per GEMM block in distance_matrix. d(i, j) always comes from the one
+# product unit[b:b+BLOCK] @ unit[b:].T of i's block start b, whichever thread
+# computes it, so the worker count cannot change its bits
+BLOCK = 256
+
+
 def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
     """Pairwise cosine distances over a point set.
 
-    Rows are computed one matrix-vector product at a time so the result is
-    bit-identical no matter how the rows are partitioned across workers.
+    The unit vectors are multiplied in fixed row blocks against every column
+    at or after the block's first row, and each block's upper part is written
+    straight into its condensed slices. The condensed array is the only n^2
+    allocation; workers only decide which thread computes which block.
     """
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
@@ -99,37 +131,37 @@ def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
         raise ZeroVector("distance_matrix input contains a zero vector")
     unit = arr / norms[:, None]
 
-    entries = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    matrix = CondensedDistanceMatrix(n, np.empty(n * (n - 1) // 2, dtype=np.float64))
+    entries, starts = matrix.entries, matrix.starts
 
-    def fill_rows(lo: int, hi: int) -> None:
+    def fill_block(lo: int) -> None:
+        hi = min(lo + BLOCK, n - 1)
+        sims = unit[lo:hi] @ unit[lo:].T
+        np.clip(sims, -1.0, 1.0, out=sims)
+        np.subtract(1.0, sims, out=sims)
         for i in range(lo, hi):
-            sims = unit[i + 1 :] @ unit[i]
-            np.clip(sims, -1.0, 1.0, out=sims)
-            entries[offsets[i] : offsets[i] + (n - i - 1)] = 1.0 - sims
+            entries[starts[i] : starts[i] + (n - i - 1)] = sims[i - lo, i - lo + 1 :]
 
-    if workers <= 1 or n < 4:
-        fill_rows(0, n - 1)
+    blocks = range(0, n - 1, BLOCK)
+    if workers <= 1 or len(blocks) < 2:
+        for lo in blocks:
+            fill_block(lo)
     else:
-        bounds = np.linspace(0, n - 1, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill_rows, int(bounds[w]), int(bounds[w + 1]))
-                for w in range(workers)
-            ]
-            for future in futures:
-                future.result()
+            for _ in pool.map(fill_block, blocks):
+                pass
 
     # bitwise-identical points sit at distance exactly 0, not a rounding
     # residue; duplicate groups then stay atomic under single linkage
-    matrix = CondensedDistanceMatrix(n, entries)
     groups: dict[bytes, list[int]] = {}
     for i in range(n):
         groups.setdefault(unit[i].tobytes(), []).append(i)
     for members in groups.values():
-        for a_idx, i in enumerate(members):
-            for j in members[a_idx + 1 :]:
-                entries[matrix.index(i, j)] = 0.0
+        if len(members) > 1:
+            # every pair of the group, written in one assignment
+            rows = np.asarray(members)[:, None]
+            cols = rows.T
+            entries[(matrix.column[rows] + cols)[rows < cols]] = 0.0
     return matrix
 
 
@@ -196,70 +228,92 @@ class DbscanConfig:
 
 # --- hierarchical density clustering ------------------------------------------
 
+def _kth_smallest_per_row(m: CondensedDistanceMatrix, k: int) -> np.ndarray:
+    """The k-th smallest entry (0-based) of every square row, self distance included.
+
+    One sequential pass over the condensed rows. Row i's square row is the
+    self distance, column i (d(j, i) for j < i) and row i's upper part. Only
+    the k + 1 smallest of column i can be among the row's k + 1 smallest, and
+    they are collected while the rows j < i go by, so no column is gathered.
+    """
+    n = m.n
+    # smallest[:, j]: the k + 1 smallest d(i, j) over the rows i read so far, ascending
+    smallest = np.full((k + 1, n), INFTY)
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        upper = m.entries[m.starts[i] : m.starts[i] + n - i - 1]
+        # column i holds i values so far; the slots past them are still inf
+        row = np.concatenate(([0.0], smallest[:i, i], upper))
+        out[i] = np.partition(row, k)[k]
+        if i == n - 1:
+            break
+        # insert this row's upper part into the later columns' sorted lists
+        carry = upper.copy()
+        for kept in smallest[: i + 1, i + 1 :]:
+            lower = np.minimum(kept, carry)
+            np.maximum(kept, carry, out=carry)
+            kept[...] = lower
+    return out
+
+
 def _core_distances(m: CondensedDistanceMatrix, min_samples: int) -> np.ndarray:
     """Distance from each point to its min_samples-th neighbor, self counted."""
-    square = m.to_square()
-    k = min(min_samples, m.n)
-    # row includes the zero self-distance, so index k-1 is the k-th neighbor
-    return np.sort(square, axis=1)[:, k - 1]
+    # the row includes the zero self-distance, so index k-1 is the k-th neighbor
+    return _kth_smallest_per_row(m, min(min_samples, m.n) - 1)
 
 
-def _mutual_reachability(m: CondensedDistanceMatrix, core: np.ndarray) -> np.ndarray:
-    n = m.n
-    mr = np.empty_like(m.entries)
-    k = 0
-    for i in range(n - 1):
-        count = n - i - 1
-        block = m.entries[k : k + count]
-        mr[k : k + count] = np.maximum(np.maximum(core[i], core[i + 1 :]), block)
-        k += count
-    return mr
+def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray):
+    """Exact MST under mutual reachability max(core_i, core_j, d_ij).
 
-
-def _prim_mst(n: int, square: np.ndarray):
-    """Exact MST on the dense weight matrix.
-
+    When a point joins the tree, its mutual reachability to each point still
+    outside is read from the condensed array; no n x n weight matrix exists.
     Returns (n-1) edges as (i, j, w) with i < j. On equal weights the edge
     with the smaller (i, j) pair wins, which pins down the tree (and hence
     the whole hierarchy) for inputs with duplicate distances.
     """
-    in_tree = np.zeros(n, dtype=bool)
-    best_w = np.full(n, INFTY)
-    best_parent = np.full(n, -1, dtype=np.int64)
-    in_tree[0] = True
-    best_w[1:] = square[0, 1:]
-    best_parent[1:] = 0
+    n = m.n
+    entries = m.entries
+    # the points outside the tree and, per point, its best edge into the
+    # tree; a joining point is swapped out with the last one, which is safe
+    # because no choice below depends on a point's position
+    rest = np.arange(1, n)
+    column = m.column[1:].copy()
+    rest_core = core[1:].copy()
+    best_w = np.full(n - 1, INFTY)
+    best_parent = np.zeros(n - 1, dtype=np.int64)
 
     edges = []
-    for _ in range(n - 1):
-        masked = np.where(in_tree, INFTY, best_w)
-        w_min = masked.min()
-        candidates = np.flatnonzero(masked == w_min)
-        # lexicographic tie-break on the (i, j) pair the edge would add
-        best_v = candidates[0]
-        best_pair = (
-            min(best_parent[best_v], best_v),
-            max(best_parent[best_v], best_v),
-        )
-        for v in candidates[1:]:
-            pair = (min(best_parent[v], v), max(best_parent[v], v))
-            if pair < best_pair:
-                best_pair, best_v = pair, v
-        v = int(best_v)
-        in_tree[v] = True
-        edges.append((int(best_pair[0]), int(best_pair[1]), float(best_w[v])))
-
-        row = square[v]
-        update = (~in_tree) & (row < best_w)
-        best_w[update] = row[update]
+    v = 0
+    while rest.size:
+        w = entries[np.where(rest < v, column + v, rest + m.column[v])]
+        np.maximum(w, rest_core, out=w)
+        np.maximum(w, core[v], out=w)
+        update = w < best_w
+        best_w[update] = w[update]
         best_parent[update] = v
         # on exact weight ties prefer the lexicographically smaller pair
-        tie = (~in_tree) & (row == best_w) & (best_parent != v)
-        for u in np.flatnonzero(tie):
-            old = (min(best_parent[u], u), max(best_parent[u], u))
-            new = (min(v, u), max(v, u))
-            if new < old:
-                best_parent[u] = v
+        tie = np.flatnonzero((w == best_w) & (best_parent != v))
+        if tie.size:
+            u, p = rest[tie], best_parent[tie]
+            new_lo, old_lo = np.minimum(v, u), np.minimum(p, u)
+            new_hi, old_hi = np.maximum(v, u), np.maximum(p, u)
+            better = (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
+            best_parent[tie[better]] = v
+
+        w_min = best_w.min()
+        candidates = np.flatnonzero(best_w == w_min)
+        k = candidates[0]
+        if candidates.size > 1:
+            # lexicographic tie-break on the (i, j) pair the edge would add
+            u, p = rest[candidates], best_parent[candidates]
+            k = candidates[np.lexsort((np.maximum(p, u), np.minimum(p, u)))[0]]
+        v, p = int(rest[k]), int(best_parent[k])
+        edges.append((min(p, v), max(p, v), float(w_min)))
+        last = rest.size - 1
+        for arr in (rest, column, rest_core, best_w, best_parent):
+            arr[k] = arr[last]
+        rest, column, rest_core = rest[:last], column[:last], rest_core[:last]
+        best_w, best_parent = best_w[:last], best_parent[:last]
     return edges
 
 
@@ -420,16 +474,14 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels:
     n = m.n
     if n < params.min_cluster_size:
         raise TooFewPoints(n, params.min_cluster_size)
-    if np.all(m.entries == 0.0):
+    if not m.entries.any():
         return ClusterLabels(np.zeros(n, dtype=np.int64))
     # a true split needs min_cluster_size points on each side, and the root
     # itself is never selected: below that no cluster can come out
     if n < 2 * params.min_cluster_size:
         return ClusterLabels(np.full(n, -1, dtype=np.int64))
 
-    core = _core_distances(m, params.effective_min_samples)
-    mr = CondensedDistanceMatrix(n, _mutual_reachability(m, core))
-    edges = _prim_mst(n, mr.to_square())
+    edges = _prim_mst(m, _core_distances(m, params.effective_min_samples))
     merges = _single_linkage(n, edges)
     point_rows, cluster_children, birth_lambda = _condense_tree(
         n, merges, params.min_cluster_size
@@ -457,13 +509,11 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels:
             labels[point] = owner
 
     # renumber to 0..k-1 by smallest member point
-    order = sorted(
-        set(labels[labels >= 0].tolist()),
-        key=lambda c: int(np.flatnonzero(labels == c)[0]),
-    )
-    remap = {c: i for i, c in enumerate(order)}
-    labels = np.asarray([remap.get(int(l), -1) for l in labels], dtype=np.int64)
-    return ClusterLabels(labels)
+    clusters, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.full(len(clusters), -1, dtype=np.int64)
+    found = clusters >= 0
+    rank[found] = np.argsort(np.argsort(first[found]))
+    return ClusterLabels(rank[inverse])
 
 
 # --- flat density clustering ---------------------------------------------------
@@ -481,10 +531,9 @@ def dbscan(m: CondensedDistanceMatrix, eps: float, min_pts: int) -> ClusterLabel
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = m.n
-    square = m.to_square()
-    neighbors = [np.flatnonzero((square[i] <= eps)) for i in range(n)]
-    # flatnonzero output is ascending; self always qualifies at distance zero
-    core = np.asarray([len(nb) >= min_pts for nb in neighbors])
+    row = np.empty(n, dtype=np.float64)
+    # self always qualifies at distance zero
+    core = np.asarray([np.count_nonzero(m.row(v, row) <= eps) >= min_pts for v in range(n)])
 
     labels = np.full(n, -1, dtype=np.int64)
     cluster = 0
@@ -497,11 +546,12 @@ def dbscan(m: CondensedDistanceMatrix, eps: float, min_pts: int) -> ClusterLabel
         while head < len(queue):
             v = queue[head]
             head += 1
-            for u in neighbors[v]:
-                if labels[u] == -1:
-                    labels[u] = cluster
-                    if core[u]:
-                        queue.append(int(u))
+            # neighbors are found again when a point is expanded, not kept:
+            # at a large eps the lists would add up to n^2 indices
+            fresh = np.flatnonzero(m.row(v, row) <= eps)  # ascending
+            fresh = fresh[labels[fresh] == -1]
+            labels[fresh] = cluster
+            queue.extend(fresh[core[fresh]].tolist())
         cluster += 1
     return ClusterLabels(labels)
 
@@ -512,8 +562,7 @@ def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 9
     k_eff = min(k, n - 1)
     if k_eff < 1:
         return 1.0
-    square = m.to_square()
-    knn = np.sort(square, axis=1)[:, k_eff]  # column 0 is the self distance
+    knn = _kth_smallest_per_row(m, k_eff)  # index 0 is the self distance
     return float(np.percentile(knn, percentile))
 
 

@@ -121,6 +121,23 @@ def _all_points(cluster):
     return points
 
 
+def oracle_mst_edges(weights):
+    """Kruskal over every (w, i, j), i < j, in ascending order.
+
+    Under that total order the minimum spanning tree is unique, so any exact
+    MST with lexicographic tie-breaks must return these edges.
+    """
+    n = len(weights)
+    component = list(range(n))
+    edges = []
+    for w, i, j in sorted((weights[i][j], i, j) for i in range(n) for j in range(i + 1, n)):
+        ci, cj = component[i], component[j]
+        if ci != cj:
+            component = [ci if c == cj else c for c in component]
+            edges.append((i, j, w))
+    return edges
+
+
 def oracle_hdbscan(square, min_cluster_size, min_samples):
     """Definition-level hierarchical density clustering; returns labels list."""
     n = len(square)

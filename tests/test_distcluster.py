@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from castgraph.distcluster import (
+    BLOCK,
+    _core_distances,
+    _kth_smallest_per_row,
+    _prim_mst,
     CondensedDistanceMatrix,
     DbscanConfig,
     HdbscanParams,
@@ -22,7 +28,7 @@ from castgraph.distcluster import (
 from castgraph.errors import DimensionMismatch, TooFewPoints, ZeroVector
 from castgraph.synth import sample_blobs
 
-from oracles import naive_cosine_matrix, oracle_dbscan_core_points, oracle_hdbscan
+from oracles import naive_cosine_matrix, oracle_dbscan_core_points, oracle_hdbscan, oracle_mst_edges
 
 PARAMS = HdbscanParams(min_cluster_size=2, min_samples=2)
 
@@ -91,6 +97,34 @@ def test_matrix_worker_count_is_invisible(workers):
     assert np.array_equal(base.entries, parallel.entries)
 
 
+@pytest.mark.parametrize("n", [b + d for b in (BLOCK, 2 * BLOCK) for d in (-1, 0, 1, 2)])
+def test_matrix_blocks_are_exact_and_worker_count_invisible(n):
+    # n - 1 rows have an upper part, so n = BLOCK + 1 is the last single-block size
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((n, 12))
+    points[n // 2] = points[3]  # one duplicate pair across the first block boundary
+    base = distance_matrix(points, workers=1)
+    for workers in (2, 8):
+        assert np.array_equal(base.entries, distance_matrix(points, workers=workers).entries)
+    unit = points / np.linalg.norm(points, axis=1)[:, None]
+    reference = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    reference[3, n // 2] = reference[n // 2, 3] = 0.0
+    np.fill_diagonal(reference, 0.0)
+    assert np.allclose(base.to_square(), reference, rtol=0.0, atol=1e-12)
+    assert base.get(3, n // 2) == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_condensed_row_matches_square(n):
+    m = CondensedDistanceMatrix(n, np.arange(1, n * (n - 1) // 2 + 1, dtype=np.float64))
+    square = m.to_square()
+    out = np.full(n, np.nan)
+    for v in range(n):
+        assert np.array_equal(m.row(v), square[v])
+        assert m.row(v, out) is out
+        assert np.array_equal(out, square[v])
+
+
 def test_matrix_rejects_single_point():
     with pytest.raises(TooFewPoints):
         distance_matrix(np.ones((1, 4)))
@@ -141,6 +175,46 @@ def test_hdbscan_matches_exhaustive_oracle(seed):
     got = hdbscan(m, PARAMS).labels.tolist()
     expected = oracle_hdbscan(m.to_square().tolist(), 2, 2)
     assert got == expected
+
+
+@pytest.mark.parametrize("min_samples", [None, 1, 3])
+def test_hdbscan_matches_exhaustive_oracle_on_duplicates(min_samples):
+    # three distinct points repeated up to 40 times: every distance, core
+    # distance and mutual reachability ties many times over, so the labels
+    # depend on the lexicographic MST tie-break
+    params = HdbscanParams(2, min_samples)
+    rng = np.random.default_rng(77)
+    distinct = rng.standard_normal((3, 8))
+    for n in range(4, 41):
+        picks = np.concatenate(([0, 1, 2], rng.integers(0, 3, size=n - 3)))
+        m = distance_matrix(distinct[rng.permutation(picks)])
+        got = hdbscan(m, params).labels.tolist()
+        expected = oracle_hdbscan(m.to_square().tolist(), 2, params.effective_min_samples)
+        assert got == expected, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+def test_kth_smallest_per_row_matches_sorted_square(n):
+    # tie-heavy entries, negative ones too, so a column value can undercut the self distance
+    rng = np.random.default_rng(n)
+    m = CondensedDistanceMatrix(n, rng.integers(-1, 3, size=n * (n - 1) // 2).astype(np.float64))
+    ordered = np.sort(m.to_square(), axis=1)
+    for k in range(n):
+        assert np.array_equal(_kth_smallest_per_row(m, k), ordered[:, k]), k
+
+
+@pytest.mark.parametrize("min_samples", [1, 2, 3])
+def test_prim_mst_edges_match_kruskal_on_ties(min_samples):
+    # distances drawn from {0, 1, 2}: nearly every comparison is a tie, and
+    # only the lexicographic (w, i, j) order fixes the edges
+    rng = np.random.default_rng(78 + min_samples)
+    for _ in range(400):
+        n = int(rng.integers(2, 10))
+        m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=n * (n - 1) // 2).astype(np.float64))
+        core = _core_distances(m, min_samples)
+        mr = np.maximum(m.to_square(), np.maximum.outer(core, core))
+        np.fill_diagonal(mr, 0.0)
+        assert sorted(_prim_mst(m, core)) == sorted(oracle_mst_edges(mr.tolist())), m.entries
 
 
 @pytest.mark.parametrize("mcs", [2, 3])
@@ -391,6 +465,23 @@ def test_cluster_points_matches_matrix_path():
     expected, expected_used = cluster_with_fallback(distance_matrix(points), PARAMS)
     assert labels.labels.tolist() == expected.labels.tolist()
     assert used == expected_used
+
+
+@pytest.mark.parametrize("blobs, used", [(4, False), (1, True)], ids=["hierarchy", "fallback"])
+def test_cluster_points_holds_no_square(blobs, used):
+    # the condensed array is the only n^2 allocation: no square, no
+    # mutual-reachability copy, no n^2 neighbor lists
+    points, _ = sample_blobs(2000, blobs, 16, 8.0, seed=12)
+    condensed_bytes = 8 * 2000 * 1999 // 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        labels, used_fallback = cluster_points(points, HdbscanParams(50, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (labels.n_clusters, used_fallback) == (blobs, used)
+    assert peak < 1.5 * condensed_bytes
 
 
 # --- label csv -------------------------------------------------------------------
