@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import SpeechSegment
-from .distcluster import DbscanConfig, HdbscanParams, cluster_points
+from .distcluster import DbscanConfig, HdbscanParams, cluster_groups
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 from .errors import NoSegments
 
@@ -59,35 +59,41 @@ class DiarizationSummary:
 
 
 def diarize_video(
-    segments,
+    videos,
     params: HdbscanParams,
     fallback: DbscanConfig | None = None,
-    rejected: list[RejectedSegment] | None = None,
-) -> tuple[dict[str, int], DiarizationSummary]:
-    """Cluster one video's retained segments into speaker labels.
+    rejected=None,
+) -> list[tuple[dict[str, int], DiarizationSummary]]:
+    """Cluster each video's retained segments into speaker labels.
 
-    Returns (segment_id -> label, summary). The summary carries the number of
-    found clusters, the number of unclustered (noise) segments, and the mean
-    retained segment length in seconds.
+    videos holds one list of retained segments per video, and rejected, if
+    given, the matching lists of that video's rejected segments. Every video
+    is clustered on its own, all of them in one cluster_groups call. Returns
+    one (segment_id -> label, summary) per video, in order. The summary
+    carries the number of found clusters, the number of unclustered (noise)
+    segments, and the mean retained segment length in seconds.
     """
-    ordered = sorted(segments, key=lambda s: (s.start_s, s.segment_id))
-    if not ordered:
+    ordered = [sorted(segments, key=lambda s: (s.start_s, s.segment_id)) for segments in videos]
+    if not all(ordered):
         raise NoSegments("no retained segments to diarize")
-    video_id = ordered[0].video_id
+    if rejected is None:
+        rejected = [()] * len(ordered)
+    clustered = cluster_groups([[s.embedding for s in segments] for segments in ordered], params, fallback)
 
-    labels, used_fallback = cluster_points([s.embedding for s in ordered], params, fallback)
-
-    assignment = {s.segment_id: int(l) for s, l in zip(ordered, labels.labels)}
-    durations = [s.duration_s for s in ordered]
-    summary = DiarizationSummary(
-        video_id=video_id,
-        clusters_found=labels.n_clusters,
-        noise_count=labels.n_noise,
-        avg_segment_s=float(sum(durations) / len(durations)),
-        used_fallback=used_fallback,
-        rejected=list(rejected) if rejected else [],
-    )
-    return assignment, summary
+    out = []
+    for segments, (labels, used_fallback), video_rejected in zip(ordered, clustered, rejected, strict=True):
+        assignment = {s.segment_id: int(l) for s, l in zip(segments, labels.labels)}
+        durations = [s.duration_s for s in segments]
+        summary = DiarizationSummary(
+            video_id=segments[0].video_id,
+            clusters_found=labels.n_clusters,
+            noise_count=labels.n_noise,
+            avg_segment_s=float(sum(durations) / len(durations)),
+            used_fallback=used_fallback,
+            rejected=list(video_rejected),
+        )
+        out.append((assignment, summary))
+    return out
 
 
 @dataclass(frozen=True)

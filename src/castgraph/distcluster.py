@@ -1,20 +1,32 @@
 """Cosine-distance kernels and density-based clustering.
 
 Everything here is a pure function of its inputs. The clustering entry point
-used by the rest of the pipeline is :func:`cluster_points`: vectors in, one
-label per vector out. The distance matrix is built inside it, and
-:func:`cluster_with_fallback` then runs hierarchical density clustering and
-falls back to plain density clustering when the hierarchy labels everything
-as noise (the single-identity failure mode) or when there are too few points
-for a hierarchy at all. The hierarchy never selects its root, so fewer than
-2 * min_cluster_size points that are not all identical come back all noise
-without building it.
+used by the rest of the pipeline is :func:`cluster_groups`: point sets in,
+one label per point and whether the fallback ran out, per set;
+:func:`cluster_points` is its one-set case. The distance matrix is built
+inside it, and :func:`cluster_with_fallback` then runs hierarchical density
+clustering and falls back to plain density clustering when the hierarchy
+labels everything as noise (the single-identity failure mode) or when there
+are too few points for a hierarchy at all. The hierarchy never selects its
+root, so fewer than 2 * min_cluster_size points that are not all identical
+come back all noise without building it.
 
-The condensed distance array, 8 * n(n-1)/2 bytes (143 MB at n = 5990), is
-the only n^2 allocation of a clustering call; no n x n square is built. Core
-distances come from one sequential pass over its rows, Prim reads each
-joining point's distances to the points outside the tree from it, and DBSCAN
-reads it one row at a time (CondensedDistanceMatrix.row).
+Group axis: cluster_groups stacks point sets of one size n, at most BLOCK
+points per stack (a larger set is a stack of one), and clusters each stack
+with one set of numpy calls. A condensed matrix whose entries are 2-D,
+(G, n(n-1)/2), holds G groups. Distances, duplicate zeroing, the shortcuts,
+core distances, Prim, the k-distance eps and DBSCAN's core counts loop over
+n, never over G; only the dendrogram, condensation, excess-of-mass, label
+renumbering and DBSCAN expansion run per group. Array results (core
+distances, eps) keep the group axis; labels and edges come back as a list
+with one entry per group, or as the single entry when the matrix has no
+group axis.
+
+The condensed distance array, 8 * n(n-1)/2 bytes per group (143 MB at
+n = 5990), is the only n^2 allocation of a clustering call; no n x n square
+is built. Core distances come from one sequential pass over its rows, Prim
+reads each joining point's distances to the points outside the tree from
+it, and DBSCAN reads it one row at a time (CondensedDistanceMatrix.row).
 """
 
 from __future__ import annotations
@@ -55,8 +67,9 @@ def cosine_distance(a, b) -> float:
 class CondensedDistanceMatrix:
     """Upper-triangular pairwise distances in row-major order.
 
-    ``entries[k]`` holds d(i, j) for i < j with
-    k = n*i - i*(i+1)/2 + (j - i - 1).
+    ``entries[..., k]`` holds d(i, j) for i < j with
+    k = n*i - i*(i+1)/2 + (j - i - 1). 2-D entries are a stack: one such
+    row per group, every group of n points.
     """
 
     n: int
@@ -69,11 +82,35 @@ class CondensedDistanceMatrix:
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
         expected = self.n * (self.n - 1) // 2
-        if self.entries.shape != (expected,):
-            raise ValueError(f"expected {expected} condensed entries, got {self.entries.shape}")
+        if self.entries.ndim not in (1, 2) or self.entries.shape[-1] != expected:
+            raise ValueError(f"expected {expected} condensed entries per group, got {self.entries.shape}")
         i = np.arange(self.n, dtype=np.int64)
         self.starts = i * (2 * self.n - 1 - i) // 2
         self.column = self.starts - i - 1
+
+    @property
+    def grouped(self) -> bool:
+        """Whether entries carry a leading group axis."""
+        return self.entries.ndim == 2
+
+    @property
+    def stack(self) -> np.ndarray:
+        """entries as (groups, n(n-1)/2), a view."""
+        return self.entries if self.grouped else self.entries[None]
+
+    def stacked(self, groups=None) -> CondensedDistanceMatrix:
+        """This matrix with a group axis; given group indices, a copy of only those groups."""
+        return self._with_entries(self.stack if groups is None else self.stack[groups])
+
+    def group(self, g: int) -> CondensedDistanceMatrix:
+        """Group g alone, a view without a group axis."""
+        return self._with_entries(self.stack[g])
+
+    def _with_entries(self, entries: np.ndarray) -> CondensedDistanceMatrix:
+        # shares n, starts and column; skips __post_init__, which would rebuild them
+        view = object.__new__(CondensedDistanceMatrix)
+        view.__dict__.update(self.__dict__, entries=entries)
+        return view
 
     def index(self, i: int, j: int) -> int:
         if i > j:
@@ -86,61 +123,102 @@ class CondensedDistanceMatrix:
         return float(self.entries[self.index(i, j)])
 
     def row(self, v: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Row v of the square form, d(v, j) for every j, gathered in O(n)."""
+        """Row v of the square form, d(v, j) for every j, gathered in O(n) per group."""
         if out is None:
-            out = np.empty(self.n, dtype=np.float64)
-        np.take(self.entries, self.column[:v] + v, out=out[:v])
-        out[v] = 0.0
+            out = np.empty(self.entries.shape[:-1] + (self.n,), dtype=np.float64)
+        np.take(self.entries, self.column[:v] + v, axis=-1, out=out[..., :v])
+        out[..., v] = 0.0
         start = int(self.starts[v])
-        out[v + 1 :] = self.entries[start : start + self.n - v - 1]
+        out[..., v + 1 :] = self.entries[..., start : start + self.n - v - 1]
         return out
 
     def to_square(self) -> np.ndarray:
-        """The n x n form; for oracles and tests, clustering never builds it."""
-        square = np.zeros((self.n, self.n), dtype=np.float64)
+        """The n x n form, per group; for oracles and tests, clustering never builds it."""
+        square = np.zeros(self.entries.shape[:-1] + (self.n, self.n), dtype=np.float64)
         k = 0
         for i in range(self.n - 1):
             count = self.n - i - 1
-            square[i, i + 1 :] = self.entries[k : k + count]
+            square[..., i, i + 1 :] = self.entries[..., k : k + count]
             k += count
-        return square + square.T
+        return square + np.swapaxes(square, -1, -2)
 
 
-# rows per GEMM block in distance_matrix. d(i, j) always comes from the one
-# product unit[b:b+BLOCK] @ unit[b:].T of i's block start b, whichever thread
-# computes it, so the worker count cannot change its bits
+def _per_group(m: CondensedDistanceMatrix, results: list):
+    """results, one per group, as m's callers expect them: the list for a stack, else its one entry."""
+    return results if m.grouped else results[0]
+
+
+# rows per GEMM block in distance_matrix, and points per stack in
+# cluster_groups. d(i, j) always comes from the one product
+# unit[b:b+BLOCK] @ unit[b:].T of its group and i's block start b, whichever
+# thread computes it and whichever groups share the stack, so neither the
+# worker count nor the stacking can change its bits
 BLOCK = 256
 
 
-def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
-    """Pairwise cosine distances over a point set.
+def _duplicate_classes(unit: np.ndarray) -> np.ndarray | None:
+    """Per group, one member's index for each point's class of bitwise-identical rows.
 
-    The unit vectors are multiplied in fixed row blocks against every column
-    at or after the block's first row, and each block's upper part is written
+    None when no group holds a key shared by two rows. The wrapping integer
+    sum of a row's bits sends identical rows to the same key, so only rows
+    that share a key with another row of their group are compared as bytes.
+    """
+    keys = np.add.reduce(unit.view(np.uint64), axis=-1)
+    order = np.argsort(keys, axis=-1)
+    ordered = np.take_along_axis(keys, order, axis=-1)
+    tied = ordered[:, 1:] == ordered[:, :-1]
+    if not tied.any():
+        return None
+    shared = np.zeros(keys.shape, dtype=bool)
+    shared[:, 1:] |= tied
+    shared[:, :-1] |= tied
+    classes = np.tile(np.arange(unit.shape[1]), (len(unit), 1))
+    first: dict[tuple[int, bytes], int] = {}
+    groups, positions = np.nonzero(shared)
+    for g, i in zip(groups.tolist(), order[groups, positions].tolist()):
+        classes[g, i] = first.setdefault((g, unit[g, i].tobytes()), i)
+    return classes
+
+
+def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
+    """Pairwise cosine distances over a point set, or over a stack of them.
+
+    points is (n, d), or (G, n, d) for G sets of n points, which gives a
+    matrix with a group axis. The unit vectors are multiplied in fixed row
+    blocks against every column at or after the block's first row, all
+    groups in one stacked product, and each block's upper part is written
     straight into its condensed slices. The condensed array is the only n^2
     allocation; workers only decide which thread computes which block.
     """
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatch("distance_matrix input is not a 2-D array of uniform rows")
-    n = arr.shape[0]
+    if arr.ndim not in (2, 3):
+        raise DimensionMismatch("distance_matrix input is not a 2-D array of uniform rows or a stack of them")
+    stack = arr if arr.ndim == 3 else arr[None]
+    n = stack.shape[1]
     if n < 2:
         raise TooFewPoints(n, 2)
-    norms = np.linalg.norm(arr, axis=1)
+    norms = np.linalg.norm(stack, axis=-1)
     if np.any(norms == 0.0):
         raise ZeroVector("distance_matrix input contains a zero vector")
-    unit = arr / norms[:, None]
+    unit = stack / norms[..., None]
+    classes = _duplicate_classes(unit)
 
-    matrix = CondensedDistanceMatrix(n, np.empty(n * (n - 1) // 2, dtype=np.float64))
-    entries, starts = matrix.entries, matrix.starts
+    entries = np.empty((len(stack), n * (n - 1) // 2), dtype=np.float64)
+    matrix = CondensedDistanceMatrix(n, entries if arr.ndim == 3 else entries[0])
+    starts = matrix.starts
 
     def fill_block(lo: int) -> None:
         hi = min(lo + BLOCK, n - 1)
-        sims = unit[lo:hi] @ unit[lo:].T
+        sims = unit[:, lo:hi] @ unit[:, lo:].transpose(0, 2, 1)
         np.clip(sims, -1.0, 1.0, out=sims)
         np.subtract(1.0, sims, out=sims)
+        if classes is not None:
+            # bitwise-identical points sit at distance exactly 0, not a
+            # rounding residue; duplicate groups then stay atomic under
+            # single linkage
+            sims[classes[:, lo:hi, None] == classes[:, None, lo:]] = 0.0
         for i in range(lo, hi):
-            entries[starts[i] : starts[i] + (n - i - 1)] = sims[i - lo, i - lo + 1 :]
+            entries[:, starts[i] : starts[i] + (n - i - 1)] = sims[:, i - lo, i - lo + 1 :]
 
     blocks = range(0, n - 1, BLOCK)
     if workers <= 1 or len(blocks) < 2:
@@ -150,18 +228,6 @@ def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for _ in pool.map(fill_block, blocks):
                 pass
-
-    # bitwise-identical points sit at distance exactly 0, not a rounding
-    # residue; duplicate groups then stay atomic under single linkage
-    groups: dict[bytes, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(unit[i].tobytes(), []).append(i)
-    for members in groups.values():
-        if len(members) > 1:
-            # every pair of the group, written in one assignment
-            rows = np.asarray(members)[:, None]
-            cols = rows.T
-            entries[(matrix.column[rows] + cols)[rows < cols]] = 0.0
     return matrix
 
 
@@ -175,14 +241,14 @@ class ClusterLabels:
 
     @property
     def n_clusters(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size and self.labels.max() >= 0 else 0
+        return int(self.labels.max(initial=-1)) + 1
 
     @property
     def n_noise(self) -> int:
-        return int(np.sum(self.labels == -1))
+        return int(np.count_nonzero(self.labels == -1))
 
     def all_noise(self) -> bool:
-        return bool(np.all(self.labels == -1))
+        return self.n_clusters == 0
 
 
 def labels_csv(point_ids, labels) -> str:
@@ -231,29 +297,34 @@ class DbscanConfig:
 def _kth_smallest_per_row(m: CondensedDistanceMatrix, k: int) -> np.ndarray:
     """The k-th smallest entry (0-based) of every square row, self distance included.
 
-    One sequential pass over the condensed rows. Row i's square row is the
+    One sequential pass over the condensed rows, each step taken for every
+    group at once; the result keeps m's group axis. Row i's square row is the
     self distance, column i (d(j, i) for j < i) and row i's upper part. Only
     the k + 1 smallest of column i can be among the row's k + 1 smallest, and
     they are collected while the rows j < i go by, so no column is gathered.
     """
     n = m.n
-    # smallest[:, j]: the k + 1 smallest d(i, j) over the rows i read so far, ascending
-    smallest = np.full((k + 1, n), INFTY)
-    out = np.empty(n, dtype=np.float64)
+    entries = m.stack
+    groups = len(entries)
+    # smallest[g, :, j]: the k + 1 smallest d(i, j) over the rows i read so far, ascending
+    smallest = np.full((groups, k + 1, n), INFTY)
+    out = np.empty((groups, n), dtype=np.float64)
+    self_distance = np.zeros((groups, 1))
     for i in range(n):
-        upper = m.entries[m.starts[i] : m.starts[i] + n - i - 1]
+        upper = entries[:, m.starts[i] : m.starts[i] + n - i - 1]
         # column i holds i values so far; the slots past them are still inf
-        row = np.concatenate(([0.0], smallest[:i, i], upper))
-        out[i] = np.partition(row, k)[k]
+        row = np.concatenate((self_distance, smallest[:, :i, i], upper), axis=1)
+        out[:, i] = np.partition(row, k, axis=1)[:, k]
         if i == n - 1:
             break
         # insert this row's upper part into the later columns' sorted lists
         carry = upper.copy()
-        for kept in smallest[: i + 1, i + 1 :]:
+        for slot in range(min(i + 1, k + 1)):
+            kept = smallest[:, slot, i + 1 :]
             lower = np.minimum(kept, carry)
             np.maximum(kept, carry, out=carry)
             kept[...] = lower
-    return out
+    return out if m.grouped else out[0]
 
 
 def _core_distances(m: CondensedDistanceMatrix, min_samples: int) -> np.ndarray:
@@ -262,59 +333,75 @@ def _core_distances(m: CondensedDistanceMatrix, min_samples: int) -> np.ndarray:
     return _kth_smallest_per_row(m, min(min_samples, m.n) - 1)
 
 
-def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray):
-    """Exact MST under mutual reachability max(core_i, core_j, d_ij).
+def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list:
+    """Exact MST under mutual reachability max(core_i, core_j, d_ij), per group.
 
     When a point joins the tree, its mutual reachability to each point still
     outside is read from the condensed array; no n x n weight matrix exists.
-    Returns (n-1) edges as (i, j, w) with i < j. On equal weights the edge
-    with the smaller (i, j) pair wins, which pins down the tree (and hence
-    the whole hierarchy) for inputs with duplicate distances.
+    Every group adds its k-th edge in the same step. Returns (n-1) edges as
+    (i, j, w) with i < j, one list per group. On equal weights the edge with
+    the smaller (i, j) pair wins, which pins down the tree (and hence the
+    whole hierarchy) for inputs with duplicate distances.
     """
     n = m.n
-    entries = m.entries
-    # the points outside the tree and, per point, its best edge into the
-    # tree; a joining point is swapped out with the last one, which is safe
-    # because no choice below depends on a point's position
-    rest = np.arange(1, n)
-    column = m.column[1:].copy()
-    rest_core = core[1:].copy()
-    best_w = np.full(n - 1, INFTY)
-    best_parent = np.zeros(n - 1, dtype=np.int64)
+    entries = np.ascontiguousarray(m.stack).reshape(-1)
+    core = np.reshape(core, (-1, n))
+    groups = len(core)
+    offset = np.arange(groups) * (n * (n - 1) // 2)  # each group's start in the flat entries
+    # per group, the points outside the tree: their ids, their column
+    # offsets in the flat entries, their core distances and their best edge
+    # into the tree (weight and tree end). A joining point is swapped out
+    # with the last one, which is safe because no choice below depends on a
+    # point's position. Each array is (groups, n - 1); through the flat views
+    # one index per group, first + k, reaches a point
+    outside = np.tile(np.arange(1, n), (groups, 1))
+    columns = m.column[1:] + offset[:, None]
+    cores = core[:, 1:].copy()
+    best_ws = np.full((groups, n - 1), INFTY)
+    parents = np.zeros((groups, n - 1), dtype=np.int64)
+    slots = [a.reshape(-1) for a in (outside, columns, cores, best_ws, parents)]
+    flat_outside, flat_columns, flat_cores, flat_best_w, flat_parents = slots
+    first = np.arange(groups) * (n - 1)
+    last = first + n - 2
+    # edge k of each group joins joined[:, k] to tree_end[:, k] at weights[:, k]
+    joined = np.empty((groups, n - 1), dtype=np.int64)
+    tree_end = np.empty((groups, n - 1), dtype=np.int64)
+    weights = np.empty((groups, n - 1))
 
-    edges = []
-    v = 0
-    while rest.size:
-        w = entries[np.where(rest < v, column + v, rest + m.column[v])]
+    v, column_v, core_v = np.zeros(groups, dtype=np.int64), m.column[0] + offset, core[:, 0]
+    for step, size in enumerate(range(n - 1, 0, -1)):
+        rest, column, rest_core = outside[:, :size], columns[:, :size], cores[:, :size]
+        best_w, best_parent = best_ws[:, :size], parents[:, :size]
+        at_v = v[:, None]
+        w = entries[np.where(rest < at_v, column + at_v, rest + column_v[:, None])]
         np.maximum(w, rest_core, out=w)
-        np.maximum(w, core[v], out=w)
-        update = w < best_w
-        best_w[update] = w[update]
-        best_parent[update] = v
-        # on exact weight ties prefer the lexicographically smaller pair
-        tie = np.flatnonzero((w == best_w) & (best_parent != v))
-        if tie.size:
-            u, p = rest[tie], best_parent[tie]
-            new_lo, old_lo = np.minimum(v, u), np.minimum(p, u)
-            new_hi, old_hi = np.maximum(v, u), np.maximum(p, u)
-            better = (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
-            best_parent[tie[better]] = v
+        np.maximum(w, core_v[:, None], out=w)
+        tie = w == best_w
+        np.copyto(best_parent, at_v, where=w < best_w)
+        np.minimum(best_w, w, out=best_w)
+        if tie.any():
+            # on exact weight ties prefer the lexicographically smaller pair
+            new_lo, old_lo = np.minimum(at_v, rest), np.minimum(best_parent, rest)
+            new_hi, old_hi = np.maximum(at_v, rest), np.maximum(best_parent, rest)
+            tie &= (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
+            np.copyto(best_parent, at_v, where=tie)
 
-        w_min = best_w.min()
-        candidates = np.flatnonzero(best_w == w_min)
-        k = candidates[0]
-        if candidates.size > 1:
-            # lexicographic tie-break on the (i, j) pair the edge would add
-            u, p = rest[candidates], best_parent[candidates]
-            k = candidates[np.lexsort((np.maximum(p, u), np.minimum(p, u)))[0]]
-        v, p = int(rest[k]), int(best_parent[k])
-        edges.append((min(p, v), max(p, v), float(w_min)))
-        last = rest.size - 1
-        for arr in (rest, column, rest_core, best_w, best_parent):
-            arr[k] = arr[last]
-        rest, column, rest_core = rest[:last], column[:last], rest_core[:last]
-        best_w, best_parent = best_w[:last], best_parent[:last]
-    return edges
+        at = first + best_w.argmin(axis=1)
+        w_min = flat_best_w[at]
+        candidates = best_w == w_min[:, None]
+        if np.count_nonzero(candidates) > groups:
+            # lexicographic tie-break on the (i, j) pair the edge would add;
+            # the pairs differ, since each candidate's outside end differs
+            key = np.minimum(best_parent, rest) * n + np.maximum(best_parent, rest)
+            at = first + np.where(candidates, key, n * n).argmin(axis=1)
+        v, column_v, core_v = flat_outside[at], flat_columns[at], flat_cores[at]
+        joined[:, step], tree_end[:, step], weights[:, step] = v, flat_parents[at], w_min
+        for flat in slots:
+            flat[at] = flat[last]
+        last -= 1
+    lo, hi = np.minimum(joined, tree_end).tolist(), np.maximum(joined, tree_end).tolist()
+    edges = [list(zip(*group)) for group in zip(lo, hi, weights.tolist())]
+    return _per_group(m, edges)
 
 
 def _single_linkage(n: int, edges) -> list[tuple[int, int, float, int]]:
@@ -460,32 +547,10 @@ def _excess_of_mass(stability, cluster_children) -> set[int]:
     return final
 
 
-def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels:
-    """Hierarchical density-based clustering over a precomputed matrix.
-
-    Pipeline: core distances (k = min_samples, counting the point itself),
-    mutual reachability max(core_i, core_j, d_ij), exact Prim MST with
-    lexicographic tie-breaks, single-linkage hierarchy, condensation by
-    min_cluster_size, and excess-of-mass cluster extraction. The root of the
-    condensed tree is not a candidate cluster, so single-class inputs come
-    back as all noise; the one exception is a set of exactly identical points,
-    which is defined to be a single cluster.
-    """
-    n = m.n
-    if n < params.min_cluster_size:
-        raise TooFewPoints(n, params.min_cluster_size)
-    if not m.entries.any():
-        return ClusterLabels(np.zeros(n, dtype=np.int64))
-    # a true split needs min_cluster_size points on each side, and the root
-    # itself is never selected: below that no cluster can come out
-    if n < 2 * params.min_cluster_size:
-        return ClusterLabels(np.full(n, -1, dtype=np.int64))
-
-    edges = _prim_mst(m, _core_distances(m, params.effective_min_samples))
+def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
+    """Labels of one group from its MST: dendrogram, condensation, excess-of-mass, renumbering."""
     merges = _single_linkage(n, edges)
-    point_rows, cluster_children, birth_lambda = _condense_tree(
-        n, merges, params.min_cluster_size
-    )
+    point_rows, cluster_children, birth_lambda = _condense_tree(n, merges, min_cluster_size)
     stability = _stability(point_rows, cluster_children, birth_lambda)
     chosen = _excess_of_mass(stability, cluster_children)
 
@@ -494,7 +559,7 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels:
         for child, _, _ in children:
             parent_of[child] = cluster
 
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = [-1] * n
     for cluster, rows in point_rows.items():
         node = cluster
         owner = -1
@@ -508,86 +573,183 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels:
         for point, _ in rows:
             labels[point] = owner
 
-    # renumber to 0..k-1 by smallest member point
-    clusters, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.full(len(clusters), -1, dtype=np.int64)
-    found = clusters >= 0
-    rank[found] = np.argsort(np.argsort(first[found]))
-    return ClusterLabels(rank[inverse])
+    # renumber to 0..k-1 by smallest member point: a scan in point order
+    # meets each cluster first at its smallest member
+    rank: dict[int, int] = {}
+    return [-1 if owner == -1 else rank.setdefault(owner, len(rank)) for owner in labels]
+
+
+def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels | list[ClusterLabels]:
+    """Hierarchical density-based clustering over a precomputed matrix.
+
+    Pipeline: core distances (k = min_samples, counting the point itself),
+    mutual reachability max(core_i, core_j, d_ij), exact Prim MST with
+    lexicographic tie-breaks, single-linkage hierarchy, condensation by
+    min_cluster_size, and excess-of-mass cluster extraction. The root of the
+    condensed tree is not a candidate cluster, so single-class inputs come
+    back as all noise; the one exception is a set of exactly identical points,
+    which is defined to be a single cluster. Returns ClusterLabels, one per
+    group in a list when m has a group axis.
+    """
+    n = m.n
+    if n < params.min_cluster_size:
+        raise TooFewPoints(n, params.min_cluster_size)
+    entries = m.stack
+    labels = np.full((len(entries), n), -1, dtype=np.int64)
+    distinct = entries.any(axis=1)
+    labels[~distinct] = 0
+    # a true split needs min_cluster_size points on each side, and the root
+    # itself is never selected: below that no cluster can come out
+    todo = np.flatnonzero(distinct) if n >= 2 * params.min_cluster_size else ()
+    if len(todo):
+        sub = m.stacked(None if len(todo) == len(entries) else todo)
+        edges = _prim_mst(sub, _core_distances(sub, params.effective_min_samples))
+        for g, group_edges in zip(todo, edges):
+            labels[g] = _hierarchy_labels(n, group_edges, params.min_cluster_size)
+    return _per_group(m, [ClusterLabels(row) for row in labels])
 
 
 # --- flat density clustering ---------------------------------------------------
 
-def dbscan(m: CondensedDistanceMatrix, eps: float, min_pts: int) -> ClusterLabels:
+def dbscan(
+    m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int
+) -> ClusterLabels | list[ClusterLabels]:
     """Classic density-reachability clustering.
 
     A point is core when at least min_pts points (itself included) lie within
     eps, boundary inclusive. Seeds are visited in ascending index order and
     expansion is breadth-first over ascending neighbor indices, so border
-    points always join the first cluster that discovers them.
+    points always join the first cluster that discovers them. On a stack,
+    eps is one value or one per group, and the labels come back as a list.
     """
-    if eps <= 0:
+    stack = m.stacked()
+    groups = len(stack.entries)
+    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (groups,))
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = m.n
+    rows = np.empty((groups, n), dtype=np.float64)
+    core = np.empty((groups, n), dtype=bool)
+    for v in range(n):
+        # self always qualifies at distance zero
+        core[:, v] = np.count_nonzero(stack.row(v, rows) <= eps[:, None], axis=1) >= min_pts
+
+    labels = np.full((groups, n), -1, dtype=np.int64)
     row = np.empty(n, dtype=np.float64)
-    # self always qualifies at distance zero
-    core = np.asarray([np.count_nonzero(m.row(v, row) <= eps) >= min_pts for v in range(n)])
-
-    labels = np.full(n, -1, dtype=np.int64)
-    cluster = 0
-    for seed in range(n):
-        if labels[seed] != -1 or not core[seed]:
-            continue
-        labels[seed] = cluster
-        queue = [seed]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            # neighbors are found again when a point is expanded, not kept:
-            # at a large eps the lists would add up to n^2 indices
-            fresh = np.flatnonzero(m.row(v, row) <= eps)  # ascending
-            fresh = fresh[labels[fresh] == -1]
-            labels[fresh] = cluster
-            queue.extend(fresh[core[fresh]].tolist())
-        cluster += 1
-    return ClusterLabels(labels)
+    for g in np.flatnonzero(core.any(axis=1)):
+        group, group_core, group_labels = stack.group(g), core[g], labels[g]
+        cluster = 0
+        for seed in range(n):
+            if group_labels[seed] != -1 or not group_core[seed]:
+                continue
+            group_labels[seed] = cluster
+            queue = [seed]
+            head = 0
+            while head < len(queue):
+                v = queue[head]
+                head += 1
+                # neighbors are found again when a point is expanded, not kept:
+                # at a large eps the lists would add up to n^2 indices
+                fresh = np.flatnonzero(group.row(v, row) <= eps[g])  # ascending
+                fresh = fresh[group_labels[fresh] == -1]
+                group_labels[fresh] = cluster
+                queue.extend(fresh[group_core[fresh]].tolist())
+            cluster += 1
+    return _per_group(m, [ClusterLabels(l) for l in labels])
 
 
-def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 90.0) -> float:
-    """Heuristic eps: the given percentile of the k-th nearest neighbor distances."""
-    n = m.n
-    k_eff = min(k, n - 1)
+def k_distance_eps(
+    m: CondensedDistanceMatrix, k: int = 4, percentile: float = 90.0
+) -> float | np.ndarray:
+    """Heuristic eps: the given percentile of the k-th nearest neighbor distances.
+
+    A float, or an array with one eps per group when m has a group axis.
+    """
+    k_eff = min(k, m.n - 1)
     if k_eff < 1:
-        return 1.0
-    knn = _kth_smallest_per_row(m, k_eff)  # index 0 is the self distance
-    return float(np.percentile(knn, percentile))
+        eps = np.ones(len(m.stack))
+    else:
+        knn = _kth_smallest_per_row(m.stacked(), k_eff)  # index 0 is the self distance
+        eps = np.percentile(knn, percentile, axis=-1)
+    return eps if m.grouped else float(eps[0])
 
 
 def cluster_with_fallback(
     m: CondensedDistanceMatrix,
     params: HdbscanParams,
     fallback: DbscanConfig | None = None,
-) -> tuple[ClusterLabels, bool]:
+) -> tuple[ClusterLabels, bool] | tuple[list[ClusterLabels], list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
     Falls back to dbscan when the hierarchy finds only noise, and also when
     there are fewer points than min_cluster_size (a hierarchy cannot exist);
     min_pts is clamped to the point count so a lone point still gets a label
-    decision instead of an error.
+    decision instead of an error. Returns (labels, used_fallback); on a stack,
+    (a list of labels, a list of flags), one per group, and only the groups
+    that need it run the fallback.
     """
     config = fallback if fallback is not None else DbscanConfig()
+    groups = len(m.stack)
     try:
-        labels = hdbscan(m, params)
+        found = hdbscan(m, params)
+        labels = found if m.grouped else [found]
     except TooFewPoints:
-        labels = None
-    if labels is not None and not labels.all_noise():
-        return labels, False
-    eps = config.eps if config.eps is not None else k_distance_eps(m)
-    min_pts = min(config.min_pts, m.n)
-    return dbscan(m, eps, min_pts), True
+        labels = [None] * groups
+    used = [l is None or l.all_noise() for l in labels]
+    todo = [g for g, fell_back in enumerate(used) if fell_back]
+    if todo:
+        sub = m.stacked(None if len(todo) == groups else todo)
+        eps = config.eps if config.eps is not None else k_distance_eps(sub)
+        for g, l in zip(todo, dbscan(sub, eps, min(config.min_pts, m.n))):
+            labels[g] = l
+    return _per_group(m, labels), _per_group(m, used)
+
+
+def cluster_groups(
+    groups,
+    params: HdbscanParams,
+    fallback: DbscanConfig | None = None,
+    workers: int = 1,
+) -> list[tuple[ClusterLabels, bool]]:
+    """Cluster labels for each of several vector sets, and whether its fallback ran.
+
+    Each set is clustered on its own, exactly as if it were the only one.
+    Sets of one size n (and one dimension) are stacked, at most BLOCK points
+    per stack (a set larger than BLOCK is a stack of one), and each stack
+    takes one distance_matrix and one cluster_with_fallback call; an error
+    in any set is the whole call's error. An empty set gives no labels and
+    no fallback. A set of one vector skips the distance matrix and gets the
+    fallback's one-point decision. A zero vector in any set raises
+    ZeroVector.
+    """
+    results: list[tuple[ClusterLabels, bool]] = [None] * len(groups)
+    # stacked by size and dimension, so a set never meets a set of another shape
+    by_shape: dict[tuple, list[int]] = {}
+    for index, group in enumerate(groups):
+        by_shape.setdefault((len(group), np.shape(group[0]) if len(group) else ()), []).append(index)
+    for (n, _), members in by_shape.items():
+        if n == 0:
+            for index in members:
+                results[index] = ClusterLabels(np.empty(0, dtype=np.int64)), False
+            continue
+        per_stack = max(1, BLOCK // n)
+        for lo in range(0, len(members), per_stack):
+            chunk = members[lo : lo + per_stack]
+            points = np.asarray([groups[index] for index in chunk], dtype=np.float64)
+            if points.ndim != 3:
+                raise DimensionMismatch("cluster_groups input is not a list of 2-D arrays of uniform rows")
+            if n > 1:
+                matrix = distance_matrix(points, workers)
+            elif points.any(axis=-1).all():
+                matrix = CondensedDistanceMatrix(1, np.empty((len(chunk), 0), dtype=np.float64))
+            else:
+                raise ZeroVector("cluster_groups input contains a zero vector")
+            labels, used = cluster_with_fallback(matrix, params, fallback)
+            for index, group_labels, group_used in zip(chunk, labels, used):
+                results[index] = group_labels, group_used
+    return results
 
 
 def cluster_points(
@@ -596,19 +758,8 @@ def cluster_points(
     fallback: DbscanConfig | None = None,
     workers: int = 1,
 ) -> tuple[ClusterLabels, bool]:
-    """Cluster labels for a set of vectors, one per vector in order, and whether the fallback ran.
+    """Cluster labels for one set of vectors, one per vector in order, and whether the fallback ran.
 
-    No vectors give no labels and no fallback. A single vector skips the
-    distance matrix and gets the fallback's one-point decision. A zero vector
-    raises ZeroVector at any n.
+    The one-set case of cluster_groups.
     """
-    points = np.asarray(vectors, dtype=np.float64)
-    if len(points) == 0:
-        return ClusterLabels(np.empty(0, dtype=np.int64)), False
-    if len(points) == 1:
-        if not points.any():
-            raise ZeroVector("cluster_points input contains a zero vector")
-        matrix = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
-    else:
-        matrix = distance_matrix(points, workers)
-    return cluster_with_fallback(matrix, params, fallback)
+    return cluster_groups([vectors], params, fallback, workers)[0]

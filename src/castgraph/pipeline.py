@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -199,7 +198,11 @@ class PipelineRun:
         self.av_pairs = assign_active_speakers(self.pieces, segments, self.config.track_policy)
 
     def encode_pair(self) -> dict[str, bytes]:
-        return {"02_av_pairs.jsonl": _jsonl(map(asdict, self.av_pairs))}
+        rows = (
+            {"track_id": p.track_id, "segment_id": p.segment_id, "confidence": p.confidence}
+            for p in self.av_pairs
+        )
+        return {"02_av_pairs.jsonl": _jsonl(rows)}
 
     def decode_pair(self, files: dict[str, bytes]) -> None:
         self.av_pairs = [AVPair(**row) for row in _rows(files["02_av_pairs.jsonl"])]
@@ -230,26 +233,33 @@ class PipelineRun:
         for pair in self.av_pairs:
             pairs_by_video.setdefault(self.ds.segments[pair.segment_id].video_id, []).append(pair)
 
-        def run_one(video_id: str) -> dict:
-            kept, rejected = filter_segments(self.segments_by_video[video_id], config.min_segment_s)
-            if kept:
-                labels, summary = diarize_video(kept, config.hdbscan_params, config.dbscan_config, rejected)
-            else:
-                labels, summary = {}, DiarizationSummary(video_id, 0, 0, 0.0, False, rejected)
-            return {
+        video_ids = sorted(self.segments_by_video)
+        filtered = {v: filter_segments(self.segments_by_video[v], config.min_segment_s) for v in video_ids}
+        diarized = [v for v in video_ids if filtered[v][0]]
+        results = dict(zip(diarized, diarize_video(
+            [filtered[v][0] for v in diarized],
+            config.hdbscan_params,
+            config.dbscan_config,
+            [filtered[v][1] for v in diarized],
+        )))
+        self.diarization = {}
+        for video_id in video_ids:
+            empty = ({}, DiarizationSummary(video_id, 0, 0, 0.0, False, filtered[video_id][1]))
+            labels, summary = results.get(video_id, empty)
+            self.diarization[video_id] = {
                 "video_id": video_id,
-                "labels": {k: int(v) for k, v in labels.items()},
-                "reconciled": [asdict(r) for r in reconcile(labels, pairs_by_video.get(video_id, []))],
+                "labels": labels,
+                "reconciled": [
+                    {
+                        "segment_id": r.segment_id,
+                        "speaker_label": r.speaker_label,
+                        "paired_track_id": r.paired_track_id,
+                        "pair_confidence": r.pair_confidence,
+                    }
+                    for r in reconcile(labels, pairs_by_video.get(video_id, []))
+                ],
                 "summary": summary.to_json(),
             }
-
-        video_ids = sorted(self.segments_by_video)
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(run_one, video_ids))
-        else:
-            results = [run_one(v) for v in video_ids]
-        self.diarization = {r["video_id"]: r for r in results}
 
     def encode_diarize(self) -> dict[str, bytes]:
         return {"04_diarization.jsonl": _jsonl(self.diarization[v] for v in sorted(self.diarization))}

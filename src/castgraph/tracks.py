@@ -8,7 +8,7 @@ from itertools import groupby
 import numpy as np
 
 from .catalog import FRAME_RATE, AVPair, FaceTrack, SpeechSegment, normalize
-from .distcluster import DbscanConfig, HdbscanParams, cluster_points
+from .distcluster import DbscanConfig, HdbscanParams, cluster_groups
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 
 
@@ -149,9 +149,10 @@ def merge_tracks(
 ) -> list[TrackEntity]:
     """Cluster track pieces by face embedding and merge shared labels.
 
-    Merging is per video. Tracks sharing a cluster label form one entity;
-    noise tracks become singleton entities. Every AV pair travels with its
-    track into the owning entity, untouched. Entities come back ordered by
+    Merging is per video, all videos in one cluster_groups call. Tracks
+    sharing a cluster label form one entity; noise tracks become singleton
+    entities. Every AV pair travels with its track into the owning entity,
+    untouched. Entities come back ordered by
     (video, first frame, first track id) and are labeled e0, e1, ... within
     their video.
     """
@@ -164,12 +165,13 @@ def merge_tracks(
     for pair in pairs:
         pairs_by_track.setdefault(pair.track_id, []).append(pair)
 
-    entities: list[TrackEntity] = []
-    for video_id, members_iter in groupby(ordered, key=lambda t: t.video_id):
-        members = list(members_iter)
-        reps = np.stack([representative_embedding(t) for t in members])
-        labels, _ = cluster_points(reps, params, fallback)
+    videos = [list(members) for _, members in groupby(ordered, key=lambda t: t.video_id)]
+    reps = [np.stack([representative_embedding(t) for t in members]) for members in videos]
+    clustered = cluster_groups(reps, params, fallback)
 
+    entities: list[TrackEntity] = []
+    for members, video_reps, (labels, _) in zip(videos, reps, clustered):
+        video_id = members[0].video_id
         groups: dict[int, list[int]] = {}
         singleton_key = -1
         for idx, label in enumerate(labels.labels):
@@ -181,7 +183,7 @@ def merge_tracks(
 
         for seq, idxs in enumerate(sorted(groups.values(), key=min)):
             group = [members[i] for i in idxs]
-            rep = normalize(np.mean([reps[i] for i in idxs], axis=0))
+            rep = normalize(np.mean([video_reps[i] for i in idxs], axis=0))
             segment_ids = []
             for member in group:
                 for pair in pairs_by_track.get(member.track_id, []):

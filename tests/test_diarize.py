@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from castgraph.catalog import AVPair, SpeechSegment
-from castgraph.diarize import diarize_video, filter_segments, reconcile
+from castgraph.diarize import RejectedSegment, diarize_video, filter_segments, reconcile
 from castgraph.distcluster import HdbscanParams
 from castgraph.errors import NoSegments
 from castgraph.synth import random_unit, rotate_within
@@ -64,7 +64,7 @@ def test_filter_accounts_for_every_segment():
 
 def test_single_speaker_clusters_via_fallback():
     segments = speaker_segments(10, 4.0, seed=1)
-    labels, summary = diarize_video(segments, PARAMS)
+    [(labels, summary)] = diarize_video([segments], PARAMS)
     assert summary.used_fallback
     assert summary.clusters_found == 1
     assert summary.noise_count == 0
@@ -75,7 +75,7 @@ def test_single_speaker_clusters_via_fallback():
 def test_single_speaker_always_one_cluster(seed):
     # the heuristic eps can leave a straggler as noise, never a second cluster
     segments = speaker_segments(10, 4.0, seed=seed)
-    _, summary = diarize_video(segments, PARAMS)
+    [(_, summary)] = diarize_video([segments], PARAMS)
     assert summary.used_fallback
     assert summary.clusters_found == 1
     assert summary.noise_count <= 1
@@ -87,7 +87,7 @@ def test_two_speakers_match_generator():
     segments = speaker_segments(6, 4.0, seed=6, prefix="a", centroid=a) + speaker_segments(
         6, 4.0, seed=7, prefix="b", centroid=b
     )
-    labels, summary = diarize_video(segments, PARAMS)
+    [(labels, summary)] = diarize_video([segments], PARAMS)
     assert summary.clusters_found == 2
     assert not summary.used_fallback
     assert len({labels[f"a{k}"] for k in range(6)}) == 1
@@ -96,14 +96,14 @@ def test_two_speakers_match_generator():
 
 
 def test_single_segment_singleton_label():
-    labels, summary = diarize_video(speaker_segments(1, 0.0, seed=9), PARAMS)
+    [(labels, summary)] = diarize_video([speaker_segments(1, 0.0, seed=9)], PARAMS)
     assert labels == {"s0": 0}
     assert summary.clusters_found == 1
 
 
 def test_no_segments_raises():
     with pytest.raises(NoSegments):
-        diarize_video([], PARAMS)
+        diarize_video([[]], PARAMS)
 
 
 def test_summary_average_length_matches_brute_force():
@@ -117,7 +117,7 @@ def test_summary_average_length_matches_brute_force():
         segments.append(
             make_segment(f"s{k}", start, start + length, rotate_within(gen, centroid, 2.0))
         )
-    _, summary = diarize_video(segments, PARAMS)
+    [(_, summary)] = diarize_video([segments], PARAMS)
     expected = sum(s.end_s - s.start_s for s in segments) / len(segments)
     assert summary.avg_segment_s == pytest.approx(expected, abs=1e-9)
 
@@ -128,11 +128,31 @@ def test_permutation_invariance_up_to_renaming():
     segments = speaker_segments(5, 3.0, seed=31, prefix="a", centroid=a) + speaker_segments(
         5, 3.0, seed=32, prefix="b", centroid=b
     )
-    labels_fwd, _ = diarize_video(segments, PARAMS)
-    labels_rev, _ = diarize_video(list(reversed(segments)), PARAMS)
+    [(labels_fwd, _)] = diarize_video([segments], PARAMS)
+    [(labels_rev, _)] = diarize_video([list(reversed(segments))], PARAMS)
     groups_fwd = {frozenset(k for k, v in labels_fwd.items() if v == c) for c in set(labels_fwd.values())}
     groups_rev = {frozenset(k for k, v in labels_rev.items() if v == c) for c in set(labels_rev.values())}
     assert groups_fwd == groups_rev
+
+
+def test_many_videos_in_one_call_match_each_video_alone():
+    gen = np.random.Generator(np.random.PCG64(40))
+    a, b = random_unit(gen, 64), random_unit(gen, 64)
+    videos = [
+        speaker_segments(1, 0.0, seed=41, video="one"),
+        speaker_segments(2, 4.0, seed=42, video="pair"),
+        speaker_segments(5, 3.0, seed=43, video="two", prefix="a", centroid=a)
+        + speaker_segments(5, 3.0, seed=44, video="two", prefix="b", centroid=b),
+        # as many segments as "two", but 96-d: sets of another dimension are never stacked together
+        speaker_segments(10, 4.0, seed=45, video="single"),
+        speaker_segments(4, 0.0, seed=46, video="dupes", centroid=a),
+        speaker_segments(2, 4.0, seed=47, video="pair2"),
+    ]
+    rejected = [[], [RejectedSegment("x", "TooShort")], [], [], [], []]
+    together = diarize_video(videos, PARAMS, rejected=rejected)
+    alone = [diarize_video([v], PARAMS, rejected=[r])[0] for v, r in zip(videos, rejected)]
+    assert together == alone
+    assert [summary.video_id for _, summary in together] == [v[0].video_id for v in videos]
 
 
 # --- reconcile -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from castgraph.distcluster import (
     CondensedDistanceMatrix,
     DbscanConfig,
     HdbscanParams,
+    cluster_groups,
     cluster_points,
     cluster_with_fallback,
     cosine_distance,
@@ -482,6 +483,93 @@ def test_cluster_points_holds_no_square(blobs, used):
         tracemalloc.stop()
     assert (labels.n_clusters, used_fallback) == (blobs, used)
     assert peak < 1.5 * condensed_bytes
+
+
+# --- cluster_groups: one stacked pass equals each group alone ---------------------
+
+def mixed_groups(seed: int, dim: int = 8) -> list[np.ndarray]:
+    """Point sets of sizes 1-12 in one list: random, bitwise-duplicated and integer-tied points.
+
+    Sizes 2 and 12 come often enough that their stacks pass BLOCK points and split.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = list(range(1, 13)) * 3 + [2] * (BLOCK // 2 + 5) + [12] * (BLOCK // 12 + 3)
+    groups = []
+    for k, n in enumerate(rng.permutation(sizes).tolist()):
+        kind = k % 3
+        if kind == 0:
+            points = rng.standard_normal((n, dim))
+        elif kind == 1:  # copies of at most 3 distinct points
+            points = rng.standard_normal((3, dim))[rng.integers(0, 3, size=n)]
+        else:  # small integer vectors: many equal distances, some duplicates
+            points = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+            points[~points.any(axis=1), 0] = 1.0
+        groups.append(points)
+    return groups
+
+
+def clusters_alone(group, params, fallback):
+    try:
+        return cluster_points(group, params, fallback)
+    except ValueError:  # a k-distance eps of 0 among mostly identical points
+        return None
+
+
+@pytest.mark.parametrize("eps", [None, 0.3])
+@pytest.mark.parametrize("min_samples", [None, 1, 3])
+@pytest.mark.parametrize("mcs", [2, 3, 4])
+def test_cluster_groups_matches_each_group_alone(mcs, min_samples, eps):
+    params, fallback = HdbscanParams(mcs, min_samples), DbscanConfig(eps=eps)
+    groups = mixed_groups(100 * mcs + (min_samples or 0))
+    alone = [clusters_alone(g, params, fallback) for g in groups]
+    failing = [g for g, result in zip(groups, alone) if result is None]
+    if failing:
+        # an error in any group is the whole call's error
+        with pytest.raises(ValueError):
+            cluster_groups(groups, params, fallback)
+    kept = [(g, result) for g, result in zip(groups, alone) if result is not None]
+    together = cluster_groups([g for g, _ in kept], params, fallback)
+    assert len(together) == len(kept)
+    for (group, (labels, used)), (got, got_used) in zip(kept, together):
+        assert got.labels.tolist() == labels.labels.tolist()
+        assert got_used is used
+
+
+def test_cluster_groups_stacks_bit_identical_distances():
+    rng = np.random.default_rng(4)
+    for n in (2, 5, 12, 100, BLOCK + 1):
+        points = rng.standard_normal((3, n, 24))
+        points[1, n - 1] = points[1, 0]  # a bitwise duplicate in one group only
+        stacked = distance_matrix(points)
+        assert stacked.entries.shape == (3, n * (n - 1) // 2)
+        for g in range(3):
+            assert np.array_equal(stacked.entries[g], distance_matrix(points[g]).entries), (n, g)
+        assert stacked.group(1).get(0, n - 1) == 0.0
+
+
+@pytest.mark.parametrize("min_samples", [1, 2, 3])
+def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
+    rng = np.random.default_rng(91 + min_samples)
+    for n in range(2, 10):
+        # distances drawn from {0, 1, 2}, so ties decide most edges
+        stack = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(40, n * (n - 1) // 2)).astype(np.float64))
+        core = _core_distances(stack, min_samples)
+        assert core.shape == (40, n)
+        edges = _prim_mst(stack, core)
+        assert len(edges) == 40
+        for g, group_edges in enumerate(edges):
+            mr = np.maximum(stack.group(g).to_square(), np.maximum.outer(core[g], core[g]))
+            np.fill_diagonal(mr, 0.0)
+            assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), stack.entries[g]
+            assert group_edges == _prim_mst(stack.group(g), core[g])
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_cluster_groups_zero_vector_in_any_group_raises(size):
+    groups = mixed_groups(5)
+    groups.insert(len(groups) // 2, np.vstack([np.ones((size - 1, 8)), np.zeros((1, 8))]))
+    with pytest.raises(ZeroVector):
+        cluster_groups(groups, PARAMS)
 
 
 # --- label csv -------------------------------------------------------------------

@@ -6,11 +6,14 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from castgraph import pipeline
+from castgraph import distcluster, pipeline
+from castgraph.diarize import filter_segments
 from castgraph.errors import PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, generate
@@ -75,6 +78,36 @@ def test_thread_count_invisible_in_bytes(tmp_path):
     assert tree1.keys() == tree8.keys()
     for name in tree1:
         assert tree1[name] == tree8[name], name
+
+
+def stacks_needed(sizes) -> int:
+    """distance_matrix calls for these group sizes: one per size and stack of at most BLOCK points."""
+    return sum(
+        -(-count // max(1, distcluster.BLOCK // n)) for n, count in Counter(sizes).items() if n > 1
+    )
+
+
+def test_merge_and_diarize_stack_their_videos(tmp_path, monkeypatch):
+    calls = []
+    real = distcluster.distance_matrix
+
+    def counting(points, workers=1):
+        calls.append(np.shape(points))
+        return real(points, workers)
+
+    monkeypatch.setattr(distcluster, "distance_matrix", counting)
+    ds, _ = generate(CFG)
+    run = PipelineRun(ds, tmp_path, PipelineConfig())
+    run.run_until("pair")
+    stages = dict(PipelineRun.STAGES)
+    pieces = Counter(piece.video_id for piece in run.pieces).values()
+    segments = [len(filter_segments(s)[0]) for s in run.segments_by_video.values()]
+    for stage, sizes in (("merge", pieces), ("diarize", segments)):
+        calls.clear()
+        stages[stage](run)
+        # a call per video would be one per video with two or more points
+        assert len(calls) <= stacks_needed(sizes) < sum(n > 1 for n in sizes), stage
+        assert all(len(shape) == 3 for shape in calls), stage
 
 
 def test_resume_reproduces_report(tmp_path):
