@@ -22,11 +22,14 @@ distances, eps) keep the group axis; labels and edges come back as a list
 with one entry per group, or as the single entry when the matrix has no
 group axis.
 
-The condensed distance array, 8 * n(n-1)/2 bytes per group (143 MB at
-n = 5990), is the only n^2 allocation of a clustering call; no n x n square
-is built. Core distances come from one sequential pass over its rows, Prim
-reads each joining point's distances to the points outside the tree from
-it, and DBSCAN reads it one row at a time (CondensedDistanceMatrix.row).
+Memory: a clustering call peaks at the condensed distance array, 8 *
+n(n-1)/2 bytes per group, plus one n x d float64 buffer of unit vectors and
+one BLOCK-row GEMM block, 8 * BLOCK * n bytes, while distance_matrix runs
+(143 + 49 + 12 MB at n = 5990, d = 1024). The condensed array is the only
+n^2 allocation; no n x n square is built. Core distances come from one
+sequential pass over its rows, Prim reads each joining point's distances to
+the points outside the tree from it, and DBSCAN reads it one row at a time
+(CondensedDistanceMatrix.row).
 """
 
 from __future__ import annotations
@@ -184,27 +187,42 @@ def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
     """Pairwise cosine distances over a point set, or over a stack of them.
 
     points is (n, d), or (G, n, d) for G sets of n points, which gives a
-    matrix with a group axis. The unit vectors are multiplied in fixed row
-    blocks against every column at or after the block's first row, all
-    groups in one stacked product, and each block's upper part is written
-    straight into its condensed slices. The condensed array is the only n^2
-    allocation; workers only decide which thread computes which block.
+    matrix with a group axis. The points are copied once into a float64
+    buffer (the caller's array is never touched), normalized there in place
+    a few rows at a time, and multiplied in fixed row blocks against every
+    column at or after the block's first row, all groups in one stacked
+    product; each block's upper part is written straight into its condensed
+    slices. The condensed array, that one buffer and one BLOCK-row product
+    are all a call holds; workers only decide which thread computes which
+    block.
     """
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim not in (2, 3):
+    try:
+        buffer = np.array(points, dtype=np.float64)
+    except ValueError as exc:
+        # numpy's error for rows of different lengths (numpy >= 1.24)
+        if "inhomogeneous" not in str(exc):
+            raise
+        raise DimensionMismatch("distance_matrix input rows differ in length") from exc
+    if buffer.ndim not in (2, 3):
         raise DimensionMismatch("distance_matrix input is not a 2-D array of uniform rows or a stack of them")
-    stack = arr if arr.ndim == 3 else arr[None]
-    n = stack.shape[1]
+    unit = buffer if buffer.ndim == 3 else buffer[None]
+    n = unit.shape[1]
     if n < 2:
         raise TooFewPoints(n, 2)
-    norms = np.linalg.norm(stack, axis=-1)
-    if np.any(norms == 0.0):
-        raise ZeroVector("distance_matrix input contains a zero vector")
-    unit = stack / norms[..., None]
+    # normalized a chunk of rows at a time, each chunk's temporaries no
+    # larger than one GEMM block; a row's norm does not depend on the rows
+    # around it, so the bits are those of one norm call over all rows
+    step = max(1, min(BLOCK, BLOCK * n // max(1, unit.shape[2])))
+    for lo in range(0, n, step):
+        rows = unit[:, lo : lo + step]
+        norms = np.linalg.norm(rows, axis=-1)
+        if np.any(norms == 0.0):
+            raise ZeroVector("distance_matrix input contains a zero vector")
+        rows /= norms[..., None]
     classes = _duplicate_classes(unit)
 
-    entries = np.empty((len(stack), n * (n - 1) // 2), dtype=np.float64)
-    matrix = CondensedDistanceMatrix(n, entries if arr.ndim == 3 else entries[0])
+    entries = np.empty((len(unit), n * (n - 1) // 2), dtype=np.float64)
+    matrix = CondensedDistanceMatrix(n, entries if buffer.ndim == 3 else entries[0])
     starts = matrix.starts
 
     def fill_block(lo: int) -> None:
@@ -617,16 +635,18 @@ def dbscan(
     """Classic density-reachability clustering.
 
     A point is core when at least min_pts points (itself included) lie within
-    eps, boundary inclusive. Seeds are visited in ascending index order and
-    expansion is breadth-first over ascending neighbor indices, so border
-    points always join the first cluster that discovers them. On a stack,
-    eps is one value or one per group, and the labels come back as a list.
+    eps, boundary inclusive; at eps 0 only points at distance exactly 0
+    (bitwise duplicates) are neighbors. Seeds are visited in ascending index
+    order and expansion is breadth-first over ascending neighbor indices, so
+    border points always join the first cluster that discovers them. On a
+    stack, eps is one value or one per group, and the labels come back as a
+    list.
     """
     stack = m.stacked()
     groups = len(stack.entries)
     eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (groups,))
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
+    if np.any(eps < 0):
+        raise ValueError("eps must be non-negative")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = m.n
@@ -729,20 +749,21 @@ def cluster_groups(
     by_shape: dict[tuple, list[int]] = {}
     for index, group in enumerate(groups):
         by_shape.setdefault((len(group), np.shape(group[0]) if len(group) else ()), []).append(index)
-    for (n, _), members in by_shape.items():
+    for (n, row_shape), members in by_shape.items():
         if n == 0:
             for index in members:
                 results[index] = ClusterLabels(np.empty(0, dtype=np.int64)), False
             continue
+        if len(row_shape) != 1:
+            raise DimensionMismatch("cluster_groups input is not a list of 2-D arrays of uniform rows")
         per_stack = max(1, BLOCK // n)
         for lo in range(0, len(members), per_stack):
             chunk = members[lo : lo + per_stack]
-            points = np.asarray([groups[index] for index in chunk], dtype=np.float64)
-            if points.ndim != 3:
-                raise DimensionMismatch("cluster_groups input is not a list of 2-D arrays of uniform rows")
+            stack = [groups[index] for index in chunk]
             if n > 1:
-                matrix = distance_matrix(points, workers)
-            elif points.any(axis=-1).all():
+                # distance_matrix makes the stack's one float64 copy itself
+                matrix = distance_matrix(stack, workers)
+            elif np.asarray(stack, dtype=np.float64).any(axis=-1).all():
                 matrix = CondensedDistanceMatrix(1, np.empty((len(chunk), 0), dtype=np.float64))
             else:
                 raise ZeroVector("cluster_groups input contains a zero vector")

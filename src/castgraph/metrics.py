@@ -11,8 +11,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from scipy.optimize import linear_sum_assignment
-
 from . import collabgraph
 from .errors import EmptyReference, KeyMismatch, LengthMismatch
 
@@ -131,12 +129,86 @@ def _active_sets(intervals, boundaries):
     return sets
 
 
+def linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
+    """Minimum-cost one-to-one assignment of rows to columns of a rectangular matrix.
+
+    The shortest augmenting path method with dual potentials (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016), in
+    the form scipy's linear_sum_assignment runs it, step for step: the same
+    float operations, columns scanned from a reverse-filled list, ties won by
+    an unassigned column, and a tall matrix transposed and its pairs sorted,
+    so ties resolve to the same assignment. Returns (rows, cols),
+    min(rows, columns) pairs with rows ascending.
+    """
+    nr = len(cost)
+    nc = len(cost[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        cost = list(zip(*cost))
+        nr, nc = nc, nr
+    inf = math.inf
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur_row in range(nr):
+        # shortest augmenting path from cur_row; filling remaining in reverse
+        # makes a constant cost matrix come out as the identity
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [inf] * nc
+        seen_rows, seen_cols = [False] * nr, [False] * nc
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            index, lowest = -1, inf
+            seen_rows[i] = True
+            row = cost[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # on equal cost prefer a column that ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in range(nr):
+            if seen_rows[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
+
+
 def der(reference, hypothesis) -> float:
     """Diarization error rate with a zero-length collar.
 
     (missed speech + false alarm + speaker confusion) / total reference
-    speech time, under the overlap-maximizing one-to-one speaker mapping
-    (solved exactly with the Hungarian method).
+    speech time, under the overlap-maximizing one-to-one speaker mapping,
+    solved exactly by linear_sum_assignment (shortest augmenting paths).
     """
     ref = _as_intervals(reference)
     hyp = _as_intervals(hypothesis)

@@ -131,6 +131,60 @@ def test_matrix_rejects_single_point():
         distance_matrix(np.ones((1, 4)))
 
 
+def one_call_entries(points) -> np.ndarray:
+    """Condensed entries of (n, d) points normalized by one np.linalg.norm call.
+
+    The reference for distance_matrix's chunked normalization: the same
+    fixed BLOCK-row products over the one-call unit vectors.
+    """
+    stack = np.asarray(points, dtype=np.float64)[None]
+    unit = stack / np.linalg.norm(stack, axis=-1)[..., None]
+    n = stack.shape[1]
+    rows = []
+    for lo in range(0, n - 1, BLOCK):
+        hi = min(lo + BLOCK, n - 1)
+        sims = 1.0 - np.clip(unit[:, lo:hi] @ unit[:, lo:].transpose(0, 2, 1), -1.0, 1.0)
+        rows += [sims[0, i - lo, i - lo + 1 :] for i in range(lo, hi)]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("n, d", [(2 * BLOCK + 37, 96), (300, 2048), (BLOCK + 1, 7)])
+def test_matrix_chunked_normalization_is_bit_identical(n, d):
+    # chunked in-place norms give the bits of one norm call over all rows,
+    # so the entries and the core distances read from them do not move
+    rng = np.random.default_rng(n + d)
+    points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    m = distance_matrix(points)
+    reference = one_call_entries(points)
+    assert np.array_equal(m.entries, reference)
+    ordered = np.sort(CondensedDistanceMatrix(n, reference).to_square(), axis=1)
+    for min_samples in (1, 2, 5):
+        assert np.array_equal(_core_distances(m, min_samples), ordered[:, min_samples - 1])
+    # a list of rows and float32 input convert to the same float64 buffer
+    assert np.array_equal(distance_matrix(list(points)).entries, reference)
+    single = points.astype(np.float32)
+    assert np.array_equal(distance_matrix(single).entries, one_call_entries(single))
+
+
+def test_matrix_leaves_its_input_unchanged():
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((BLOCK + 10, 16)) * 3.0
+    stack = rng.standard_normal((4, 9, 16))
+    for array in (points, stack):
+        before = array.copy()
+        distance_matrix(array)
+        assert np.array_equal(array, before)
+
+
+def test_ragged_rows_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        cluster_groups([[np.ones(3), np.ones(4)]], PARAMS)
+    with pytest.raises(DimensionMismatch):
+        cluster_points([np.ones(3), np.ones(3), np.ones(4)], PARAMS)
+    with pytest.raises(DimensionMismatch):
+        distance_matrix([np.ones(3), np.ones(4)])
+
+
 def test_condensed_index_round_trip():
     m = CondensedDistanceMatrix(5, np.arange(10, dtype=np.float64))
     square = m.to_square()
@@ -345,6 +399,16 @@ def test_dbscan_mutually_distant_all_noise():
     assert labels.all_noise()
 
 
+def test_dbscan_eps_zero_joins_only_bitwise_duplicates():
+    rng = np.random.default_rng(17)
+    distinct = rng.standard_normal((4, 6))
+    m = distance_matrix(distinct[[2, 0, 1, 0, 3, 2, 2]])
+    assert dbscan(m, eps=0.0, min_pts=2).labels.tolist() == [0, 1, -1, 1, -1, 0, 0]
+    assert dbscan(m, eps=0.0, min_pts=3).labels.tolist() == [0, -1, -1, -1, -1, 0, 0]
+    with pytest.raises(ValueError):
+        dbscan(m, eps=-0.1, min_pts=2)
+
+
 def test_dbscan_three_blobs_with_heuristic_eps():
     points, truth = sample_blobs(45, 3, 256, 4.0, seed=31)
     m = distance_matrix(points)
@@ -441,6 +505,12 @@ DEGENERATE_INPUTS = [
     ("two_distinct_points", np.eye(2), [0, 0], True),
     ("two_identical_points", np.tile([0.3, 0.4, 1.2], (2, 1)), [0, 0], False),
     ("five_identical_points", np.tile([0.3, 0.4, 1.2], (5, 1)), [0] * 5, False),
+    # the hierarchy finds only noise; 9 copies give a small positive
+    # k-distance eps, 10 an eps of exactly 0, which joins only the copies
+    ("nine_identical_and_one_other", np.vstack([np.tile([0.3, 0.4, 1.2], (9, 1)), np.eye(3)[:1]]),
+     [0] * 9 + [-1], True),
+    ("ten_identical_and_one_other", np.vstack([np.tile([0.3, 0.4, 1.2], (10, 1)), np.eye(3)[:1]]),
+     [0] * 10 + [-1], True),
     ("zero_vector", [[0.0, 0.0], [1.0, 0.0]], ZeroVector, None),
     ("lone_zero_vector", [[0.0, 0.0]], ZeroVector, None),
 ]
@@ -485,6 +555,24 @@ def test_cluster_points_holds_no_square(blobs, used):
     assert peak < 1.5 * condensed_bytes
 
 
+@pytest.mark.parametrize("n, d", [(2000, 256), (600, 2048)])
+def test_cluster_points_peak_is_condensed_unit_buffer_and_one_block(n, d):
+    # a call holds the condensed array, one n x d float64 unit buffer and
+    # one BLOCK-row GEMM block at most: no second copy of the points, no
+    # n x d norm temporaries
+    points, _ = sample_blobs(n, 4, d, 8.0, seed=13)
+    bound = 8 * n * (n - 1) // 2 + 8 * n * d + 8 * BLOCK * n + 2**20
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        labels, _ = cluster_points(points, HdbscanParams(50, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.n_clusters == 4
+    assert peak <= bound
+
+
 # --- cluster_groups: one stacked pass equals each group alone ---------------------
 
 def mixed_groups(seed: int, dim: int = 8) -> list[np.ndarray]:
@@ -508,29 +596,17 @@ def mixed_groups(seed: int, dim: int = 8) -> list[np.ndarray]:
     return groups
 
 
-def clusters_alone(group, params, fallback):
-    try:
-        return cluster_points(group, params, fallback)
-    except ValueError:  # a k-distance eps of 0 among mostly identical points
-        return None
-
-
 @pytest.mark.parametrize("eps", [None, 0.3])
 @pytest.mark.parametrize("min_samples", [None, 1, 3])
 @pytest.mark.parametrize("mcs", [2, 3, 4])
 def test_cluster_groups_matches_each_group_alone(mcs, min_samples, eps):
+    # the sets include mostly identical points whose k-distance eps is 0
     params, fallback = HdbscanParams(mcs, min_samples), DbscanConfig(eps=eps)
     groups = mixed_groups(100 * mcs + (min_samples or 0))
-    alone = [clusters_alone(g, params, fallback) for g in groups]
-    failing = [g for g, result in zip(groups, alone) if result is None]
-    if failing:
-        # an error in any group is the whole call's error
-        with pytest.raises(ValueError):
-            cluster_groups(groups, params, fallback)
-    kept = [(g, result) for g, result in zip(groups, alone) if result is not None]
-    together = cluster_groups([g for g, _ in kept], params, fallback)
-    assert len(together) == len(kept)
-    for (group, (labels, used)), (got, got_used) in zip(kept, together):
+    together = cluster_groups(groups, params, fallback)
+    assert len(together) == len(groups)
+    for group, (got, got_used) in zip(groups, together):
+        labels, used = cluster_points(group, params, fallback)
         assert got.labels.tolist() == labels.labels.tolist()
         assert got_used is used
 

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from castgraph import metrics
 from castgraph.errors import EmptyReference, KeyMismatch, LengthMismatch
 from castgraph.metrics import (
     assignment_accuracy,
     completeness,
     der,
     homogeneity,
+    linear_sum_assignment,
     v_from_scores,
     v_measure,
 )
@@ -189,3 +193,71 @@ def test_der_range_is_nonnegative():
         ref = _random_timeline(rng, ["a", "b"])
         hyp = _random_timeline(rng, ["x"])
         assert der(ref, hyp) >= 0.0
+
+
+def _tie_heavy_timeline(rng, speakers, max_segments=6):
+    """Integer boundaries and few speakers: equal overlaps, so mapping ties."""
+    timeline = []
+    cursor = 0
+    for _ in range(rng.integers(1, max_segments + 1)):
+        cursor += int(rng.integers(0, 2))
+        length = int(rng.integers(1, 3))
+        timeline.append((float(cursor), float(cursor + length), str(rng.choice(speakers))))
+        cursor += length
+    return timeline
+
+
+def test_der_on_ties_matches_scipy_assignment(monkeypatch):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(4100)
+    pairs = [
+        (_tie_heavy_timeline(rng, ["a", "b", "c"]), _tie_heavy_timeline(rng, ["x", "y", "z", "w"]))
+        for _ in range(1000)
+    ]
+    ours = [der(ref, hyp) for ref, hyp in pairs]
+    monkeypatch.setattr(metrics, "linear_sum_assignment", scipy_optimize.linear_sum_assignment)
+    assert ours == [der(ref, hyp) for ref, hyp in pairs]
+
+
+# --- linear sum assignment -------------------------------------------------------
+
+def _cost_matrices(kind: str, count: int = 400):
+    """Seeded matrices of every shape up to 7 x 7, 1 x k and k x 1 included."""
+    rng = np.random.default_rng(["random", "integer", "quarters", "negated_integer"].index(kind))
+    for _ in range(count):
+        shape = tuple(rng.integers(1, 8, size=2))
+        if kind == "random":
+            yield rng.standard_normal(shape)
+        elif kind == "integer":
+            yield rng.integers(0, 4, size=shape).astype(np.float64)
+        elif kind == "quarters":
+            yield -rng.choice([0.0, 1.5, 2.25, 3.0], size=shape)
+        else:
+            yield -rng.integers(0, 3, size=shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["random", "integer", "quarters", "negated_integer"])
+def test_linear_sum_assignment_matches_scipy(kind):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for cost in _cost_matrices(kind):
+        rows, cols = scipy_optimize.linear_sum_assignment(cost)
+        assert linear_sum_assignment(cost.tolist()) == (rows.tolist(), cols.tolist()), cost
+
+
+@pytest.mark.parametrize("kind", ["random", "integer", "quarters", "negated_integer"])
+def test_linear_sum_assignment_is_optimal(kind):
+    for cost in _cost_matrices(kind, count=150):
+        nr, nc = cost.shape
+        rows, cols = linear_sum_assignment(cost)
+        assert len(rows) == len(cols) == min(nr, nc)
+        assert rows == sorted(rows) and len(set(cols)) == len(cols)
+        if nr <= nc:
+            best = min(sum(cost[i, p[i]] for i in range(nr)) for p in itertools.permutations(range(nc), nr))
+        else:
+            best = min(sum(cost[p[j], j] for j in range(nc)) for p in itertools.permutations(range(nr), nc))
+        assert sum(cost[i, j] for i, j in zip(rows, cols)) == pytest.approx(best, abs=1e-9)
+
+
+def test_linear_sum_assignment_constant_cost_is_identity():
+    assert linear_sum_assignment([[1.0] * 4] * 4) == ([0, 1, 2, 3], [0, 1, 2, 3])
+    assert linear_sum_assignment([]) == ([], [])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from castgraph import distcluster, pipeline
+import castgraph
+from castgraph import catalog, distcluster, pipeline
 from castgraph.diarize import filter_segments
 from castgraph.errors import PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
@@ -349,3 +351,61 @@ def test_cli_export_dot_bad_graph_exits_2(tmp_path, tiny_data, content):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
     assert CHECKPOINTS["graph"] in result.stderr
+
+
+# --- the CFG corpus through the CLI in a fresh interpreter ---------------------------
+
+# runs `castgraph <argv>` in-process, then prints which scipy modules got loaded
+CLI_IN_PROCESS = """
+import json, sys
+import castgraph
+from castgraph.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.fixture(scope="module")
+def cfg_data(tmp_path_factory):
+    ds, truth = generate(CFG)
+    data = tmp_path_factory.mktemp("cfg") / "data"
+    data.mkdir()
+    catalog.write(ds, data)
+    truth.save(data / "ground_truth.json")
+    return data
+
+
+def run_cfg_in_subprocess(data: Path, out: Path, **env) -> dict:
+    src = str(Path(castgraph.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", CLI_IN_PROCESS, "run", data, "--out", out,
+         "--ground-truth", data / "ground_truth.json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    status = json.loads(result.stdout.splitlines()[-1])
+    assert status["code"] == 0
+    return status
+
+
+def test_cli_run_never_imports_scipy(tmp_path, cfg_data):
+    status = run_cfg_in_subprocess(cfg_data, tmp_path / "out")
+    assert (tmp_path / "out" / "report.json").is_file()
+    assert status["scipy"] == []
+
+
+def test_blas_thread_count_invisible_in_bytes(tmp_path, cfg_data):
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        run_cfg_in_subprocess(cfg_data, out, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        trees.append(read_tree(out))
+    one, two = trees
+    stages = ("cluster_faces", "cluster_speakers", "bridge", "graph")  # 05 to 08
+    assert {CHECKPOINTS[stage] for stage in stages} | {"report.json"} <= one.keys()
+    assert one.keys() == two.keys()
+    for name in one:
+        assert one[name] == two[name], name
