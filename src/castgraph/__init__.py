@@ -10,7 +10,7 @@ directed channel-collaboration graph plus evaluation metrics.
 __version__ = "0.1.0"
 
 from .catalog import Dataset, ingest, normalize, validate, write
-from .distcluster import ClusterLabels, DbscanConfig, HdbscanParams, cluster_points, cosine_distance
+from .distcluster import ClusterLabels, DbscanConfig, HdbscanParams, cluster_points
 from .pipeline import PipelineConfig, PipelineRun, run_pipeline
 from .synth import GroundTruth, SynthConfig, corrupt, generate
 
@@ -25,7 +25,6 @@ __all__ = [
     "SynthConfig",
     "cluster_points",
     "corrupt",
-    "cosine_distance",
     "generate",
     "ingest",
     "normalize",

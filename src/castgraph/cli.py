@@ -26,7 +26,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--conf-threshold", type=float, default=0.5)
     parser.add_argument("--min-votes", type=int, default=1)
     parser.add_argument("--min-segment-s", type=float, default=1.0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--ground-truth", type=Path, default=None)
 
@@ -39,7 +38,6 @@ def _config(args) -> PipelineConfig:
         conf_threshold=args.conf_threshold,
         min_votes=args.min_votes,
         min_segment_s=args.min_segment_s,
-        threads=args.threads,
         resume=args.resume,
     )
 

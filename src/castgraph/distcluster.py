@@ -1,4 +1,4 @@
-"""Cosine-distance kernels and density-based clustering.
+"""Cosine distances and density-based clustering, over stacks of point sets.
 
 Everything here is a pure function of its inputs. The clustering entry point
 used by the rest of the pipeline is :func:`cluster_groups`: point sets in,
@@ -11,16 +11,15 @@ are too few points for a hierarchy at all. The hierarchy never selects its
 root, so fewer than 2 * min_cluster_size points that are not all identical
 come back all noise without building it.
 
-Group axis: cluster_groups stacks point sets of one size n, at most BLOCK
-points per stack (a larger set is a stack of one), and clusters each stack
-with one set of numpy calls. A condensed matrix whose entries are 2-D,
-(G, n(n-1)/2), holds G groups. Distances, duplicate zeroing, the shortcuts,
-core distances, Prim, the k-distance eps and DBSCAN's core counts loop over
-n, never over G; only the dendrogram, condensation, excess-of-mass, label
+One calling convention: every matrix is a stack. cluster_groups stacks point
+sets of one size n, at most BLOCK points per stack (a larger set is a stack
+of one), and a CondensedDistanceMatrix holds G groups as (G, n(n-1)/2)
+entries, G = 1 included. Distances, duplicate zeroing, the shortcuts, core
+distances, Prim, the k-distance eps and DBSCAN's core counts loop over n,
+never over G; only the dendrogram, condensation, excess-of-mass, label
 renumbering and DBSCAN expansion run per group. Array results (core
-distances, eps) keep the group axis; labels and edges come back as a list
-with one entry per group, or as the single entry when the matrix has no
-group axis.
+distances, eps) keep the group axis; labels, edges and fallback flags come
+back as lists with one entry per group.
 
 Memory: a clustering call peaks at the condensed distance array, 8 *
 n(n-1)/2 bytes per group, plus one n x d float64 buffer of unit vectors and
@@ -34,7 +33,6 @@ the points outside the tree from it, and DBSCAN reads it one row at a time
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,35 +42,14 @@ from .errors import DimensionMismatch, TooFewPoints, ZeroVector
 INFTY = float("inf")
 
 
-# --- distance kernels --------------------------------------------------------
-
-def cosine_distance(a, b) -> float:
-    """1 - cos(angle between a and b); range [0, 2].
-
-    Identical vectors give exactly 0.0, not a rounding residue; downstream
-    clustering relies on duplicate points being at distance zero.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"expected dimension {va.shape[0]}, got {vb.shape[0]}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine distance undefined for zero vectors")
-    if np.array_equal(va, vb):
-        return 0.0
-    sim = float(np.dot(va, vb) / (na * nb))
-    return 1.0 - max(-1.0, min(1.0, sim))
-
+# --- distances ---------------------------------------------------------------
 
 @dataclass
 class CondensedDistanceMatrix:
-    """Upper-triangular pairwise distances in row-major order.
+    """Upper-triangular pairwise distances of G groups of n points, row-major.
 
-    ``entries[..., k]`` holds d(i, j) for i < j with
-    k = n*i - i*(i+1)/2 + (j - i - 1). 2-D entries are a stack: one such
-    row per group, every group of n points.
+    ``entries`` is (G, n(n-1)/2): ``entries[g, k]`` holds group g's d(i, j)
+    for i < j with k = n*i - i*(i+1)/2 + (j - i - 1).
     """
 
     n: int
@@ -85,77 +62,44 @@ class CondensedDistanceMatrix:
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
         expected = self.n * (self.n - 1) // 2
-        if self.entries.ndim not in (1, 2) or self.entries.shape[-1] != expected:
-            raise ValueError(f"expected {expected} condensed entries per group, got {self.entries.shape}")
+        if self.entries.ndim != 2 or self.entries.shape[1] != expected:
+            raise ValueError(f"expected (groups, {expected}) condensed entries, got {self.entries.shape}")
         i = np.arange(self.n, dtype=np.int64)
         self.starts = i * (2 * self.n - 1 - i) // 2
         self.column = self.starts - i - 1
 
-    @property
-    def grouped(self) -> bool:
-        """Whether entries carry a leading group axis."""
-        return self.entries.ndim == 2
-
-    @property
-    def stack(self) -> np.ndarray:
-        """entries as (groups, n(n-1)/2), a view."""
-        return self.entries if self.grouped else self.entries[None]
-
-    def stacked(self, groups=None) -> CondensedDistanceMatrix:
-        """This matrix with a group axis; given group indices, a copy of only those groups."""
-        return self._with_entries(self.stack if groups is None else self.stack[groups])
-
-    def group(self, g: int) -> CondensedDistanceMatrix:
-        """Group g alone, a view without a group axis."""
-        return self._with_entries(self.stack[g])
-
-    def _with_entries(self, entries: np.ndarray) -> CondensedDistanceMatrix:
+    def subset(self, groups) -> CondensedDistanceMatrix:
+        """Only the given groups (an index array copies them, a slice is a view)."""
         # shares n, starts and column; skips __post_init__, which would rebuild them
         view = object.__new__(CondensedDistanceMatrix)
-        view.__dict__.update(self.__dict__, entries=entries)
+        view.__dict__.update(self.__dict__, entries=self.entries[groups])
         return view
 
-    def index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return int(self.column[i]) + j
-
-    def get(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return float(self.entries[self.index(i, j)])
-
     def row(self, v: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Row v of the square form, d(v, j) for every j, gathered in O(n) per group."""
+        """Row v of the square form per group, d(v, j) for every j, gathered in O(n)."""
         if out is None:
-            out = np.empty(self.entries.shape[:-1] + (self.n,), dtype=np.float64)
-        np.take(self.entries, self.column[:v] + v, axis=-1, out=out[..., :v])
-        out[..., v] = 0.0
+            out = np.empty((len(self.entries), self.n), dtype=np.float64)
+        np.take(self.entries, self.column[:v] + v, axis=1, out=out[:, :v])
+        out[:, v] = 0.0
         start = int(self.starts[v])
-        out[..., v + 1 :] = self.entries[..., start : start + self.n - v - 1]
+        out[:, v + 1 :] = self.entries[:, start : start + self.n - v - 1]
         return out
 
     def to_square(self) -> np.ndarray:
-        """The n x n form, per group; for oracles and tests, clustering never builds it."""
-        square = np.zeros(self.entries.shape[:-1] + (self.n, self.n), dtype=np.float64)
+        """The (G, n, n) form; for oracles and tests, clustering never builds it."""
+        square = np.zeros((len(self.entries), self.n, self.n), dtype=np.float64)
         k = 0
         for i in range(self.n - 1):
             count = self.n - i - 1
-            square[..., i, i + 1 :] = self.entries[..., k : k + count]
+            square[:, i, i + 1 :] = self.entries[:, k : k + count]
             k += count
-        return square + np.swapaxes(square, -1, -2)
-
-
-def _per_group(m: CondensedDistanceMatrix, results: list):
-    """results, one per group, as m's callers expect them: the list for a stack, else its one entry."""
-    return results if m.grouped else results[0]
+        return square + np.swapaxes(square, 1, 2)
 
 
 # rows per GEMM block in distance_matrix, and points per stack in
 # cluster_groups. d(i, j) always comes from the one product
 # unit[b:b+BLOCK] @ unit[b:].T of its group and i's block start b, whichever
-# thread computes it and whichever groups share the stack, so neither the
-# worker count nor the stacking can change its bits
+# groups share the stack, so the stacking cannot change its bits
 BLOCK = 256
 
 
@@ -183,32 +127,27 @@ def _duplicate_classes(unit: np.ndarray) -> np.ndarray | None:
     return classes
 
 
-def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
-    """Pairwise cosine distances over a point set, or over a stack of them.
+def distance_matrix(points) -> CondensedDistanceMatrix:
+    """Pairwise cosine distances within each of G sets of n points, given as (G, n, d).
 
-    points is (n, d), or (G, n, d) for G sets of n points, which gives a
-    matrix with a group axis. The points are copied once into a float64
-    buffer (the caller's array is never touched), normalized there in place
-    a few rows at a time, and multiplied in fixed row blocks against every
-    column at or after the block's first row, all groups in one stacked
-    product; each block's upper part is written straight into its condensed
-    slices. The condensed array, that one buffer and one BLOCK-row product
-    are all a call holds; workers only decide which thread computes which
-    block.
+    The points are copied once into a float64 buffer (the caller's array is
+    never touched), normalized there in place a few rows at a time, and
+    multiplied in fixed row blocks against every column at or after the
+    block's first row, all groups in one stacked product; each block's upper
+    part is written straight into its condensed slices. The condensed array,
+    that one buffer and one BLOCK-row product are all a call holds. One point
+    per set gives (G, 0) entries; a zero vector raises ZeroVector.
     """
     try:
-        buffer = np.array(points, dtype=np.float64)
+        unit = np.array(points, dtype=np.float64)
     except ValueError as exc:
         # numpy's error for rows of different lengths (numpy >= 1.24)
         if "inhomogeneous" not in str(exc):
             raise
         raise DimensionMismatch("distance_matrix input rows differ in length") from exc
-    if buffer.ndim not in (2, 3):
-        raise DimensionMismatch("distance_matrix input is not a 2-D array of uniform rows or a stack of them")
-    unit = buffer if buffer.ndim == 3 else buffer[None]
+    if unit.ndim != 3:
+        raise DimensionMismatch("distance_matrix input is not a (groups, points, dimension) stack")
     n = unit.shape[1]
-    if n < 2:
-        raise TooFewPoints(n, 2)
     # normalized a chunk of rows at a time, each chunk's temporaries no
     # larger than one GEMM block; a row's norm does not depend on the rows
     # around it, so the bits are those of one norm call over all rows
@@ -221,11 +160,9 @@ def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
         rows /= norms[..., None]
     classes = _duplicate_classes(unit)
 
-    entries = np.empty((len(unit), n * (n - 1) // 2), dtype=np.float64)
-    matrix = CondensedDistanceMatrix(n, entries if buffer.ndim == 3 else entries[0])
-    starts = matrix.starts
-
-    def fill_block(lo: int) -> None:
+    matrix = CondensedDistanceMatrix(n, np.empty((len(unit), n * (n - 1) // 2), dtype=np.float64))
+    entries, starts = matrix.entries, matrix.starts
+    for lo in range(0, n - 1, BLOCK):
         hi = min(lo + BLOCK, n - 1)
         sims = unit[:, lo:hi] @ unit[:, lo:].transpose(0, 2, 1)
         np.clip(sims, -1.0, 1.0, out=sims)
@@ -237,15 +174,7 @@ def distance_matrix(points, workers: int = 1) -> CondensedDistanceMatrix:
             sims[classes[:, lo:hi, None] == classes[:, None, lo:]] = 0.0
         for i in range(lo, hi):
             entries[:, starts[i] : starts[i] + (n - i - 1)] = sims[:, i - lo, i - lo + 1 :]
-
-    blocks = range(0, n - 1, BLOCK)
-    if workers <= 1 or len(blocks) < 2:
-        for lo in blocks:
-            fill_block(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(fill_block, blocks):
-                pass
+        del sims  # freed before the next block's product: one block alive at a time
     return matrix
 
 
@@ -316,13 +245,12 @@ def _kth_smallest_per_row(m: CondensedDistanceMatrix, k: int) -> np.ndarray:
     """The k-th smallest entry (0-based) of every square row, self distance included.
 
     One sequential pass over the condensed rows, each step taken for every
-    group at once; the result keeps m's group axis. Row i's square row is the
+    group at once; the result is (G, n). Row i's square row is the
     self distance, column i (d(j, i) for j < i) and row i's upper part. Only
     the k + 1 smallest of column i can be among the row's k + 1 smallest, and
     they are collected while the rows j < i go by, so no column is gathered.
     """
-    n = m.n
-    entries = m.stack
+    n, entries = m.n, m.entries
     groups = len(entries)
     # smallest[g, :, j]: the k + 1 smallest d(i, j) over the rows i read so far, ascending
     smallest = np.full((groups, k + 1, n), INFTY)
@@ -342,16 +270,16 @@ def _kth_smallest_per_row(m: CondensedDistanceMatrix, k: int) -> np.ndarray:
             lower = np.minimum(kept, carry)
             np.maximum(kept, carry, out=carry)
             kept[...] = lower
-    return out if m.grouped else out[0]
+    return out
 
 
 def _core_distances(m: CondensedDistanceMatrix, min_samples: int) -> np.ndarray:
-    """Distance from each point to its min_samples-th neighbor, self counted."""
+    """Distance from each point to its min_samples-th neighbor, self counted, (G, n)."""
     # the row includes the zero self-distance, so index k-1 is the k-th neighbor
     return _kth_smallest_per_row(m, min(min_samples, m.n) - 1)
 
 
-def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list:
+def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list[list[tuple[int, int, float]]]:
     """Exact MST under mutual reachability max(core_i, core_j, d_ij), per group.
 
     When a point joins the tree, its mutual reachability to each point still
@@ -362,8 +290,7 @@ def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list:
     whole hierarchy) for inputs with duplicate distances.
     """
     n = m.n
-    entries = np.ascontiguousarray(m.stack).reshape(-1)
-    core = np.reshape(core, (-1, n))
+    entries = np.ascontiguousarray(m.entries).reshape(-1)
     groups = len(core)
     offset = np.arange(groups) * (n * (n - 1) // 2)  # each group's start in the flat entries
     # per group, the points outside the tree: their ids, their column
@@ -418,8 +345,7 @@ def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list:
             flat[at] = flat[last]
         last -= 1
     lo, hi = np.minimum(joined, tree_end).tolist(), np.maximum(joined, tree_end).tolist()
-    edges = [list(zip(*group)) for group in zip(lo, hi, weights.tolist())]
-    return _per_group(m, edges)
+    return [list(zip(*group)) for group in zip(lo, hi, weights.tolist())]
 
 
 def _single_linkage(n: int, edges) -> list[tuple[int, int, float, int]]:
@@ -597,7 +523,7 @@ def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
     return [-1 if owner == -1 else rank.setdefault(owner, len(rank)) for owner in labels]
 
 
-def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels | list[ClusterLabels]:
+def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
     """Hierarchical density-based clustering over a precomputed matrix.
 
     Pipeline: core distances (k = min_samples, counting the point itself),
@@ -606,13 +532,12 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels 
     min_cluster_size, and excess-of-mass cluster extraction. The root of the
     condensed tree is not a candidate cluster, so single-class inputs come
     back as all noise; the one exception is a set of exactly identical points,
-    which is defined to be a single cluster. Returns ClusterLabels, one per
-    group in a list when m has a group axis.
+    which is defined to be a single cluster. Returns one ClusterLabels per
+    group.
     """
-    n = m.n
+    n, entries = m.n, m.entries
     if n < params.min_cluster_size:
         raise TooFewPoints(n, params.min_cluster_size)
-    entries = m.stack
     labels = np.full((len(entries), n), -1, dtype=np.int64)
     distinct = entries.any(axis=1)
     labels[~distinct] = 0
@@ -620,30 +545,26 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> ClusterLabels 
     # itself is never selected: below that no cluster can come out
     todo = np.flatnonzero(distinct) if n >= 2 * params.min_cluster_size else ()
     if len(todo):
-        sub = m.stacked(None if len(todo) == len(entries) else todo)
+        sub = m if len(todo) == len(entries) else m.subset(todo)
         edges = _prim_mst(sub, _core_distances(sub, params.effective_min_samples))
         for g, group_edges in zip(todo, edges):
             labels[g] = _hierarchy_labels(n, group_edges, params.min_cluster_size)
-    return _per_group(m, [ClusterLabels(row) for row in labels])
+    return [ClusterLabels(row) for row in labels]
 
 
 # --- flat density clustering ---------------------------------------------------
 
-def dbscan(
-    m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int
-) -> ClusterLabels | list[ClusterLabels]:
+def dbscan(m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
     """Classic density-reachability clustering.
 
     A point is core when at least min_pts points (itself included) lie within
     eps, boundary inclusive; at eps 0 only points at distance exactly 0
     (bitwise duplicates) are neighbors. Seeds are visited in ascending index
     order and expansion is breadth-first over ascending neighbor indices, so
-    border points always join the first cluster that discovers them. On a
-    stack, eps is one value or one per group, and the labels come back as a
-    list.
+    border points always join the first cluster that discovers them. eps is
+    one value or one per group; one ClusterLabels per group comes back.
     """
-    stack = m.stacked()
-    groups = len(stack.entries)
+    groups = len(m.entries)
     eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (groups,))
     if np.any(eps < 0):
         raise ValueError("eps must be non-negative")
@@ -654,12 +575,12 @@ def dbscan(
     core = np.empty((groups, n), dtype=bool)
     for v in range(n):
         # self always qualifies at distance zero
-        core[:, v] = np.count_nonzero(stack.row(v, rows) <= eps[:, None], axis=1) >= min_pts
+        core[:, v] = np.count_nonzero(m.row(v, rows) <= eps[:, None], axis=1) >= min_pts
 
     labels = np.full((groups, n), -1, dtype=np.int64)
-    row = np.empty(n, dtype=np.float64)
+    row = np.empty((1, n), dtype=np.float64)
     for g in np.flatnonzero(core.any(axis=1)):
-        group, group_core, group_labels = stack.group(g), core[g], labels[g]
+        group, group_core, group_labels = m.subset(slice(g, g + 1)), core[g], labels[g]
         cluster = 0
         for seed in range(n):
             if group_labels[seed] != -1 or not group_core[seed]:
@@ -672,66 +593,56 @@ def dbscan(
                 head += 1
                 # neighbors are found again when a point is expanded, not kept:
                 # at a large eps the lists would add up to n^2 indices
-                fresh = np.flatnonzero(group.row(v, row) <= eps[g])  # ascending
+                fresh = np.flatnonzero(group.row(v, row)[0] <= eps[g])  # ascending
                 fresh = fresh[group_labels[fresh] == -1]
                 group_labels[fresh] = cluster
                 queue.extend(fresh[group_core[fresh]].tolist())
             cluster += 1
-    return _per_group(m, [ClusterLabels(l) for l in labels])
+    return [ClusterLabels(l) for l in labels]
 
 
-def k_distance_eps(
-    m: CondensedDistanceMatrix, k: int = 4, percentile: float = 90.0
-) -> float | np.ndarray:
-    """Heuristic eps: the given percentile of the k-th nearest neighbor distances.
-
-    A float, or an array with one eps per group when m has a group axis.
-    """
+def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
+    """Heuristic eps per group: the given percentile of the k-th nearest neighbor distances."""
     k_eff = min(k, m.n - 1)
     if k_eff < 1:
-        eps = np.ones(len(m.stack))
-    else:
-        knn = _kth_smallest_per_row(m.stacked(), k_eff)  # index 0 is the self distance
-        eps = np.percentile(knn, percentile, axis=-1)
-    return eps if m.grouped else float(eps[0])
+        return np.ones(len(m.entries))
+    knn = _kth_smallest_per_row(m, k_eff)  # index 0 is the self distance
+    return np.percentile(knn, percentile, axis=-1)
 
 
 def cluster_with_fallback(
     m: CondensedDistanceMatrix,
     params: HdbscanParams,
     fallback: DbscanConfig | None = None,
-) -> tuple[ClusterLabels, bool] | tuple[list[ClusterLabels], list[bool]]:
+) -> tuple[list[ClusterLabels], list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
     Falls back to dbscan when the hierarchy finds only noise, and also when
     there are fewer points than min_cluster_size (a hierarchy cannot exist);
     min_pts is clamped to the point count so a lone point still gets a label
-    decision instead of an error. Returns (labels, used_fallback); on a stack,
-    (a list of labels, a list of flags), one per group, and only the groups
-    that need it run the fallback.
+    decision instead of an error. Returns (labels, used_fallback flags), one
+    of each per group; only the groups that need it run the fallback.
     """
     config = fallback if fallback is not None else DbscanConfig()
-    groups = len(m.stack)
+    groups = len(m.entries)
     try:
-        found = hdbscan(m, params)
-        labels = found if m.grouped else [found]
+        labels = hdbscan(m, params)
     except TooFewPoints:
         labels = [None] * groups
     used = [l is None or l.all_noise() for l in labels]
     todo = [g for g, fell_back in enumerate(used) if fell_back]
     if todo:
-        sub = m.stacked(None if len(todo) == groups else todo)
+        sub = m if len(todo) == groups else m.subset(todo)
         eps = config.eps if config.eps is not None else k_distance_eps(sub)
         for g, l in zip(todo, dbscan(sub, eps, min(config.min_pts, m.n))):
             labels[g] = l
-    return _per_group(m, labels), _per_group(m, used)
+    return labels, used
 
 
 def cluster_groups(
     groups,
     params: HdbscanParams,
     fallback: DbscanConfig | None = None,
-    workers: int = 1,
 ) -> list[tuple[ClusterLabels, bool]]:
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
@@ -740,33 +651,24 @@ def cluster_groups(
     per stack (a set larger than BLOCK is a stack of one), and each stack
     takes one distance_matrix and one cluster_with_fallback call; an error
     in any set is the whole call's error. An empty set gives no labels and
-    no fallback. A set of one vector skips the distance matrix and gets the
-    fallback's one-point decision. A zero vector in any set raises
-    ZeroVector.
+    no fallback; a set of one vector gets the fallback's one-point decision.
+    A zero vector in any set raises ZeroVector.
     """
     results: list[tuple[ClusterLabels, bool]] = [None] * len(groups)
     # stacked by size and dimension, so a set never meets a set of another shape
     by_shape: dict[tuple, list[int]] = {}
     for index, group in enumerate(groups):
         by_shape.setdefault((len(group), np.shape(group[0]) if len(group) else ()), []).append(index)
-    for (n, row_shape), members in by_shape.items():
+    for (n, _), members in by_shape.items():
         if n == 0:
             for index in members:
                 results[index] = ClusterLabels(np.empty(0, dtype=np.int64)), False
             continue
-        if len(row_shape) != 1:
-            raise DimensionMismatch("cluster_groups input is not a list of 2-D arrays of uniform rows")
         per_stack = max(1, BLOCK // n)
         for lo in range(0, len(members), per_stack):
             chunk = members[lo : lo + per_stack]
-            stack = [groups[index] for index in chunk]
-            if n > 1:
-                # distance_matrix makes the stack's one float64 copy itself
-                matrix = distance_matrix(stack, workers)
-            elif np.asarray(stack, dtype=np.float64).any(axis=-1).all():
-                matrix = CondensedDistanceMatrix(1, np.empty((len(chunk), 0), dtype=np.float64))
-            else:
-                raise ZeroVector("cluster_groups input contains a zero vector")
+            # distance_matrix makes the stack's one float64 copy itself
+            matrix = distance_matrix([groups[index] for index in chunk])
             labels, used = cluster_with_fallback(matrix, params, fallback)
             for index, group_labels, group_used in zip(chunk, labels, used):
                 results[index] = group_labels, group_used
@@ -777,10 +679,9 @@ def cluster_points(
     vectors,
     params: HdbscanParams,
     fallback: DbscanConfig | None = None,
-    workers: int = 1,
 ) -> tuple[ClusterLabels, bool]:
     """Cluster labels for one set of vectors, one per vector in order, and whether the fallback ran.
 
     The one-set case of cluster_groups.
     """
-    return cluster_groups([vectors], params, fallback, workers)[0]
+    return cluster_groups([vectors], params, fallback)[0]

@@ -4,7 +4,8 @@ Stage order: split -> pair -> merge -> diarize -> global face clustering ->
 global speaker clustering -> bridge -> graph. Each stage is one row of the
 stage table, run by one generic step (:meth:`PipelineRun.step`). Every file is
 written to a temporary name and renamed into place. For a fixed dataset and
-configuration the bytes do not depend on the thread count or the output path.
+configuration the bytes do not depend on the BLAS thread count or the output
+path.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class PipelineConfig:
     min_segment_s: float = 1.0
     max_len_frames: int = 50
     min_len_frames: int = 25
-    threads: int = 1
     resume: bool = False
 
     @property
@@ -270,7 +270,7 @@ class PipelineRun:
     def _cluster_points(self, points: dict[str, np.ndarray]) -> dict[str, int]:
         """Global cluster labels for id -> vector points."""
         cfg = self.config
-        labels, _ = cluster_points(list(points.values()), cfg.hdbscan_params, cfg.dbscan_config, cfg.threads)
+        labels, _ = cluster_points(list(points.values()), cfg.hdbscan_params, cfg.dbscan_config)
         return {i: int(l) for i, l in zip(points, labels.labels)}
 
     def compute_cluster_faces(self) -> None:

@@ -6,10 +6,15 @@ lines. Tolerances are fixed here, not tuned at runtime.
 
 from __future__ import annotations
 
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import castgraph
 from castgraph.bridge import build_graph, resolve_identities
 from castgraph.catalog import AVPair, FaceTrack, write
 from castgraph.distcluster import HdbscanParams, cluster_with_fallback, distance_matrix, hdbscan
@@ -136,7 +141,7 @@ def test_hdbscan_recovers_synthetic_sets_and_matches_exhaustive_oracle():
         n = int(rng.integers(20, 61))
         noise = float(rng.uniform(0.0, 10.0))
         points, truth = sample_blobs(n, k, 256, noise, seed=5000 + trial)
-        labels = hdbscan(distance_matrix(points), PARAMS)
+        [labels] = hdbscan(distance_matrix([points]), PARAMS)
         worst_v = min(worst_v, v_measure(truth.tolist(), labels.labels.tolist()))
 
     exhaustive_ok = True
@@ -145,8 +150,8 @@ def test_hdbscan_recovers_synthetic_sets_and_matches_exhaustive_oracle():
         n = int(gen.integers(4, 13))
         k = int(gen.integers(1, 4))
         points, _ = sample_blobs(n, k, 64, 20.0, seed=9100 + trial)
-        m = distance_matrix(points)
-        if hdbscan(m, PARAMS).labels.tolist() != oracle_hdbscan(m.to_square().tolist(), 2, 2):
+        m = distance_matrix([points])
+        if hdbscan(m, PARAMS)[0].labels.tolist() != oracle_hdbscan(m.to_square()[0].tolist(), 2, 2):
             exhaustive_ok = False
             break
     criterion(
@@ -164,9 +169,9 @@ def test_fallback_on_single_identity_datasets():
     detail = ""
     for seed in range(20):
         points, _ = sample_blobs(40, 1, 256, 5.0, seed=7000 + seed)
-        m = distance_matrix(points)
-        direct = hdbscan(m, PARAMS)
-        labels, used_fallback = cluster_with_fallback(m, PARAMS)
+        m = distance_matrix([points])
+        [direct] = hdbscan(m, PARAMS)
+        [labels], [used_fallback] = cluster_with_fallback(m, PARAMS)
         if not (direct.all_noise() and used_fallback and labels.n_clusters == 1):
             ok = False
             detail = (
@@ -314,16 +319,29 @@ def test_pipeline_byte_identical_across_threads(tmp_path):
     ds, truth = generate(cfg)
     data_dir = tmp_path / "data"
     write(ds, data_dir)
-    out1, out8 = tmp_path / "threads1", tmp_path / "threads8"
-    run_pipeline(ds, out1, PipelineConfig(threads=1), truth)
-    run_pipeline(ds, out8, PipelineConfig(threads=8), truth)
+    truth.save(data_dir / "ground_truth.json")
+    src = str(Path(castgraph.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        # a fresh interpreter per count: BLAS reads these when numpy loads it
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-m", "castgraph.cli", "run", str(data_dir), "--out", str(out),
+             "--ground-truth", str(data_dir / "ground_truth.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outs.append(out)
+    out1, out2 = outs
     names1 = sorted(p.name for p in out1.iterdir())
-    names8 = sorted(p.name for p in out8.iterdir())
-    same = names1 == names8 and all(
-        (out1 / n).read_bytes() == (out8 / n).read_bytes() for n in names1
+    names2 = sorted(p.name for p in out2.iterdir())
+    same = names1 == names2 and all(
+        (out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names1
     )
     criterion(
-        "full pipeline byte-identical for 1 vs 8 worker threads",
+        "full pipeline byte-identical for 1 vs 2 BLAS threads",
         same,
         f"{len(names1)} artifacts compared",
     )

@@ -18,7 +18,6 @@ from castgraph.distcluster import (
     cluster_groups,
     cluster_points,
     cluster_with_fallback,
-    cosine_distance,
     dbscan,
     distance_matrix,
     hdbscan,
@@ -41,61 +40,27 @@ def partition_of(labels) -> set[frozenset[int]]:
     return {frozenset(v) for k, v in groups.items() if k != -1}
 
 
-# --- cosine distance -----------------------------------------------------------
-
-def test_cosine_identical_is_zero():
-    assert cosine_distance([3.0, 4.0], [3.0, 4.0]) == 0.0
-
-
-def test_cosine_orthogonal_is_one():
-    assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-
-
-def test_cosine_antipodal_is_two():
-    v = np.array([0.2, -0.7, 1.1])
-    assert cosine_distance(v, -v) == pytest.approx(2.0)
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cosine_distance([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_cosine_zero_vector():
-    with pytest.raises(ZeroVector):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
-
-
 # --- distance matrix -----------------------------------------------------------
 
 def test_matrix_two_identical_points():
-    m = distance_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    assert m.entries.tolist() == [0.0]
+    m = distance_matrix([np.array([[1.0, 2.0], [1.0, 2.0]])])
+    assert m.entries[0].tolist() == [0.0]
 
 
 def test_matrix_orthonormal_basis():
-    m = distance_matrix(np.eye(3))
-    assert m.entries.tolist() == pytest.approx([1.0, 1.0, 1.0])
+    m = distance_matrix([np.eye(3)])
+    assert m.entries[0].tolist() == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_matrix_against_naive_oracle():
     rng = np.random.default_rng(7)
     points = rng.standard_normal((50, 24))
-    m = distance_matrix(points)
+    square = distance_matrix([points]).to_square()[0]
     naive = naive_cosine_matrix(points)
     for i in range(50):
         for j in range(i + 1, 50):
-            assert m.get(i, j) == pytest.approx(naive[i][j], abs=1e-6)
-            assert m.get(j, i) == m.get(i, j)
-
-
-@pytest.mark.parametrize("workers", [2, 3, 8])
-def test_matrix_worker_count_is_invisible(workers):
-    rng = np.random.default_rng(3)
-    points = rng.standard_normal((41, 16))
-    base = distance_matrix(points, workers=1)
-    parallel = distance_matrix(points, workers=workers)
-    assert np.array_equal(base.entries, parallel.entries)
+            assert square[i, j] == pytest.approx(naive[i][j], abs=1e-6)
+            assert square[j, i] == square[i, j]
 
 
 @pytest.mark.parametrize("n", [b + d for b in (BLOCK, 2 * BLOCK) for d in (-1, 0, 1, 2)])
@@ -104,31 +69,42 @@ def test_matrix_blocks_are_exact_and_worker_count_invisible(n):
     rng = np.random.default_rng(n)
     points = rng.standard_normal((n, 12))
     points[n // 2] = points[3]  # one duplicate pair across the first block boundary
-    base = distance_matrix(points, workers=1)
-    for workers in (2, 8):
-        assert np.array_equal(base.entries, distance_matrix(points, workers=workers).entries)
+    square = distance_matrix([points]).to_square()[0]
     unit = points / np.linalg.norm(points, axis=1)[:, None]
     reference = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     reference[3, n // 2] = reference[n // 2, 3] = 0.0
     np.fill_diagonal(reference, 0.0)
-    assert np.allclose(base.to_square(), reference, rtol=0.0, atol=1e-12)
-    assert base.get(3, n // 2) == 0.0
+    assert np.allclose(square, reference, rtol=0.0, atol=1e-12)
+    assert square[3, n // 2] == 0.0
 
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_condensed_row_matches_square(n):
-    m = CondensedDistanceMatrix(n, np.arange(1, n * (n - 1) // 2 + 1, dtype=np.float64))
+    # three groups, each with its own entries
+    m = CondensedDistanceMatrix(n, np.arange(1, 3 * (n * (n - 1) // 2) + 1, dtype=np.float64).reshape(3, -1))
     square = m.to_square()
-    out = np.full(n, np.nan)
+    out = np.full((3, n), np.nan)
     for v in range(n):
-        assert np.array_equal(m.row(v), square[v])
+        assert np.array_equal(m.row(v), square[:, v])
         assert m.row(v, out) is out
-        assert np.array_equal(out, square[v])
+        assert np.array_equal(out, square[:, v])
 
 
-def test_matrix_rejects_single_point():
-    with pytest.raises(TooFewPoints):
-        distance_matrix(np.ones((1, 4)))
+def test_matrix_one_point_stack_has_no_entries():
+    m = distance_matrix(np.ones((3, 1, 4)))
+    assert (m.n, m.entries.shape) == (1, (3, 0))
+    assert m.to_square().tolist() == [[[0.0]]] * 3
+    with pytest.raises(ZeroVector):
+        distance_matrix(np.zeros((1, 1, 4)))
+    with pytest.raises(ZeroVector):
+        distance_matrix([[[1.0, 2.0]], [[0.0, 0.0]]])
+
+
+def test_condensed_entries_and_points_must_be_stacks():
+    with pytest.raises(ValueError):
+        CondensedDistanceMatrix(3, np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        distance_matrix(np.ones((3, 4)))
 
 
 def one_call_entries(points) -> np.ndarray:
@@ -154,21 +130,21 @@ def test_matrix_chunked_normalization_is_bit_identical(n, d):
     # so the entries and the core distances read from them do not move
     rng = np.random.default_rng(n + d)
     points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
-    m = distance_matrix(points)
+    m = distance_matrix([points])
     reference = one_call_entries(points)
-    assert np.array_equal(m.entries, reference)
-    ordered = np.sort(CondensedDistanceMatrix(n, reference).to_square(), axis=1)
+    assert np.array_equal(m.entries[0], reference)
+    ordered = np.sort(CondensedDistanceMatrix(n, reference[None]).to_square()[0], axis=1)
     for min_samples in (1, 2, 5):
-        assert np.array_equal(_core_distances(m, min_samples), ordered[:, min_samples - 1])
+        assert np.array_equal(_core_distances(m, min_samples)[0], ordered[:, min_samples - 1])
     # a list of rows and float32 input convert to the same float64 buffer
-    assert np.array_equal(distance_matrix(list(points)).entries, reference)
+    assert np.array_equal(distance_matrix([list(points)]).entries[0], reference)
     single = points.astype(np.float32)
-    assert np.array_equal(distance_matrix(single).entries, one_call_entries(single))
+    assert np.array_equal(distance_matrix([single]).entries[0], one_call_entries(single))
 
 
 def test_matrix_leaves_its_input_unchanged():
     rng = np.random.default_rng(5)
-    points = rng.standard_normal((BLOCK + 10, 16)) * 3.0
+    points = rng.standard_normal((1, BLOCK + 10, 16)) * 3.0
     stack = rng.standard_normal((4, 9, 16))
     for array in (points, stack):
         before = array.copy()
@@ -182,40 +158,44 @@ def test_ragged_rows_raise_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         cluster_points([np.ones(3), np.ones(3), np.ones(4)], PARAMS)
     with pytest.raises(DimensionMismatch):
-        distance_matrix([np.ones(3), np.ones(4)])
+        distance_matrix([[np.ones(3), np.ones(4)]])
+    with pytest.raises(DimensionMismatch):  # a set of scalars, one point or more
+        cluster_groups([[1.0], [1.0, 2.0]], PARAMS)
 
 
 def test_condensed_index_round_trip():
-    m = CondensedDistanceMatrix(5, np.arange(10, dtype=np.float64))
-    square = m.to_square()
+    m = CondensedDistanceMatrix(5, np.arange(10, dtype=np.float64)[None])
+    square = m.to_square()[0]
     for i in range(5):
         for j in range(5):
-            assert square[i, j] == m.get(i, j)
+            lo, hi = min(i, j), max(i, j)
+            expected = 0.0 if i == j else m.entries[0, 5 * lo - lo * (lo + 1) // 2 + (hi - lo - 1)]
+            assert square[i, j] == expected
 
 
 # --- hdbscan -------------------------------------------------------------------
 
 def test_hdbscan_all_identical_single_cluster():
     points = np.tile([0.3, 0.4, 1.2], (6, 1))
-    labels = hdbscan(distance_matrix(points), PARAMS)
+    [labels] = hdbscan(distance_matrix([points]), PARAMS)
     assert labels.labels.tolist() == [0] * 6
 
 
 def test_hdbscan_two_blobs_match_generator():
     points, truth = sample_blobs(60, 2, 512, 4.0, seed=11)
-    labels = hdbscan(distance_matrix(points), PARAMS)
+    [labels] = hdbscan(distance_matrix([points]), PARAMS)
     assert labels.n_clusters == 2
     assert partition_of(labels.labels) == partition_of(truth)
 
 
 def test_hdbscan_single_blob_all_noise():
     points, _ = sample_blobs(40, 1, 512, 5.0, seed=23)
-    labels = hdbscan(distance_matrix(points), PARAMS)
+    [labels] = hdbscan(distance_matrix([points]), PARAMS)
     assert labels.all_noise()
 
 
 def test_hdbscan_too_few_points():
-    m = distance_matrix(np.eye(3))
+    m = distance_matrix([np.eye(3)])
     with pytest.raises(TooFewPoints):
         hdbscan(m, HdbscanParams(min_cluster_size=4))
 
@@ -226,9 +206,9 @@ def test_hdbscan_matches_exhaustive_oracle(seed):
     n = int(rng.integers(4, 13))
     k = int(rng.integers(1, 4))
     points, _ = sample_blobs(n, k, 32, 25.0, seed=2000 + seed)
-    m = distance_matrix(points)
-    got = hdbscan(m, PARAMS).labels.tolist()
-    expected = oracle_hdbscan(m.to_square().tolist(), 2, 2)
+    m = distance_matrix([points])
+    got = hdbscan(m, PARAMS)[0].labels.tolist()
+    expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, 2)
     assert got == expected
 
 
@@ -242,9 +222,9 @@ def test_hdbscan_matches_exhaustive_oracle_on_duplicates(min_samples):
     distinct = rng.standard_normal((3, 8))
     for n in range(4, 41):
         picks = np.concatenate(([0, 1, 2], rng.integers(0, 3, size=n - 3)))
-        m = distance_matrix(distinct[rng.permutation(picks)])
-        got = hdbscan(m, params).labels.tolist()
-        expected = oracle_hdbscan(m.to_square().tolist(), 2, params.effective_min_samples)
+        m = distance_matrix([distinct[rng.permutation(picks)]])
+        got = hdbscan(m, params)[0].labels.tolist()
+        expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, params.effective_min_samples)
         assert got == expected, n
 
 
@@ -252,10 +232,10 @@ def test_hdbscan_matches_exhaustive_oracle_on_duplicates(min_samples):
 def test_kth_smallest_per_row_matches_sorted_square(n):
     # tie-heavy entries, negative ones too, so a column value can undercut the self distance
     rng = np.random.default_rng(n)
-    m = CondensedDistanceMatrix(n, rng.integers(-1, 3, size=n * (n - 1) // 2).astype(np.float64))
-    ordered = np.sort(m.to_square(), axis=1)
+    m = CondensedDistanceMatrix(n, rng.integers(-1, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
+    ordered = np.sort(m.to_square()[0], axis=1)
     for k in range(n):
-        assert np.array_equal(_kth_smallest_per_row(m, k), ordered[:, k]), k
+        assert np.array_equal(_kth_smallest_per_row(m, k)[0], ordered[:, k]), k
 
 
 @pytest.mark.parametrize("min_samples", [1, 2, 3])
@@ -265,20 +245,20 @@ def test_prim_mst_edges_match_kruskal_on_ties(min_samples):
     rng = np.random.default_rng(78 + min_samples)
     for _ in range(400):
         n = int(rng.integers(2, 10))
-        m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=n * (n - 1) // 2).astype(np.float64))
+        m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
         core = _core_distances(m, min_samples)
-        mr = np.maximum(m.to_square(), np.maximum.outer(core, core))
+        mr = np.maximum(m.to_square()[0], np.maximum.outer(core[0], core[0]))
         np.fill_diagonal(mr, 0.0)
-        assert sorted(_prim_mst(m, core)) == sorted(oracle_mst_edges(mr.tolist())), m.entries
+        assert sorted(_prim_mst(m, core)[0]) == sorted(oracle_mst_edges(mr.tolist())), m.entries
 
 
 @pytest.mark.parametrize("mcs", [2, 3])
 def test_hdbscan_oracle_other_min_cluster_size(mcs):
     for seed in range(10):
         points, _ = sample_blobs(10, 2, 16, 20.0, seed=3000 + seed)
-        m = distance_matrix(points)
-        got = hdbscan(m, HdbscanParams(mcs, mcs)).labels.tolist()
-        expected = oracle_hdbscan(m.to_square().tolist(), mcs, mcs)
+        m = distance_matrix([points])
+        got = hdbscan(m, HdbscanParams(mcs, mcs))[0].labels.tolist()
+        expected = oracle_hdbscan(m.to_square()[0].tolist(), mcs, mcs)
         assert got == expected
 
 
@@ -297,11 +277,11 @@ def test_hdbscan_oracle_below_two_min_cluster_sizes(mcs, min_samples):
             for _ in range(seed % 3):  # partly duplicated, never all identical
                 i, j = rng.choice(n, size=2, replace=False)
                 points[j] = points[i]
-            m = distance_matrix(points)
+            m = distance_matrix([points])
             if np.all(m.entries == 0.0):
                 continue
-            got = hdbscan(m, params).labels.tolist()
-            assert got == oracle_hdbscan(m.to_square().tolist(), mcs, ms), (n, seed)
+            got = hdbscan(m, params)[0].labels.tolist()
+            assert got == oracle_hdbscan(m.to_square()[0].tolist(), mcs, ms), (n, seed)
             if n < 2 * mcs:
                 assert got == [-1] * n
             split_seen |= max(got) >= 0
@@ -312,10 +292,10 @@ def test_hdbscan_oracle_below_two_min_cluster_sizes(mcs, min_samples):
 
 def test_hdbscan_permutation_invariant():
     points, _ = sample_blobs(36, 3, 128, 6.0, seed=5)
-    base = hdbscan(distance_matrix(points), PARAMS)
+    [base] = hdbscan(distance_matrix([points]), PARAMS)
     rng = np.random.default_rng(9)
     perm = rng.permutation(len(points))
-    shuffled = hdbscan(distance_matrix(points[perm]), PARAMS)
+    [shuffled] = hdbscan(distance_matrix([points[perm]]), PARAMS)
     reference = {frozenset(np.flatnonzero(base.labels == c).tolist()) for c in range(base.n_clusters)}
     remapped = {
         frozenset(int(perm[i]) for i in np.flatnonzero(shuffled.labels == c))
@@ -326,11 +306,11 @@ def test_hdbscan_permutation_invariant():
 
 def test_hdbscan_scale_invariant():
     points, _ = sample_blobs(30, 2, 64, 8.0, seed=17)
-    m = distance_matrix(points)
-    base = hdbscan(m, PARAMS)
+    m = distance_matrix([points])
+    [base] = hdbscan(m, PARAMS)
     for factor in (0.25, 3.5):
         scaled = CondensedDistanceMatrix(m.n, m.entries * factor)
-        assert hdbscan(scaled, PARAMS).labels.tolist() == base.labels.tolist()
+        assert hdbscan(scaled, PARAMS)[0].labels.tolist() == base.labels.tolist()
 
 
 @pytest.mark.parametrize("mcs", [2, 3])
@@ -351,11 +331,11 @@ def test_hdbscan_agrees_with_sklearn(mcs):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(max(12, mcs + 2), 50))
         points, _ = sample_blobs(n, k, 512, float(rng.uniform(1.0, 8.0)), seed=seed)
-        m = distance_matrix(points)
-        mine = hdbscan(m, HdbscanParams(mcs, mcs))
+        m = distance_matrix([points])
+        [mine] = hdbscan(m, HdbscanParams(mcs, mcs))
         other = sklearn_cluster.HDBSCAN(
             min_cluster_size=mcs, min_samples=mcs, metric="precomputed"
-        ).fit(m.to_square())
+        ).fit(m.to_square()[0])
         assert partition(mine.labels) == partition(other.labels_), f"seed {seed}"
 
 
@@ -366,8 +346,8 @@ def test_hdbscan_label_validity_fuzz():
         square = rng.uniform(0.05, 2.0, size=(n, n))
         square = np.triu(square, 1)
         square = square + square.T
-        m = CondensedDistanceMatrix(n, square[np.triu_indices(n, 1)])
-        labels = hdbscan(m, PARAMS).labels
+        m = CondensedDistanceMatrix(n, square[np.triu_indices(n, 1)][None])
+        labels = hdbscan(m, PARAMS)[0].labels
         assert labels.min() >= -1
         found = sorted(set(labels.tolist()) - {-1})
         assert found == list(range(len(found)))
@@ -378,8 +358,8 @@ def test_dbscan_label_validity_fuzz():
     for _ in range(40):
         n = int(rng.integers(1, 40))
         points = rng.standard_normal((max(n, 2), 6))
-        m = distance_matrix(points)
-        labels = dbscan(m, float(rng.uniform(0.1, 1.5)), int(rng.integers(1, 5))).labels
+        m = distance_matrix([points])
+        labels = dbscan(m, float(rng.uniform(0.1, 1.5)), int(rng.integers(1, 5)))[0].labels
         assert labels.min() >= -1
         found = sorted(set(labels.tolist()) - {-1})
         assert found == list(range(len(found)))
@@ -389,30 +369,30 @@ def test_dbscan_label_validity_fuzz():
 
 def test_dbscan_single_blob_large_eps():
     points, _ = sample_blobs(20, 1, 64, 3.0, seed=2)
-    labels = dbscan(distance_matrix(points), eps=1.9, min_pts=2)
+    [labels] = dbscan(distance_matrix([points]), eps=1.9, min_pts=2)
     assert labels.n_clusters == 1
     assert labels.n_noise == 0
 
 
 def test_dbscan_mutually_distant_all_noise():
-    labels = dbscan(distance_matrix(np.eye(5)), eps=0.5, min_pts=2)
+    [labels] = dbscan(distance_matrix([np.eye(5)]), eps=0.5, min_pts=2)
     assert labels.all_noise()
 
 
 def test_dbscan_eps_zero_joins_only_bitwise_duplicates():
     rng = np.random.default_rng(17)
     distinct = rng.standard_normal((4, 6))
-    m = distance_matrix(distinct[[2, 0, 1, 0, 3, 2, 2]])
-    assert dbscan(m, eps=0.0, min_pts=2).labels.tolist() == [0, 1, -1, 1, -1, 0, 0]
-    assert dbscan(m, eps=0.0, min_pts=3).labels.tolist() == [0, -1, -1, -1, -1, 0, 0]
+    m = distance_matrix([distinct[[2, 0, 1, 0, 3, 2, 2]]])
+    assert dbscan(m, eps=0.0, min_pts=2)[0].labels.tolist() == [0, 1, -1, 1, -1, 0, 0]
+    assert dbscan(m, eps=0.0, min_pts=3)[0].labels.tolist() == [0, -1, -1, -1, -1, 0, 0]
     with pytest.raises(ValueError):
         dbscan(m, eps=-0.1, min_pts=2)
 
 
 def test_dbscan_three_blobs_with_heuristic_eps():
     points, truth = sample_blobs(45, 3, 256, 4.0, seed=31)
-    m = distance_matrix(points)
-    labels = dbscan(m, eps=k_distance_eps(m), min_pts=2)
+    m = distance_matrix([points])
+    [labels] = dbscan(m, eps=k_distance_eps(m), min_pts=2)
     # three clusters in one-to-one blob correspondence; a percentile eps may
     # leave a few boundary stragglers as noise
     assert labels.n_clusters == 3
@@ -430,11 +410,11 @@ def test_dbscan_three_blobs_with_heuristic_eps():
 def test_dbscan_core_points_match_oracle(seed):
     rng = np.random.default_rng(400 + seed)
     points = rng.standard_normal((60, 8))
-    m = distance_matrix(points)
+    m = distance_matrix([points])
     eps = float(rng.uniform(0.2, 1.2))
     min_pts = int(rng.integers(1, 6))
-    labels = dbscan(m, eps, min_pts)
-    square = m.to_square().tolist()
+    [labels] = dbscan(m, eps, min_pts)
+    square = m.to_square()[0].tolist()
     expected_core = oracle_dbscan_core_points(square, eps, min_pts)
     for i, is_core in enumerate(expected_core):
         if is_core:
@@ -456,10 +436,10 @@ def test_dbscan_border_point_goes_to_first_cluster():
     m = CondensedDistanceMatrix(
         5,
         np.array(
-            [0.1, 0.5, 0.6, 1.4, 0.4, 0.5, 1.3, 0.1, 0.9, 0.8], dtype=np.float64
+            [[0.1, 0.5, 0.6, 1.4, 0.4, 0.5, 1.3, 0.1, 0.9, 0.8]], dtype=np.float64
         ),
     )
-    labels = dbscan(m, eps=0.45, min_pts=2)
+    [labels] = dbscan(m, eps=0.45, min_pts=2)
     # point 2 is within eps of both clusters; ascending seed order claims it first
     assert labels.labels[2] == labels.labels[0]
 
@@ -468,29 +448,29 @@ def test_dbscan_border_point_goes_to_first_cluster():
 
 def test_fallback_unused_for_separated_blobs():
     points, truth = sample_blobs(50, 2, 256, 5.0, seed=41)
-    labels, used = cluster_with_fallback(distance_matrix(points), PARAMS)
+    [labels], [used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
     assert not used
     assert partition_of(labels.labels) == partition_of(truth)
 
 
 def test_fallback_used_for_single_blob():
     points, _ = sample_blobs(40, 1, 256, 5.0, seed=42)
-    labels, used = cluster_with_fallback(distance_matrix(points), PARAMS)
+    [labels], [used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
     assert used
     assert labels.n_clusters == 1
 
 
 def test_fallback_pathological_all_noise():
-    labels, used = cluster_with_fallback(
-        distance_matrix(np.eye(2)), PARAMS, DbscanConfig(eps=0.5, min_pts=2)
+    [labels], [used] = cluster_with_fallback(
+        distance_matrix([np.eye(2)]), PARAMS, DbscanConfig(eps=0.5, min_pts=2)
     )
     assert used
     assert labels.all_noise()
 
 
 def test_fallback_single_point_gets_label():
-    m = CondensedDistanceMatrix(1, np.empty(0, dtype=np.float64))
-    labels, used = cluster_with_fallback(m, PARAMS)
+    m = CondensedDistanceMatrix(1, np.empty((1, 0), dtype=np.float64))
+    [labels], [used] = cluster_with_fallback(m, PARAMS)
     assert used
     assert labels.labels.tolist() == [0]
 
@@ -532,8 +512,8 @@ def test_cluster_points_degenerate_inputs(vectors, expected, used):
 
 def test_cluster_points_matches_matrix_path():
     points, _ = sample_blobs(30, 3, 64, 8.0, seed=8)
-    labels, used = cluster_points(list(points), PARAMS, workers=2)
-    expected, expected_used = cluster_with_fallback(distance_matrix(points), PARAMS)
+    labels, used = cluster_points(list(points), PARAMS)
+    [expected], [expected_used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
     assert labels.labels.tolist() == expected.labels.tolist()
     assert used == expected_used
 
@@ -619,8 +599,8 @@ def test_cluster_groups_stacks_bit_identical_distances():
         stacked = distance_matrix(points)
         assert stacked.entries.shape == (3, n * (n - 1) // 2)
         for g in range(3):
-            assert np.array_equal(stacked.entries[g], distance_matrix(points[g]).entries), (n, g)
-        assert stacked.group(1).get(0, n - 1) == 0.0
+            assert np.array_equal(stacked.entries[g], distance_matrix(points[g : g + 1]).entries[0]), (n, g)
+        assert stacked.to_square()[1, 0, n - 1] == 0.0
 
 
 @pytest.mark.parametrize("min_samples", [1, 2, 3])
@@ -633,11 +613,12 @@ def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
         assert core.shape == (40, n)
         edges = _prim_mst(stack, core)
         assert len(edges) == 40
+        squares = stack.to_square()
         for g, group_edges in enumerate(edges):
-            mr = np.maximum(stack.group(g).to_square(), np.maximum.outer(core[g], core[g]))
+            mr = np.maximum(squares[g], np.maximum.outer(core[g], core[g]))
             np.fill_diagonal(mr, 0.0)
             assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), stack.entries[g]
-            assert group_edges == _prim_mst(stack.group(g), core[g])
+            assert [group_edges] == _prim_mst(stack.subset([g]), core[g : g + 1])
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])

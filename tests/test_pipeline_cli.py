@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 import castgraph
 from castgraph import catalog, distcluster, pipeline
+from castgraph.cli import main
 from castgraph.diarize import filter_segments
 from castgraph.errors import PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
@@ -70,32 +72,18 @@ def test_report_matches_file(small_run):
     assert on_disk == json.loads(json.dumps(report))
 
 
-def test_thread_count_invisible_in_bytes(tmp_path):
-    ds, truth = generate(CFG)
-    out1 = tmp_path / "t1"
-    out8 = tmp_path / "t8"
-    run_pipeline(ds, out1, PipelineConfig(threads=1), truth)
-    run_pipeline(ds, out8, PipelineConfig(threads=8), truth)
-    tree1, tree8 = read_tree(out1), read_tree(out8)
-    assert tree1.keys() == tree8.keys()
-    for name in tree1:
-        assert tree1[name] == tree8[name], name
-
-
 def stacks_needed(sizes) -> int:
     """distance_matrix calls for these group sizes: one per size and stack of at most BLOCK points."""
-    return sum(
-        -(-count // max(1, distcluster.BLOCK // n)) for n, count in Counter(sizes).items() if n > 1
-    )
+    return sum(-(-count // max(1, distcluster.BLOCK // n)) for n, count in Counter(sizes).items() if n > 0)
 
 
 def test_merge_and_diarize_stack_their_videos(tmp_path, monkeypatch):
     calls = []
     real = distcluster.distance_matrix
 
-    def counting(points, workers=1):
+    def counting(points):
         calls.append(np.shape(points))
-        return real(points, workers)
+        return real(points)
 
     monkeypatch.setattr(distcluster, "distance_matrix", counting)
     ds, _ = generate(CFG)
@@ -107,8 +95,8 @@ def test_merge_and_diarize_stack_their_videos(tmp_path, monkeypatch):
     for stage, sizes in (("merge", pieces), ("diarize", segments)):
         calls.clear()
         stages[stage](run)
-        # a call per video would be one per video with two or more points
-        assert len(calls) <= stacks_needed(sizes) < sum(n > 1 for n in sizes), stage
+        # a call per video would be one per video with a point
+        assert len(calls) == stacks_needed(sizes) < sum(n > 0 for n in sizes), stage
         assert all(len(shape) == 3 for shape in calls), stage
 
 
@@ -351,6 +339,56 @@ def test_cli_export_dot_bad_graph_exits_2(tmp_path, tiny_data, content):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
     assert CHECKPOINTS["graph"] in result.stderr
+
+
+def test_cli_threads_option_is_a_usage_error(tmp_path, tiny_data):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(tiny_data), "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+# --- degenerate inputs through cli.main: one policy per row -------------------------
+
+def one_video_dataset(faces, voices) -> catalog.Dataset:
+    """One channel and one video: a 30-frame face track per face row, a 2 s segment per voice row."""
+    ds = catalog.Dataset(face_dim=4, speaker_dim=3)
+    ds.channels["c0"] = catalog.Channel("c0", "Channel 0")
+    ds.videos["v0"] = catalog.Video("v0", "c0", datetime(2018, 1, 1, tzinfo=timezone.utc), 60.0)
+    for k, face in enumerate(faces):
+        embedding = np.asarray([face], dtype=np.float32)
+        ds.tracks[f"t{k}"] = catalog.FaceTrack(f"t{k}", "v0", 100 * k, 100 * k + 29, embedding, (100 * k,), 1.0)
+    for k, voice in enumerate(voices):
+        embedding = np.asarray(voice, dtype=np.float32)
+        ds.segments[f"s{k}"] = catalog.SpeechSegment(f"s{k}", "v0", 3.0 * k, 3.0 * k + 2.0, "vad", embedding)
+    return ds
+
+
+# (id, face rows, voice rows, exit code, 05 face labels and 06 speaker labels, or the error kind)
+DEGENERATE_RUNS = [
+    ("single_track_and_segment", [[1, 0, 0, 0]], [[1, 0, 0]], 0, ({"v0/e0": 0}, {"s0": 0})),
+    ("identical_voices", [[1, 0, 0, 0]], [[0.3, 0.4, 1.2]] * 5, 0, ({"v0/e0": 0}, {f"s{k}": 0 for k in range(5)})),
+    ("no_face_tracks", [], [[1, 0, 0]] * 2 + [[0, 1, 0]] * 2, 0, ({}, {"s0": 0, "s1": 0, "s2": 1, "s3": 1})),
+    ("zero_voice_row", [[1, 0, 0, 0]], [[0, 0, 0], [1, 0, 0]], 2, "ZeroVector"),
+    ("nan_face_row", [[1, 0, 0, 0], [np.nan, 0, 0, 0]], [[1, 0, 0]], 2, "NonFinite"),
+]
+
+
+@pytest.mark.parametrize(
+    "faces, voices, code, expected", [pytest.param(*row[1:], id=row[0]) for row in DEGENERATE_RUNS]
+)
+def test_cli_degenerate_inputs(tmp_path, capsys, faces, voices, code, expected):
+    data, out = tmp_path / "data", tmp_path / "out"
+    catalog.write(one_video_dataset(faces, voices), data)
+    assert main(["run", str(data), "--out", str(out)]) == code
+    if code:
+        assert f": {expected}: " in capsys.readouterr().err
+        return
+    labels = []
+    for stage in ("cluster_faces", "cluster_speakers"):
+        ids, found = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_text())
+        labels.append(dict(zip(ids, found.labels.tolist())))
+    assert tuple(labels) == expected
 
 
 # --- the CFG corpus through the CLI in a fresh interpreter ---------------------------

@@ -175,8 +175,8 @@ def test_noise_monotonicity_median_v_measure():
             ds, truth = generate(cfg)
             ids = sorted(s for s in ds.segments if ds.segments[s].embedding is not None)
             points = np.stack([ds.segments[s].embedding for s in ids])
-            labels, _ = cluster_with_fallback(
-                distance_matrix(points), HdbscanParams(2, 2)
+            [labels], _ = cluster_with_fallback(
+                distance_matrix([points]), HdbscanParams(2, 2)
             )
             truth_labels = [truth.segment_identity[s] for s in ids]
             values.append(v_measure(truth_labels, labels.labels.tolist()))
