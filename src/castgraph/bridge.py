@@ -3,7 +3,8 @@
 Face clusters and speaker clusters are nodes of a bipartite association
 graph; every AV pair whose track landed in a face cluster and whose segment
 landed in a speaker cluster casts one vote on the edge between them.
-Connected components over sufficiently voted edges are the resolved
+Connected components over the kept edges (:func:`kept_edges`: enough votes,
+and the top-voted edge of one of its two clusters) are the resolved
 identities: a component with both modalities is a person seen and heard, a
 bare speaker cluster is an off-screen voice, a bare face cluster someone who
 never speaks on camera.
@@ -99,10 +100,30 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def resolve_identities(graph: AssociationGraph, min_votes: int = 1) -> list[IdentityComponent]:
-    """Connected components over edges carrying at least min_votes votes.
+def kept_edges(graph: AssociationGraph, min_votes: int = 1) -> list[AssociationEdge]:
+    """Edges with at least min_votes votes that are the top-voted edge of their
+    face cluster or of their speaker cluster; tied top edges are all kept.
 
-    Clusters left isolated (including by the vote threshold) become
+    A stray vote from one mispaired segment then cannot join two identities,
+    while a person split over two face clusters still joins their voice.
+    """
+    top_face: dict[int, int] = {}
+    top_speaker: dict[int, int] = {}
+    for e in graph.edges:
+        top_face[e.face_cluster] = max(top_face.get(e.face_cluster, 0), e.vote_count)
+        top_speaker[e.speaker_cluster] = max(top_speaker.get(e.speaker_cluster, 0), e.vote_count)
+    return [
+        e
+        for e in graph.edges
+        if e.vote_count >= min_votes
+        and e.vote_count in (top_face[e.face_cluster], top_speaker[e.speaker_cluster])
+    ]
+
+
+def resolve_identities(graph: AssociationGraph, min_votes: int = 1) -> list[IdentityComponent]:
+    """Connected components over the kept edges (see kept_edges).
+
+    Clusters left isolated (including by the vote rule) become
     single-modality identities. Identity ids are assigned in ascending order
     of each component's smallest member, faces ordering before speakers.
     """
@@ -112,9 +133,8 @@ def resolve_identities(graph: AssociationGraph, min_votes: int = 1) -> list[Iden
         ("speaker", s) for s in graph.speaker_nodes
     ]
     uf = _UnionFind(nodes)
-    for edge in graph.edges:
-        if edge.vote_count >= min_votes:
-            uf.union(("face", edge.face_cluster), ("speaker", edge.speaker_cluster))
+    for edge in kept_edges(graph, min_votes):
+        uf.union(("face", edge.face_cluster), ("speaker", edge.speaker_cluster))
 
     components: dict[tuple, list[tuple]] = {}
     for node in nodes:
@@ -139,16 +159,16 @@ class ConflictEntry:
 def conflict_report(
     graph: AssociationGraph, components: list[IdentityComponent], min_votes: int = 1
 ) -> list[ConflictEntry]:
-    """Components that merged several clusters of one modality, with causes."""
+    """Components that merged several clusters of one modality, with the kept edges that merged them."""
+    kept = kept_edges(graph, min_votes)
     report = []
     for component in components:
         if len(component.face_clusters) <= 1 and len(component.speaker_clusters) <= 1:
             continue
         edges = tuple(
             e
-            for e in graph.edges
-            if e.vote_count >= min_votes
-            and e.face_cluster in component.face_clusters
+            for e in kept
+            if e.face_cluster in component.face_clusters
             and e.speaker_cluster in component.speaker_clusters
         )
         report.append(

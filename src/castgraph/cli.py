@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, collabgraph
+from .distcluster import FALLBACK_EPS
 from .errors import CastgraphError, DanglingReference, DimensionMismatch, MalformedRecord, MissingFile
 from .metrics import format_evaluation_table
 from .pipeline import CHECKPOINTS, PipelineConfig, PipelineRun
@@ -22,7 +23,7 @@ from .synth import GroundTruth, SynthConfig, corrupt, generate
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-cluster-size", type=int, default=2)
     parser.add_argument("--min-samples", type=int, default=None)
-    parser.add_argument("--dbscan-eps", type=float, default=None)
+    parser.add_argument("--dbscan-eps", type=float, default=FALLBACK_EPS)
     parser.add_argument("--conf-threshold", type=float, default=0.5)
     parser.add_argument("--min-votes", type=int, default=1)
     parser.add_argument("--min-segment-s", type=float, default=1.0)

@@ -61,7 +61,7 @@ class DiarizationSummary:
 def diarize_video(
     videos,
     params: HdbscanParams,
-    fallback: DbscanConfig | None = None,
+    fallback: DbscanConfig = DbscanConfig(),
     rejected=None,
 ) -> list[tuple[dict[str, int], DiarizationSummary]]:
     """Cluster each video's retained segments into speaker labels.

@@ -9,7 +9,8 @@ clustering and falls back to plain density clustering when the hierarchy
 labels everything as noise (the single-identity failure mode) or when there
 are too few points for a hierarchy at all. The hierarchy never selects its
 root, so fewer than 2 * min_cluster_size points that are not all identical
-come back all noise without building it.
+come back all noise without building it. The fallback's radius is one fixed
+cosine distance, FALLBACK_EPS, unless the caller gives another.
 
 One calling convention: every matrix is a stack. cluster_groups stacks point
 sets of one size n, at most BLOCK points per stack (a larger set is a stack
@@ -232,10 +233,15 @@ class HdbscanParams:
         return self.min_samples if self.min_samples is not None else self.min_cluster_size
 
 
+# the fallback's radius: one person's points sit near cosine distance 0 and
+# two people's near 1. A data-derived eps such as k_distance_eps equals the
+# common distance of a near-equidistant small set, so it would join them all
+FALLBACK_EPS = 0.5
+
+
 @dataclass(frozen=True)
 class DbscanConfig:
-    # eps=None selects the k-distance heuristic at clustering time
-    eps: float | None = None
+    eps: float = FALLBACK_EPS
     min_pts: int = 2
 
 
@@ -602,7 +608,10 @@ def dbscan(m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int) ->
 
 
 def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
-    """Heuristic eps per group: the given percentile of the k-th nearest neighbor distances."""
+    """Heuristic eps per group: the given percentile of the k-th nearest neighbor distances.
+
+    The fallback does not use it (see FALLBACK_EPS).
+    """
     k_eff = min(k, m.n - 1)
     if k_eff < 1:
         return np.ones(len(m.entries))
@@ -613,7 +622,7 @@ def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 9
 def cluster_with_fallback(
     m: CondensedDistanceMatrix,
     params: HdbscanParams,
-    fallback: DbscanConfig | None = None,
+    fallback: DbscanConfig = DbscanConfig(),
 ) -> tuple[list[ClusterLabels], list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
@@ -623,7 +632,6 @@ def cluster_with_fallback(
     decision instead of an error. Returns (labels, used_fallback flags), one
     of each per group; only the groups that need it run the fallback.
     """
-    config = fallback if fallback is not None else DbscanConfig()
     groups = len(m.entries)
     try:
         labels = hdbscan(m, params)
@@ -633,8 +641,7 @@ def cluster_with_fallback(
     todo = [g for g, fell_back in enumerate(used) if fell_back]
     if todo:
         sub = m if len(todo) == groups else m.subset(todo)
-        eps = config.eps if config.eps is not None else k_distance_eps(sub)
-        for g, l in zip(todo, dbscan(sub, eps, min(config.min_pts, m.n))):
+        for g, l in zip(todo, dbscan(sub, fallback.eps, min(fallback.min_pts, m.n))):
             labels[g] = l
     return labels, used
 
@@ -642,7 +649,7 @@ def cluster_with_fallback(
 def cluster_groups(
     groups,
     params: HdbscanParams,
-    fallback: DbscanConfig | None = None,
+    fallback: DbscanConfig = DbscanConfig(),
 ) -> list[tuple[ClusterLabels, bool]]:
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
@@ -678,7 +685,7 @@ def cluster_groups(
 def cluster_points(
     vectors,
     params: HdbscanParams,
-    fallback: DbscanConfig | None = None,
+    fallback: DbscanConfig = DbscanConfig(),
 ) -> tuple[ClusterLabels, bool]:
     """Cluster labels for one set of vectors, one per vector in order, and whether the fallback ran.
 

@@ -21,11 +21,19 @@ import numpy as np
 
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
-from .catalog import AVPair, Dataset, emb_bytes, emb_from_bytes
+from .catalog import AVPair, Dataset, emb_bytes, emb_from_bytes, normalize
 from .diarize import DiarizationSummary, diarize_video, filter_segments, reconcile
-from .distcluster import DbscanConfig, HdbscanParams, cluster_points, labels_csv, labels_from_text
+from .distcluster import (
+    FALLBACK_EPS,
+    ClusterLabels,
+    DbscanConfig,
+    HdbscanParams,
+    cluster_points,
+    labels_csv,
+    labels_from_text,
+)
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
-from .errors import PipelineStageError
+from .errors import PipelineStageError, ZeroVector
 from .synth import GroundTruth
 from .tracks import (
     TrackEntity,
@@ -45,7 +53,7 @@ ENTITY_FIELDS = ("entity_id", "video_id", "member_track_ids", "paired_segments",
 class PipelineConfig:
     min_cluster_size: int = 2
     min_samples: int | None = None
-    dbscan_eps: float | None = None
+    dbscan_eps: float = FALLBACK_EPS
     conf_threshold: float = 0.5
     min_votes: int = 1
     min_segment_s: float = 1.0
@@ -208,9 +216,8 @@ class PipelineRun:
         self.av_pairs = [AVPair(**row) for row in _rows(files["02_av_pairs.jsonl"])]
 
     def compute_merge(self) -> None:
-        # an explicit --dbscan-eps overrides the merge-specific default
-        fallback = self.config.dbscan_config if self.config.dbscan_eps is not None else None
-        self.entities = merge_tracks(self.pieces, self.config.hdbscan_params, self.av_pairs, fallback)
+        config = self.config
+        self.entities = merge_tracks(self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_config)
 
     def encode_merge(self) -> dict[str, bytes]:
         rows = [{f: getattr(e, f) for f in ENTITY_FIELDS} for e in self.entities]
@@ -267,19 +274,46 @@ class PipelineRun:
     def decode_diarize(self, files: dict[str, bytes]) -> None:
         self.diarization = {row["video_id"]: row for row in _rows(files["04_diarization.jsonl"])}
 
-    def _cluster_points(self, points: dict[str, np.ndarray]) -> dict[str, int]:
-        """Global cluster labels for id -> vector points."""
-        cfg = self.config
-        labels, _ = cluster_points(list(points.values()), cfg.hdbscan_params, cfg.dbscan_config)
-        return {i: int(l) for i, l in zip(points, labels.labels)}
+    def _cluster(self, vectors) -> ClusterLabels:
+        """Global cluster labels, one per vector in order."""
+        return cluster_points(vectors, self.config.hdbscan_params, self.config.dbscan_config)[0]
 
     def compute_cluster_faces(self) -> None:
-        self.face_labels = self._cluster_points({e.entity_id: e.representative_face for e in self.entities})
+        labels = self._cluster([e.representative_face for e in self.entities])
+        self.face_labels = {e.entity_id: int(l) for e, l in zip(self.entities, labels.labels)}
 
     def compute_cluster_speakers(self) -> None:
-        segments = sorted(self.ds.segments.values(), key=lambda s: s.segment_id)
-        kept, _ = filter_segments(segments, self.config.min_segment_s)
-        self.speaker_labels = self._cluster_points({s.segment_id: s.embedding for s in kept})
+        """Recognize the diarized speakers across videos; each segment takes its speaker's label.
+
+        One point per diarized speaker, the normalized float64 mean of its
+        segments' embeddings, and one per diarization-noise segment, the same
+        formula over one segment. A speaker whose embeddings cancel to a zero
+        mean has no direction, so each of its segments is its own point.
+        Points are ordered by their smallest segment id. A speaker of several
+        segments that the global pass leaves as noise is still one speaker:
+        it takes a fresh label after the cluster labels, in point order.
+        """
+        speakers: dict[tuple, list[str]] = {}
+        for video_id, row in self.diarization.items():
+            for segment_id, label in row["labels"].items():
+                key = (video_id, label) if label != -1 else (segment_id,)
+                speakers.setdefault(key, []).append(segment_id)
+        points = []  # (sorted segment ids, unit vector)
+        for ids in speakers.values():
+            embeddings = [self.ds.segments[i].embedding for i in ids]
+            try:
+                points.append((sorted(ids), normalize(np.mean(embeddings, axis=0, dtype=np.float64))))
+            except ZeroVector:
+                points += [([i], normalize(e)) for i, e in zip(ids, embeddings)]
+        points.sort(key=lambda point: point[0][0])
+        labels = self._cluster([unit for _, unit in points])
+        fresh = labels.n_clusters
+        speaker_labels = {}
+        for (ids, _), label in zip(points, labels.labels.tolist()):
+            if label == -1 and len(ids) > 1:
+                label, fresh = fresh, fresh + 1
+            speaker_labels.update(dict.fromkeys(ids, label))
+        self.speaker_labels = dict(sorted(speaker_labels.items()))
 
     def compute_bridge(self) -> None:
         track_to_entity = {t: e.entity_id for e in self.entities for t in e.member_track_ids}
@@ -336,7 +370,7 @@ class PipelineRun:
               compute_diarize, encode_diarize, decode_diarize),
         Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("merge",),
               compute_cluster_faces, *_labels_codec("face_labels", "05_face_labels.csv")),
-        Stage("cluster_speakers", ("06_speaker_labels.csv",), ("min_segment_s", *CLUSTERING), (),
+        Stage("cluster_speakers", ("06_speaker_labels.csv",), CLUSTERING, ("diarize",),
               compute_cluster_speakers, *_labels_codec("speaker_labels", "06_speaker_labels.csv")),
         Stage("bridge", ("07_identities.json",), ("min_votes",),
               ("pair", "merge", "cluster_faces", "cluster_speakers"),

@@ -135,17 +135,11 @@ def representative_embedding(track: FaceTrack) -> np.ndarray:
     return normalize(mean)
 
 
-# fallback radius for regrouping pieces: one person's pieces sit near zero
-# cosine distance while two co-present people sit near 1, so a data-derived
-# eps (which for two tracks equals their mutual distance) would glue them
-MERGE_FALLBACK = DbscanConfig(eps=0.5, min_pts=2)
-
-
 def merge_tracks(
     tracks,
     params: HdbscanParams,
     pairs=(),
-    fallback: DbscanConfig | None = None,
+    fallback: DbscanConfig = DbscanConfig(),
 ) -> list[TrackEntity]:
     """Cluster track pieces by face embedding and merge shared labels.
 
@@ -159,8 +153,6 @@ def merge_tracks(
     ordered = sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id))
     if not ordered:
         return []
-    if fallback is None:
-        fallback = MERGE_FALLBACK
     pairs_by_track: dict[str, list[AVPair]] = {}
     for pair in pairs:
         pairs_by_track.setdefault(pair.track_id, []).append(pair)

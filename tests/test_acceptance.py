@@ -19,7 +19,8 @@ from castgraph.bridge import build_graph, resolve_identities
 from castgraph.catalog import AVPair, FaceTrack, write
 from castgraph.distcluster import HdbscanParams, cluster_with_fallback, distance_matrix, hdbscan
 from castgraph.metrics import completeness, der, homogeneity, v_from_scores, v_measure
-from castgraph.pipeline import PipelineConfig, run_pipeline
+from castgraph.collabgraph import graph_stats
+from castgraph.pipeline import PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, corrupt, generate, random_unit, rotate_within, sample_blobs
 from castgraph.tracks import TrackPolicy, merge_tracks, split_tracks
 
@@ -344,4 +345,29 @@ def test_pipeline_byte_identical_across_threads(tmp_path):
         "full pipeline byte-identical for 1 vs 2 BLAS threads",
         same,
         f"{len(names1)} artifacts compared",
+    )
+
+
+# 11 -----------------------------------------------------------------------------
+
+def test_speaker_recognition_finds_collaborations_faces_miss(tmp_path):
+    # the paper's claim: a guest heard but never seen on camera is found only by voice
+    ds, truth = generate(SynthConfig(angular_noise_deg=5.0, rng_seed=7, **TABLE_II_CFG))
+    run = PipelineRun(ds, tmp_path, PipelineConfig())
+    run.run_until("graph")
+    recall = {}
+    for name in ("face+speaker", "face-only"):
+        if name == "face-only":
+            run.speaker_labels = {}
+            run.compute_bridge()
+            run.compute_graph()
+        stats = graph_stats(run.edges, channels=ds.channels.keys(), ground_truth=truth.event_triples())
+        recall[name] = stats.correct / len(truth.planted_events)
+    criterion(
+        "speaker recognition finds collaborations faces miss: face+speaker recall >= 0.9, "
+        "at least 0.3 above face-only",
+        len(truth.offscreen_videos) == 47
+        and recall["face+speaker"] >= 0.9
+        and recall["face+speaker"] - recall["face-only"] >= 0.3,
+        ", ".join(f"{name} recall {value:.2f}" for name, value in recall.items()),
     )

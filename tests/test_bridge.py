@@ -9,6 +9,7 @@ from castgraph.bridge import (
     AssociationGraph,
     build_graph,
     conflict_report,
+    kept_edges,
     resolve_identities,
 )
 from castgraph.catalog import AVPair
@@ -156,6 +157,41 @@ def test_resolve_edge_order_irrelevant():
         (frozenset(c.face_clusters), frozenset(c.speaker_clusters)) for c in comps
     }
     assert as_sets(base) == as_sets(flipped)
+
+
+def identity_sets(comps):
+    return {(frozenset(c.face_clusters), frozenset(c.speaker_clusters)) for c in comps}
+
+
+def test_resolve_drops_a_one_vote_stray_edge():
+    # face 0 mispaired once with speaker 1: the top edge of neither cluster
+    stray = AssociationEdge(0, 1, 1)
+    graph = AssociationGraph((0, 1), (0, 1), (AssociationEdge(0, 0, 5), stray, AssociationEdge(1, 1, 4)))
+    assert stray not in kept_edges(graph)
+    identities = resolve_identities(graph)
+    assert identity_sets(identities) == {(frozenset({0}), frozenset({0})), (frozenset({1}), frozenset({1}))}
+    assert conflict_report(graph, identities) == []
+
+
+def test_resolve_face_identity_split_over_two_clusters_joins_its_speaker():
+    # face 1's only edge is its top edge, though speaker 0's top edge is face 0's
+    graph = AssociationGraph((0, 1), (0,), (AssociationEdge(0, 0, 5), AssociationEdge(1, 0, 2)))
+    identities = resolve_identities(graph)
+    assert identity_sets(identities) == {(frozenset({0, 1}), frozenset({0}))}
+    [entry] = conflict_report(graph, identities)
+    assert entry.merging_edges == graph.edges
+
+
+def test_resolve_keeps_every_tied_top_edge():
+    # face 0 votes 3 and 3: both are its top edge, though speaker 1's top edge is face 1's
+    tied = AssociationEdge(0, 1, 3)
+    graph = AssociationGraph(
+        (0, 1), (0, 1), (AssociationEdge(0, 0, 3), tied, AssociationEdge(1, 1, 5))
+    )
+    assert kept_edges(graph) == list(graph.edges)
+    assert identity_sets(resolve_identities(graph)) == {(frozenset({0, 1}), frozenset({0, 1}))}
+    # a tied top edge still needs min_votes
+    assert kept_edges(graph, min_votes=4) == [AssociationEdge(1, 1, 5)]
 
 
 def test_conflict_report_clean_cases():

@@ -481,12 +481,12 @@ def test_fallback_single_point_gets_label():
 DEGENERATE_INPUTS = [
     ("no_points", np.empty((0, 3)), [], False),
     ("one_point", [[0.3, 0.4, 1.2]], [0], True),
-    # the hierarchy finds only noise; the k-distance eps is their distance, so they join
-    ("two_distinct_points", np.eye(2), [0, 0], True),
+    # the hierarchy finds only noise, and distance 1 is beyond the fallback eps
+    ("two_distinct_points", np.eye(2), [-1, -1], True),
     ("two_identical_points", np.tile([0.3, 0.4, 1.2], (2, 1)), [0, 0], False),
     ("five_identical_points", np.tile([0.3, 0.4, 1.2], (5, 1)), [0] * 5, False),
-    # the hierarchy finds only noise; 9 copies give a small positive
-    # k-distance eps, 10 an eps of exactly 0, which joins only the copies
+    # the hierarchy finds only noise; the fallback joins only the copies,
+    # since the other point is at cosine distance 0.77
     ("nine_identical_and_one_other", np.vstack([np.tile([0.3, 0.4, 1.2], (9, 1)), np.eye(3)[:1]]),
      [0] * 9 + [-1], True),
     ("ten_identical_and_one_other", np.vstack([np.tile([0.3, 0.4, 1.2], (10, 1)), np.eye(3)[:1]]),
@@ -508,6 +508,15 @@ def test_cluster_points_degenerate_inputs(vectors, expected, used):
     assert labels.labels.tolist() == expected
     assert labels.labels.dtype == np.int64
     assert used_fallback is used
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_fallback_keeps_equidistant_small_sets_apart(n):
+    # n mutually orthogonal points: the hierarchy finds only noise, and a
+    # data-derived eps would equal their common distance and join them all
+    labels, used = cluster_points(np.eye(n), HdbscanParams(2))
+    assert used
+    assert labels.all_noise()
 
 
 def test_cluster_points_matches_matrix_path():
@@ -580,8 +589,9 @@ def mixed_groups(seed: int, dim: int = 8) -> list[np.ndarray]:
 @pytest.mark.parametrize("min_samples", [None, 1, 3])
 @pytest.mark.parametrize("mcs", [2, 3, 4])
 def test_cluster_groups_matches_each_group_alone(mcs, min_samples, eps):
-    # the sets include mostly identical points whose k-distance eps is 0
-    params, fallback = HdbscanParams(mcs, min_samples), DbscanConfig(eps=eps)
+    # eps None is the default fallback; the sets include mostly identical points
+    params = HdbscanParams(mcs, min_samples)
+    fallback = DbscanConfig() if eps is None else DbscanConfig(eps=eps)
     groups = mixed_groups(100 * mcs + (min_samples or 0))
     together = cluster_groups(groups, params, fallback)
     assert len(together) == len(groups)

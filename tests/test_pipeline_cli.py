@@ -132,20 +132,26 @@ def test_resume_with_changed_config_recomputes(tmp_path):
     assert read_tree(out) == read_tree(tmp_path / "fresh")
 
 
+def truncate_at_a_line(text: str) -> str:
+    return "".join(text.splitlines(keepends=True)[: text.count("\n") // 2])
+
+
 @pytest.mark.parametrize(
-    "stage, damage",
+    "name, damage",
     [
-        ("merge", lambda text: "".join(text.splitlines(keepends=True)[: text.count("\n") // 2])),
-        ("cluster_faces", lambda text: text.replace(",0\n", ",1\n", 1)),
+        (CHECKPOINTS["merge"], truncate_at_a_line),
+        (CHECKPOINTS["cluster_faces"], lambda text: text.replace(",0\n", ",1\n", 1)),
+        (CHECKPOINTS["diarize"], truncate_at_a_line),
+        ("04_diarization.stamp", lambda text: "0" * 64 + "\n"),
     ],
-    ids=["truncated-at-a-line", "edited-same-length"],
+    ids=["truncated-at-a-line", "edited-same-length", "diarization-truncated", "diarization-stamp-edited"],
 )
-def test_resume_over_damaged_checkpoint_recomputes(tmp_path, stage, damage):
+def test_resume_over_damaged_checkpoint_recomputes(tmp_path, name, damage):
     ds, truth = generate(CFG)
     out = tmp_path / "chk"
     fresh = run_pipeline(ds, out, PipelineConfig(), truth)
     before = read_tree(out)
-    path = out / CHECKPOINTS[stage]
+    path = out / name
     damaged = damage(path.read_text())
     assert damaged != path.read_text()
     path.write_text(damaged)
@@ -177,6 +183,92 @@ def test_resume_in_a_copied_directory_reuses_every_checkpoint(tmp_path):
     assert run_pipeline(ds, copy, PipelineConfig(resume=True), truth) == first
     after = {p.name: p.stat().st_ino for p in copy.iterdir()}
     assert {n for n in before if after[n] != before[n]} == {"report.json", "report_table.txt"}
+
+
+def test_resume_recomputes_speaker_side_when_diarization_changes(tmp_path):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    # split one diarized speaker into noise segments, with a stamp that matches the edit
+    path = out / CHECKPOINTS["diarize"]
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    row = next(r for r in rows if sum(l == 0 for l in r["labels"].values()) >= 2)
+    row["labels"] = {i: -1 if l == 0 else l for i, l in row["labels"].items()}
+    edited = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode()
+    run = PipelineRun(ds, out, PipelineConfig(resume=True))
+    run.run_until("pair")
+    diarize = dict(PipelineRun.STAGES)["diarize"]
+    path.write_bytes(edited)
+    (out / "04_diarization.stamp").write_bytes(run.stamp(diarize, {path.name: edited}))
+    before = {p.name: p.stat().st_ino for p in out.iterdir()}
+    run_pipeline(ds, out, PipelineConfig(resume=True), truth)
+    after = {p.name: p.stat().st_ino for p in out.iterdir()}
+    rewritten = {name[:3] for name in before if after[name] != before[name] and name[:2].isdigit()}
+    assert rewritten == {"06_", "07_", "08_"}
+
+
+# --- the speaker side: diarized speakers in, one global label per segment ------------
+
+def test_every_segment_of_a_diarized_speaker_shares_its_global_label(small_run):
+    _, _, out, _ = small_run
+    ids, labels = distcluster.labels_from_text((out / CHECKPOINTS["cluster_speakers"]).read_text())
+    speaker_labels = dict(zip(ids, labels.labels.tolist()))
+    rows = [json.loads(line) for line in (out / CHECKPOINTS["diarize"]).read_text().splitlines()]
+    assert set(speaker_labels) == {i for row in rows for i in row["labels"]}
+    speakers = 0
+    for row in rows:
+        for label in set(row["labels"].values()) - {-1}:
+            members = [i for i, l in row["labels"].items() if l == label]
+            assert len({speaker_labels[i] for i in members}) == 1, (row["video_id"], label)
+            speakers += 1
+    assert speakers > 0
+
+
+def voices_dataset(videos) -> catalog.Dataset:
+    """No faces; one video per entry of videos, a 2 s segment per (segment id, voice row)."""
+    ds = catalog.Dataset(face_dim=4, speaker_dim=4)
+    ds.channels["c0"] = catalog.Channel("c0", "Channel 0")
+    for video_id, voices in videos.items():
+        ds.videos[video_id] = catalog.Video(video_id, "c0", datetime(2018, 1, 1, tzinfo=timezone.utc), 60.0)
+        for k, (segment_id, voice) in enumerate(voices):
+            embedding = np.asarray(voice, dtype=np.float32)
+            ds.segments[segment_id] = catalog.SpeechSegment(
+                segment_id, video_id, 3.0 * k, 3.0 * k + 2.0, "vad", embedding
+            )
+    return ds
+
+
+def test_speakers_left_as_global_noise(tmp_path):
+    e1, e2, e3, e4 = np.eye(4).tolist()
+    ds = voices_dataset({
+        "v0": [("a0", e1), ("a1", e1), ("b0", e2), ("b1", e2), ("n0", e3)],
+        "v1": [("c0", e4), ("c1", e4)],
+        "v2": [("d0", e4)],
+    })
+    # below 2 * min_cluster_size points no hierarchy is built, so every set here,
+    # the global one of 5 points included, goes to the fixed-eps fallback
+    run = PipelineRun(ds, tmp_path, PipelineConfig(min_cluster_size=3))
+    run.run_until("cluster_speakers")
+    # diarization: v0 has speakers a and b and one noise segment, v1 and v2 one speaker each
+    assert {v: row["labels"] for v, row in run.diarization.items()} == {
+        "v0": {"a0": 0, "a1": 0, "b0": 1, "b1": 1, "n0": -1},
+        "v1": {"c0": 0, "c1": 0},
+        "v2": {"d0": 0},
+    }
+    # the global pass joins only c and d; a and b, each of two segments, take
+    # fresh labels after that cluster in point order; the noise segment stays -1
+    assert run.speaker_labels == {"a0": 1, "a1": 1, "b0": 2, "b1": 2, "c0": 0, "c1": 0, "d0": 0, "n0": -1}
+
+
+def test_a_speaker_of_opposite_voices_is_clustered_by_segment(tmp_path):
+    # at eps 2.5 diarization joins antipodal voices into one speaker with a
+    # zero mean; its segments become separate points and the run finishes
+    e1, e2 = np.eye(4)[:2].tolist()
+    ds = voices_dataset({"v0": [("a0", e1), ("a1", [-x for x in e1])], "v1": [("b0", e2)]})
+    run = PipelineRun(ds, tmp_path, PipelineConfig(dbscan_eps=2.5))
+    run.run_until("cluster_speakers")
+    assert run.diarization["v0"]["labels"] == {"a0": 0, "a1": 0}
+    assert run.speaker_labels == {"a0": 0, "a1": 0, "b0": 0}
 
 
 def test_writes_are_atomic_and_leave_no_temporary_files(tmp_path, monkeypatch):
