@@ -10,14 +10,13 @@ directed channel-collaboration graph plus evaluation metrics.
 __version__ = "0.1.0"
 
 from .catalog import Dataset, ingest, normalize, validate, write
-from .distcluster import ClusterLabels, DbscanConfig, HdbscanParams, cluster_points
+from .distcluster import ClusterLabels, HdbscanParams, cluster_points
 from .pipeline import PipelineConfig, PipelineRun, run_pipeline
 from .synth import GroundTruth, SynthConfig, corrupt, generate
 
 __all__ = [
     "ClusterLabels",
     "Dataset",
-    "DbscanConfig",
     "GroundTruth",
     "HdbscanParams",
     "PipelineConfig",

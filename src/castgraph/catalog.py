@@ -48,6 +48,14 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return (arr / norm).astype(np.float32)
 
 
+def unit_mean(rows) -> np.ndarray:
+    """The normalized float64 mean of the rows: the direction of a group of embeddings.
+
+    Raises ZeroVector when the rows cancel to a zero mean.
+    """
+    return normalize(np.mean(rows, axis=0, dtype=np.float64))
+
+
 @dataclass(frozen=True)
 class Channel:
     channel_id: str
@@ -139,19 +147,6 @@ class Dataset:
     face_dim: int = DEFAULT_FACE_DIM
     speaker_dim: int = DEFAULT_SPEAKER_DIM
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.channels == other.channels
-            and self.videos == other.videos
-            and self.tracks == other.tracks
-            and self.segments == other.segments
-            and self.pairs == other.pairs
-            and self.face_dim == other.face_dim
-            and self.speaker_dim == other.speaker_dim
-        )
-
     def digest(self) -> str:
         """SHA-256 over every record, in order, and every embedding's bytes."""
         h = hashlib.sha256()
@@ -188,39 +183,25 @@ class ValidationReport:
 
 # --- embedding matrix files -------------------------------------------------
 
-def _emb_parts(matrix: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The ``.emb`` header of a matrix, and the matrix as contiguous little-endian float32."""
+def write_emb(path: Path, matrix: np.ndarray) -> None:
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
     if matrix.ndim != 2:
         raise ValueError("embedding matrix must be 2-D")
     count, dim = matrix.shape
-    return EMB_MAGIC + struct.pack("<IQ", dim, count), matrix
-
-
-def emb_bytes(matrix: np.ndarray) -> bytes:
-    """An embedding matrix in the ``.emb`` format."""
-    return b"".join(_emb_parts(matrix))
-
-
-def emb_from_bytes(data: bytes, source) -> np.ndarray:
-    """Parse ``.emb`` bytes into a read-only view over them; source names the file in errors."""
-    if len(data) < 16 or data[:4] != EMB_MAGIC:
-        raise MalformedRecord(source, 0, "bad embedding file header")
-    dim, count = struct.unpack("<IQ", data[4:16])
-    if len(data) < 16 + 4 * dim * count:
-        raise MalformedRecord(source, 0, "truncated embedding payload")
-    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=16).reshape(count, dim)
-
-
-def write_emb(path: Path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(_emb_parts(matrix))
+        fh.writelines((EMB_MAGIC + struct.pack("<IQ", dim, count), matrix))
 
 
 def read_emb(path: Path) -> np.ndarray:
     if not path.is_file():
         raise MissingFile(path)
-    return emb_from_bytes(path.read_bytes(), path).copy()
+    data = path.read_bytes()
+    if len(data) < 16 or data[:4] != EMB_MAGIC:
+        raise MalformedRecord(path, 0, "bad embedding file header")
+    dim, count = struct.unpack("<IQ", data[4:16])
+    if len(data) < 16 + 4 * dim * count:
+        raise MalformedRecord(path, 0, "truncated embedding payload")
+    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=16).reshape(count, dim).copy()
 
 
 # --- timestamps ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import SpeechSegment
-from .distcluster import DbscanConfig, HdbscanParams, cluster_groups
+from .distcluster import FALLBACK_EPS, HdbscanParams, cluster_groups
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 from .errors import NoSegments
 
@@ -61,7 +61,7 @@ class DiarizationSummary:
 def diarize_video(
     videos,
     params: HdbscanParams,
-    fallback: DbscanConfig = DbscanConfig(),
+    eps: float = FALLBACK_EPS,
     rejected=None,
 ) -> list[tuple[dict[str, int], DiarizationSummary]]:
     """Cluster each video's retained segments into speaker labels.
@@ -78,7 +78,7 @@ def diarize_video(
         raise NoSegments("no retained segments to diarize")
     if rejected is None:
         rejected = [()] * len(ordered)
-    clustered = cluster_groups([[s.embedding for s in segments] for segments in ordered], params, fallback)
+    clustered = cluster_groups([[s.embedding for s in segments] for segments in ordered], params, eps)
 
     out = []
     for segments, (labels, used_fallback), video_rejected in zip(ordered, clustered, rejected, strict=True):

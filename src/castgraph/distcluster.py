@@ -199,6 +199,19 @@ class ClusterLabels:
         return self.n_clusters == 0
 
 
+def label_groups(labels) -> list[list[int]]:
+    """Member indices of each group: one group per cluster, one per noise index.
+
+    Groups are ordered by their smallest index, and each lists its indices
+    in ascending order.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, label in enumerate(labels):
+        # noise index i keys as -1 - i, which no cluster label takes
+        groups.setdefault(label if label != -1 else -1 - index, []).append(index)
+    return list(groups.values())
+
+
 def labels_csv(point_ids, labels) -> str:
     """``point_id,label`` lines under a header, one per point, in the given order."""
     return "point_id,label\n" + "".join(f"{p},{int(l)}\n" for p, l in zip(point_ids, labels))
@@ -237,12 +250,6 @@ class HdbscanParams:
 # two people's near 1. A data-derived eps such as k_distance_eps equals the
 # common distance of a near-equidistant small set, so it would join them all
 FALLBACK_EPS = 0.5
-
-
-@dataclass(frozen=True)
-class DbscanConfig:
-    eps: float = FALLBACK_EPS
-    min_pts: int = 2
 
 
 # --- hierarchical density clustering ------------------------------------------
@@ -622,15 +629,16 @@ def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 9
 def cluster_with_fallback(
     m: CondensedDistanceMatrix,
     params: HdbscanParams,
-    fallback: DbscanConfig = DbscanConfig(),
+    eps: float = FALLBACK_EPS,
 ) -> tuple[list[ClusterLabels], list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
-    Falls back to dbscan when the hierarchy finds only noise, and also when
-    there are fewer points than min_cluster_size (a hierarchy cannot exist);
-    min_pts is clamped to the point count so a lone point still gets a label
-    decision instead of an error. Returns (labels, used_fallback flags), one
-    of each per group; only the groups that need it run the fallback.
+    Falls back to dbscan at radius eps when the hierarchy finds only noise,
+    and also when there are fewer points than min_cluster_size (a hierarchy
+    cannot exist); the fallback's min_pts of 2 is clamped to the point count
+    so a lone point still gets a label decision instead of an error. Returns
+    (labels, used_fallback flags), one of each per group; only the groups
+    that need it run the fallback.
     """
     groups = len(m.entries)
     try:
@@ -641,7 +649,7 @@ def cluster_with_fallback(
     todo = [g for g, fell_back in enumerate(used) if fell_back]
     if todo:
         sub = m if len(todo) == groups else m.subset(todo)
-        for g, l in zip(todo, dbscan(sub, fallback.eps, min(fallback.min_pts, m.n))):
+        for g, l in zip(todo, dbscan(sub, eps, min(2, m.n))):
             labels[g] = l
     return labels, used
 
@@ -649,7 +657,7 @@ def cluster_with_fallback(
 def cluster_groups(
     groups,
     params: HdbscanParams,
-    fallback: DbscanConfig = DbscanConfig(),
+    eps: float = FALLBACK_EPS,
 ) -> list[tuple[ClusterLabels, bool]]:
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
@@ -676,7 +684,7 @@ def cluster_groups(
             chunk = members[lo : lo + per_stack]
             # distance_matrix makes the stack's one float64 copy itself
             matrix = distance_matrix([groups[index] for index in chunk])
-            labels, used = cluster_with_fallback(matrix, params, fallback)
+            labels, used = cluster_with_fallback(matrix, params, eps)
             for index, group_labels, group_used in zip(chunk, labels, used):
                 results[index] = group_labels, group_used
     return results
@@ -685,10 +693,10 @@ def cluster_groups(
 def cluster_points(
     vectors,
     params: HdbscanParams,
-    fallback: DbscanConfig = DbscanConfig(),
+    eps: float = FALLBACK_EPS,
 ) -> tuple[ClusterLabels, bool]:
     """Cluster labels for one set of vectors, one per vector in order, and whether the fallback ran.
 
     The one-set case of cluster_groups.
     """
-    return cluster_groups([vectors], params, fallback)[0]
+    return cluster_groups([vectors], params, eps)[0]

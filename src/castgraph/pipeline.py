@@ -17,18 +17,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
-from .catalog import AVPair, Dataset, emb_bytes, emb_from_bytes, normalize
+from .catalog import AVPair, Dataset, unit_mean
 from .diarize import DiarizationSummary, diarize_video, filter_segments, reconcile
 from .distcluster import (
     FALLBACK_EPS,
     ClusterLabels,
-    DbscanConfig,
     HdbscanParams,
     cluster_points,
+    label_groups,
     labels_csv,
     labels_from_text,
 )
@@ -42,6 +40,7 @@ from .tracks import (
     cut_piece,
     frame_rows,
     merge_tracks,
+    representative_embedding,
     split_tracks_with_sources,
 )
 
@@ -64,10 +63,6 @@ class PipelineConfig:
     @property
     def hdbscan_params(self) -> HdbscanParams:
         return HdbscanParams(self.min_cluster_size, self.min_samples)
-
-    @property
-    def dbscan_config(self) -> DbscanConfig:
-        return DbscanConfig(eps=self.dbscan_eps)
 
     @property
     def track_policy(self) -> TrackPolicy:
@@ -217,22 +212,18 @@ class PipelineRun:
 
     def compute_merge(self) -> None:
         config = self.config
-        self.entities = merge_tracks(self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_config)
+        self.entities = merge_tracks(self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_eps)
 
     def encode_merge(self) -> dict[str, bytes]:
         rows = [{f: getattr(e, f) for f in ENTITY_FIELDS} for e in self.entities]
-        # representative faces go to a sidecar, one float32 row per entity in jsonl order
-        faces = [e.representative_face for e in self.entities]
-        matrix = np.stack(faces) if faces else np.empty((0, self.ds.face_dim))
-        return {"03_entities.jsonl": _jsonl(rows), "03_entities.emb": emb_bytes(matrix)}
+        return {"03_entities.jsonl": _jsonl(rows)}
 
     def decode_merge(self, files: dict[str, bytes]) -> None:
-        faces = emb_from_bytes(files["03_entities.emb"], "03_entities.emb")
         self.entities = []
-        for row, face in zip(_rows(files["03_entities.jsonl"]), faces, strict=True):
+        for row in _rows(files["03_entities.jsonl"]):
             row["member_track_ids"] = tuple(row["member_track_ids"])
             row["paired_segments"] = tuple(row["paired_segments"])
-            self.entities.append(TrackEntity(representative_face=face, **row))
+            self.entities.append(TrackEntity(**row))
 
     def compute_diarize(self) -> None:
         config = self.config
@@ -246,7 +237,7 @@ class PipelineRun:
         results = dict(zip(diarized, diarize_video(
             [filtered[v][0] for v in diarized],
             config.hdbscan_params,
-            config.dbscan_config,
+            config.dbscan_eps,
             [filtered[v][1] for v in diarized],
         )))
         self.diarization = {}
@@ -276,35 +267,44 @@ class PipelineRun:
 
     def _cluster(self, vectors) -> ClusterLabels:
         """Global cluster labels, one per vector in order."""
-        return cluster_points(vectors, self.config.hdbscan_params, self.config.dbscan_config)[0]
+        return cluster_points(vectors, self.config.hdbscan_params, self.config.dbscan_eps)[0]
 
     def compute_cluster_faces(self) -> None:
-        labels = self._cluster([e.representative_face for e in self.entities])
+        """Recognize the entities across videos.
+
+        One point per entity, the unit mean of its pieces' representatives.
+        An entity whose pieces cancel to a zero mean has no direction, so
+        the stage fails with ZeroVector; the speaker side instead splits
+        such a speaker into its segments.
+        """
+        pieces = {piece.track_id: piece for piece in self.pieces}
+        labels = self._cluster([
+            unit_mean([representative_embedding(pieces[t]) for t in entity.member_track_ids])
+            for entity in self.entities
+        ])
         self.face_labels = {e.entity_id: int(l) for e, l in zip(self.entities, labels.labels)}
 
     def compute_cluster_speakers(self) -> None:
         """Recognize the diarized speakers across videos; each segment takes its speaker's label.
 
-        One point per diarized speaker, the normalized float64 mean of its
-        segments' embeddings, and one per diarization-noise segment, the same
-        formula over one segment. A speaker whose embeddings cancel to a zero
+        One point per diarized speaker, the unit mean of its segments'
+        embeddings, and one per diarization-noise segment, the same formula
+        over one segment. A speaker whose embeddings cancel to a zero
         mean has no direction, so each of its segments is its own point.
         Points are ordered by their smallest segment id. A speaker of several
         segments that the global pass leaves as noise is still one speaker:
         it takes a fresh label after the cluster labels, in point order.
         """
-        speakers: dict[tuple, list[str]] = {}
-        for video_id, row in self.diarization.items():
-            for segment_id, label in row["labels"].items():
-                key = (video_id, label) if label != -1 else (segment_id,)
-                speakers.setdefault(key, []).append(segment_id)
         points = []  # (sorted segment ids, unit vector)
-        for ids in speakers.values():
-            embeddings = [self.ds.segments[i].embedding for i in ids]
-            try:
-                points.append((sorted(ids), normalize(np.mean(embeddings, axis=0, dtype=np.float64))))
-            except ZeroVector:
-                points += [([i], normalize(e)) for i, e in zip(ids, embeddings)]
+        for row in self.diarization.values():
+            segment_ids = sorted(row["labels"])
+            for idxs in label_groups([row["labels"][i] for i in segment_ids]):
+                ids = [segment_ids[i] for i in idxs]
+                embeddings = [self.ds.segments[i].embedding for i in ids]
+                try:
+                    points.append((ids, unit_mean(embeddings)))
+                except ZeroVector:
+                    points += [([i], unit_mean([e])) for i, e in zip(ids, embeddings)]
         points.sort(key=lambda point: point[0][0])
         labels = self._cluster([unit for _, unit in points])
         fresh = labels.n_clusters
@@ -364,11 +364,11 @@ class PipelineRun:
               compute_split, encode_split, decode_split),
         Stage("pair", ("02_av_pairs.jsonl",), ("conf_threshold",), ("split",),
               compute_pair, encode_pair, decode_pair),
-        Stage("merge", ("03_entities.jsonl", "03_entities.emb"), CLUSTERING, ("split", "pair"),
+        Stage("merge", ("03_entities.jsonl",), CLUSTERING, ("split", "pair"),
               compute_merge, encode_merge, decode_merge),
         Stage("diarize", ("04_diarization.jsonl",), ("min_segment_s", *CLUSTERING), ("pair",),
               compute_diarize, encode_diarize, decode_diarize),
-        Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("merge",),
+        Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("split", "merge"),
               compute_cluster_faces, *_labels_codec("face_labels", "05_face_labels.csv")),
         Stage("cluster_speakers", ("06_speaker_labels.csv",), CLUSTERING, ("diarize",),
               compute_cluster_speakers, *_labels_codec("speaker_labels", "06_speaker_labels.csv")),

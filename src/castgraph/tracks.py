@@ -7,8 +7,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .catalog import FRAME_RATE, AVPair, FaceTrack, SpeechSegment, normalize
-from .distcluster import DbscanConfig, HdbscanParams, cluster_groups
+from .catalog import FRAME_RATE, AVPair, FaceTrack, SpeechSegment, unit_mean
+from .distcluster import FALLBACK_EPS, HdbscanParams, cluster_groups, label_groups
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 
 
@@ -30,7 +30,6 @@ class TrackEntity:
     entity_id: str
     video_id: str
     member_track_ids: tuple[str, ...]
-    representative_face: np.ndarray
     paired_segments: tuple[str, ...] = ()
     total_frames: int = 0
 
@@ -131,15 +130,14 @@ def assign_active_speakers(tracks, segments, policy: TrackPolicy) -> list[AVPair
 
 def representative_embedding(track: FaceTrack) -> np.ndarray:
     """Normalized mean of the per-frame embeddings; order independent."""
-    mean = np.mean(np.asarray(track.embeddings, dtype=np.float64), axis=0)
-    return normalize(mean)
+    return unit_mean(track.embeddings)
 
 
 def merge_tracks(
     tracks,
     params: HdbscanParams,
     pairs=(),
-    fallback: DbscanConfig = DbscanConfig(),
+    eps: float = FALLBACK_EPS,
 ) -> list[TrackEntity]:
     """Cluster track pieces by face embedding and merge shared labels.
 
@@ -159,23 +157,13 @@ def merge_tracks(
 
     videos = [list(members) for _, members in groupby(ordered, key=lambda t: t.video_id)]
     reps = [np.stack([representative_embedding(t) for t in members]) for members in videos]
-    clustered = cluster_groups(reps, params, fallback)
+    clustered = cluster_groups(reps, params, eps)
 
     entities: list[TrackEntity] = []
-    for members, video_reps, (labels, _) in zip(videos, reps, clustered):
+    for members, (labels, _) in zip(videos, clustered):
         video_id = members[0].video_id
-        groups: dict[int, list[int]] = {}
-        singleton_key = -1
-        for idx, label in enumerate(labels.labels):
-            if label == -1:
-                groups[singleton_key] = [idx]
-                singleton_key -= 1
-            else:
-                groups.setdefault(int(label), []).append(idx)
-
-        for seq, idxs in enumerate(sorted(groups.values(), key=min)):
+        for seq, idxs in enumerate(label_groups(labels.labels)):
             group = [members[i] for i in idxs]
-            rep = normalize(np.mean([video_reps[i] for i in idxs], axis=0))
             segment_ids = []
             for member in group:
                 for pair in pairs_by_track.get(member.track_id, []):
@@ -185,7 +173,6 @@ def merge_tracks(
                     entity_id=f"{video_id}/e{seq}",
                     video_id=video_id,
                     member_track_ids=tuple(m.track_id for m in group),
-                    representative_face=rep,
                     paired_segments=tuple(sorted(set(segment_ids))),
                     total_frames=sum(m.n_frames for m in group),
                 )

@@ -21,6 +21,7 @@ from castgraph.catalog import (
     ingest,
     normalize,
     read_emb,
+    unit_mean,
     validate,
     write,
     write_emb,
@@ -71,6 +72,21 @@ def test_normalize_idempotent():
 def test_normalize_zero_vector():
     with pytest.raises(ZeroVector):
         normalize(np.zeros(8))
+
+
+@pytest.mark.parametrize("dim", [3, 48, 1792])
+def test_unit_mean_bits_do_not_depend_on_where_rows_become_float64(dim):
+    # a float64 copy averaged, or float32 rows (array or list) averaged with a
+    # float64 accumulator: the same bits
+    rng = np.random.default_rng(dim)
+    for count in range(1, 9):
+        for _ in range(25):
+            rows = rng.standard_normal((count, dim)).astype(np.float32)
+            got = unit_mean(rows)
+            assert got.dtype == np.float32
+            copied = normalize(np.mean(np.asarray(rows, dtype=np.float64), axis=0))
+            listed = normalize(np.mean(list(rows), axis=0, dtype=np.float64))
+            assert got.tobytes() == copied.tobytes() == listed.tobytes() == unit_mean(list(rows)).tobytes()
 
 
 # --- emb files --------------------------------------------------------------------

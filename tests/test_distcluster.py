@@ -9,11 +9,11 @@ import pytest
 
 from castgraph.distcluster import (
     BLOCK,
+    FALLBACK_EPS,
     _core_distances,
     _kth_smallest_per_row,
     _prim_mst,
     CondensedDistanceMatrix,
-    DbscanConfig,
     HdbscanParams,
     cluster_groups,
     cluster_points,
@@ -22,6 +22,7 @@ from castgraph.distcluster import (
     distance_matrix,
     hdbscan,
     k_distance_eps,
+    label_groups,
     labels_csv,
     labels_from_text,
 )
@@ -462,7 +463,7 @@ def test_fallback_used_for_single_blob():
 
 def test_fallback_pathological_all_noise():
     [labels], [used] = cluster_with_fallback(
-        distance_matrix([np.eye(2)]), PARAMS, DbscanConfig(eps=0.5, min_pts=2)
+        distance_matrix([np.eye(2)]), PARAMS, eps=0.5
     )
     assert used
     assert labels.all_noise()
@@ -591,12 +592,12 @@ def mixed_groups(seed: int, dim: int = 8) -> list[np.ndarray]:
 def test_cluster_groups_matches_each_group_alone(mcs, min_samples, eps):
     # eps None is the default fallback; the sets include mostly identical points
     params = HdbscanParams(mcs, min_samples)
-    fallback = DbscanConfig() if eps is None else DbscanConfig(eps=eps)
+    eps = FALLBACK_EPS if eps is None else eps
     groups = mixed_groups(100 * mcs + (min_samples or 0))
-    together = cluster_groups(groups, params, fallback)
+    together = cluster_groups(groups, params, eps=eps)
     assert len(together) == len(groups)
     for group, (got, got_used) in zip(groups, together):
-        labels, used = cluster_points(group, params, fallback)
+        labels, used = cluster_points(group, params, eps=eps)
         assert got.labels.tolist() == labels.labels.tolist()
         assert got_used is used
 
@@ -637,6 +638,15 @@ def test_cluster_groups_zero_vector_in_any_group_raises(size):
     groups.insert(len(groups) // 2, np.vstack([np.ones((size - 1, 8)), np.zeros((1, 8))]))
     with pytest.raises(ZeroVector):
         cluster_groups(groups, PARAMS)
+
+
+# --- labels ----------------------------------------------------------------------
+
+def test_label_groups_by_smallest_index():
+    # clusters keep their members together, each noise index stands alone
+    assert label_groups([1, -1, 0, 1, -1, 0, 2]) == [[0, 3], [1], [2, 5], [4], [6]]
+    assert label_groups(np.asarray([-1, -1, 0])) == [[0], [1], [2]]
+    assert label_groups([]) == []
 
 
 # --- label csv -------------------------------------------------------------------

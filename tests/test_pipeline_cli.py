@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -56,6 +57,8 @@ def test_all_checkpoints_written(small_run):
         assert (out / name).is_file(), name
     assert (out / "report.json").is_file()
     assert (out / "graph.dot").is_file()
+    # vectors live only in the dataset; no checkpoint holds any
+    assert not list(out.glob("*.emb"))
 
 
 def test_small_run_recovers_planted_graph(small_run):
@@ -64,6 +67,22 @@ def test_small_run_recovers_planted_graph(small_run):
     assert collab["correct"] == len(truth.planted_events)
     assert collab["incorrect"] == 0
     assert report["evaluation"]["growth_factor"] == pytest.approx(1.34, abs=1e-6)
+
+
+# SHA-256 of the CFG run's 05 to 08 and report.json. Labels are integers and
+# the report's floats come from pure Python, so they do not depend on the BLAS build
+CFG_SHA256 = {
+    "05_face_labels.csv": "ab5530274ec8911ce965f8aa0ada1c4d07bf495835820bfdf8d6f388cb124a69",
+    "06_speaker_labels.csv": "c65582caffb8f04c9c1bd253c11dd63fe4528a7a06e82042c56429f320d85bc1",
+    "07_identities.json": "10940a1794df4dcb4077a3111e5ab8e066c0baacf538ff1458ec84f470095531",
+    "08_graph.json": "40ddf57fb0afe20d96696e201b21a3593416448b0d8b489bdd0289c5d8f0f45e",
+    "report.json": "a9dbee71ecdec8c83e70dce68c3e8fcc63a70f4a5af2bc1fbb32ba81c7be89d6",
+}
+
+
+def test_small_run_output_bytes_are_golden(small_run):
+    _, _, out, _ = small_run
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CFG_SHA256} == CFG_SHA256
 
 
 def test_report_matches_file(small_run):
@@ -456,25 +475,32 @@ def one_video_dataset(faces, voices) -> catalog.Dataset:
     return ds
 
 
-# (id, face rows, voice rows, exit code, 05 face labels and 06 speaker labels, or the error kind)
+# (id, face rows, voice rows, run options, exit code,
+#  05 face labels and 06 speaker labels, or what stderr holds)
 DEGENERATE_RUNS = [
-    ("single_track_and_segment", [[1, 0, 0, 0]], [[1, 0, 0]], 0, ({"v0/e0": 0}, {"s0": 0})),
-    ("identical_voices", [[1, 0, 0, 0]], [[0.3, 0.4, 1.2]] * 5, 0, ({"v0/e0": 0}, {f"s{k}": 0 for k in range(5)})),
-    ("no_face_tracks", [], [[1, 0, 0]] * 2 + [[0, 1, 0]] * 2, 0, ({}, {"s0": 0, "s1": 0, "s2": 1, "s3": 1})),
-    ("zero_voice_row", [[1, 0, 0, 0]], [[0, 0, 0], [1, 0, 0]], 2, "ZeroVector"),
-    ("nan_face_row", [[1, 0, 0, 0], [np.nan, 0, 0, 0]], [[1, 0, 0]], 2, "NonFinite"),
+    ("single_track_and_segment", [[1, 0, 0, 0]], [[1, 0, 0]], [], 0, ({"v0/e0": 0}, {"s0": 0})),
+    ("identical_voices", [[1, 0, 0, 0]], [[0.3, 0.4, 1.2]] * 5, [], 0,
+     ({"v0/e0": 0}, {f"s{k}": 0 for k in range(5)})),
+    ("no_face_tracks", [], [[1, 0, 0]] * 2 + [[0, 1, 0]] * 2, [], 0,
+     ({}, {"s0": 0, "s1": 0, "s2": 1, "s3": 1})),
+    ("zero_voice_row", [[1, 0, 0, 0]], [[0, 0, 0], [1, 0, 0]], [], 2, ": ZeroVector: "),
+    ("nan_face_row", [[1, 0, 0, 0], [np.nan, 0, 0, 0]], [[1, 0, 0]], [], 2, ": NonFinite: "),
+    # merging joins antipodal faces into one entity with no direction; unlike
+    # a speaker of opposite voices (split into its segments), the run fails
+    ("antipodal_faces_one_entity", [[1, 0, 0, 0], [-1, 0, 0, 0]], [[1, 0, 0]], ["--dbscan-eps", "2.5"], 1,
+     "error: stage 'cluster_faces' failed: cannot normalize a zero or non-finite vector\n"),
 ]
 
 
 @pytest.mark.parametrize(
-    "faces, voices, code, expected", [pytest.param(*row[1:], id=row[0]) for row in DEGENERATE_RUNS]
+    "faces, voices, options, code, expected", [pytest.param(*row[1:], id=row[0]) for row in DEGENERATE_RUNS]
 )
-def test_cli_degenerate_inputs(tmp_path, capsys, faces, voices, code, expected):
+def test_cli_degenerate_inputs(tmp_path, capsys, faces, voices, options, code, expected):
     data, out = tmp_path / "data", tmp_path / "out"
     catalog.write(one_video_dataset(faces, voices), data)
-    assert main(["run", str(data), "--out", str(out)]) == code
+    assert main(["run", str(data), "--out", str(out), *options]) == code
     if code:
-        assert f": {expected}: " in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
         return
     labels = []
     for stage in ("cluster_faces", "cluster_speakers"):
