@@ -14,26 +14,30 @@ cosine distance, FALLBACK_EPS, unless the caller gives another.
 
 One calling convention: every matrix is a stack. cluster_groups stacks point
 sets of one size n, at most BLOCK points per stack (a larger set is a stack
-of one), and a CondensedDistanceMatrix holds G groups as (G, n(n-1)/2)
-entries, G = 1 included. Distances, duplicate zeroing, the shortcuts, core
-distances, Prim, the k-distance eps and DBSCAN's core counts loop over n,
-never over G; only the dendrogram, condensation, excess-of-mass, label
-renumbering and DBSCAN expansion run per group. Array results (core
-distances, eps) keep the group axis; labels, edges and fallback flags come
-back as lists with one entry per group.
+of one), and a matrix holds G groups, G = 1 included. Distances, duplicate
+zeroing, the shortcuts, core distances, Prim, the k-distance eps and
+DBSCAN's core counts loop over n, never over G; only the dendrogram,
+condensation, excess-of-mass, label renumbering and DBSCAN expansion run per
+group. Array results (core distances, eps) keep the group axis; labels,
+edges and fallback flags come back as lists with one entry per group.
 
-Memory: a clustering call peaks at the condensed distance array, 8 *
-n(n-1)/2 bytes per group, plus one n x d float64 buffer of unit vectors and
-one BLOCK-row GEMM block, 8 * BLOCK * n bytes, while distance_matrix runs
-(143 + 49 + 12 MB at n = 5990, d = 1024). The condensed array is the only
-n^2 allocation; no n x n square is built. Core distances come from one
-sequential pass over its rows, Prim reads each joining point's distances to
-the points outside the tree from it, and DBSCAN reads it one row at a time
-(CondensedDistanceMatrix.row).
+Two storage forms, one reader. Sets of at most BLOCK points (every
+per-video stack) keep their distances in memory as a
+CondensedDistanceMatrix, 8 * n(n-1)/2 bytes per group. A larger set (every
+global clustering call) writes them to a SquareDistanceFile, 8n^2 bytes of
+row-major n x n float64 squares in an unlinked temporary file under TMPDIR.
+The rule is fixed. Clustering reads either form only through row and rows,
+into buffers it owns; the file is read with pread, never mapped, so its
+pages are page cache, not the process's memory. A call over a file holds one
+n x d float64 buffer of unit vectors and one BLOCK-row GEMM block with its
+transposed stripe while distance_matrix runs (24 + 6 + 6 MB at n = 2995,
+d = 1024), then O(BLOCK * n) row blocks.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +49,46 @@ INFTY = float("inf")
 
 # --- distances ---------------------------------------------------------------
 
+class _DistanceRows:
+    """What clustering reads of either storage form: rows of each group's n x n square.
+
+    A subclass has n, groups (the group count), distinct (per group, whether
+    any distance is nonzero), subset(groups) and _read(first, count, out),
+    which fills out[g] with square rows first[g] .. first[g] + count - 1;
+    first is one index for every group or an array of one per group.
+    """
+
+    def row(self, v, out: np.ndarray | None = None) -> np.ndarray:
+        """Row v of the square form per group, d(v, j) for every j; v is one index or one per group."""
+        if out is None:
+            out = np.empty((self.groups, self.n), dtype=np.float64)
+        self._read(v, 1, out[:, None])
+        return out
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows lo .. hi - 1 of the square form per group, (G, hi - lo, n)."""
+        if out is None:
+            out = np.empty((self.groups, hi - lo, self.n), dtype=np.float64)
+        self._read(lo, hi - lo, out)
+        return out
+
+    def to_square(self) -> np.ndarray:
+        """The (G, n, n) form; for oracles and tests, clustering never builds it."""
+        return self.rows(0, self.n)
+
+    def close(self) -> None:
+        """Release the storage; a no-op for the in-memory form."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 @dataclass
-class CondensedDistanceMatrix:
-    """Upper-triangular pairwise distances of G groups of n points, row-major.
+class CondensedDistanceMatrix(_DistanceRows):
+    """Upper-triangular pairwise distances of G groups of n points, row-major, in memory.
 
     ``entries`` is (G, n(n-1)/2): ``entries[g, k]`` holds group g's d(i, j)
     for i < j with k = n*i - i*(i+1)/2 + (j - i - 1).
@@ -69,6 +110,14 @@ class CondensedDistanceMatrix:
         self.starts = i * (2 * self.n - 1 - i) // 2
         self.column = self.starts - i - 1
 
+    @property
+    def groups(self) -> int:
+        return len(self.entries)
+
+    @property
+    def distinct(self) -> np.ndarray:
+        return self.entries.any(axis=1)
+
     def subset(self, groups) -> CondensedDistanceMatrix:
         """Only the given groups (an index array copies them, a slice is a view)."""
         # shares n, starts and column; skips __post_init__, which would rebuild them
@@ -76,25 +125,101 @@ class CondensedDistanceMatrix:
         view.__dict__.update(self.__dict__, entries=self.entries[groups])
         return view
 
-    def row(self, v: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Row v of the square form per group, d(v, j) for every j, gathered in O(n)."""
-        if out is None:
-            out = np.empty((len(self.entries), self.n), dtype=np.float64)
-        np.take(self.entries, self.column[:v] + v, axis=1, out=out[:, :v])
-        out[:, v] = 0.0
-        start = int(self.starts[v])
-        out[:, v + 1 :] = self.entries[:, start : start + self.n - v - 1]
-        return out
+    def _read(self, first, count, out) -> None:
+        n, entries, column, starts = self.n, self.entries, self.column, self.starts
+        if np.ndim(first):
+            # one row per group, as Prim reads them: d(v, j) sits at
+            # column[min(v, j)] + max(v, j) of its group's entries, gathered
+            # at once; the diagonal reads a stand-in entry and is zeroed
+            at, j = first[:, None], np.arange(n)
+            k = np.maximum(column[np.minimum(at, j)] + np.maximum(at, j), 0)
+            np.take(entries.reshape(-1), k + (np.arange(len(k)) * entries.shape[1])[:, None], out=out[:, 0])
+            out[np.arange(len(k)), 0, first] = 0.0
+            return
+        for r, v in enumerate(range(first, first + count)):
+            np.take(entries, column[:v] + v, axis=1, out=out[:, r, :v])
+            out[:, r, v] = 0.0
+            out[:, r, v + 1 :] = entries[:, starts[v] : starts[v] + n - v - 1]
 
-    def to_square(self) -> np.ndarray:
-        """The (G, n, n) form; for oracles and tests, clustering never builds it."""
-        square = np.zeros((len(self.entries), self.n, self.n), dtype=np.float64)
-        k = 0
-        for i in range(self.n - 1):
-            count = self.n - i - 1
-            square[:, i, i + 1 :] = self.entries[:, k : k + count]
-            k += count
-        return square + np.swapaxes(square, 1, 2)
+    def _store(self, lo: int, sims: np.ndarray) -> None:
+        """Keep the upper parts of one GEMM block: rows lo.., columns lo..n-1."""
+        for r in range(sims.shape[1]):
+            i = lo + r
+            self.entries[:, self.starts[i] : self.starts[i] + self.n - i - 1] = sims[:, r, r + 1 :]
+
+
+@dataclass(frozen=True)
+class _Extent:
+    """The shape of entries kept out of memory: their count, no values."""
+
+    shape: tuple[int, int]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+
+class SquareDistanceFile(_DistanceRows):
+    """Pairwise distances of G groups of n points as row-major n x n float64 squares in a file.
+
+    Group g's d(i, j) is at byte 8 * ((g * n + i) * n + j) of ``file``, an
+    unlinked temporary file; closing the matrix closes it, and a subset
+    shares it. Rows are read with pread into the caller's buffers.
+    ``distinct`` flags the groups with a nonzero distance, and ``entries``
+    gives the condensed shape of the distances without reading them.
+    """
+
+    def __init__(self, n: int, file, distinct: np.ndarray, group_ids: np.ndarray | None = None):
+        self.n, self.file, self.distinct = n, file, distinct
+        self.group_ids = np.arange(len(distinct)) if group_ids is None else group_ids
+
+    @property
+    def groups(self) -> int:
+        return len(self.group_ids)
+
+    @property
+    def entries(self) -> _Extent:
+        return _Extent((self.groups, self.n * (self.n - 1) // 2))
+
+    def subset(self, groups) -> SquareDistanceFile:
+        """Only the given groups, over the same file."""
+        return SquareDistanceFile(self.n, self.file, self.distinct[groups], self.group_ids[groups])
+
+    def close(self) -> None:
+        self.file.close()
+
+    def _read(self, first, count, out) -> None:
+        fd = self.file.fileno()
+        firsts = first.tolist() if isinstance(first, np.ndarray) else [first] * self.groups
+        for block, g, v in zip(out, self.group_ids.tolist(), firsts):
+            if os.preadv(fd, [block], 8 * (g * self.n + v) * self.n) != block.nbytes:
+                raise OSError("distance file ended early")
+
+    def _store(self, lo: int, sims: np.ndarray) -> None:
+        """Write one GEMM block, rows lo..lo+m-1 over columns lo..n-1, and its transpose.
+
+        The block's own m x m square takes its lower triangle from the
+        transpose and an exact 0 diagonal, so the file's d(i, j) and d(j, i)
+        are both the bits of the block of min(i, j). The rows past the block
+        take the transposed stripe as their columns lo..lo+m-1.
+        """
+        n, m = self.n, sims.shape[1]
+        own = sims[:, :, :m]
+        np.copyto(own, own.transpose(0, 2, 1), where=np.tri(m, k=-1, dtype=bool))
+        own[:, np.arange(m), np.arange(m)] = 0.0
+        self.distinct |= sims.any(axis=(1, 2))
+        stripe = np.ascontiguousarray(sims[:, :, m:].transpose(0, 2, 1))
+        fd = self.file.fileno()
+        for g, block, lower in zip(self.group_ids.tolist(), sims, stripe):
+            for r, data in enumerate((*block, *lower)):
+                _pwrite(fd, data, 8 * ((g * n + lo + r) * n + lo))
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of data at offset; the rest of a short write is retried, so a full disk raises its error."""
+    written = os.pwrite(fd, data, offset)
+    if written < data.nbytes:
+        _pwrite(fd, memoryview(data).cast("B")[written:], offset + written)
 
 
 # rows per GEMM block in distance_matrix, and points per stack in
@@ -128,16 +253,20 @@ def _duplicate_classes(unit: np.ndarray) -> np.ndarray | None:
     return classes
 
 
-def distance_matrix(points) -> CondensedDistanceMatrix:
+def distance_matrix(points) -> CondensedDistanceMatrix | SquareDistanceFile:
     """Pairwise cosine distances within each of G sets of n points, given as (G, n, d).
 
     The points are copied once into a float64 buffer (the caller's array is
     never touched), normalized there in place a few rows at a time, and
     multiplied in fixed row blocks against every column at or after the
-    block's first row, all groups in one stacked product; each block's upper
-    part is written straight into its condensed slices. The condensed array,
-    that one buffer and one BLOCK-row product are all a call holds. One point
-    per set gives (G, 0) entries; a zero vector raises ZeroVector.
+    block's first row, all groups in one stacked product. Each block goes
+    straight to its storage: the condensed slices when n <= BLOCK, else the
+    rows of a SquareDistanceFile, which the caller closes (it is a context
+    manager, as is the in-memory form). That one buffer and one BLOCK-row
+    product, with its transposed stripe for a file, are all a call holds
+    besides the condensed array. One point per set gives (G, 0) entries; a
+    zero vector raises ZeroVector, and a failed write closes the file and
+    raises its OSError.
     """
     try:
         unit = np.array(points, dtype=np.float64)
@@ -161,21 +290,31 @@ def distance_matrix(points) -> CondensedDistanceMatrix:
         rows /= norms[..., None]
     classes = _duplicate_classes(unit)
 
-    matrix = CondensedDistanceMatrix(n, np.empty((len(unit), n * (n - 1) // 2), dtype=np.float64))
-    entries, starts = matrix.entries, matrix.starts
-    for lo in range(0, n - 1, BLOCK):
-        hi = min(lo + BLOCK, n - 1)
-        sims = unit[:, lo:hi] @ unit[:, lo:].transpose(0, 2, 1)
-        np.clip(sims, -1.0, 1.0, out=sims)
-        np.subtract(1.0, sims, out=sims)
-        if classes is not None:
-            # bitwise-identical points sit at distance exactly 0, not a
-            # rounding residue; duplicate groups then stay atomic under
-            # single linkage
-            sims[classes[:, lo:hi, None] == classes[:, None, lo:]] = 0.0
-        for i in range(lo, hi):
-            entries[:, starts[i] : starts[i] + (n - i - 1)] = sims[:, i - lo, i - lo + 1 :]
-        del sims  # freed before the next block's product: one block alive at a time
+    groups = len(unit)
+    if n > BLOCK:
+        matrix = SquareDistanceFile(n, tempfile.TemporaryFile(buffering=0), np.zeros(groups, dtype=bool))
+    else:
+        matrix = CondensedDistanceMatrix(n, np.empty((groups, n * (n - 1) // 2), dtype=np.float64))
+    try:
+        if n > BLOCK:
+            # sized up front: the one cell no block writes, the last row's
+            # diagonal, reads as the file's zero fill
+            os.ftruncate(matrix.file.fileno(), 8 * groups * n * n)
+        for lo in range(0, n - 1, BLOCK):
+            hi = min(lo + BLOCK, n - 1)
+            sims = unit[:, lo:hi] @ unit[:, lo:].transpose(0, 2, 1)
+            np.clip(sims, -1.0, 1.0, out=sims)
+            np.subtract(1.0, sims, out=sims)
+            if classes is not None:
+                # bitwise-identical points sit at distance exactly 0, not a
+                # rounding residue; duplicate groups then stay atomic under
+                # single linkage
+                sims[classes[:, lo:hi, None] == classes[:, None, lo:]] = 0.0
+            matrix._store(lo, sims)
+            del sims  # freed before the next block's product: one block alive at a time
+    except BaseException:
+        matrix.close()
+        raise
     return matrix
 
 
@@ -254,84 +393,72 @@ FALLBACK_EPS = 0.5
 
 # --- hierarchical density clustering ------------------------------------------
 
-def _kth_smallest_per_row(m: CondensedDistanceMatrix, k: int) -> np.ndarray:
-    """The k-th smallest entry (0-based) of every square row, self distance included.
+def _row_blocks(m: _DistanceRows):
+    """(lo, rows lo .. lo + b - 1 of every group) over blocks of at most BLOCK rows, in one reused buffer."""
+    buffer = np.empty((m.groups, min(BLOCK, m.n), m.n), dtype=np.float64)
+    for lo in range(0, m.n, BLOCK):
+        hi = min(lo + BLOCK, m.n)
+        yield lo, m.rows(lo, hi, buffer[:, : hi - lo])
 
-    One sequential pass over the condensed rows, each step taken for every
-    group at once; the result is (G, n). Row i's square row is the
-    self distance, column i (d(j, i) for j < i) and row i's upper part. Only
-    the k + 1 smallest of column i can be among the row's k + 1 smallest, and
-    they are collected while the rows j < i go by, so no column is gathered.
+
+def _kth_smallest_per_row(m: _DistanceRows, k: int) -> np.ndarray:
+    """The k-th smallest entry (0-based) of every square row, self distance included, (G, n).
+
+    One pass over the rows, a block of them at a time, each block
+    partitioned in place.
     """
-    n, entries = m.n, m.entries
-    groups = len(entries)
-    # smallest[g, :, j]: the k + 1 smallest d(i, j) over the rows i read so far, ascending
-    smallest = np.full((groups, k + 1, n), INFTY)
-    out = np.empty((groups, n), dtype=np.float64)
-    self_distance = np.zeros((groups, 1))
-    for i in range(n):
-        upper = entries[:, m.starts[i] : m.starts[i] + n - i - 1]
-        # column i holds i values so far; the slots past them are still inf
-        row = np.concatenate((self_distance, smallest[:, :i, i], upper), axis=1)
-        out[:, i] = np.partition(row, k, axis=1)[:, k]
-        if i == n - 1:
-            break
-        # insert this row's upper part into the later columns' sorted lists
-        carry = upper.copy()
-        for slot in range(min(i + 1, k + 1)):
-            kept = smallest[:, slot, i + 1 :]
-            lower = np.minimum(kept, carry)
-            np.maximum(kept, carry, out=carry)
-            kept[...] = lower
+    out = np.empty((m.groups, m.n), dtype=np.float64)
+    for lo, rows in _row_blocks(m):
+        rows.partition(k, axis=-1)
+        out[:, lo : lo + rows.shape[1]] = rows[..., k]
     return out
 
 
-def _core_distances(m: CondensedDistanceMatrix, min_samples: int) -> np.ndarray:
+def _core_distances(m: _DistanceRows, min_samples: int) -> np.ndarray:
     """Distance from each point to its min_samples-th neighbor, self counted, (G, n)."""
     # the row includes the zero self-distance, so index k-1 is the k-th neighbor
     return _kth_smallest_per_row(m, min(min_samples, m.n) - 1)
 
 
-def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list[list[tuple[int, int, float]]]:
+def _prim_mst(m: _DistanceRows, core: np.ndarray) -> list[list[tuple[int, int, float]]]:
     """Exact MST under mutual reachability max(core_i, core_j, d_ij), per group.
 
-    When a point joins the tree, its mutual reachability to each point still
-    outside is read from the condensed array; no n x n weight matrix exists.
-    Every group adds its k-th edge in the same step. Returns (n-1) edges as
-    (i, j, w) with i < j, one list per group. On equal weights the edge with
-    the smaller (i, j) pair wins, which pins down the tree (and hence the
-    whole hierarchy) for inputs with duplicate distances.
+    When a point joins the tree, its row is read and its mutual reachability
+    to each point still outside is gathered from it; no n x n weight matrix
+    exists. Every group adds its k-th edge in the same step. Returns (n-1)
+    edges as (i, j, w) with i < j, one list per group. On equal weights the
+    edge with the smaller (i, j) pair wins, which pins down the tree (and
+    hence the whole hierarchy) for inputs with duplicate distances.
     """
     n = m.n
-    entries = np.ascontiguousarray(m.entries).reshape(-1)
     groups = len(core)
-    offset = np.arange(groups) * (n * (n - 1) // 2)  # each group's start in the flat entries
-    # per group, the points outside the tree: their ids, their column
-    # offsets in the flat entries, their core distances and their best edge
-    # into the tree (weight and tree end). A joining point is swapped out
-    # with the last one, which is safe because no choice below depends on a
-    # point's position. Each array is (groups, n - 1); through the flat views
-    # one index per group, first + k, reaches a point
+    # per group, the points outside the tree: their ids, their core
+    # distances and their best edge into the tree (weight and tree end). A
+    # joining point is swapped out with the last one, which is safe because
+    # no choice below depends on a point's position. Each array is
+    # (groups, n - 1); through the flat views one index per group,
+    # first + k, reaches a point
     outside = np.tile(np.arange(1, n), (groups, 1))
-    columns = m.column[1:] + offset[:, None]
     cores = core[:, 1:].copy()
     best_ws = np.full((groups, n - 1), INFTY)
     parents = np.zeros((groups, n - 1), dtype=np.int64)
-    slots = [a.reshape(-1) for a in (outside, columns, cores, best_ws, parents)]
-    flat_outside, flat_columns, flat_cores, flat_best_w, flat_parents = slots
+    slots = [a.reshape(-1) for a in (outside, cores, best_ws, parents)]
+    flat_outside, flat_cores, flat_best_w, flat_parents = slots
     first = np.arange(groups) * (n - 1)
     last = first + n - 2
     # edge k of each group joins joined[:, k] to tree_end[:, k] at weights[:, k]
     joined = np.empty((groups, n - 1), dtype=np.int64)
     tree_end = np.empty((groups, n - 1), dtype=np.int64)
     weights = np.empty((groups, n - 1))
+    row = np.empty((groups, n))
+    by_group = np.arange(groups)[:, None]
 
-    v, column_v, core_v = np.zeros(groups, dtype=np.int64), m.column[0] + offset, core[:, 0]
+    v, core_v = np.zeros(groups, dtype=np.int64), core[:, 0]
     for step, size in enumerate(range(n - 1, 0, -1)):
-        rest, column, rest_core = outside[:, :size], columns[:, :size], cores[:, :size]
+        rest, rest_core = outside[:, :size], cores[:, :size]
         best_w, best_parent = best_ws[:, :size], parents[:, :size]
         at_v = v[:, None]
-        w = entries[np.where(rest < at_v, column + at_v, rest + column_v[:, None])]
+        w = m.row(v, row)[by_group, rest]
         np.maximum(w, rest_core, out=w)
         np.maximum(w, core_v[:, None], out=w)
         tie = w == best_w
@@ -352,7 +479,7 @@ def _prim_mst(m: CondensedDistanceMatrix, core: np.ndarray) -> list[list[tuple[i
             # the pairs differ, since each candidate's outside end differs
             key = np.minimum(best_parent, rest) * n + np.maximum(best_parent, rest)
             at = first + np.where(candidates, key, n * n).argmin(axis=1)
-        v, column_v, core_v = flat_outside[at], flat_columns[at], flat_cores[at]
+        v, core_v = flat_outside[at], flat_cores[at]
         joined[:, step], tree_end[:, step], weights[:, step] = v, flat_parents[at], w_min
         for flat in slots:
             flat[at] = flat[last]
@@ -536,7 +663,7 @@ def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
     return [-1 if owner == -1 else rank.setdefault(owner, len(rank)) for owner in labels]
 
 
-def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
+def hdbscan(m: _DistanceRows, params: HdbscanParams) -> list[ClusterLabels]:
     """Hierarchical density-based clustering over a precomputed matrix.
 
     Pipeline: core distances (k = min_samples, counting the point itself),
@@ -548,17 +675,16 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> list[ClusterLa
     which is defined to be a single cluster. Returns one ClusterLabels per
     group.
     """
-    n, entries = m.n, m.entries
+    n, groups, distinct = m.n, m.groups, m.distinct
     if n < params.min_cluster_size:
         raise TooFewPoints(n, params.min_cluster_size)
-    labels = np.full((len(entries), n), -1, dtype=np.int64)
-    distinct = entries.any(axis=1)
+    labels = np.full((groups, n), -1, dtype=np.int64)
     labels[~distinct] = 0
     # a true split needs min_cluster_size points on each side, and the root
     # itself is never selected: below that no cluster can come out
     todo = np.flatnonzero(distinct) if n >= 2 * params.min_cluster_size else ()
     if len(todo):
-        sub = m if len(todo) == len(entries) else m.subset(todo)
+        sub = m if len(todo) == groups else m.subset(todo)
         edges = _prim_mst(sub, _core_distances(sub, params.effective_min_samples))
         for g, group_edges in zip(todo, edges):
             labels[g] = _hierarchy_labels(n, group_edges, params.min_cluster_size)
@@ -567,7 +693,7 @@ def hdbscan(m: CondensedDistanceMatrix, params: HdbscanParams) -> list[ClusterLa
 
 # --- flat density clustering ---------------------------------------------------
 
-def dbscan(m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
+def dbscan(m: _DistanceRows, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
     """Classic density-reachability clustering.
 
     A point is core when at least min_pts points (itself included) lie within
@@ -577,18 +703,17 @@ def dbscan(m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int) ->
     border points always join the first cluster that discovers them. eps is
     one value or one per group; one ClusterLabels per group comes back.
     """
-    groups = len(m.entries)
+    groups = m.groups
     eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (groups,))
     if np.any(eps < 0):
         raise ValueError("eps must be non-negative")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = m.n
-    rows = np.empty((groups, n), dtype=np.float64)
     core = np.empty((groups, n), dtype=bool)
-    for v in range(n):
+    for lo, rows in _row_blocks(m):
         # self always qualifies at distance zero
-        core[:, v] = np.count_nonzero(m.row(v, rows) <= eps[:, None], axis=1) >= min_pts
+        core[:, lo : lo + rows.shape[1]] = np.count_nonzero(rows <= eps[:, None, None], axis=2) >= min_pts
 
     labels = np.full((groups, n), -1, dtype=np.int64)
     row = np.empty((1, n), dtype=np.float64)
@@ -614,20 +739,20 @@ def dbscan(m: CondensedDistanceMatrix, eps: float | np.ndarray, min_pts: int) ->
     return [ClusterLabels(l) for l in labels]
 
 
-def k_distance_eps(m: CondensedDistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
+def k_distance_eps(m: _DistanceRows, k: int = 4, percentile: float = 90.0) -> np.ndarray:
     """Heuristic eps per group: the given percentile of the k-th nearest neighbor distances.
 
     The fallback does not use it (see FALLBACK_EPS).
     """
     k_eff = min(k, m.n - 1)
     if k_eff < 1:
-        return np.ones(len(m.entries))
+        return np.ones(m.groups)
     knn = _kth_smallest_per_row(m, k_eff)  # index 0 is the self distance
     return np.percentile(knn, percentile, axis=-1)
 
 
 def cluster_with_fallback(
-    m: CondensedDistanceMatrix,
+    m: _DistanceRows,
     params: HdbscanParams,
     eps: float = FALLBACK_EPS,
 ) -> tuple[list[ClusterLabels], list[bool]]:
@@ -640,7 +765,7 @@ def cluster_with_fallback(
     (labels, used_fallback flags), one of each per group; only the groups
     that need it run the fallback.
     """
-    groups = len(m.entries)
+    groups = m.groups
     try:
         labels = hdbscan(m, params)
     except TooFewPoints:
@@ -683,8 +808,8 @@ def cluster_groups(
         for lo in range(0, len(members), per_stack):
             chunk = members[lo : lo + per_stack]
             # distance_matrix makes the stack's one float64 copy itself
-            matrix = distance_matrix([groups[index] for index in chunk])
-            labels, used = cluster_with_fallback(matrix, params, eps)
+            with distance_matrix([groups[index] for index in chunk]) as matrix:
+                labels, used = cluster_with_fallback(matrix, params, eps)
             for index, group_labels, group_used in zip(chunk, labels, used):
                 results[index] = group_labels, group_used
     return results

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
@@ -151,8 +155,14 @@ class PipelineRun:
         return f"{self.stamps[stage.name]}\n".encode()
 
     def step(self, stage: Stage) -> None:
-        """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it."""
-        stamp_path = self.out / (Path(stage.files[0]).stem + ".stamp")
+        """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it.
+
+        Writing a checkpoint also removes every other ``<stem>.*`` file in the
+        output directory, stem being that of the stage's first file: sidecars
+        an older version wrote, or temporary files a killed run left.
+        """
+        stem = Path(stage.files[0]).stem
+        stamp_path = self.out / (stem + ".stamp")
         if self.config.resume:
             try:
                 files = {name: (self.out / name).read_bytes() for name in stage.files}
@@ -167,6 +177,9 @@ class PipelineRun:
         for name, data in files.items():
             _write_atomic(self.out / name, data)
         _write_atomic(stamp_path, self.stamp(stage, files))
+        for path in self.out.glob(f"{stem}.*"):
+            if path.name not in files and path != stamp_path:
+                path.unlink()
 
     def compute_split(self) -> None:
         self.pieces, self.piece_sources = split_tracks_with_sources(
@@ -210,9 +223,26 @@ class PipelineRun:
     def decode_pair(self, files: dict[str, bytes]) -> None:
         self.av_pairs = [AVPair(**row) for row in _rows(files["02_av_pairs.jsonl"])]
 
+    @cached_property
+    def representatives(self) -> dict:
+        """Each split piece's representative_embedding by piece id, computed once per run.
+
+        merge clusters them within each video and cluster_faces averages them
+        into entity points; cluster_faces, the last reader, drops them.
+        """
+        # rows of one anonymous mapping: once dropped, its pages go back to the
+        # system instead of leaving heap holes under the global calls' peak
+        count, dim = len(self.pieces), self.ds.face_dim
+        block = np.frombuffer(mmap.mmap(-1, 4 * count * dim or 1), np.float32, count * dim).reshape(count, dim)
+        for row, piece in zip(block, self.pieces):
+            row[...] = representative_embedding(piece)
+        return dict(zip((piece.track_id for piece in self.pieces), block))
+
     def compute_merge(self) -> None:
         config = self.config
-        self.entities = merge_tracks(self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_eps)
+        self.entities = merge_tracks(
+            self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_eps, self.representatives
+        )
 
     def encode_merge(self) -> dict[str, bytes]:
         rows = [{f: getattr(e, f) for f in ENTITY_FIELDS} for e in self.entities]
@@ -277,11 +307,11 @@ class PipelineRun:
         the stage fails with ZeroVector; the speaker side instead splits
         such a speaker into its segments.
         """
-        pieces = {piece.track_id: piece for piece in self.pieces}
-        labels = self._cluster([
-            unit_mean([representative_embedding(pieces[t]) for t in entity.member_track_ids])
-            for entity in self.entities
-        ])
+        points = [
+            unit_mean([self.representatives[t] for t in entity.member_track_ids]) for entity in self.entities
+        ]
+        del self.representatives  # freed before the global call
+        labels = self._cluster(points)
         self.face_labels = {e.entity_id: int(l) for e, l in zip(self.entities, labels.labels)}
 
     def compute_cluster_speakers(self) -> None:

@@ -138,9 +138,12 @@ def merge_tracks(
     params: HdbscanParams,
     pairs=(),
     eps: float = FALLBACK_EPS,
+    representatives=None,
 ) -> list[TrackEntity]:
     """Cluster track pieces by face embedding and merge shared labels.
 
+    Each piece is clustered by its representative_embedding, taken from
+    representatives (piece id to vector) when the caller already has them.
     Merging is per video, all videos in one cluster_groups call. Tracks
     sharing a cluster label form one entity; noise tracks become singleton
     entities. Every AV pair travels with its track into the owning entity,
@@ -155,8 +158,10 @@ def merge_tracks(
     for pair in pairs:
         pairs_by_track.setdefault(pair.track_id, []).append(pair)
 
+    if representatives is None:
+        representatives = {t.track_id: representative_embedding(t) for t in ordered}
     videos = [list(members) for _, members in groupby(ordered, key=lambda t: t.video_id)]
-    reps = [np.stack([representative_embedding(t) for t in members]) for members in videos]
+    reps = [np.stack([representatives[t.track_id] for t in members]) for members in videos]
     clustered = cluster_groups(reps, params, eps)
 
     entities: list[TrackEntity] = []

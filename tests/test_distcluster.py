@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from castgraph.distcluster import (
     _prim_mst,
     CondensedDistanceMatrix,
     HdbscanParams,
+    SquareDistanceFile,
     cluster_groups,
     cluster_points,
     cluster_with_fallback,
@@ -32,6 +35,20 @@ from castgraph.synth import sample_blobs
 from oracles import naive_cosine_matrix, oracle_dbscan_core_points, oracle_hdbscan, oracle_mst_edges
 
 PARAMS = HdbscanParams(min_cluster_size=2, min_samples=2)
+
+
+def in_file(m: CondensedDistanceMatrix) -> SquareDistanceFile:
+    """The same distances in the file form: m's squares written to a distance file."""
+    file = tempfile.TemporaryFile(buffering=0)
+    file.write(m.to_square().tobytes())
+    return SquareDistanceFile(m.n, file, m.entries.any(axis=1))
+
+
+def both_forms(m: CondensedDistanceMatrix):
+    """m, then its file form, which is closed once the next form is asked for."""
+    yield m
+    with in_file(m) as file_form:
+        yield file_form
 
 
 def partition_of(labels) -> set[frozenset[int]]:
@@ -70,7 +87,8 @@ def test_matrix_blocks_are_exact_and_worker_count_invisible(n):
     rng = np.random.default_rng(n)
     points = rng.standard_normal((n, 12))
     points[n // 2] = points[3]  # one duplicate pair across the first block boundary
-    square = distance_matrix([points]).to_square()[0]
+    with distance_matrix([points]) as m:
+        square = m.to_square()[0]
     unit = points / np.linalg.norm(points, axis=1)[:, None]
     reference = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     reference[3, n // 2] = reference[n // 2, 3] = 0.0
@@ -131,16 +149,19 @@ def test_matrix_chunked_normalization_is_bit_identical(n, d):
     # so the entries and the core distances read from them do not move
     rng = np.random.default_rng(n + d)
     points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
-    m = distance_matrix([points])
-    reference = one_call_entries(points)
-    assert np.array_equal(m.entries[0], reference)
-    ordered = np.sort(CondensedDistanceMatrix(n, reference[None]).to_square()[0], axis=1)
-    for min_samples in (1, 2, 5):
-        assert np.array_equal(_core_distances(m, min_samples)[0], ordered[:, min_samples - 1])
+    reference = CondensedDistanceMatrix(n, one_call_entries(points)[None]).to_square()
+    with distance_matrix([points]) as m:
+        assert isinstance(m, SquareDistanceFile)
+        assert np.array_equal(m.to_square(), reference)
+        ordered = np.sort(reference[0], axis=1)
+        for min_samples in (1, 2, 5):
+            assert np.array_equal(_core_distances(m, min_samples)[0], ordered[:, min_samples - 1])
     # a list of rows and float32 input convert to the same float64 buffer
-    assert np.array_equal(distance_matrix([list(points)]).entries[0], reference)
+    with distance_matrix([list(points)]) as m:
+        assert np.array_equal(m.to_square(), reference)
     single = points.astype(np.float32)
-    assert np.array_equal(distance_matrix([single]).entries[0], one_call_entries(single))
+    with distance_matrix([single]) as m:
+        assert np.array_equal(m.to_square(), CondensedDistanceMatrix(n, one_call_entries(single)[None]).to_square())
 
 
 def test_matrix_leaves_its_input_unchanged():
@@ -149,8 +170,19 @@ def test_matrix_leaves_its_input_unchanged():
     stack = rng.standard_normal((4, 9, 16))
     for array in (points, stack):
         before = array.copy()
-        distance_matrix(array)
+        distance_matrix(array).close()
         assert np.array_equal(array, before)
+
+
+def test_short_file_writes_are_completed(monkeypatch):
+    points = np.random.default_rng(3).standard_normal((BLOCK + 5, 6))
+    with distance_matrix([points]) as m:
+        expected = m.to_square()
+    write = os.pwrite
+    # at most 100 bytes per call, as a nearly full disk may accept
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: write(fd, memoryview(data).cast("B")[:100], offset))
+    with distance_matrix([points]) as m:
+        assert np.array_equal(m.to_square(), expected)
 
 
 def test_ragged_rows_raise_dimension_mismatch():
@@ -207,10 +239,10 @@ def test_hdbscan_matches_exhaustive_oracle(seed):
     n = int(rng.integers(4, 13))
     k = int(rng.integers(1, 4))
     points, _ = sample_blobs(n, k, 32, 25.0, seed=2000 + seed)
-    m = distance_matrix([points])
-    got = hdbscan(m, PARAMS)[0].labels.tolist()
-    expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, 2)
-    assert got == expected
+    for m in both_forms(distance_matrix([points])):
+        got = hdbscan(m, PARAMS)[0].labels.tolist()
+        expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, 2)
+        assert got == expected
 
 
 @pytest.mark.parametrize("min_samples", [None, 1, 3])
@@ -223,10 +255,10 @@ def test_hdbscan_matches_exhaustive_oracle_on_duplicates(min_samples):
     distinct = rng.standard_normal((3, 8))
     for n in range(4, 41):
         picks = np.concatenate(([0, 1, 2], rng.integers(0, 3, size=n - 3)))
-        m = distance_matrix([distinct[rng.permutation(picks)]])
-        got = hdbscan(m, params)[0].labels.tolist()
-        expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, params.effective_min_samples)
-        assert got == expected, n
+        for m in both_forms(distance_matrix([distinct[rng.permutation(picks)]])):
+            got = hdbscan(m, params)[0].labels.tolist()
+            expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, params.effective_min_samples)
+            assert got == expected, n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -235,8 +267,9 @@ def test_kth_smallest_per_row_matches_sorted_square(n):
     rng = np.random.default_rng(n)
     m = CondensedDistanceMatrix(n, rng.integers(-1, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
     ordered = np.sort(m.to_square()[0], axis=1)
-    for k in range(n):
-        assert np.array_equal(_kth_smallest_per_row(m, k)[0], ordered[:, k]), k
+    for form in both_forms(m):
+        for k in range(n):
+            assert np.array_equal(_kth_smallest_per_row(form, k)[0], ordered[:, k]), k
 
 
 @pytest.mark.parametrize("min_samples", [1, 2, 3])
@@ -247,20 +280,21 @@ def test_prim_mst_edges_match_kruskal_on_ties(min_samples):
     for _ in range(400):
         n = int(rng.integers(2, 10))
         m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
-        core = _core_distances(m, min_samples)
-        mr = np.maximum(m.to_square()[0], np.maximum.outer(core[0], core[0]))
-        np.fill_diagonal(mr, 0.0)
-        assert sorted(_prim_mst(m, core)[0]) == sorted(oracle_mst_edges(mr.tolist())), m.entries
+        for form in both_forms(m):
+            core = _core_distances(form, min_samples)
+            mr = np.maximum(m.to_square()[0], np.maximum.outer(core[0], core[0]))
+            np.fill_diagonal(mr, 0.0)
+            assert sorted(_prim_mst(form, core)[0]) == sorted(oracle_mst_edges(mr.tolist())), m.entries
 
 
 @pytest.mark.parametrize("mcs", [2, 3])
 def test_hdbscan_oracle_other_min_cluster_size(mcs):
     for seed in range(10):
         points, _ = sample_blobs(10, 2, 16, 20.0, seed=3000 + seed)
-        m = distance_matrix([points])
-        got = hdbscan(m, HdbscanParams(mcs, mcs))[0].labels.tolist()
-        expected = oracle_hdbscan(m.to_square()[0].tolist(), mcs, mcs)
-        assert got == expected
+        for m in both_forms(distance_matrix([points])):
+            got = hdbscan(m, HdbscanParams(mcs, mcs))[0].labels.tolist()
+            expected = oracle_hdbscan(m.to_square()[0].tolist(), mcs, mcs)
+            assert got == expected
 
 
 @pytest.mark.parametrize("min_samples", [None, 1, 3])
@@ -281,10 +315,11 @@ def test_hdbscan_oracle_below_two_min_cluster_sizes(mcs, min_samples):
             m = distance_matrix([points])
             if np.all(m.entries == 0.0):
                 continue
-            got = hdbscan(m, params)[0].labels.tolist()
-            assert got == oracle_hdbscan(m.to_square()[0].tolist(), mcs, ms), (n, seed)
-            if n < 2 * mcs:
-                assert got == [-1] * n
+            for form in both_forms(m):
+                got = hdbscan(form, params)[0].labels.tolist()
+                assert got == oracle_hdbscan(m.to_square()[0].tolist(), mcs, ms), (n, seed)
+                if n < 2 * mcs:
+                    assert got == [-1] * n
             split_seen |= max(got) >= 0
     # the boundary is live: two blobs of mcs points split, unless the core
     # distances (min_samples > mcs) reach into the other blob
@@ -359,52 +394,55 @@ def test_dbscan_label_validity_fuzz():
     for _ in range(40):
         n = int(rng.integers(1, 40))
         points = rng.standard_normal((max(n, 2), 6))
-        m = distance_matrix([points])
-        labels = dbscan(m, float(rng.uniform(0.1, 1.5)), int(rng.integers(1, 5)))[0].labels
-        assert labels.min() >= -1
-        found = sorted(set(labels.tolist()) - {-1})
-        assert found == list(range(len(found)))
+        eps, min_pts = float(rng.uniform(0.1, 1.5)), int(rng.integers(1, 5))
+        for m in both_forms(distance_matrix([points])):
+            labels = dbscan(m, eps, min_pts)[0].labels
+            assert labels.min() >= -1
+            found = sorted(set(labels.tolist()) - {-1})
+            assert found == list(range(len(found)))
 
 
 # --- dbscan --------------------------------------------------------------------
 
 def test_dbscan_single_blob_large_eps():
     points, _ = sample_blobs(20, 1, 64, 3.0, seed=2)
-    [labels] = dbscan(distance_matrix([points]), eps=1.9, min_pts=2)
-    assert labels.n_clusters == 1
-    assert labels.n_noise == 0
+    for m in both_forms(distance_matrix([points])):
+        [labels] = dbscan(m, eps=1.9, min_pts=2)
+        assert labels.n_clusters == 1
+        assert labels.n_noise == 0
 
 
 def test_dbscan_mutually_distant_all_noise():
-    [labels] = dbscan(distance_matrix([np.eye(5)]), eps=0.5, min_pts=2)
-    assert labels.all_noise()
+    for m in both_forms(distance_matrix([np.eye(5)])):
+        [labels] = dbscan(m, eps=0.5, min_pts=2)
+        assert labels.all_noise()
 
 
 def test_dbscan_eps_zero_joins_only_bitwise_duplicates():
     rng = np.random.default_rng(17)
     distinct = rng.standard_normal((4, 6))
-    m = distance_matrix([distinct[[2, 0, 1, 0, 3, 2, 2]]])
-    assert dbscan(m, eps=0.0, min_pts=2)[0].labels.tolist() == [0, 1, -1, 1, -1, 0, 0]
-    assert dbscan(m, eps=0.0, min_pts=3)[0].labels.tolist() == [0, -1, -1, -1, -1, 0, 0]
-    with pytest.raises(ValueError):
-        dbscan(m, eps=-0.1, min_pts=2)
+    for m in both_forms(distance_matrix([distinct[[2, 0, 1, 0, 3, 2, 2]]])):
+        assert dbscan(m, eps=0.0, min_pts=2)[0].labels.tolist() == [0, 1, -1, 1, -1, 0, 0]
+        assert dbscan(m, eps=0.0, min_pts=3)[0].labels.tolist() == [0, -1, -1, -1, -1, 0, 0]
+        with pytest.raises(ValueError):
+            dbscan(m, eps=-0.1, min_pts=2)
 
 
 def test_dbscan_three_blobs_with_heuristic_eps():
     points, truth = sample_blobs(45, 3, 256, 4.0, seed=31)
-    m = distance_matrix([points])
-    [labels] = dbscan(m, eps=k_distance_eps(m), min_pts=2)
-    # three clusters in one-to-one blob correspondence; a percentile eps may
-    # leave a few boundary stragglers as noise
-    assert labels.n_clusters == 3
-    blob_of_cluster = {}
-    for idx, label in enumerate(labels.labels):
-        if label == -1:
-            continue
-        blob_of_cluster.setdefault(int(label), set()).add(int(truth[idx]))
-    assert sorted(map(len, blob_of_cluster.values())) == [1, 1, 1]
-    assert len({next(iter(v)) for v in blob_of_cluster.values()}) == 3
-    assert labels.n_noise <= len(points) * 0.1
+    for m in both_forms(distance_matrix([points])):
+        [labels] = dbscan(m, eps=k_distance_eps(m), min_pts=2)
+        # three clusters in one-to-one blob correspondence; a percentile eps may
+        # leave a few boundary stragglers as noise
+        assert labels.n_clusters == 3
+        blob_of_cluster = {}
+        for idx, label in enumerate(labels.labels):
+            if label == -1:
+                continue
+            blob_of_cluster.setdefault(int(label), set()).add(int(truth[idx]))
+        assert sorted(map(len, blob_of_cluster.values())) == [1, 1, 1]
+        assert len({next(iter(v)) for v in blob_of_cluster.values()}) == 3
+        assert labels.n_noise <= len(points) * 0.1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -414,22 +452,23 @@ def test_dbscan_core_points_match_oracle(seed):
     m = distance_matrix([points])
     eps = float(rng.uniform(0.2, 1.2))
     min_pts = int(rng.integers(1, 6))
-    [labels] = dbscan(m, eps, min_pts)
     square = m.to_square()[0].tolist()
     expected_core = oracle_dbscan_core_points(square, eps, min_pts)
-    for i, is_core in enumerate(expected_core):
-        if is_core:
-            assert labels.labels[i] != -1
-    # non-core labeled points must sit within eps of a core point of the
-    # same cluster (border points)
-    for i in range(60):
-        if labels.labels[i] != -1 and not expected_core[i]:
-            assert any(
-                expected_core[j]
-                and labels.labels[j] == labels.labels[i]
-                and square[i][j] <= eps
-                for j in range(60)
-            )
+    for form in both_forms(m):
+        [labels] = dbscan(form, eps, min_pts)
+        for i, is_core in enumerate(expected_core):
+            if is_core:
+                assert labels.labels[i] != -1
+        # non-core labeled points must sit within eps of a core point of the
+        # same cluster (border points)
+        for i in range(60):
+            if labels.labels[i] != -1 and not expected_core[i]:
+                assert any(
+                    expected_core[j]
+                    and labels.labels[j] == labels.labels[i]
+                    and square[i][j] <= eps
+                    for j in range(60)
+                )
 
 
 def test_dbscan_border_point_goes_to_first_cluster():
@@ -440,40 +479,43 @@ def test_dbscan_border_point_goes_to_first_cluster():
             [[0.1, 0.5, 0.6, 1.4, 0.4, 0.5, 1.3, 0.1, 0.9, 0.8]], dtype=np.float64
         ),
     )
-    [labels] = dbscan(m, eps=0.45, min_pts=2)
-    # point 2 is within eps of both clusters; ascending seed order claims it first
-    assert labels.labels[2] == labels.labels[0]
+    for form in both_forms(m):
+        [labels] = dbscan(form, eps=0.45, min_pts=2)
+        # point 2 is within eps of both clusters; ascending seed order claims it first
+        assert labels.labels[2] == labels.labels[0]
 
 
 # --- fallback policy -------------------------------------------------------------
 
 def test_fallback_unused_for_separated_blobs():
     points, truth = sample_blobs(50, 2, 256, 5.0, seed=41)
-    [labels], [used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
-    assert not used
-    assert partition_of(labels.labels) == partition_of(truth)
+    for m in both_forms(distance_matrix([points])):
+        [labels], [used] = cluster_with_fallback(m, PARAMS)
+        assert not used
+        assert partition_of(labels.labels) == partition_of(truth)
 
 
 def test_fallback_used_for_single_blob():
     points, _ = sample_blobs(40, 1, 256, 5.0, seed=42)
-    [labels], [used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
-    assert used
-    assert labels.n_clusters == 1
+    for m in both_forms(distance_matrix([points])):
+        [labels], [used] = cluster_with_fallback(m, PARAMS)
+        assert used
+        assert labels.n_clusters == 1
 
 
 def test_fallback_pathological_all_noise():
-    [labels], [used] = cluster_with_fallback(
-        distance_matrix([np.eye(2)]), PARAMS, eps=0.5
-    )
-    assert used
-    assert labels.all_noise()
+    for m in both_forms(distance_matrix([np.eye(2)])):
+        [labels], [used] = cluster_with_fallback(m, PARAMS, eps=0.5)
+        assert used
+        assert labels.all_noise()
 
 
 def test_fallback_single_point_gets_label():
     m = CondensedDistanceMatrix(1, np.empty((1, 0), dtype=np.float64))
-    [labels], [used] = cluster_with_fallback(m, PARAMS)
-    assert used
-    assert labels.labels.tolist() == [0]
+    for form in both_forms(m):
+        [labels], [used] = cluster_with_fallback(form, PARAMS)
+        assert used
+        assert labels.labels.tolist() == [0]
 
 
 # --- cluster_points: one policy per degenerate input ------------------------------
@@ -563,6 +605,23 @@ def test_cluster_points_peak_is_condensed_unit_buffer_and_one_block(n, d):
     assert peak <= bound
 
 
+@pytest.mark.parametrize("n, d", [(2000, 256), (600, 2048)])
+def test_cluster_points_over_a_file_holds_no_n_squared_term(n, d):
+    # past BLOCK points the distances live in a file: the unit buffer and a
+    # few BLOCK-row blocks are all a call holds
+    points, _ = sample_blobs(n, 4, d, 8.0, seed=13)
+    bound = 8 * n * d + 3 * 8 * BLOCK * n + 2**20
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        labels, _ = cluster_points(points, HdbscanParams(50, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.n_clusters == 4
+    assert peak <= bound
+
+
 # --- cluster_groups: one stacked pass equals each group alone ---------------------
 
 def mixed_groups(seed: int, dim: int = 8) -> list[np.ndarray]:
@@ -607,11 +666,13 @@ def test_cluster_groups_stacks_bit_identical_distances():
     for n in (2, 5, 12, 100, BLOCK + 1):
         points = rng.standard_normal((3, n, 24))
         points[1, n - 1] = points[1, 0]  # a bitwise duplicate in one group only
-        stacked = distance_matrix(points)
-        assert stacked.entries.shape == (3, n * (n - 1) // 2)
+        with distance_matrix(points) as stacked:
+            assert stacked.entries.shape == (3, n * (n - 1) // 2)
+            squares = stacked.to_square()
         for g in range(3):
-            assert np.array_equal(stacked.entries[g], distance_matrix(points[g : g + 1]).entries[0]), (n, g)
-        assert stacked.to_square()[1, 0, n - 1] == 0.0
+            with distance_matrix(points[g : g + 1]) as alone:
+                assert np.array_equal(squares[g], alone.to_square()[0]), (n, g)
+        assert squares[1, 0, n - 1] == 0.0
 
 
 @pytest.mark.parametrize("min_samples", [1, 2, 3])
@@ -619,17 +680,18 @@ def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
     rng = np.random.default_rng(91 + min_samples)
     for n in range(2, 10):
         # distances drawn from {0, 1, 2}, so ties decide most edges
-        stack = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(40, n * (n - 1) // 2)).astype(np.float64))
-        core = _core_distances(stack, min_samples)
-        assert core.shape == (40, n)
-        edges = _prim_mst(stack, core)
-        assert len(edges) == 40
-        squares = stack.to_square()
-        for g, group_edges in enumerate(edges):
-            mr = np.maximum(squares[g], np.maximum.outer(core[g], core[g]))
-            np.fill_diagonal(mr, 0.0)
-            assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), stack.entries[g]
-            assert [group_edges] == _prim_mst(stack.subset([g]), core[g : g + 1])
+        m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(40, n * (n - 1) // 2)).astype(np.float64))
+        for stack in both_forms(m):
+            core = _core_distances(stack, min_samples)
+            assert core.shape == (40, n)
+            edges = _prim_mst(stack, core)
+            assert len(edges) == 40
+            squares = stack.to_square()
+            for g, group_edges in enumerate(edges):
+                mr = np.maximum(squares[g], np.maximum.outer(core[g], core[g]))
+                np.fill_diagonal(mr, 0.0)
+                assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), m.entries[g]
+                assert [group_edges] == _prim_mst(stack.subset([g]), core[g : g + 1])
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])

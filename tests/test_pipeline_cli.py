@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -309,6 +310,39 @@ def test_writes_are_atomic_and_leave_no_temporary_files(tmp_path, monkeypatch):
     assert not list(out.glob("*.tmp"))
 
 
+def test_a_computed_stage_removes_its_stale_checkpoint_files(tmp_path):
+    # an older version wrote a 03_entities.emb sidecar; nothing names it now
+    ds, truth = generate(CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "03_entities.emb").write_bytes(b"vectors")
+    (out / "03_entities_notes.txt").write_bytes(b"kept")
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    assert not (out / "03_entities.emb").exists()
+    assert (out / "03_entities_notes.txt").read_bytes() == b"kept"
+    assert sorted(p.name for p in out.glob("03_entities.*")) == ["03_entities.jsonl", "03_entities.stamp"]
+
+
+def test_each_piece_representative_is_computed_once_per_run(tmp_path, monkeypatch):
+    ds, truth = generate(CFG)
+    calls = Counter()
+    representative = pipeline.representative_embedding
+
+    def counted(piece):
+        calls[piece.track_id] += 1
+        return representative(piece)
+
+    monkeypatch.setattr(pipeline, "representative_embedding", counted)
+    monkeypatch.setattr(castgraph.tracks, "representative_embedding", counted)
+    run = PipelineRun(ds, tmp_path, PipelineConfig())
+    run.run(truth)
+    assert len(calls) == len(run.pieces) and set(calls.values()) == {1}
+    # resumed with merge decoded: only cluster_faces computes them
+    calls.clear()
+    (tmp_path / CHECKPOINTS["cluster_faces"]).unlink()
+    PipelineRun(ds, tmp_path, PipelineConfig(resume=True)).run(truth)
+    assert len(calls) == len(run.pieces) and set(calls.values()) == {1}
+
 
 def test_unknown_stage_is_rejected_before_any_work(tmp_path):
     ds, _ = generate(CFG)
@@ -507,6 +541,45 @@ def test_cli_degenerate_inputs(tmp_path, capsys, faces, voices, options, code, e
         ids, found = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_text())
         labels.append(dict(zip(ids, found.labels.tolist())))
     assert tuple(labels) == expected
+
+
+# --- distance files: the I/O failure policy ----------------------------------------
+
+def open_descriptors() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_distance_file_write_fails_its_stage_cleanly(tmp_path, capsys, monkeypatch):
+    # 300 one-segment videos: the global speaker call has more than BLOCK
+    # points, so its distances go to a file
+    rng = np.random.default_rng(4)
+    voices = rng.standard_normal((300, 4))
+    data = tmp_path / "data"
+    catalog.write(voices_dataset({f"v{k}": [(f"s{k}", voice)] for k, voice in enumerate(voices)}), data)
+    assert len(voices) > distcluster.BLOCK
+
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    before = open_descriptors()
+    monkeypatch.setattr(distcluster.os, "pwrite", no_space)
+    with pytest.raises(OSError) as failed:
+        distcluster.distance_matrix([voices])
+    # closed by distance_matrix itself: the traceback still holds its frame
+    assert failed.value.errno == errno.ENOSPC and open_descriptors() == before
+    assert main(["run", str(data), "--out", str(tmp_path / "full")]) == 1
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err == f"error: stage 'cluster_speakers' failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    names = {p.name for p in (tmp_path / "full").iterdir()}
+    assert not {n for n in names if n.endswith(".tmp") or n.startswith("06_speaker_labels")}
+    assert "05_face_labels.csv" in names
+    assert open_descriptors() == before
+
+    assert main(["run", str(data), "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "06_speaker_labels.csv").is_file()
+    assert open_descriptors() == before
 
 
 # --- the CFG corpus through the CLI in a fresh interpreter ---------------------------
