@@ -98,12 +98,12 @@ _STAGE_CUTOFF = {
 }
 
 
-def _run_stages(args, upto: str, show_table: bool = False) -> int:
+def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = False) -> int:
     ds = catalog.ingest(args.dataset)
     truth = None
     if args.ground_truth is not None:
         truth = GroundTruth.load(args.ground_truth)
-    run = PipelineRun(ds, args.out, _config(args))
+    run = PipelineRun(ds, args.out, config)
     if upto == "graph":
         report = run.run(truth)
     else:
@@ -117,7 +117,14 @@ def _run_stages(args, upto: str, show_table: bool = False) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in _STAGE_CUTOFF:
+        # a bad setting is a usage error, found before any input is read or written
+        try:
+            config = _config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         if args.command == "synth":
             cfg = SynthConfig(
@@ -158,7 +165,7 @@ def main(argv=None) -> int:
             sys.stdout.write(collabgraph.collab_graph_dot(ds, edges))
             return 0
 
-        return _run_stages(args, _STAGE_CUTOFF[args.command], show_table=args.command == "eval")
+        return _run_stages(args, config, _STAGE_CUTOFF[args.command], show_table=args.command == "eval")
 
     except (MissingFile, MalformedRecord, DanglingReference, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,24 +21,25 @@ condensation, excess-of-mass, label renumbering and DBSCAN expansion run per
 group. Array results (core distances, eps) keep the group axis; labels,
 edges and fallback flags come back as lists with one entry per group.
 
-Two storage forms, one reader. Sets of at most BLOCK points (every
-per-video stack) keep their distances in memory as a
-CondensedDistanceMatrix, 8 * n(n-1)/2 bytes per group. A larger set (every
-global clustering call) writes them to a SquareDistanceFile, 8n^2 bytes of
-row-major n x n float64 squares in an unlinked temporary file under TMPDIR.
-The rule is fixed. Clustering reads either form only through row and rows,
-into buffers it owns; the file is read with pread, never mapped, so its
-pages are page cache, not the process's memory. A call over a file holds one
-n x d float64 buffer of unit vectors and one BLOCK-row GEMM block with its
-transposed stripe while distance_matrix runs (24 + 6 + 6 MB at n = 2995,
-d = 1024), then O(BLOCK * n) row blocks.
+One layout in two media. Every matrix is G row-major n x n float64 squares.
+Sets of at most BLOCK points (every per-video stack) keep them in memory, a
+SquareDistanceArray of 8 * G * n^2 <= 8 * BLOCK * n bytes. A larger set
+(every global clustering call) writes them to a SquareDistanceFile, an
+unlinked temporary file under TMPDIR. The rule is fixed. Clustering reads
+either medium only through row and rows, into buffers it owns; the file is
+read with pread, never mapped, so its pages are page cache, not the
+process's memory. A call over a file holds one n x d float64 buffer of unit
+vectors and one BLOCK-row GEMM block with its transposed stripe while
+distance_matrix runs (24 + 6 + 6 MB at n = 2995, d = 1024), then
+O(BLOCK * n) row blocks.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,108 +50,9 @@ INFTY = float("inf")
 
 # --- distances ---------------------------------------------------------------
 
-class _DistanceRows:
-    """What clustering reads of either storage form: rows of each group's n x n square.
-
-    A subclass has n, groups (the group count), distinct (per group, whether
-    any distance is nonzero), subset(groups) and _read(first, count, out),
-    which fills out[g] with square rows first[g] .. first[g] + count - 1;
-    first is one index for every group or an array of one per group.
-    """
-
-    def row(self, v, out: np.ndarray | None = None) -> np.ndarray:
-        """Row v of the square form per group, d(v, j) for every j; v is one index or one per group."""
-        if out is None:
-            out = np.empty((self.groups, self.n), dtype=np.float64)
-        self._read(v, 1, out[:, None])
-        return out
-
-    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows lo .. hi - 1 of the square form per group, (G, hi - lo, n)."""
-        if out is None:
-            out = np.empty((self.groups, hi - lo, self.n), dtype=np.float64)
-        self._read(lo, hi - lo, out)
-        return out
-
-    def to_square(self) -> np.ndarray:
-        """The (G, n, n) form; for oracles and tests, clustering never builds it."""
-        return self.rows(0, self.n)
-
-    def close(self) -> None:
-        """Release the storage; a no-op for the in-memory form."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-@dataclass
-class CondensedDistanceMatrix(_DistanceRows):
-    """Upper-triangular pairwise distances of G groups of n points, row-major, in memory.
-
-    ``entries`` is (G, n(n-1)/2): ``entries[g, k]`` holds group g's d(i, j)
-    for i < j with k = n*i - i*(i+1)/2 + (j - i - 1).
-    """
-
-    n: int
-    entries: np.ndarray
-    # d(i, j) for i < j sits at starts[i] + (j - i - 1), which is also
-    # column[i] + j: starts[i] indexes d(i, i+1), the head of row i's upper part
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    column: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        expected = self.n * (self.n - 1) // 2
-        if self.entries.ndim != 2 or self.entries.shape[1] != expected:
-            raise ValueError(f"expected (groups, {expected}) condensed entries, got {self.entries.shape}")
-        i = np.arange(self.n, dtype=np.int64)
-        self.starts = i * (2 * self.n - 1 - i) // 2
-        self.column = self.starts - i - 1
-
-    @property
-    def groups(self) -> int:
-        return len(self.entries)
-
-    @property
-    def distinct(self) -> np.ndarray:
-        return self.entries.any(axis=1)
-
-    def subset(self, groups) -> CondensedDistanceMatrix:
-        """Only the given groups (an index array copies them, a slice is a view)."""
-        # shares n, starts and column; skips __post_init__, which would rebuild them
-        view = object.__new__(CondensedDistanceMatrix)
-        view.__dict__.update(self.__dict__, entries=self.entries[groups])
-        return view
-
-    def _read(self, first, count, out) -> None:
-        n, entries, column, starts = self.n, self.entries, self.column, self.starts
-        if np.ndim(first):
-            # one row per group, as Prim reads them: d(v, j) sits at
-            # column[min(v, j)] + max(v, j) of its group's entries, gathered
-            # at once; the diagonal reads a stand-in entry and is zeroed
-            at, j = first[:, None], np.arange(n)
-            k = np.maximum(column[np.minimum(at, j)] + np.maximum(at, j), 0)
-            np.take(entries.reshape(-1), k + (np.arange(len(k)) * entries.shape[1])[:, None], out=out[:, 0])
-            out[np.arange(len(k)), 0, first] = 0.0
-            return
-        for r, v in enumerate(range(first, first + count)):
-            np.take(entries, column[:v] + v, axis=1, out=out[:, r, :v])
-            out[:, r, v] = 0.0
-            out[:, r, v + 1 :] = entries[:, starts[v] : starts[v] + n - v - 1]
-
-    def _store(self, lo: int, sims: np.ndarray) -> None:
-        """Keep the upper parts of one GEMM block: rows lo.., columns lo..n-1."""
-        for r in range(sims.shape[1]):
-            i = lo + r
-            self.entries[:, self.starts[i] : self.starts[i] + self.n - i - 1] = sims[:, r, r + 1 :]
-
-
 @dataclass(frozen=True)
 class _Extent:
-    """The shape of entries kept out of memory: their count, no values."""
+    """The condensed shape of a matrix's distances, (G, n(n-1)/2): their count, no values."""
 
     shape: tuple[int, int]
 
@@ -159,19 +61,22 @@ class _Extent:
         return self.shape[0] * self.shape[1]
 
 
-class SquareDistanceFile(_DistanceRows):
-    """Pairwise distances of G groups of n points as row-major n x n float64 squares in a file.
+class DistanceMatrix:
+    """Pairwise distances of G groups of n points as G row-major n x n float64 squares.
 
-    Group g's d(i, j) is at byte 8 * ((g * n + i) * n + j) of ``file``, an
-    unlinked temporary file; closing the matrix closes it, and a subset
-    shares it. Rows are read with pread into the caller's buffers.
-    ``distinct`` flags the groups with a nonzero distance, and ``entries``
-    gives the condensed shape of the distances without reading them.
+    Row i of a group's square holds d(i, j) for every j; d(j, i) has the bits
+    of d(i, j) and d(i, i) is 0. ``distinct`` flags the groups with a nonzero
+    distance, ``entries`` gives the condensed count of the distances without
+    holding them, and ``group_ids`` maps each group to its square in the
+    medium, which a subset shares. A medium subclass holds the squares and
+    implements _read(first, count, out), which fills out[g] with square rows
+    first[g] .. first[g] + count - 1 (first is one index for every group or
+    an array of one per group), _write(lo, block, stripe) and close.
     """
 
-    def __init__(self, n: int, file, distinct: np.ndarray, group_ids: np.ndarray | None = None):
-        self.n, self.file, self.distinct = n, file, distinct
-        self.group_ids = np.arange(len(distinct)) if group_ids is None else group_ids
+    def __init__(self, n: int, distinct: np.ndarray):
+        self.n, self.distinct = n, distinct
+        self.group_ids = np.arange(len(distinct))
 
     @property
     def groups(self) -> int:
@@ -181,9 +86,88 @@ class SquareDistanceFile(_DistanceRows):
     def entries(self) -> _Extent:
         return _Extent((self.groups, self.n * (self.n - 1) // 2))
 
-    def subset(self, groups) -> SquareDistanceFile:
-        """Only the given groups, over the same file."""
-        return SquareDistanceFile(self.n, self.file, self.distinct[groups], self.group_ids[groups])
+    def subset(self, groups) -> DistanceMatrix:
+        """Only the given groups (an index array or a slice), over the same squares."""
+        view = copy.copy(self)
+        view.distinct, view.group_ids = self.distinct[groups], self.group_ids[groups]
+        return view
+
+    def row(self, v, out: np.ndarray | None = None) -> np.ndarray:
+        """Row v of the square per group, d(v, j) for every j; v is one index or one per group."""
+        if out is None:
+            out = np.empty((self.groups, self.n), dtype=np.float64)
+        self._read(v, 1, out[:, None])
+        return out
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows lo .. hi - 1 of the square per group, (G, hi - lo, n)."""
+        if out is None:
+            out = np.empty((self.groups, hi - lo, self.n), dtype=np.float64)
+        self._read(lo, hi - lo, out)
+        return out
+
+    def to_square(self) -> np.ndarray:
+        """The (G, n, n) squares, copied; for oracles and tests, clustering never builds them."""
+        return self.rows(0, self.n)
+
+    def _store(self, lo: int, sims: np.ndarray) -> None:
+        """Store one GEMM block, rows lo..lo+m-1 over columns lo..n-1, and its transpose.
+
+        The block's own m x m square takes its lower triangle from the
+        transpose and an exact 0 diagonal, so d(i, j) and d(j, i) are both the
+        bits of the block of min(i, j). The rows past the block take the
+        transposed stripe as their columns lo..lo+m-1. Only distance_matrix
+        stores, into the matrix it made, before any subset exists.
+        """
+        m = sims.shape[1]
+        own = sims[:, :, :m]
+        np.copyto(own, own.transpose(0, 2, 1), where=np.tri(m, k=-1, dtype=bool))
+        own[:, np.arange(m), np.arange(m)] = 0.0
+        self.distinct |= sims.any(axis=(1, 2))
+        self._write(lo, sims, sims[:, :, m:].transpose(0, 2, 1))
+
+    def close(self) -> None:
+        """Release the medium; a no-op in memory."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+CondensedDistanceMatrix = DistanceMatrix  # perfbench's tracer hooks to_square under this name
+
+
+class SquareDistanceArray(DistanceMatrix):
+    """The squares in memory, one (G, n, n) float64 array; distinct is read from it."""
+
+    def __init__(self, squares: np.ndarray):
+        super().__init__(squares.shape[1], squares.any(axis=(1, 2)))
+        self.squares = squares
+
+    def _read(self, first, count, out) -> None:
+        if np.ndim(first):
+            out[:, 0] = self.squares[self.group_ids, first]
+        else:
+            out[...] = self.squares[self.group_ids, first : first + count]
+
+    def _write(self, lo: int, block: np.ndarray, stripe: np.ndarray) -> None:
+        m = block.shape[1]
+        self.squares[:, lo : lo + m, lo:] = block
+        self.squares[:, lo + m :, lo : lo + m] = stripe
+
+
+class SquareDistanceFile(DistanceMatrix):
+    """The squares in a file: group g's d(i, j) is at byte 8 * ((g * n + i) * n + j).
+
+    ``file`` is an unlinked temporary file; closing the matrix closes it.
+    Rows are read with pread into the caller's buffers.
+    """
+
+    def __init__(self, n: int, file, distinct: np.ndarray):
+        super().__init__(n, distinct)
+        self.file = file
 
     def close(self) -> None:
         self.file.close()
@@ -195,23 +179,11 @@ class SquareDistanceFile(_DistanceRows):
             if os.preadv(fd, [block], 8 * (g * self.n + v) * self.n) != block.nbytes:
                 raise OSError("distance file ended early")
 
-    def _store(self, lo: int, sims: np.ndarray) -> None:
-        """Write one GEMM block, rows lo..lo+m-1 over columns lo..n-1, and its transpose.
-
-        The block's own m x m square takes its lower triangle from the
-        transpose and an exact 0 diagonal, so the file's d(i, j) and d(j, i)
-        are both the bits of the block of min(i, j). The rows past the block
-        take the transposed stripe as their columns lo..lo+m-1.
-        """
-        n, m = self.n, sims.shape[1]
-        own = sims[:, :, :m]
-        np.copyto(own, own.transpose(0, 2, 1), where=np.tri(m, k=-1, dtype=bool))
-        own[:, np.arange(m), np.arange(m)] = 0.0
-        self.distinct |= sims.any(axis=(1, 2))
-        stripe = np.ascontiguousarray(sims[:, :, m:].transpose(0, 2, 1))
-        fd = self.file.fileno()
-        for g, block, lower in zip(self.group_ids.tolist(), sims, stripe):
-            for r, data in enumerate((*block, *lower)):
+    def _write(self, lo: int, block: np.ndarray, stripe: np.ndarray) -> None:
+        n, fd = self.n, self.file.fileno()
+        stripe = np.ascontiguousarray(stripe)
+        for g, own, lower in zip(self.group_ids.tolist(), block, stripe):
+            for r, data in enumerate((*own, *lower)):
                 _pwrite(fd, data, 8 * ((g * n + lo + r) * n + lo))
 
 
@@ -253,20 +225,19 @@ def _duplicate_classes(unit: np.ndarray) -> np.ndarray | None:
     return classes
 
 
-def distance_matrix(points) -> CondensedDistanceMatrix | SquareDistanceFile:
+def distance_matrix(points) -> DistanceMatrix:
     """Pairwise cosine distances within each of G sets of n points, given as (G, n, d).
 
     The points are copied once into a float64 buffer (the caller's array is
     never touched), normalized there in place a few rows at a time, and
     multiplied in fixed row blocks against every column at or after the
     block's first row, all groups in one stacked product. Each block goes
-    straight to its storage: the condensed slices when n <= BLOCK, else the
-    rows of a SquareDistanceFile, which the caller closes (it is a context
-    manager, as is the in-memory form). That one buffer and one BLOCK-row
-    product, with its transposed stripe for a file, are all a call holds
-    besides the condensed array. One point per set gives (G, 0) entries; a
-    zero vector raises ZeroVector, and a failed write closes the file and
-    raises its OSError.
+    straight to the squares: a SquareDistanceArray when n <= BLOCK, else a
+    SquareDistanceFile. The caller closes the matrix (either medium is a
+    context manager). That one buffer and one BLOCK-row product, with its
+    transposed stripe, are all a call holds besides the squares in memory.
+    One point per set gives (G, 1, 1) zero squares; a zero vector raises
+    ZeroVector, and a failed write closes the file and raises its OSError.
     """
     try:
         unit = np.array(points, dtype=np.float64)
@@ -290,15 +261,15 @@ def distance_matrix(points) -> CondensedDistanceMatrix | SquareDistanceFile:
         rows /= norms[..., None]
     classes = _duplicate_classes(unit)
 
+    # the one cell no block writes, the last row's diagonal, is the zero fill
+    # of the array or of the file, which is sized up front
     groups = len(unit)
     if n > BLOCK:
         matrix = SquareDistanceFile(n, tempfile.TemporaryFile(buffering=0), np.zeros(groups, dtype=bool))
     else:
-        matrix = CondensedDistanceMatrix(n, np.empty((groups, n * (n - 1) // 2), dtype=np.float64))
+        matrix = SquareDistanceArray(np.zeros((groups, n, n)))
     try:
         if n > BLOCK:
-            # sized up front: the one cell no block writes, the last row's
-            # diagonal, reads as the file's zero fill
             os.ftruncate(matrix.file.fileno(), 8 * groups * n * n)
         for lo in range(0, n - 1, BLOCK):
             hi = min(lo + BLOCK, n - 1)
@@ -393,7 +364,7 @@ FALLBACK_EPS = 0.5
 
 # --- hierarchical density clustering ------------------------------------------
 
-def _row_blocks(m: _DistanceRows):
+def _row_blocks(m: DistanceMatrix):
     """(lo, rows lo .. lo + b - 1 of every group) over blocks of at most BLOCK rows, in one reused buffer."""
     buffer = np.empty((m.groups, min(BLOCK, m.n), m.n), dtype=np.float64)
     for lo in range(0, m.n, BLOCK):
@@ -401,7 +372,7 @@ def _row_blocks(m: _DistanceRows):
         yield lo, m.rows(lo, hi, buffer[:, : hi - lo])
 
 
-def _kth_smallest_per_row(m: _DistanceRows, k: int) -> np.ndarray:
+def _kth_smallest_per_row(m: DistanceMatrix, k: int) -> np.ndarray:
     """The k-th smallest entry (0-based) of every square row, self distance included, (G, n).
 
     One pass over the rows, a block of them at a time, each block
@@ -414,13 +385,13 @@ def _kth_smallest_per_row(m: _DistanceRows, k: int) -> np.ndarray:
     return out
 
 
-def _core_distances(m: _DistanceRows, min_samples: int) -> np.ndarray:
+def _core_distances(m: DistanceMatrix, min_samples: int) -> np.ndarray:
     """Distance from each point to its min_samples-th neighbor, self counted, (G, n)."""
     # the row includes the zero self-distance, so index k-1 is the k-th neighbor
     return _kth_smallest_per_row(m, min(min_samples, m.n) - 1)
 
 
-def _prim_mst(m: _DistanceRows, core: np.ndarray) -> list[list[tuple[int, int, float]]]:
+def _prim_mst(m: DistanceMatrix, core: np.ndarray) -> list[list[tuple[int, int, float]]]:
     """Exact MST under mutual reachability max(core_i, core_j, d_ij), per group.
 
     When a point joins the tree, its row is read and its mutual reachability
@@ -663,7 +634,7 @@ def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
     return [-1 if owner == -1 else rank.setdefault(owner, len(rank)) for owner in labels]
 
 
-def hdbscan(m: _DistanceRows, params: HdbscanParams) -> list[ClusterLabels]:
+def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
     """Hierarchical density-based clustering over a precomputed matrix.
 
     Pipeline: core distances (k = min_samples, counting the point itself),
@@ -693,7 +664,7 @@ def hdbscan(m: _DistanceRows, params: HdbscanParams) -> list[ClusterLabels]:
 
 # --- flat density clustering ---------------------------------------------------
 
-def dbscan(m: _DistanceRows, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
+def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
     """Classic density-reachability clustering.
 
     A point is core when at least min_pts points (itself included) lie within
@@ -739,7 +710,7 @@ def dbscan(m: _DistanceRows, eps: float | np.ndarray, min_pts: int) -> list[Clus
     return [ClusterLabels(l) for l in labels]
 
 
-def k_distance_eps(m: _DistanceRows, k: int = 4, percentile: float = 90.0) -> np.ndarray:
+def k_distance_eps(m: DistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
     """Heuristic eps per group: the given percentile of the k-th nearest neighbor distances.
 
     The fallback does not use it (see FALLBACK_EPS).
@@ -752,7 +723,7 @@ def k_distance_eps(m: _DistanceRows, k: int = 4, percentile: float = 90.0) -> np
 
 
 def cluster_with_fallback(
-    m: _DistanceRows,
+    m: DistanceMatrix,
     params: HdbscanParams,
     eps: float = FALLBACK_EPS,
 ) -> tuple[list[ClusterLabels], list[bool]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import mmap
 import os
 from dataclasses import dataclass
@@ -60,9 +61,18 @@ class PipelineConfig:
     conf_threshold: float = 0.5
     min_votes: int = 1
     min_segment_s: float = 1.0
-    max_len_frames: int = 50
-    min_len_frames: int = 25
     resume: bool = False
+
+    def __post_init__(self):
+        """Reject a setting that some stage cannot run with, before any stage runs."""
+        self.hdbscan_params  # noqa: B018; HdbscanParams checks min_cluster_size and min_samples
+        for name, value in vars(self).items():
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{name} must not be NaN")
+        if self.dbscan_eps < 0:
+            raise ValueError("dbscan_eps must be non-negative")
+        if self.min_votes < 1:
+            raise ValueError("min_votes must be >= 1")
 
     @property
     def hdbscan_params(self) -> HdbscanParams:
@@ -70,7 +80,7 @@ class PipelineConfig:
 
     @property
     def track_policy(self) -> TrackPolicy:
-        return TrackPolicy(self.max_len_frames, self.min_len_frames, self.conf_threshold)
+        return TrackPolicy(speaker_conf_threshold=self.conf_threshold)
 
 
 def _json(payload) -> bytes:
@@ -390,7 +400,7 @@ class PipelineRun:
         self.edges = collabgraph.edges_from_json(payload["edges"])
 
     STAGES = tuple((stage.name, stage) for stage in (
-        Stage("split", ("01_tracks_split.jsonl",), ("max_len_frames", "min_len_frames"), (),
+        Stage("split", ("01_tracks_split.jsonl",), (), (),
               compute_split, encode_split, decode_split),
         Stage("pair", ("02_av_pairs.jsonl",), ("conf_threshold",), ("split",),
               compute_pair, encode_pair, decode_pair),

@@ -31,6 +31,23 @@ def naive_cosine_matrix(points) -> list[list[float]]:
     return out
 
 
+def squares_from_condensed(n, entries) -> list[list[list[float]]]:
+    """Each group's n x n square from its condensed row: d(i, j) for i < j in row-major order.
+
+    The entries of pairs (0, 1), (0, 2), ..., (n - 2, n - 1) are read in
+    turn and mirrored; the diagonal is 0.
+    """
+    squares = []
+    for group in entries:
+        values = iter(group)
+        square = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                square[i][j] = square[j][i] = float(next(values))
+        squares.append(square)
+    return squares
+
+
 # --- hierarchical density clustering ------------------------------------------
 
 def _single_linkage_tree(mr):

@@ -15,8 +15,9 @@ from castgraph.distcluster import (
     _core_distances,
     _kth_smallest_per_row,
     _prim_mst,
-    CondensedDistanceMatrix,
+    DistanceMatrix,
     HdbscanParams,
+    SquareDistanceArray,
     SquareDistanceFile,
     cluster_groups,
     cluster_points,
@@ -32,20 +33,31 @@ from castgraph.distcluster import (
 from castgraph.errors import DimensionMismatch, TooFewPoints, ZeroVector
 from castgraph.synth import sample_blobs
 
-from oracles import naive_cosine_matrix, oracle_dbscan_core_points, oracle_hdbscan, oracle_mst_edges
+from oracles import (
+    naive_cosine_matrix,
+    oracle_dbscan_core_points,
+    oracle_hdbscan,
+    oracle_mst_edges,
+    squares_from_condensed,
+)
 
 PARAMS = HdbscanParams(min_cluster_size=2, min_samples=2)
 
 
-def in_file(m: CondensedDistanceMatrix) -> SquareDistanceFile:
-    """The same distances in the file form: m's squares written to a distance file."""
+def in_memory(n: int, entries) -> SquareDistanceArray:
+    """A matrix in memory from G groups' condensed entries, (G, n(n-1)/2)."""
+    return SquareDistanceArray(np.array(squares_from_condensed(n, entries), dtype=np.float64))
+
+
+def in_file(m: DistanceMatrix) -> SquareDistanceFile:
+    """The same distances in the file medium: m's squares written to a distance file."""
     file = tempfile.TemporaryFile(buffering=0)
     file.write(m.to_square().tobytes())
-    return SquareDistanceFile(m.n, file, m.entries.any(axis=1))
+    return SquareDistanceFile(m.n, file, m.distinct.copy())
 
 
-def both_forms(m: CondensedDistanceMatrix):
-    """m, then its file form, which is closed once the next form is asked for."""
+def both_forms(m: DistanceMatrix):
+    """m, then its file medium, which is closed once the next medium is asked for."""
     yield m
     with in_file(m) as file_form:
         yield file_form
@@ -62,12 +74,12 @@ def partition_of(labels) -> set[frozenset[int]]:
 
 def test_matrix_two_identical_points():
     m = distance_matrix([np.array([[1.0, 2.0], [1.0, 2.0]])])
-    assert m.entries[0].tolist() == [0.0]
+    assert m.to_square()[0][np.triu_indices(2, 1)].tolist() == [0.0]
 
 
 def test_matrix_orthonormal_basis():
     m = distance_matrix([np.eye(3)])
-    assert m.entries[0].tolist() == pytest.approx([1.0, 1.0, 1.0])
+    assert m.to_square()[0][np.triu_indices(3, 1)].tolist() == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_matrix_against_naive_oracle():
@@ -99,14 +111,24 @@ def test_matrix_blocks_are_exact_and_worker_count_invisible(n):
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_condensed_row_matches_square(n):
-    # three groups, each with its own entries
-    m = CondensedDistanceMatrix(n, np.arange(1, 3 * (n * (n - 1) // 2) + 1, dtype=np.float64).reshape(3, -1))
-    square = m.to_square()
-    out = np.full((3, n), np.nan)
-    for v in range(n):
-        assert np.array_equal(m.row(v), square[:, v])
-        assert m.row(v, out) is out
-        assert np.array_equal(out, square[:, v])
+    # three groups, each with its own entries, in both media, and two-group
+    # subsets of them by index array and by slice
+    entries = np.arange(1, 3 * (n * (n - 1) // 2) + 1, dtype=np.float64).reshape(3, -1)
+    squares = np.array(squares_from_condensed(n, entries))
+    for m in both_forms(in_memory(n, entries)):
+        for groups in (slice(None), [2, 0], slice(1, 3)):
+            sub, square = m.subset(groups), squares[groups]
+            count = len(square)
+            assert np.array_equal(sub.to_square(), square)
+            assert np.array_equal(sub.rows(1, n, np.full((count, n - 1, n), np.nan)), square[:, 1:])
+            out = np.full((count, n), np.nan)
+            for v in range(n):
+                assert np.array_equal(sub.row(v), square[:, v])
+                assert sub.row(v, out) is out
+                assert np.array_equal(out, square[:, v])
+            # one row per group, as Prim reads them
+            for v in (np.arange(count) % n, (n - 1 - np.arange(count)) % n):
+                assert np.array_equal(sub.row(v, out), square[np.arange(count), v])
 
 
 def test_matrix_one_point_stack_has_no_entries():
@@ -121,7 +143,7 @@ def test_matrix_one_point_stack_has_no_entries():
 
 def test_condensed_entries_and_points_must_be_stacks():
     with pytest.raises(ValueError):
-        CondensedDistanceMatrix(3, np.zeros(3))
+        SquareDistanceArray(np.zeros((3, 3)))
     with pytest.raises(DimensionMismatch):
         distance_matrix(np.ones((3, 4)))
 
@@ -149,7 +171,7 @@ def test_matrix_chunked_normalization_is_bit_identical(n, d):
     # so the entries and the core distances read from them do not move
     rng = np.random.default_rng(n + d)
     points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
-    reference = CondensedDistanceMatrix(n, one_call_entries(points)[None]).to_square()
+    reference = np.array(squares_from_condensed(n, one_call_entries(points)[None]))
     with distance_matrix([points]) as m:
         assert isinstance(m, SquareDistanceFile)
         assert np.array_equal(m.to_square(), reference)
@@ -161,7 +183,7 @@ def test_matrix_chunked_normalization_is_bit_identical(n, d):
         assert np.array_equal(m.to_square(), reference)
     single = points.astype(np.float32)
     with distance_matrix([single]) as m:
-        assert np.array_equal(m.to_square(), CondensedDistanceMatrix(n, one_call_entries(single)[None]).to_square())
+        assert np.array_equal(m.to_square(), squares_from_condensed(n, one_call_entries(single)[None]))
 
 
 def test_matrix_leaves_its_input_unchanged():
@@ -185,6 +207,18 @@ def test_short_file_writes_are_completed(monkeypatch):
         assert np.array_equal(m.to_square(), expected)
 
 
+def test_short_file_reads_raise():
+    points = np.random.default_rng(3).standard_normal((BLOCK + 5, 6))
+    with distance_matrix([points]) as m:
+        os.ftruncate(m.file.fileno(), 8 * m.n * (m.n - 1))  # the last row is gone
+        with pytest.raises(OSError, match="ended early"):
+            m.row(m.n - 1)
+        with pytest.raises(OSError, match="ended early"):
+            m.rows(0, m.n)
+        assert np.array_equal(m.row(0), m.rows(0, 1)[:, 0])
+    assert m.file.closed
+
+
 def test_ragged_rows_raise_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         cluster_groups([[np.ones(3), np.ones(4)]], PARAMS)
@@ -197,12 +231,13 @@ def test_ragged_rows_raise_dimension_mismatch():
 
 
 def test_condensed_index_round_trip():
-    m = CondensedDistanceMatrix(5, np.arange(10, dtype=np.float64)[None])
-    square = m.to_square()[0]
+    entries = np.arange(10, dtype=np.float64)[None]
+    square = in_memory(5, entries).to_square()[0]
+    assert square.tolist() == squares_from_condensed(5, entries)[0]
     for i in range(5):
         for j in range(5):
             lo, hi = min(i, j), max(i, j)
-            expected = 0.0 if i == j else m.entries[0, 5 * lo - lo * (lo + 1) // 2 + (hi - lo - 1)]
+            expected = 0.0 if i == j else entries[0, 5 * lo - lo * (lo + 1) // 2 + (hi - lo - 1)]
             assert square[i, j] == expected
 
 
@@ -265,7 +300,7 @@ def test_hdbscan_matches_exhaustive_oracle_on_duplicates(min_samples):
 def test_kth_smallest_per_row_matches_sorted_square(n):
     # tie-heavy entries, negative ones too, so a column value can undercut the self distance
     rng = np.random.default_rng(n)
-    m = CondensedDistanceMatrix(n, rng.integers(-1, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
+    m = in_memory(n, rng.integers(-1, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
     ordered = np.sort(m.to_square()[0], axis=1)
     for form in both_forms(m):
         for k in range(n):
@@ -279,12 +314,12 @@ def test_prim_mst_edges_match_kruskal_on_ties(min_samples):
     rng = np.random.default_rng(78 + min_samples)
     for _ in range(400):
         n = int(rng.integers(2, 10))
-        m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
+        m = in_memory(n, rng.integers(0, 3, size=(1, n * (n - 1) // 2)).astype(np.float64))
         for form in both_forms(m):
             core = _core_distances(form, min_samples)
             mr = np.maximum(m.to_square()[0], np.maximum.outer(core[0], core[0]))
             np.fill_diagonal(mr, 0.0)
-            assert sorted(_prim_mst(form, core)[0]) == sorted(oracle_mst_edges(mr.tolist())), m.entries
+            assert sorted(_prim_mst(form, core)[0]) == sorted(oracle_mst_edges(mr.tolist())), m.to_square()
 
 
 @pytest.mark.parametrize("mcs", [2, 3])
@@ -313,7 +348,7 @@ def test_hdbscan_oracle_below_two_min_cluster_sizes(mcs, min_samples):
                 i, j = rng.choice(n, size=2, replace=False)
                 points[j] = points[i]
             m = distance_matrix([points])
-            if np.all(m.entries == 0.0):
+            if np.all(m.to_square() == 0.0):
                 continue
             for form in both_forms(m):
                 got = hdbscan(form, params)[0].labels.tolist()
@@ -345,7 +380,7 @@ def test_hdbscan_scale_invariant():
     m = distance_matrix([points])
     [base] = hdbscan(m, PARAMS)
     for factor in (0.25, 3.5):
-        scaled = CondensedDistanceMatrix(m.n, m.entries * factor)
+        scaled = SquareDistanceArray(m.to_square() * factor)
         assert hdbscan(scaled, PARAMS)[0].labels.tolist() == base.labels.tolist()
 
 
@@ -382,7 +417,7 @@ def test_hdbscan_label_validity_fuzz():
         square = rng.uniform(0.05, 2.0, size=(n, n))
         square = np.triu(square, 1)
         square = square + square.T
-        m = CondensedDistanceMatrix(n, square[np.triu_indices(n, 1)][None])
+        m = in_memory(n, square[np.triu_indices(n, 1)][None])
         labels = hdbscan(m, PARAMS)[0].labels
         assert labels.min() >= -1
         found = sorted(set(labels.tolist()) - {-1})
@@ -473,7 +508,7 @@ def test_dbscan_core_points_match_oracle(seed):
 
 def test_dbscan_border_point_goes_to_first_cluster():
     # 1-d layout mapped onto distinct angles: two cores flank one border point
-    m = CondensedDistanceMatrix(
+    m = in_memory(
         5,
         np.array(
             [[0.1, 0.5, 0.6, 1.4, 0.4, 0.5, 1.3, 0.1, 0.9, 0.8]], dtype=np.float64
@@ -511,7 +546,7 @@ def test_fallback_pathological_all_noise():
 
 
 def test_fallback_single_point_gets_label():
-    m = CondensedDistanceMatrix(1, np.empty((1, 0), dtype=np.float64))
+    m = in_memory(1, np.empty((1, 0), dtype=np.float64))
     for form in both_forms(m):
         [labels], [used] = cluster_with_fallback(form, PARAMS)
         assert used
@@ -572,8 +607,10 @@ def test_cluster_points_matches_matrix_path():
 
 @pytest.mark.parametrize("blobs, used", [(4, False), (1, True)], ids=["hierarchy", "fallback"])
 def test_cluster_points_holds_no_square(blobs, used):
-    # the condensed array is the only n^2 allocation: no square, no
-    # mutual-reachability copy, no n^2 neighbor lists
+    # past BLOCK points the squares live in a file, so no n^2 array is in
+    # memory: no square, no mutual-reachability copy, no n^2 neighbor lists;
+    # the bound, 1.5 times the condensed count's bytes, is far above what a
+    # call holds
     points, _ = sample_blobs(2000, blobs, 16, 8.0, seed=12)
     condensed_bytes = 8 * 2000 * 1999 // 2
     tracemalloc.start()
@@ -589,8 +626,9 @@ def test_cluster_points_holds_no_square(blobs, used):
 
 @pytest.mark.parametrize("n, d", [(2000, 256), (600, 2048)])
 def test_cluster_points_peak_is_condensed_unit_buffer_and_one_block(n, d):
-    # a call holds the condensed array, one n x d float64 unit buffer and
-    # one BLOCK-row GEMM block at most: no second copy of the points, no
+    # both sizes are past BLOCK, so the squares live in a file; the bound
+    # allows the condensed count's bytes besides one n x d float64 unit
+    # buffer and one BLOCK-row GEMM block: no second copy of the points, no
     # n x d norm temporaries
     points, _ = sample_blobs(n, 4, d, 8.0, seed=13)
     bound = 8 * n * (n - 1) // 2 + 8 * n * d + 8 * BLOCK * n + 2**20
@@ -680,7 +718,7 @@ def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
     rng = np.random.default_rng(91 + min_samples)
     for n in range(2, 10):
         # distances drawn from {0, 1, 2}, so ties decide most edges
-        m = CondensedDistanceMatrix(n, rng.integers(0, 3, size=(40, n * (n - 1) // 2)).astype(np.float64))
+        m = in_memory(n, rng.integers(0, 3, size=(40, n * (n - 1) // 2)).astype(np.float64))
         for stack in both_forms(m):
             core = _core_distances(stack, min_samples)
             assert core.shape == (40, n)
@@ -690,7 +728,7 @@ def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
             for g, group_edges in enumerate(edges):
                 mr = np.maximum(squares[g], np.maximum.outer(core[g], core[g]))
                 np.fill_diagonal(mr, 0.0)
-                assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), m.entries[g]
+                assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), squares[g]
                 assert [group_edges] == _prim_mst(stack.subset([g]), core[g : g + 1])
 
 

@@ -493,6 +493,24 @@ def test_cli_threads_option_is_a_usage_error(tmp_path, tiny_data):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--min-cluster-size", "1"),
+    ("--min-samples", "0"),
+    ("--dbscan-eps", "-1"),
+    ("--min-votes", "0"),
+    ("--dbscan-eps", "nan"),
+    ("--min-segment-s", "nan"),
+    ("--conf-threshold", "nan"),
+])
+def test_cli_bad_setting_is_a_usage_error(tmp_path, tiny_data, capsys, flag, value):
+    # rejected before ingest, so no stage runs and --out is never created
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(tiny_data), "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
 # --- degenerate inputs through cli.main: one policy per row -------------------------
 
 def one_video_dataset(faces, voices) -> catalog.Dataset:
