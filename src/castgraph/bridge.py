@@ -19,9 +19,9 @@ from .errors import DanglingReference
 
 @dataclass(frozen=True)
 class AssociationEdge:
-    face_cluster: int
-    speaker_cluster: int
-    vote_count: int
+    face: int  # face cluster
+    speaker: int  # speaker cluster
+    votes: int
 
 
 @dataclass
@@ -110,13 +110,12 @@ def kept_edges(graph: AssociationGraph, min_votes: int = 1) -> list[AssociationE
     top_face: dict[int, int] = {}
     top_speaker: dict[int, int] = {}
     for e in graph.edges:
-        top_face[e.face_cluster] = max(top_face.get(e.face_cluster, 0), e.vote_count)
-        top_speaker[e.speaker_cluster] = max(top_speaker.get(e.speaker_cluster, 0), e.vote_count)
+        top_face[e.face] = max(top_face.get(e.face, 0), e.votes)
+        top_speaker[e.speaker] = max(top_speaker.get(e.speaker, 0), e.votes)
     return [
         e
         for e in graph.edges
-        if e.vote_count >= min_votes
-        and e.vote_count in (top_face[e.face_cluster], top_speaker[e.speaker_cluster])
+        if e.votes >= min_votes and e.votes in (top_face[e.face], top_speaker[e.speaker])
     ]
 
 
@@ -134,7 +133,7 @@ def resolve_identities(graph: AssociationGraph, min_votes: int = 1) -> list[Iden
     ]
     uf = _UnionFind(nodes)
     for edge in kept_edges(graph, min_votes):
-        uf.union(("face", edge.face_cluster), ("speaker", edge.speaker_cluster))
+        uf.union(("face", edge.face), ("speaker", edge.speaker))
 
     components: dict[tuple, list[tuple]] = {}
     for node in nodes:
@@ -153,7 +152,7 @@ class ConflictEntry:
     identity_id: int
     face_clusters: tuple[int, ...]
     speaker_clusters: tuple[int, ...]
-    merging_edges: tuple[AssociationEdge, ...]
+    edges: tuple[AssociationEdge, ...]  # the kept edges that merged them
 
 
 def conflict_report(
@@ -168,8 +167,7 @@ def conflict_report(
         edges = tuple(
             e
             for e in kept
-            if e.face_cluster in component.face_clusters
-            and e.speaker_cluster in component.speaker_clusters
+            if e.face in component.face_clusters and e.speaker in component.speaker_clusters
         )
         report.append(
             ConflictEntry(
@@ -180,61 +178,3 @@ def conflict_report(
             )
         )
     return report
-
-
-# --- serialization --------------------------------------------------------------
-
-def graph_to_json(graph: AssociationGraph) -> dict:
-    return {
-        "face_nodes": list(graph.face_nodes),
-        "speaker_nodes": list(graph.speaker_nodes),
-        "edges": [
-            {"face": e.face_cluster, "speaker": e.speaker_cluster, "votes": e.vote_count}
-            for e in graph.edges
-        ],
-    }
-
-
-def identities_to_json(components: list[IdentityComponent]) -> list[dict]:
-    return [
-        {
-            "identity_id": c.identity_id,
-            "face_clusters": sorted(c.face_clusters),
-            "speaker_clusters": sorted(c.speaker_clusters),
-        }
-        for c in components
-    ]
-
-
-def identities_from_json(payload) -> list[IdentityComponent]:
-    return [
-        IdentityComponent(
-            int(entry["identity_id"]),
-            frozenset(entry["face_clusters"]),
-            frozenset(entry["speaker_clusters"]),
-        )
-        for entry in payload
-    ]
-
-
-def graph_from_json(payload) -> AssociationGraph:
-    return AssociationGraph(
-        tuple(payload["face_nodes"]),
-        tuple(payload["speaker_nodes"]),
-        tuple(AssociationEdge(e["face"], e["speaker"], e["votes"]) for e in payload["edges"]),
-    )
-
-
-def conflicts_to_json(conflicts: list[ConflictEntry]) -> list[dict]:
-    return [
-        {
-            "identity_id": c.identity_id,
-            "face_clusters": list(c.face_clusters),
-            "speaker_clusters": list(c.speaker_clusters),
-            "edges": [
-                {"face": e.face_cluster, "speaker": e.speaker_cluster, "votes": e.vote_count}
-                for e in c.merging_edges
-            ],
-        }
-        for c in conflicts
-    ]

@@ -16,9 +16,12 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints, is_typeddict
 
 import numpy as np
 
@@ -351,6 +354,80 @@ def load_json(path: Path, source=None):
         return json.loads(_read_text(path, source))
     except json.JSONDecodeError as exc:
         raise MalformedRecord(source, exc.lineno, exc.msg) from exc
+
+
+# --- record codec -------------------------------------------------------------
+# Every JSON checkpoint record, the ground truth file and export-dot's graph go
+# through these two: json.dumps(..., default=plain) writes, from_plain reads.
+
+def plain(value):
+    """The JSON form of a dataclass or a set, for json.dumps(default=plain).
+
+    A dataclass becomes the object of its fields (its instance dict: a record
+    keeps no other attribute), a dict field's keys turned to strings here so
+    that sort_keys sorts them as strings; a set becomes a sorted array.
+    """
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if not is_dataclass(value):
+        raise TypeError(f"{type(value).__name__} has no JSON form")
+    out = vars(value)
+    for name in _dict_fields(type(value)):
+        out = {**out, name: {str(k): v for k, v in out[name].items()}}
+    return out
+
+
+def from_plain(kind, data):
+    """The kind value whose JSON form is data; the inverse of plain.
+
+    kind is a dataclass, a TypedDict, dict[K, V] (K str or int), list[X],
+    tuple[X, ...], a fixed tuple, frozenset[X], X | None, str, int, float or
+    bool. Every field is required: a missing one raises KeyError, and a value
+    of the wrong shape or type TypeError or ValueError.
+    """
+    return _reader(kind)(data)
+
+
+@cache
+def _dict_fields(kind) -> tuple[str, ...]:
+    """The names of a dataclass's fields annotated as dicts."""
+    hints = get_type_hints(kind)
+    return tuple(f.name for f in fields(kind) if get_origin(hints[f.name]) is dict)
+
+
+def _expect(data, json_type):
+    """data if it is a json_type value (a float may be written as an int), else TypeError."""
+    if isinstance(data, json_type) or (json_type is float and isinstance(data, int)):
+        return data
+    raise TypeError(f"expected {json_type.__name__}, got {type(data).__name__}")
+
+
+@cache
+def _reader(kind):
+    """The function from_plain applies for kind, built once per type."""
+    origin, args = get_origin(kind), get_args(kind)
+    if is_typeddict(kind) or is_dataclass(kind):
+        hints = get_type_hints(kind)
+        names = hints if is_typeddict(kind) else [f.name for f in fields(kind)]
+        readers = tuple((name, _reader(hints[name])) for name in names)
+        # calling a TypedDict builds a plain dict
+        return lambda data: kind(**{name: read(data[name]) for name, read in readers})
+    if origin in (Union, UnionType):
+        (inner,) = (arg for arg in args if arg is not NoneType)
+        read = _reader(inner)
+        return lambda data: None if data is None else read(data)
+    if origin is dict:
+        key, value = args[0], _reader(args[1])  # object keys are strings: key parses them
+        return lambda data: {key(k): value(v) for k, v in _expect(data, dict).items()}
+    if origin is tuple and args[1:] != (...,):
+        items = tuple(map(_reader, args))
+        return lambda data: tuple(read(x) for read, x in zip(items, _expect(data, list), strict=True))
+    if origin in (list, tuple, frozenset):
+        item = _reader(args[0])
+        return lambda data: origin(map(item, _expect(data, list)))
+    if kind in (str, int, float, bool):
+        return lambda data: _expect(data, kind)
+    raise TypeError(f"no JSON form for {kind!r}")
 
 
 def _entries(root: Path, name: str):

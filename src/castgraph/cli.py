@@ -159,7 +159,7 @@ def main(argv=None) -> int:
             payload = catalog.load_json(graph_file)
             ds = catalog.ingest(args.dataset)
             try:
-                edges = collabgraph.edges_from_json(payload["edges"])
+                edges = catalog.from_plain(list[collabgraph.CollaborationEdge], payload["edges"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedRecord(graph_file, 0, f"bad graph: {exc!r}") from exc
             sys.stdout.write(collabgraph.collab_graph_dot(ds, edges))

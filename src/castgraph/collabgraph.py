@@ -203,30 +203,6 @@ def growth_factor(videos, edges) -> float:
 
 # --- exports ----------------------------------------------------------------------
 
-def edges_to_json(edges) -> list[dict]:
-    return [
-        {
-            "from_channel": e.from_channel,
-            "to_channel": e.to_channel,
-            "identity_id": e.identity_id,
-            "video_ids": list(e.video_ids),
-        }
-        for e in edges
-    ]
-
-
-def edges_from_json(payload) -> list[CollaborationEdge]:
-    return [
-        CollaborationEdge(
-            entry["from_channel"],
-            entry["to_channel"],
-            int(entry["identity_id"]),
-            tuple(entry["video_ids"]),
-        )
-        for entry in payload
-    ]
-
-
 def _dot_quote(text: str) -> str:
     """text as a DOT quoted string: backslash and double quote escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypedDict
 
 from .catalog import SpeechSegment
 from .distcluster import FALLBACK_EPS, HdbscanParams, cluster_groups
@@ -46,16 +47,6 @@ class DiarizationSummary:
     avg_segment_s: float
     used_fallback: bool
     rejected: list[RejectedSegment] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "clusters_found": self.clusters_found,
-            "noise_count": self.noise_count,
-            "avg_segment_s": self.avg_segment_s,
-            "used_fallback": self.used_fallback,
-            "rejected": [{"segment_id": r.segment_id, "reason": r.reason} for r in self.rejected],
-        }
 
 
 def diarize_video(
@@ -102,6 +93,15 @@ class ReconciledSegment:
     speaker_label: int
     paired_track_id: str | None = None
     pair_confidence: float | None = None
+
+
+class VideoDiarization(TypedDict):
+    """One video's diarization: a row of the diarize checkpoint."""
+
+    video_id: str
+    labels: dict[str, int]  # segment id -> speaker label
+    reconciled: list[ReconciledSegment]
+    summary: DiarizationSummary
 
 
 def reconcile(labels: dict[str, int], av_pairs) -> list[ReconciledSegment]:

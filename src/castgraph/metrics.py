@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 from . import collabgraph
 from .errors import EmptyReference, KeyMismatch, LengthMismatch
@@ -101,31 +100,13 @@ def assignment_accuracy(video_truth: dict, video_pred: dict) -> float:
 
 # --- diarization error rate ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpeakerInterval:
-    start_s: float
-    end_s: float
-    speaker: str
-
-
-def _as_intervals(timeline) -> list[SpeakerInterval]:
-    out = []
-    for entry in timeline:
-        if isinstance(entry, SpeakerInterval):
-            out.append(entry)
-        else:
-            start, end, speaker = entry
-            out.append(SpeakerInterval(float(start), float(end), str(speaker)))
-    return out
-
-
-def _active_sets(intervals, boundaries):
+def _active_sets(timeline, boundaries):
     """Speaker set per elementary interval of the boundary grid."""
     sets = [set() for _ in range(len(boundaries) - 1)]
-    for iv in intervals:
+    for start, end, speaker in timeline:
         for k in range(len(boundaries) - 1):
-            if iv.start_s < boundaries[k + 1] and iv.end_s > boundaries[k]:
-                sets[k].add(iv.speaker)
+            if start < boundaries[k + 1] and end > boundaries[k]:
+                sets[k].add(speaker)
     return sets
 
 
@@ -209,19 +190,18 @@ def der(reference, hypothesis) -> float:
     (missed speech + false alarm + speaker confusion) / total reference
     speech time, under the overlap-maximizing one-to-one speaker mapping,
     solved exactly by linear_sum_assignment (shortest augmenting paths).
+    Both timelines are lists of (start_s, end_s, speaker) triples.
     """
-    ref = _as_intervals(reference)
-    hyp = _as_intervals(hypothesis)
-    if not ref:
+    if not reference:
         raise EmptyReference("reference timeline is empty")
 
-    boundaries = sorted({iv.start_s for iv in ref + hyp} | {iv.end_s for iv in ref + hyp})
-    ref_sets = _active_sets(ref, boundaries)
-    hyp_sets = _active_sets(hyp, boundaries)
+    boundaries = sorted({t for start, end, _ in (*reference, *hypothesis) for t in (start, end)})
+    ref_sets = _active_sets(reference, boundaries)
+    hyp_sets = _active_sets(hypothesis, boundaries)
     widths = [boundaries[k + 1] - boundaries[k] for k in range(len(boundaries) - 1)]
 
-    ref_speakers = sorted({iv.speaker for iv in ref})
-    hyp_speakers = sorted({iv.speaker for iv in hyp})
+    ref_speakers = sorted({speaker for _, _, speaker in reference})
+    hyp_speakers = sorted({speaker for _, _, speaker in hypothesis})
     overlap = [[0.0] * len(hyp_speakers) for _ in ref_speakers]
     for k, width in enumerate(widths):
         for i, r in enumerate(ref_speakers):

@@ -15,7 +15,7 @@ import json
 import math
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
-from .catalog import AVPair, Dataset, unit_mean
-from .diarize import DiarizationSummary, diarize_video, filter_segments, reconcile
+from .catalog import AVPair, Dataset, from_plain, plain, unit_mean
+from .diarize import DiarizationSummary, VideoDiarization, diarize_video, filter_segments, reconcile
 from .distcluster import (
     FALLBACK_EPS,
     ClusterLabels,
@@ -50,7 +50,6 @@ from .tracks import (
 )
 
 CLUSTERING = ("min_cluster_size", "min_samples", "dbscan_eps")
-ENTITY_FIELDS = ("entity_id", "video_id", "member_track_ids", "paired_segments", "total_frames")
 
 
 @dataclass
@@ -84,11 +83,11 @@ class PipelineConfig:
 
 
 def _json(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(payload, indent=2, sort_keys=True, default=plain) + "\n").encode()
 
 
 def _jsonl(rows) -> bytes:
-    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+    return "".join(json.dumps(row, sort_keys=True, default=plain) + "\n" for row in rows).encode()
 
 
 def _rows(data: bytes) -> list[dict]:
@@ -107,7 +106,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 def _labels_codec(attr: str, name: str):
-    """encode and decode for a stage whose result is one id -> label dict."""
+    """results, encode and decode for a stage whose result is one id -> label dict."""
 
     def encode(run) -> dict[str, bytes]:
         labels = getattr(run, attr)
@@ -117,7 +116,39 @@ def _labels_codec(attr: str, name: str):
         ids, labels = labels_from_text(files[name].decode())
         setattr(run, attr, {i: int(l) for i, l in zip(ids, labels.labels)})
 
-    return encode, decode
+    return (attr,), encode, decode
+
+
+def _rows_codec(attr: str, name: str, kind, key: str | None = None):
+    """results, encode and decode for a stage whose result is a list of kind records, one JSONL row each.
+
+    With key, the result is instead a dict of the records by their key field,
+    in row order.
+    """
+
+    def encode(run) -> dict[str, bytes]:
+        rows = getattr(run, attr)
+        return {name: _jsonl(rows.values() if key else rows)}
+
+    def decode(run, files: dict[str, bytes]) -> None:
+        rows = from_plain(list[kind], _rows(files[name]))
+        setattr(run, attr, {row[key]: row for row in rows} if key else rows)
+
+    return (attr,), encode, decode
+
+
+def _object_codec(name: str, **kinds):
+    """results, encode and decode for a stage whose results are one JSON object's fields, by name and type."""
+    record = make_dataclass("Checkpoint", kinds.items())
+
+    def encode(run) -> dict[str, bytes]:
+        return {name: _json(record(**{attr: getattr(run, attr) for attr in kinds}))}
+
+    def decode(run, files: dict[str, bytes]) -> None:
+        for attr, value in vars(from_plain(record, json.loads(files[name]))).items():
+            setattr(run, attr, value)
+
+    return tuple(kinds), encode, decode
 
 
 @dataclass(frozen=True)
@@ -129,6 +160,7 @@ class Stage:
     fields: tuple[str, ...]  # PipelineConfig fields the stage reads
     upstream: tuple[str, ...]  # earlier stages whose results it reads
     compute: Callable  # (run) -> None
+    results: tuple[str, ...]  # the PipelineRun attributes compute and decode set
     encode: Callable  # (run) -> {file name: bytes}
     decode: Callable  # (run, {file name: bytes}) -> None
 
@@ -147,6 +179,8 @@ class PipelineRun:
         self.dataset_digest = ds.digest()
         # each stage's stamp; stage results are attributes its compute or decode sets
         self.stamps: dict[str, str] = {}
+        # result name -> (stage, checkpoint files) of a reused stage not yet decoded
+        self.undecoded: dict[str, tuple[Stage, dict[str, bytes]]] = {}
         # each video's segments in dataset order, shared by diarize and evaluation
         self.segments_by_video: dict[str, list] = {}
         for segment in ds.segments.values():
@@ -167,6 +201,8 @@ class PipelineRun:
     def step(self, stage: Stage) -> None:
         """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it.
 
+        A reused checkpoint is decoded when one of its results is first read
+        (see __getattr__), so a resumed run decodes only what it reads.
         Writing a checkpoint also removes every other ``<stem>.*`` file in the
         output directory, stem being that of the stage's first file: sidecars
         an older version wrote, or temporary files a killed run left.
@@ -180,7 +216,7 @@ class PipelineRun:
             except FileNotFoundError:
                 stored = None
             if stored is not None and stored == self.stamp(stage, files):
-                stage.decode(self, files)
+                self.undecoded.update(dict.fromkeys(stage.results, (stage, files)))
                 return
         stage.compute(self)
         files = stage.encode(self)
@@ -190,6 +226,16 @@ class PipelineRun:
         for path in self.out.glob(f"{stem}.*"):
             if path.name not in files and path != stamp_path:
                 path.unlink()
+
+    def __getattr__(self, attr: str):
+        """A result of a reused stage, decoded from its checkpoint when first read."""
+        if attr not in self.__dict__.get("undecoded", ()):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        stage, files = self.undecoded[attr]
+        for result in stage.results:
+            del self.undecoded[result]
+        stage.decode(self, files)
+        return getattr(self, attr)
 
     def compute_split(self) -> None:
         self.pieces, self.piece_sources = split_tracks_with_sources(
@@ -223,16 +269,6 @@ class PipelineRun:
         segments = self.ds.segments.values()
         self.av_pairs = assign_active_speakers(self.pieces, segments, self.config.track_policy)
 
-    def encode_pair(self) -> dict[str, bytes]:
-        rows = (
-            {"track_id": p.track_id, "segment_id": p.segment_id, "confidence": p.confidence}
-            for p in self.av_pairs
-        )
-        return {"02_av_pairs.jsonl": _jsonl(rows)}
-
-    def decode_pair(self, files: dict[str, bytes]) -> None:
-        self.av_pairs = [AVPair(**row) for row in _rows(files["02_av_pairs.jsonl"])]
-
     @cached_property
     def representatives(self) -> dict:
         """Each split piece's representative_embedding by piece id, computed once per run.
@@ -254,17 +290,6 @@ class PipelineRun:
             self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_eps, self.representatives
         )
 
-    def encode_merge(self) -> dict[str, bytes]:
-        rows = [{f: getattr(e, f) for f in ENTITY_FIELDS} for e in self.entities]
-        return {"03_entities.jsonl": _jsonl(rows)}
-
-    def decode_merge(self, files: dict[str, bytes]) -> None:
-        self.entities = []
-        for row in _rows(files["03_entities.jsonl"]):
-            row["member_track_ids"] = tuple(row["member_track_ids"])
-            row["paired_segments"] = tuple(row["paired_segments"])
-            self.entities.append(TrackEntity(**row))
-
     def compute_diarize(self) -> None:
         config = self.config
         pairs_by_video: dict[str, list[AVPair]] = {}
@@ -284,26 +309,10 @@ class PipelineRun:
         for video_id in video_ids:
             empty = ({}, DiarizationSummary(video_id, 0, 0, 0.0, False, filtered[video_id][1]))
             labels, summary = results.get(video_id, empty)
-            self.diarization[video_id] = {
-                "video_id": video_id,
-                "labels": labels,
-                "reconciled": [
-                    {
-                        "segment_id": r.segment_id,
-                        "speaker_label": r.speaker_label,
-                        "paired_track_id": r.paired_track_id,
-                        "pair_confidence": r.pair_confidence,
-                    }
-                    for r in reconcile(labels, pairs_by_video.get(video_id, []))
-                ],
-                "summary": summary.to_json(),
-            }
-
-    def encode_diarize(self) -> dict[str, bytes]:
-        return {"04_diarization.jsonl": _jsonl(self.diarization[v] for v in sorted(self.diarization))}
-
-    def decode_diarize(self, files: dict[str, bytes]) -> None:
-        self.diarization = {row["video_id"]: row for row in _rows(files["04_diarization.jsonl"])}
+            reconciled = reconcile(labels, pairs_by_video.get(video_id, []))
+            self.diarization[video_id] = VideoDiarization(
+                video_id=video_id, labels=labels, reconciled=reconciled, summary=summary
+            )
 
     def _cluster(self, vectors) -> ClusterLabels:
         """Global cluster labels, one per vector in order."""
@@ -364,60 +373,45 @@ class PipelineRun:
         self.identities = bridge_mod.resolve_identities(self.association, self.config.min_votes)
         self.conflicts = bridge_mod.conflict_report(self.association, self.identities, self.config.min_votes)
 
-    def encode_bridge(self) -> dict[str, bytes]:
-        payload = {
-            "association": bridge_mod.graph_to_json(self.association),
-            "identities": bridge_mod.identities_to_json(self.identities),
-            "conflicts": bridge_mod.conflicts_to_json(self.conflicts),
-        }
-        return {"07_identities.json": _json(payload)}
-
-    def decode_bridge(self, files: dict[str, bytes]) -> None:
-        payload = json.loads(files["07_identities.json"])
-        self.association = bridge_mod.graph_from_json(payload["association"])
-        self.identities = bridge_mod.identities_from_json(payload["identities"])
-        self.conflicts = bridge_mod.conflict_report(self.association, self.identities, self.config.min_votes)
-
     def compute_graph(self) -> None:
         index = collabgraph.build_appearance_index(
             self.ds, self.identities, self.entities, self.face_labels, self.speaker_labels
         )
         self.creators = collabgraph.assign_creators(index)
         self.edges = collabgraph.detect_collaborations(index, self.creators)
+        self.stats = collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys()).to_json()
+
+    _graph_results, _encode_graph_json, decode_graph = _object_codec(
+        "08_graph.json",
+        creators=dict[int, str], edges=list[collabgraph.CollaborationEdge], stats=dict[str, int],
+    )
 
     def encode_graph(self) -> dict[str, bytes]:
-        payload = {
-            "creators": {str(k): v for k, v in self.creators.items()},
-            "edges": collabgraph.edges_to_json(self.edges),
-            "stats": collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys()).to_json(),
-        }
         dot = collabgraph.collab_graph_dot(self.ds, self.edges)
-        return {"08_graph.json": _json(payload), "graph.dot": dot.encode()}
-
-    def decode_graph(self, files: dict[str, bytes]) -> None:
-        payload = json.loads(files["08_graph.json"])
-        self.creators = {int(k): v for k, v in payload["creators"].items()}
-        self.edges = collabgraph.edges_from_json(payload["edges"])
+        return {**self._encode_graph_json(), "graph.dot": dot.encode()}
 
     STAGES = tuple((stage.name, stage) for stage in (
         Stage("split", ("01_tracks_split.jsonl",), (), (),
-              compute_split, encode_split, decode_split),
+              compute_split, ("pieces", "piece_sources"), encode_split, decode_split),
         Stage("pair", ("02_av_pairs.jsonl",), ("conf_threshold",), ("split",),
-              compute_pair, encode_pair, decode_pair),
+              compute_pair, *_rows_codec("av_pairs", "02_av_pairs.jsonl", AVPair)),
         Stage("merge", ("03_entities.jsonl",), CLUSTERING, ("split", "pair"),
-              compute_merge, encode_merge, decode_merge),
+              compute_merge, *_rows_codec("entities", "03_entities.jsonl", TrackEntity)),
         Stage("diarize", ("04_diarization.jsonl",), ("min_segment_s", *CLUSTERING), ("pair",),
-              compute_diarize, encode_diarize, decode_diarize),
+              compute_diarize,
+              *_rows_codec("diarization", "04_diarization.jsonl", VideoDiarization, key="video_id")),
         Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("split", "merge"),
               compute_cluster_faces, *_labels_codec("face_labels", "05_face_labels.csv")),
         Stage("cluster_speakers", ("06_speaker_labels.csv",), CLUSTERING, ("diarize",),
               compute_cluster_speakers, *_labels_codec("speaker_labels", "06_speaker_labels.csv")),
         Stage("bridge", ("07_identities.json",), ("min_votes",),
               ("pair", "merge", "cluster_faces", "cluster_speakers"),
-              compute_bridge, encode_bridge, decode_bridge),
+              compute_bridge, *_object_codec("07_identities.json", association=bridge_mod.AssociationGraph,
+                                             identities=list[bridge_mod.IdentityComponent],
+                                             conflicts=list[bridge_mod.ConflictEntry])),
         Stage("graph", ("08_graph.json", "graph.dot"), (),
               ("merge", "cluster_faces", "cluster_speakers", "bridge"),
-              compute_graph, encode_graph, decode_graph),
+              compute_graph, _graph_results, encode_graph, decode_graph),
     ))
 
     def evaluate(self, truth: GroundTruth) -> dict:
@@ -448,7 +442,7 @@ class PipelineRun:
             "speaker_clusters": len({l for l in self.speaker_labels.values() if l != -1}),
             "identities": len(self.identities),
             "conflicts": len(self.conflicts),
-            "graph": collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys()).to_json(),
+            "graph": self.stats,
         }
         if truth is not None:
             try:

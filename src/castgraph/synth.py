@@ -28,7 +28,9 @@ from .catalog import (
     FaceTrack,
     SpeechSegment,
     Video,
+    from_plain,
     load_json,
+    plain,
 )
 from .errors import InfeasibleConfig, MalformedRecord
 
@@ -76,48 +78,17 @@ class GroundTruth:
     def event_triples(self) -> set[tuple[str, str, str]]:
         return {(a, b, v) for a, b, v, _ in self.planted_events}
 
-    def to_json(self) -> dict:
-        return {
-            "identity_homes": {str(k): v for k, v in self.identity_homes.items()},
-            "track_identity": self.track_identity,
-            "segment_identity": self.segment_identity,
-            "video_identities": self.video_identities,
-            "video_hosts": {k: v for k, v in self.video_hosts.items()},
-            "planted_events": [list(e) for e in self.planted_events],
-            "offscreen_videos": self.offscreen_videos,
-            "planted_growth_ratio": self.planted_growth_ratio,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "GroundTruth":
-        truth = cls()
-        truth.identity_homes = {int(k): v for k, v in payload["identity_homes"].items()}
-        truth.track_identity = {k: int(v) for k, v in payload["track_identity"].items()}
-        truth.segment_identity = {k: int(v) for k, v in payload["segment_identity"].items()}
-        truth.video_identities = {
-            k: [int(i) for i in v] for k, v in payload["video_identities"].items()
-        }
-        truth.video_hosts = {
-            k: (None if v is None else int(v)) for k, v in payload.get("video_hosts", {}).items()
-        }
-        truth.planted_events = [
-            (a, b, v, int(i)) for a, b, v, i in payload["planted_events"]
-        ]
-        truth.offscreen_videos = list(payload["offscreen_videos"])
-        truth.planted_growth_ratio = payload.get("planted_growth_ratio")
-        return truth
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(self, fh, indent=2, sort_keys=True, default=plain)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
         """Read a saved ground truth; raises MissingFile or MalformedRecord."""
         try:
-            return cls.from_json(load_json(Path(path)))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return from_plain(cls, load_json(Path(path)))
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecord(path, 0, f"bad ground truth: {exc!r}") from exc
 
 

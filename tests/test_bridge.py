@@ -96,7 +96,7 @@ def test_resolve_chain_merges_two_faces():
     report = conflict_report(graph, identities)
     assert len(report) == 1
     assert report[0].face_clusters == (0, 1)
-    assert len(report[0].merging_edges) == 2
+    assert len(report[0].edges) == 2
 
 
 def test_resolve_below_threshold_edges_ignored():
@@ -179,7 +179,7 @@ def test_resolve_face_identity_split_over_two_clusters_joins_its_speaker():
     identities = resolve_identities(graph)
     assert identity_sets(identities) == {(frozenset({0, 1}), frozenset({0}))}
     [entry] = conflict_report(graph, identities)
-    assert entry.merging_edges == graph.edges
+    assert entry.edges == graph.edges
 
 
 def test_resolve_keeps_every_tied_top_edge():

@@ -16,18 +16,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from castgraph import cli
+from castgraph.bridge import AssociationEdge, AssociationGraph, ConflictEntry, IdentityComponent
 from castgraph.catalog import (
+    AVPair,
     _usable_rows,
+    from_plain,
     ingest,
     normalize,
+    plain,
     read_emb,
     unit_mean,
     validate,
     write,
     write_emb,
 )
+from castgraph.collabgraph import CollaborationEdge
+from castgraph.diarize import (
+    DiarizationSummary,
+    ReconciledSegment,
+    RejectedSegment,
+    VideoDiarization,
+)
 from castgraph.errors import DanglingReference, MalformedRecord, MissingFile, ZeroVector
-from castgraph.synth import SynthConfig, generate
+from castgraph.synth import GroundTruth, SynthConfig, generate
+from castgraph.tracks import TrackEntity
 
 
 @pytest.fixture(scope="module")
@@ -471,3 +483,111 @@ def test_fuzzed_manifest_exits_0_or_2(small_manifest, data):
             path = root / data.draw(st.sampled_from(["channels.json", "videos.json"]))
             path.write_text(json.dumps({"records": json.loads(path.read_text())}))
         assert cli.main(["validate", str(root)]) in (0, 2)
+
+
+# --- record codec -------------------------------------------------------------------
+
+def encoded(value) -> str:
+    return json.dumps(value, sort_keys=True, default=plain)
+
+
+EDGE = AssociationEdge(face=10, speaker=2, votes=3)
+SUMMARY = DiarizationSummary("v1", 2, 1, 1.5, True, [RejectedSegment("s9", "TooShort")])
+TRUTH = GroundTruth(
+    identity_homes={10: "ch1", 2: "ch0"},
+    track_identity={"t1": 10},
+    segment_identity={"s1": 2},
+    video_identities={"v1": [2, 10]},
+    video_hosts={"v1": 2, "v2": None},
+    planted_events=[("ch0", "ch1", "v1", 10)],
+    offscreen_videos=["v2"],
+    planted_growth_ratio=1.34,
+)
+
+RECORDS = [
+    (AVPair, AVPair("t1", "s1", 0.75)),
+    (TrackEntity, TrackEntity("v1/e0", "v1", ("t1", "t1#1"), ("s1",), 50)),
+    (RejectedSegment, RejectedSegment("s9", "NoEmbedding")),
+    (DiarizationSummary, SUMMARY),
+    (ReconciledSegment, ReconciledSegment("s1", 0, "t1", 0.75)),
+    (ReconciledSegment, ReconciledSegment("s2", -1)),
+    (VideoDiarization, VideoDiarization(
+        video_id="v1", labels={"s1": 0, "s2": -1}, reconciled=[ReconciledSegment("s1", 0)], summary=SUMMARY
+    )),
+    (AssociationEdge, EDGE),
+    (AssociationGraph, AssociationGraph((2, 10), (2,), (EDGE,))),
+    (IdentityComponent, IdentityComponent(0, frozenset({10, 2}), frozenset())),
+    (ConflictEntry, ConflictEntry(0, (2, 10), (2,), (EDGE, EDGE))),
+    (CollaborationEdge, CollaborationEdge("ch0", "ch1", 10, ("v1", "v2"))),
+    (GroundTruth, TRUTH),
+    (GroundTruth, dataclasses.replace(TRUTH, planted_growth_ratio=None)),
+]
+
+
+@pytest.mark.parametrize("kind, value", RECORDS, ids=[f"{k.__name__}{i}" for i, (k, _) in enumerate(RECORDS)])
+def test_every_record_type_round_trips(kind, value):
+    decoded = from_plain(kind, json.loads(encoded(value)))
+    assert decoded == value
+    assert encoded(decoded) == encoded(value)
+
+
+def test_codec_writes_sets_sorted_and_keys_as_sorted_strings():
+    assert encoded(IdentityComponent(0, frozenset({10, 2}), frozenset())) == (
+        '{"face_clusters": [2, 10], "identity_id": 0, "speaker_clusters": []}'
+    )
+    assert list(json.loads(encoded(TRUTH))["identity_homes"]) == ["10", "2"]
+    assert from_plain(GroundTruth, json.loads(encoded(TRUTH))).identity_homes == {10: "ch1", 2: "ch0"}
+
+
+def test_codec_reads_the_annotated_container_types():
+    entity = from_plain(TrackEntity, json.loads(encoded(RECORDS[1][1])))
+    assert type(entity.member_track_ids) is tuple and type(entity.paired_segments) is tuple
+    plain_component = {"identity_id": 0, "face_clusters": [2], "speaker_clusters": []}
+    assert type(from_plain(IdentityComponent, plain_component).face_clusters) is frozenset
+    truth = from_plain(GroundTruth, json.loads(encoded(TRUTH)))
+    assert truth.planted_events == [("ch0", "ch1", "v1", 10)] and type(truth.planted_events[0]) is tuple
+    assert truth.video_hosts == {"v1": 2, "v2": None}
+    assert from_plain(float | None, 2) == 2.0  # a float may be written as an int
+
+
+def test_codec_requires_every_field():
+    with pytest.raises(KeyError, match="confidence"):
+        from_plain(AVPair, {"track_id": "t1", "segment_id": "s1"})
+    payload = json.loads(encoded(TRUTH))
+    del payload["video_hosts"]
+    with pytest.raises(KeyError, match="video_hosts"):
+        from_plain(GroundTruth, payload)
+
+
+@pytest.mark.parametrize("kind, data", [
+    (GroundTruth, [1, 2]),
+    (AVPair, "t1"),
+    (list[AVPair], {"track_id": "t1"}),
+    (dict[str, int], [["s1", 0]]),
+    (dict[int, str], {"x": "ch0"}),
+    (tuple[str, str, str, int], ["ch0", "ch1", "v1"]),
+    (tuple[int, ...], "12"),
+    (dict[str, int], {"s1": "0"}),
+    (AVPair, {"track_id": 1, "segment_id": "s1", "confidence": 0.5}),
+])
+def test_codec_rejects_a_wrong_shape(kind, data):
+    with pytest.raises((TypeError, ValueError)):
+        from_plain(kind, data)
+
+
+def test_plain_refuses_a_value_without_a_json_form():
+    with pytest.raises(TypeError):
+        encoded(object())
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"identity_homes": {}}'])
+def test_ground_truth_of_a_wrong_shape_is_malformed(tmp_path, content):
+    path = tmp_path / "truth.json"
+    path.write_text(content)
+    with pytest.raises(MalformedRecord, match="truth.json"):
+        GroundTruth.load(path)
+
+
+def test_ground_truth_save_load_round_trip(tmp_path):
+    TRUTH.save(tmp_path / "truth.json")
+    assert GroundTruth.load(tmp_path / "truth.json") == TRUTH

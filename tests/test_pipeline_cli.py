@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -84,6 +85,86 @@ CFG_SHA256 = {
 def test_small_run_output_bytes_are_golden(small_run):
     _, _, out, _ = small_run
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CFG_SHA256} == CFG_SHA256
+
+
+# SHA-256 of the CFG run's other checkpoint files; with CFG_SHA256 they pin
+# every byte the record codec writes
+CFG_RECORDS_SHA256 = {
+    "01_tracks_split.jsonl": "04d4aeafc8828fd620976d52b33c12b6a3774387694fcea8e675c9f166d4054b",
+    "02_av_pairs.jsonl": "92b8189b15c5718fd94fdd04bc3c8181d1e200814be69de0fe2d3aad90a5fb35",
+    "03_entities.jsonl": "c76b5211102f9897b40436648037a1c9082a005e36d289c52fbeaa32b1ede2d5",
+    "04_diarization.jsonl": "61f6bf12d825804fd6ada76a80686fde7d8ba07fe4e613f9f0432f931e6fea16",
+    "graph.dot": "aaa250bdfb8e1cfd267fc3e1280042818ae0f181caf3b1470758cafed3385cd4",
+}
+
+
+def test_small_run_checkpoint_bytes_are_golden(small_run):
+    _, _, out, _ = small_run
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CFG_RECORDS_SHA256}
+    assert digests == CFG_RECORDS_SHA256
+
+
+# twelve identities: int-keyed maps (creators, identity_homes) reach "10", which
+# sorts before "2" as a string but after it as a number
+WIDE = replace(CFG, n_channels=12, n_videos=36, n_identities=12, rng_seed=11)
+WIDE_SHA256 = {
+    "08_graph.json": "ff2f1c14e12a8b74c775b9707c3b80e74f74d95547fc1bae78ce7a410e5e8102",
+    "ground_truth.json": "c0c46037491f12d0857e3f5b613e161944153f82b91fbecdee531ba7de9412b4",
+}
+
+
+def test_int_keys_sort_as_strings_in_graph_and_ground_truth(tmp_path):
+    ds, truth = generate(WIDE)
+    run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+    truth.save(tmp_path / "ground_truth.json")
+    creators = list(json.loads((tmp_path / "08_graph.json").read_text())["creators"])
+    assert creators == sorted(creators) and "10" in creators
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in WIDE_SHA256} == WIDE_SHA256
+
+
+RESULTS = (
+    "pieces", "piece_sources", "av_pairs", "entities", "diarization", "face_labels", "speaker_labels",
+    "association", "identities", "conflicts", "creators", "edges",
+)
+
+
+def test_resumed_run_decodes_what_a_fresh_run_computed(tmp_path, monkeypatch):
+    ds, truth = generate(CFG)
+    fresh = PipelineRun(ds, tmp_path, PipelineConfig())
+    fresh.run(truth)
+
+    def recompute(run):
+        raise AssertionError("a checkpoint was recomputed")
+
+    stages = tuple((name, replace(stage, compute=recompute)) for name, stage in PipelineRun.STAGES)
+    monkeypatch.setattr(PipelineRun, "STAGES", stages)
+    resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
+    resumed.run(truth)
+    for attr in RESULTS:
+        assert getattr(resumed, attr) == getattr(fresh, attr), attr
+
+
+def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypatch):
+    ds, truth = generate(CFG)
+    run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+    decoded = []
+
+    def counted(stage):
+        def decode(run, files):
+            decoded.append(stage.name)
+            stage.decode(run, files)
+
+        return replace(stage, decode=decode)
+
+    monkeypatch.setattr(PipelineRun, "STAGES", tuple((name, counted(s)) for name, s in PipelineRun.STAGES))
+    resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
+    resumed.run(truth)
+    # the report and the evaluation read every result but the diarization
+    assert sorted(decoded) == sorted(name for name in CHECKPOINTS if name != "diarize")
+    assert resumed.diarization["v0000"]["video_id"] == "v0000"
+    assert sorted(decoded) == sorted(CHECKPOINTS)
+    with pytest.raises(AttributeError, match="no_such_result"):
+        resumed.no_such_result  # noqa: B018
 
 
 def test_report_matches_file(small_run):
