@@ -12,6 +12,11 @@ root, so fewer than 2 * min_cluster_size points that are not all identical
 come back all noise without building it. The fallback's radius is one fixed
 cosine distance, FALLBACK_EPS, unless the caller gives another.
 
+Recognition across videos is two-level, channel then global
+(:func:`cluster_by_channel`): each channel's sets through one cluster_groups
+call by dbscan alone, then one cluster_points call over a few real members
+of each channel cluster and the channel noise.
+
 One calling convention: every matrix is a stack. cluster_groups stacks point
 sets of one size n, at most BLOCK points per stack (a larger set is a stack
 of one), and a matrix holds G groups, G = 1 included. Distances, duplicate
@@ -22,15 +27,16 @@ group. Array results (core distances, eps) keep the group axis; labels,
 edges and fallback flags come back as lists with one entry per group.
 
 One layout in two media. Every matrix is G row-major n x n float64 squares.
-Sets of at most BLOCK points (every per-video stack) keep them in memory, a
-SquareDistanceArray of 8 * G * n^2 <= 8 * BLOCK * n bytes. A larger set
-(every global clustering call) writes them to a SquareDistanceFile, an
+Sets of at most BLOCK points (every per-video stack, and every channel on
+the benchmark corpora) keep them in memory, a SquareDistanceArray of
+8 * G * n^2 <= 8 * BLOCK * n bytes. A larger set (every global call after
+the channel step) writes them to a SquareDistanceFile, an
 unlinked temporary file under TMPDIR. The rule is fixed. Clustering reads
 either medium only through row and rows, into buffers it owns; the file is
 read with pread, never mapped, so its pages are page cache, not the
 process's memory. A call over a file holds one n x d float64 buffer of unit
 vectors and one BLOCK-row GEMM block with its transposed stripe while
-distance_matrix runs (24 + 6 + 6 MB at n = 2995, d = 1024), then
+distance_matrix runs (6.8 + 2 + 2 MB at n = 831, d = 1024), then
 O(BLOCK * n) row blocks.
 """
 
@@ -724,7 +730,7 @@ def k_distance_eps(m: DistanceMatrix, k: int = 4, percentile: float = 90.0) -> n
 
 def cluster_with_fallback(
     m: DistanceMatrix,
-    params: HdbscanParams,
+    params: HdbscanParams | None,
     eps: float = FALLBACK_EPS,
 ) -> tuple[list[ClusterLabels], list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
@@ -732,13 +738,14 @@ def cluster_with_fallback(
     Falls back to dbscan at radius eps when the hierarchy finds only noise,
     and also when there are fewer points than min_cluster_size (a hierarchy
     cannot exist); the fallback's min_pts of 2 is clamped to the point count
-    so a lone point still gets a label decision instead of an error. Returns
-    (labels, used_fallback flags), one of each per group; only the groups
-    that need it run the fallback.
+    so a lone point still gets a label decision instead of an error. With
+    params None no hierarchy is built and every group takes the fallback.
+    Returns (labels, used_fallback flags), one of each per group; only the
+    groups that need it run the fallback.
     """
     groups = m.groups
     try:
-        labels = hdbscan(m, params)
+        labels = hdbscan(m, params) if params is not None else [None] * groups
     except TooFewPoints:
         labels = [None] * groups
     used = [l is None or l.all_noise() for l in labels]
@@ -752,12 +759,13 @@ def cluster_with_fallback(
 
 def cluster_groups(
     groups,
-    params: HdbscanParams,
+    params: HdbscanParams | None,
     eps: float = FALLBACK_EPS,
 ) -> list[tuple[ClusterLabels, bool]]:
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
-    Each set is clustered on its own, exactly as if it were the only one.
+    Each set is clustered on its own, exactly as if it were the only one;
+    with params None, by dbscan alone (see cluster_with_fallback).
     Sets of one size n (and one dimension) are stacked, at most BLOCK points
     per stack (a set larger than BLOCK is a stack of one), and each stack
     takes one distance_matrix and one cluster_with_fallback call; an error
@@ -796,3 +804,83 @@ def cluster_points(
     The one-set case of cluster_groups.
     """
     return cluster_groups([vectors], params, eps)[0]
+
+
+def channel_representatives(vectors, k: int) -> list[int]:
+    """Indices, ascending, of the k vectors nearest the unit mean of all of them in cosine distance.
+
+    Ties go to the smaller index. All of them when there are at most k, or
+    when their unit vectors cancel to a zero mean, which has no direction.
+    """
+    rows = np.array(vectors, dtype=np.float64)
+    if len(rows) <= k:
+        return list(range(len(rows)))
+    rows /= np.sqrt(np.square(rows).sum(axis=1))[:, None]
+    mean = rows.sum(axis=0)
+    if not mean.any():
+        return list(range(len(rows)))
+    # cosine similarity to the mean up to its positive norm; a pairwise sum,
+    # not a BLAS product, so the ranking does not depend on the thread count
+    nearest = np.argsort(-(rows * mean).sum(axis=1), kind="stable")[:k]
+    return sorted(nearest.tolist())
+
+
+def cluster_by_channel(
+    vectors,
+    channels,
+    sizes,
+    params: HdbscanParams,
+    eps: float = FALLBACK_EPS,
+) -> ClusterLabels:
+    """Labels for vectors across channels: each channel's vectors first, then one global call.
+
+    The channel step clusters each channel's vectors by dbscan alone at eps,
+    min_pts 2, all channels in one cluster_groups call. It is not HDBSCAN:
+    at min_cluster_size 2 the hierarchy joins mutually far points that no
+    other point is near. Each channel cluster enters the one cluster_points
+    call as its channel_representatives, k = max(min_cluster_size, effective
+    min_samples): real points, so the global pass keeps the density it
+    needs. Each channel-noise vector enters as itself. Entered vectors keep
+    their order. Every member of a channel cluster takes the global label of
+    its first representative, and cluster labels are numbered 0..k-1 by
+    smallest member, as one call over all vectors numbers them.
+
+    A unit is a channel cluster or a channel-noise vector. A unit left as
+    global noise that stands for more than one item (sizes gives each
+    vector's item count) takes a fresh label after the cluster labels, in
+    the order of its smallest index; a one-item unit stays -1. Channels are
+    grouped in first-seen order, never in hash order.
+    """
+    by_channel: dict = {}
+    for index, channel in enumerate(channels):
+        by_channel.setdefault(channel, []).append(index)
+    members = list(by_channel.values())
+    flat = cluster_groups([[vectors[i] for i in m] for m in members], None, eps)
+    units = sorted(
+        ([m[i] for i in idxs] for m, (labels, _) in zip(members, flat) for idxs in label_groups(labels.labels)),
+        key=lambda unit: unit[0],
+    )
+
+    k = max(params.min_cluster_size, params.effective_min_samples)
+    entered, firsts = [], []
+    for unit in units:
+        representatives = [unit[j] for j in channel_representatives([vectors[i] for i in unit], k)]
+        entered += representatives
+        firsts.append(representatives[0])
+    entered.sort()
+    found, _ = cluster_points([vectors[i] for i in entered], params, eps)
+    by_point = dict(zip(entered, found.labels.tolist()))
+
+    unit_labels = [by_point[first] for first in firsts]
+    rank: dict[int, int] = {}
+    for label in unit_labels:
+        if label != -1:
+            rank.setdefault(label, len(rank))
+    labels = np.full(len(vectors), -1, dtype=np.int64)
+    fresh = len(rank)
+    for unit, label in zip(units, unit_labels):
+        if label != -1:
+            labels[unit] = rank[label]
+        elif sum(sizes[i] for i in unit) > 1:
+            labels[unit], fresh = fresh, fresh + 1
+    return ClusterLabels(labels)

@@ -1,11 +1,12 @@
 """Staged pipeline with restartable, stamped checkpoints.
 
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
-global speaker clustering -> bridge -> graph. Each stage is one row of the
-stage table, run by one generic step (:meth:`PipelineRun.step`). Every file is
-written to a temporary name and renamed into place. For a fixed dataset and
-configuration the bytes do not depend on the BLAS thread count or the output
-path.
+global speaker clustering -> bridge -> graph. Both global stages cluster
+each channel's points first, then all channels in one call. Each stage is
+one row of the stage table, run by one generic step
+(:meth:`PipelineRun.step`). Every file is written to a temporary name and
+renamed into place. For a fixed dataset and configuration the bytes do not
+depend on the BLAS thread count, the hash seed or the output path.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .catalog import AVPair, Dataset, from_plain, plain, unit_mean
 from .diarize import DiarizationSummary, VideoDiarization, diarize_video, filter_segments, reconcile
 from .distcluster import (
     FALLBACK_EPS,
-    ClusterLabels,
     HdbscanParams,
-    cluster_points,
+    cluster_by_channel,
     label_groups,
     labels_csv,
     labels_from_text,
@@ -314,9 +314,23 @@ class PipelineRun:
                 video_id=video_id, labels=labels, reconciled=reconciled, summary=summary
             )
 
-    def _cluster(self, vectors) -> ClusterLabels:
-        """Global cluster labels, one per vector in order."""
-        return cluster_points(vectors, self.config.hdbscan_params, self.config.dbscan_eps)[0]
+    def _cluster(self, points) -> dict:
+        """Global labels by id, for points given as (video id, ids, unit vector) in point order.
+
+        Each channel's points are clustered first, then one global call runs
+        over the channel clusters' representatives and the channel noise
+        (distcluster.cluster_by_channel); a point's channel is its video's.
+        Every id takes its point's label, and a point of several ids counts
+        as that many items.
+        """
+        labels = cluster_by_channel(
+            [unit for _, _, unit in points],
+            [self.ds.videos[video_id].channel_id for video_id, _, _ in points],
+            [len(ids) for _, ids, _ in points],
+            self.config.hdbscan_params,
+            self.config.dbscan_eps,
+        )
+        return {i: label for (_, ids, _), label in zip(points, labels.labels.tolist()) for i in ids}
 
     def compute_cluster_faces(self) -> None:
         """Recognize the entities across videos.
@@ -324,14 +338,14 @@ class PipelineRun:
         One point per entity, the unit mean of its pieces' representatives.
         An entity whose pieces cancel to a zero mean has no direction, so
         the stage fails with ZeroVector; the speaker side instead splits
-        such a speaker into its segments.
+        such a speaker into its segments. Points are in entity order.
         """
         points = [
-            unit_mean([self.representatives[t] for t in entity.member_track_ids]) for entity in self.entities
+            (e.video_id, [e.entity_id], unit_mean([self.representatives[t] for t in e.member_track_ids]))
+            for e in self.entities
         ]
-        del self.representatives  # freed before the global call
-        labels = self._cluster(points)
-        self.face_labels = {e.entity_id: int(l) for e, l in zip(self.entities, labels.labels)}
+        del self.representatives  # freed before the clustering calls
+        self.face_labels = self._cluster(points)
 
     def compute_cluster_speakers(self) -> None:
         """Recognize the diarized speakers across videos; each segment takes its speaker's label.
@@ -341,28 +355,21 @@ class PipelineRun:
         over one segment. A speaker whose embeddings cancel to a zero
         mean has no direction, so each of its segments is its own point.
         Points are ordered by their smallest segment id. A speaker of several
-        segments that the global pass leaves as noise is still one speaker:
-        it takes a fresh label after the cluster labels, in point order.
+        segments that is left as noise is still one speaker: it takes a
+        fresh label (see _cluster).
         """
-        points = []  # (sorted segment ids, unit vector)
-        for row in self.diarization.values():
+        points = []  # (video id, sorted segment ids, unit vector)
+        for video_id, row in self.diarization.items():
             segment_ids = sorted(row["labels"])
             for idxs in label_groups([row["labels"][i] for i in segment_ids]):
                 ids = [segment_ids[i] for i in idxs]
                 embeddings = [self.ds.segments[i].embedding for i in ids]
                 try:
-                    points.append((ids, unit_mean(embeddings)))
+                    points.append((video_id, ids, unit_mean(embeddings)))
                 except ZeroVector:
-                    points += [([i], unit_mean([e])) for i, e in zip(ids, embeddings)]
-        points.sort(key=lambda point: point[0][0])
-        labels = self._cluster([unit for _, unit in points])
-        fresh = labels.n_clusters
-        speaker_labels = {}
-        for (ids, _), label in zip(points, labels.labels.tolist()):
-            if label == -1 and len(ids) > 1:
-                label, fresh = fresh, fresh + 1
-            speaker_labels.update(dict.fromkeys(ids, label))
-        self.speaker_labels = dict(sorted(speaker_labels.items()))
+                    points += [(video_id, [i], unit_mean([e])) for i, e in zip(ids, embeddings)]
+        points.sort(key=lambda point: point[1][0])
+        self.speaker_labels = dict(sorted(self._cluster(points).items()))
 
     def compute_bridge(self) -> None:
         track_to_entity = {t: e.entity_id for e in self.entities for t in e.member_track_ids}

@@ -9,9 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from castgraph import distcluster
 from castgraph.distcluster import (
     BLOCK,
     FALLBACK_EPS,
+    ClusterLabels,
     _core_distances,
     _kth_smallest_per_row,
     _prim_mst,
@@ -19,6 +21,8 @@ from castgraph.distcluster import (
     HdbscanParams,
     SquareDistanceArray,
     SquareDistanceFile,
+    channel_representatives,
+    cluster_by_channel,
     cluster_groups,
     cluster_points,
     cluster_with_fallback,
@@ -738,6 +742,100 @@ def test_cluster_groups_zero_vector_in_any_group_raises(size):
     groups.insert(len(groups) // 2, np.vstack([np.ones((size - 1, 8)), np.zeros((1, 8))]))
     with pytest.raises(ZeroVector):
         cluster_groups(groups, PARAMS)
+
+
+# --- cluster_by_channel: each channel first, then one global call -----------------
+
+def unit(*coords) -> np.ndarray:
+    v = np.asarray(coords, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def global_call_stub(monkeypatch, label_of):
+    """Stub the global cluster_points call, labelling each entered vector v with label_of(v).
+
+    Returns the list the stub appends each call's entered vectors to.
+    """
+    entered = []
+
+    def fake(vectors, params, eps=FALLBACK_EPS):
+        entered.append([np.asarray(v) for v in vectors])
+        return ClusterLabels(np.asarray([label_of(v) for v in vectors], dtype=np.int64)), False
+
+    monkeypatch.setattr(distcluster, "cluster_points", fake)
+    return entered
+
+
+def test_three_far_points_in_one_channel_stay_apart():
+    # channel a: a host seen twice and three guests, no two of them closer
+    # than cosine distance 0.99; channels b to d each hold a copy of one guest
+    e = np.eye(6)
+    guests = [e[g] + 0.05 * e[4] for g in (1, 2, 3)]
+    channel_a = [e[0], e[0] + 0.01 * e[5], *guests]
+    # HDBSCAN at min_cluster_size 2 joins the three guests into one cluster,
+    # which is why the channel step is DBSCAN
+    joined, _ = cluster_points(channel_a, HdbscanParams(2))
+    assert joined.labels.tolist() == [0, 0, 1, 1, 1]
+    vectors = channel_a + [g + 0.01 * e[5] for g in guests]
+    labels = cluster_by_channel(vectors, ["a"] * 5 + ["b", "c", "d"], [1] * 8, HdbscanParams(2))
+    assert labels.labels.tolist() == [0, 0, 1, 2, 3, 1, 2, 3]
+
+
+def test_a_one_point_channel_passes_through_unchanged(monkeypatch):
+    vectors = [unit(1, 0, 0), unit(1, 0.01, 0), unit(0, 1, 0), unit(0, 1, 0.01), unit(0, 0, 1)]
+    entered = global_call_stub(monkeypatch, lambda v: int(np.argmax(v)))
+    labels = cluster_by_channel(vectors, ["a", "a", "b", "b", "c"], [1] * 5, PARAMS)
+    # two-member channel clusters enter whole at k = 2; the lone point of c enters as itself
+    assert len(entered) == 1 and len(entered[0]) == 5
+    assert entered[0][4] is vectors[4]
+    assert labels.labels.tolist() == [0, 0, 1, 1, 2]
+
+
+def test_representatives_are_the_members_nearest_the_mean():
+    # mirror pairs at +-20, +-5 and +-60 degrees: the mean points along x,
+    # and each pair is an exact tie, which goes to the smaller index
+    vectors = []
+    for angle in np.radians([20.0, 5.0, 60.0]):
+        vectors += [[np.cos(angle), np.sin(angle)], [np.cos(angle), -np.sin(angle)]]
+    assert channel_representatives(vectors, 1) == [2]
+    assert channel_representatives(vectors, 3) == [0, 2, 3]
+    assert channel_representatives(vectors, 4) == [0, 1, 2, 3]
+    assert channel_representatives(vectors, 6) == list(range(6))
+    assert channel_representatives(vectors, 9) == list(range(6))
+
+
+def test_members_take_their_representatives_label_or_a_fresh_one(monkeypatch):
+    # channel a: three near-x points (a cluster; two of them enter); channel b:
+    # two near-y points (a cluster); channel c: a z point of one item and a w
+    # point of three items. The global call labels x points 5 and all else noise
+    vectors = [
+        unit(0, 1, 0, 0), unit(1, 0.02, 0, 0), unit(0, 0, 1, 0), unit(1, 0, 0.02, 0),
+        unit(0, 0, 0, 1), unit(1, 0, 0, 0.02), unit(0, 1, 0.02, 0),
+    ]
+    channels = ["b", "a", "c", "a", "c", "a", "b"]
+    entered = global_call_stub(monkeypatch, lambda v: 5 if np.argmax(v) == 0 else -1)
+    labels = cluster_by_channel(vectors, channels, [1, 1, 1, 1, 3, 1, 1], PARAMS)
+    assert len(entered[0]) == 6
+    # the x cluster is renumbered 0, all three members included; the y
+    # cluster and the three-item w point take fresh labels by smallest
+    # index; the one-item z point stays noise
+    assert labels.labels.tolist() == [1, 0, -1, 0, 2, 0, 1]
+
+
+def test_a_channel_cluster_of_zero_mean_enters_as_all_its_members(monkeypatch):
+    e = np.eye(3)
+    vectors = [e[0], -e[0], e[1], -e[1], e[2]]
+    assert channel_representatives(vectors[:4], 2) == [0, 1, 2, 3]
+    entered = global_call_stub(monkeypatch, lambda v: 0)
+    # at eps 2.5 the channel step joins antipodal points: one cluster of five
+    # with mean e2, and one of four with a zero mean
+    labels = cluster_by_channel(vectors + vectors[:4], ["a"] * 5 + ["b"] * 4, [1] * 9, PARAMS, eps=2.5)
+    assert [len(vs) for vs in entered] == [2 + 4]
+    assert labels.labels.tolist() == [0] * 9
+
+
+def test_cluster_by_channel_without_points():
+    assert cluster_by_channel([], [], [], PARAMS).labels.tolist() == []
 
 
 # --- labels ----------------------------------------------------------------------
