@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints, is_typeddict
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -242,12 +242,20 @@ def _embedding_fault(record_id: str, embeddings: np.ndarray) -> Violation:
     return Violation(record_id, "NonFinite", "an embedding row is not finite")
 
 
+def _id_rules(record_id: str):
+    # a label checkpoint holds one id per line
+    if "\n" in record_id:
+        yield Violation(repr(record_id), "LineBreak", "the id holds a line feed")
+
+
 def _channel_rules(channel: Channel, ds: Dataset):
     if not channel.channel_id:
         yield Violation("<channel>", "EmptyKey", "channel_id is empty")
+    yield from _id_rules(channel.channel_id)
 
 
 def _video_rules(video: Video, ds: Dataset):
+    yield from _id_rules(video.video_id)
     if video.channel_id not in ds.channels:
         yield Violation(video.video_id, "DanglingReference", f"channel {video.channel_id!r}")
     if not math.isfinite(video.duration_s):
@@ -264,6 +272,7 @@ def _video_rules(video: Video, ds: Dataset):
 
 def _track_rules(track: FaceTrack, ds: Dataset, usable: bool):
     track_id, count = track.track_id, track.embeddings.shape[0]
+    yield from _id_rules(track_id)
     if track.video_id not in ds.videos:
         yield Violation(track_id, "DanglingReference", f"video {track.video_id!r}")
     if track.start_frame < 0 or track.start_frame > track.end_frame:
@@ -287,6 +296,7 @@ def _track_rules(track: FaceTrack, ds: Dataset, usable: bool):
 
 def _segment_rules(segment: SpeechSegment, ds: Dataset, usable: bool):
     segment_id, start, end = segment.segment_id, segment.start_s, segment.end_s
+    yield from _id_rules(segment_id)
     if segment.video_id not in ds.videos:
         yield Violation(segment_id, "DanglingReference", f"video {segment.video_id!r}")
     if not -math.inf < start < end < math.inf:
@@ -380,7 +390,7 @@ def plain(value):
 def from_plain(kind, data):
     """The kind value whose JSON form is data; the inverse of plain.
 
-    kind is a dataclass, a TypedDict, dict[K, V] (K str or int), list[X],
+    kind is a dataclass, dict[K, V] (K str or int), list[X],
     tuple[X, ...], a fixed tuple, frozenset[X], X | None, str, int, float or
     bool. Every field is required: a missing one raises KeyError, and a value
     of the wrong shape or type TypeError or ValueError.
@@ -406,11 +416,9 @@ def _expect(data, json_type):
 def _reader(kind):
     """The function from_plain applies for kind, built once per type."""
     origin, args = get_origin(kind), get_args(kind)
-    if is_typeddict(kind) or is_dataclass(kind):
+    if is_dataclass(kind):
         hints = get_type_hints(kind)
-        names = hints if is_typeddict(kind) else [f.name for f in fields(kind)]
-        readers = tuple((name, _reader(hints[name])) for name in names)
-        # calling a TypedDict builds a plain dict
+        readers = tuple((f.name, _reader(hints[f.name])) for f in fields(kind))
         return lambda data: kind(**{name: read(data[name]) for name, read in readers})
     if origin in (Union, UnionType):
         (inner,) = (arg for arg in args if arg is not NoneType)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TypedDict
+from dataclasses import dataclass
 
 from .catalog import SpeechSegment
 from .distcluster import FALLBACK_EPS, HdbscanParams, cluster_groups
@@ -39,52 +38,22 @@ def filter_segments(
     return kept, rejected
 
 
-@dataclass
-class DiarizationSummary:
-    video_id: str
-    clusters_found: int
-    noise_count: int
-    avg_segment_s: float
-    used_fallback: bool
-    rejected: list[RejectedSegment] = field(default_factory=list)
-
-
-def diarize_video(
-    videos,
-    params: HdbscanParams,
-    eps: float = FALLBACK_EPS,
-    rejected=None,
-) -> list[tuple[dict[str, int], DiarizationSummary]]:
+def diarize_video(videos, params: HdbscanParams, eps: float = FALLBACK_EPS) -> list[dict[str, int]]:
     """Cluster each video's retained segments into speaker labels.
 
-    videos holds one list of retained segments per video, and rejected, if
-    given, the matching lists of that video's rejected segments. Every video
-    is clustered on its own, all of them in one cluster_groups call. Returns
-    one (segment_id -> label, summary) per video, in order. The summary
-    carries the number of found clusters, the number of unclustered (noise)
-    segments, and the mean retained segment length in seconds.
+    videos holds one list of retained segments per video. Every video is
+    clustered on its own, all of them in one cluster_groups call. Returns
+    one segment_id -> label dict per video, in order, each in segment start
+    order; -1 marks a segment left as noise.
     """
     ordered = [sorted(segments, key=lambda s: (s.start_s, s.segment_id)) for segments in videos]
     if not all(ordered):
         raise NoSegments("no retained segments to diarize")
-    if rejected is None:
-        rejected = [()] * len(ordered)
     clustered = cluster_groups([[s.embedding for s in segments] for segments in ordered], params, eps)
-
-    out = []
-    for segments, (labels, used_fallback), video_rejected in zip(ordered, clustered, rejected, strict=True):
-        assignment = {s.segment_id: int(l) for s, l in zip(segments, labels.labels)}
-        durations = [s.duration_s for s in segments]
-        summary = DiarizationSummary(
-            video_id=segments[0].video_id,
-            clusters_found=labels.n_clusters,
-            noise_count=labels.n_noise,
-            avg_segment_s=float(sum(durations) / len(durations)),
-            used_fallback=used_fallback,
-            rejected=list(video_rejected),
-        )
-        out.append((assignment, summary))
-    return out
+    return [
+        {s.segment_id: int(l) for s, l in zip(segments, labels.labels)}
+        for segments, (labels, _) in zip(ordered, clustered, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -95,22 +64,13 @@ class ReconciledSegment:
     pair_confidence: float | None = None
 
 
-class VideoDiarization(TypedDict):
-    """One video's diarization: a row of the diarize checkpoint."""
-
-    video_id: str
-    labels: dict[str, int]  # segment id -> speaker label
-    reconciled: list[ReconciledSegment]
-    summary: DiarizationSummary
-
-
 def reconcile(labels: dict[str, int], av_pairs) -> list[ReconciledSegment]:
     """Attach active-speaker pairings on top of diarization labels.
 
-    Diarization always runs for every segment; a segment claimed by an AV
-    pair keeps that pairing alongside its label so the cross-modal bridge can
-    vote with both. When several pairs claim one segment the most confident
-    one wins (earlier track id on ties).
+    A segment claimed by an AV pair keeps that pairing alongside its label.
+    When several pairs claim one segment the most confident one wins
+    (earlier track id on ties). No stage calls it: the bridge joins pairs to
+    entities itself. It stays while perfbench's tracer hooks it.
     """
     best_pair: dict[str, tuple[float, str]] = {}
     for pair in av_pairs:

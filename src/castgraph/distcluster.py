@@ -334,10 +334,10 @@ def labels_csv(point_ids, labels) -> str:
 
 
 def labels_from_text(text: str) -> tuple[list[str], ClusterLabels]:
+    """The inverse of labels_csv. Lines end at a line feed only, so an id keeps any other character."""
     ids: list[str] = []
     values: list[int] = []
-    for line in text.splitlines()[1:]:
-        line = line.strip()
+    for line in text.split("\n")[1:]:
         if not line:
             continue
         point_id, label = line.rsplit(",", 1)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
 from .catalog import AVPair, Dataset, from_plain, plain, unit_mean
-from .diarize import DiarizationSummary, VideoDiarization, diarize_video, filter_segments, reconcile
+from .diarize import diarize_video, filter_segments
 from .distcluster import (
     FALLBACK_EPS,
     HdbscanParams,
@@ -119,20 +119,14 @@ def _labels_codec(attr: str, name: str):
     return (attr,), encode, decode
 
 
-def _rows_codec(attr: str, name: str, kind, key: str | None = None):
-    """results, encode and decode for a stage whose result is a list of kind records, one JSONL row each.
-
-    With key, the result is instead a dict of the records by their key field,
-    in row order.
-    """
+def _rows_codec(attr: str, name: str, kind):
+    """results, encode and decode for a stage whose result is a list of kind records, one JSONL row each."""
 
     def encode(run) -> dict[str, bytes]:
-        rows = getattr(run, attr)
-        return {name: _jsonl(rows.values() if key else rows)}
+        return {name: _jsonl(getattr(run, attr))}
 
     def decode(run, files: dict[str, bytes]) -> None:
-        rows = from_plain(list[kind], _rows(files[name]))
-        setattr(run, attr, {row[key]: row for row in rows} if key else rows)
+        setattr(run, attr, from_plain(list[kind], _rows(files[name])))
 
     return (attr,), encode, decode
 
@@ -286,33 +280,19 @@ class PipelineRun:
 
     def compute_merge(self) -> None:
         config = self.config
-        self.entities = merge_tracks(
-            self.pieces, config.hdbscan_params, self.av_pairs, config.dbscan_eps, self.representatives
-        )
+        self.entities = merge_tracks(self.pieces, config.hdbscan_params, config.dbscan_eps, self.representatives)
 
     def compute_diarize(self) -> None:
-        config = self.config
-        pairs_by_video: dict[str, list[AVPair]] = {}
-        for pair in self.av_pairs:
-            pairs_by_video.setdefault(self.ds.segments[pair.segment_id].video_id, []).append(pair)
+        """Each retained segment's speaker label, by video id, then start.
 
-        video_ids = sorted(self.segments_by_video)
-        filtered = {v: filter_segments(self.segments_by_video[v], config.min_segment_s) for v in video_ids}
-        diarized = [v for v in video_ids if filtered[v][0]]
-        results = dict(zip(diarized, diarize_video(
-            [filtered[v][0] for v in diarized],
-            config.hdbscan_params,
-            config.dbscan_eps,
-            [filtered[v][1] for v in diarized],
-        )))
-        self.diarization = {}
-        for video_id in video_ids:
-            empty = ({}, DiarizationSummary(video_id, 0, 0, 0.0, False, filtered[video_id][1]))
-            labels, summary = results.get(video_id, empty)
-            reconciled = reconcile(labels, pairs_by_video.get(video_id, []))
-            self.diarization[video_id] = VideoDiarization(
-                video_id=video_id, labels=labels, reconciled=reconciled, summary=summary
-            )
+        A label names a speaker within its segment's video only; -1 marks
+        diarization noise.
+        """
+        config = self.config
+        kept = [filter_segments(self.segments_by_video[v], config.min_segment_s)[0]
+                for v in sorted(self.segments_by_video)]
+        videos = diarize_video([k for k in kept if k], config.hdbscan_params, config.dbscan_eps)
+        self.diarization = {i: label for labels in videos for i, label in labels.items()}
 
     def _cluster(self, points) -> dict:
         """Global labels by id, for points given as (video id, ids, unit vector) in point order.
@@ -358,10 +338,12 @@ class PipelineRun:
         segments that is left as noise is still one speaker: it takes a
         fresh label (see _cluster).
         """
+        by_video: dict[str, list[str]] = {}
+        for segment_id in sorted(self.diarization):
+            by_video.setdefault(self.ds.segments[segment_id].video_id, []).append(segment_id)
         points = []  # (video id, sorted segment ids, unit vector)
-        for video_id, row in self.diarization.items():
-            segment_ids = sorted(row["labels"])
-            for idxs in label_groups([row["labels"][i] for i in segment_ids]):
+        for video_id, segment_ids in by_video.items():
+            for idxs in label_groups([self.diarization[i] for i in segment_ids]):
                 ids = [segment_ids[i] for i in idxs]
                 embeddings = [self.ds.segments[i].embedding for i in ids]
                 try:
@@ -402,11 +384,10 @@ class PipelineRun:
               compute_split, ("pieces", "piece_sources"), encode_split, decode_split),
         Stage("pair", ("02_av_pairs.jsonl",), ("conf_threshold",), ("split",),
               compute_pair, *_rows_codec("av_pairs", "02_av_pairs.jsonl", AVPair)),
-        Stage("merge", ("03_entities.jsonl",), CLUSTERING, ("split", "pair"),
+        Stage("merge", ("03_entities.jsonl",), CLUSTERING, ("split",),
               compute_merge, *_rows_codec("entities", "03_entities.jsonl", TrackEntity)),
-        Stage("diarize", ("04_diarization.jsonl",), ("min_segment_s", *CLUSTERING), ("pair",),
-              compute_diarize,
-              *_rows_codec("diarization", "04_diarization.jsonl", VideoDiarization, key="video_id")),
+        Stage("diarize", ("04_diarization.csv",), ("min_segment_s", *CLUSTERING), (),
+              compute_diarize, *_labels_codec("diarization", "04_diarization.csv")),
         Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("split", "merge"),
               compute_cluster_faces, *_labels_codec("face_labels", "05_face_labels.csv")),
         Stage("cluster_speakers", ("06_speaker_labels.csv",), CLUSTERING, ("diarize",),

@@ -30,8 +30,6 @@ class TrackEntity:
     entity_id: str
     video_id: str
     member_track_ids: tuple[str, ...]
-    paired_segments: tuple[str, ...] = ()
-    total_frames: int = 0
 
 
 def split_tracks(tracks, policy: TrackPolicy) -> list[FaceTrack]:
@@ -136,7 +134,6 @@ def representative_embedding(track: FaceTrack) -> np.ndarray:
 def merge_tracks(
     tracks,
     params: HdbscanParams,
-    pairs=(),
     eps: float = FALLBACK_EPS,
     representatives=None,
 ) -> list[TrackEntity]:
@@ -146,18 +143,12 @@ def merge_tracks(
     representatives (piece id to vector) when the caller already has them.
     Merging is per video, all videos in one cluster_groups call. Tracks
     sharing a cluster label form one entity; noise tracks become singleton
-    entities. Every AV pair travels with its track into the owning entity,
-    untouched. Entities come back ordered by
-    (video, first frame, first track id) and are labeled e0, e1, ... within
-    their video.
+    entities. Entities come back ordered by (video, first frame, first track
+    id) and are labeled e0, e1, ... within their video.
     """
     ordered = sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id))
     if not ordered:
         return []
-    pairs_by_track: dict[str, list[AVPair]] = {}
-    for pair in pairs:
-        pairs_by_track.setdefault(pair.track_id, []).append(pair)
-
     if representatives is None:
         representatives = {t.track_id: representative_embedding(t) for t in ordered}
     videos = [list(members) for _, members in groupby(ordered, key=lambda t: t.video_id)]
@@ -168,18 +159,11 @@ def merge_tracks(
     for members, (labels, _) in zip(videos, clustered):
         video_id = members[0].video_id
         for seq, idxs in enumerate(label_groups(labels.labels)):
-            group = [members[i] for i in idxs]
-            segment_ids = []
-            for member in group:
-                for pair in pairs_by_track.get(member.track_id, []):
-                    segment_ids.append(pair.segment_id)
             entities.append(
                 TrackEntity(
                     entity_id=f"{video_id}/e{seq}",
                     video_id=video_id,
-                    member_track_ids=tuple(m.track_id for m in group),
-                    paired_segments=tuple(sorted(set(segment_ids))),
-                    total_frames=sum(m.n_frames for m in group),
+                    member_track_ids=tuple(members[i].track_id for i in idxs),
                 )
             )
     return entities

@@ -270,12 +270,12 @@ def test_split_merge_round_trip_thousand_tracks():
         )
         pieces = split_tracks([track], policy)
         pairs = [AVPair(p.track_id, f"seg{trial}/{i}", 1.0) for i, p in enumerate(pieces)]
-        entities = merge_tracks(pieces, PARAMS, pairs)
+        entities = merge_tracks(pieces, PARAMS)
         if len(entities) != 1:
             failures += 1
             continue
-        kept = set(entities[0].paired_segments)
-        if kept != {pair.segment_id for pair in pairs}:
+        # the bridge joins each pair to the entity holding its track
+        if not {pair.track_id for pair in pairs} <= set(entities[0].member_track_ids):
             lost_pairs += 1
     del gen
     criterion(

@@ -31,12 +31,7 @@ from castgraph.catalog import (
     write_emb,
 )
 from castgraph.collabgraph import CollaborationEdge
-from castgraph.diarize import (
-    DiarizationSummary,
-    ReconciledSegment,
-    RejectedSegment,
-    VideoDiarization,
-)
+from castgraph.diarize import ReconciledSegment, RejectedSegment
 from castgraph.errors import DanglingReference, MalformedRecord, MissingFile, ZeroVector
 from castgraph.synth import GroundTruth, SynthConfig, generate
 from castgraph.tracks import TrackEntity
@@ -366,6 +361,16 @@ def non_utf8_byte(root, ds):
     path.write_bytes(b"\n".join(lines))
 
 
+def line_feed_in_segment_id(root, ds):
+    # an id may hold any other character, U+2028 included (see test_pipeline_cli)
+    segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(segment_id=r["segment_id"] + "\n"))[
+        "segment_id"
+    ]
+    segment = ds.segments.pop(segment_id[:-1])
+    segment.segment_id = segment_id
+    ds.segments[segment_id] = segment
+
+
 def dangling_segment_video(root, ds):
     change = lambda r: r.update(video_id="vMISSING")  # noqa: E731
     segment_id = edit_record(root, "segments.jsonl", change)["segment_id"]
@@ -388,6 +393,7 @@ BAD_MANIFESTS = [
     (nan_speaker_embedding, "segments.jsonl", MalformedRecord, "NonFinite", None),
     (infinite_end, "segments.jsonl", MalformedRecord, "NonFinite", None),
     (zero_face_row, "tracks.jsonl", MalformedRecord, "ZeroVector", None),
+    (line_feed_in_segment_id, "segments.jsonl", MalformedRecord, "LineBreak", None),
     (dangling_segment_video, "segments.jsonl", DanglingReference, "DanglingReference", None),
 ]
 
@@ -492,7 +498,6 @@ def encoded(value) -> str:
 
 
 EDGE = AssociationEdge(face=10, speaker=2, votes=3)
-SUMMARY = DiarizationSummary("v1", 2, 1, 1.5, True, [RejectedSegment("s9", "TooShort")])
 TRUTH = GroundTruth(
     identity_homes={10: "ch1", 2: "ch0"},
     track_identity={"t1": 10},
@@ -506,14 +511,12 @@ TRUTH = GroundTruth(
 
 RECORDS = [
     (AVPair, AVPair("t1", "s1", 0.75)),
-    (TrackEntity, TrackEntity("v1/e0", "v1", ("t1", "t1#1"), ("s1",), 50)),
+    (TrackEntity, TrackEntity("v1/e0", "v1", ("t1", "t1#1"))),
     (RejectedSegment, RejectedSegment("s9", "NoEmbedding")),
-    (DiarizationSummary, SUMMARY),
+    (RejectedSegment, RejectedSegment("s8", "TooShort")),
     (ReconciledSegment, ReconciledSegment("s1", 0, "t1", 0.75)),
     (ReconciledSegment, ReconciledSegment("s2", -1)),
-    (VideoDiarization, VideoDiarization(
-        video_id="v1", labels={"s1": 0, "s2": -1}, reconciled=[ReconciledSegment("s1", 0)], summary=SUMMARY
-    )),
+    (TrackEntity, TrackEntity("v2/e0", "v2", ("t2",))),
     (AssociationEdge, EDGE),
     (AssociationGraph, AssociationGraph((2, 10), (2,), (EDGE,))),
     (IdentityComponent, IdentityComponent(0, frozenset({10, 2}), frozenset())),
@@ -541,7 +544,7 @@ def test_codec_writes_sets_sorted_and_keys_as_sorted_strings():
 
 def test_codec_reads_the_annotated_container_types():
     entity = from_plain(TrackEntity, json.loads(encoded(RECORDS[1][1])))
-    assert type(entity.member_track_ids) is tuple and type(entity.paired_segments) is tuple
+    assert type(entity.member_track_ids) is tuple
     plain_component = {"identity_id": 0, "face_clusters": [2], "speaker_clusters": []}
     assert type(from_plain(IdentityComponent, plain_component).face_clusters) is frozenset
     truth = from_plain(GroundTruth, json.loads(encoded(TRUTH)))

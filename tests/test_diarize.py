@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from castgraph.catalog import AVPair, SpeechSegment
-from castgraph.diarize import RejectedSegment, diarize_video, filter_segments, reconcile
-from castgraph.distcluster import HdbscanParams
+from castgraph.diarize import diarize_video, filter_segments, reconcile
+from castgraph.distcluster import HdbscanParams, cluster_groups
 from castgraph.errors import NoSegments
 from castgraph.synth import random_unit, rotate_within
 
@@ -28,6 +28,12 @@ def speaker_segments(n, noise_deg, seed, video="v1", prefix="s", dim=96, centroi
         emb = rotate_within(gen, centroid, noise_deg)
         out.append(make_segment(f"{prefix}{k}", 2.0 * k, 2.0 * k + 1.5, emb, video))
     return out
+
+
+def used_fallback(segments) -> bool:
+    """Whether clustering these segments falls back to DBSCAN."""
+    [(_, fallback)] = cluster_groups([[s.embedding for s in segments]], PARAMS)
+    return fallback
 
 
 # --- filtering -------------------------------------------------------------------
@@ -64,10 +70,8 @@ def test_filter_accounts_for_every_segment():
 
 def test_single_speaker_clusters_via_fallback():
     segments = speaker_segments(10, 4.0, seed=1)
-    [(labels, summary)] = diarize_video([segments], PARAMS)
-    assert summary.used_fallback
-    assert summary.clusters_found == 1
-    assert summary.noise_count == 0
+    [labels] = diarize_video([segments], PARAMS)
+    assert used_fallback(segments)
     assert set(labels.values()) == {0}
 
 
@@ -75,10 +79,10 @@ def test_single_speaker_clusters_via_fallback():
 def test_single_speaker_always_one_cluster(seed):
     # the heuristic eps can leave a straggler as noise, never a second cluster
     segments = speaker_segments(10, 4.0, seed=seed)
-    [(_, summary)] = diarize_video([segments], PARAMS)
-    assert summary.used_fallback
-    assert summary.clusters_found == 1
-    assert summary.noise_count <= 1
+    [labels] = diarize_video([segments], PARAMS)
+    assert used_fallback(segments)
+    assert set(labels.values()) - {-1} == {0}
+    assert list(labels.values()).count(-1) <= 1
 
 
 def test_two_speakers_match_generator():
@@ -87,39 +91,22 @@ def test_two_speakers_match_generator():
     segments = speaker_segments(6, 4.0, seed=6, prefix="a", centroid=a) + speaker_segments(
         6, 4.0, seed=7, prefix="b", centroid=b
     )
-    [(labels, summary)] = diarize_video([segments], PARAMS)
-    assert summary.clusters_found == 2
-    assert not summary.used_fallback
+    [labels] = diarize_video([segments], PARAMS)
+    assert set(labels.values()) == {0, 1}
+    assert not used_fallback(segments)
     assert len({labels[f"a{k}"] for k in range(6)}) == 1
     assert len({labels[f"b{k}"] for k in range(6)}) == 1
     assert labels["a0"] != labels["b0"]
 
 
 def test_single_segment_singleton_label():
-    [(labels, summary)] = diarize_video([speaker_segments(1, 0.0, seed=9)], PARAMS)
+    [labels] = diarize_video([speaker_segments(1, 0.0, seed=9)], PARAMS)
     assert labels == {"s0": 0}
-    assert summary.clusters_found == 1
 
 
 def test_no_segments_raises():
     with pytest.raises(NoSegments):
         diarize_video([[]], PARAMS)
-
-
-def test_summary_average_length_matches_brute_force():
-    rng = np.random.default_rng(123)
-    centroid = random_unit(np.random.Generator(np.random.PCG64(11)), 64)
-    gen = np.random.Generator(np.random.PCG64(12))
-    segments = []
-    for k in range(9):
-        start = float(rng.uniform(0, 50))
-        length = float(rng.uniform(1.0, 7.0))
-        segments.append(
-            make_segment(f"s{k}", start, start + length, rotate_within(gen, centroid, 2.0))
-        )
-    [(_, summary)] = diarize_video([segments], PARAMS)
-    expected = sum(s.end_s - s.start_s for s in segments) / len(segments)
-    assert summary.avg_segment_s == pytest.approx(expected, abs=1e-9)
 
 
 def test_permutation_invariance_up_to_renaming():
@@ -128,8 +115,8 @@ def test_permutation_invariance_up_to_renaming():
     segments = speaker_segments(5, 3.0, seed=31, prefix="a", centroid=a) + speaker_segments(
         5, 3.0, seed=32, prefix="b", centroid=b
     )
-    [(labels_fwd, _)] = diarize_video([segments], PARAMS)
-    [(labels_rev, _)] = diarize_video([list(reversed(segments))], PARAMS)
+    [labels_fwd] = diarize_video([segments], PARAMS)
+    [labels_rev] = diarize_video([list(reversed(segments))], PARAMS)
     groups_fwd = {frozenset(k for k, v in labels_fwd.items() if v == c) for c in set(labels_fwd.values())}
     groups_rev = {frozenset(k for k, v in labels_rev.items() if v == c) for c in set(labels_rev.values())}
     assert groups_fwd == groups_rev
@@ -148,11 +135,10 @@ def test_many_videos_in_one_call_match_each_video_alone():
         speaker_segments(4, 0.0, seed=46, video="dupes", centroid=a),
         speaker_segments(2, 4.0, seed=47, video="pair2"),
     ]
-    rejected = [[], [RejectedSegment("x", "TooShort")], [], [], [], []]
-    together = diarize_video(videos, PARAMS, rejected=rejected)
-    alone = [diarize_video([v], PARAMS, rejected=[r])[0] for v, r in zip(videos, rejected)]
+    together = diarize_video(videos, PARAMS)
+    alone = [diarize_video([v], PARAMS)[0] for v in videos]
     assert together == alone
-    assert [summary.video_id for _, summary in together] == [v[0].video_id for v in videos]
+    assert [set(labels) for labels in together] == [{s.segment_id for s in v} for v in videos]
 
 
 # --- reconcile -------------------------------------------------------------------

@@ -855,3 +855,11 @@ def test_labels_csv_round_trip():
     ids, loaded = labels_from_text(text)
     assert ids == ["a", "b", "c", "d"]
     assert loaded.labels.tolist() == [0, 1, -1, 0]
+
+
+def test_labels_csv_round_trips_any_id_without_a_line_feed():
+    # str.splitlines would also break at U+2028, U+0085 and a carriage return
+    ids = ["a b", "c\rd", "e\x85f", " g ", "h,i", "j\tk"]
+    loaded_ids, loaded = labels_from_text(labels_csv(ids, range(len(ids))))
+    assert loaded_ids == ids
+    assert loaded.labels.tolist() == list(range(len(ids)))

@@ -92,8 +92,8 @@ def test_small_run_output_bytes_are_golden(small_run):
 CFG_RECORDS_SHA256 = {
     "01_tracks_split.jsonl": "04d4aeafc8828fd620976d52b33c12b6a3774387694fcea8e675c9f166d4054b",
     "02_av_pairs.jsonl": "92b8189b15c5718fd94fdd04bc3c8181d1e200814be69de0fe2d3aad90a5fb35",
-    "03_entities.jsonl": "c76b5211102f9897b40436648037a1c9082a005e36d289c52fbeaa32b1ede2d5",
-    "04_diarization.jsonl": "61f6bf12d825804fd6ada76a80686fde7d8ba07fe4e613f9f0432f931e6fea16",
+    "03_entities.jsonl": "69828aa799bced0cccd335e8bfa9b93c3f4471e46640327d18d9cd1fed5de988",
+    "04_diarization.csv": "4120871966d5d9f35f68d775906c9522458f607b13e482d85c7acfb6bf3dac9d",
     "graph.dot": "aaa250bdfb8e1cfd267fc3e1280042818ae0f181caf3b1470758cafed3385cd4",
 }
 
@@ -167,9 +167,8 @@ def test_resumed_run_decodes_what_a_fresh_run_computed(tmp_path, monkeypatch):
         assert getattr(resumed, attr) == getattr(fresh, attr), attr
 
 
-def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypatch):
-    ds, truth = generate(CFG)
-    run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+def count_decodes(monkeypatch) -> list[str]:
+    """The names of the stages whose checkpoints get decoded from now on, in order."""
     decoded = []
 
     def counted(stage):
@@ -180,14 +179,37 @@ def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypat
         return replace(stage, decode=decode)
 
     monkeypatch.setattr(PipelineRun, "STAGES", tuple((name, counted(s)) for name, s in PipelineRun.STAGES))
+    return decoded
+
+
+def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypatch):
+    ds, truth = generate(CFG)
+    run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+    decoded = count_decodes(monkeypatch)
     resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
     resumed.run(truth)
     # the report and the evaluation read every result but the diarization
     assert sorted(decoded) == sorted(name for name in CHECKPOINTS if name != "diarize")
-    assert resumed.diarization["v0000"]["video_id"] == "v0000"
+    assert resumed.diarization["v0002/s0"] == 0
     assert sorted(decoded) == sorted(CHECKPOINTS)
     with pytest.raises(AttributeError, match="no_such_result"):
         resumed.no_such_result  # noqa: B018
+
+
+def test_each_stage_reads_the_results_of_exactly_its_upstream_stages(tmp_path, monkeypatch):
+    # a stamp covers the upstream stages' stamps: a result read from any other
+    # stage could be stale on resume, and an upstream stage never read makes
+    # the stage recompute for nothing
+    ds, truth = generate(CFG)
+    run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+    decoded = count_decodes(monkeypatch)
+    for name, stage in PipelineRun.STAGES:
+        run = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
+        run.run_until("graph")
+        assert not decoded
+        stage.compute(run)
+        assert set(decoded) == set(stage.upstream), name
+        decoded.clear()
 
 
 def test_report_matches_file(small_run):
@@ -254,6 +276,18 @@ def test_resume_with_changed_config_recomputes(tmp_path):
     assert fresh["av_pairs"] == 0
     assert resumed == fresh
     assert read_tree(out) == read_tree(tmp_path / "fresh")
+
+
+def test_a_changed_conf_threshold_recomputes_only_the_stages_that_read_pairs(tmp_path):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    before = {p.name: p.stat().st_ino for p in out.iterdir()}
+    resumed = run_pipeline(ds, out, PipelineConfig(conf_threshold=0.6, resume=True), truth)
+    after = {p.name: p.stat().st_ino for p in out.iterdir()}
+    stamps = {name: Path(file).stem + ".stamp" for name, file in CHECKPOINTS.items()}
+    assert {name for name, stamp in stamps.items() if after[stamp] != before[stamp]} == {"pair", "bridge", "graph"}
+    assert resumed == run_pipeline(ds, tmp_path / "fresh", PipelineConfig(conf_threshold=0.6), truth)
 
 
 def test_resume_over_an_older_version_recomputes_once(tmp_path, monkeypatch):
@@ -334,10 +368,10 @@ def test_resume_recomputes_speaker_side_when_diarization_changes(tmp_path):
     run_pipeline(ds, out, PipelineConfig(), truth)
     # split one diarized speaker into noise segments, with a stamp that matches the edit
     path = out / CHECKPOINTS["diarize"]
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    row = next(r for r in rows if sum(l == 0 for l in r["labels"].values()) >= 2)
-    row["labels"] = {i: -1 if l == 0 else l for i, l in row["labels"].items()}
-    edited = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode()
+    ids, labels = distcluster.labels_from_text(path.read_text())
+    videos = [ds.segments[i].video_id for i in ids]
+    video = next(v for v in videos if sum(w == v and l == 0 for w, l in zip(videos, labels.labels)) >= 2)
+    edited = distcluster.labels_csv(ids, [-1 if w == video else l for w, l in zip(videos, labels.labels)]).encode()
     run = PipelineRun(ds, out, PipelineConfig(resume=True))
     run.run_until("pair")
     diarize = dict(PipelineRun.STAGES)["diarize"]
@@ -353,18 +387,18 @@ def test_resume_recomputes_speaker_side_when_diarization_changes(tmp_path):
 # --- the speaker side: diarized speakers in, one global label per segment ------------
 
 def test_every_segment_of_a_diarized_speaker_shares_its_global_label(small_run):
-    _, _, out, _ = small_run
-    ids, labels = distcluster.labels_from_text((out / CHECKPOINTS["cluster_speakers"]).read_text())
-    speaker_labels = dict(zip(ids, labels.labels.tolist()))
-    rows = [json.loads(line) for line in (out / CHECKPOINTS["diarize"]).read_text().splitlines()]
-    assert set(speaker_labels) == {i for row in rows for i in row["labels"]}
-    speakers = 0
-    for row in rows:
-        for label in set(row["labels"].values()) - {-1}:
-            members = [i for i, l in row["labels"].items() if l == label]
-            assert len({speaker_labels[i] for i in members}) == 1, (row["video_id"], label)
-            speakers += 1
-    assert speakers > 0
+    ds, _, out, _ = small_run
+    found = {}
+    for stage in ("diarize", "cluster_speakers"):
+        ids, labels = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_text())
+        found[stage] = dict(zip(ids, labels.labels.tolist()))
+    assert set(found["cluster_speakers"]) == set(found["diarize"])
+    # a diarization label names a speaker within its segment's video
+    speakers: dict[tuple[str, int], set[int]] = {}
+    for i, label in found["diarize"].items():
+        if label != -1:
+            speakers.setdefault((ds.segments[i].video_id, label), set()).add(found["cluster_speakers"][i])
+    assert speakers and all(len(global_labels) == 1 for global_labels in speakers.values()), speakers
 
 
 def voices_dataset(videos) -> catalog.Dataset:
@@ -393,11 +427,7 @@ def test_speakers_left_as_global_noise(tmp_path):
     run = PipelineRun(ds, tmp_path, PipelineConfig(min_cluster_size=3))
     run.run_until("cluster_speakers")
     # diarization: v0 has speakers a and b and one noise segment, v1 and v2 one speaker each
-    assert {v: row["labels"] for v, row in run.diarization.items()} == {
-        "v0": {"a0": 0, "a1": 0, "b0": 1, "b1": 1, "n0": -1},
-        "v1": {"c0": 0, "c1": 0},
-        "v2": {"d0": 0},
-    }
+    assert run.diarization == {"a0": 0, "a1": 0, "b0": 1, "b1": 1, "n0": -1, "c0": 0, "c1": 0, "d0": 0}
     # the global pass joins only c and d; a and b, each of two segments, take
     # fresh labels after that cluster in point order; the noise segment stays -1
     assert run.speaker_labels == {"a0": 1, "a1": 1, "b0": 2, "b1": 2, "c0": 0, "c1": 0, "d0": 0, "n0": -1}
@@ -410,8 +440,25 @@ def test_a_speaker_of_opposite_voices_is_clustered_by_segment(tmp_path):
     ds = voices_dataset({"v0": [("a0", e1), ("a1", [-x for x in e1])], "v1": [("b0", e2)]})
     run = PipelineRun(ds, tmp_path, PipelineConfig(dbscan_eps=2.5))
     run.run_until("cluster_speakers")
-    assert run.diarization["v0"]["labels"] == {"a0": 0, "a1": 0}
+    assert run.diarization == {"a0": 0, "a1": 0, "b0": 0}
     assert run.speaker_labels == {"a0": 0, "a1": 0, "b0": 0}
+
+
+def test_ids_keep_every_character_but_a_line_feed_through_resume(tmp_path):
+    # str.splitlines breaks a line at U+2028 and at a carriage return too, and a
+    # resume decodes the label files: such ids must survive it
+    e1, e2 = np.eye(4)[:2].tolist()
+    ids = ["a\u2028b", "c\rd", " e ", "f,g"]
+    data, out = tmp_path / "data", tmp_path / "out"
+    catalog.write(voices_dataset({"v\u2028 0": [(ids[0], e1), (ids[1], e1)], "v1": [(ids[2], e1), (ids[3], e2)]}), data)
+    assert main(["run", str(data), "--out", str(out)]) == 0
+    before = read_tree(out)
+    assert main(["run", str(data), "--out", str(out), "--resume"]) == 0
+    assert read_tree(out) == before
+    for stage in ("diarize", "cluster_speakers"):
+        # read_text would turn the carriage return into a line feed
+        found, _ = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_bytes().decode())
+        assert sorted(found) == sorted(ids), stage
 
 
 def test_writes_are_atomic_and_leave_no_temporary_files(tmp_path, monkeypatch):

@@ -144,7 +144,7 @@ def test_merge_split_pieces_of_one_track():
     entities = merge_tracks(pieces, PARAMS)
     assert len(entities) == 1
     assert set(entities[0].member_track_ids) == {"t#0", "t#1", "t#2"}
-    assert entities[0].total_frames == 150
+    assert sum(p.n_frames for p in pieces if p.track_id in entities[0].member_track_ids) == 150
 
 
 def test_merge_two_identities():
@@ -172,9 +172,10 @@ def test_merge_keeps_av_pairs():
     track = make_track("t", 0, 149, [0.0, 1.0], conf=1.0)
     pieces = split_tracks([track], POLICY)
     pairs = [AVPair(p.track_id, f"s{k}", 1.0) for k, p in enumerate(pieces)]
-    entities = merge_tracks(pieces, PARAMS, pairs)
+    entities = merge_tracks(pieces, PARAMS)
     assert len(entities) == 1
-    assert set(entities[0].paired_segments) == {"s0", "s1", "s2"}
+    # the bridge joins a pair to the entity holding its track
+    assert {pair.track_id for pair in pairs} <= set(entities[0].member_track_ids)
 
 
 def test_merge_is_per_video():
@@ -226,7 +227,8 @@ def test_split_then_merge_single_identity_round_trip(seed):
     kept = sum(e - s + 1 for s, e in spans)
     dropped = track.n_frames - kept
     assert 0 <= dropped < POLICY.min_len_frames
-    assert entities[0].total_frames == kept
+    by_id = {p.track_id: p for p in pieces}
+    assert sum(by_id[t].n_frames for t in entities[0].member_track_ids) == kept
 
 
 def test_frame_conservation_across_entities():
@@ -239,6 +241,7 @@ def test_frame_conservation_across_entities():
     total_in = sum(t.n_frames for t in tracks)
     pieces = split_tracks(tracks, POLICY)
     entities = merge_tracks(pieces, PARAMS)
-    total_entities = sum(e.total_frames for e in entities)
+    by_id = {p.track_id: p for p in pieces}
+    total_entities = sum(by_id[t].n_frames for e in entities for t in e.member_track_ids)
     dropped = total_in - sum(p.n_frames for p in pieces)
     assert total_entities + dropped == total_in
