@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import catalog, collabgraph
-from .distcluster import FALLBACK_EPS
 from .errors import CastgraphError, DanglingReference, DimensionMismatch, MalformedRecord, MissingFile
 from .metrics import format_evaluation_table
 from .pipeline import CHECKPOINTS, PipelineConfig, PipelineRun
@@ -21,26 +21,20 @@ from .synth import GroundTruth, SynthConfig, corrupt, generate
 
 
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-cluster-size", type=int, default=2)
-    parser.add_argument("--min-samples", type=int, default=None)
-    parser.add_argument("--dbscan-eps", type=float, default=FALLBACK_EPS)
-    parser.add_argument("--conf-threshold", type=float, default=0.5)
-    parser.add_argument("--min-votes", type=int, default=1)
-    parser.add_argument("--min-segment-s", type=float, default=1.0)
-    parser.add_argument("--resume", action="store_true")
+    """A flag per PipelineConfig field, named and defaulting as that field, and --ground-truth."""
+    defaults = PipelineConfig()
+    parser.add_argument("--min-cluster-size", type=int, default=defaults.min_cluster_size)
+    parser.add_argument("--min-samples", type=int, default=defaults.min_samples)
+    parser.add_argument("--dbscan-eps", type=float, default=defaults.dbscan_eps)
+    parser.add_argument("--conf-threshold", type=float, default=defaults.conf_threshold)
+    parser.add_argument("--min-votes", type=int, default=defaults.min_votes)
+    parser.add_argument("--min-segment-s", type=float, default=defaults.min_segment_s)
+    parser.add_argument("--resume", action="store_true", default=defaults.resume)
     parser.add_argument("--ground-truth", type=Path, default=None)
 
 
 def _config(args) -> PipelineConfig:
-    return PipelineConfig(
-        min_cluster_size=args.min_cluster_size,
-        min_samples=args.min_samples,
-        dbscan_eps=args.dbscan_eps,
-        conf_threshold=args.conf_threshold,
-        min_votes=args.min_votes,
-        min_segment_s=args.min_segment_s,
-        resume=args.resume,
-    )
+    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,24 +17,21 @@ from .errors import InsufficientHistory
 
 @dataclass
 class AppearanceIndex:
-    """Distinct videos per (identity, channel), plus video metadata for ties."""
+    """Distinct videos per identity and channel, plus video metadata for ties."""
 
-    appearances: dict[tuple[int, str], set[str]] = field(default_factory=dict)
+    appearances: dict[int, dict[str, set[str]]] = field(default_factory=dict)
     videos: dict[str, Video] = field(default_factory=dict)
 
     def add(self, identity_id: int, video: Video) -> None:
-        self.appearances.setdefault((identity_id, video.channel_id), set()).add(video.video_id)
+        channels = self.appearances.setdefault(identity_id, {})
+        channels.setdefault(video.channel_id, set()).add(video.video_id)
         self.videos[video.video_id] = video
 
     def identities(self) -> list[int]:
-        return sorted({identity for identity, _ in self.appearances})
+        return sorted(self.appearances)
 
     def channels_of(self, identity_id: int) -> dict[str, set[str]]:
-        return {
-            channel: videos
-            for (identity, channel), videos in self.appearances.items()
-            if identity == identity_id
-        }
+        return self.appearances.get(identity_id, {})
 
 
 def build_appearance_index(

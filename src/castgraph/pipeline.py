@@ -2,11 +2,13 @@
 
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
 global speaker clustering -> bridge -> graph. Both global stages cluster
-each channel's points first, then all channels in one call. Each stage is
-one row of the stage table, run by one generic step
-(:meth:`PipelineRun.step`). Every file is written to a temporary name and
-renamed into place. For a fixed dataset and configuration the bytes do not
-depend on the BLAS thread count, the hash seed or the output path.
+each channel's points first, then all channels in one call. split and pair
+cost less to recompute than to read back, so every run computes them and
+they have no checkpoint. Every later stage is one row of the stage table,
+run by one generic step (:meth:`PipelineRun.step`). Every file is written
+to a temporary name and renamed into place. For a fixed dataset and
+configuration the bytes do not depend on the BLAS thread count, the hash
+seed or the output path.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
-from .catalog import AVPair, Dataset, from_plain, plain, unit_mean
-from .diarize import diarize_video, filter_segments
+from .catalog import Dataset, from_plain, plain, unit_mean
+from .diarize import DEFAULT_MIN_SEGMENT_S, diarize_video, filter_segments
 from .distcluster import (
     FALLBACK_EPS,
     HdbscanParams,
@@ -42,8 +44,6 @@ from .tracks import (
     TrackEntity,
     TrackPolicy,
     assign_active_speakers,
-    cut_piece,
-    frame_rows,
     merge_tracks,
     representative_embedding,
     split_tracks_with_sources,
@@ -59,7 +59,7 @@ class PipelineConfig:
     dbscan_eps: float = FALLBACK_EPS
     conf_threshold: float = 0.5
     min_votes: int = 1
-    min_segment_s: float = 1.0
+    min_segment_s: float = DEFAULT_MIN_SEGMENT_S
     resume: bool = False
 
     def __post_init__(self):
@@ -147,7 +147,10 @@ def _object_codec(name: str, **kinds):
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table; calling it runs the stage on a PipelineRun."""
+    """A stage worth caching: a checkpoint, its stamp and its codec.
+
+    Calling it runs the stage on a PipelineRun.
+    """
 
     name: str
     files: tuple[str, ...]  # checkpoint files; the first one names the stamp file
@@ -235,29 +238,6 @@ class PipelineRun:
         self.pieces, self.piece_sources = split_tracks_with_sources(
             self.ds.tracks.values(), self.config.track_policy
         )
-
-    def encode_split(self) -> dict[str, bytes]:
-        rows = []
-        for piece in self.pieces:
-            source = self.ds.tracks[self.piece_sources[piece.track_id]]
-            rows.append({
-                "piece_id": piece.track_id,
-                "source_track_id": source.track_id,
-                "video_id": piece.video_id,
-                "start_frame": piece.start_frame,
-                "end_frame": piece.end_frame,
-                "source_rows": frame_rows(source, piece.start_frame, piece.end_frame),
-                "speaker_confidence": piece.speaker_confidence,
-            })
-        return {"01_tracks_split.jsonl": _jsonl(rows)}
-
-    def decode_split(self, files: dict[str, bytes]) -> None:
-        self.pieces, self.piece_sources = [], {}
-        for r in _rows(files["01_tracks_split.jsonl"]):
-            source = self.ds.tracks[r["source_track_id"]]
-            piece = cut_piece(source, r["piece_id"], r["start_frame"], r["end_frame"], r["source_rows"])
-            self.pieces.append(piece)
-            self.piece_sources[r["piece_id"]] = source.track_id
 
     def compute_pair(self) -> None:
         segments = self.ds.segments.values()
@@ -379,28 +359,28 @@ class PipelineRun:
         dot = collabgraph.collab_graph_dot(self.ds, self.edges)
         return {**self._encode_graph_json(), "graph.dot": dot.encode()}
 
-    STAGES = tuple((stage.name, stage) for stage in (
-        Stage("split", ("01_tracks_split.jsonl",), (), (),
-              compute_split, ("pieces", "piece_sources"), encode_split, decode_split),
-        Stage("pair", ("02_av_pairs.jsonl",), ("conf_threshold",), ("split",),
-              compute_pair, *_rows_codec("av_pairs", "02_av_pairs.jsonl", AVPair)),
-        Stage("merge", ("03_entities.jsonl",), CLUSTERING, ("split",),
+    # (name, step) in run order, each called as step(run). split and pair keep
+    # no checkpoint: they are pure functions of the dataset and the fixed piece
+    # lengths (which __version__ covers), and their one setting, conf_threshold,
+    # is in the stamp of the bridge, the one stage that reads the pairs
+    STAGES = (("split", compute_split), ("pair", compute_pair), *((stage.name, stage) for stage in (
+        Stage("merge", ("03_entities.jsonl",), CLUSTERING, (),
               compute_merge, *_rows_codec("entities", "03_entities.jsonl", TrackEntity)),
         Stage("diarize", ("04_diarization.csv",), ("min_segment_s", *CLUSTERING), (),
               compute_diarize, *_labels_codec("diarization", "04_diarization.csv")),
-        Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("split", "merge"),
+        Stage("cluster_faces", ("05_face_labels.csv",), CLUSTERING, ("merge",),
               compute_cluster_faces, *_labels_codec("face_labels", "05_face_labels.csv")),
         Stage("cluster_speakers", ("06_speaker_labels.csv",), CLUSTERING, ("diarize",),
               compute_cluster_speakers, *_labels_codec("speaker_labels", "06_speaker_labels.csv")),
-        Stage("bridge", ("07_identities.json",), ("min_votes",),
-              ("pair", "merge", "cluster_faces", "cluster_speakers"),
+        Stage("bridge", ("07_identities.json",), ("min_votes", "conf_threshold"),
+              ("merge", "cluster_faces", "cluster_speakers"),
               compute_bridge, *_object_codec("07_identities.json", association=bridge_mod.AssociationGraph,
                                              identities=list[bridge_mod.IdentityComponent],
                                              conflicts=list[bridge_mod.ConflictEntry])),
         Stage("graph", ("08_graph.json", "graph.dot"), (),
               ("merge", "cluster_faces", "cluster_speakers", "bridge"),
               compute_graph, _graph_results, encode_graph, decode_graph),
-    ))
+    )))
 
     def evaluate(self, truth: GroundTruth) -> dict:
         """Score the run against generator ground truth."""
@@ -443,7 +423,7 @@ class PipelineRun:
         return report
 
 
-CHECKPOINTS = {name: stage.files[0] for name, stage in PipelineRun.STAGES}
+CHECKPOINTS = {name: stage.files[0] for name, stage in PipelineRun.STAGES if isinstance(stage, Stage)}
 
 
 def run_pipeline(

@@ -45,7 +45,7 @@ def split_tracks(tracks, policy: TrackPolicy) -> list[FaceTrack]:
 def split_tracks_with_sources(
     tracks, policy: TrackPolicy
 ) -> tuple[list[FaceTrack], dict[str, str]]:
-    """split_tracks plus a piece-id to source-track-id map for checkpoints."""
+    """split_tracks plus a piece-id to source-track-id map, which the evaluation reads."""
     sources: dict[str, str] = {}
     out: list[FaceTrack] = []
     for track in sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id)):

@@ -168,7 +168,7 @@ def test_edge_videos_audit_against_index():
     index = index_from(apps)
     edges = detect_collaborations(index, assign_creators(index))
     for edge in edges:
-        recorded = index.appearances[(edge.identity_id, edge.to_channel)]
+        recorded = index.appearances[edge.identity_id][edge.to_channel]
         assert set(edge.video_ids) <= recorded
 
 

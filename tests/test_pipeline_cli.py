@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import castgraph
-from castgraph import catalog, distcluster, pipeline
+from castgraph import catalog, cli, distcluster, pipeline
 from castgraph.cli import main
 from castgraph.diarize import filter_segments
 from castgraph.errors import PipelineStageError
@@ -51,16 +51,27 @@ def read_tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def stage_rows() -> list[tuple[str, pipeline.Stage]]:
+    """The stage table's Stage rows, the stages that keep a checkpoint, as (name, row)."""
+    return [(name, stage) for name, stage in PipelineRun.STAGES if isinstance(stage, pipeline.Stage)]
+
+
+def patch_stage_rows(monkeypatch, change) -> None:
+    """Replace each Stage row of the stage table by change(row); split and pair stay as they are."""
+    stages = tuple((name, change(s) if isinstance(s, pipeline.Stage) else s) for name, s in PipelineRun.STAGES)
+    monkeypatch.setattr(PipelineRun, "STAGES", stages)
+
+
 # --- pipeline ---------------------------------------------------------------------
 
 def test_all_checkpoints_written(small_run):
+    # exactly the Stage rows' files and stamps: split and pair write nothing,
+    # and vectors live only in the dataset
     _, _, out, _ = small_run
-    for name in CHECKPOINTS.values():
-        assert (out / name).is_file(), name
-    assert (out / "report.json").is_file()
-    assert (out / "graph.dot").is_file()
-    # vectors live only in the dataset; no checkpoint holds any
-    assert not list(out.glob("*.emb"))
+    checkpoints = {name for _, stage in stage_rows() for name in stage.files}
+    stamps = {Path(stage.files[0]).stem + ".stamp" for _, stage in stage_rows()}
+    assert "graph.dot" in checkpoints and len(stamps) == 6
+    assert {p.name for p in out.iterdir()} == checkpoints | stamps | {"report.json", "report_table.txt"}
 
 
 def test_small_run_recovers_planted_graph(small_run):
@@ -90,8 +101,6 @@ def test_small_run_output_bytes_are_golden(small_run):
 # SHA-256 of the CFG run's other checkpoint files; with CFG_SHA256 they pin
 # every byte the record codec writes
 CFG_RECORDS_SHA256 = {
-    "01_tracks_split.jsonl": "04d4aeafc8828fd620976d52b33c12b6a3774387694fcea8e675c9f166d4054b",
-    "02_av_pairs.jsonl": "92b8189b15c5718fd94fdd04bc3c8181d1e200814be69de0fe2d3aad90a5fb35",
     "03_entities.jsonl": "69828aa799bced0cccd335e8bfa9b93c3f4471e46640327d18d9cd1fed5de988",
     "04_diarization.csv": "4120871966d5d9f35f68d775906c9522458f607b13e482d85c7acfb6bf3dac9d",
     "graph.dot": "aaa250bdfb8e1cfd267fc3e1280042818ae0f181caf3b1470758cafed3385cd4",
@@ -159,8 +168,7 @@ def test_resumed_run_decodes_what_a_fresh_run_computed(tmp_path, monkeypatch):
     def recompute(run):
         raise AssertionError("a checkpoint was recomputed")
 
-    stages = tuple((name, replace(stage, compute=recompute)) for name, stage in PipelineRun.STAGES)
-    monkeypatch.setattr(PipelineRun, "STAGES", stages)
+    patch_stage_rows(monkeypatch, lambda stage: replace(stage, compute=recompute))
     resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
     resumed.run(truth)
     for attr in RESULTS:
@@ -178,7 +186,7 @@ def count_decodes(monkeypatch) -> list[str]:
 
         return replace(stage, decode=decode)
 
-    monkeypatch.setattr(PipelineRun, "STAGES", tuple((name, counted(s)) for name, s in PipelineRun.STAGES))
+    patch_stage_rows(monkeypatch, counted)
     return decoded
 
 
@@ -203,7 +211,7 @@ def test_each_stage_reads_the_results_of_exactly_its_upstream_stages(tmp_path, m
     ds, truth = generate(CFG)
     run_pipeline(ds, tmp_path, PipelineConfig(), truth)
     decoded = count_decodes(monkeypatch)
-    for name, stage in PipelineRun.STAGES:
+    for name, stage in stage_rows():
         run = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
         run.run_until("graph")
         assert not decoded
@@ -286,7 +294,7 @@ def test_a_changed_conf_threshold_recomputes_only_the_stages_that_read_pairs(tmp
     resumed = run_pipeline(ds, out, PipelineConfig(conf_threshold=0.6, resume=True), truth)
     after = {p.name: p.stat().st_ino for p in out.iterdir()}
     stamps = {name: Path(file).stem + ".stamp" for name, file in CHECKPOINTS.items()}
-    assert {name for name, stamp in stamps.items() if after[stamp] != before[stamp]} == {"pair", "bridge", "graph"}
+    assert {name for name, stamp in stamps.items() if after[stamp] != before[stamp]} == {"bridge", "graph"}
     assert resumed == run_pipeline(ds, tmp_path / "fresh", PipelineConfig(conf_threshold=0.6), truth)
 
 
@@ -345,7 +353,7 @@ def test_resume_reuses_only_checkpoints_whose_inputs_match(tmp_path):
     after = {p.name: p.stat() for p in out.iterdir()}
     assert before.keys() == after.keys()
     for name, stat in before.items():
-        if name[:3] in {"01_", "02_", "03_", "04_", "05_", "06_"}:
+        if name[:3] in {"03_", "04_", "05_", "06_"}:
             assert (after[name].st_ino, after[name].st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns), name
         elif name[:3] in {"07_", "08_"}:
             assert after[name].st_ino != stat.st_ino, name
@@ -654,6 +662,20 @@ def test_cli_export_dot_bad_graph_exits_2(tmp_path, tiny_data, content):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
     assert CHECKPOINTS["graph"] in result.stderr
+
+
+@pytest.mark.parametrize("flags, config", [
+    ([], PipelineConfig()),
+    (["--min-cluster-size", "3", "--min-samples", "2", "--dbscan-eps", "0.4", "--conf-threshold", "0.7",
+      "--min-votes", "2", "--min-segment-s", "1.5", "--resume"],
+     PipelineConfig(3, 2, 0.4, 0.7, 2, 1.5, True)),
+])
+def test_cli_flags_build_the_pipeline_config(tmp_path, monkeypatch, flags, config):
+    # with no flags, every setting is PipelineConfig's own default
+    built = []
+    monkeypatch.setattr(cli, "_run_stages", lambda args, config, *rest, **kwargs: built.append(config) or 0)
+    assert main(["run", str(tmp_path / "data"), "--out", str(tmp_path / "out"), *flags]) == 0
+    assert built == [config]
 
 
 def test_cli_threads_option_is_a_usage_error(tmp_path, tiny_data):
