@@ -104,7 +104,7 @@ def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = Fals
         run.run_until(upto)
         report = {"completed_through": upto}
     print(json.dumps(report, indent=2, sort_keys=True))
-    if show_table and "evaluation" in report:
+    if show_table:
         print()
         print(format_evaluation_table(report["evaluation"]), end="")
     return 0
@@ -119,6 +119,8 @@ def main(argv=None) -> int:
             config = _config(args)
         except ValueError as exc:
             parser.error(str(exc))
+        if args.command == "eval" and args.ground_truth is None:
+            parser.error("eval requires --ground-truth")
     try:
         if args.command == "synth":
             cfg = SynthConfig(

@@ -1,14 +1,16 @@
 """Staged pipeline with restartable, stamped checkpoints.
 
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
-global speaker clustering -> bridge -> graph. Both global stages cluster
-each channel's points first, then all channels in one call. split and pair
-cost less to recompute than to read back, so every run computes them and
-they have no checkpoint. Every later stage is one row of the stage table,
-run by one generic step (:meth:`PipelineRun.step`). Every file is written
-to a temporary name and renamed into place. For a fixed dataset and
-configuration the bytes do not depend on the BLAS thread count, the hash
-seed or the output path.
+global speaker clustering -> bridge -> graph -> report. Both global stages
+cluster each channel's points first, then all channels in one call. split
+and pair cost less to recompute than to read back, so every run computes
+them and they have no checkpoint. Every later stage is one row of the stage
+table, run by one generic step (:meth:`PipelineRun.step`). The report, with
+its evaluation when a ground truth is given, is the last row, so a resume
+whose stamps all match decodes no checkpoint and evaluates nothing. Every
+file is written to a temporary name and renamed into place. For a fixed
+dataset and configuration the bytes do not depend on the BLAS thread count,
+the hash seed or the output path.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .tracks import (
 )
 
 CLUSTERING = ("min_cluster_size", "min_samples", "dbscan_eps")
+# the evaluation as a text table, next to report.json when the report holds one
+TABLE = "report_table.txt"
 
 
 @dataclass
@@ -155,7 +159,7 @@ class Stage:
     name: str
     files: tuple[str, ...]  # checkpoint files; the first one names the stamp file
     fields: tuple[str, ...]  # PipelineConfig fields the stage reads
-    upstream: tuple[str, ...]  # earlier stages whose results it reads
+    upstream: tuple[str, ...]  # earlier stages whose results it reads; "truth" is run()'s ground truth
     compute: Callable  # (run) -> None
     results: tuple[str, ...]  # the PipelineRun attributes compute and decode set
     encode: Callable  # (run) -> {file name: bytes}
@@ -359,10 +363,36 @@ class PipelineRun:
         dot = collabgraph.collab_graph_dot(self.ds, self.edges)
         return {**self._encode_graph_json(), "graph.dot": dot.encode()}
 
+    def compute_report(self) -> None:
+        """The run's counts, and its evaluation when run() was given a ground truth.
+
+        Computing the report removes report_table.txt; run() writes it again
+        when the report holds an evaluation.
+        """
+        (self.out / TABLE).unlink(missing_ok=True)
+        self.report = {
+            "videos": len(self.ds.videos),
+            "tracks": len(self.ds.tracks),
+            "track_pieces": len(self.pieces),
+            "av_pairs": len(self.av_pairs),
+            "entities": len(self.entities),
+            "segments": len(self.ds.segments),
+            "face_clusters": len({l for l in self.face_labels.values() if l != -1}),
+            "speaker_clusters": len({l for l in self.speaker_labels.values() if l != -1}),
+            "identities": len(self.identities),
+            "conflicts": len(self.conflicts),
+            "graph": self.stats,
+        }
+        if self.truth is not None:
+            try:
+                self.report["evaluation"] = self.evaluate(self.truth)
+            except Exception as exc:
+                raise PipelineStageError("eval", exc) from exc
+
     # (name, step) in run order, each called as step(run). split and pair keep
     # no checkpoint: they are pure functions of the dataset and the fixed piece
     # lengths (which __version__ covers), and their one setting, conf_threshold,
-    # is in the stamp of the bridge, the one stage that reads the pairs
+    # is in the stamp of the bridge and of the report, the stages that read the pairs
     STAGES = (("split", compute_split), ("pair", compute_pair), *((stage.name, stage) for stage in (
         Stage("merge", ("03_entities.jsonl",), CLUSTERING, (),
               compute_merge, *_rows_codec("entities", "03_entities.jsonl", TrackEntity)),
@@ -380,6 +410,10 @@ class PipelineRun:
         Stage("graph", ("08_graph.json", "graph.dot"), (),
               ("merge", "cluster_faces", "cluster_speakers", "bridge"),
               compute_graph, _graph_results, encode_graph, decode_graph),
+        Stage("report", ("report.json",), ("conf_threshold",),
+              ("merge", "cluster_faces", "cluster_speakers", "bridge", "graph", "truth"),
+              compute_report, ("report",), lambda run: {"report.json": _json(run.report)},
+              lambda run, files: setattr(run, "report", json.loads(files["report.json"]))),
     )))
 
     def evaluate(self, truth: GroundTruth) -> dict:
@@ -392,35 +426,28 @@ class PipelineRun:
         for name, stage in self.STAGES:
             try:
                 stage(self)
+            except PipelineStageError:
+                raise  # the evaluation's failure, named as its own step
             except Exception as exc:
                 raise PipelineStageError(name, exc) from exc
             if name == last_stage:
                 return
 
     def run(self, truth: GroundTruth | None = None) -> dict:
-        self.run_until("graph")
-        report = {
-            "videos": len(self.ds.videos),
-            "tracks": len(self.ds.tracks),
-            "track_pieces": len(self.pieces),
-            "av_pairs": len(self.av_pairs),
-            "entities": len(self.entities),
-            "segments": len(self.ds.segments),
-            "face_clusters": len({l for l in self.face_labels.values() if l != -1}),
-            "speaker_clusters": len({l for l in self.speaker_labels.values() if l != -1}),
-            "identities": len(self.identities),
-            "conflicts": len(self.conflicts),
-            "graph": self.stats,
-        }
-        if truth is not None:
-            try:
-                report["evaluation"] = self.evaluate(truth)
-            except Exception as exc:
-                raise PipelineStageError("eval", exc) from exc
-            table = metrics.format_evaluation_table(report["evaluation"])
-            _write_atomic(self.out / "report_table.txt", table.encode())
-        _write_atomic(self.out / "report.json", _json(report))
-        return report
+        """Run every stage and return the report.
+
+        The ground truth enters the report's stamp as the digest of its JSON
+        form, so a resume reuses the report only for the same ground truth.
+        """
+        self.truth = truth
+        self.stamps["truth"] = "none" if truth is None else hashlib.sha256(
+            json.dumps(truth, sort_keys=True, default=plain).encode()
+        ).hexdigest()
+        self.run_until("report")
+        table = self.out / TABLE
+        if truth is not None and not table.exists():
+            _write_atomic(table, metrics.format_evaluation_table(self.report["evaluation"]).encode())
+        return self.report
 
 
 CHECKPOINTS = {name: stage.files[0] for name, stage in PipelineRun.STAGES if isinstance(stage, Stage)}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 
 INF = float("inf")
 
@@ -191,6 +191,34 @@ def oracle_dbscan_core_points(square, eps, min_pts):
     return [
         sum(1 for j in range(n) if square[i][j] <= eps) >= min_pts for i in range(n)
     ]
+
+
+def oracle_dbscan(square, eps, min_pts):
+    """Every point's DBSCAN label, -1 for noise.
+
+    Seeds are taken in ascending index order; each cluster grows breadth
+    first from its seed, visiting a point's neighbours (d <= eps) in
+    ascending index order, and only core points are expanded. A border point
+    therefore takes the first cluster that reaches it.
+    """
+    n = len(square)
+    core = oracle_dbscan_core_points(square, eps, min_pts)
+    labels = [-1] * n
+    cluster = 0
+    for seed in range(n):
+        if labels[seed] != -1 or not core[seed]:
+            continue
+        labels[seed] = cluster
+        queue = deque([seed])
+        while queue:
+            v = queue.popleft()
+            for j in range(n):
+                if square[v][j] <= eps and labels[j] == -1:
+                    labels[j] = cluster
+                    if core[j]:
+                        queue.append(j)
+        cluster += 1
+    return labels
 
 
 # --- clustering scores -------------------------------------------------------------

@@ -39,6 +39,7 @@ from castgraph.synth import sample_blobs
 
 from oracles import (
     naive_cosine_matrix,
+    oracle_dbscan,
     oracle_dbscan_core_points,
     oracle_hdbscan,
     oracle_mst_edges,
@@ -508,6 +509,45 @@ def test_dbscan_core_points_match_oracle(seed):
                     and square[i][j] <= eps
                     for j in range(60)
                 )
+
+
+def random_stack(rng, groups, n, dim):
+    """groups sets of n points in dim dimensions, some rows bitwise copies of earlier ones."""
+    points = rng.standard_normal((groups, n, dim))
+    for g in range(groups):
+        for i in range(1, n):
+            if rng.random() < 0.3:
+                points[g, i] = points[g, rng.integers(0, i)]
+    return points
+
+
+def assert_dbscan_matches_oracle(m, eps, min_pts):
+    squares = m.to_square()
+    for form in both_forms(m):
+        got = dbscan(form, eps, min_pts)
+        for g, labels in enumerate(got):
+            assert labels.labels.tolist() == oracle_dbscan(squares[g].tolist(), eps[g], min_pts), (g, eps[g])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dbscan_labels_match_oracle_on_stacks(seed):
+    # several groups per call, bitwise duplicates, one eps per group (0 among
+    # them); labels, not only core points, must match exactly
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(25):
+        groups, n, dim = int(rng.integers(1, 5)), int(rng.integers(1, 30)), int(rng.integers(2, 6))
+        eps = rng.choice([0.0, rng.uniform(0.05, 0.6), rng.uniform(0.6, 1.6)], size=groups)
+        with distance_matrix(random_stack(rng, groups, n, dim)) as m:
+            assert_dbscan_matches_oracle(m, eps, int(rng.integers(1, 6)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_dbscan_labels_match_oracle_in_the_file_medium(seed):
+    rng = np.random.default_rng(950 + seed)
+    n = distcluster.BLOCK + 20
+    with distance_matrix(random_stack(rng, 2, n, 6)) as m:
+        assert isinstance(m, SquareDistanceFile)
+        assert_dbscan_matches_oracle(m, np.array([0.0, rng.uniform(0.1, 0.3)]), int(rng.integers(2, 5)))
 
 
 def test_dbscan_border_point_goes_to_first_cluster():

@@ -70,8 +70,8 @@ def test_all_checkpoints_written(small_run):
     _, _, out, _ = small_run
     checkpoints = {name for _, stage in stage_rows() for name in stage.files}
     stamps = {Path(stage.files[0]).stem + ".stamp" for _, stage in stage_rows()}
-    assert "graph.dot" in checkpoints and len(stamps) == 6
-    assert {p.name for p in out.iterdir()} == checkpoints | stamps | {"report.json", "report_table.txt"}
+    assert "graph.dot" in checkpoints and "report.stamp" in stamps and len(stamps) == 7
+    assert {p.name for p in out.iterdir()} == checkpoints | stamps | {"report_table.txt"}
 
 
 def test_small_run_recovers_planted_graph(small_run):
@@ -156,21 +156,22 @@ def test_small_duplicate_corpora_are_recovered_exactly(tmp_path, seed):
 
 RESULTS = (
     "pieces", "piece_sources", "av_pairs", "entities", "diarization", "face_labels", "speaker_labels",
-    "association", "identities", "conflicts", "creators", "edges",
+    "association", "identities", "conflicts", "creators", "edges", "report",
 )
 
 
 def test_resumed_run_decodes_what_a_fresh_run_computed(tmp_path, monkeypatch):
     ds, truth = generate(CFG)
     fresh = PipelineRun(ds, tmp_path, PipelineConfig())
-    fresh.run(truth)
+    report = fresh.run(truth)
 
     def recompute(run):
         raise AssertionError("a checkpoint was recomputed")
 
     patch_stage_rows(monkeypatch, lambda stage: replace(stage, compute=recompute))
     resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
-    resumed.run(truth)
+    # the reused report, read back from report.json, is the dict a fresh run returns
+    assert resumed.run(truth) == report
     for attr in RESULTS:
         assert getattr(resumed, attr) == getattr(fresh, attr), attr
 
@@ -196,10 +197,10 @@ def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypat
     decoded = count_decodes(monkeypatch)
     resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
     resumed.run(truth)
-    # the report and the evaluation read every result but the diarization
-    assert sorted(decoded) == sorted(name for name in CHECKPOINTS if name != "diarize")
+    # every stamp matches, so only the report itself is read back
+    assert decoded == ["report"]
     assert resumed.diarization["v0002/s0"] == 0
-    assert sorted(decoded) == sorted(CHECKPOINTS)
+    assert decoded == ["report", "diarize"]
     with pytest.raises(AttributeError, match="no_such_result"):
         resumed.no_such_result  # noqa: B018
 
@@ -207,14 +208,22 @@ def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypat
 def test_each_stage_reads_the_results_of_exactly_its_upstream_stages(tmp_path, monkeypatch):
     # a stamp covers the upstream stages' stamps: a result read from any other
     # stage could be stale on resume, and an upstream stage never read makes
-    # the stage recompute for nothing
+    # the stage recompute for nothing. The ground truth is the pseudo-stage
+    # "truth", its stamp the truth's digest
     ds, truth = generate(CFG)
     run_pipeline(ds, tmp_path, PipelineConfig(), truth)
     decoded = count_decodes(monkeypatch)
+
+    class Watched:
+        def __getattr__(self, attr):
+            decoded.append("truth")
+            return getattr(truth, attr)
+
     for name, stage in stage_rows():
         run = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
         run.run_until("graph")
         assert not decoded
+        run.truth = Watched()
         stage.compute(run)
         assert set(decoded) == set(stage.upstream), name
         decoded.clear()
@@ -252,6 +261,11 @@ def test_merge_and_diarize_stack_their_videos(tmp_path, monkeypatch):
         # a call per video would be one per video with a point
         assert len(calls) == stacks_needed(sizes) < sum(n > 0 for n in sizes), stage
         assert all(len(shape) == 3 for shape in calls), stage
+
+
+def file_ids(root: Path) -> dict[str, tuple[int, int]]:
+    """Each file's inode and mtime: a file rewritten in place or renamed over changes one."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in root.iterdir()}
 
 
 def test_resume_reproduces_report(tmp_path):
@@ -294,7 +308,7 @@ def test_a_changed_conf_threshold_recomputes_only_the_stages_that_read_pairs(tmp
     resumed = run_pipeline(ds, out, PipelineConfig(conf_threshold=0.6, resume=True), truth)
     after = {p.name: p.stat().st_ino for p in out.iterdir()}
     stamps = {name: Path(file).stem + ".stamp" for name, file in CHECKPOINTS.items()}
-    assert {name for name, stamp in stamps.items() if after[stamp] != before[stamp]} == {"bridge", "graph"}
+    assert {name for name, stamp in stamps.items() if after[stamp] != before[stamp]} == {"bridge", "graph", "report"}
     assert resumed == run_pipeline(ds, tmp_path / "fresh", PipelineConfig(conf_threshold=0.6), truth)
 
 
@@ -311,10 +325,9 @@ def test_resume_over_an_older_version_recomputes_once(tmp_path, monkeypatch):
     recomputed = read_tree(out)
     assert recomputed == read_tree(tmp_path / "fresh")
     assert all(recomputed[name] != old[name] for name in old if name.endswith(".stamp"))
-    before = {p.name: p.stat().st_ino for p in out.iterdir()}
+    before = file_ids(out)
     run_pipeline(ds, out, PipelineConfig(resume=True), truth)
-    after = {p.name: p.stat().st_ino for p in out.iterdir()}
-    assert {n for n in before if after[n] != before[n]} == {"report.json", "report_table.txt"}
+    assert file_ids(out) == before
 
 
 def truncate_at_a_line(text: str) -> str:
@@ -328,8 +341,11 @@ def truncate_at_a_line(text: str) -> str:
         (CHECKPOINTS["cluster_faces"], lambda text: text.replace(",0\n", ",1\n", 1)),
         (CHECKPOINTS["diarize"], truncate_at_a_line),
         ("04_diarization.stamp", lambda text: "0" * 64 + "\n"),
+        ("report.json", lambda text: text.replace('"conflicts": 0', '"conflicts": 1', 1)),
+        ("report.stamp", lambda text: "0" * 64 + "\n"),
     ],
-    ids=["truncated-at-a-line", "edited-same-length", "diarization-truncated", "diarization-stamp-edited"],
+    ids=["truncated-at-a-line", "edited-same-length", "diarization-truncated", "diarization-stamp-edited",
+         "report-edited", "report-stamp-edited"],
 )
 def test_resume_over_damaged_checkpoint_recomputes(tmp_path, name, damage):
     ds, truth = generate(CFG)
@@ -355,8 +371,67 @@ def test_resume_reuses_only_checkpoints_whose_inputs_match(tmp_path):
     for name, stat in before.items():
         if name[:3] in {"03_", "04_", "05_", "06_"}:
             assert (after[name].st_ino, after[name].st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns), name
-        elif name[:3] in {"07_", "08_"}:
+        elif name[:3] in {"07_", "08_", "rep"}:
             assert after[name].st_ino != stat.st_ino, name
+
+
+def test_a_changed_ground_truth_recomputes_only_the_report(tmp_path):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    before = file_ids(out)
+    segment_id, identity = next(iter(truth.segment_identity.items()))
+    changed = replace(truth, segment_identity={**truth.segment_identity, segment_id: identity + 1})
+    resumed = run_pipeline(ds, out, PipelineConfig(resume=True), changed)
+    after = file_ids(out)
+    assert {name for name in before if after[name] != before[name]} == {
+        "report.json", "report.stamp", "report_table.txt"
+    }
+    fresh = run_pipeline(ds, tmp_path / "fresh", PipelineConfig(), changed)
+    assert resumed == fresh
+    assert read_tree(out) == read_tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("resume", [True, False])
+def test_the_table_follows_the_report(tmp_path, resume):
+    # a report computed without a ground truth leaves no table from an earlier
+    # run, and each run's directory ends as a fresh run's would
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    fresh = {}
+    for given in (truth, None):
+        fresh[given is None] = tmp_path / f"fresh-{given is None}"
+        run_pipeline(ds, fresh[given is None], PipelineConfig(), given)
+    stamps = []
+    for given in (truth, None, truth):
+        report = run_pipeline(ds, out, PipelineConfig(resume=resume), given)
+        assert ("evaluation" in report) == (out / "report_table.txt").exists() == (given is not None)
+        assert read_tree(out) == read_tree(fresh[given is None])
+        stamps.append((out / "report.stamp").read_bytes())
+    assert stamps[0] != stamps[1] and stamps[2] == stamps[0]
+
+
+def test_a_reused_report_writes_back_only_a_missing_table(tmp_path):
+    ds, truth = generate(CFG)
+    out = tmp_path / "chk"
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    table = (out / "report_table.txt").read_bytes()
+    (out / "report_table.txt").unlink()
+    before = file_ids(out)
+    run_pipeline(ds, out, PipelineConfig(resume=True), truth)
+    after = file_ids(out)
+    assert {name for name in after if after[name] != before.get(name)} == {"report_table.txt"}
+    assert (out / "report_table.txt").read_bytes() == table
+
+
+def test_a_failed_evaluation_is_named_eval(tmp_path):
+    ds, truth = generate(CFG)
+    segment_id = next(iter(truth.segment_identity))
+    partial = replace(truth, segment_identity={k: v for k, v in truth.segment_identity.items() if k != segment_id})
+    with pytest.raises(PipelineStageError) as failed:
+        run_pipeline(ds, tmp_path, PipelineConfig(), partial)
+    assert failed.value.stage == "eval" and isinstance(failed.value.cause, KeyError)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_resume_in_a_copied_directory_reuses_every_checkpoint(tmp_path):
@@ -364,10 +439,9 @@ def test_resume_in_a_copied_directory_reuses_every_checkpoint(tmp_path):
     first = run_pipeline(ds, tmp_path / "a", PipelineConfig(), truth)
     copy = tmp_path / "b"
     shutil.copytree(tmp_path / "a", copy)
-    before = {p.name: p.stat().st_ino for p in copy.iterdir()}
+    before = file_ids(copy)
     assert run_pipeline(ds, copy, PipelineConfig(resume=True), truth) == first
-    after = {p.name: p.stat().st_ino for p in copy.iterdir()}
-    assert {n for n in before if after[n] != before[n]} == {"report.json", "report_table.txt"}
+    assert file_ids(copy) == before
 
 
 def test_resume_recomputes_speaker_side_when_diarization_changes(tmp_path):
@@ -563,6 +637,15 @@ def test_cli_synth_validate_run_eval(tmp_path):
     dot = run_cli("export-dot", data, "--out", out)
     assert dot.returncode == 0
     assert dot.stdout.startswith("digraph")
+
+
+def test_cli_eval_without_ground_truth_is_a_usage_error(tmp_path, tiny_data, capsys):
+    # rejected before ingest: eval has nothing to score against
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(tiny_data), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert "--ground-truth" in capsys.readouterr().err
 
 
 def test_cli_missing_manifest_exits_2(tmp_path):
