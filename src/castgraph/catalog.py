@@ -45,7 +45,9 @@ def normalize(v: np.ndarray) -> np.ndarray:
     is float32 to match the storage precision of embeddings.
     """
     arr = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
+    flat = arr.ravel(order="K")
+    # np.linalg.norm's own formula for an unstated ord, without its dispatch
+    norm = math.sqrt(flat.dot(flat))
     if norm == 0.0 or not math.isfinite(norm):
         raise ZeroVector("cannot normalize a zero or non-finite vector")
     return (arr / norm).astype(np.float32)
@@ -56,7 +58,8 @@ def unit_mean(rows) -> np.ndarray:
 
     Raises ZeroVector when the rows cancel to a zero mean.
     """
-    return normalize(np.mean(rows, axis=0, dtype=np.float64))
+    # np.mean's own float64 sum and division, without its dispatch
+    return normalize(np.add.reduce(rows, axis=0, dtype=np.float64) / len(rows))
 
 
 @dataclass(frozen=True)

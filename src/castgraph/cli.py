@@ -87,8 +87,8 @@ _STAGE_CUTOFF = {
     "cluster": "cluster_speakers",
     "bridge": "bridge",
     "graph": "graph",
-    "run": "graph",
-    "eval": "graph",
+    "run": "report",
+    "eval": "report",
 }
 
 
@@ -98,7 +98,7 @@ def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = Fals
     if args.ground_truth is not None:
         truth = GroundTruth.load(args.ground_truth)
     run = PipelineRun(ds, args.out, config)
-    if upto == "graph":
+    if upto == "report":
         report = run.run(truth)
     else:
         run.run_until(upto)

@@ -21,8 +21,8 @@ One calling convention: every matrix is a stack. cluster_groups stacks point
 sets of one size n, at most BLOCK points per stack (a larger set is a stack
 of one), and a matrix holds G groups, G = 1 included. Distances, duplicate
 zeroing, the shortcuts, core distances, Prim, the k-distance eps and
-DBSCAN's core counts loop over n, never over G; only the dendrogram,
-condensation, excess-of-mass, label renumbering and DBSCAN expansion run per
+DBSCAN (one pass over the row blocks) loop over n, never over G; only the
+dendrogram, condensation, excess-of-mass and label renumbering run per
 group. Array results (core distances, eps) keep the group axis; labels,
 edges and fallback flags come back as lists with one entry per group.
 
@@ -670,50 +670,90 @@ def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
 
 # --- flat density clustering ---------------------------------------------------
 
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the trees of each pair (a[k], b[k]) in a forest whose every id points at its root.
+
+    Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 1982):
+    each root of a pair that spans two trees takes the smallest other root
+    proposed for it, always a smaller one, and every id then jumps to its
+    root again, until no pair spans two trees. Each root stays the smallest
+    id of its tree.
+    """
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent[:] = up
+
+
+def _pairs(mask: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ids (g * n + first + i, g * n + j) of the set cells [g, i, j] of a mask over rows from first.
+
+    One flat scan: np.nonzero of a 3-d mask is about ten times slower.
+    """
+    rows, j = np.divmod(np.flatnonzero(mask), mask.shape[2])
+    g = rows // mask.shape[1]
+    return rows + g * (n - mask.shape[1]) + first, g * n + j
+
+
 def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
-    """Classic density-reachability clustering.
+    """Classic density-reachability clustering (Ester, Kriegel, Sander and Xu, KDD 1996).
 
     A point is core when at least min_pts points (itself included) lie within
     eps, boundary inclusive; at eps 0 only points at distance exactly 0
-    (bitwise duplicates) are neighbors. Seeds are visited in ascending index
-    order and expansion is breadth-first over ascending neighbor indices, so
-    border points always join the first cluster that discovers them. eps is
-    one value or one per group; one ClusterLabels per group comes back.
+    (bitwise duplicates) are neighbors. The clusters are the connected
+    components of the core points' eps-graph, numbered by their smallest core
+    point, and a non-core point within eps of a core point (a border point)
+    joins the smallest-numbered cluster among its core neighbors. These are
+    exactly the labels of the breadth-first definition: seeds in ascending
+    index order, each growing its seed's component over ascending neighbor
+    indices, so a border point joins the first cluster that reaches it. eps
+    is one value or one per group; one ClusterLabels per group comes back.
+
+    One pass over the row blocks, each read once: a block's counts fix its
+    core flags, each of its core points is joined by union-find to every
+    core point before it within eps, and each non-core point keeps its at
+    most min_pts - 2 other neighbors. The pairs are taken BLOCK // 8 rows at
+    a time, so no temporary is larger than the row block.
     """
-    groups = m.groups
+    groups, n = m.groups, m.n
     eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (groups,))
     if np.any(eps < 0):
         raise ValueError("eps must be non-negative")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    n = m.n
     core = np.empty((groups, n), dtype=bool)
+    parent = np.arange(groups * n)  # union-find over the flat ids g * n + i
+    borders = [np.empty((2, 0), dtype=np.int64)]  # (non-core point, neighbor) flat id pairs
     for lo, rows in _row_blocks(m):
         # self always qualifies at distance zero
-        core[:, lo : lo + rows.shape[1]] = np.count_nonzero(rows <= eps[:, None, None], axis=2) >= min_pts
-
-    labels = np.full((groups, n), -1, dtype=np.int64)
-    row = np.empty((1, n), dtype=np.float64)
-    for g in np.flatnonzero(core.any(axis=1)):
-        group, group_core, group_labels = m.subset(slice(g, g + 1)), core[g], labels[g]
-        cluster = 0
-        for seed in range(n):
-            if group_labels[seed] != -1 or not group_core[seed]:
-                continue
-            group_labels[seed] = cluster
-            queue = [seed]
-            head = 0
-            while head < len(queue):
-                v = queue[head]
-                head += 1
-                # neighbors are found again when a point is expanded, not kept:
-                # at a large eps the lists would add up to n^2 indices
-                fresh = np.flatnonzero(group.row(v, row)[0] <= eps[g])  # ascending
-                fresh = fresh[group_labels[fresh] == -1]
-                group_labels[fresh] = cluster
-                queue.extend(fresh[group_core[fresh]].tolist())
-            cluster += 1
-    return [ClusterLabels(l) for l in labels]
+        near = rows <= eps[:, None, None]
+        core[:, lo : lo + near.shape[1]] = np.count_nonzero(near, axis=2) >= min_pts
+        for first in range(lo, lo + near.shape[1], BLOCK // 8):
+            chunk = near[:, first - lo : first - lo + BLOCK // 8]
+            last = first + chunk.shape[1]
+            # each core point meets the core points before it, whose flags are
+            # known, so every core pair is joined once
+            joins = chunk[:, :, :last] & core[:, None, :last] & core[:, first:last, None]
+            joins &= np.tri(last - first, last, first - 1, dtype=bool)
+            _union(parent, *_pairs(joins, first, n))
+            i, j = _pairs(chunk & ~core[:, first:last, None], first, n)
+            borders.append(np.stack((i, j))[:, i != j])
+    flat_core = core.reshape(-1)
+    # each root is its component's smallest core point, the breadth-first
+    # seed, so clusters are numbered by root rank within the group; n stands
+    # above every cluster until the borders are resolved
+    roots = flat_core & (parent == np.arange(groups * n))
+    labels = np.where(flat_core, np.cumsum(roots.reshape(groups, n), axis=1).reshape(-1)[parent] - 1, n)
+    i, j = np.concatenate(borders, axis=1)
+    reached = flat_core[j]
+    np.minimum.at(labels, i[reached], labels[j[reached]])
+    labels[labels == n] = -1
+    return [ClusterLabels(l) for l in labels.reshape(groups, n)]
 
 
 def k_distance_eps(m: DistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
@@ -812,9 +852,9 @@ def channel_representatives(vectors, k: int) -> list[int]:
     Ties go to the smaller index. All of them when there are at most k, or
     when their unit vectors cancel to a zero mean, which has no direction.
     """
+    if len(vectors) <= k:
+        return list(range(len(vectors)))
     rows = np.array(vectors, dtype=np.float64)
-    if len(rows) <= k:
-        return list(range(len(rows)))
     rows /= np.sqrt(np.square(rows).sum(axis=1))[:, None]
     mean = rows.sum(axis=0)
     if not mean.any():

@@ -96,6 +96,28 @@ def test_unit_mean_bits_do_not_depend_on_where_rows_become_float64(dim):
             assert got.tobytes() == copied.tobytes() == listed.tobytes() == unit_mean(list(rows)).tobytes()
 
 
+@pytest.mark.parametrize("count", [1, 2, 50])
+def test_unit_mean_has_the_bits_of_numpys_mean_and_norm(count):
+    rng = np.random.default_rng(count)
+    for dim in (3, 1792):
+        for _ in range(20):
+            wide = rng.standard_normal((count, dim)) * rng.uniform(1e-3, 1e3)
+            for rows in (wide.astype(np.float32), list(wide.astype(np.float32)), wide):
+                mean = np.mean(rows, axis=0, dtype=np.float64)
+                expected = (mean / np.linalg.norm(mean)).astype(np.float32)
+                assert unit_mean(rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [np.zeros((2, 4)), [[1.0, -2.0], [-1.0, 2.0]], [[np.inf, 1.0], [0.0, 1.0]], [[np.nan, 1.0]]],
+    ids=["zero", "cancelling", "inf", "nan"],
+)
+def test_unit_mean_of_rows_without_a_direction_raises(rows):
+    with pytest.raises(ZeroVector):
+        unit_mean(rows)
+
+
 # --- emb files --------------------------------------------------------------------
 
 def test_emb_round_trip_bit_exact(tmp_path):

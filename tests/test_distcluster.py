@@ -541,13 +541,63 @@ def test_dbscan_labels_match_oracle_on_stacks(seed):
             assert_dbscan_matches_oracle(m, eps, int(rng.integers(1, 6)))
 
 
-@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("seed", range(4))
 def test_dbscan_labels_match_oracle_in_the_file_medium(seed):
     rng = np.random.default_rng(950 + seed)
     n = distcluster.BLOCK + 20
     with distance_matrix(random_stack(rng, 2, n, 6)) as m:
         assert isinstance(m, SquareDistanceFile)
-        assert_dbscan_matches_oracle(m, np.array([0.0, rng.uniform(0.1, 0.3)]), int(rng.integers(2, 5)))
+        assert_dbscan_matches_oracle(m, np.array([0.0, rng.uniform(0.1, 0.3)]), int(rng.integers(1, 7)))
+
+
+def arc(n: int, seed: int) -> tuple[np.ndarray, float]:
+    """n points on an arc in shuffled index order, and an eps between one and two arc steps."""
+    step = 2.0 / n
+    angles = np.random.default_rng(seed).permutation(n) * step
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1), 1.0 - np.cos(1.5 * step)
+
+
+@pytest.mark.parametrize("n", [40, distcluster.BLOCK + 20])
+@pytest.mark.parametrize("min_pts", [2, 3])
+def test_dbscan_joins_a_shuffled_chain(n, min_pts):
+    # each point reaches only its two arc neighbors, so the one cluster is a
+    # chain whose links hook roots all over the index range; at min_pts 3 the
+    # two ends are border points
+    points, eps = arc(n, seed=n + min_pts)
+    with distance_matrix([points]) as m:
+        square = m.to_square()
+    assert sorted(np.count_nonzero(square[0] <= eps, axis=1).tolist()) == [2, 2] + [3] * (n - 2)
+    expected = oracle_dbscan(square[0].tolist(), eps, min_pts)
+    assert expected == [0] * n
+    for form in both_forms(SquareDistanceArray(square)):
+        assert dbscan(form, eps, min_pts)[0].labels.tolist() == expected
+
+
+def recorded_reads(monkeypatch, m: DistanceMatrix) -> list[tuple[int, int]]:
+    """(first row, row count) of each read of m's medium, recorded as they happen."""
+    reads = []
+    read = m._read
+
+    def record(first, count, out):
+        reads.append((first, count))
+        read(first, count, out)
+
+    monkeypatch.setattr(m, "_read", record)
+    return reads
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.9])
+def test_dbscan_reads_each_row_once_in_row_blocks(monkeypatch, eps):
+    rng = np.random.default_rng(61)
+    n = BLOCK + 20
+    with distance_matrix(random_stack(rng, 1, n, 6)) as m:
+        reads = recorded_reads(monkeypatch, m)
+        dbscan(m, eps, 3)
+    assert reads == [(0, BLOCK), (BLOCK, 20)]
+    with distance_matrix(random_stack(rng, 3, 40, 6)) as m:
+        reads = recorded_reads(monkeypatch, m)
+        dbscan(m, eps, 3)
+    assert reads == [(0, 40)]
 
 
 def test_dbscan_border_point_goes_to_first_cluster():

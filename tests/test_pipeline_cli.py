@@ -686,6 +686,20 @@ def test_cli_partial_stage_commands(tmp_path):
     assert result.returncode == 0, result.stderr
     assert (out / CHECKPOINTS["bridge"]).is_file()
 
+    # graph is a partial run too: it stops before the report
+    result = run_cli("graph", data, "--out", out, "--resume")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"completed_through": "graph"}
+    assert (out / CHECKPOINTS["graph"]).is_file()
+    assert not (out / CHECKPOINTS["report"]).exists()
+
+    # and a resumed run then computes only the report
+    before = file_ids(out)
+    result = run_cli("run", data, "--out", out, "--resume")
+    assert result.returncode == 0, result.stderr
+    after = file_ids(out)
+    assert {name for name in after if after[name] != before.get(name)} == {"report.json", "report.stamp"}
+
 
 def test_cli_validate_rejects_malformed_manifest(tmp_path):
     data = tmp_path / "data"
