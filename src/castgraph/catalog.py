@@ -409,8 +409,8 @@ def _dict_fields(kind) -> tuple[str, ...]:
 
 
 def _expect(data, json_type):
-    """data if it is a json_type value (a float may be written as an int), else TypeError."""
-    if isinstance(data, json_type) or (json_type is float and isinstance(data, int)):
+    """data if it is a json_type value, else TypeError. A float may be written as an int; a bool is no number."""
+    if type(data) is json_type or (json_type is float and type(data) is int):
         return data
     raise TypeError(f"expected {json_type.__name__}, got {type(data).__name__}")
 
@@ -475,6 +475,16 @@ def _field(rec, key: str, convert, default=_REQUIRED, where: str = ""):
         raise ValueError(f"field {where + key!r}: {exc}") from exc
 
 
+def _int(value) -> int:
+    """A JSON integer field's value, read by _field."""
+    return _expect(value, int)
+
+
+def _float(value) -> float:
+    """A JSON number field's value as a float, read by _field."""
+    return float(_expect(value, float))
+
+
 class _EmbStore:
     """Lazily loaded .emb matrices and their ``_usable_rows``, keyed by file name."""
 
@@ -484,7 +494,7 @@ class _EmbStore:
 
     def row(self, ref, where: str) -> tuple[np.ndarray, bool]:
         """The row a ``{"file", "row"}`` reference names, and whether it is usable."""
-        name, index = _field(ref, "file", str, where=where), _field(ref, "row", int, where=where)
+        name, index = _field(ref, "file", str, where=where), _field(ref, "row", _int, where=where)
         if name not in self._cache:
             matrix = read_emb(self.root / name)
             self._cache[name] = matrix, _usable_rows(matrix).tolist()
@@ -505,9 +515,9 @@ def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
         video_id=_field(rec, "video_id", str),
         channel_id=_field(rec, "channel_id", str),
         published_at=_field(rec, "published_at", parse_timestamp),
-        duration_s=_field(rec, "duration_s", float),
+        duration_s=_field(rec, "duration_s", _float),
         view_history=_field(
-            rec, "view_history", lambda h: tuple((parse_timestamp(t), int(n)) for t, n in h), None
+            rec, "view_history", lambda h: tuple((parse_timestamp(t), _int(n)) for t, n in h), None
         ),
     )
     return video.video_id, video, ()
@@ -518,19 +528,23 @@ def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
     for i, ref in enumerate(_field(rec, "embeddings", list)):
         row, ok = store.row(ref, f"embeddings[{i}].")
         rows.append(row)
-        frames.append(_field(ref, "frame", int, where=f"embeddings[{i}]."))
+        frames.append(_field(ref, "frame", _int, where=f"embeddings[{i}]."))
         usable = usable and ok
-    embeddings = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
     if ds.face_dim is None and rows:
-        ds.face_dim = embeddings.shape[1]
+        ds.face_dim = len(rows[0])
+    if len({len(row) for row in rows}) > 1:
+        got = next(len(row) for row in rows if len(row) != ds.face_dim)
+        detail = f"expected {ds.face_dim}, got {got}"
+        raise DimensionMismatch(f"{_field(rec, 'track_id', str)}: DimensionMismatch: {detail}")
+    embeddings = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
     track = FaceTrack(
         track_id=_field(rec, "track_id", str),
         video_id=_field(rec, "video_id", str),
-        start_frame=_field(rec, "start_frame", int),
-        end_frame=_field(rec, "end_frame", int),
+        start_frame=_field(rec, "start_frame", _int),
+        end_frame=_field(rec, "end_frame", _int),
         embeddings=embeddings,
         embedding_frames=tuple(frames),
-        speaker_confidence=_field(rec, "speaker_confidence", float, None),
+        speaker_confidence=_field(rec, "speaker_confidence", _float, None),
     )
     return track.track_id, track, (usable,)
 
@@ -544,8 +558,8 @@ def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
     segment = SpeechSegment(
         segment_id=_field(rec, "segment_id", str),
         video_id=_field(rec, "video_id", str),
-        start_s=_field(rec, "start_s", float),
-        end_s=_field(rec, "end_s", float),
+        start_s=_field(rec, "start_s", _float),
+        end_s=_field(rec, "end_s", _float),
         origin=_field(rec, "origin", str, "vad"),
         embedding=embedding,
     )
@@ -554,28 +568,24 @@ def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
 
 def _parse_pair(rec: dict, ds: Dataset, store: _EmbStore):
     ids = _field(rec, "track_id", str), _field(rec, "segment_id", str)
-    return None, AVPair(*ids, _field(rec, "confidence", float, 0.0)), ()
+    return None, AVPair(*ids, _field(rec, "confidence", _float, 0.0)), ()
 
 
 _TYPED_ERRORS = {"DanglingReference": DanglingReference, "DimensionMismatch": DimensionMismatch}
 
 
-def ingest(
-    manifest_dir: str | Path,
-    face_dim: int | None = None,
-    speaker_dim: int | None = None,
-) -> Dataset:
+def ingest(manifest_dir: str | Path) -> Dataset:
     """Load and fully validate a dataset directory in one pass.
 
     Each record is checked by the rules of ``validate`` as soon as it is parsed;
     the first fault raises DanglingReference, DimensionMismatch or MalformedRecord
-    naming ``file:line`` and the record. Embedding dimensions are taken from the
-    first referenced .emb file of each modality unless given explicitly; with no
-    embeddings at all the defaults (1792 faces, 1024 speakers) apply.
+    naming ``file:line`` and the record. Each modality's embedding dimension is
+    that of its first referenced row; with no embeddings at all the defaults
+    (1792 faces, 1024 speakers) apply.
     """
     root = Path(manifest_dir)
     store = _EmbStore(root)
-    ds = Dataset(face_dim=face_dim, speaker_dim=speaker_dim)
+    ds = Dataset(face_dim=None, speaker_dim=None)
     for name, parse, rules, table in (
         ("channels.json", _parse_channel, _channel_rules, ds.channels),
         ("videos.json", _parse_video, _video_rules, ds.videos),
@@ -592,6 +602,8 @@ def ingest(
                 raise MalformedRecord(name, lineno, f"missing field {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedRecord(name, lineno, f"bad record: {exc}") from exc
+            except DimensionMismatch as exc:
+                raise DimensionMismatch(f"{name}:{lineno}: {exc}") from exc
             for v in rules(record, ds, *extra):
                 reason = f"{v.record_id}: {v.kind}: {v.detail}"
                 if v.kind in _TYPED_ERRORS:

@@ -8,30 +8,10 @@ evaluation counts as "collaborations".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass
 
 from .catalog import Dataset, Video
 from .errors import InsufficientHistory
-
-
-@dataclass
-class AppearanceIndex:
-    """Distinct videos per identity and channel, plus video metadata for ties."""
-
-    appearances: dict[int, dict[str, set[str]]] = field(default_factory=dict)
-    videos: dict[str, Video] = field(default_factory=dict)
-
-    def add(self, identity_id: int, video: Video) -> None:
-        channels = self.appearances.setdefault(identity_id, {})
-        channels.setdefault(video.channel_id, set()).add(video.video_id)
-        self.videos[video.video_id] = video
-
-    def identities(self) -> list[int]:
-        return sorted(self.appearances)
-
-    def channels_of(self, identity_id: int) -> dict[str, set[str]]:
-        return self.appearances.get(identity_id, {})
 
 
 def build_appearance_index(
@@ -40,8 +20,8 @@ def build_appearance_index(
     entities,
     face_labels: dict[str, int],
     speaker_labels: dict[str, int],
-) -> AppearanceIndex:
-    """Record where each resolved identity shows up, via either modality."""
+) -> dict[int, dict[str, set[str]]]:
+    """Where each resolved identity shows up, via either modality: identity -> {channel: video ids}."""
     entity_video = {e.entity_id: e.video_id for e in entities}
     by_face_cluster: dict[int, set[str]] = {}
     for entity_id, label in face_labels.items():
@@ -52,7 +32,7 @@ def build_appearance_index(
         if label != -1:
             by_speaker_cluster.setdefault(label, set()).add(ds.segments[segment_id].video_id)
 
-    index = AppearanceIndex()
+    appearances: dict[int, dict[str, set[str]]] = {}
     for component in components:
         video_ids: set[str] = set()
         for face in component.face_clusters:
@@ -60,24 +40,26 @@ def build_appearance_index(
         for speaker in component.speaker_clusters:
             video_ids |= by_speaker_cluster.get(speaker, set())
         for video_id in video_ids:
-            index.add(component.identity_id, ds.videos[video_id])
-    return index
+            channels = appearances.setdefault(component.identity_id, {})
+            channels.setdefault(ds.videos[video_id].channel_id, set()).add(video_id)
+    return appearances
 
 
-def assign_creators(index: AppearanceIndex) -> dict[int, str]:
+def assign_creators(appearances: dict[int, dict[str, set[str]]], videos: dict[str, Video]) -> dict[int, str]:
     """Assign each identity to the channel it appears on most.
 
     The creator channel is the one with the most distinct videos containing
     the identity. Ties go to the channel whose earliest appearance was
     published first, then to the lexicographically smaller channel id.
+    videos maps each video id to its Video.
     """
     creators: dict[int, str] = {}
-    for identity in index.identities():
+    for identity in sorted(appearances):
         best_key = None
         best_channel = None
-        for channel, videos in index.channels_of(identity).items():
-            earliest: datetime = min(index.videos[v].published_at for v in videos)
-            key = (-len(videos), earliest, channel)
+        for channel, video_ids in appearances[identity].items():
+            earliest = min(videos[v].published_at for v in video_ids)
+            key = (-len(video_ids), earliest, channel)
             if best_key is None or key < best_key:
                 best_key = key
                 best_channel = channel
@@ -93,12 +75,14 @@ class CollaborationEdge:
     video_ids: tuple[str, ...]
 
 
-def detect_collaborations(index: AppearanceIndex, creators: dict[int, str]) -> list[CollaborationEdge]:
+def detect_collaborations(
+    appearances: dict[int, dict[str, set[str]]], creators: dict[int, str]
+) -> list[CollaborationEdge]:
     """One edge per identity per foreign channel it appears on."""
     edges: list[CollaborationEdge] = []
-    for identity in index.identities():
+    for identity in sorted(appearances):
         home = creators[identity]
-        for channel, videos in sorted(index.channels_of(identity).items()):
+        for channel, videos in sorted(appearances[identity].items()):
             if channel == home:
                 continue
             edges.append(CollaborationEdge(home, channel, identity, tuple(sorted(videos))))
@@ -115,47 +99,23 @@ def collaboration_events(edges) -> set[tuple[str, str, str]]:
     return events
 
 
-@dataclass
-class GraphStats:
-    node_count: int
-    edge_count: int
-    collaboration_count: int
-    correct: int | None = None
-    incorrect: int | None = None
-    missed: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "collaboration_count": self.collaboration_count,
-        }
-        if self.correct is not None:
-            out.update(correct=self.correct, incorrect=self.incorrect, missed=self.missed)
-        return out
-
-
-def graph_stats(edges, channels=(), ground_truth=None) -> GraphStats:
+def graph_stats(edges, channels, ground_truth=None) -> dict[str, int]:
     """Node/edge/collaboration counts, scored against a truth set if given.
 
-    ``ground_truth`` is a collection of (from_channel, to_channel, video_id)
-    triples; a detected collaboration is correct only on an exact match.
-    Nodes are all known channels, or the channels touched by edges when no
-    channel list is supplied.
+    Nodes are the given channels. ``ground_truth`` is a collection of
+    (from_channel, to_channel, video_id) triples; a detected collaboration is
+    correct only on an exact match, and the counts then also hold correct,
+    incorrect and missed.
     """
-    nodes = set(channels)
-    if not nodes:
-        for edge in edges:
-            nodes.add(edge.from_channel)
-            nodes.add(edge.to_channel)
-    pairs = {(e.from_channel, e.to_channel) for e in edges}
     events = collaboration_events(edges)
-    stats = GraphStats(len(nodes), len(pairs), len(events))
+    stats = {
+        "node_count": len(set(channels)),
+        "edge_count": len({(e.from_channel, e.to_channel) for e in edges}),
+        "collaboration_count": len(events),
+    }
     if ground_truth is not None:
         truth = {tuple(t) for t in ground_truth}
-        stats.correct = len(events & truth)
-        stats.incorrect = len(events - truth)
-        stats.missed = len(truth - events)
+        stats.update(correct=len(events & truth), incorrect=len(events - truth), missed=len(truth - events))
     return stats
 
 

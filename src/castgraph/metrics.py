@@ -11,7 +11,7 @@ import math
 from collections import Counter, defaultdict
 
 from . import collabgraph
-from .errors import EmptyReference, KeyMismatch, LengthMismatch
+from .errors import EmptyReference, InsufficientHistory, KeyMismatch, LengthMismatch
 
 
 # --- label-based clustering scores ---------------------------------------------
@@ -252,6 +252,9 @@ def evaluate_run(run, truth) -> dict:
     An entity's true identity is the most frequent one among its member
     tracks. A video's predicted host is its most frequent speaker label,
     the smallest on ties. DER is averaged over videos with reference speech.
+    growth_factor is left out when no channel has both collaboration and
+    non-collaboration view histories, as mean_der is when no video has
+    reference speech.
     """
     report: dict = {}
     entity_truth = []
@@ -295,12 +298,12 @@ def evaluate_run(run, truth) -> dict:
     if ders:
         report["mean_der"] = sum(ders) / len(ders)
 
-    stats = collabgraph.graph_stats(
-        run.edges, channels=run.ds.channels.keys(), ground_truth=truth.event_triples()
-    )
-    report["collaborations"] = stats.to_json()
+    report["collaborations"] = collabgraph.graph_stats(run.edges, run.ds.channels.keys(), truth.event_triples())
     if truth.planted_growth_ratio is not None:
-        report["growth_factor"] = collabgraph.growth_factor(run.ds.videos.values(), run.edges)
+        try:
+            report["growth_factor"] = collabgraph.growth_factor(run.ds.videos.values(), run.edges)
+        except InsufficientHistory:
+            pass
     return report
 
 

@@ -44,7 +44,6 @@ from .errors import PipelineStageError, ZeroVector
 from .synth import GroundTruth
 from .tracks import (
     TrackEntity,
-    TrackPolicy,
     assign_active_speakers,
     merge_tracks,
     representative_embedding,
@@ -80,10 +79,6 @@ class PipelineConfig:
     @property
     def hdbscan_params(self) -> HdbscanParams:
         return HdbscanParams(self.min_cluster_size, self.min_samples)
-
-    @property
-    def track_policy(self) -> TrackPolicy:
-        return TrackPolicy(speaker_conf_threshold=self.conf_threshold)
 
 
 def _json(payload) -> bytes:
@@ -239,13 +234,11 @@ class PipelineRun:
         return getattr(self, attr)
 
     def compute_split(self) -> None:
-        self.pieces, self.piece_sources = split_tracks_with_sources(
-            self.ds.tracks.values(), self.config.track_policy
-        )
+        self.pieces, self.piece_sources = split_tracks_with_sources(self.ds.tracks.values())
 
     def compute_pair(self) -> None:
         segments = self.ds.segments.values()
-        self.av_pairs = assign_active_speakers(self.pieces, segments, self.config.track_policy)
+        self.av_pairs = assign_active_speakers(self.pieces, segments, self.config.conf_threshold)
 
     @cached_property
     def representatives(self) -> dict:
@@ -347,12 +340,12 @@ class PipelineRun:
         self.conflicts = bridge_mod.conflict_report(self.association, self.identities, self.config.min_votes)
 
     def compute_graph(self) -> None:
-        index = collabgraph.build_appearance_index(
+        appearances = collabgraph.build_appearance_index(
             self.ds, self.identities, self.entities, self.face_labels, self.speaker_labels
         )
-        self.creators = collabgraph.assign_creators(index)
-        self.edges = collabgraph.detect_collaborations(index, self.creators)
-        self.stats = collabgraph.graph_stats(self.edges, channels=self.ds.channels.keys()).to_json()
+        self.creators = collabgraph.assign_creators(appearances, self.ds.videos)
+        self.edges = collabgraph.detect_collaborations(appearances, self.creators)
+        self.stats = collabgraph.graph_stats(self.edges, self.ds.channels.keys())
 
     _graph_results, _encode_graph_json, decode_graph = _object_codec(
         "08_graph.json",

@@ -12,15 +12,9 @@ from .distcluster import FALLBACK_EPS, HdbscanParams, cluster_groups, label_grou
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 
 
-@dataclass(frozen=True)
-class TrackPolicy:
-    max_len_frames: int = 50
-    min_len_frames: int = 25
-    speaker_conf_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.min_len_frames <= self.max_len_frames:
-            raise ValueError("need 0 < min_len_frames <= max_len_frames")
+# split piece lengths in frames; split keeps no stamp, so __version__ must change with them
+MAX_PIECE_FRAMES = 50
+MIN_PIECE_FRAMES = 25
 
 
 @dataclass
@@ -32,28 +26,22 @@ class TrackEntity:
     member_track_ids: tuple[str, ...]
 
 
-def split_tracks(tracks, policy: TrackPolicy) -> list[FaceTrack]:
-    """Cut tracks into pieces of at most max_len_frames.
+def split_tracks_with_sources(tracks) -> tuple[list[FaceTrack], dict[str, str]]:
+    """Cut tracks into pieces of at most MAX_PIECE_FRAMES, with a piece-id to source-track-id map.
 
     Pieces partition the parent frame range in order; each embedding follows
     its source frame into the piece that covers it. Pieces that end up shorter
-    than min_len_frames, or with no embeddings at all, are dropped.
+    than MIN_PIECE_FRAMES, or with no embeddings at all, are dropped. The
+    evaluation reads the map.
     """
-    return split_tracks_with_sources(tracks, policy)[0]
-
-
-def split_tracks_with_sources(
-    tracks, policy: TrackPolicy
-) -> tuple[list[FaceTrack], dict[str, str]]:
-    """split_tracks plus a piece-id to source-track-id map, which the evaluation reads."""
     sources: dict[str, str] = {}
     out: list[FaceTrack] = []
     for track in sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id)):
-        starts = list(range(track.start_frame, track.end_frame + 1, policy.max_len_frames))
+        starts = list(range(track.start_frame, track.end_frame + 1, MAX_PIECE_FRAMES))
         single = len(starts) == 1
         for k, piece_start in enumerate(starts):
-            piece_end = min(piece_start + policy.max_len_frames - 1, track.end_frame)
-            if piece_end - piece_start + 1 < policy.min_len_frames:
+            piece_end = min(piece_start + MAX_PIECE_FRAMES - 1, track.end_frame)
+            if piece_end - piece_start + 1 < MIN_PIECE_FRAMES:
                 continue
             keep = frame_rows(track, piece_start, piece_end)
             if not keep:
@@ -91,11 +79,11 @@ def _overlap(a_start, a_end, b_start, b_end) -> float:
     return max(0.0, min(a_end, b_end) - max(a_start, b_start))
 
 
-def assign_active_speakers(tracks, segments, policy: TrackPolicy) -> list[AVPair]:
+def assign_active_speakers(tracks, segments, conf_threshold: float) -> list[AVPair]:
     """Pair each confidently speaking track with its best-covered segment.
 
-    A track qualifies when it carries a speaker confidence at or above the
-    threshold and covers at least half of some speech segment. Each track
+    A track qualifies when it carries a speaker confidence at or above
+    conf_threshold and covers at least half of some speech segment. Each track
     emits at most one pair: the segment with the largest overlap wins, ties
     going to the earlier segment start.
     """
@@ -108,7 +96,7 @@ def assign_active_speakers(tracks, segments, policy: TrackPolicy) -> list[AVPair
     pairs: list[AVPair] = []
     for track in sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id)):
         conf = track.speaker_confidence
-        if conf is None or conf < policy.speaker_conf_threshold:
+        if conf is None or conf < conf_threshold:
             continue
         t_start, t_end = track_time_span(track)
         best: tuple[float, float, str] | None = None

@@ -22,7 +22,7 @@ from castgraph.metrics import completeness, der, homogeneity, v_from_scores, v_m
 from castgraph.collabgraph import graph_stats
 from castgraph.pipeline import PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, corrupt, generate, random_unit, rotate_within, sample_blobs
-from castgraph.tracks import TrackPolicy, merge_tracks, split_tracks
+from castgraph.tracks import merge_tracks, split_tracks_with_sources
 
 from oracles import oracle_der, oracle_hdbscan, oracle_homogeneity_completeness
 
@@ -248,7 +248,6 @@ def test_bridge_fig_scenario():
 # 8 ------------------------------------------------------------------------------
 
 def test_split_merge_round_trip_thousand_tracks():
-    policy = TrackPolicy()
     rng = np.random.default_rng(31337)
     gen = np.random.default_rng(606)
     failures = 0
@@ -268,7 +267,7 @@ def test_split_merge_round_trip_thousand_tracks():
             frames,
             1.0,
         )
-        pieces = split_tracks([track], policy)
+        pieces, _ = split_tracks_with_sources([track])
         pairs = [AVPair(p.track_id, f"seg{trial}/{i}", 1.0) for i, p in enumerate(pieces)]
         entities = merge_tracks(pieces, PARAMS)
         if len(entities) != 1:
@@ -361,8 +360,8 @@ def test_speaker_recognition_finds_collaborations_faces_miss(tmp_path):
             run.speaker_labels = {}
             run.compute_bridge()
             run.compute_graph()
-        stats = graph_stats(run.edges, channels=ds.channels.keys(), ground_truth=truth.event_triples())
-        recall[name] = stats.correct / len(truth.planted_events)
+        stats = graph_stats(run.edges, ds.channels.keys(), truth.event_triples())
+        recall[name] = stats["correct"] / len(truth.planted_events)
     criterion(
         "speaker recognition finds collaborations faces miss: face+speaker recall >= 0.9, "
         "at least 0.3 above face-only",

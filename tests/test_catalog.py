@@ -32,7 +32,7 @@ from castgraph.catalog import (
 )
 from castgraph.collabgraph import CollaborationEdge
 from castgraph.diarize import ReconciledSegment, RejectedSegment
-from castgraph.errors import DanglingReference, MalformedRecord, MissingFile, ZeroVector
+from castgraph.errors import DanglingReference, DimensionMismatch, MalformedRecord, MissingFile, ZeroVector
 from castgraph.synth import GroundTruth, SynthConfig, generate
 from castgraph.tracks import TrackEntity
 
@@ -399,6 +399,56 @@ def dangling_segment_video(root, ds):
     ds.segments[segment_id].video_id = "vMISSING"
 
 
+def odd_dimension_row(index):
+    """A mutation pointing row index of the first track at a row of another dimension."""
+
+    def mutate(root, ds):
+        write_emb(root / "odd.emb", np.ones((1, 5), dtype=np.float32))
+        edit_record(root, "tracks.jsonl", lambda r: r["embeddings"][index].update(file="odd.emb", row=0))
+
+    mutate.__name__ = f"odd_dimension_row_{index}"
+    return mutate
+
+
+# a number field of another JSON type, as (file, path to the field, value, field name in the message):
+# an integer field takes a JSON integer, a float field any JSON number, and a bool is neither
+WRONG_NUMBERS = [
+    ("tracks.jsonl", ("start_frame",), 25.7, "start_frame"),
+    ("tracks.jsonl", ("start_frame",), "25", "start_frame"),
+    ("tracks.jsonl", ("end_frame",), 59.0, "end_frame"),
+    ("tracks.jsonl", ("end_frame",), True, "end_frame"),
+    ("tracks.jsonl", ("embeddings", 0, "row"), 1.9, "embeddings[0].row"),
+    ("tracks.jsonl", ("embeddings", 1, "row"), True, "embeddings[1].row"),
+    ("tracks.jsonl", ("embeddings", 0, "frame"), True, "embeddings[0].frame"),
+    ("tracks.jsonl", ("embeddings", 0, "frame"), "25", "embeddings[0].frame"),
+    ("tracks.jsonl", ("speaker_confidence",), True, "speaker_confidence"),
+    ("tracks.jsonl", ("speaker_confidence",), "1.0", "speaker_confidence"),
+    ("videos.json", ("view_history", 1, 1), 20000.5, "view_history"),
+    ("videos.json", ("view_history", 0, 1), True, "view_history"),
+    ("videos.json", ("duration_s",), True, "duration_s"),
+    ("videos.json", ("duration_s",), "60", "duration_s"),
+    ("segments.jsonl", ("start_s",), True, "start_s"),
+    ("segments.jsonl", ("end_s",), "2.24", "end_s"),
+    ("pairs.jsonl", ("confidence",), False, "confidence"),
+    ("pairs.jsonl", ("confidence",), "1.0", "confidence"),
+]
+
+
+def wrong_number(source, path, value):
+    """A mutation setting the field at path in the first record of source to value."""
+
+    def change(record):
+        for step in path[:-1]:
+            record = record[step]
+        record[path[-1]] = value
+
+    def mutate(root, ds):
+        edit_record(root, source, change)
+
+    mutate.__name__ = f"{'.'.join(map(str, path))}={json.dumps(value)}"
+    return mutate
+
+
 # (mutation, file it breaks, typed error, violation kind or None for a structural fault,
 #  and for a structural fault how its message goes on after the file name: line and field)
 BAD_MANIFESTS = [
@@ -417,6 +467,10 @@ BAD_MANIFESTS = [
     (zero_face_row, "tracks.jsonl", MalformedRecord, "ZeroVector", None),
     (line_feed_in_segment_id, "segments.jsonl", MalformedRecord, "LineBreak", None),
     (dangling_segment_video, "segments.jsonl", DanglingReference, "DanglingReference", None),
+    *((odd_dimension_row(index), "tracks.jsonl", DimensionMismatch, None,
+       ":1: v0000/t0: DimensionMismatch: expected ") for index in (0, 1)),
+    *((wrong_number(source, path, value), source, MalformedRecord, None,
+       f":1: bad record: field '{name}': expected ") for source, path, value, name in WRONG_NUMBERS),
 ]
 
 
@@ -511,6 +565,44 @@ def test_fuzzed_manifest_exits_0_or_2(small_manifest, data):
             path = root / data.draw(st.sampled_from(["channels.json", "videos.json"]))
             path.write_text(json.dumps({"records": json.loads(path.read_text())}))
         assert cli.main(["validate", str(root)]) in (0, 2)
+
+
+# --- number types and embedding dimensions ------------------------------------------
+
+def test_float_field_written_as_an_integer_reads_as_a_float(tmp_path, small_manifest):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    video_id = edit_record(root, "videos.json", lambda r: r.update(duration_s=60))["video_id"]
+    segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(start_s=1))["segment_id"]
+    ds = ingest(root)
+    assert type(ds.videos[video_id].duration_s) is float and ds.videos[video_id].duration_s == 60.0
+    assert type(ds.segments[segment_id].start_s) is float and ds.segments[segment_id].start_s == 1.0
+
+
+def test_ingest_takes_each_dimension_from_the_first_referenced_row(small_manifest):
+    ds = ingest(small_manifest)
+    assert (ds.face_dim, ds.speaker_dim) == (8, 6)
+
+
+def test_ingest_of_a_corpus_without_tracks_takes_the_default_face_dimension(tmp_path):
+    cfg = SynthConfig(n_channels=2, n_videos=4, n_identities=2, face_dim=8, speaker_dim=6,
+                      offscreen_speaker_fraction=1.0, rng_seed=12)
+    write(generate(cfg)[0], tmp_path / "voices")
+    ds = ingest(tmp_path / "voices")
+    assert not ds.tracks and ds.segments
+    assert (ds.face_dim, ds.speaker_dim) == (1792, 6)
+
+
+def test_ingest_of_segments_without_embeddings_takes_the_default_speaker_dimension(tmp_path, small_manifest):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    segments = read_records(root / "segments.jsonl")
+    for record in segments:
+        record["embedding"] = None
+    write_records(root / "segments.jsonl", segments)
+    ds = ingest(root)
+    assert ds.tracks and ds.segments
+    assert (ds.face_dim, ds.speaker_dim) == (8, 1024)
 
 
 # --- record codec -------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 from castgraph.catalog import Channel, Dataset, Video
 from castgraph.collabgraph import (
-    AppearanceIndex,
     assign_creators,
     collab_graph_dot,
     collaboration_events,
@@ -27,11 +26,12 @@ def video(video_id, channel_id, day=0, history=None):
 
 
 def index_from(appearances):
-    """appearances: list of (identity, Video)."""
-    index = AppearanceIndex()
+    """appearances: list of (identity, Video) -> (identity -> {channel: video ids}, videos by id)."""
+    index, videos = {}, {}
     for identity, vid in appearances:
-        index.add(identity, vid)
-    return index
+        index.setdefault(identity, {}).setdefault(vid.channel_id, set()).add(vid.video_id)
+        videos[vid.video_id] = vid
+    return index, videos
 
 
 # --- creators ---------------------------------------------------------------------
@@ -39,20 +39,20 @@ def index_from(appearances):
 def test_creator_strict_majority():
     apps = [(1, video(f"a{k}", "A", day=k)) for k in range(5)]
     apps += [(1, video(f"b{k}", "B", day=10 + k)) for k in range(2)]
-    creators = assign_creators(index_from(apps))
+    creators = assign_creators(*index_from(apps))
     assert creators == {1: "A"}
 
 
 def test_creator_tie_breaks_on_earliest_publication():
     apps = [(1, video(f"a{k}", "A", day=5 + k)) for k in range(3)]
     apps += [(1, video(f"b{k}", "B", day=3 + k)) for k in range(3)]
-    creators = assign_creators(index_from(apps))
+    creators = assign_creators(*index_from(apps))
     assert creators == {1: "B"}  # B's earliest appearance (day 3) precedes A's (day 5)
 
 
 def test_creator_tie_breaks_on_channel_id_last():
     apps = [(1, video("a0", "A", day=1)), (1, video("b0", "B", day=1))]
-    creators = assign_creators(index_from(apps))
+    creators = assign_creators(*index_from(apps))
     assert creators == {1: "A"}
 
 
@@ -60,7 +60,7 @@ def test_creator_inversion_when_foreign_count_dominates():
     # an identity seen more on another channel than its own gets assigned there
     apps = [(7, video("own", "Home", day=0))]
     apps += [(7, video(f"f{k}", "Foreign", day=1 + k)) for k in range(3)]
-    creators = assign_creators(index_from(apps))
+    creators = assign_creators(*index_from(apps))
     assert creators == {7: "Foreign"}
 
 
@@ -69,8 +69,8 @@ def test_creator_inversion_when_foreign_count_dominates():
 def test_edges_for_foreign_appearances():
     apps = [(1, video(f"a{k}", "A", day=k)) for k in range(4)]
     apps += [(1, video(f"b{k}", "B", day=10 + k)) for k in range(3)]
-    index = index_from(apps)
-    creators = assign_creators(index)
+    index, videos = index_from(apps)
+    creators = assign_creators(index, videos)
     edges = detect_collaborations(index, creators)
     assert len(edges) == 1
     edge = edges[0]
@@ -80,8 +80,8 @@ def test_edges_for_foreign_appearances():
 
 def test_no_edge_for_home_only_identity():
     apps = [(1, video(f"a{k}", "A", day=k)) for k in range(3)]
-    index = index_from(apps)
-    edges = detect_collaborations(index, assign_creators(index))
+    index, videos = index_from(apps)
+    edges = detect_collaborations(index, assign_creators(index, videos))
     assert edges == []
 
 
@@ -94,33 +94,28 @@ def test_edges_independent_of_identity_enumeration():
         (1, video("b2", "B", day=4)),
         (1, video("a0", "A", day=0)),
     ]
-    index_fwd = index_from(apps)
-    index_rev = index_from(list(reversed(apps)))
-    edges_fwd = detect_collaborations(index_fwd, assign_creators(index_fwd))
-    edges_rev = detect_collaborations(index_rev, assign_creators(index_rev))
+    index_fwd, videos = index_from(apps)
+    index_rev, _ = index_from(list(reversed(apps)))
+    edges_fwd = detect_collaborations(index_fwd, assign_creators(index_fwd, videos))
+    edges_rev = detect_collaborations(index_rev, assign_creators(index_rev, videos))
     assert edges_fwd == edges_rev
 
 
 # --- stats ------------------------------------------------------------------------
 
 def test_stats_empty():
-    stats = graph_stats([])
-    assert (stats.node_count, stats.edge_count, stats.collaboration_count) == (0, 0, 0)
+    assert graph_stats([], []) == {"node_count": 0, "edge_count": 0, "collaboration_count": 0}
 
 
 def test_stats_against_truth():
     apps = [(1, video(f"a{k}", "A", day=k)) for k in range(2)]
     apps += [(1, video("b0", "B", day=5)), (1, video("b1", "B", day=6))]
-    index = index_from(apps)
-    edges = detect_collaborations(index, assign_creators(index))
+    index, videos = index_from(apps)
+    edges = detect_collaborations(index, assign_creators(index, videos))
     truth = {("A", "B", "b0"), ("A", "B", "bX")}
-    stats = graph_stats(edges, channels=["A", "B", "C"], ground_truth=truth)
-    assert stats.node_count == 3
-    assert stats.edge_count == 1
-    assert stats.collaboration_count == 2
-    assert stats.correct == 1
-    assert stats.incorrect == 1
-    assert stats.missed == 1
+    stats = graph_stats(edges, ["A", "B", "C"], ground_truth=truth)
+    assert stats == {"node_count": 3, "edge_count": 1, "collaboration_count": 2,
+                     "correct": 1, "incorrect": 1, "missed": 1}
 
 
 def test_stats_nine_channel_seven_pair_shape():
@@ -142,22 +137,20 @@ def test_stats_nine_channel_seven_pair_shape():
         edge.identity_id = identity
         edge.video_ids = videos
         edges.append(edge)
-    stats = graph_stats(edges, channels=channels)
-    assert stats.node_count == 9
-    assert stats.edge_count == 7
-    assert stats.collaboration_count == 34
+    stats = graph_stats(edges, channels)
+    assert stats == {"node_count": 9, "edge_count": 7, "collaboration_count": 34}
 
 
 def test_creator_argmax_survives_uniform_rescaling():
     apps = [(1, video(f"a{k}", "A", day=k)) for k in range(4)]
     apps += [(1, video(f"b{k}", "B", day=10 + k)) for k in range(2)]
-    base = assign_creators(index_from(apps))
+    base = assign_creators(*index_from(apps))
     tripled = [
         (identity, video(f"{v.video_id}x{r}", v.channel_id, day=(v.published_at - T0).days))
         for identity, v in apps
         for r in range(3)
     ]
-    assert assign_creators(index_from(tripled)) == base
+    assert assign_creators(*index_from(tripled)) == base
 
 
 def test_edge_videos_audit_against_index():
@@ -165,10 +158,10 @@ def test_edge_videos_audit_against_index():
     apps += [(1, video(f"b{k}", "B", day=5 + k)) for k in range(2)]
     apps += [(2, video(f"c{k}", "C", day=k)) for k in range(2)]
     apps += [(2, video("b9", "B", day=9))]
-    index = index_from(apps)
-    edges = detect_collaborations(index, assign_creators(index))
+    index, videos = index_from(apps)
+    edges = detect_collaborations(index, assign_creators(index, videos))
     for edge in edges:
-        recorded = index.appearances[edge.identity_id][edge.to_channel]
+        recorded = index[edge.identity_id][edge.to_channel]
         assert set(edge.video_ids) <= recorded
 
 
@@ -178,10 +171,10 @@ def test_collaboration_count_sums_edge_videos():
     apps += [(2, video("c0", "C")), (2, video("b9", "B", day=9))]
     # identity 1 home A (tie broken by earliest), identity 2 home C
     apps += [(1, video("a1", "A", day=0))]
-    index = index_from(apps)
-    edges = detect_collaborations(index, assign_creators(index))
-    stats = graph_stats(edges)
-    assert stats.collaboration_count == len(collaboration_events(edges)) == 3
+    index, videos = index_from(apps)
+    edges = detect_collaborations(index, assign_creators(index, videos))
+    stats = graph_stats(edges, ["A", "B", "C"])
+    assert stats["collaboration_count"] == len(collaboration_events(edges)) == 3
 
 
 # --- growth factor -----------------------------------------------------------------

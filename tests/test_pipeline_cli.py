@@ -648,6 +648,19 @@ def test_cli_eval_without_ground_truth_is_a_usage_error(tmp_path, tiny_data, cap
     assert "--ground-truth" in capsys.readouterr().err
 
 
+def test_cli_eval_without_usable_view_histories_leaves_growth_out(tmp_path):
+    # no collaboration is planted or found, so no channel has a collaboration video to compare
+    data, out = tmp_path / "g", tmp_path / "o"
+    synth = ["--channels", "3", "--videos", "12", "--identities", "3", "--face-dim", "16",
+             "--speaker-dim", "12", "--collab-rate", "0", "--growth-ratio", "1.3", "--seed", "3"]
+    assert main(["synth", "--out", str(data), *synth]) == 0
+    assert main(["eval", str(data), "--out", str(out), "--ground-truth", str(data / "ground_truth.json")]) == 0
+    evaluation = json.loads((out / "report.json").read_text())["evaluation"]
+    assert "growth_factor" not in evaluation
+    assert evaluation["collaborations"]["collaboration_count"] == 0
+    assert "growth" not in (out / "report_table.txt").read_text()
+
+
 def test_cli_missing_manifest_exits_2(tmp_path):
     result = run_cli("run", tmp_path / "absent", "--out", tmp_path / "o")
     assert result.returncode == 2

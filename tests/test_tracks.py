@@ -9,18 +9,17 @@ from castgraph.catalog import AVPair, FaceTrack, SpeechSegment
 from castgraph.distcluster import HdbscanParams
 from castgraph.synth import random_unit, rotate_within
 from castgraph.tracks import (
-    TrackPolicy,
+    MAX_PIECE_FRAMES,
+    MIN_PIECE_FRAMES,
     assign_active_speakers,
     merge_tracks,
     representative_embedding,
-    split_tracks,
     split_tracks_with_sources,
 )
 
 from oracles import oracle_split_ranges
 
 PARAMS = HdbscanParams(2, 2)
-POLICY = TrackPolicy()
 
 
 def make_track(track_id, start, end, vec, video="v1", conf=None, every=25):
@@ -38,14 +37,14 @@ def make_segment(segment_id, start_s, end_s, video="v1", vec=None):
 
 def test_split_150_frames_into_three():
     track = make_track("t", 0, 149, [1.0, 0.0])
-    pieces = split_tracks([track], POLICY)
+    pieces = split_tracks_with_sources([track])[0]
     assert [(p.start_frame, p.end_frame) for p in pieces] == [(0, 49), (50, 99), (100, 149)]
     assert [p.track_id for p in pieces] == ["t#0", "t#1", "t#2"]
 
 
 def test_split_short_track_untouched():
     track = make_track("t", 10, 49, [1.0, 0.0])
-    pieces = split_tracks([track], POLICY)
+    pieces = split_tracks_with_sources([track])[0]
     assert len(pieces) == 1
     assert pieces[0].track_id == "t"
     assert (pieces[0].start_frame, pieces[0].end_frame) == (10, 49)
@@ -53,7 +52,7 @@ def test_split_short_track_untouched():
 
 def test_split_drops_short_remainder():
     track = make_track("t", 0, 119, [1.0, 0.0])
-    pieces = split_tracks([track], POLICY)
+    pieces = split_tracks_with_sources([track])[0]
     assert [(p.start_frame, p.end_frame) for p in pieces] == [(0, 49), (50, 99)]
 
 
@@ -63,8 +62,8 @@ def test_split_matches_partition_oracle(seed):
     start = int(rng.integers(0, 100))
     end = start + int(rng.integers(0, 400))
     track = make_track("t", start, end, [0.5, 0.5], every=5)
-    pieces = split_tracks([track], POLICY)
-    expected = oracle_split_ranges(start, end, POLICY.max_len_frames, POLICY.min_len_frames)
+    pieces = split_tracks_with_sources([track])[0]
+    expected = oracle_split_ranges(start, end, MAX_PIECE_FRAMES, MIN_PIECE_FRAMES)
     assert [(p.start_frame, p.end_frame) for p in pieces] == expected
 
 
@@ -79,7 +78,7 @@ def test_split_embeddings_follow_frames():
         (0, 30, 60, 90),
         None,
     )
-    pieces = split_tracks([track], TrackPolicy(50, 25, 0.5))
+    pieces = split_tracks_with_sources([track])[0]
     assert pieces[0].embedding_frames == (0, 30)
     assert pieces[1].embedding_frames == (60, 90)
     assert np.array_equal(pieces[0].embeddings[1], 2 * vec_a)
@@ -88,7 +87,7 @@ def test_split_embeddings_follow_frames():
 
 def test_split_sources_map():
     tracks = [make_track("a", 0, 149, [1, 0]), make_track("b", 0, 30, [0, 1])]
-    pieces, sources = split_tracks_with_sources(tracks, POLICY)
+    pieces, sources = split_tracks_with_sources(tracks)
     assert sources == {"a#0": "a", "a#1": "a", "a#2": "a", "b": "b"}
     assert {p.track_id for p in pieces} == set(sources)
 
@@ -98,33 +97,33 @@ def test_split_sources_map():
 def test_pairing_full_overlap():
     track = make_track("t", 0, 49, [1, 0], conf=0.9)
     segment = make_segment("s", 0.0, 2.0)
-    pairs = assign_active_speakers([track], [segment], POLICY)
+    pairs = assign_active_speakers([track], [segment], 0.5)
     assert pairs == [AVPair("t", "s", 0.9)]
 
 
 def test_pairing_requires_confidence():
     track = make_track("t", 0, 49, [1, 0], conf=None)
     segment = make_segment("s", 0.0, 2.0)
-    assert assign_active_speakers([track], [segment], POLICY) == []
+    assert assign_active_speakers([track], [segment], 0.5) == []
 
 
 def test_pairing_below_threshold():
     track = make_track("t", 0, 49, [1, 0], conf=0.4)
     segment = make_segment("s", 0.0, 2.0)
-    assert assign_active_speakers([track], [segment], POLICY) == []
+    assert assign_active_speakers([track], [segment], 0.5) == []
 
 
 def test_pairing_needs_half_overlap():
     track = make_track("t", 0, 49, [1, 0], conf=1.0)  # covers [0, 2) s
     segment = make_segment("s", 1.5, 6.0)  # overlap 0.5 of 4.5 < 50%
-    assert assign_active_speakers([track], [segment], POLICY) == []
+    assert assign_active_speakers([track], [segment], 0.5) == []
 
 
 def test_pairing_best_overlap_wins():
     track = make_track("t", 0, 99, [1, 0], conf=1.0)  # spans [0, 4) s
     loser = make_segment("s_low", 2.8, 4.8)  # overlap 1.2 / 2.0 = 60%
     winner = make_segment("s_high", 1.0, 3.0)  # overlap 2.0 / 2.0 = 100%
-    pairs = assign_active_speakers([track], [loser, winner], TrackPolicy(100, 25, 0.5))
+    pairs = assign_active_speakers([track], [loser, winner], 0.5)
     assert pairs == [AVPair("t", "s_high", 1.0)]
 
 
@@ -132,7 +131,7 @@ def test_pairing_tie_prefers_earlier_segment():
     track = make_track("t", 0, 99, [1, 0], conf=1.0)
     first = make_segment("s1", 0.0, 2.0)
     second = make_segment("s2", 2.0, 4.0)
-    pairs = assign_active_speakers([track], [second, first], TrackPolicy(100, 25, 0.5))
+    pairs = assign_active_speakers([track], [second, first], 0.5)
     assert pairs == [AVPair("t", "s1", 1.0)]
 
 
@@ -140,7 +139,7 @@ def test_pairing_tie_prefers_earlier_segment():
 
 def test_merge_split_pieces_of_one_track():
     track = make_track("t", 0, 149, [0.6, 0.8])
-    pieces = split_tracks([track], POLICY)
+    pieces = split_tracks_with_sources([track])[0]
     entities = merge_tracks(pieces, PARAMS)
     assert len(entities) == 1
     assert set(entities[0].member_track_ids) == {"t#0", "t#1", "t#2"}
@@ -170,7 +169,7 @@ def test_merge_single_track_singleton_entity():
 
 def test_merge_keeps_av_pairs():
     track = make_track("t", 0, 149, [0.0, 1.0], conf=1.0)
-    pieces = split_tracks([track], POLICY)
+    pieces = split_tracks_with_sources([track])[0]
     pairs = [AVPair(p.track_id, f"s{k}", 1.0) for k, p in enumerate(pieces)]
     entities = merge_tracks(pieces, PARAMS)
     assert len(entities) == 1
@@ -217,7 +216,7 @@ def test_split_then_merge_single_identity_round_trip(seed):
     face = rotate_within(gen, centroid, 3.0).astype(np.float32)
     track = FaceTrack("t", "v1", start, end, np.tile(face, (len(frames), 1)), frames, 1.0)
 
-    pieces = split_tracks([track], POLICY)
+    pieces = split_tracks_with_sources([track])[0]
     entities = merge_tracks(pieces, PARAMS)
     assert len(entities) == 1
     # pieces partition the kept frame range
@@ -226,7 +225,7 @@ def test_split_then_merge_single_identity_round_trip(seed):
         assert e1 + 1 == s2
     kept = sum(e - s + 1 for s, e in spans)
     dropped = track.n_frames - kept
-    assert 0 <= dropped < POLICY.min_len_frames
+    assert 0 <= dropped < MIN_PIECE_FRAMES
     by_id = {p.track_id: p for p in pieces}
     assert sum(by_id[t].n_frames for t in entities[0].member_track_ids) == kept
 
@@ -239,7 +238,7 @@ def test_frame_conservation_across_entities():
         end = start + int(rng.integers(30, 260))
         tracks.append(make_track(f"t{k}", start, end, [1.0, float(k)], video=f"v{k % 3}"))
     total_in = sum(t.n_frames for t in tracks)
-    pieces = split_tracks(tracks, POLICY)
+    pieces = split_tracks_with_sources(tracks)[0]
     entities = merge_tracks(pieces, PARAMS)
     by_id = {p.track_id: p for p in pieces}
     total_entities = sum(by_id[t].n_frames for e in entities for t in e.member_track_ids)
