@@ -37,10 +37,6 @@ class IdentityComponent:
     face_clusters: frozenset[int]
     speaker_clusters: frozenset[int]
 
-    @property
-    def bimodal(self) -> bool:
-        return bool(self.face_clusters) and bool(self.speaker_clusters)
-
 
 def build_graph(
     face_labels: dict[str, int],

@@ -88,10 +88,6 @@ class FaceTrack:
     embedding_frames: tuple[int, ...]  # source frame of each embedding row
     speaker_confidence: float | None = None
 
-    @property
-    def n_frames(self) -> int:
-        return self.end_frame - self.start_frame + 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FaceTrack):
             return NotImplemented

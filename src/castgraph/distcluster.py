@@ -307,10 +307,6 @@ class ClusterLabels:
     def n_clusters(self) -> int:
         return int(self.labels.max(initial=-1)) + 1
 
-    @property
-    def n_noise(self) -> int:
-        return int(np.count_nonzero(self.labels == -1))
-
     def all_noise(self) -> bool:
         return self.n_clusters == 0
 
@@ -498,146 +494,77 @@ def _single_linkage(n: int, edges) -> list[tuple[int, int, float, int]]:
     return merges
 
 
-def _condense_tree(n: int, merges, min_cluster_size: int):
-    """Collapse the dendrogram into clusters of at least min_cluster_size.
+def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
+    """Labels of one group from its MST: the condensed tree and its excess-of-mass clusters.
 
-    Walking top-down, a node where both sides are big enough is a true split
-    and creates two child clusters; otherwise the small side's points fall out
-    of the current cluster at that level's lambda (= 1/distance) and the
-    cluster continues down the big side.
-
-    Returns (point_rows, cluster_children, birth_lambda) where point_rows maps
-    cluster -> list of (point, lambda) fall-outs and cluster_children maps
-    cluster -> list of (child_cluster, lambda, size). Cluster 0 is the root.
+    One walk down the dendrogram (Campello, Moulavi and Sander, PAKDD 2013)
+    keeps, per cluster, its parent, birth lambda (= 1/distance), stability and
+    children, and per point the cluster it fell out of. Cluster 0 is the
+    root, and a child's id is always above its parent's. A node where both
+    sides hold min_cluster_size points splits into two child clusters;
+    otherwise the small side's points fall out at that lambda and the
+    cluster goes on down the big side. Every node the walk meets has at
+    least min_cluster_size points, so it is a merge, never a point.
+    A stability is its fallen points' lambda - birth, in the order they fall,
+    then (lambda - birth) * size per child: inf - inf at a split at distance
+    0 is NaN, which compares false.
     """
+    merges = _single_linkage(n, edges)
+    parent, birth, stability, children = [-1], [0.0], [0.0], [[]]
+    fell_from = [0] * n
 
-    def node_size(node: int) -> int:
+    def size(node: int) -> int:
         return 1 if node < n else merges[node - n][3]
 
-    def leaves(node: int):
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur < n:
-                yield cur
-            else:
-                left, right, _, _ = merges[cur - n]
-                stack.append(right)
-                stack.append(left)
-
-    point_rows: dict[int, list[tuple[int, float]]] = {0: []}
-    cluster_children: dict[int, list[tuple[int, float, int]]] = {0: []}
-    birth_lambda: dict[int, float] = {0: 0.0}
-    next_cluster = 1
-
-    root = n + len(merges) - 1 if merges else 0
-    stack = [(root, 0)]
+    stack = [(2 * n - 2, 0)]
     while stack:
         node, cluster = stack.pop()
-        while True:
-            if node < n:
-                # a cluster reduced to one point: it leaves when its last
-                # merge would have, recorded by the caller below
-                point_rows[cluster].append((node, INFTY))
-                break
+        while node is not None:
             left, right, dist, _ = merges[node - n]
             lam = 1.0 / dist if dist > 0.0 else INFTY
-            left_size, right_size = node_size(left), node_size(right)
-            big_left = left_size >= min_cluster_size
-            big_right = right_size >= min_cluster_size
+            big_left, big_right = size(left) >= min_cluster_size, size(right) >= min_cluster_size
             if big_left and big_right:
                 for child in (left, right):
-                    child_id = next_cluster
-                    next_cluster += 1
-                    point_rows[child_id] = []
-                    cluster_children[child_id] = []
-                    birth_lambda[child_id] = lam
-                    cluster_children[cluster].append((child_id, lam, node_size(child)))
-                    stack.append((child, child_id))
+                    children[cluster].append(len(parent))
+                    stack.append((child, len(parent)))
+                    parent.append(cluster)
+                    birth.append(lam)
+                    stability.append(0.0)
+                    children.append([])
+                    stability[cluster] += (lam - birth[cluster]) * size(child)
                 break
-            if not big_left and not big_right:
-                for point in leaves(node):
-                    point_rows[cluster].append((point, lam))
-                break
-            small, node = (left, right) if not big_left else (right, left)
-            for point in leaves(small):
-                point_rows[cluster].append((point, lam))
-    return point_rows, cluster_children, birth_lambda
+            if big_left or big_right:
+                falling, node = (left, right) if big_right else (right, left)
+            else:
+                falling, node = node, None
+            nodes = [falling]
+            while nodes:
+                point = nodes.pop()
+                if point < n:
+                    fell_from[point] = cluster
+                    stability[cluster] += lam - birth[cluster]
+                else:
+                    nodes += merges[point - n][:2]
 
-
-def _stability(point_rows, cluster_children, birth_lambda) -> dict[int, float]:
-    stability: dict[int, float] = {}
-    for cluster, birth in birth_lambda.items():
-        total = 0.0
-        for _, lam in point_rows[cluster]:
-            total += lam - birth
-        for _, lam, size in cluster_children[cluster]:
-            total += (lam - birth) * size
-        stability[cluster] = total
-    return stability
-
-
-def _excess_of_mass(stability, cluster_children) -> set[int]:
-    """Pick the most stable antichain of clusters; the root is never eligible."""
-    selected: dict[int, bool] = {}
-    propagated: dict[int, float] = {}
-    for cluster in sorted(stability.keys(), reverse=True):
-        if cluster == 0:
-            continue
-        children = cluster_children[cluster]
-        if not children:
-            selected[cluster] = True
-            propagated[cluster] = stability[cluster]
-            continue
-        child_sum = sum(propagated[c] for c, _, _ in children)
-        if child_sum > stability[cluster]:
-            selected[cluster] = False
-            propagated[cluster] = child_sum
-        else:
-            selected[cluster] = True
-            propagated[cluster] = stability[cluster]
-
-    final: set[int] = set()
-    stack = [c for c, _, _ in cluster_children[0]]
-    while stack:
-        cluster = stack.pop()
-        if selected[cluster]:
-            final.add(cluster)
-        else:
-            stack.extend(c for c, _, _ in cluster_children[cluster])
-    return final
-
-
-def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
-    """Labels of one group from its MST: dendrogram, condensation, excess-of-mass, renumbering."""
-    merges = _single_linkage(n, edges)
-    point_rows, cluster_children, birth_lambda = _condense_tree(n, merges, min_cluster_size)
-    stability = _stability(point_rows, cluster_children, birth_lambda)
-    chosen = _excess_of_mass(stability, cluster_children)
-
-    parent_of: dict[int, int] = {}
-    for cluster, children in cluster_children.items():
-        for child, _, _ in children:
-            parent_of[child] = cluster
-
-    labels = [-1] * n
-    for cluster, rows in point_rows.items():
-        node = cluster
-        owner = -1
-        while node != 0:
-            if node in chosen:
-                owner = node
-                break
-            node = parent_of[node]
-        if owner == -1:
-            continue
-        for point, _ in rows:
-            labels[point] = owner
+    # bottom up, a cluster is kept unless its children's propagated
+    # stabilities sum to more than its own; the root is never a candidate
+    kept = [True] * len(parent)
+    propagated = stability[:]
+    for cluster in range(len(parent) - 1, 0, -1):
+        if children[cluster]:
+            child_sum = sum(propagated[child] for child in children[cluster])
+            if child_sum > stability[cluster]:
+                kept[cluster], propagated[cluster] = False, child_sum
+    # top down, each cluster's owner is the topmost kept cluster at or above it
+    owner = [-1] * len(parent)
+    for cluster in range(1, len(parent)):
+        above = owner[parent[cluster]]
+        owner[cluster] = above if above != -1 else (cluster if kept[cluster] else -1)
 
     # renumber to 0..k-1 by smallest member point: a scan in point order
     # meets each cluster first at its smallest member
     rank: dict[int, int] = {}
-    return [-1 if owner == -1 else rank.setdefault(owner, len(rank)) for owner in labels]
+    return [-1 if o == -1 else rank.setdefault(o, len(rank)) for o in (owner[c] for c in fell_from)]
 
 
 def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:

@@ -250,17 +250,18 @@ def evaluate_run(run, truth) -> dict:
     """Score a finished PipelineRun's results against generator ground truth.
 
     An entity's true identity is the most frequent one among its member
-    tracks. A video's predicted host is its most frequent speaker label,
-    the smallest on ties. DER is averaged over videos with reference speech.
-    growth_factor is left out when no channel has both collaboration and
-    non-collaboration view histories, as mean_der is when no video has
-    reference speech.
+    tracks, and a video's predicted host is its most frequent speaker
+    label; both take the smallest on ties. DER is averaged over videos
+    with reference speech. growth_factor is left out when no channel has
+    both collaboration and non-collaboration view histories, as mean_der is
+    when no video has reference speech.
     """
     report: dict = {}
     entity_truth = []
     for entity in run.entities:
         identities = [truth.track_identity[run.piece_sources[t]] for t in entity.member_track_ids]
-        entity_truth.append(max(set(identities), key=identities.count))
+        # max keeps the first of equal counts: the smallest id
+        entity_truth.append(max(sorted(set(identities)), key=identities.count))
     if entity_truth:
         entity_pred = [run.face_labels[e.entity_id] for e in run.entities]
         report["face_clustering"] = _scores(entity_truth, entity_pred)

@@ -228,7 +228,7 @@ def test_bridge_fig_scenario():
     pairs = [AVPair("trackD", "seg4", 1.0)]
     graph = build_graph(face_labels, speaker_labels, pairs, {"trackD": "entD"})
     identities = resolve_identities(graph, min_votes=1)
-    bimodal = [c for c in identities if c.bimodal]
+    bimodal = [c for c in identities if c.face_clusters and c.speaker_clusters]
     speaker_only = [c for c in identities if c.speaker_clusters and not c.face_clusters]
     ok = (
         len(identities) == 2

@@ -74,7 +74,7 @@ def test_resolve_single_bimodal_identity():
     assert len(identities) == 1
     assert identities[0].face_clusters == frozenset({0})
     assert identities[0].speaker_clusters == frozenset({0})
-    assert identities[0].bimodal
+    assert identities[0].face_clusters and identities[0].speaker_clusters
 
 
 def test_resolve_commentator_is_speaker_only():
@@ -103,7 +103,7 @@ def test_resolve_below_threshold_edges_ignored():
     graph = AssociationGraph((0,), (0,), (AssociationEdge(0, 0, 1),))
     identities = resolve_identities(graph, min_votes=2)
     assert len(identities) == 2
-    assert all(not c.bimodal for c in identities)
+    assert all(not (c.face_clusters and c.speaker_clusters) for c in identities)
 
 
 def test_resolve_components_partition_nodes():

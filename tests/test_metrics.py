@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from castgraph.metrics import (
     v_from_scores,
     v_measure,
 )
+from castgraph.synth import GroundTruth
 
 from oracles import (
     oracle_best_assignment_accuracy,
@@ -261,3 +263,25 @@ def test_linear_sum_assignment_is_optimal(kind):
 def test_linear_sum_assignment_constant_cost_is_identity():
     assert linear_sum_assignment([[1.0] * 4] * 4) == ([0, 1, 2, 3], [0, 1, 2, 3])
     assert linear_sum_assignment([]) == ([], [])
+
+
+# --- evaluate_run ----------------------------------------------------------------
+
+def test_entity_truth_tie_goes_to_the_smallest_identity():
+    # entity "a" has one piece of identity 3 and one of identity 9; its truth
+    # is 3, so it agrees with "b" (all 3) in cluster 0 and the face scores are
+    # perfect. Taking 9 would put two identities in cluster 0
+    entities = [SimpleNamespace(entity_id=e, member_track_ids=pieces)
+                for e, pieces in (("a", ["a#0", "a#1"]), ("b", ["b#0"]), ("c", ["c#0"]))]
+    run = SimpleNamespace(
+        entities=entities,
+        piece_sources={"a#0": "t3", "a#1": "t9", "b#0": "u3", "c#0": "u9"},
+        face_labels={"a": 0, "b": 0, "c": 1},
+        speaker_labels={},
+        segments_by_video={},
+        edges=[],
+        ds=SimpleNamespace(videos={}, channels={}),
+    )
+    truth = GroundTruth(track_identity={"t3": 3, "t9": 9, "u3": 3, "u9": 9})
+    scores = metrics.evaluate_run(run, truth)["face_clustering"]
+    assert scores == {"homogeneity": 1.0, "completeness": 1.0, "v_measure": 1.0}

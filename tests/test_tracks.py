@@ -143,7 +143,7 @@ def test_merge_split_pieces_of_one_track():
     entities = merge_tracks(pieces, PARAMS)
     assert len(entities) == 1
     assert set(entities[0].member_track_ids) == {"t#0", "t#1", "t#2"}
-    assert sum(p.n_frames for p in pieces if p.track_id in entities[0].member_track_ids) == 150
+    assert sum(p.end_frame - p.start_frame + 1 for p in pieces if p.track_id in entities[0].member_track_ids) == 150
 
 
 def test_merge_two_identities():
@@ -224,10 +224,10 @@ def test_split_then_merge_single_identity_round_trip(seed):
     for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
         assert e1 + 1 == s2
     kept = sum(e - s + 1 for s, e in spans)
-    dropped = track.n_frames - kept
+    dropped = track.end_frame - track.start_frame + 1 - kept
     assert 0 <= dropped < MIN_PIECE_FRAMES
     by_id = {p.track_id: p for p in pieces}
-    assert sum(by_id[t].n_frames for t in entities[0].member_track_ids) == kept
+    assert sum(by_id[t].end_frame - by_id[t].start_frame + 1 for t in entities[0].member_track_ids) == kept
 
 
 def test_frame_conservation_across_entities():
@@ -237,10 +237,10 @@ def test_frame_conservation_across_entities():
         start = int(rng.integers(0, 30))
         end = start + int(rng.integers(30, 260))
         tracks.append(make_track(f"t{k}", start, end, [1.0, float(k)], video=f"v{k % 3}"))
-    total_in = sum(t.n_frames for t in tracks)
+    total_in = sum(t.end_frame - t.start_frame + 1 for t in tracks)
     pieces = split_tracks_with_sources(tracks)[0]
     entities = merge_tracks(pieces, PARAMS)
     by_id = {p.track_id: p for p in pieces}
-    total_entities = sum(by_id[t].n_frames for e in entities for t in e.member_track_ids)
-    dropped = total_in - sum(p.n_frames for p in pieces)
+    total_entities = sum(by_id[t].end_frame - by_id[t].start_frame + 1 for e in entities for t in e.member_track_ids)
+    dropped = total_in - sum(p.end_frame - p.start_frame + 1 for p in pieces)
     assert total_entities + dropped == total_in
