@@ -10,12 +10,11 @@ directed channel-collaboration graph plus evaluation metrics.
 __version__ = "0.2.0"
 
 from .catalog import Dataset, ingest, normalize, validate, write
-from .distcluster import ClusterLabels, HdbscanParams, cluster_points
+from .distcluster import HdbscanParams, cluster_points
 from .pipeline import PipelineConfig, PipelineRun, run_pipeline
 from .synth import GroundTruth, SynthConfig, corrupt, generate
 
 __all__ = [
-    "ClusterLabels",
     "Dataset",
     "GroundTruth",
     "HdbscanParams",

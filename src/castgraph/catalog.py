@@ -174,15 +174,6 @@ class Violation:
     detail: str
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # --- embedding matrix files -------------------------------------------------
 
 def write_emb(path: Path, matrix: np.ndarray) -> None:
@@ -325,8 +316,8 @@ def _pair_rules(pair: AVPair, ds: Dataset):
         yield Violation(pair_id, "NonFinite", "confidence not finite")
 
 
-def validate(ds: Dataset) -> ValidationReport:
-    """Run every record rule over a dataset; violations are reported, never raised."""
+def validate(ds: Dataset) -> list[Violation]:
+    """Run every record rule over a dataset; the violations are returned, never raised."""
     found = []
     for channel in ds.channels.values():
         found += _channel_rules(channel, ds)
@@ -339,7 +330,7 @@ def validate(ds: Dataset) -> ValidationReport:
         found += _segment_rules(segment, ds, usable)
     for pair in ds.pairs:
         found += _pair_rules(pair, ds)
-    return ValidationReport(found)
+    return found
 
 
 # --- ingest -------------------------------------------------------------------

@@ -51,7 +51,7 @@ def diarize_video(videos, params: HdbscanParams, eps: float = FALLBACK_EPS) -> l
         raise NoSegments("no retained segments to diarize")
     clustered = cluster_groups([[s.embedding for s in segments] for segments in ordered], params, eps)
     return [
-        {s.segment_id: int(l) for s, l in zip(segments, labels.labels)}
+        {s.segment_id: int(l) for s, l in zip(segments, labels)}
         for segments, (labels, _) in zip(ordered, clustered, strict=True)
     ]
 

@@ -23,8 +23,9 @@ of one), and a matrix holds G groups, G = 1 included. Distances, duplicate
 zeroing, the shortcuts, core distances, Prim, the k-distance eps and
 DBSCAN (one pass over the row blocks) loop over n, never over G; only the
 dendrogram, condensation, excess-of-mass and label renumbering run per
-group. Array results (core distances, eps) keep the group axis; labels,
-edges and fallback flags come back as lists with one entry per group.
+group. Core distances, eps and labels keep the group axis (labels are one
+(G, n) int64 array: -1 is noise, clusters are numbered 0..k-1); MST edges
+and fallback flags come back as lists with one entry per group.
 
 One layout in two media. Every matrix is G row-major n x n float64 squares.
 Sets of at most BLOCK points (every per-video stack, and every channel on
@@ -42,7 +43,6 @@ O(BLOCK * n) row blocks.
 
 from __future__ import annotations
 
-import copy
 import os
 import tempfile
 from dataclasses import dataclass
@@ -72,31 +72,23 @@ class DistanceMatrix:
 
     Row i of a group's square holds d(i, j) for every j; d(j, i) has the bits
     of d(i, j) and d(i, i) is 0. ``distinct`` flags the groups with a nonzero
-    distance, ``entries`` gives the condensed count of the distances without
-    holding them, and ``group_ids`` maps each group to its square in the
-    medium, which a subset shares. A medium subclass holds the squares and
-    implements _read(first, count, out), which fills out[g] with square rows
-    first[g] .. first[g] + count - 1 (first is one index for every group or
-    an array of one per group), _write(lo, block, stripe) and close.
+    distance and ``entries`` gives the condensed count of the distances
+    without holding them. A medium subclass holds the squares and implements
+    _read(first, count, out), which fills out[g] with square rows first[g] ..
+    first[g] + count - 1 (first is one index for every group or an array of
+    one per group), _write(lo, block, stripe) and close.
     """
 
     def __init__(self, n: int, distinct: np.ndarray):
         self.n, self.distinct = n, distinct
-        self.group_ids = np.arange(len(distinct))
 
     @property
     def groups(self) -> int:
-        return len(self.group_ids)
+        return len(self.distinct)
 
     @property
     def entries(self) -> _Extent:
         return _Extent((self.groups, self.n * (self.n - 1) // 2))
-
-    def subset(self, groups) -> DistanceMatrix:
-        """Only the given groups (an index array or a slice), over the same squares."""
-        view = copy.copy(self)
-        view.distinct, view.group_ids = self.distinct[groups], self.group_ids[groups]
-        return view
 
     def row(self, v, out: np.ndarray | None = None) -> np.ndarray:
         """Row v of the square per group, d(v, j) for every j; v is one index or one per group."""
@@ -123,7 +115,7 @@ class DistanceMatrix:
         transpose and an exact 0 diagonal, so d(i, j) and d(j, i) are both the
         bits of the block of min(i, j). The rows past the block take the
         transposed stripe as their columns lo..lo+m-1. Only distance_matrix
-        stores, into the matrix it made, before any subset exists.
+        stores, into the matrix it made.
         """
         m = sims.shape[1]
         own = sims[:, :, :m]
@@ -154,9 +146,9 @@ class SquareDistanceArray(DistanceMatrix):
 
     def _read(self, first, count, out) -> None:
         if np.ndim(first):
-            out[:, 0] = self.squares[self.group_ids, first]
+            out[:, 0] = self.squares[np.arange(self.groups), first]
         else:
-            out[...] = self.squares[self.group_ids, first : first + count]
+            out[...] = self.squares[:, first : first + count]
 
     def _write(self, lo: int, block: np.ndarray, stripe: np.ndarray) -> None:
         m = block.shape[1]
@@ -181,14 +173,14 @@ class SquareDistanceFile(DistanceMatrix):
     def _read(self, first, count, out) -> None:
         fd = self.file.fileno()
         firsts = first.tolist() if isinstance(first, np.ndarray) else [first] * self.groups
-        for block, g, v in zip(out, self.group_ids.tolist(), firsts):
+        for g, (block, v) in enumerate(zip(out, firsts)):
             if os.preadv(fd, [block], 8 * (g * self.n + v) * self.n) != block.nbytes:
                 raise OSError("distance file ended early")
 
     def _write(self, lo: int, block: np.ndarray, stripe: np.ndarray) -> None:
         n, fd = self.n, self.file.fileno()
         stripe = np.ascontiguousarray(stripe)
-        for g, own, lower in zip(self.group_ids.tolist(), block, stripe):
+        for g, (own, lower) in enumerate(zip(block, stripe)):
             for r, data in enumerate((*own, *lower)):
                 _pwrite(fd, data, 8 * ((g * n + lo + r) * n + lo))
 
@@ -297,20 +289,6 @@ def distance_matrix(points) -> DistanceMatrix:
 
 # --- labels ------------------------------------------------------------------
 
-@dataclass
-class ClusterLabels:
-    """One label per point; -1 is noise, clusters are numbered 0..k-1."""
-
-    labels: np.ndarray
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.labels.max(initial=-1)) + 1
-
-    def all_noise(self) -> bool:
-        return self.n_clusters == 0
-
-
 def label_groups(labels) -> list[list[int]]:
     """Member indices of each group: one group per cluster, one per noise index.
 
@@ -329,7 +307,7 @@ def labels_csv(point_ids, labels) -> str:
     return "point_id,label\n" + "".join(f"{p},{int(l)}\n" for p, l in zip(point_ids, labels))
 
 
-def labels_from_text(text: str) -> tuple[list[str], ClusterLabels]:
+def labels_from_text(text: str) -> tuple[list[str], np.ndarray]:
     """The inverse of labels_csv. Lines end at a line feed only, so an id keeps any other character."""
     ids: list[str] = []
     values: list[int] = []
@@ -339,7 +317,7 @@ def labels_from_text(text: str) -> tuple[list[str], ClusterLabels]:
         point_id, label = line.rsplit(",", 1)
         ids.append(point_id)
         values.append(int(label))
-    return ids, ClusterLabels(np.asarray(values, dtype=np.int64))
+    return ids, np.asarray(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -396,67 +374,58 @@ def _core_distances(m: DistanceMatrix, min_samples: int) -> np.ndarray:
 def _prim_mst(m: DistanceMatrix, core: np.ndarray) -> list[list[tuple[int, int, float]]]:
     """Exact MST under mutual reachability max(core_i, core_j, d_ij), per group.
 
-    When a point joins the tree, its row is read and its mutual reachability
-    to each point still outside is gathered from it; no n x n weight matrix
-    exists. Every group adds its k-th edge in the same step. Returns (n-1)
-    edges as (i, j, w) with i < j, one list per group. On equal weights the
+    When a point joins the tree, its row is read and turned into mutual
+    reachability in place, and each point still outside keeps the better of
+    its edge and its best edge so far; no n x n weight matrix exists. Every
+    group adds its k-th edge in the same step. Returns (n-1) edges as
+    (i, j, w) with i < j, one list per group. On equal weights the
     edge with the smaller (i, j) pair wins, which pins down the tree (and
     hence the whole hierarchy) for inputs with duplicate distances.
     """
     n = m.n
     groups = len(core)
-    # per group, the points outside the tree: their ids, their core
-    # distances and their best edge into the tree (weight and tree end). A
-    # joining point is swapped out with the last one, which is safe because
-    # no choice below depends on a point's position. Each array is
-    # (groups, n - 1); through the flat views one index per group,
-    # first + k, reaches a point
-    outside = np.tile(np.arange(1, n), (groups, 1))
-    cores = core[:, 1:].copy()
-    best_ws = np.full((groups, n - 1), INFTY)
-    parents = np.zeros((groups, n - 1), dtype=np.int64)
-    slots = [a.reshape(-1) for a in (outside, cores, best_ws, parents)]
-    flat_outside, flat_cores, flat_best_w, flat_parents = slots
-    first = np.arange(groups) * (n - 1)
-    last = first + n - 2
+    by_group = np.arange(groups)
+    points = np.arange(n)
+    # per group and point, the best edge into the tree (weight and tree end);
+    # a tree point weighs inf, so it is never picked again
+    best_w = np.full((groups, n), INFTY)
+    best_parent = np.zeros((groups, n), dtype=np.int64)
+    outside = np.ones((groups, n), dtype=bool)
     # edge k of each group joins joined[:, k] to tree_end[:, k] at weights[:, k]
     joined = np.empty((groups, n - 1), dtype=np.int64)
     tree_end = np.empty((groups, n - 1), dtype=np.int64)
     weights = np.empty((groups, n - 1))
     row = np.empty((groups, n))
-    by_group = np.arange(groups)[:, None]
 
-    v, core_v = np.zeros(groups, dtype=np.int64), core[:, 0]
-    for step, size in enumerate(range(n - 1, 0, -1)):
-        rest, rest_core = outside[:, :size], cores[:, :size]
-        best_w, best_parent = best_ws[:, :size], parents[:, :size]
+    v = np.zeros(groups, dtype=np.int64)
+    for step in range(n - 1):
+        outside[by_group, v] = False
+        best_w[by_group, v] = INFTY
         at_v = v[:, None]
-        w = m.row(v, row)[by_group, rest]
-        np.maximum(w, rest_core, out=w)
-        np.maximum(w, core_v[:, None], out=w)
-        tie = w == best_w
-        np.copyto(best_parent, at_v, where=w < best_w)
-        np.minimum(best_w, w, out=best_w)
+        w = m.row(v, row)
+        np.maximum(w, core, out=w)
+        np.maximum(w, core[by_group, v][:, None], out=w)
+        # only points outside the tree take a better edge or break a tie
+        tie = (w == best_w) & outside
+        closer = (w < best_w) & outside
+        np.copyto(best_parent, at_v, where=closer)
+        np.copyto(best_w, w, where=closer)
         if tie.any():
             # on exact weight ties prefer the lexicographically smaller pair
-            new_lo, old_lo = np.minimum(at_v, rest), np.minimum(best_parent, rest)
-            new_hi, old_hi = np.maximum(at_v, rest), np.maximum(best_parent, rest)
+            new_lo, old_lo = np.minimum(at_v, points), np.minimum(best_parent, points)
+            new_hi, old_hi = np.maximum(at_v, points), np.maximum(best_parent, points)
             tie &= (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
             np.copyto(best_parent, at_v, where=tie)
 
-        at = first + best_w.argmin(axis=1)
-        w_min = flat_best_w[at]
+        v = best_w.argmin(axis=1)
+        w_min = best_w[by_group, v]
         candidates = best_w == w_min[:, None]
         if np.count_nonzero(candidates) > groups:
             # lexicographic tie-break on the (i, j) pair the edge would add;
             # the pairs differ, since each candidate's outside end differs
-            key = np.minimum(best_parent, rest) * n + np.maximum(best_parent, rest)
-            at = first + np.where(candidates, key, n * n).argmin(axis=1)
-        v, core_v = flat_outside[at], flat_cores[at]
-        joined[:, step], tree_end[:, step], weights[:, step] = v, flat_parents[at], w_min
-        for flat in slots:
-            flat[at] = flat[last]
-        last -= 1
+            key = np.minimum(best_parent, points) * n + np.maximum(best_parent, points)
+            v = np.where(candidates, key, n * n).argmin(axis=1)
+        joined[:, step], tree_end[:, step], weights[:, step] = v, best_parent[by_group, v], w_min
     lo, hi = np.minimum(joined, tree_end).tolist(), np.maximum(joined, tree_end).tolist()
     return [list(zip(*group)) for group in zip(lo, hi, weights.tolist())]
 
@@ -467,7 +436,6 @@ def _single_linkage(n: int, edges) -> list[tuple[int, int, float, int]]:
     Node ids: points are 0..n-1, merge k creates node n+k. Each entry is
     (left_node, right_node, merge_distance, merged_size).
     """
-    order = sorted(range(len(edges)), key=lambda k: (edges[k][2], edges[k][0], edges[k][1]))
     parent = list(range(2 * n - 1))
     node_of = list(range(n))
     size = [1] * n
@@ -479,8 +447,7 @@ def _single_linkage(n: int, edges) -> list[tuple[int, int, float, int]]:
         return x
 
     merges: list[tuple[int, int, float, int]] = []
-    for k in order:
-        i, j, w = edges[k]
+    for i, j, w in sorted(edges, key=lambda e: (e[2], e[0], e[1])):
         ri, rj = find(i), find(j)
         left, right = node_of[ri], node_of[rj]
         if left > right:
@@ -567,7 +534,7 @@ def _hierarchy_labels(n: int, edges, min_cluster_size: int) -> list[int]:
     return [-1 if o == -1 else rank.setdefault(o, len(rank)) for o in (owner[c] for c in fell_from)]
 
 
-def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
+def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> np.ndarray:
     """Hierarchical density-based clustering over a precomputed matrix.
 
     Pipeline: core distances (k = min_samples, counting the point itself),
@@ -576,8 +543,9 @@ def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
     min_cluster_size, and excess-of-mass cluster extraction. The root of the
     condensed tree is not a candidate cluster, so single-class inputs come
     back as all noise; the one exception is a set of exactly identical points,
-    which is defined to be a single cluster. Returns one ClusterLabels per
-    group.
+    which is defined to be a single cluster. Core distances and the MST are
+    built over the whole stack; the hierarchy only for the groups that are
+    not all identical points. Returns the (G, n) labels.
     """
     n, groups, distinct = m.n, m.groups, m.distinct
     if n < params.min_cluster_size:
@@ -588,11 +556,10 @@ def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> list[ClusterLabels]:
     # itself is never selected: below that no cluster can come out
     todo = np.flatnonzero(distinct) if n >= 2 * params.min_cluster_size else ()
     if len(todo):
-        sub = m if len(todo) == groups else m.subset(todo)
-        edges = _prim_mst(sub, _core_distances(sub, params.effective_min_samples))
-        for g, group_edges in zip(todo, edges):
-            labels[g] = _hierarchy_labels(n, group_edges, params.min_cluster_size)
-    return [ClusterLabels(row) for row in labels]
+        edges = _prim_mst(m, _core_distances(m, params.effective_min_samples))
+        for g in todo:
+            labels[g] = _hierarchy_labels(n, edges[g], params.min_cluster_size)
+    return labels
 
 
 # --- flat density clustering ---------------------------------------------------
@@ -627,7 +594,7 @@ def _pairs(mask: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray
     return rows + g * (n - mask.shape[1]) + first, g * n + j
 
 
-def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[ClusterLabels]:
+def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> np.ndarray:
     """Classic density-reachability clustering (Ester, Kriegel, Sander and Xu, KDD 1996).
 
     A point is core when at least min_pts points (itself included) lie within
@@ -639,7 +606,7 @@ def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[Clu
     exactly the labels of the breadth-first definition: seeds in ascending
     index order, each growing its seed's component over ascending neighbor
     indices, so a border point joins the first cluster that reaches it. eps
-    is one value or one per group; one ClusterLabels per group comes back.
+    is one value or one per group; the (G, n) labels come back.
 
     One pass over the row blocks, each read once: a block's counts fix its
     core flags, each of its core points is joined by union-find to every
@@ -680,7 +647,7 @@ def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> list[Clu
     reached = flat_core[j]
     np.minimum.at(labels, i[reached], labels[j[reached]])
     labels[labels == n] = -1
-    return [ClusterLabels(l) for l in labels.reshape(groups, n)]
+    return labels.reshape(groups, n)
 
 
 def k_distance_eps(m: DistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
@@ -699,7 +666,7 @@ def cluster_with_fallback(
     m: DistanceMatrix,
     params: HdbscanParams | None,
     eps: float = FALLBACK_EPS,
-) -> tuple[list[ClusterLabels], list[bool]]:
+) -> tuple[np.ndarray, list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
     Falls back to dbscan at radius eps when the hierarchy finds only noise,
@@ -707,28 +674,27 @@ def cluster_with_fallback(
     cannot exist); the fallback's min_pts of 2 is clamped to the point count
     so a lone point still gets a label decision instead of an error. With
     params None no hierarchy is built and every group takes the fallback.
-    Returns (labels, used_fallback flags), one of each per group; only the
-    groups that need it run the fallback.
+    Returns the (G, n) labels and one used_fallback flag per group. The
+    fallback runs over the whole stack when any group needs it, and its rows
+    replace only those groups' labels.
     """
-    groups = m.groups
     try:
-        labels = hdbscan(m, params) if params is not None else [None] * groups
+        labels = hdbscan(m, params) if params is not None else None
     except TooFewPoints:
-        labels = [None] * groups
-    used = [l is None or l.all_noise() for l in labels]
-    todo = [g for g, fell_back in enumerate(used) if fell_back]
-    if todo:
-        sub = m if len(todo) == groups else m.subset(todo)
-        for g, l in zip(todo, dbscan(sub, eps, min(2, m.n))):
-            labels[g] = l
-    return labels, used
+        labels = None
+    if labels is None:
+        return dbscan(m, eps, min(2, m.n)), [True] * m.groups
+    used = (labels == -1).all(axis=1)
+    if used.any():
+        labels[used] = dbscan(m, eps, min(2, m.n))[used]
+    return labels, used.tolist()
 
 
 def cluster_groups(
     groups,
     params: HdbscanParams | None,
     eps: float = FALLBACK_EPS,
-) -> list[tuple[ClusterLabels, bool]]:
+) -> list[tuple[np.ndarray, bool]]:
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
     Each set is clustered on its own, exactly as if it were the only one;
@@ -740,7 +706,7 @@ def cluster_groups(
     no fallback; a set of one vector gets the fallback's one-point decision.
     A zero vector in any set raises ZeroVector.
     """
-    results: list[tuple[ClusterLabels, bool]] = [None] * len(groups)
+    results: list[tuple[np.ndarray, bool]] = [None] * len(groups)
     # stacked by size and dimension, so a set never meets a set of another shape
     by_shape: dict[tuple, list[int]] = {}
     for index, group in enumerate(groups):
@@ -748,7 +714,7 @@ def cluster_groups(
     for (n, _), members in by_shape.items():
         if n == 0:
             for index in members:
-                results[index] = ClusterLabels(np.empty(0, dtype=np.int64)), False
+                results[index] = np.empty(0, dtype=np.int64), False
             continue
         per_stack = max(1, BLOCK // n)
         for lo in range(0, len(members), per_stack):
@@ -765,7 +731,7 @@ def cluster_points(
     vectors,
     params: HdbscanParams,
     eps: float = FALLBACK_EPS,
-) -> tuple[ClusterLabels, bool]:
+) -> tuple[np.ndarray, bool]:
     """Cluster labels for one set of vectors, one per vector in order, and whether the fallback ran.
 
     The one-set case of cluster_groups.
@@ -798,7 +764,7 @@ def cluster_by_channel(
     sizes,
     params: HdbscanParams,
     eps: float = FALLBACK_EPS,
-) -> ClusterLabels:
+) -> np.ndarray:
     """Labels for vectors across channels: each channel's vectors first, then one global call.
 
     The channel step clusters each channel's vectors by dbscan alone at eps,
@@ -824,7 +790,7 @@ def cluster_by_channel(
     members = list(by_channel.values())
     flat = cluster_groups([[vectors[i] for i in m] for m in members], None, eps)
     units = sorted(
-        ([m[i] for i in idxs] for m, (labels, _) in zip(members, flat) for idxs in label_groups(labels.labels)),
+        ([m[i] for i in idxs] for m, (labels, _) in zip(members, flat) for idxs in label_groups(labels)),
         key=lambda unit: unit[0],
     )
 
@@ -836,7 +802,7 @@ def cluster_by_channel(
         firsts.append(representatives[0])
     entered.sort()
     found, _ = cluster_points([vectors[i] for i in entered], params, eps)
-    by_point = dict(zip(entered, found.labels.tolist()))
+    by_point = dict(zip(entered, found.tolist()))
 
     unit_labels = [by_point[first] for first in firsts]
     rank: dict[int, int] = {}
@@ -850,4 +816,4 @@ def cluster_by_channel(
             labels[unit] = rank[label]
         elif sum(sizes[i] for i in unit) > 1:
             labels[unit], fresh = fresh, fresh + 1
-    return ClusterLabels(labels)
+    return labels

@@ -239,11 +239,8 @@ def der(reference, hypothesis) -> float:
 # --- pipeline evaluation -----------------------------------------------------------
 
 def _scores(truth_labels, pred_labels) -> dict:
-    return {
-        "homogeneity": homogeneity(truth_labels, pred_labels),
-        "completeness": completeness(truth_labels, pred_labels),
-        "v_measure": v_measure(truth_labels, pred_labels),
-    }
+    h, c = homogeneity(truth_labels, pred_labels), completeness(truth_labels, pred_labels)
+    return {"homogeneity": h, "completeness": c, "v_measure": v_from_scores(h, c)}
 
 
 def evaluate_run(run, truth) -> dict:

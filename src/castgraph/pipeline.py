@@ -113,7 +113,7 @@ def _labels_codec(attr: str, name: str):
 
     def decode(run, files: dict[str, bytes]) -> None:
         ids, labels = labels_from_text(files[name].decode())
-        setattr(run, attr, {i: int(l) for i, l in zip(ids, labels.labels)})
+        setattr(run, attr, {i: int(l) for i, l in zip(ids, labels)})
 
     return (attr,), encode, decode
 
@@ -287,7 +287,7 @@ class PipelineRun:
             self.config.hdbscan_params,
             self.config.dbscan_eps,
         )
-        return {i: label for (_, ids, _), label in zip(points, labels.labels.tolist()) for i in ids}
+        return {i: label for (_, ids, _), label in zip(points, labels.tolist()) for i in ids}
 
     def compute_cluster_faces(self) -> None:
         """Recognize the entities across videos.

@@ -146,7 +146,7 @@ def merge_tracks(
     entities: list[TrackEntity] = []
     for members, (labels, _) in zip(videos, clustered):
         video_id = members[0].video_id
-        for seq, idxs in enumerate(label_groups(labels.labels)):
+        for seq, idxs in enumerate(label_groups(labels)):
             entities.append(
                 TrackEntity(
                     entity_id=f"{video_id}/e{seq}",

@@ -221,6 +221,11 @@ def oracle_dbscan(square, eps, min_pts):
     return labels
 
 
+def n_clusters(labels) -> int:
+    """How many clusters a labelling holds: its distinct labels other than -1 (noise)."""
+    return len({int(l) for l in labels} - {-1})
+
+
 # --- clustering scores -------------------------------------------------------------
 
 def oracle_homogeneity_completeness(truth, pred):

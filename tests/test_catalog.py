@@ -179,7 +179,7 @@ def test_ingest_empty_tracks(tmp_path):
     ds = ingest(root)
     assert len(ds.tracks) == 0
     assert len(ds.videos) == 1
-    assert validate(ds).ok
+    assert validate(ds) == []
 
 
 def test_ingest_missing_manifest(tmp_path):
@@ -214,7 +214,7 @@ def test_ingest_malformed_line(tmp_path, synth_dataset):
 
 def test_validate_clean_dataset(synth_dataset):
     ds, _ = synth_dataset
-    assert validate(ds).ok
+    assert validate(ds) == []
 
 
 def test_validate_frame_range_violation(synth_dataset):
@@ -223,9 +223,9 @@ def test_validate_frame_range_violation(synth_dataset):
     track = ds.tracks[track_id]
     original = (track.start_frame, track.end_frame)
     track.start_frame, track.end_frame = track.end_frame + 10, track.start_frame
-    report = validate(ds)
+    violations = validate(ds)
     track.start_frame, track.end_frame = original
-    assert any(v.record_id == track_id and v.kind == "FrameRange" for v in report.violations)
+    assert any(v.record_id == track_id and v.kind == "FrameRange" for v in violations)
 
 
 def test_validate_dimension_violation(synth_dataset):
@@ -234,10 +234,10 @@ def test_validate_dimension_violation(synth_dataset):
     track = ds.tracks[track_id]
     original = track.embeddings
     track.embeddings = np.zeros((len(track.embedding_frames), 1024), dtype=np.float32)
-    report = validate(ds)
+    violations = validate(ds)
     track.embeddings = original
     assert any(
-        v.record_id == track_id and v.kind == "DimensionMismatch" for v in report.violations
+        v.record_id == track_id and v.kind == "DimensionMismatch" for v in violations
     )
 
 
@@ -251,9 +251,9 @@ def test_validate_view_history_order(synth_dataset):
     ds.videos[video_id] = video.__class__(
         video.video_id, video.channel_id, video.published_at, video.duration_s, broken
     )
-    report = validate(ds)
+    violations = validate(ds)
     ds.videos[video_id] = video
-    assert any(v.record_id == video_id and v.kind == "ViewHistoryOrder" for v in report.violations)
+    assert any(v.record_id == video_id and v.kind == "ViewHistoryOrder" for v in violations)
 
 
 def test_validate_cross_video_pair(synth_dataset):
@@ -263,9 +263,9 @@ def test_validate_cross_video_pair(synth_dataset):
         s for s in ds.segments.values() if s.video_id != ds.tracks[pair.track_id].video_id
     )
     ds.pairs.append(pair.__class__(pair.track_id, other_video.segment_id, 1.0))
-    report = validate(ds)
+    violations = validate(ds)
     ds.pairs.pop()
-    assert any(v.kind == "CrossVideoPair" for v in report.violations)
+    assert any(v.kind == "CrossVideoPair" for v in violations)
 
 
 def test_usable_rows_matches_its_definition_at_extreme_values():
@@ -492,7 +492,7 @@ def test_bad_manifest_is_one_typed_error_everywhere(
     assert str(raised.value).startswith(f"{source}{detail or ':'}")
     if kind is not None:
         assert f": {kind}: " in str(raised.value)
-        assert kind in {v.kind for v in validate(ds).violations}
+        assert kind in {v.kind for v in validate(ds)}
 
     for argv in (["validate", root], ["run", root, "--out", tmp_path / "out"]):
         assert cli.main([str(arg) for arg in argv]) == 2

@@ -13,7 +13,6 @@ from castgraph import distcluster
 from castgraph.distcluster import (
     BLOCK,
     FALLBACK_EPS,
-    ClusterLabels,
     _core_distances,
     _kth_smallest_per_row,
     _prim_mst,
@@ -38,6 +37,7 @@ from castgraph.errors import DimensionMismatch, TooFewPoints, ZeroVector
 from castgraph.synth import sample_blobs
 
 from oracles import (
+    n_clusters,
     naive_cosine_matrix,
     oracle_dbscan,
     oracle_dbscan_core_points,
@@ -116,24 +116,20 @@ def test_matrix_blocks_are_exact_and_worker_count_invisible(n):
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_condensed_row_matches_square(n):
-    # three groups, each with its own entries, in both media, and two-group
-    # subsets of them by index array and by slice
+    # three groups, each with its own entries, in both media
     entries = np.arange(1, 3 * (n * (n - 1) // 2) + 1, dtype=np.float64).reshape(3, -1)
-    squares = np.array(squares_from_condensed(n, entries))
+    square = np.array(squares_from_condensed(n, entries))
     for m in both_forms(in_memory(n, entries)):
-        for groups in (slice(None), [2, 0], slice(1, 3)):
-            sub, square = m.subset(groups), squares[groups]
-            count = len(square)
-            assert np.array_equal(sub.to_square(), square)
-            assert np.array_equal(sub.rows(1, n, np.full((count, n - 1, n), np.nan)), square[:, 1:])
-            out = np.full((count, n), np.nan)
-            for v in range(n):
-                assert np.array_equal(sub.row(v), square[:, v])
-                assert sub.row(v, out) is out
-                assert np.array_equal(out, square[:, v])
-            # one row per group, as Prim reads them
-            for v in (np.arange(count) % n, (n - 1 - np.arange(count)) % n):
-                assert np.array_equal(sub.row(v, out), square[np.arange(count), v])
+        assert np.array_equal(m.to_square(), square)
+        assert np.array_equal(m.rows(1, n, np.full((3, n - 1, n), np.nan)), square[:, 1:])
+        out = np.full((3, n), np.nan)
+        for v in range(n):
+            assert np.array_equal(m.row(v), square[:, v])
+            assert m.row(v, out) is out
+            assert np.array_equal(out, square[:, v])
+        # one row per group, as Prim reads them
+        for v in (np.arange(3) % n, (n - 1 - np.arange(3)) % n):
+            assert np.array_equal(m.row(v, out), square[np.arange(3), v])
 
 
 def test_matrix_one_point_stack_has_no_entries():
@@ -251,20 +247,20 @@ def test_condensed_index_round_trip():
 def test_hdbscan_all_identical_single_cluster():
     points = np.tile([0.3, 0.4, 1.2], (6, 1))
     [labels] = hdbscan(distance_matrix([points]), PARAMS)
-    assert labels.labels.tolist() == [0] * 6
+    assert labels.tolist() == [0] * 6
 
 
 def test_hdbscan_two_blobs_match_generator():
     points, truth = sample_blobs(60, 2, 512, 4.0, seed=11)
     [labels] = hdbscan(distance_matrix([points]), PARAMS)
-    assert labels.n_clusters == 2
-    assert partition_of(labels.labels) == partition_of(truth)
+    assert n_clusters(labels) == 2
+    assert partition_of(labels) == partition_of(truth)
 
 
 def test_hdbscan_single_blob_all_noise():
     points, _ = sample_blobs(40, 1, 512, 5.0, seed=23)
     [labels] = hdbscan(distance_matrix([points]), PARAMS)
-    assert labels.all_noise()
+    assert n_clusters(labels) == 0
 
 
 def test_hdbscan_too_few_points():
@@ -280,7 +276,7 @@ def test_hdbscan_matches_exhaustive_oracle(seed):
     k = int(rng.integers(1, 4))
     points, _ = sample_blobs(n, k, 32, 25.0, seed=2000 + seed)
     for m in both_forms(distance_matrix([points])):
-        got = hdbscan(m, PARAMS)[0].labels.tolist()
+        got = hdbscan(m, PARAMS)[0].tolist()
         expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, 2)
         assert got == expected
 
@@ -296,7 +292,7 @@ def test_hdbscan_matches_exhaustive_oracle_on_duplicates(min_samples):
     for n in range(4, 41):
         picks = np.concatenate(([0, 1, 2], rng.integers(0, 3, size=n - 3)))
         for m in both_forms(distance_matrix([distinct[rng.permutation(picks)]])):
-            got = hdbscan(m, params)[0].labels.tolist()
+            got = hdbscan(m, params)[0].tolist()
             expected = oracle_hdbscan(m.to_square()[0].tolist(), 2, params.effective_min_samples)
             assert got == expected, n
 
@@ -332,7 +328,7 @@ def test_hdbscan_oracle_other_min_cluster_size(mcs):
     for seed in range(10):
         points, _ = sample_blobs(10, 2, 16, 20.0, seed=3000 + seed)
         for m in both_forms(distance_matrix([points])):
-            got = hdbscan(m, HdbscanParams(mcs, mcs))[0].labels.tolist()
+            got = hdbscan(m, HdbscanParams(mcs, mcs))[0].tolist()
             expected = oracle_hdbscan(m.to_square()[0].tolist(), mcs, mcs)
             assert got == expected
 
@@ -356,7 +352,7 @@ def test_hdbscan_oracle_below_two_min_cluster_sizes(mcs, min_samples):
             if np.all(m.to_square() == 0.0):
                 continue
             for form in both_forms(m):
-                got = hdbscan(form, params)[0].labels.tolist()
+                got = hdbscan(form, params)[0].tolist()
                 assert got == oracle_hdbscan(m.to_square()[0].tolist(), mcs, ms), (n, seed)
                 if n < 2 * mcs:
                     assert got == [-1] * n
@@ -377,7 +373,7 @@ def test_hdbscan_matches_oracle_on_tie_heavy_integer_distances():
         ms = int(rng.integers(1, 5))
         n = int(rng.integers(2 * mcs, 21))
         m = in_memory(n, rng.integers(0, 4, size=(1, n * (n - 1) // 2)).astype(np.float64))
-        got = hdbscan(m, HdbscanParams(mcs, ms))[0].labels.tolist()
+        got = hdbscan(m, HdbscanParams(mcs, ms))[0].tolist()
         # an all-zero matrix is one cluster by definition, not by the hierarchy
         expected = oracle_hdbscan(m.to_square()[0].tolist(), mcs, ms) if m.distinct[0] else [0] * n
         assert got == expected, (case, n, mcs, ms)
@@ -391,10 +387,10 @@ def test_hdbscan_permutation_invariant():
     rng = np.random.default_rng(9)
     perm = rng.permutation(len(points))
     [shuffled] = hdbscan(distance_matrix([points[perm]]), PARAMS)
-    reference = {frozenset(np.flatnonzero(base.labels == c).tolist()) for c in range(base.n_clusters)}
+    reference = {frozenset(np.flatnonzero(base == c).tolist()) for c in range(n_clusters(base))}
     remapped = {
-        frozenset(int(perm[i]) for i in np.flatnonzero(shuffled.labels == c))
-        for c in range(shuffled.n_clusters)
+        frozenset(int(perm[i]) for i in np.flatnonzero(shuffled == c))
+        for c in range(n_clusters(shuffled))
     }
     assert reference == remapped
 
@@ -405,7 +401,7 @@ def test_hdbscan_scale_invariant():
     [base] = hdbscan(m, PARAMS)
     for factor in (0.25, 3.5):
         scaled = SquareDistanceArray(m.to_square() * factor)
-        assert hdbscan(scaled, PARAMS)[0].labels.tolist() == base.labels.tolist()
+        assert hdbscan(scaled, PARAMS)[0].tolist() == base.tolist()
 
 
 @pytest.mark.parametrize("mcs", [2, 3])
@@ -431,7 +427,7 @@ def test_hdbscan_agrees_with_sklearn(mcs):
         other = sklearn_cluster.HDBSCAN(
             min_cluster_size=mcs, min_samples=mcs, metric="precomputed"
         ).fit(m.to_square()[0])
-        assert partition(mine.labels) == partition(other.labels_), f"seed {seed}"
+        assert partition(mine) == partition(other.labels_), f"seed {seed}"
 
 
 def test_hdbscan_label_validity_fuzz():
@@ -442,7 +438,7 @@ def test_hdbscan_label_validity_fuzz():
         square = np.triu(square, 1)
         square = square + square.T
         m = in_memory(n, square[np.triu_indices(n, 1)][None])
-        labels = hdbscan(m, PARAMS)[0].labels
+        labels = hdbscan(m, PARAMS)[0]
         assert labels.min() >= -1
         found = sorted(set(labels.tolist()) - {-1})
         assert found == list(range(len(found)))
@@ -455,7 +451,7 @@ def test_dbscan_label_validity_fuzz():
         points = rng.standard_normal((max(n, 2), 6))
         eps, min_pts = float(rng.uniform(0.1, 1.5)), int(rng.integers(1, 5))
         for m in both_forms(distance_matrix([points])):
-            labels = dbscan(m, eps, min_pts)[0].labels
+            labels = dbscan(m, eps, min_pts)[0]
             assert labels.min() >= -1
             found = sorted(set(labels.tolist()) - {-1})
             assert found == list(range(len(found)))
@@ -467,22 +463,22 @@ def test_dbscan_single_blob_large_eps():
     points, _ = sample_blobs(20, 1, 64, 3.0, seed=2)
     for m in both_forms(distance_matrix([points])):
         [labels] = dbscan(m, eps=1.9, min_pts=2)
-        assert labels.n_clusters == 1
-        assert np.count_nonzero(labels.labels == -1) == 0
+        assert n_clusters(labels) == 1
+        assert np.count_nonzero(labels == -1) == 0
 
 
 def test_dbscan_mutually_distant_all_noise():
     for m in both_forms(distance_matrix([np.eye(5)])):
         [labels] = dbscan(m, eps=0.5, min_pts=2)
-        assert labels.all_noise()
+        assert n_clusters(labels) == 0
 
 
 def test_dbscan_eps_zero_joins_only_bitwise_duplicates():
     rng = np.random.default_rng(17)
     distinct = rng.standard_normal((4, 6))
     for m in both_forms(distance_matrix([distinct[[2, 0, 1, 0, 3, 2, 2]]])):
-        assert dbscan(m, eps=0.0, min_pts=2)[0].labels.tolist() == [0, 1, -1, 1, -1, 0, 0]
-        assert dbscan(m, eps=0.0, min_pts=3)[0].labels.tolist() == [0, -1, -1, -1, -1, 0, 0]
+        assert dbscan(m, eps=0.0, min_pts=2)[0].tolist() == [0, 1, -1, 1, -1, 0, 0]
+        assert dbscan(m, eps=0.0, min_pts=3)[0].tolist() == [0, -1, -1, -1, -1, 0, 0]
         with pytest.raises(ValueError):
             dbscan(m, eps=-0.1, min_pts=2)
 
@@ -493,15 +489,15 @@ def test_dbscan_three_blobs_with_heuristic_eps():
         [labels] = dbscan(m, eps=k_distance_eps(m), min_pts=2)
         # three clusters in one-to-one blob correspondence; a percentile eps may
         # leave a few boundary stragglers as noise
-        assert labels.n_clusters == 3
+        assert n_clusters(labels) == 3
         blob_of_cluster = {}
-        for idx, label in enumerate(labels.labels):
+        for idx, label in enumerate(labels):
             if label == -1:
                 continue
             blob_of_cluster.setdefault(int(label), set()).add(int(truth[idx]))
         assert sorted(map(len, blob_of_cluster.values())) == [1, 1, 1]
         assert len({next(iter(v)) for v in blob_of_cluster.values()}) == 3
-        assert np.count_nonzero(labels.labels == -1) <= len(points) * 0.1
+        assert np.count_nonzero(labels == -1) <= len(points) * 0.1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -517,14 +513,14 @@ def test_dbscan_core_points_match_oracle(seed):
         [labels] = dbscan(form, eps, min_pts)
         for i, is_core in enumerate(expected_core):
             if is_core:
-                assert labels.labels[i] != -1
+                assert labels[i] != -1
         # non-core labeled points must sit within eps of a core point of the
         # same cluster (border points)
         for i in range(60):
-            if labels.labels[i] != -1 and not expected_core[i]:
+            if labels[i] != -1 and not expected_core[i]:
                 assert any(
                     expected_core[j]
-                    and labels.labels[j] == labels.labels[i]
+                    and labels[j] == labels[i]
                     and square[i][j] <= eps
                     for j in range(60)
                 )
@@ -545,7 +541,7 @@ def assert_dbscan_matches_oracle(m, eps, min_pts):
     for form in both_forms(m):
         got = dbscan(form, eps, min_pts)
         for g, labels in enumerate(got):
-            assert labels.labels.tolist() == oracle_dbscan(squares[g].tolist(), eps[g], min_pts), (g, eps[g])
+            assert labels.tolist() == oracle_dbscan(squares[g].tolist(), eps[g], min_pts), (g, eps[g])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -589,7 +585,7 @@ def test_dbscan_joins_a_shuffled_chain(n, min_pts):
     expected = oracle_dbscan(square[0].tolist(), eps, min_pts)
     assert expected == [0] * n
     for form in both_forms(SquareDistanceArray(square)):
-        assert dbscan(form, eps, min_pts)[0].labels.tolist() == expected
+        assert dbscan(form, eps, min_pts)[0].tolist() == expected
 
 
 def recorded_reads(monkeypatch, m: DistanceMatrix) -> list[tuple[int, int]]:
@@ -630,7 +626,7 @@ def test_dbscan_border_point_goes_to_first_cluster():
     for form in both_forms(m):
         [labels] = dbscan(form, eps=0.45, min_pts=2)
         # point 2 is within eps of both clusters; ascending seed order claims it first
-        assert labels.labels[2] == labels.labels[0]
+        assert labels[2] == labels[0]
 
 
 # --- fallback policy -------------------------------------------------------------
@@ -640,7 +636,7 @@ def test_fallback_unused_for_separated_blobs():
     for m in both_forms(distance_matrix([points])):
         [labels], [used] = cluster_with_fallback(m, PARAMS)
         assert not used
-        assert partition_of(labels.labels) == partition_of(truth)
+        assert partition_of(labels) == partition_of(truth)
 
 
 def test_fallback_used_for_single_blob():
@@ -648,14 +644,14 @@ def test_fallback_used_for_single_blob():
     for m in both_forms(distance_matrix([points])):
         [labels], [used] = cluster_with_fallback(m, PARAMS)
         assert used
-        assert labels.n_clusters == 1
+        assert n_clusters(labels) == 1
 
 
 def test_fallback_pathological_all_noise():
     for m in both_forms(distance_matrix([np.eye(2)])):
         [labels], [used] = cluster_with_fallback(m, PARAMS, eps=0.5)
         assert used
-        assert labels.all_noise()
+        assert n_clusters(labels) == 0
 
 
 def test_fallback_single_point_gets_label():
@@ -663,7 +659,7 @@ def test_fallback_single_point_gets_label():
     for form in both_forms(m):
         [labels], [used] = cluster_with_fallback(form, PARAMS)
         assert used
-        assert labels.labels.tolist() == [0]
+        assert labels.tolist() == [0]
 
 
 # --- cluster_points: one policy per degenerate input ------------------------------
@@ -696,8 +692,8 @@ def test_cluster_points_degenerate_inputs(vectors, expected, used):
             cluster_points(vectors, PARAMS)
         return
     labels, used_fallback = cluster_points(vectors, PARAMS)
-    assert labels.labels.tolist() == expected
-    assert labels.labels.dtype == np.int64
+    assert labels.tolist() == expected
+    assert labels.dtype == np.int64
     assert used_fallback is used
 
 
@@ -707,14 +703,14 @@ def test_fallback_keeps_equidistant_small_sets_apart(n):
     # data-derived eps would equal their common distance and join them all
     labels, used = cluster_points(np.eye(n), HdbscanParams(2))
     assert used
-    assert labels.all_noise()
+    assert n_clusters(labels) == 0
 
 
 def test_cluster_points_matches_matrix_path():
     points, _ = sample_blobs(30, 3, 64, 8.0, seed=8)
     labels, used = cluster_points(list(points), PARAMS)
     [expected], [expected_used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
-    assert labels.labels.tolist() == expected.labels.tolist()
+    assert labels.tolist() == expected.tolist()
     assert used == expected_used
 
 
@@ -733,7 +729,7 @@ def test_cluster_points_holds_no_square(blobs, used):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (labels.n_clusters, used_fallback) == (blobs, used)
+    assert (n_clusters(labels), used_fallback) == (blobs, used)
     assert peak < 1.5 * condensed_bytes
 
 
@@ -752,7 +748,7 @@ def test_cluster_points_peak_is_condensed_unit_buffer_and_one_block(n, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert labels.n_clusters == 4
+    assert n_clusters(labels) == 4
     assert peak <= bound
 
 
@@ -769,7 +765,7 @@ def test_cluster_points_over_a_file_holds_no_n_squared_term(n, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert labels.n_clusters == 4
+    assert n_clusters(labels) == 4
     assert peak <= bound
 
 
@@ -808,7 +804,7 @@ def test_cluster_groups_matches_each_group_alone(mcs, min_samples, eps):
     assert len(together) == len(groups)
     for group, (got, got_used) in zip(groups, together):
         labels, used = cluster_points(group, params, eps=eps)
-        assert got.labels.tolist() == labels.labels.tolist()
+        assert got.tolist() == labels.tolist()
         assert got_used is used
 
 
@@ -842,7 +838,7 @@ def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
                 mr = np.maximum(squares[g], np.maximum.outer(core[g], core[g]))
                 np.fill_diagonal(mr, 0.0)
                 assert sorted(group_edges) == sorted(oracle_mst_edges(mr.tolist())), squares[g]
-                assert [group_edges] == _prim_mst(stack.subset([g]), core[g : g + 1])
+                assert [group_edges] == _prim_mst(SquareDistanceArray(squares[g : g + 1]), core[g : g + 1])
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
@@ -869,7 +865,7 @@ def global_call_stub(monkeypatch, label_of):
 
     def fake(vectors, params, eps=FALLBACK_EPS):
         entered.append([np.asarray(v) for v in vectors])
-        return ClusterLabels(np.asarray([label_of(v) for v in vectors], dtype=np.int64)), False
+        return np.asarray([label_of(v) for v in vectors], dtype=np.int64), False
 
     monkeypatch.setattr(distcluster, "cluster_points", fake)
     return entered
@@ -884,10 +880,10 @@ def test_three_far_points_in_one_channel_stay_apart():
     # HDBSCAN at min_cluster_size 2 joins the three guests into one cluster,
     # which is why the channel step is DBSCAN
     joined, _ = cluster_points(channel_a, HdbscanParams(2))
-    assert joined.labels.tolist() == [0, 0, 1, 1, 1]
+    assert joined.tolist() == [0, 0, 1, 1, 1]
     vectors = channel_a + [g + 0.01 * e[5] for g in guests]
     labels = cluster_by_channel(vectors, ["a"] * 5 + ["b", "c", "d"], [1] * 8, HdbscanParams(2))
-    assert labels.labels.tolist() == [0, 0, 1, 2, 3, 1, 2, 3]
+    assert labels.tolist() == [0, 0, 1, 2, 3, 1, 2, 3]
 
 
 def test_a_one_point_channel_passes_through_unchanged(monkeypatch):
@@ -897,7 +893,7 @@ def test_a_one_point_channel_passes_through_unchanged(monkeypatch):
     # two-member channel clusters enter whole at k = 2; the lone point of c enters as itself
     assert len(entered) == 1 and len(entered[0]) == 5
     assert entered[0][4] is vectors[4]
-    assert labels.labels.tolist() == [0, 0, 1, 1, 2]
+    assert labels.tolist() == [0, 0, 1, 1, 2]
 
 
 def test_representatives_are_the_members_nearest_the_mean():
@@ -928,7 +924,7 @@ def test_members_take_their_representatives_label_or_a_fresh_one(monkeypatch):
     # the x cluster is renumbered 0, all three members included; the y
     # cluster and the three-item w point take fresh labels by smallest
     # index; the one-item z point stays noise
-    assert labels.labels.tolist() == [1, 0, -1, 0, 2, 0, 1]
+    assert labels.tolist() == [1, 0, -1, 0, 2, 0, 1]
 
 
 def test_a_channel_cluster_of_zero_mean_enters_as_all_its_members(monkeypatch):
@@ -940,11 +936,11 @@ def test_a_channel_cluster_of_zero_mean_enters_as_all_its_members(monkeypatch):
     # with mean e2, and one of four with a zero mean
     labels = cluster_by_channel(vectors + vectors[:4], ["a"] * 5 + ["b"] * 4, [1] * 9, PARAMS, eps=2.5)
     assert [len(vs) for vs in entered] == [2 + 4]
-    assert labels.labels.tolist() == [0] * 9
+    assert labels.tolist() == [0] * 9
 
 
 def test_cluster_by_channel_without_points():
-    assert cluster_by_channel([], [], [], PARAMS).labels.tolist() == []
+    assert cluster_by_channel([], [], [], PARAMS).tolist() == []
 
 
 # --- labels ----------------------------------------------------------------------
@@ -963,7 +959,7 @@ def test_labels_csv_round_trip():
     assert text == "point_id,label\na,0\nb,1\nc,-1\nd,0\n"
     ids, loaded = labels_from_text(text)
     assert ids == ["a", "b", "c", "d"]
-    assert loaded.labels.tolist() == [0, 1, -1, 0]
+    assert loaded.tolist() == [0, 1, -1, 0]
 
 
 def test_labels_csv_round_trips_any_id_without_a_line_feed():
@@ -971,4 +967,4 @@ def test_labels_csv_round_trips_any_id_without_a_line_feed():
     ids = ["a b", "c\rd", "e\x85f", " g ", "h,i", "j\tk"]
     loaded_ids, loaded = labels_from_text(labels_csv(ids, range(len(ids))))
     assert loaded_ids == ids
-    assert loaded.labels.tolist() == list(range(len(ids)))
+    assert loaded.tolist() == list(range(len(ids)))

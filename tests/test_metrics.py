@@ -285,3 +285,34 @@ def test_entity_truth_tie_goes_to_the_smallest_identity():
     truth = GroundTruth(track_identity={"t3": 3, "t9": 9, "u3": 3, "u9": 9})
     scores = metrics.evaluate_run(run, truth)["face_clustering"]
     assert scores == {"homogeneity": 1.0, "completeness": 1.0, "v_measure": 1.0}
+
+
+def test_evaluate_run_scores_equal_the_metric_functions():
+    # an imperfect labelling on both sides: a class split, two classes merged
+    # and a noise label, so homogeneity, completeness and V all differ from 1
+    face_truth, face_pred = [0, 0, 1, 1, 2, 2, 2], [0, 0, 0, 1, 1, 1, -1]
+    speaker_truth, speaker_pred = [4, 4, 4, 5, 5, 6], [2, 3, 3, 3, 1, 1]
+    entities = [SimpleNamespace(entity_id=f"e{k}", member_track_ids=[f"e{k}#0"]) for k in range(7)]
+    run = SimpleNamespace(
+        entities=entities,
+        piece_sources={f"e{k}#0": f"t{k}" for k in range(7)},
+        face_labels={f"e{k}": label for k, label in enumerate(face_pred)},
+        speaker_labels={f"s{k}": label for k, label in enumerate(speaker_pred)},
+        segments_by_video={},
+        edges=[],
+        ds=SimpleNamespace(videos={}, channels={}),
+    )
+    truth = GroundTruth(
+        track_identity={f"t{k}": identity for k, identity in enumerate(face_truth)},
+        segment_identity={f"s{k}": identity for k, identity in enumerate(speaker_truth)},
+    )
+    report = metrics.evaluate_run(run, truth)
+    sides = {"face_clustering": (face_truth, face_pred), "speaker_clustering": (speaker_truth, speaker_pred)}
+    for key, (t, p) in sides.items():
+        expected = {
+            "homogeneity": homogeneity(t, p),
+            "completeness": completeness(t, p),
+            "v_measure": v_measure(t, p),
+        }
+        assert all(0.0 < value < 1.0 for value in expected.values()), key
+        assert report[key] == expected, key

@@ -452,8 +452,8 @@ def test_resume_recomputes_speaker_side_when_diarization_changes(tmp_path):
     path = out / CHECKPOINTS["diarize"]
     ids, labels = distcluster.labels_from_text(path.read_text())
     videos = [ds.segments[i].video_id for i in ids]
-    video = next(v for v in videos if sum(w == v and l == 0 for w, l in zip(videos, labels.labels)) >= 2)
-    edited = distcluster.labels_csv(ids, [-1 if w == video else l for w, l in zip(videos, labels.labels)]).encode()
+    video = next(v for v in videos if sum(w == v and l == 0 for w, l in zip(videos, labels)) >= 2)
+    edited = distcluster.labels_csv(ids, [-1 if w == video else l for w, l in zip(videos, labels)]).encode()
     run = PipelineRun(ds, out, PipelineConfig(resume=True))
     run.run_until("pair")
     diarize = dict(PipelineRun.STAGES)["diarize"]
@@ -473,7 +473,7 @@ def test_every_segment_of_a_diarized_speaker_shares_its_global_label(small_run):
     found = {}
     for stage in ("diarize", "cluster_speakers"):
         ids, labels = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_text())
-        found[stage] = dict(zip(ids, labels.labels.tolist()))
+        found[stage] = dict(zip(ids, labels.tolist()))
     assert set(found["cluster_speakers"]) == set(found["diarize"])
     # a diarization label names a speaker within its segment's video
     speakers: dict[tuple[str, int], set[int]] = {}
@@ -859,7 +859,7 @@ def test_cli_degenerate_inputs(tmp_path, capsys, faces, voices, options, code, e
     labels = []
     for stage in ("cluster_faces", "cluster_speakers"):
         ids, found = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_text())
-        labels.append(dict(zip(ids, found.labels.tolist())))
+        labels.append(dict(zip(ids, found.tolist())))
     assert tuple(labels) == expected
 
 

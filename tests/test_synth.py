@@ -43,7 +43,7 @@ def test_zero_noise_embeddings_equal_centroids(table_dataset):
 
 def test_dataset_is_valid(table_dataset):
     ds, _ = table_dataset
-    assert validate(ds).ok
+    assert validate(ds) == []
 
 
 def test_table_row_shape(table_dataset):
@@ -179,7 +179,7 @@ def test_noise_monotonicity_median_v_measure():
                 distance_matrix([points]), HdbscanParams(2, 2)
             )
             truth_labels = [truth.segment_identity[s] for s in ids]
-            values.append(v_measure(truth_labels, labels.labels.tolist()))
+            values.append(v_measure(truth_labels, labels.tolist()))
         return statistics.median(values)
 
     medians = [median_v(noise) for noise in (0.0, 20.0, 60.0, 110.0)]
