@@ -3,11 +3,14 @@
 A dataset directory holds:
 
 * ``channels.json``, ``videos.json``: JSON arrays of records.
-* ``tracks.jsonl``, ``segments.jsonl``, ``pairs.jsonl``: one JSON object per line.
+* ``tracks.jsonl``, ``segments.jsonl``: one JSON object per line.
 * ``*.emb``: binary embedding matrices referenced from tracks/segments as
   ``(file, row)``. Header is 16 bytes: magic ``EMB1``, dim as little-endian
   uint32, row count as little-endian uint64; payload is count x dim
   little-endian float32, row-major.
+
+``ingest`` reads only the fields of these records that a stage uses; any
+other key or file is ignored.
 """
 
 from __future__ import annotations
@@ -73,12 +76,11 @@ class Video:
     video_id: str
     channel_id: str
     published_at: datetime
-    duration_s: float
     # ordered (timestamp, view_count) samples; None when never crawled
     view_history: tuple[tuple[datetime, int], ...] | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class FaceTrack:
     track_id: str
     video_id: str
@@ -88,48 +90,18 @@ class FaceTrack:
     embedding_frames: tuple[int, ...]  # source frame of each embedding row
     speaker_confidence: float | None = None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FaceTrack):
-            return NotImplemented
-        return (
-            self.track_id == other.track_id
-            and self.video_id == other.video_id
-            and self.start_frame == other.start_frame
-            and self.end_frame == other.end_frame
-            and self.embedding_frames == other.embedding_frames
-            and self.speaker_confidence == other.speaker_confidence
-            and self.embeddings.shape == other.embeddings.shape
-            and np.array_equal(self.embeddings, other.embeddings)
-        )
 
-
-@dataclass
+@dataclass(eq=False)
 class SpeechSegment:
     segment_id: str
     video_id: str
     start_s: float
     end_s: float
-    origin: str  # "vad" or "active_speaker"
     embedding: np.ndarray | None = None  # (speaker_dim,) float32
 
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpeechSegment):
-            return NotImplemented
-        if (self.embedding is None) != (other.embedding is None):
-            return False
-        if self.embedding is not None and not np.array_equal(self.embedding, other.embedding):
-            return False
-        return (
-            self.segment_id == other.segment_id
-            and self.video_id == other.video_id
-            and self.start_s == other.start_s
-            and self.end_s == other.end_s
-            and self.origin == other.origin
-        )
 
 
 @dataclass(frozen=True)
@@ -139,20 +111,19 @@ class AVPair:
     confidence: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     channels: dict[str, Channel] = field(default_factory=dict)
     videos: dict[str, Video] = field(default_factory=dict)
     tracks: dict[str, FaceTrack] = field(default_factory=dict)
     segments: dict[str, SpeechSegment] = field(default_factory=dict)
-    pairs: list[AVPair] = field(default_factory=list)
     face_dim: int = DEFAULT_FACE_DIM
     speaker_dim: int = DEFAULT_SPEAKER_DIM
 
     def digest(self) -> str:
         """SHA-256 over every record, in order, and every embedding's bytes."""
         h = hashlib.sha256()
-        h.update(repr((list(self.channels.values()), list(self.videos.values()), self.pairs)).encode())
+        h.update(repr((list(self.channels.values()), list(self.videos.values()))).encode())
         h.update(repr((self.face_dim, self.speaker_dim)).encode())
         for t in self.tracks.values():
             h.update(repr((t.track_id, t.video_id, t.start_frame, t.end_frame,
@@ -161,7 +132,7 @@ class Dataset:
         for s in self.segments.values():
             # a missing embedding hashes as shape None and no bytes
             shape = None if s.embedding is None else s.embedding.shape
-            h.update(repr((s.segment_id, s.video_id, s.start_s, s.end_s, s.origin, shape)).encode())
+            h.update(repr((s.segment_id, s.video_id, s.start_s, s.end_s, shape)).encode())
             if s.embedding is not None:
                 h.update(np.ascontiguousarray(s.embedding, dtype="<f4"))
         return h.hexdigest()
@@ -248,10 +219,6 @@ def _video_rules(video: Video, ds: Dataset):
     yield from _id_rules(video.video_id)
     if video.channel_id not in ds.channels:
         yield Violation(video.video_id, "DanglingReference", f"channel {video.channel_id!r}")
-    if not math.isfinite(video.duration_s):
-        yield Violation(video.video_id, "NonFinite", f"duration_s {video.duration_s}")
-    elif video.duration_s < 0:
-        yield Violation(video.video_id, "NegativeDuration", f"{video.duration_s}")
     history = video.view_history or ()
     for (prev_ts, prev_count), (ts, count) in zip(history, history[1:]):
         if ts <= prev_ts:
@@ -292,28 +259,12 @@ def _segment_rules(segment: SpeechSegment, ds: Dataset, usable: bool):
     if not -math.inf < start < end < math.inf:
         kind = "TimeRange" if math.isfinite(start) and math.isfinite(end) else "NonFinite"
         yield Violation(segment_id, kind, f"[{start}, {end}]")
-    if segment.origin not in ("vad", "active_speaker"):
-        yield Violation(segment_id, "BadOrigin", segment.origin)
     if segment.embedding is not None:
         if segment.embedding.shape[0] != ds.speaker_dim:
             detail = f"expected {ds.speaker_dim}, got {segment.embedding.shape[0]}"
             yield Violation(segment_id, "DimensionMismatch", detail)
         if not usable:
             yield _embedding_fault(segment_id, segment.embedding)
-
-
-def _pair_rules(pair: AVPair, ds: Dataset):
-    pair_id = f"pair({pair.track_id},{pair.segment_id})"
-    track = ds.tracks.get(pair.track_id)
-    segment = ds.segments.get(pair.segment_id)
-    if track is None:
-        yield Violation(pair_id, "DanglingReference", f"track {pair.track_id!r}")
-    if segment is None:
-        yield Violation(pair_id, "DanglingReference", f"segment {pair.segment_id!r}")
-    if track is not None and segment is not None and track.video_id != segment.video_id:
-        yield Violation(pair_id, "CrossVideoPair", f"{track.video_id} != {segment.video_id}")
-    if not math.isfinite(pair.confidence):
-        yield Violation(pair_id, "NonFinite", "confidence not finite")
 
 
 def validate(ds: Dataset) -> list[Violation]:
@@ -328,8 +279,6 @@ def validate(ds: Dataset) -> list[Violation]:
     for segment in ds.segments.values():
         usable = segment.embedding is None or bool(_usable_rows(segment.embedding[None]).all())
         found += _segment_rules(segment, ds, usable)
-    for pair in ds.pairs:
-        found += _pair_rules(pair, ds)
     return found
 
 
@@ -402,6 +351,14 @@ def _expect(data, json_type):
     raise TypeError(f"expected {json_type.__name__}, got {type(data).__name__}")
 
 
+def _int_key(text: str) -> int:
+    """An int dict key from its JSON object key, accepted only as plain writes it (str(k))."""
+    key = int(text)
+    if str(key) != text:
+        raise ValueError(f"int key {text!r} is not written as {str(key)!r}")
+    return key
+
+
 @cache
 def _reader(kind):
     """The function from_plain applies for kind, built once per type."""
@@ -415,7 +372,7 @@ def _reader(kind):
         read = _reader(inner)
         return lambda data: None if data is None else read(data)
     if origin is dict:
-        key, value = args[0], _reader(args[1])  # object keys are strings: key parses them
+        key, value = (_int_key if args[0] is int else str), _reader(args[1])
         return lambda data: {key(k): value(v) for k, v in _expect(data, dict).items()}
     if origin is tuple and args[1:] != (...,):
         items = tuple(map(_reader, args))
@@ -502,7 +459,6 @@ def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
         video_id=_field(rec, "video_id", str),
         channel_id=_field(rec, "channel_id", str),
         published_at=_field(rec, "published_at", parse_timestamp),
-        duration_s=_field(rec, "duration_s", _float),
         view_history=_field(
             rec, "view_history", lambda h: tuple((parse_timestamp(t), _int(n)) for t, n in h), None
         ),
@@ -547,15 +503,9 @@ def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
         video_id=_field(rec, "video_id", str),
         start_s=_field(rec, "start_s", _float),
         end_s=_field(rec, "end_s", _float),
-        origin=_field(rec, "origin", str, "vad"),
         embedding=embedding,
     )
     return segment.segment_id, segment, (usable,)
-
-
-def _parse_pair(rec: dict, ds: Dataset, store: _EmbStore):
-    ids = _field(rec, "track_id", str), _field(rec, "segment_id", str)
-    return None, AVPair(*ids, _field(rec, "confidence", _float, 0.0)), ()
 
 
 _TYPED_ERRORS = {"DanglingReference": DanglingReference, "DimensionMismatch": DimensionMismatch}
@@ -578,7 +528,6 @@ def ingest(manifest_dir: str | Path) -> Dataset:
         ("videos.json", _parse_video, _video_rules, ds.videos),
         ("tracks.jsonl", _parse_track, _track_rules, ds.tracks),
         ("segments.jsonl", _parse_segment, _segment_rules, ds.segments),
-        ("pairs.jsonl", _parse_pair, _pair_rules, None),
     ):
         for lineno, rec in _entries(root, name):
             if not isinstance(rec, dict):
@@ -596,12 +545,9 @@ def ingest(manifest_dir: str | Path) -> Dataset:
                 if v.kind in _TYPED_ERRORS:
                     raise _TYPED_ERRORS[v.kind](f"{name}:{lineno}: {reason}")
                 raise MalformedRecord(name, lineno, reason)
-            if table is None:
-                ds.pairs.append(record)
-            elif key in table:
+            if key in table:
                 raise MalformedRecord(name, lineno, f"duplicate id {key!r}")
-            else:
-                table[key] = record
+            table[key] = record
     ds.face_dim = ds.face_dim or DEFAULT_FACE_DIM
     ds.speaker_dim = ds.speaker_dim or DEFAULT_SPEAKER_DIM
     return ds
@@ -632,7 +578,6 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
                 "video_id": v.video_id,
                 "channel_id": v.channel_id,
                 "published_at": format_timestamp(v.published_at),
-                "duration_s": v.duration_s,
                 "view_history": history,
             }
         )
@@ -669,19 +614,9 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
                 "video_id": s.video_id,
                 "start_s": s.start_s,
                 "end_s": s.end_s,
-                "origin": s.origin,
                 "embedding": ref,
             }
             fh.write(json.dumps(rec) + "\n")
-
-    with open(root / "pairs.jsonl", "w", encoding="utf-8") as fh:
-        for p in sorted(ds.pairs, key=lambda p: (p.track_id, p.segment_id)):
-            fh.write(
-                json.dumps(
-                    {"track_id": p.track_id, "segment_id": p.segment_id, "confidence": p.confidence}
-                )
-                + "\n"
-            )
 
     face_matrix = (
         np.stack(face_rows) if face_rows else np.zeros((0, ds.face_dim), dtype=np.float32)

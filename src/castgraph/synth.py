@@ -22,7 +22,6 @@ from .catalog import (
     DEFAULT_FACE_DIM,
     DEFAULT_SPEAKER_DIM,
     FRAME_RATE,
-    AVPair,
     Channel,
     Dataset,
     FaceTrack,
@@ -35,7 +34,6 @@ from .catalog import (
 from .errors import InfeasibleConfig, MalformedRecord
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
-VIDEO_DURATION_S = 120.0
 BASE_VIEWS = 10_000
 
 
@@ -174,8 +172,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     Every identity hosts the videos of its home channel; collaborations plant
     a guest from another channel into a video. On-screen appearances emit a
-    face track with per-frame embeddings, a co-timed speech segment, and an
-    AV pair at confidence 1.0; off-screen appearances emit speech segments
+    face track with per-frame embeddings and speaker confidence 1.0, and a
+    co-timed speech segment; off-screen appearances emit speech segments
     only. The same seed always produces the identical dataset.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
@@ -223,8 +221,6 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     # plant collaborations: at most one guest per video, never tipping the
     # guest's appearance count on a foreign channel up to its home count
     n_collab = round(cfg.collaboration_rate * cfg.n_videos)
-    if n_collab > cfg.n_videos:
-        raise InfeasibleConfig("cannot plant more collaborations than videos")
     home_counts = {
         identity: sum(1 for v in video_ids if hosts[v] == identity)
         for identity in range(cfg.n_identities)
@@ -274,7 +270,6 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             video_id=video_id,
             channel_id=channel_id,
             published_at=published,
-            duration_s=VIDEO_DURATION_S,
             view_history=history,
         )
 
@@ -306,11 +301,9 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             video_id=video_id,
             start_s=start_s,
             end_s=end_s,
-            origin="active_speaker",
             embedding=voice.astype(np.float32),
         )
         truth.segment_identity[segment_id] = identity
-        ds.pairs.append(AVPair(track_id, segment_id, 1.0))
 
     def emit_voice_only(video_id: str, identity: int, slot: int) -> None:
         base_s = 1.0 + slot * 6.0
@@ -323,7 +316,6 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
                 video_id=video_id,
                 start_s=start_s,
                 end_s=start_s + 2.0,
-                origin="vad",
                 embedding=voice.astype(np.float32),
             )
             truth.segment_identity[segment_id] = identity
@@ -358,12 +350,12 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 def corrupt(
     ds: Dataset, dropout_rate: float, confidence_noise: float, seed: int = 0
 ) -> Dataset:
-    """Drop embeddings and jitter AV confidences, reproducibly.
+    """Drop embeddings and jitter speaker confidences, reproducibly.
 
     Each face embedding row and each segment embedding is dropped
     independently with probability dropout_rate; a track that loses every row
-    disappears along with its AV pairs. Confidences shift by a uniform draw
-    from [-confidence_noise, +confidence_noise], clipped to [0, 1]. The input
+    disappears. Speaker confidences shift by a uniform draw from
+    [-confidence_noise, +confidence_noise], clipped to [0, 1]. The input
     dataset is never mutated.
     """
     if not 0.0 <= dropout_rate <= 1.0 or confidence_noise < 0.0:
@@ -399,8 +391,4 @@ def corrupt(
         out.segments[segment_id] = replace(
             segment, embedding=None if embedding is None else embedding.copy()
         )
-
-    for pair in ds.pairs:
-        if pair.track_id in out.tracks and pair.segment_id in out.segments:
-            out.pairs.append(pair)
     return out

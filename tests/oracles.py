@@ -226,6 +226,16 @@ def n_clusters(labels) -> int:
     return len({int(l) for l in labels} - {-1})
 
 
+# --- records -------------------------------------------------------------------------
+
+def record_fields(record) -> tuple:
+    """A record's field values in order, an array as its shape and values: equal when the records are."""
+    return tuple(
+        (value.shape, value.tolist()) if hasattr(value, "tolist") else value
+        for value in vars(record).values()
+    )
+
+
 # --- clustering scores -------------------------------------------------------------
 
 def oracle_homogeneity_completeness(truth, pred):

@@ -152,7 +152,7 @@ def test_ingest_write_round_trip(tmp_path, synth_dataset):
     ds, _ = synth_dataset
     write(ds, tmp_path / "d")
     loaded = ingest(tmp_path / "d")
-    assert loaded == ds
+    assert loaded.digest() == ds.digest()
 
 
 def test_ingest_empty_tracks(tmp_path):
@@ -166,14 +166,12 @@ def test_ingest_empty_tracks(tmp_path):
                     "video_id": "v1",
                     "channel_id": "c1",
                     "published_at": "2024-01-01T00:00:00Z",
-                    "duration_s": 10.0,
                 }
             ]
         )
     )
     (root / "tracks.jsonl").write_text("")
     (root / "segments.jsonl").write_text("")
-    (root / "pairs.jsonl").write_text("")
     write_emb(root / "faces.emb", np.zeros((0, 1792), dtype=np.float32))
     write_emb(root / "speakers.emb", np.zeros((0, 1024), dtype=np.float32))
     ds = ingest(root)
@@ -249,23 +247,11 @@ def test_validate_view_history_order(synth_dataset):
     ts1, _ = video.view_history[1]
     broken = ((ts0, count0), (ts1, count0 - 5))
     ds.videos[video_id] = video.__class__(
-        video.video_id, video.channel_id, video.published_at, video.duration_s, broken
+        video.video_id, video.channel_id, video.published_at, broken
     )
     violations = validate(ds)
     ds.videos[video_id] = video
     assert any(v.record_id == video_id and v.kind == "ViewHistoryOrder" for v in violations)
-
-
-def test_validate_cross_video_pair(synth_dataset):
-    ds, _ = synth_dataset
-    pair = ds.pairs[0]
-    other_video = next(
-        s for s in ds.segments.values() if s.video_id != ds.tracks[pair.track_id].video_id
-    )
-    ds.pairs.append(pair.__class__(pair.track_id, other_video.segment_id, 1.0))
-    violations = validate(ds)
-    ds.pairs.pop()
-    assert any(v.kind == "CrossVideoPair" for v in violations)
 
 
 def test_usable_rows_matches_its_definition_at_extreme_values():
@@ -312,10 +298,6 @@ def no_channel_id(root, ds):
     edit_record(root, "channels.json", lambda r: r.pop("channel_id"))
 
 
-def no_duration(root, ds):
-    edit_record(root, "videos.json", lambda r: r.pop("duration_s"))
-
-
 def bad_timestamp(root, ds):
     edit_record(root, "videos.json", lambda r: r.update(published_at="yesterday"))
 
@@ -323,16 +305,6 @@ def bad_timestamp(root, ds):
 def channels_object(root, ds):
     records = json.loads((root / "channels.json").read_text())
     (root / "channels.json").write_text(json.dumps({"channels": records}))
-
-
-def negative_duration(root, ds):
-    video_id = edit_record(root, "videos.json", lambda r: r.update(duration_s=-5.0))["video_id"]
-    ds.videos[video_id] = dataclasses.replace(ds.videos[video_id], duration_s=-5.0)
-
-
-def bad_origin(root, ds):
-    segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(origin="zzz"))["segment_id"]
-    ds.segments[segment_id].origin = "zzz"
 
 
 def nan_speaker_confidence(root, ds):
@@ -425,12 +397,8 @@ WRONG_NUMBERS = [
     ("tracks.jsonl", ("speaker_confidence",), "1.0", "speaker_confidence"),
     ("videos.json", ("view_history", 1, 1), 20000.5, "view_history"),
     ("videos.json", ("view_history", 0, 1), True, "view_history"),
-    ("videos.json", ("duration_s",), True, "duration_s"),
-    ("videos.json", ("duration_s",), "60", "duration_s"),
     ("segments.jsonl", ("start_s",), True, "start_s"),
     ("segments.jsonl", ("end_s",), "2.24", "end_s"),
-    ("pairs.jsonl", ("confidence",), False, "confidence"),
-    ("pairs.jsonl", ("confidence",), "1.0", "confidence"),
 ]
 
 
@@ -453,14 +421,11 @@ def wrong_number(source, path, value):
 #  and for a structural fault how its message goes on after the file name: line and field)
 BAD_MANIFESTS = [
     (no_channel_id, "channels.json", MalformedRecord, None, ":1: missing field 'channel_id'"),
-    (no_duration, "videos.json", MalformedRecord, None, ":1: missing field 'duration_s'"),
     (bad_timestamp, "videos.json", MalformedRecord, None, ":1: bad record: field 'published_at': "),
     (channels_object, "channels.json", MalformedRecord, None, ":1: top-level value is not an array"),
     (null_start_frame, "tracks.jsonl", MalformedRecord, None, ":1: bad record: field 'start_frame': "),
     (null_embedding_reference, "tracks.jsonl", MalformedRecord, None, ":1: bad record: field 'embeddings[1]': "),
     (non_utf8_byte, "segments.jsonl", MalformedRecord, None, ":2: byte 0xff is not UTF-8"),
-    (negative_duration, "videos.json", MalformedRecord, "NegativeDuration", None),
-    (bad_origin, "segments.jsonl", MalformedRecord, "BadOrigin", None),
     (nan_speaker_confidence, "tracks.jsonl", MalformedRecord, "NonFinite", None),
     (nan_speaker_embedding, "segments.jsonl", MalformedRecord, "NonFinite", None),
     (infinite_end, "segments.jsonl", MalformedRecord, "NonFinite", None),
@@ -503,7 +468,7 @@ def test_bad_manifest_is_one_typed_error_everywhere(
 
 # --- fuzz ---------------------------------------------------------------------------
 
-MANIFESTS = ("channels.json", "videos.json", "tracks.jsonl", "segments.jsonl", "pairs.jsonl")
+MANIFESTS = ("channels.json", "videos.json", "tracks.jsonl", "segments.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -572,11 +537,28 @@ def test_fuzzed_manifest_exits_0_or_2(small_manifest, data):
 def test_float_field_written_as_an_integer_reads_as_a_float(tmp_path, small_manifest):
     root = tmp_path / "data"
     shutil.copytree(small_manifest, root)
-    video_id = edit_record(root, "videos.json", lambda r: r.update(duration_s=60))["video_id"]
     segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(start_s=1))["segment_id"]
     ds = ingest(root)
-    assert type(ds.videos[video_id].duration_s) is float and ds.videos[video_id].duration_s == 60.0
     assert type(ds.segments[segment_id].start_s) is float and ds.segments[segment_id].start_s == 1.0
+
+
+# --- keys and files that no stage reads -----------------------------------------------
+
+def test_a_corpus_without_pairs_ingests_and_runs(tmp_path, small_manifest):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    (root / "pairs.jsonl").unlink(missing_ok=True)
+    assert ingest(root).tracks
+    assert cli.main(["run", str(root), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_unread_keys_and_files_leave_the_digest_alone(tmp_path, small_manifest):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    edit_record(root, "videos.json", lambda r: r.update(duration_s=-5.0))
+    edit_record(root, "segments.jsonl", lambda r: r.update(origin="zzz"))
+    (root / "pairs.jsonl").write_text('{"track_id": "ghost", "segment_id": "s0", "confidence": "zzz"}\n{not json\n')
+    assert ingest(root).digest() == ingest(small_manifest).digest()
 
 
 def test_ingest_takes_each_dimension_from_the_first_referenced_row(small_manifest):
@@ -686,6 +668,9 @@ def test_codec_requires_every_field():
     (tuple[int, ...], "12"),
     (dict[str, int], {"s1": "0"}),
     (AVPair, {"track_id": 1, "segment_id": "s1", "confidence": 0.5}),
+    # an int key is read only as plain writes it, so no two keys read as one
+    *((dict[int, str], {key: "ch0"}) for key in ("01", " 2", "1_0", "+3", "-0")),
+    (dict[int, str], {"1": "ch0", "01": "ch1"}),
 ])
 def test_codec_rejects_a_wrong_shape(kind, data):
     with pytest.raises((TypeError, ValueError)):

@@ -22,7 +22,7 @@ T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def video(video_id, channel_id, day=0, history=None):
-    return Video(video_id, channel_id, T0 + timedelta(days=day), 60.0, history)
+    return Video(video_id, channel_id, T0 + timedelta(days=day), history)
 
 
 def index_from(appearances):

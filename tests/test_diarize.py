@@ -16,7 +16,7 @@ PARAMS = HdbscanParams(2, 2)
 
 def make_segment(segment_id, start_s, end_s, vec=None, video="v1"):
     emb = None if vec is None else np.asarray(vec, dtype=np.float32)
-    return SpeechSegment(segment_id, video, start_s, end_s, "vad", emb)
+    return SpeechSegment(segment_id, video, start_s, end_s, emb)
 
 
 def speaker_segments(n, noise_deg, seed, video="v1", prefix="s", dim=96, centroid=None):

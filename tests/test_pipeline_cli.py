@@ -25,6 +25,8 @@ from castgraph.errors import PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, generate
 
+from oracles import record_fields
+
 CFG = SynthConfig(
     n_channels=4,
     n_videos=16,
@@ -172,7 +174,9 @@ def test_resumed_run_decodes_what_a_fresh_run_computed(tmp_path, monkeypatch):
     resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
     # the reused report, read back from report.json, is the dict a fresh run returns
     assert resumed.run(truth) == report
-    for attr in RESULTS:
+    # FaceTracks define no equality: compare their fields
+    assert list(map(record_fields, resumed.pieces)) == list(map(record_fields, fresh.pieces))
+    for attr in RESULTS[1:]:
         assert getattr(resumed, attr) == getattr(fresh, attr), attr
 
 
@@ -488,11 +492,11 @@ def voices_dataset(videos) -> catalog.Dataset:
     ds = catalog.Dataset(face_dim=4, speaker_dim=4)
     ds.channels["c0"] = catalog.Channel("c0", "Channel 0")
     for video_id, voices in videos.items():
-        ds.videos[video_id] = catalog.Video(video_id, "c0", datetime(2018, 1, 1, tzinfo=timezone.utc), 60.0)
+        ds.videos[video_id] = catalog.Video(video_id, "c0", datetime(2018, 1, 1, tzinfo=timezone.utc))
         for k, (segment_id, voice) in enumerate(voices):
             embedding = np.asarray(voice, dtype=np.float32)
             ds.segments[segment_id] = catalog.SpeechSegment(
-                segment_id, video_id, 3.0 * k, 3.0 * k + 2.0, "vad", embedding
+                segment_id, video_id, 3.0 * k, 3.0 * k + 2.0, embedding
             )
     return ds
 
@@ -749,7 +753,14 @@ BAD_JSON_FILES = {
 }
 
 
-@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
+# identity 1 written twice: read as one key, the two identities would merge
+SPELLED_TWICE = {"identity_homes": {"1": "ch0", "01": "ch1"}, "track_identity": {}, "segment_identity": {},
+                 "video_identities": {}, "video_hosts": {}, "planted_events": [], "offscreen_videos": [],
+                 "planted_growth_ratio": None}
+BAD_TRUTH_FILES = {**BAD_JSON_FILES, "int_key_spelled_twice": json.dumps(SPELLED_TWICE).encode()}
+
+
+@pytest.mark.parametrize("content", BAD_TRUTH_FILES.values(), ids=BAD_TRUTH_FILES.keys())
 def test_cli_bad_ground_truth_exits_2(tmp_path, tiny_data, content):
     truth = tmp_path / "truth.json"
     if content is not None:
@@ -819,13 +830,13 @@ def one_video_dataset(faces, voices) -> catalog.Dataset:
     """One channel and one video: a 30-frame face track per face row, a 2 s segment per voice row."""
     ds = catalog.Dataset(face_dim=4, speaker_dim=3)
     ds.channels["c0"] = catalog.Channel("c0", "Channel 0")
-    ds.videos["v0"] = catalog.Video("v0", "c0", datetime(2018, 1, 1, tzinfo=timezone.utc), 60.0)
+    ds.videos["v0"] = catalog.Video("v0", "c0", datetime(2018, 1, 1, tzinfo=timezone.utc))
     for k, face in enumerate(faces):
         embedding = np.asarray([face], dtype=np.float32)
         ds.tracks[f"t{k}"] = catalog.FaceTrack(f"t{k}", "v0", 100 * k, 100 * k + 29, embedding, (100 * k,), 1.0)
     for k, voice in enumerate(voices):
         embedding = np.asarray(voice, dtype=np.float32)
-        ds.segments[f"s{k}"] = catalog.SpeechSegment(f"s{k}", "v0", 3.0 * k, 3.0 * k + 2.0, "vad", embedding)
+        ds.segments[f"s{k}"] = catalog.SpeechSegment(f"s{k}", "v0", 3.0 * k, 3.0 * k + 2.0, embedding)
     return ds
 
 

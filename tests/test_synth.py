@@ -193,7 +193,7 @@ def test_noise_monotonicity_median_v_measure():
 def test_corrupt_identity_transform(table_dataset):
     ds, _ = table_dataset
     out = corrupt(ds, 0.0, 0.0, seed=1)
-    assert out == ds
+    assert out.digest() == ds.digest()
 
 
 def test_corrupt_full_dropout(table_dataset):
@@ -201,16 +201,15 @@ def test_corrupt_full_dropout(table_dataset):
     out = corrupt(ds, 1.0, 0.0, seed=1)
     assert all(s.embedding is None for s in out.segments.values())
     assert not out.tracks
-    assert not out.pairs
 
 
 def test_corrupt_deterministic(table_dataset):
     ds, _ = table_dataset
     a = corrupt(ds, 0.2, 0.05, seed=5)
     b = corrupt(ds, 0.2, 0.05, seed=5)
-    assert a == b
+    assert a.digest() == b.digest()
     c = corrupt(ds, 0.2, 0.05, seed=6)
-    assert c != a
+    assert c.digest() != a.digest()
 
 
 def test_corrupt_leaves_input_untouched(table_dataset):

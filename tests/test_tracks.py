@@ -30,7 +30,7 @@ def make_track(track_id, start, end, vec, video="v1", conf=None, every=25):
 
 def make_segment(segment_id, start_s, end_s, video="v1", vec=None):
     emb = None if vec is None else np.asarray(vec, dtype=np.float32)
-    return SpeechSegment(segment_id, video, start_s, end_s, "vad", emb)
+    return SpeechSegment(segment_id, video, start_s, end_s, emb)
 
 
 # --- split -----------------------------------------------------------------------
