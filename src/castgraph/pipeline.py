@@ -3,11 +3,11 @@
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
 global speaker clustering -> bridge -> graph -> report. Both global stages
 cluster each channel's points first, then all channels in one call. split
-and pair cost less to recompute than to read back, so every run computes
-them and they have no checkpoint. Every later stage is one row of the stage
-table, run by one generic step (:meth:`PipelineRun.step`). The report, with
-its evaluation when a ground truth is given, is the last row, so a resume
-whose stamps all match decodes no checkpoint and evaluates nothing. Every
+and pair cost less to recompute than to read back, so they keep no
+checkpoint and run when their results are first read. Every later stage is
+a row of the stage table, run by one generic step (:meth:`PipelineRun.step`);
+a reused row is decoded when first read. The report, with its evaluation,
+is the last row, so a resume whose stamps all match computes nothing. Every
 file is written to a temporary name and renamed into place. For a fixed
 dataset and configuration the bytes do not depend on the BLAS thread count,
 the hash seed or the output path.
@@ -21,7 +21,7 @@ import math
 import mmap
 import os
 from dataclasses import dataclass, make_dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
 
@@ -104,6 +104,21 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _run_named(name: str, step: Callable, run: PipelineRun) -> None:
+    """step(run); a failure is raised as PipelineStageError(name) unless it already names its stage."""
+    try:
+        step(run)
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
+def _deferred(name: str, compute: Callable, *results: str):
+    """A stage table entry that has compute(run) set results when one of them is first read."""
+    return name, lambda run: run.pending.update(dict.fromkeys(results, partial(_run_named, name, compute)))
+
+
 def _labels_codec(attr: str, name: str):
     """results, encode and decode for a stage whose result is one id -> label dict."""
 
@@ -175,12 +190,16 @@ class PipelineRun:
         self.dataset_digest = ds.digest()
         # each stage's stamp; stage results are attributes its compute or decode sets
         self.stamps: dict[str, str] = {}
-        # result name -> (stage, checkpoint files) of a reused stage not yet decoded
-        self.undecoded: dict[str, tuple[Stage, dict[str, bytes]]] = {}
-        # each video's segments in dataset order, shared by diarize and evaluation
-        self.segments_by_video: dict[str, list] = {}
-        for segment in ds.segments.values():
-            self.segments_by_video.setdefault(segment.video_id, []).append(segment)
+        # result name -> the step that sets it, called as step(run) so that no step holds the run
+        self.pending: dict[str, Callable] = {}
+
+    @cached_property
+    def segments_by_video(self) -> dict[str, list]:
+        """Each video's segments in dataset order, shared by diarize and evaluation."""
+        by_video: dict[str, list] = {}
+        for segment in self.ds.segments.values():
+            by_video.setdefault(segment.video_id, []).append(segment)
+        return by_video
 
     def stamp(self, stage: Stage, files: dict[str, bytes]) -> bytes:
         """Record the stage's stamp over its inputs and these checkpoint bytes; return the stamp line."""
@@ -197,8 +216,8 @@ class PipelineRun:
     def step(self, stage: Stage) -> None:
         """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it.
 
-        A reused checkpoint is decoded when one of its results is first read
-        (see __getattr__), so a resumed run decodes only what it reads.
+        A reused checkpoint's decode is registered as the step that sets its
+        results (see __getattr__), so a resumed run decodes only what it reads.
         Writing a checkpoint also removes every other ``<stem>.*`` file in the
         output directory, stem being that of the stage's first file: sidecars
         an older version wrote, or temporary files a killed run left.
@@ -212,7 +231,7 @@ class PipelineRun:
             except FileNotFoundError:
                 stored = None
             if stored is not None and stored == self.stamp(stage, files):
-                self.undecoded.update(dict.fromkeys(stage.results, (stage, files)))
+                self.pending.update(dict.fromkeys(stage.results, lambda run: stage.decode(run, files)))
                 return
         stage.compute(self)
         files = stage.encode(self)
@@ -224,13 +243,13 @@ class PipelineRun:
                 path.unlink()
 
     def __getattr__(self, attr: str):
-        """A result of a reused stage, decoded from its checkpoint when first read."""
-        if attr not in self.__dict__.get("undecoded", ()):
+        """A pending result, set when first read by its step (split, pair or a reused stage's decode)."""
+        pending = self.__dict__.get("pending", {})
+        if attr not in pending:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        stage, files = self.undecoded[attr]
-        for result in stage.results:
-            del self.undecoded[result]
-        stage.decode(self, files)
+        step = pending[attr]
+        self.pending = {result: s for result, s in pending.items() if s is not step}
+        step(self)
         return getattr(self, attr)
 
     def compute_split(self) -> None:
@@ -382,11 +401,12 @@ class PipelineRun:
             except Exception as exc:
                 raise PipelineStageError("eval", exc) from exc
 
-    # (name, step) in run order, each called as step(run). split and pair keep
-    # no checkpoint: they are pure functions of the dataset and the fixed piece
-    # lengths (which __version__ covers), and their one setting, conf_threshold,
-    # is in the stamp of the bridge and of the report, the stages that read the pairs
-    STAGES = (("split", compute_split), ("pair", compute_pair), *((stage.name, stage) for stage in (
+    # (name, step) in run order, each called as step(run). split and pair keep no checkpoint:
+    # they are pure functions of the dataset and the fixed piece lengths (which __version__
+    # covers), and conf_threshold is in the stamps of bridge and report, which read the pairs.
+    # Their entries register compute, to run when one of its results is first read
+    STAGES = (_deferred("split", compute_split, "pieces", "piece_sources"),
+              _deferred("pair", compute_pair, "av_pairs"), *((stage.name, stage) for stage in (
         Stage("merge", ("03_entities.jsonl",), CLUSTERING, (),
               compute_merge, *_rows_codec("entities", "03_entities.jsonl", TrackEntity)),
         Stage("diarize", ("04_diarization.csv",), ("min_segment_s", *CLUSTERING), (),
@@ -417,12 +437,7 @@ class PipelineRun:
         if last_stage not in dict(self.STAGES):
             raise ValueError(f"unknown stage {last_stage!r}")
         for name, stage in self.STAGES:
-            try:
-                stage(self)
-            except PipelineStageError:
-                raise  # the evaluation's failure, named as its own step
-            except Exception as exc:
-                raise PipelineStageError(name, exc) from exc
+            _run_named(name, stage, self)  # the evaluation's, split's and pair's failures name their own step
             if name == last_stage:
                 return
 

@@ -209,6 +209,57 @@ def test_a_resumed_run_decodes_only_the_checkpoints_it_reads(tmp_path, monkeypat
         resumed.no_such_result  # noqa: B018
 
 
+DEFERRED = {"split": "split_tracks_with_sources", "pair": "assign_active_speakers"}
+
+
+def count_deferred(monkeypatch) -> Counter:
+    """Calls of split's and pair's compute from now on, by stage name."""
+    calls = Counter()
+    for name, attr in DEFERRED.items():
+        def counted(*args, name=name, real=getattr(pipeline, attr)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, attr, counted)
+    return calls
+
+
+def test_a_resume_whose_stamps_all_match_computes_nothing(tmp_path, monkeypatch):
+    ds, truth = generate(CFG)
+    calls = count_deferred(monkeypatch)
+    run_pipeline(ds, tmp_path / "chk", PipelineConfig(), truth)
+    assert calls == {"split": 1, "pair": 1}
+    calls.clear()
+    resumed = PipelineRun(ds, tmp_path / "chk", PipelineConfig(resume=True))
+    resumed.run(truth)
+    assert not calls and "segments_by_video" not in vars(resumed)
+    # a changed --min-votes recomputes bridge, graph and report, which read the pieces and the pairs
+    report = run_pipeline(ds, tmp_path / "chk", PipelineConfig(min_votes=2, resume=True), truth)
+    assert calls == {"split": 1, "pair": 1}
+    assert report == run_pipeline(ds, tmp_path / "fresh", PipelineConfig(min_votes=2), truth)
+    assert read_tree(tmp_path / "chk") == read_tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+@pytest.mark.parametrize("stage", sorted(DEFERRED))
+def test_a_deferred_step_failure_is_named_by_its_stage(tmp_path, monkeypatch, stage, resume):
+    # split and pair run inside the stage that first reads their results, yet
+    # their failure names them, not the reader
+    ds, truth = generate(CFG)
+    if resume:
+        run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+    cause = RuntimeError(stage)
+
+    def fails(*args):
+        raise cause
+
+    monkeypatch.setattr(pipeline, DEFERRED[stage], fails)
+    # resumed with a changed --min-votes, bridge recomputes and reads the pairs
+    with pytest.raises(PipelineStageError) as failed:
+        run_pipeline(ds, tmp_path, PipelineConfig(min_votes=2, resume=resume), truth)
+    assert failed.value.stage == stage and failed.value.cause is cause
+
+
 def test_each_stage_reads_the_results_of_exactly_its_upstream_stages(tmp_path, monkeypatch):
     # a stamp covers the upstream stages' stamps: a result read from any other
     # stage could be stale on resume, and an upstream stage never read makes
@@ -608,12 +659,20 @@ def test_unknown_stage_is_rejected_before_any_work(tmp_path):
 
 # --- cli --------------------------------------------------------------------------
 
+def child_env(**env) -> dict[str, str]:
+    """This environment plus env, with the tested checkout's src first on PYTHONPATH."""
+    src = str(Path(castgraph.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, **env, "PYTHONPATH": path}
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "castgraph.cli", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=child_env(),
     )
 
 
@@ -936,14 +995,12 @@ def cfg_data(tmp_path_factory):
 
 
 def run_cfg_in_subprocess(data: Path, out: Path, **env) -> dict:
-    src = str(Path(castgraph.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", CLI_IN_PROCESS, "run", data, "--out", out,
          "--ground-truth", data / "ground_truth.json"],
         capture_output=True,
         text=True,
-        env={**os.environ, **env, "PYTHONPATH": path},
+        env=child_env(**env),
     )
     assert result.returncode == 0, result.stderr
     status = json.loads(result.stdout.splitlines()[-1])
