@@ -19,8 +19,9 @@ import hashlib
 import json
 import math
 import struct
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
@@ -121,21 +122,113 @@ class Dataset:
     speaker_dim: int = DEFAULT_SPEAKER_DIM
 
     def digest(self) -> str:
-        """SHA-256 over every record, in order, and every embedding's bytes."""
+        """SHA-256 of every record field, in record order, and every embedding's bytes.
+
+        The fields go in as three columns, each prefixed by its byte length as
+        a little-endian uint64: a JSON array of every id, name and reference;
+        little-endian int64s (table sizes, dimensions, times as microseconds
+        since the epoch, view counts, frames, array shapes and the lengths and
+        None flags that delimit the variable parts); little-endian float64s
+        (speaker confidences, NaN where None, then segment times). Then come
+        the SHA-256 of the face rows, track after track, and that of the
+        speaker rows, segment after segment. The face rows are hashed on a
+        worker thread while this thread hashes the speaker rows; the worker
+        has ended when this returns.
+        """
+        faces = []
+
+        def hash_faces():
+            try:
+                faces.append(_rows_digest(t.embeddings for t in self.tracks.values()))
+            except BaseException as exc:  # raised below, on the calling thread
+                faces.append(exc)
+
+        worker = threading.Thread(target=hash_faces, name="digest-faces")
+        worker.start()
+        try:
+            speakers = _rows_digest(s.embedding for s in self.segments.values() if s.embedding is not None)
+        finally:
+            worker.join()
+        if isinstance(faces[0], BaseException):
+            raise faces[0]
         h = hashlib.sha256()
-        h.update(repr((list(self.channels.values()), list(self.videos.values()))).encode())
-        h.update(repr((self.face_dim, self.speaker_dim)).encode())
-        for t in self.tracks.values():
-            h.update(repr((t.track_id, t.video_id, t.start_frame, t.end_frame,
-                           t.embedding_frames, t.speaker_confidence, t.embeddings.shape)).encode())
-            h.update(np.ascontiguousarray(t.embeddings, dtype="<f4"))
-        for s in self.segments.values():
-            # a missing embedding hashes as shape None and no bytes
-            shape = None if s.embedding is None else s.embedding.shape
-            h.update(repr((s.segment_id, s.video_id, s.start_s, s.end_s, shape)).encode())
-            if s.embedding is not None:
-                h.update(np.ascontiguousarray(s.embedding, dtype="<f4"))
+        for column in (
+            json.dumps(list(self._strings())).encode(),
+            np.fromiter(self._integers(), dtype="<i8").tobytes(),
+            np.fromiter(self._floats(), dtype="<f8").tobytes(),
+        ):
+            h.update(len(column).to_bytes(8, "little"))
+            h.update(column)
+        h.update(faces[0])
+        h.update(speakers)
         return h.hexdigest()
+
+    def _strings(self):
+        """The digest's string column: each record's ids, name and references."""
+        for c in self.channels.values():
+            yield c.channel_id
+            yield c.name
+        for v in self.videos.values():
+            yield v.video_id
+            yield v.channel_id
+        for t in self.tracks.values():
+            yield t.track_id
+            yield t.video_id
+        for s in self.segments.values():
+            yield s.segment_id
+            yield s.video_id
+
+    def _integers(self):
+        """The digest's int64 column: sizes, times, counts, frames, and the lengths and flags between them."""
+        yield len(self.channels)
+        yield len(self.videos)
+        yield len(self.tracks)
+        yield len(self.segments)
+        yield self.face_dim
+        yield self.speaker_dim
+        for v in self.videos.values():
+            yield _micros(v.published_at)
+            if v.view_history is None:
+                yield -1
+                continue
+            yield len(v.view_history)
+            for ts, count in v.view_history:
+                yield _micros(ts)
+                yield count
+        for t in self.tracks.values():
+            yield t.start_frame
+            yield t.end_frame
+            yield len(t.embedding_frames)
+            yield from t.embedding_frames
+            yield from t.embeddings.shape
+            yield t.speaker_confidence is None
+        for s in self.segments.values():
+            yield -1 if s.embedding is None else len(s.embedding)
+
+    def _floats(self):
+        """The digest's float64 column: speaker confidences (NaN for None), then segment times."""
+        for t in self.tracks.values():
+            yield math.nan if t.speaker_confidence is None else t.speaker_confidence
+        for s in self.segments.values():
+            yield s.start_s
+            yield s.end_s
+
+
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _micros(ts: datetime) -> int:
+    """An aware timestamp as whole microseconds since the Unix epoch."""
+    return (ts - _UNIX_EPOCH) // _MICROSECOND
+
+
+def _rows_digest(matrices) -> bytes:
+    """SHA-256 of the matrices' float32 bytes, one after the other."""
+    h = hashlib.sha256()
+    for matrix in matrices:
+        h.update(np.ascontiguousarray(matrix, dtype="<f4"))
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -420,8 +513,11 @@ def _field(rec, key: str, convert, default=_REQUIRED, where: str = ""):
 
 
 def _int(value) -> int:
-    """A JSON integer field's value, read by _field."""
-    return _expect(value, int)
+    """A JSON integer field's value, read by _field; the digest takes it as an int64."""
+    value = _expect(value, int)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"expected a 64-bit int, got {value}")
+    return value
 
 
 def _float(value) -> float:

@@ -8,7 +8,7 @@ from itertools import groupby
 import numpy as np
 
 from .catalog import FRAME_RATE, AVPair, FaceTrack, SpeechSegment, unit_mean
-from .distcluster import FALLBACK_EPS, HdbscanParams, cluster_groups, label_groups
+from .distcluster import HdbscanParams, cluster_groups, label_groups
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 
 
@@ -119,26 +119,19 @@ def representative_embedding(track: FaceTrack) -> np.ndarray:
     return unit_mean(track.embeddings)
 
 
-def merge_tracks(
-    tracks,
-    params: HdbscanParams,
-    eps: float = FALLBACK_EPS,
-    representatives=None,
-) -> list[TrackEntity]:
+def merge_tracks(tracks, params: HdbscanParams, eps: float, representatives) -> list[TrackEntity]:
     """Cluster track pieces by face embedding and merge shared labels.
 
-    Each piece is clustered by its representative_embedding, taken from
-    representatives (piece id to vector) when the caller already has them.
-    Merging is per video, all videos in one cluster_groups call. Tracks
-    sharing a cluster label form one entity; noise tracks become singleton
-    entities. Entities come back ordered by (video, first frame, first track
-    id) and are labeled e0, e1, ... within their video.
+    Each piece is clustered by its representative_embedding, looked up in
+    representatives (piece id to vector). Merging is per video, all videos
+    in one cluster_groups call. Tracks sharing a cluster label form one
+    entity; noise tracks become singleton entities. Entities come back
+    ordered by (video, first frame, first track id) and are labeled e0, e1,
+    ... within their video.
     """
     ordered = sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id))
     if not ordered:
         return []
-    if representatives is None:
-        representatives = {t.track_id: representative_embedding(t) for t in ordered}
     videos = [list(members) for _, members in groupby(ordered, key=lambda t: t.video_id)]
     reps = [np.stack([representatives[t.track_id] for t in members]) for members in videos]
     clustered = cluster_groups(reps, params, eps)

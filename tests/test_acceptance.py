@@ -22,9 +22,10 @@ from castgraph.metrics import completeness, der, homogeneity, v_from_scores, v_m
 from castgraph.collabgraph import graph_stats
 from castgraph.pipeline import PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, corrupt, generate, random_unit, rotate_within, sample_blobs
-from castgraph.tracks import merge_tracks, split_tracks_with_sources
+from castgraph.tracks import split_tracks_with_sources
 
 from oracles import n_clusters, oracle_der, oracle_hdbscan, oracle_homogeneity_completeness
+from test_tracks import merge
 
 PARAMS = HdbscanParams(min_cluster_size=2, min_samples=2)
 
@@ -269,7 +270,7 @@ def test_split_merge_round_trip_thousand_tracks():
         )
         pieces, _ = split_tracks_with_sources([track])
         pairs = [AVPair(p.track_id, f"seg{trial}/{i}", 1.0) for i, p in enumerate(pieces)]
-        entities = merge_tracks(pieces, PARAMS)
+        entities = merge(pieces, PARAMS)
         if len(entities) != 1:
             failures += 1
             continue

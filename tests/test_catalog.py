@@ -6,8 +6,13 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +24,11 @@ from castgraph import cli
 from castgraph.bridge import AssociationEdge, AssociationGraph, ConflictEntry, IdentityComponent
 from castgraph.catalog import (
     AVPair,
+    Channel,
+    Dataset,
+    FaceTrack,
+    SpeechSegment,
+    Video,
     _usable_rows,
     from_plain,
     ingest,
@@ -35,6 +45,8 @@ from castgraph.diarize import ReconciledSegment, RejectedSegment
 from castgraph.errors import DanglingReference, DimensionMismatch, MalformedRecord, MissingFile, ZeroVector
 from castgraph.synth import GroundTruth, SynthConfig, generate
 from castgraph.tracks import TrackEntity
+
+from test_pipeline_cli import child_env
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +218,166 @@ def test_ingest_malformed_line(tmp_path, synth_dataset):
         fh.write("{not json\n")
     with pytest.raises(MalformedRecord):
         ingest(root)
+
+
+# --- digest ------------------------------------------------------------------------
+
+T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+DAY = timedelta(days=1)
+
+
+def digest_base() -> Dataset:
+    """Every record kind, two of each, and each optional field both set and unset."""
+    faces = np.arange(1, 25, dtype=np.float32).reshape(6, 4)
+    ds = Dataset(face_dim=4, speaker_dim=3)
+    ds.channels = {"c1": Channel("c1", "One"), "c2": Channel("c2", "Two")}
+    ds.videos = {
+        "v1": Video("v1", "c1", T0, ((T0, 10), (T0 + DAY, 20))),
+        "v2": Video("v2", "c2", T0 + DAY, ((T0 + 2 * DAY, 30),)),
+        "v3": Video("v3", "c2", T0 + 2 * DAY),
+    }
+    ds.tracks = {
+        "t1": FaceTrack("t1", "v1", 0, 50, faces[:3], (0, 10, 20)),
+        "t2": FaceTrack("t2", "v1", 60, 90, faces[3:], (60, 70, 80), 0.5),
+    }
+    ds.segments = {
+        "s1": SpeechSegment("s1", "v1", 0.0, 2.0, np.array([0.5, 1.0, 2.0], dtype=np.float32)),
+        "s2": SpeechSegment("s2", "v2", 1.0, 3.0),
+    }
+    return ds
+
+
+def replaced(table: dict, key: str, **changes) -> None:
+    table[key] = dataclasses.replace(table[key], **changes)
+
+
+def changed_row(matrix: np.ndarray, index) -> np.ndarray:
+    out = matrix.copy()
+    out[index] += 1.0
+    return out
+
+
+def moved_face_row(ds: Dataset) -> None:
+    first, second = ds.tracks["t1"].embeddings, ds.tracks["t2"].embeddings
+    replaced(ds.tracks, "t1", embeddings=first[:2])
+    replaced(ds.tracks, "t2", embeddings=np.concatenate([first[2:], second]))
+
+
+def moved_sample(ds: Dataset) -> None:
+    *kept, last = ds.videos["v1"].view_history
+    replaced(ds.videos, "v1", view_history=tuple(kept))
+    replaced(ds.videos, "v2", view_history=(last, *ds.videos["v2"].view_history))
+
+
+# one edit per id; an id starts with the field it edits, and a boundary shift
+# (a value moved to the next record or string) starts with "shift"
+DIGEST_EDITS = {
+    "Channel.channel_id": lambda ds: replaced(ds.channels, "c1", channel_id="c0"),
+    "Channel.name": lambda ds: replaced(ds.channels, "c1", name="Uno"),
+    "Video.video_id": lambda ds: replaced(ds.videos, "v3", video_id="v4"),
+    "Video.channel_id": lambda ds: replaced(ds.videos, "v3", channel_id="c1"),
+    "Video.published_at": lambda ds: replaced(ds.videos, "v3", published_at=T0 + 2 * DAY + timedelta(microseconds=1)),
+    "Video.view_history-sample_time": lambda ds: replaced(
+        ds.videos, "v1", view_history=((T0 - timedelta(microseconds=1), 10), (T0 + DAY, 20))
+    ),
+    "Video.view_history-sample_count": lambda ds: replaced(ds.videos, "v1", view_history=((T0, 10), (T0 + DAY, 21))),
+    "Video.view_history-None_to_empty": lambda ds: replaced(ds.videos, "v3", view_history=()),
+    "FaceTrack.track_id": lambda ds: replaced(ds.tracks, "t1", track_id="t0"),
+    "FaceTrack.video_id": lambda ds: replaced(ds.tracks, "t1", video_id="v2"),
+    "FaceTrack.start_frame": lambda ds: replaced(ds.tracks, "t1", start_frame=1),
+    "FaceTrack.end_frame": lambda ds: replaced(ds.tracks, "t1", end_frame=51),
+    "FaceTrack.embeddings-face_row_float": lambda ds: replaced(
+        ds.tracks, "t2", embeddings=changed_row(ds.tracks["t2"].embeddings, (2, 3))
+    ),
+    "FaceTrack.embedding_frames": lambda ds: replaced(ds.tracks, "t1", embedding_frames=(0, 10, 21)),
+    "FaceTrack.speaker_confidence": lambda ds: replaced(ds.tracks, "t2", speaker_confidence=0.25),
+    "FaceTrack.speaker_confidence-None_to_zero": lambda ds: replaced(ds.tracks, "t1", speaker_confidence=0.0),
+    "FaceTrack.speaker_confidence-None_to_nan": lambda ds: replaced(ds.tracks, "t1", speaker_confidence=math.nan),
+    "SpeechSegment.segment_id": lambda ds: replaced(ds.segments, "s2", segment_id="s3"),
+    "SpeechSegment.video_id": lambda ds: replaced(ds.segments, "s2", video_id="v3"),
+    "SpeechSegment.start_s": lambda ds: replaced(ds.segments, "s2", start_s=math.nextafter(1.0, 0.0)),
+    "SpeechSegment.end_s": lambda ds: replaced(ds.segments, "s2", end_s=3.5),
+    "SpeechSegment.embedding-speaker_row_float": lambda ds: replaced(
+        ds.segments, "s1", embedding=changed_row(ds.segments["s1"].embedding, 2)
+    ),
+    "SpeechSegment.embedding-None_to_present": lambda ds: replaced(
+        ds.segments, "s2", embedding=np.zeros(3, dtype=np.float32)
+    ),
+    "Dataset.channels": lambda ds: ds.channels.update(c3=Channel("c3", "Three")),
+    "Dataset.videos": lambda ds: ds.videos.update(v4=Video("v4", "c1", T0)),
+    "Dataset.tracks": lambda ds: ds.tracks.update(t3=FaceTrack("t3", "v2", 0, 0, np.zeros((0, 4), np.float32), ())),
+    "Dataset.segments": lambda ds: ds.segments.update(s3=SpeechSegment("s3", "v3", 0.0, 1.0)),
+    "Dataset.face_dim": lambda ds: setattr(ds, "face_dim", 5),
+    "Dataset.speaker_dim": lambda ds: setattr(ds, "speaker_dim", 2),
+    # "v1", "c1" becomes "v1c", "1": the same characters in the same order
+    "shift-adjacent_ids": lambda ds: replaced(ds.videos, "v1", video_id="v1c", channel_id="1"),
+    "shift-embedding_frame": lambda ds: (
+        replaced(ds.tracks, "t1", embedding_frames=(0, 10)),
+        replaced(ds.tracks, "t2", embedding_frames=(20, 60, 70, 80)),
+    ),
+    "shift-view_sample": moved_sample,
+    "shift-face_row": moved_face_row,
+}
+
+
+@pytest.mark.parametrize("edit", DIGEST_EDITS.values(), ids=DIGEST_EDITS.keys())
+def test_every_digested_field_changes_the_digest(edit):
+    ds = digest_base()
+    edit(ds)
+    assert ds.digest() != digest_base().digest()
+
+
+def test_the_digest_edits_cover_every_field():
+    kinds = (Channel, Video, FaceTrack, SpeechSegment, Dataset)
+    names = {f"{kind.__name__}.{f.name}" for kind in kinds for f in dataclasses.fields(kind)}
+    assert names == {edit.split("-")[0] for edit in DIGEST_EDITS if not edit.startswith("shift")}
+
+
+def degenerate_datasets() -> dict[str, Dataset]:
+    base = digest_base()
+    no_rows = FaceTrack("t0", "v1", 0, 0, np.zeros((0, 4), dtype=np.float32), ())
+    return {
+        "empty": Dataset(),
+        "faces_only": dataclasses.replace(base, segments={}),
+        "voices_only": dataclasses.replace(base, tracks={}),
+        "segment_without_embedding": dataclasses.replace(base, tracks={}, segments={"s2": base.segments["s2"]}),
+        "zero_row_track": dataclasses.replace(base, tracks={"t0": no_rows}, segments={}),
+    }
+
+
+@pytest.mark.parametrize("name", degenerate_datasets())
+def test_a_degenerate_dataset_digests_the_same_each_time_and_leaves_no_thread(name):
+    ds = degenerate_datasets()[name]
+    threads = threading.active_count()
+    digests = {ds.digest() for _ in range(50)}
+    assert threading.active_count() == threads
+    assert len(digests) == 1 and len(digests.pop()) == 64
+
+
+def test_degenerate_digests_do_not_depend_on_the_hash_seed(tmp_path):
+    datasets = degenerate_datasets()
+    (tmp_path / "datasets.pickle").write_bytes(pickle.dumps(datasets))
+    script = (
+        "import json, pathlib, pickle, sys\n"
+        "datasets = pickle.loads(pathlib.Path(sys.argv[1]).read_bytes())\n"
+        "print(json.dumps({name: ds.digest() for name, ds in datasets.items()}))\n"
+    )
+    expected = {name: ds.digest() for name, ds in datasets.items()}
+    for seed in ("1", "2"):
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "datasets.pickle")],
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed), check=True,
+        )
+        assert json.loads(child.stdout) == expected
+
+
+def test_a_failure_on_the_face_thread_is_raised_by_digest():
+    ds = digest_base()
+    ds.tracks["t1"].embeddings = np.array([["not a float"]])
+    threads = threading.active_count()
+    with pytest.raises(ValueError):
+        ds.digest()
+    assert threading.active_count() == threads
 
 
 # --- validate ----------------------------------------------------------------------
@@ -383,7 +555,8 @@ def odd_dimension_row(index):
 
 
 # a number field of another JSON type, as (file, path to the field, value, field name in the message):
-# an integer field takes a JSON integer, a float field any JSON number, and a bool is neither
+# an integer field takes a JSON integer that fits in 64 bits, a float field any JSON number,
+# and a bool is neither
 WRONG_NUMBERS = [
     ("tracks.jsonl", ("start_frame",), 25.7, "start_frame"),
     ("tracks.jsonl", ("start_frame",), "25", "start_frame"),
@@ -399,6 +572,8 @@ WRONG_NUMBERS = [
     ("videos.json", ("view_history", 0, 1), True, "view_history"),
     ("segments.jsonl", ("start_s",), True, "start_s"),
     ("segments.jsonl", ("end_s",), "2.24", "end_s"),
+    ("tracks.jsonl", ("end_frame",), 2**63, "end_frame"),
+    ("videos.json", ("view_history", -1, 1), 2**64, "view_history"),
 ]
 
 

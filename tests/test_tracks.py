@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from castgraph.catalog import AVPair, FaceTrack, SpeechSegment
-from castgraph.distcluster import HdbscanParams
+from castgraph.distcluster import FALLBACK_EPS, HdbscanParams
 from castgraph.synth import random_unit, rotate_within
 from castgraph.tracks import (
     MAX_PIECE_FRAMES,
@@ -20,6 +20,11 @@ from castgraph.tracks import (
 from oracles import oracle_split_ranges
 
 PARAMS = HdbscanParams(2, 2)
+
+
+def merge(tracks, params):
+    """merge_tracks over tracks, each clustered by its representative_embedding."""
+    return merge_tracks(tracks, params, FALLBACK_EPS, {t.track_id: representative_embedding(t) for t in tracks})
 
 
 def make_track(track_id, start, end, vec, video="v1", conf=None, every=25):
@@ -140,7 +145,7 @@ def test_pairing_tie_prefers_earlier_segment():
 def test_merge_split_pieces_of_one_track():
     track = make_track("t", 0, 149, [0.6, 0.8])
     pieces = split_tracks_with_sources([track])[0]
-    entities = merge_tracks(pieces, PARAMS)
+    entities = merge(pieces, PARAMS)
     assert len(entities) == 1
     assert set(entities[0].member_track_ids) == {"t#0", "t#1", "t#2"}
     assert sum(p.end_frame - p.start_frame + 1 for p in pieces if p.track_id in entities[0].member_track_ids) == 150
@@ -156,13 +161,13 @@ def test_merge_two_identities():
         make_track("b1", 100, 149, b),
         make_track("b2", 150, 199, b),
     ]
-    entities = merge_tracks(tracks, PARAMS)
+    entities = merge(tracks, PARAMS)
     members = {frozenset(e.member_track_ids) for e in entities}
     assert members == {frozenset({"a1", "a2"}), frozenset({"b1", "b2"})}
 
 
 def test_merge_single_track_singleton_entity():
-    entities = merge_tracks([make_track("only", 0, 30, [1, 0])], PARAMS)
+    entities = merge([make_track("only", 0, 30, [1, 0])], PARAMS)
     assert len(entities) == 1
     assert entities[0].member_track_ids == ("only",)
 
@@ -171,7 +176,7 @@ def test_merge_keeps_av_pairs():
     track = make_track("t", 0, 149, [0.0, 1.0], conf=1.0)
     pieces = split_tracks_with_sources([track])[0]
     pairs = [AVPair(p.track_id, f"s{k}", 1.0) for k, p in enumerate(pieces)]
-    entities = merge_tracks(pieces, PARAMS)
+    entities = merge(pieces, PARAMS)
     assert len(entities) == 1
     # the bridge joins a pair to the entity holding its track
     assert {pair.track_id for pair in pairs} <= set(entities[0].member_track_ids)
@@ -183,7 +188,7 @@ def test_merge_is_per_video():
         make_track("x", 0, 40, a, video="v1"),
         make_track("y", 0, 40, a, video="v2"),
     ]
-    entities = merge_tracks(tracks, PARAMS)
+    entities = merge(tracks, PARAMS)
     assert len(entities) == 2
     assert {e.video_id for e in entities} == {"v1", "v2"}
 
@@ -217,7 +222,7 @@ def test_split_then_merge_single_identity_round_trip(seed):
     track = FaceTrack("t", "v1", start, end, np.tile(face, (len(frames), 1)), frames, 1.0)
 
     pieces = split_tracks_with_sources([track])[0]
-    entities = merge_tracks(pieces, PARAMS)
+    entities = merge(pieces, PARAMS)
     assert len(entities) == 1
     # pieces partition the kept frame range
     spans = sorted((p.start_frame, p.end_frame) for p in pieces)
@@ -239,7 +244,7 @@ def test_frame_conservation_across_entities():
         tracks.append(make_track(f"t{k}", start, end, [1.0, float(k)], video=f"v{k % 3}"))
     total_in = sum(t.end_frame - t.start_frame + 1 for t in tracks)
     pieces = split_tracks_with_sources(tracks)[0]
-    entities = merge_tracks(pieces, PARAMS)
+    entities = merge(pieces, PARAMS)
     by_id = {p.track_id: p for p in pieces}
     total_entities = sum(by_id[t].end_frame - by_id[t].start_frame + 1 for e in entities for t in e.member_track_ids)
     dropped = total_in - sum(p.end_frame - p.start_frame + 1 for p in pieces)
