@@ -7,13 +7,17 @@ Connected components over the kept edges (:func:`kept_edges`: enough votes,
 and the top-voted edge of one of its two clusters) are the resolved
 identities: a component with both modalities is a person seen and heard, a
 bare speaker cluster is an off-screen voice, a bare face cluster someone who
-never speaks on camera.
+never speaks on camera. The components come from the union-find of the flat
+clustering, :func:`distcluster.union`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .distcluster import union
 from .errors import DanglingReference
 
 
@@ -75,27 +79,6 @@ def build_graph(
     return AssociationGraph(face_nodes, speaker_nodes, edges)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller key as root so component ids are stable
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def kept_edges(graph: AssociationGraph, min_votes: int = 1) -> list[AssociationEdge]:
     """Edges with at least min_votes votes that are the top-voted edge of their
     face cluster or of their speaker cluster; tied top edges are all kept.
@@ -124,23 +107,20 @@ def resolve_identities(graph: AssociationGraph, min_votes: int = 1) -> list[Iden
     """
     if min_votes < 1:
         raise ValueError("min_votes must be >= 1")
-    nodes = [("face", f) for f in graph.face_nodes] + [
-        ("speaker", s) for s in graph.speaker_nodes
+    # sorted, so each component's root, its smallest index, is its smallest member
+    nodes = sorted({("face", f) for f in graph.face_nodes} | {("speaker", s) for s in graph.speaker_nodes})
+    index = {node: k for k, node in enumerate(nodes)}
+    kept = kept_edges(graph, min_votes)
+    ends = np.array([(index["face", e.face], index["speaker", e.speaker]) for e in kept], dtype=np.int64)
+    parent = np.arange(len(nodes))
+    union(parent, *ends.reshape(-1, 2).T)
+
+    members: dict[int, dict[str, set[int]]] = {}
+    for (kind, cluster), root in zip(nodes, parent.tolist()):
+        members.setdefault(root, {"face": set(), "speaker": set()})[kind].add(cluster)
+    return [
+        IdentityComponent(k, frozenset(m["face"]), frozenset(m["speaker"])) for k, m in enumerate(members.values())
     ]
-    uf = _UnionFind(nodes)
-    for edge in kept_edges(graph, min_votes):
-        uf.union(("face", edge.face), ("speaker", edge.speaker))
-
-    components: dict[tuple, list[tuple]] = {}
-    for node in nodes:
-        components.setdefault(uf.find(node), []).append(node)
-
-    out = []
-    for _, members in sorted(components.items(), key=lambda item: min(item[1])):
-        faces = frozenset(m[1] for m in members if m[0] == "face")
-        speakers = frozenset(m[1] for m in members if m[0] == "speaker")
-        out.append(IdentityComponent(len(out), faces, speakers))
-    return out
 
 
 @dataclass(frozen=True)

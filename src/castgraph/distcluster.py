@@ -9,7 +9,8 @@ clustering and falls back to plain density clustering when the hierarchy
 labels everything as noise (the single-identity failure mode) or when there
 are too few points for a hierarchy at all. The hierarchy never selects its
 root, so fewer than 2 * min_cluster_size points that are not all identical
-come back all noise without building it. The fallback's radius is one fixed
+come back all noise without building it. The fallback, :func:`dbscan`, is
+the connected components of the eps-graph (DBSCAN at min_pts 2), at one fixed
 cosine distance, FALLBACK_EPS, unless the caller gives another.
 
 Recognition across videos is two-level, channel then global
@@ -23,9 +24,10 @@ of one), and a matrix holds G groups, G = 1 included. Distances, duplicate
 zeroing, the shortcuts, core distances, Prim, the k-distance eps and
 DBSCAN (one pass over the row blocks) loop over n, never over G; only the
 dendrogram, condensation, excess-of-mass and label renumbering run per
-group. Core distances, eps and labels keep the group axis (labels are one
-(G, n) int64 array: -1 is noise, clusters are numbered 0..k-1); MST edges
-and fallback flags come back as lists with one entry per group.
+group. Core distances, the k-distance eps and labels keep the group axis
+(labels are one (G, n) int64 array: -1 is noise, clusters are numbered
+0..k-1); MST edges and fallback flags come back as lists with one entry per
+group.
 
 One layout in two media. Every matrix is G row-major n x n float64 squares.
 Sets of at most BLOCK points (every per-video stack, and every channel on
@@ -564,7 +566,7 @@ def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> np.ndarray:
 
 # --- flat density clustering ---------------------------------------------------
 
-def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Join the trees of each pair (a[k], b[k]) in a forest whose every id points at its root.
 
     Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 1982):
@@ -594,60 +596,38 @@ def _pairs(mask: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray
     return rows + g * (n - mask.shape[1]) + first, g * n + j
 
 
-def dbscan(m: DistanceMatrix, eps: float | np.ndarray, min_pts: int) -> np.ndarray:
-    """Classic density-reachability clustering (Ester, Kriegel, Sander and Xu, KDD 1996).
+def dbscan(m: DistanceMatrix, eps: float) -> np.ndarray:
+    """Density clustering at min_pts 2: the connected components of each group's eps-graph.
 
-    A point is core when at least min_pts points (itself included) lie within
-    eps, boundary inclusive; at eps 0 only points at distance exactly 0
-    (bitwise duplicates) are neighbors. The clusters are the connected
-    components of the core points' eps-graph, numbered by their smallest core
-    point, and a non-core point within eps of a core point (a border point)
-    joins the smallest-numbered cluster among its core neighbors. These are
-    exactly the labels of the breadth-first definition: seeds in ascending
-    index order, each growing its seed's component over ascending neighbor
-    indices, so a border point joins the first cluster that reaches it. eps
-    is one value or one per group; the (G, n) labels come back.
+    DBSCAN (Ester, Kriegel, Sander and Xu, KDD 1996) at min_pts 2 has no
+    border points, since a point with any neighbor within eps (boundary
+    inclusive) is core; this is DBSCAN* (Campello, Moulavi and Sander,
+    PAKDD 2013). At eps 0 only points at distance exactly 0 (bitwise
+    duplicates) are neighbors. A component of two or more points is a
+    cluster, numbered by its smallest point, and every other point is -1;
+    a one-point set is cluster 0. Returns the (G, n) labels.
 
-    One pass over the row blocks, each read once: a block's counts fix its
-    core flags, each of its core points is joined by union-find to every
-    core point before it within eps, and each non-core point keeps its at
-    most min_pts - 2 other neighbors. The pairs are taken BLOCK // 8 rows at
-    a time, so no temporary is larger than the row block.
+    One pass over the row blocks, each read once: each point is joined by
+    union to every point before it within eps, BLOCK // 8 rows at a time, so
+    no temporary is larger than the row block.
     """
+    if not eps >= 0:
+        raise ValueError("eps must be a non-negative number")
     groups, n = m.groups, m.n
-    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (groups,))
-    if np.any(eps < 0):
-        raise ValueError("eps must be non-negative")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-    core = np.empty((groups, n), dtype=bool)
     parent = np.arange(groups * n)  # union-find over the flat ids g * n + i
-    borders = [np.empty((2, 0), dtype=np.int64)]  # (non-core point, neighbor) flat id pairs
     for lo, rows in _row_blocks(m):
-        # self always qualifies at distance zero
-        near = rows <= eps[:, None, None]
-        core[:, lo : lo + near.shape[1]] = np.count_nonzero(near, axis=2) >= min_pts
-        for first in range(lo, lo + near.shape[1], BLOCK // 8):
-            chunk = near[:, first - lo : first - lo + BLOCK // 8]
+        for first in range(lo, lo + rows.shape[1], BLOCK // 8):
+            chunk = rows[:, first - lo : first - lo + BLOCK // 8]
             last = first + chunk.shape[1]
-            # each core point meets the core points before it, whose flags are
-            # known, so every core pair is joined once
-            joins = chunk[:, :, :last] & core[:, None, :last] & core[:, first:last, None]
+            joins = chunk[:, :, :last] <= eps
             joins &= np.tri(last - first, last, first - 1, dtype=bool)
-            _union(parent, *_pairs(joins, first, n))
-            i, j = _pairs(chunk & ~core[:, first:last, None], first, n)
-            borders.append(np.stack((i, j))[:, i != j])
-    flat_core = core.reshape(-1)
-    # each root is its component's smallest core point, the breadth-first
-    # seed, so clusters are numbered by root rank within the group; n stands
-    # above every cluster until the borders are resolved
-    roots = flat_core & (parent == np.arange(groups * n))
-    labels = np.where(flat_core, np.cumsum(roots.reshape(groups, n), axis=1).reshape(-1)[parent] - 1, n)
-    i, j = np.concatenate(borders, axis=1)
-    reached = flat_core[j]
-    np.minimum.at(labels, i[reached], labels[j[reached]])
-    labels[labels == n] = -1
-    return labels.reshape(groups, n)
+            union(parent, *_pairs(joins, first, n))
+    # each root is its component's smallest point, so clusters are numbered
+    # by root rank within the group
+    clustered = np.bincount(parent, minlength=groups * n)[parent] >= min(2, n)
+    roots = clustered & (parent == np.arange(groups * n))
+    ranks = np.cumsum(roots.reshape(groups, n), axis=1).reshape(-1) - 1
+    return np.where(clustered, ranks[parent], -1).reshape(groups, n)
 
 
 def k_distance_eps(m: DistanceMatrix, k: int = 4, percentile: float = 90.0) -> np.ndarray:
@@ -671,9 +651,8 @@ def cluster_with_fallback(
 
     Falls back to dbscan at radius eps when the hierarchy finds only noise,
     and also when there are fewer points than min_cluster_size (a hierarchy
-    cannot exist); the fallback's min_pts of 2 is clamped to the point count
-    so a lone point still gets a label decision instead of an error. With
-    params None no hierarchy is built and every group takes the fallback.
+    cannot exist); a lone point is the fallback's cluster 0. With params None
+    no hierarchy is built and every group takes the fallback.
     Returns the (G, n) labels and one used_fallback flag per group. The
     fallback runs over the whole stack when any group needs it, and its rows
     replace only those groups' labels.
@@ -683,10 +662,10 @@ def cluster_with_fallback(
     except TooFewPoints:
         labels = None
     if labels is None:
-        return dbscan(m, eps, min(2, m.n)), [True] * m.groups
+        return dbscan(m, eps), [True] * m.groups
     used = (labels == -1).all(axis=1)
     if used.any():
-        labels[used] = dbscan(m, eps, min(2, m.n))[used]
+        labels[used] = dbscan(m, eps)[used]
     return labels, used.tolist()
 
 
@@ -768,7 +747,7 @@ def cluster_by_channel(
     """Labels for vectors across channels: each channel's vectors first, then one global call.
 
     The channel step clusters each channel's vectors by dbscan alone at eps,
-    min_pts 2, all channels in one cluster_groups call. It is not HDBSCAN:
+    all channels in one cluster_groups call. It is not HDBSCAN:
     at min_cluster_size 2 the hierarchy joins mutually far points that no
     other point is near. Each channel cluster enters the one cluster_points
     call as its channel_representatives, k = max(min_cluster_size, effective

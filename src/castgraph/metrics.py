@@ -100,13 +100,12 @@ def assignment_accuracy(video_truth: dict, video_pred: dict) -> float:
 
 # --- diarization error rate ------------------------------------------------------
 
-def _active_sets(timeline, boundaries):
-    """Speaker set per elementary interval of the boundary grid."""
-    sets = [set() for _ in range(len(boundaries) - 1)]
+def _active_sets(timeline, at):
+    """Speaker set per interval of the grid; interval k lies in [start, end) when at[start] <= k < at[end]."""
+    sets = [set() for _ in range(len(at) - 1)]
     for start, end, speaker in timeline:
-        for k in range(len(boundaries) - 1):
-            if start < boundaries[k + 1] and end > boundaries[k]:
-                sets[k].add(speaker)
+        for k in range(at[start], at[end]):
+            sets[k].add(speaker)
     return sets
 
 
@@ -196,8 +195,9 @@ def der(reference, hypothesis) -> float:
         raise EmptyReference("reference timeline is empty")
 
     boundaries = sorted({t for start, end, _ in (*reference, *hypothesis) for t in (start, end)})
-    ref_sets = _active_sets(reference, boundaries)
-    hyp_sets = _active_sets(hypothesis, boundaries)
+    at = {t: k for k, t in enumerate(boundaries)}
+    ref_sets = _active_sets(reference, at)
+    hyp_sets = _active_sets(hypothesis, at)
     widths = [boundaries[k + 1] - boundaries[k] for k in range(len(boundaries) - 1)]
 
     ref_speakers = sorted({speaker for _, _, speaker in reference})
@@ -228,9 +228,8 @@ def der(reference, hypothesis) -> float:
             1 for h in hyp_sets[k] if h in mapping and mapping[h] in ref_sets[k]
         )
         total_ref += n_ref * width
-        error += (
-            max(0, n_ref - n_hyp) + max(0, n_hyp - n_ref) + (min(n_ref, n_hyp) - matched)
-        ) * width
+        # missed + false alarm + confused speakers: |n_ref - n_hyp| + min(n_ref, n_hyp) - matched
+        error += (max(n_ref, n_hyp) - matched) * width
     if total_ref == 0.0:
         raise EmptyReference("reference timeline has zero speech time")
     return error / total_ref

@@ -157,6 +157,11 @@ def test_resolve_edge_order_irrelevant():
         (frozenset(c.face_clusters), frozenset(c.speaker_clusters)) for c in comps
     }
     assert as_sets(base) == as_sets(flipped)
+    # identity ids go by each component's smallest member, whatever the node order
+    as_ids = lambda comps: [(c.identity_id, c.face_clusters, c.speaker_clusters) for c in comps]
+    graph = AssociationGraph((0, 1, 2), (0, 1, 2), (AssociationEdge(2, 0, 1), AssociationEdge(0, 2, 1)))
+    reversed_nodes = AssociationGraph(graph.face_nodes[::-1], graph.speaker_nodes[::-1], graph.edges)
+    assert as_ids(resolve_identities(reversed_nodes)) == as_ids(resolve_identities(graph))
 
 
 def identity_sets(comps):

@@ -449,9 +449,9 @@ def test_dbscan_label_validity_fuzz():
     for _ in range(40):
         n = int(rng.integers(1, 40))
         points = rng.standard_normal((max(n, 2), 6))
-        eps, min_pts = float(rng.uniform(0.1, 1.5)), int(rng.integers(1, 5))
+        eps = float(rng.uniform(0.1, 1.5))
         for m in both_forms(distance_matrix([points])):
-            labels = dbscan(m, eps, min_pts)[0]
+            labels = dbscan(m, eps)[0]
             assert labels.min() >= -1
             found = sorted(set(labels.tolist()) - {-1})
             assert found == list(range(len(found)))
@@ -462,14 +462,14 @@ def test_dbscan_label_validity_fuzz():
 def test_dbscan_single_blob_large_eps():
     points, _ = sample_blobs(20, 1, 64, 3.0, seed=2)
     for m in both_forms(distance_matrix([points])):
-        [labels] = dbscan(m, eps=1.9, min_pts=2)
+        [labels] = dbscan(m, eps=1.9)
         assert n_clusters(labels) == 1
         assert np.count_nonzero(labels == -1) == 0
 
 
 def test_dbscan_mutually_distant_all_noise():
     for m in both_forms(distance_matrix([np.eye(5)])):
-        [labels] = dbscan(m, eps=0.5, min_pts=2)
+        [labels] = dbscan(m, eps=0.5)
         assert n_clusters(labels) == 0
 
 
@@ -477,16 +477,16 @@ def test_dbscan_eps_zero_joins_only_bitwise_duplicates():
     rng = np.random.default_rng(17)
     distinct = rng.standard_normal((4, 6))
     for m in both_forms(distance_matrix([distinct[[2, 0, 1, 0, 3, 2, 2]]])):
-        assert dbscan(m, eps=0.0, min_pts=2)[0].tolist() == [0, 1, -1, 1, -1, 0, 0]
-        assert dbscan(m, eps=0.0, min_pts=3)[0].tolist() == [0, -1, -1, -1, -1, 0, 0]
-        with pytest.raises(ValueError):
-            dbscan(m, eps=-0.1, min_pts=2)
+        assert dbscan(m, eps=0.0)[0].tolist() == [0, 1, -1, 1, -1, 0, 0]
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                dbscan(m, eps=eps)
 
 
 def test_dbscan_three_blobs_with_heuristic_eps():
     points, truth = sample_blobs(45, 3, 256, 4.0, seed=31)
     for m in both_forms(distance_matrix([points])):
-        [labels] = dbscan(m, eps=k_distance_eps(m), min_pts=2)
+        [labels] = dbscan(m, eps=float(k_distance_eps(m)[0]))
         # three clusters in one-to-one blob correspondence; a percentile eps may
         # leave a few boundary stragglers as noise
         assert n_clusters(labels) == 3
@@ -506,24 +506,11 @@ def test_dbscan_core_points_match_oracle(seed):
     points = rng.standard_normal((60, 8))
     m = distance_matrix([points])
     eps = float(rng.uniform(0.2, 1.2))
-    min_pts = int(rng.integers(1, 6))
-    square = m.to_square()[0].tolist()
-    expected_core = oracle_dbscan_core_points(square, eps, min_pts)
+    expected_core = oracle_dbscan_core_points(m.to_square()[0].tolist(), eps, 2)
     for form in both_forms(m):
-        [labels] = dbscan(form, eps, min_pts)
-        for i, is_core in enumerate(expected_core):
-            if is_core:
-                assert labels[i] != -1
-        # non-core labeled points must sit within eps of a core point of the
-        # same cluster (border points)
-        for i in range(60):
-            if labels[i] != -1 and not expected_core[i]:
-                assert any(
-                    expected_core[j]
-                    and labels[j] == labels[i]
-                    and square[i][j] <= eps
-                    for j in range(60)
-                )
+        [labels] = dbscan(form, eps)
+        # at min_pts 2 there are no border points: exactly the core points are labeled
+        assert (labels != -1).tolist() == expected_core
 
 
 def random_stack(rng, groups, n, dim):
@@ -536,24 +523,25 @@ def random_stack(rng, groups, n, dim):
     return points
 
 
-def assert_dbscan_matches_oracle(m, eps, min_pts):
+def assert_dbscan_matches_oracle(m, eps):
+    """dbscan's labels of every group equal the breadth-first oracle's at min_pts 2, or 0 for one point."""
     squares = m.to_square()
     for form in both_forms(m):
-        got = dbscan(form, eps, min_pts)
-        for g, labels in enumerate(got):
-            assert labels.tolist() == oracle_dbscan(squares[g].tolist(), eps[g], min_pts), (g, eps[g])
+        for g, labels in enumerate(dbscan(form, eps)):
+            expected = oracle_dbscan(squares[g].tolist(), eps, 2) if m.n > 1 else [0]
+            assert labels.tolist() == expected, (g, eps)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dbscan_labels_match_oracle_on_stacks(seed):
-    # several groups per call, bitwise duplicates, one eps per group (0 among
-    # them); labels, not only core points, must match exactly
+    # several groups per call, bitwise duplicates, eps 0 among the radii, one
+    # point per set among the sizes; labels must match exactly
     rng = np.random.default_rng(900 + seed)
     for _ in range(25):
         groups, n, dim = int(rng.integers(1, 5)), int(rng.integers(1, 30)), int(rng.integers(2, 6))
-        eps = rng.choice([0.0, rng.uniform(0.05, 0.6), rng.uniform(0.6, 1.6)], size=groups)
+        eps = float(rng.choice([0.0, rng.uniform(0.05, 0.6), rng.uniform(0.6, 1.6)]))
         with distance_matrix(random_stack(rng, groups, n, dim)) as m:
-            assert_dbscan_matches_oracle(m, eps, int(rng.integers(1, 6)))
+            assert_dbscan_matches_oracle(m, eps)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -562,7 +550,8 @@ def test_dbscan_labels_match_oracle_in_the_file_medium(seed):
     n = distcluster.BLOCK + 20
     with distance_matrix(random_stack(rng, 2, n, 6)) as m:
         assert isinstance(m, SquareDistanceFile)
-        assert_dbscan_matches_oracle(m, np.array([0.0, rng.uniform(0.1, 0.3)]), int(rng.integers(1, 7)))
+        for eps in (0.0, float(rng.uniform(0.1, 0.3))):
+            assert_dbscan_matches_oracle(m, eps)
 
 
 def arc(n: int, seed: int) -> tuple[np.ndarray, float]:
@@ -573,19 +562,17 @@ def arc(n: int, seed: int) -> tuple[np.ndarray, float]:
 
 
 @pytest.mark.parametrize("n", [40, distcluster.BLOCK + 20])
-@pytest.mark.parametrize("min_pts", [2, 3])
-def test_dbscan_joins_a_shuffled_chain(n, min_pts):
+def test_dbscan_joins_a_shuffled_chain(n):
     # each point reaches only its two arc neighbors, so the one cluster is a
-    # chain whose links hook roots all over the index range; at min_pts 3 the
-    # two ends are border points
-    points, eps = arc(n, seed=n + min_pts)
+    # chain whose links hook roots all over the index range
+    points, eps = arc(n, seed=n + 2)
     with distance_matrix([points]) as m:
         square = m.to_square()
     assert sorted(np.count_nonzero(square[0] <= eps, axis=1).tolist()) == [2, 2] + [3] * (n - 2)
-    expected = oracle_dbscan(square[0].tolist(), eps, min_pts)
+    expected = oracle_dbscan(square[0].tolist(), eps, 2)
     assert expected == [0] * n
     for form in both_forms(SquareDistanceArray(square)):
-        assert dbscan(form, eps, min_pts)[0].tolist() == expected
+        assert dbscan(form, eps)[0].tolist() == expected
 
 
 def recorded_reads(monkeypatch, m: DistanceMatrix) -> list[tuple[int, int]]:
@@ -607,16 +594,17 @@ def test_dbscan_reads_each_row_once_in_row_blocks(monkeypatch, eps):
     n = BLOCK + 20
     with distance_matrix(random_stack(rng, 1, n, 6)) as m:
         reads = recorded_reads(monkeypatch, m)
-        dbscan(m, eps, 3)
+        dbscan(m, eps)
     assert reads == [(0, BLOCK), (BLOCK, 20)]
     with distance_matrix(random_stack(rng, 3, 40, 6)) as m:
         reads = recorded_reads(monkeypatch, m)
-        dbscan(m, eps, 3)
+        dbscan(m, eps)
     assert reads == [(0, 40)]
 
 
 def test_dbscan_border_point_goes_to_first_cluster():
-    # 1-d layout mapped onto distinct angles: two cores flank one border point
+    # 1-d layout mapped onto distinct angles: point 2 lies within eps of points
+    # 1 and 3, so at min_pts 2 it is core, not a border point, and joins 0..3
     m = in_memory(
         5,
         np.array(
@@ -624,9 +612,8 @@ def test_dbscan_border_point_goes_to_first_cluster():
         ),
     )
     for form in both_forms(m):
-        [labels] = dbscan(form, eps=0.45, min_pts=2)
-        # point 2 is within eps of both clusters; ascending seed order claims it first
-        assert labels[2] == labels[0]
+        [labels] = dbscan(form, eps=0.45)
+        assert labels.tolist() == [0, 0, 0, 0, -1]
 
 
 # --- fallback policy -------------------------------------------------------------
@@ -695,6 +682,13 @@ def test_cluster_points_degenerate_inputs(vectors, expected, used):
     assert labels.tolist() == expected
     assert labels.dtype == np.int64
     assert used_fallback is used
+
+
+def test_cluster_points_rejects_a_nan_eps():
+    # a lone point and a pair the hierarchy leaves as noise both reach the fallback
+    for vectors in ([[0.3, 0.4, 1.2]], np.eye(2)):
+        with pytest.raises(ValueError):
+            cluster_points(vectors, HdbscanParams(2), eps=float("nan"))
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -984,14 +984,18 @@ print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.spli
 """
 
 
-@pytest.fixture(scope="module")
-def cfg_data(tmp_path_factory):
-    ds, truth = generate(CFG)
-    data = tmp_path_factory.mktemp("cfg") / "data"
+def write_corpus(config: SynthConfig, data: Path) -> Path:
+    """config's dataset and its ground truth written to the new directory data."""
+    ds, truth = generate(config)
     data.mkdir()
     catalog.write(ds, data)
     truth.save(data / "ground_truth.json")
     return data
+
+
+@pytest.fixture(scope="module")
+def cfg_data(tmp_path_factory):
+    return write_corpus(CFG, tmp_path_factory.mktemp("cfg") / "data")
 
 
 def run_cfg_in_subprocess(data: Path, out: Path, **env) -> dict:
@@ -1014,13 +1018,16 @@ def test_cli_run_never_imports_scipy(tmp_path, cfg_data):
     assert status["scipy"] == []
 
 
-def test_blas_thread_count_invisible_in_bytes(tmp_path, cfg_data):
-    # the hash seed differs too: no grouping may depend on set or hash order
+@pytest.mark.parametrize("config", [CFG, SynthConfig(**DUPES, rng_seed=1)], ids=["cfg", "dupes"])
+def test_blas_thread_count_invisible_in_bytes(tmp_path, config):
+    # the hash seed differs too: no grouping may depend on set or hash order;
+    # the dupes corpus sends bitwise-identical points through every clustering
+    data = write_corpus(config, tmp_path / "data")
     trees = []
     for threads, hash_seed in (("1", "0"), ("2", "1")):
         out = tmp_path / f"blas{threads}"
         run_cfg_in_subprocess(
-            cfg_data, out, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed
+            data, out, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed
         )
         trees.append(read_tree(out))
     one, two = trees
