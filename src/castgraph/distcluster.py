@@ -683,8 +683,11 @@ def cluster_groups(
     takes one distance_matrix and one cluster_with_fallback call; an error
     in any set is the whole call's error. An empty set gives no labels and
     no fallback; a set of one vector gets the fallback's one-point decision.
-    A zero vector in any set raises ZeroVector.
+    A zero vector in any set raises ZeroVector, and a negative or NaN eps
+    raises ValueError before any set is clustered.
     """
+    if not eps >= 0:
+        raise ValueError("eps must be a non-negative number")
     results: list[tuple[np.ndarray, bool]] = [None] * len(groups)
     # stacked by size and dimension, so a set never meets a set of another shape
     by_shape: dict[tuple, list[int]] = {}

@@ -3,14 +3,15 @@
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
 global speaker clustering -> bridge -> graph -> report. Both global stages
 cluster each channel's points first, then all channels in one call. split
-and pair cost less to recompute than to read back, so they keep no
-checkpoint and run when their results are first read. Every later stage is
-a row of the stage table, run by one generic step (:meth:`PipelineRun.step`);
-a reused row is decoded when first read. The report, with its evaluation,
-is the last row, so a resume whose stamps all match computes nothing. Every
-file is written to a temporary name and renamed into place. For a fixed
-dataset and configuration the bytes do not depend on the BLAS thread count,
-the hash seed or the output path.
+gives each piece its representative, the one vector that merge and global
+face clustering read of it. split and pair cost less to recompute than to
+read back, so they keep no checkpoint and run when their results are first
+read. Every later stage is a row of the stage table, run by one generic
+step (:meth:`PipelineRun.step`); a reused row is decoded when first read.
+The report, with its evaluation, is the last row, so a resume whose stamps
+all match computes nothing. Every file is written to a temporary name and
+renamed into place. For a fixed dataset and configuration the bytes do not
+depend on the BLAS thread count, the hash seed or the output path.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import mmap
 import os
 from dataclasses import dataclass, make_dataclass
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
@@ -42,13 +40,7 @@ from .distcluster import (
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 from .errors import PipelineStageError, ZeroVector
 from .synth import GroundTruth
-from .tracks import (
-    TrackEntity,
-    assign_active_speakers,
-    merge_tracks,
-    representative_embedding,
-    split_tracks_with_sources,
-)
+from .tracks import TrackEntity, assign_active_speakers, merge_tracks, split_tracks_with_sources
 
 CLUSTERING = ("min_cluster_size", "min_samples", "dbscan_eps")
 # the evaluation as a text table, next to report.json when the report holds one
@@ -259,24 +251,9 @@ class PipelineRun:
         segments = self.ds.segments.values()
         self.av_pairs = assign_active_speakers(self.pieces, segments, self.config.conf_threshold)
 
-    @cached_property
-    def representatives(self) -> dict:
-        """Each split piece's representative_embedding by piece id, computed once per run.
-
-        merge clusters them within each video and cluster_faces averages them
-        into entity points; cluster_faces, the last reader, drops them.
-        """
-        # rows of one anonymous mapping: once dropped, its pages go back to the
-        # system instead of leaving heap holes under the global calls' peak
-        count, dim = len(self.pieces), self.ds.face_dim
-        block = np.frombuffer(mmap.mmap(-1, 4 * count * dim or 1), np.float32, count * dim).reshape(count, dim)
-        for row, piece in zip(block, self.pieces):
-            row[...] = representative_embedding(piece)
-        return dict(zip((piece.track_id for piece in self.pieces), block))
-
     def compute_merge(self) -> None:
         config = self.config
-        self.entities = merge_tracks(self.pieces, config.hdbscan_params, config.dbscan_eps, self.representatives)
+        self.entities = merge_tracks(self.pieces, config.hdbscan_params, config.dbscan_eps)
 
     def compute_diarize(self) -> None:
         """Each retained segment's speaker label, by video id, then start.
@@ -316,11 +293,11 @@ class PipelineRun:
         the stage fails with ZeroVector; the speaker side instead splits
         such a speaker into its segments. Points are in entity order.
         """
+        representatives = {p.track_id: p.representative for p in self.pieces}
         points = [
-            (e.video_id, [e.entity_id], unit_mean([self.representatives[t] for t in e.member_track_ids]))
+            (e.video_id, [e.entity_id], unit_mean([representatives[t] for t in e.member_track_ids]))
             for e in self.entities
         ]
-        del self.representatives  # freed before the clustering calls
         self.face_labels = self._cluster(points)
 
     def compute_cluster_speakers(self) -> None:

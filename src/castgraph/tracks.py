@@ -1,4 +1,9 @@
-"""Face-track splitting, active-speaker pairing, and track merging."""
+"""Face-track splitting, active-speaker pairing, and track merging.
+
+A split piece keeps its frame range and one vector, its representative (the
+unit mean of the track rows it covers), and no rows; merge and the global
+face clustering read only that vector.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .catalog import FRAME_RATE, AVPair, FaceTrack, SpeechSegment, unit_mean
+from .catalog import FRAME_RATE, AVPair, SpeechSegment, unit_mean
 from .distcluster import HdbscanParams, cluster_groups, label_groups
 from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test reads it here
 
@@ -15,6 +20,18 @@ from .distcluster import distance_matrix  # noqa: F401; perfbench's tracer test 
 # split piece lengths in frames; split keeps no stamp, so __version__ must change with them
 MAX_PIECE_FRAMES = 50
 MIN_PIECE_FRAMES = 25
+
+
+@dataclass(eq=False)
+class TrackPiece:
+    """A split piece of a face track: its frame range, and the one vector it is clustered by."""
+
+    track_id: str
+    video_id: str
+    start_frame: int
+    end_frame: int
+    speaker_confidence: float | None
+    representative: np.ndarray  # unit_mean of the covered track rows, (face_dim,) float32
 
 
 @dataclass
@@ -26,16 +43,17 @@ class TrackEntity:
     member_track_ids: tuple[str, ...]
 
 
-def split_tracks_with_sources(tracks) -> tuple[list[FaceTrack], dict[str, str]]:
+def split_tracks_with_sources(tracks) -> tuple[list[TrackPiece], dict[str, str]]:
     """Cut tracks into pieces of at most MAX_PIECE_FRAMES, with a piece-id to source-track-id map.
 
-    Pieces partition the parent frame range in order; each embedding follows
-    its source frame into the piece that covers it. Pieces that end up shorter
-    than MIN_PIECE_FRAMES, or with no embeddings at all, are dropped. The
-    evaluation reads the map.
+    Pieces partition the parent frame range in order; each piece's
+    representative is the unit_mean of the track rows whose source frames it
+    covers, and it keeps no rows. Pieces that end up shorter than
+    MIN_PIECE_FRAMES, or with no rows at all, are dropped; rows that cancel
+    to a zero mean raise ZeroVector. The evaluation reads the map.
     """
     sources: dict[str, str] = {}
-    out: list[FaceTrack] = []
+    out: list[TrackPiece] = []
     for track in sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id)):
         starts = list(range(track.start_frame, track.end_frame + 1, MAX_PIECE_FRAMES))
         single = len(starts) == 1
@@ -43,34 +61,17 @@ def split_tracks_with_sources(tracks) -> tuple[list[FaceTrack], dict[str, str]]:
             piece_end = min(piece_start + MAX_PIECE_FRAMES - 1, track.end_frame)
             if piece_end - piece_start + 1 < MIN_PIECE_FRAMES:
                 continue
-            keep = frame_rows(track, piece_start, piece_end)
-            if not keep:
+            rows = [i for i, frame in enumerate(track.embedding_frames) if piece_start <= frame <= piece_end]
+            if not rows:
                 continue
             piece_id = track.track_id if single else f"{track.track_id}#{k}"
             sources[piece_id] = track.track_id
-            out.append(cut_piece(track, piece_id, piece_start, piece_end, keep))
+            out.append(TrackPiece(piece_id, track.video_id, piece_start, piece_end,
+                                  track.speaker_confidence, unit_mean(track.embeddings[rows])))
     return out, sources
 
 
-def frame_rows(track: FaceTrack, start_frame: int, end_frame: int) -> list[int]:
-    """Indices of the track's embeddings whose source frame lies in [start_frame, end_frame]."""
-    return [idx for idx, frame in enumerate(track.embedding_frames) if start_frame <= frame <= end_frame]
-
-
-def cut_piece(track: FaceTrack, piece_id: str, start_frame: int, end_frame: int, rows) -> FaceTrack:
-    """The piece of track over [start_frame, end_frame] keeping the given embedding rows."""
-    return FaceTrack(
-        track_id=piece_id,
-        video_id=track.video_id,
-        start_frame=start_frame,
-        end_frame=end_frame,
-        embeddings=track.embeddings[rows],
-        embedding_frames=tuple(track.embedding_frames[i] for i in rows),
-        speaker_confidence=track.speaker_confidence,
-    )
-
-
-def track_time_span(track: FaceTrack) -> tuple[float, float]:
+def track_time_span(track: TrackPiece) -> tuple[float, float]:
     # frame f covers [f/25, (f+1)/25) seconds
     return track.start_frame / FRAME_RATE, (track.end_frame + 1) / FRAME_RATE
 
@@ -114,26 +115,19 @@ def assign_active_speakers(tracks, segments, conf_threshold: float) -> list[AVPa
     return pairs
 
 
-def representative_embedding(track: FaceTrack) -> np.ndarray:
-    """Normalized mean of the per-frame embeddings; order independent."""
-    return unit_mean(track.embeddings)
+def merge_tracks(pieces, params: HdbscanParams, eps: float) -> list[TrackEntity]:
+    """Cluster track pieces by their representatives and merge shared labels.
 
-
-def merge_tracks(tracks, params: HdbscanParams, eps: float, representatives) -> list[TrackEntity]:
-    """Cluster track pieces by face embedding and merge shared labels.
-
-    Each piece is clustered by its representative_embedding, looked up in
-    representatives (piece id to vector). Merging is per video, all videos
-    in one cluster_groups call. Tracks sharing a cluster label form one
-    entity; noise tracks become singleton entities. Entities come back
-    ordered by (video, first frame, first track id) and are labeled e0, e1,
-    ... within their video.
+    Merging is per video, all videos in one cluster_groups call. Pieces
+    sharing a cluster label form one entity; noise pieces become singleton
+    entities. Entities come back ordered by (video, first frame, first piece
+    id) and are labeled e0, e1, ... within their video.
     """
-    ordered = sorted(tracks, key=lambda t: (t.video_id, t.start_frame, t.track_id))
+    ordered = sorted(pieces, key=lambda p: (p.video_id, p.start_frame, p.track_id))
     if not ordered:
         return []
-    videos = [list(members) for _, members in groupby(ordered, key=lambda t: t.video_id)]
-    reps = [np.stack([representatives[t.track_id] for t in members]) for members in videos]
+    videos = [list(members) for _, members in groupby(ordered, key=lambda p: p.video_id)]
+    reps = [np.stack([p.representative for p in members]) for members in videos]
     clustered = cluster_groups(reps, params, eps)
 
     entities: list[TrackEntity] = []

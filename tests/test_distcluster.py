@@ -685,10 +685,14 @@ def test_cluster_points_degenerate_inputs(vectors, expected, used):
 
 
 def test_cluster_points_rejects_a_nan_eps():
-    # a lone point and a pair the hierarchy leaves as noise both reach the fallback
-    for vectors in ([[0.3, 0.4, 1.2]], np.eye(2)):
-        with pytest.raises(ValueError):
-            cluster_points(vectors, HdbscanParams(2), eps=float("nan"))
+    # a lone point and a pair the hierarchy leaves as noise reach the fallback;
+    # a duplicate pair and six random points do not, and are rejected all the same
+    rng = np.random.default_rng(0)
+    sets = ([[0.3, 0.4, 1.2]], np.eye(2), np.tile([0.3, 0.4, 1.2], (2, 1)), rng.standard_normal((6, 4)))
+    for vectors in sets:
+        for eps in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                cluster_points(vectors, HdbscanParams(2), eps=eps)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -174,7 +174,7 @@ def test_resumed_run_decodes_what_a_fresh_run_computed(tmp_path, monkeypatch):
     resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
     # the reused report, read back from report.json, is the dict a fresh run returns
     assert resumed.run(truth) == report
-    # FaceTracks define no equality: compare their fields
+    # TrackPieces define no equality: compare their fields
     assert list(map(record_fields, resumed.pieces)) == list(map(record_fields, fresh.pieces))
     for attr in RESULTS[1:]:
         assert getattr(resumed, attr) == getattr(fresh, attr), attr
@@ -632,23 +632,44 @@ def test_a_computed_stage_removes_its_stale_checkpoint_files(tmp_path):
 
 def test_each_piece_representative_is_computed_once_per_run(tmp_path, monkeypatch):
     ds, truth = generate(CFG)
-    calls = Counter()
-    representative = pipeline.representative_embedding
+    calls = []
+    unit_mean = castgraph.tracks.unit_mean
 
-    def counted(piece):
-        calls[piece.track_id] += 1
-        return representative(piece)
+    def counted(rows):
+        calls.append(len(rows))
+        return unit_mean(rows)
 
-    monkeypatch.setattr(pipeline, "representative_embedding", counted)
-    monkeypatch.setattr(castgraph.tracks, "representative_embedding", counted)
+    monkeypatch.setattr(castgraph.tracks, "unit_mean", counted)
     run = PipelineRun(ds, tmp_path, PipelineConfig())
     run.run(truth)
-    assert len(calls) == len(run.pieces) and set(calls.values()) == {1}
-    # resumed with merge decoded: only cluster_faces computes them
+    assert len(calls) == len(run.pieces) > 0
+    # resumed with merge decoded: cluster_faces reads the pieces, so split computes them once
     calls.clear()
     (tmp_path / CHECKPOINTS["cluster_faces"]).unlink()
+    resumed = PipelineRun(ds, tmp_path, PipelineConfig(resume=True))
+    resumed.run(truth)
+    assert len(calls) == len(resumed.pieces) == len(run.pieces)
+    # a resume whose stamps all match computes no representative
+    calls.clear()
     PipelineRun(ds, tmp_path, PipelineConfig(resume=True)).run(truth)
-    assert len(calls) == len(run.pieces) and set(calls.values()) == {1}
+    assert calls == []
+
+
+def test_no_stage_writes_into_a_dataset_vector(tmp_path):
+    ds, truth = generate(SynthConfig(**DUPES, rng_seed=1))
+    run_pipeline(ds, tmp_path / "writable", PipelineConfig(), truth)
+    digest = ds.digest()
+    for track in ds.tracks.values():
+        track.embeddings.flags.writeable = False
+    for segment in ds.segments.values():
+        segment.embedding.flags.writeable = False
+    out = tmp_path / "read_only"
+    run_pipeline(ds, out, PipelineConfig(), truth)
+    assert read_tree(out) == read_tree(tmp_path / "writable")
+    (out / CHECKPOINTS["cluster_faces"]).unlink()
+    run_pipeline(ds, out, PipelineConfig(resume=True), truth)
+    assert read_tree(out) == read_tree(tmp_path / "writable")
+    assert ds.digest() == digest
 
 
 def test_unknown_stage_is_rejected_before_any_work(tmp_path):
@@ -886,13 +907,17 @@ def test_cli_bad_setting_is_a_usage_error(tmp_path, tiny_data, capsys, flag, val
 # --- degenerate inputs through cli.main: one policy per row -------------------------
 
 def one_video_dataset(faces, voices) -> catalog.Dataset:
-    """One channel and one video: a 30-frame face track per face row, a 2 s segment per voice row."""
+    """One channel and one video: a 30-frame face track per face, a 2 s segment per voice row.
+
+    A face is one row, or a list of rows 10 frames apart.
+    """
     ds = catalog.Dataset(face_dim=4, speaker_dim=3)
     ds.channels["c0"] = catalog.Channel("c0", "Channel 0")
     ds.videos["v0"] = catalog.Video("v0", "c0", datetime(2018, 1, 1, tzinfo=timezone.utc))
     for k, face in enumerate(faces):
-        embedding = np.asarray([face], dtype=np.float32)
-        ds.tracks[f"t{k}"] = catalog.FaceTrack(f"t{k}", "v0", 100 * k, 100 * k + 29, embedding, (100 * k,), 1.0)
+        embedding = np.asarray(face, dtype=np.float32).reshape(-1, 4)
+        frames = tuple(range(100 * k, 100 * k + 10 * len(embedding), 10))
+        ds.tracks[f"t{k}"] = catalog.FaceTrack(f"t{k}", "v0", 100 * k, 100 * k + 29, embedding, frames, 1.0)
     for k, voice in enumerate(voices):
         embedding = np.asarray(voice, dtype=np.float32)
         ds.segments[f"s{k}"] = catalog.SpeechSegment(f"s{k}", "v0", 3.0 * k, 3.0 * k + 2.0, embedding)
@@ -913,6 +938,9 @@ DEGENERATE_RUNS = [
     # a speaker of opposite voices (split into its segments), the run fails
     ("antipodal_faces_one_entity", [[1, 0, 0, 0], [-1, 0, 0, 0]], [[1, 0, 0]], ["--dbscan-eps", "2.5"], 1,
      "error: stage 'cluster_faces' failed: cannot normalize a zero or non-finite vector\n"),
+    # one piece whose own rows cancel has no representative, so split fails
+    ("cancelling_rows_one_piece", [[[1, 0, 0, 0], [-1, 0, 0, 0]]], [[1, 0, 0]], [], 1,
+     "error: stage 'split' failed: cannot normalize a zero or non-finite vector\n"),
 ]
 
 

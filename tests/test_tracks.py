@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from castgraph.catalog import AVPair, FaceTrack, SpeechSegment
+from castgraph.catalog import AVPair, FaceTrack, SpeechSegment, unit_mean
 from castgraph.distcluster import FALLBACK_EPS, HdbscanParams
 from castgraph.synth import random_unit, rotate_within
 from castgraph.tracks import (
@@ -13,7 +13,6 @@ from castgraph.tracks import (
     MIN_PIECE_FRAMES,
     assign_active_speakers,
     merge_tracks,
-    representative_embedding,
     split_tracks_with_sources,
 )
 
@@ -22,9 +21,9 @@ from oracles import oracle_split_ranges
 PARAMS = HdbscanParams(2, 2)
 
 
-def merge(tracks, params):
-    """merge_tracks over tracks, each clustered by its representative_embedding."""
-    return merge_tracks(tracks, params, FALLBACK_EPS, {t.track_id: representative_embedding(t) for t in tracks})
+def merge(pieces, params):
+    """merge_tracks over split pieces at the default fallback eps."""
+    return merge_tracks(pieces, params, FALLBACK_EPS)
 
 
 def make_track(track_id, start, end, vec, video="v1", conf=None, every=25):
@@ -73,21 +72,17 @@ def test_split_matches_partition_oracle(seed):
 
 
 def test_split_embeddings_follow_frames():
-    vec_a = np.array([1.0, 0.0], dtype=np.float32)
-    track = FaceTrack(
-        "t",
-        "v1",
-        0,
-        99,
-        np.stack([vec_a, 2 * vec_a, 3 * vec_a, 4 * vec_a]),
-        (0, 30, 60, 90),
-        None,
-    )
+    # rows listed out of frame order; frames 100-119 form a short remainder that is dropped
+    rows = np.array([[1, 0], [2, 1], [0, 3], [4, 4], [5, 0], [1, 7], [9, 9]], dtype=np.float32)
+    frames = (60, 0, 90, 30, 110, 49, 100)
+    track = FaceTrack("t", "v1", 0, 119, rows, frames, None)
     pieces = split_tracks_with_sources([track])[0]
-    assert pieces[0].embedding_frames == (0, 30)
-    assert pieces[1].embedding_frames == (60, 90)
-    assert np.array_equal(pieces[0].embeddings[1], 2 * vec_a)
-    assert np.array_equal(pieces[1].embeddings[0], 3 * vec_a)
+    assert [(p.track_id, p.start_frame, p.end_frame) for p in pieces] == [("t#0", 0, 49), ("t#1", 50, 99)]
+    for piece, covered in zip(pieces, ([1, 3, 5], [0, 2])):
+        expected = unit_mean(rows[covered])
+        assert piece.representative.dtype == expected.dtype
+        assert piece.representative.tobytes() == expected.tobytes()
+        assert not hasattr(piece, "embeddings")
 
 
 def test_split_sources_map():
@@ -161,13 +156,13 @@ def test_merge_two_identities():
         make_track("b1", 100, 149, b),
         make_track("b2", 150, 199, b),
     ]
-    entities = merge(tracks, PARAMS)
+    entities = merge(split_tracks_with_sources(tracks)[0], PARAMS)
     members = {frozenset(e.member_track_ids) for e in entities}
     assert members == {frozenset({"a1", "a2"}), frozenset({"b1", "b2"})}
 
 
 def test_merge_single_track_singleton_entity():
-    entities = merge([make_track("only", 0, 30, [1, 0])], PARAMS)
+    entities = merge(split_tracks_with_sources([make_track("only", 0, 30, [1, 0])])[0], PARAMS)
     assert len(entities) == 1
     assert entities[0].member_track_ids == ("only",)
 
@@ -188,7 +183,7 @@ def test_merge_is_per_video():
         make_track("x", 0, 40, a, video="v1"),
         make_track("y", 0, 40, a, video="v2"),
     ]
-    entities = merge(tracks, PARAMS)
+    entities = merge(split_tracks_with_sources(tracks)[0], PARAMS)
     assert len(entities) == 2
     assert {e.video_id for e in entities} == {"v1", "v2"}
 
@@ -203,9 +198,9 @@ def test_representative_is_normalized_mean():
         (0, 25),
         None,
     )
-    rep = representative_embedding(track)
+    [piece], _ = split_tracks_with_sources([track])
     expected = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert rep.tolist() == pytest.approx(expected.tolist(), abs=1e-6)
+    assert piece.representative.tolist() == pytest.approx(expected.tolist(), abs=1e-6)
 
 
 # --- invariants -------------------------------------------------------------------
