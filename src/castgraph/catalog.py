@@ -525,6 +525,11 @@ def _float(value) -> float:
     return float(_expect(value, float))
 
 
+def _str(value) -> str:
+    """An id, a name or a file reference, read by _field: a JSON string."""
+    return _expect(value, str)
+
+
 class _EmbStore:
     """Lazily loaded .emb matrices and their ``_usable_rows``, keyed by file name."""
 
@@ -534,7 +539,7 @@ class _EmbStore:
 
     def row(self, ref, where: str) -> tuple[np.ndarray, bool]:
         """The row a ``{"file", "row"}`` reference names, and whether it is usable."""
-        name, index = _field(ref, "file", str, where=where), _field(ref, "row", _int, where=where)
+        name, index = _field(ref, "file", _str, where=where), _field(ref, "row", _int, where=where)
         if name not in self._cache:
             matrix = read_emb(self.root / name)
             self._cache[name] = matrix, _usable_rows(matrix).tolist()
@@ -546,14 +551,14 @@ class _EmbStore:
 
 # Each parser returns (id, record, extra rule arguments) for one JSON object.
 def _parse_channel(rec: dict, ds: Dataset, store: _EmbStore):
-    channel = Channel(_field(rec, "channel_id", str), _field(rec, "name", str, ""))
+    channel = Channel(_field(rec, "channel_id", _str), _field(rec, "name", _str, ""))
     return channel.channel_id, channel, ()
 
 
 def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
     video = Video(
-        video_id=_field(rec, "video_id", str),
-        channel_id=_field(rec, "channel_id", str),
+        video_id=_field(rec, "video_id", _str),
+        channel_id=_field(rec, "channel_id", _str),
         published_at=_field(rec, "published_at", parse_timestamp),
         view_history=_field(
             rec, "view_history", lambda h: tuple((parse_timestamp(t), _int(n)) for t, n in h), None
@@ -564,7 +569,7 @@ def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
 
 def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
     rows, frames, usable = [], [], True
-    for i, ref in enumerate(_field(rec, "embeddings", list)):
+    for i, ref in enumerate(_field(rec, "embeddings", lambda refs: _expect(refs, list))):
         row, ok = store.row(ref, f"embeddings[{i}].")
         rows.append(row)
         frames.append(_field(ref, "frame", _int, where=f"embeddings[{i}]."))
@@ -574,11 +579,11 @@ def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
     if len({len(row) for row in rows}) > 1:
         got = next(len(row) for row in rows if len(row) != ds.face_dim)
         detail = f"expected {ds.face_dim}, got {got}"
-        raise DimensionMismatch(f"{_field(rec, 'track_id', str)}: DimensionMismatch: {detail}")
+        raise DimensionMismatch(f"{_field(rec, 'track_id', _str)}: DimensionMismatch: {detail}")
     embeddings = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
     track = FaceTrack(
-        track_id=_field(rec, "track_id", str),
-        video_id=_field(rec, "video_id", str),
+        track_id=_field(rec, "track_id", _str),
+        video_id=_field(rec, "video_id", _str),
         start_frame=_field(rec, "start_frame", _int),
         end_frame=_field(rec, "end_frame", _int),
         embeddings=embeddings,
@@ -595,8 +600,8 @@ def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
         if ds.speaker_dim is None:
             ds.speaker_dim = embedding.shape[0]
     segment = SpeechSegment(
-        segment_id=_field(rec, "segment_id", str),
-        video_id=_field(rec, "video_id", str),
+        segment_id=_field(rec, "segment_id", _str),
+        video_id=_field(rec, "video_id", _str),
         start_s=_field(rec, "start_s", _float),
         end_s=_field(rec, "end_s", _float),
         embedding=embedding,

@@ -113,15 +113,10 @@ def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = Fals
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _STAGE_CUTOFF:
-        # a bad setting is a usage error, found before any input is read or written
-        try:
-            config = _config(args)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.command == "eval" and args.ground_truth is None:
-            parser.error("eval requires --ground-truth")
+    # a bad setting is a usage error, found before any input is read or written
     try:
+        if args.command in _STAGE_CUTOFF:
+            config = _config(args)
         if args.command == "synth":
             cfg = SynthConfig(
                 n_channels=args.channels,
@@ -135,6 +130,14 @@ def main(argv=None) -> int:
                 planted_growth_ratio=args.growth_ratio,
                 rng_seed=args.seed,
             )
+            if not (0.0 <= args.dropout <= 1.0 and args.conf_noise >= 0.0):
+                raise ValueError("--dropout must be in [0, 1] and --conf-noise >= 0")
+    except (ValueError, CastgraphError) as exc:
+        parser.error(str(exc))
+    if args.command == "eval" and args.ground_truth is None:
+        parser.error("eval requires --ground-truth")
+    try:
+        if args.command == "synth":
             ds, truth = generate(cfg)
             if args.dropout > 0.0 or args.conf_noise > 0.0:
                 ds = corrupt(ds, args.dropout, args.conf_noise, seed=args.seed)

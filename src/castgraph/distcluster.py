@@ -6,12 +6,13 @@ one label per point and whether the fallback ran out, per set;
 :func:`cluster_points` is its one-set case. The distance matrix is built
 inside it, and :func:`cluster_with_fallback` then runs hierarchical density
 clustering and falls back to plain density clustering when the hierarchy
-labels everything as noise (the single-identity failure mode) or when there
-are too few points for a hierarchy at all. The hierarchy never selects its
-root, so fewer than 2 * min_cluster_size points that are not all identical
-come back all noise without building it. The fallback, :func:`dbscan`, is
-the connected components of the eps-graph (DBSCAN at min_pts 2), at one fixed
-cosine distance, FALLBACK_EPS, unless the caller gives another.
+labels everything as noise (the single-identity failure mode). One rule
+decides small sets: the hierarchy never selects its root, so below
+2 * min_cluster_size points only all-identical ones (a lone point included)
+form a cluster, 0, and any other set is noise at once. The fallback,
+:func:`dbscan`, is the connected components of the eps-graph (DBSCAN at
+min_pts 2), at one fixed cosine distance, FALLBACK_EPS, unless the caller
+gives another.
 
 Recognition across videos is two-level, channel then global
 (:func:`cluster_by_channel`): each channel's sets through one cluster_groups
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 
 INFTY = float("inf")
 
@@ -543,15 +544,14 @@ def hdbscan(m: DistanceMatrix, params: HdbscanParams) -> np.ndarray:
     mutual reachability max(core_i, core_j, d_ij), exact Prim MST with
     lexicographic tie-breaks, single-linkage hierarchy, condensation by
     min_cluster_size, and excess-of-mass cluster extraction. The root of the
-    condensed tree is not a candidate cluster, so single-class inputs come
-    back as all noise; the one exception is a set of exactly identical points,
-    which is defined to be a single cluster. Core distances and the MST are
-    built over the whole stack; the hierarchy only for the groups that are
-    not all identical points. Returns the (G, n) labels.
+    condensed tree is not a candidate cluster, so single-class inputs, and
+    every set of fewer than 2 * min_cluster_size points, come back all noise;
+    this one rule has one exception, all-identical points (a lone point
+    included), which are cluster 0. Core distances and the MST are built
+    over the whole stack, the hierarchy only for the other sets. Returns the
+    (G, n) labels.
     """
     n, groups, distinct = m.n, m.groups, m.distinct
-    if n < params.min_cluster_size:
-        raise TooFewPoints(n, params.min_cluster_size)
     labels = np.full((groups, n), -1, dtype=np.int64)
     labels[~distinct] = 0
     # a true split needs min_cluster_size points on each side, and the root
@@ -649,20 +649,14 @@ def cluster_with_fallback(
 ) -> tuple[np.ndarray, list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
-    Falls back to dbscan at radius eps when the hierarchy finds only noise,
-    and also when there are fewer points than min_cluster_size (a hierarchy
-    cannot exist); a lone point is the fallback's cluster 0. With params None
-    no hierarchy is built and every group takes the fallback.
+    One path: a group the hierarchy labels all noise takes dbscan at radius
+    eps. Small sets follow hdbscan's one rule: a lone point is its cluster 0.
+    With params None every group is noise and takes the fallback.
     Returns the (G, n) labels and one used_fallback flag per group. The
     fallback runs over the whole stack when any group needs it, and its rows
     replace only those groups' labels.
     """
-    try:
-        labels = hdbscan(m, params) if params is not None else None
-    except TooFewPoints:
-        labels = None
-    if labels is None:
-        return dbscan(m, eps), [True] * m.groups
+    labels = hdbscan(m, params) if params is not None else np.full((m.groups, m.n), -1)
     used = (labels == -1).all(axis=1)
     if used.any():
         labels[used] = dbscan(m, eps)[used]
@@ -682,7 +676,7 @@ def cluster_groups(
     per stack (a set larger than BLOCK is a stack of one), and each stack
     takes one distance_matrix and one cluster_with_fallback call; an error
     in any set is the whole call's error. An empty set gives no labels and
-    no fallback; a set of one vector gets the fallback's one-point decision.
+    no fallback; small sets follow hdbscan's one rule (a lone vector is 0).
     A zero vector in any set raises ZeroVector, and a negative or NaN eps
     raises ValueError before any set is clustered.
     """

@@ -33,13 +33,6 @@ class ZeroVector(CastgraphError):
     pass
 
 
-class TooFewPoints(CastgraphError):
-    def __init__(self, n, required):
-        super().__init__(f"need at least {required} points, got {n}")
-        self.n = n
-        self.required = required
-
-
 class NoSegments(CastgraphError):
     pass
 

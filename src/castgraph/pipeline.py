@@ -180,8 +180,10 @@ class PipelineRun:
         self.out.mkdir(parents=True, exist_ok=True)
         self.config = config or PipelineConfig()
         self.dataset_digest = ds.digest()
-        # each stage's stamp; stage results are attributes its compute or decode sets
-        self.stamps: dict[str, str] = {}
+        # each stage's stamp, and the ground truth's, which run(truth) replaces;
+        # stage results are attributes its compute or decode sets
+        self.truth: GroundTruth | None = None
+        self.stamps: dict[str, str] = {"truth": "none"}
         # result name -> the step that sets it, called as step(run) so that no step holds the run
         self.pending: dict[str, Callable] = {}
 

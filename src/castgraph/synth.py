@@ -51,14 +51,16 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_channels, self.n_videos, self.n_identities) < 1:
-            raise InfeasibleConfig("channels, videos and identities must all be positive")
+        if min(self.n_channels, self.n_videos, self.n_identities, self.face_dim, self.speaker_dim) < 1:
+            raise InfeasibleConfig("channels, videos, identities and both dimensions must all be positive")
         if not 0.0 <= self.offscreen_speaker_fraction <= 1.0:
             raise InfeasibleConfig("offscreen_speaker_fraction must be in [0, 1]")
         if not 0.0 <= self.collaboration_rate <= 1.0:
             raise InfeasibleConfig("collaboration_rate must be in [0, 1]")
-        if self.angular_noise_deg < 0.0:
-            raise InfeasibleConfig("angular_noise_deg must be >= 0")
+        if not 0.0 <= self.angular_noise_deg < math.inf:
+            raise InfeasibleConfig("angular_noise_deg must be finite and >= 0")
+        if self.planted_growth_ratio is not None and not 0.0 <= self.planted_growth_ratio < math.inf:
+            raise InfeasibleConfig("planted_growth_ratio must be finite and >= 0")
 
 
 @dataclass

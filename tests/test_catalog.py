@@ -554,10 +554,11 @@ def odd_dimension_row(index):
     return mutate
 
 
-# a number field of another JSON type, as (file, path to the field, value, field name in the message):
+# a field of another JSON type, as (file, path to the field, value, field name in the message):
 # an integer field takes a JSON integer that fits in 64 bits, a float field any JSON number,
-# and a bool is neither
-WRONG_NUMBERS = [
+# and a bool is neither; ids, names and file references take a JSON string, never null,
+# and a track's embeddings a JSON array
+WRONG_TYPES = [
     ("tracks.jsonl", ("start_frame",), 25.7, "start_frame"),
     ("tracks.jsonl", ("start_frame",), "25", "start_frame"),
     ("tracks.jsonl", ("end_frame",), 59.0, "end_frame"),
@@ -574,6 +575,14 @@ WRONG_NUMBERS = [
     ("segments.jsonl", ("end_s",), "2.24", "end_s"),
     ("tracks.jsonl", ("end_frame",), 2**63, "end_frame"),
     ("videos.json", ("view_history", -1, 1), 2**64, "view_history"),
+    ("channels.json", ("channel_id",), None, "channel_id"),
+    ("channels.json", ("channel_id",), True, "channel_id"),
+    ("channels.json", ("name",), None, "name"),
+    ("videos.json", ("channel_id",), None, "channel_id"),
+    ("tracks.jsonl", ("video_id",), 7, "video_id"),
+    ("tracks.jsonl", ("embeddings",), "ab", "embeddings"),
+    ("tracks.jsonl", ("embeddings", 0, "file"), None, "embeddings[0].file"),
+    ("segments.jsonl", ("segment_id",), {"a": 1}, "segment_id"),
 ]
 
 
@@ -610,7 +619,7 @@ BAD_MANIFESTS = [
     *((odd_dimension_row(index), "tracks.jsonl", DimensionMismatch, None,
        ":1: v0000/t0: DimensionMismatch: expected ") for index in (0, 1)),
     *((wrong_number(source, path, value), source, MalformedRecord, None,
-       f":1: bad record: field '{name}': expected ") for source, path, value, name in WRONG_NUMBERS),
+       f":1: bad record: field '{name}': expected ") for source, path, value, name in WRONG_TYPES),
 ]
 
 

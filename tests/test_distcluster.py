@@ -33,7 +33,7 @@ from castgraph.distcluster import (
     labels_csv,
     labels_from_text,
 )
-from castgraph.errors import DimensionMismatch, TooFewPoints, ZeroVector
+from castgraph.errors import DimensionMismatch, ZeroVector
 from castgraph.synth import sample_blobs
 
 from oracles import (
@@ -263,10 +263,18 @@ def test_hdbscan_single_blob_all_noise():
     assert n_clusters(labels) == 0
 
 
-def test_hdbscan_too_few_points():
-    m = distance_matrix([np.eye(3)])
-    with pytest.raises(TooFewPoints):
-        hdbscan(m, HdbscanParams(min_cluster_size=4))
+def test_hdbscan_labels_sets_below_twice_min_cluster_size_by_one_rule():
+    # the root is never selected, so below 2 * min_cluster_size only
+    # all-identical points form a cluster; the rest is noise for the fallback
+    params = HdbscanParams(min_cluster_size=4)
+    distinct, identical = np.eye(3), np.tile([0.3, 0.4, 1.2], (3, 1))
+    for m in both_forms(distance_matrix([distinct])):
+        assert hdbscan(m, params).tolist() == [[-1, -1, -1]]
+        [labels], [used] = cluster_with_fallback(m, params, eps=1.0)
+        assert labels.tolist() == dbscan(m, 1.0)[0].tolist() == [0, 0, 0]
+        assert used
+    for m in both_forms(distance_matrix([identical])):
+        assert hdbscan(m, params).tolist() == [[0, 0, 0]]
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -642,11 +650,43 @@ def test_fallback_pathological_all_noise():
 
 
 def test_fallback_single_point_gets_label():
+    # a lone point is all-identical, so the hierarchy's own rule labels it
     m = in_memory(1, np.empty((1, 0), dtype=np.float64))
     for form in both_forms(m):
         [labels], [used] = cluster_with_fallback(form, PARAMS)
-        assert used
+        assert not used
         assert labels.tolist() == [0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sets_below_min_cluster_size_get_the_fallbacks_labels(seed):
+    # 1-5 points, some of them bitwise copies, at min_cluster_size 2-4: every
+    # set smaller than min_cluster_size is labelled exactly as dbscan labels it
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        params = HdbscanParams(int(rng.integers(2, 5)))
+        n = int(rng.integers(1, params.min_cluster_size))
+        groups = int(rng.integers(1, 4))
+        points = rng.standard_normal((groups, n, 4))
+        copies = rng.random((groups, n)) < 0.5
+        points[copies] = points[:, :1].repeat(n, axis=1)[copies]
+        eps = float(rng.choice([0.0, 0.3, FALLBACK_EPS, 1.5]))
+        for m in both_forms(distance_matrix(points)):
+            labels, _ = cluster_with_fallback(m, params, eps)
+            assert labels.tolist() == dbscan(m, eps).tolist()
+
+
+def test_one_point_sets_make_no_dbscan_call(monkeypatch):
+    calls = []
+
+    def counting(m, eps):
+        calls.append(m.groups)
+        return dbscan(m, eps)
+
+    monkeypatch.setattr(distcluster, "dbscan", counting)
+    results = cluster_groups([np.eye(5)[i : i + 1] for i in range(5)], PARAMS)
+    assert [(labels.tolist(), used) for labels, used in results] == [([0], False)] * 5
+    assert calls == []
 
 
 # --- cluster_points: one policy per degenerate input ------------------------------
@@ -654,7 +694,7 @@ def test_fallback_single_point_gets_label():
 # (id, vectors, expected labels or the error raised, whether the fallback ran)
 DEGENERATE_INPUTS = [
     ("no_points", np.empty((0, 3)), [], False),
-    ("one_point", [[0.3, 0.4, 1.2]], [0], True),
+    ("one_point", [[0.3, 0.4, 1.2]], [0], False),
     # the hierarchy finds only noise, and distance 1 is beyond the fallback eps
     ("two_distinct_points", np.eye(2), [-1, -1], True),
     ("two_identical_points", np.tile([0.3, 0.4, 1.2], (2, 1)), [0, 0], False),

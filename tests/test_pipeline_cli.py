@@ -672,6 +672,14 @@ def test_no_stage_writes_into_a_dataset_vector(tmp_path):
     assert ds.digest() == digest
 
 
+def test_run_until_report_writes_what_a_run_without_ground_truth_writes(tmp_path):
+    ds, _ = generate(CFG)
+    run_pipeline(ds, tmp_path / "run")
+    for resume in (False, True):
+        PipelineRun(ds, tmp_path / "until", PipelineConfig(resume=resume)).run_until("report")
+        assert read_tree(tmp_path / "until") == read_tree(tmp_path / "run")
+
+
 def test_unknown_stage_is_rejected_before_any_work(tmp_path):
     ds, _ = generate(CFG)
     with pytest.raises(ValueError):
@@ -902,6 +910,23 @@ def test_cli_bad_setting_is_a_usage_error(tmp_path, tiny_data, capsys, flag, val
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--face-dim", "0"),
+    ("--dropout", "2"),
+    ("--dropout", "-0.5"),
+    ("--conf-noise", "-1"),
+    ("--channels", "0"),
+    ("--noise-deg", "nan"),
+    ("--growth-ratio", "-1"),
+])
+def test_cli_bad_synth_setting_is_a_usage_error(tmp_path, flag, value):
+    # rejected before anything is generated, so --out is never created
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 # --- degenerate inputs through cli.main: one policy per row -------------------------

@@ -132,6 +132,13 @@ def test_growth_histories_planted(table_dataset):
             assert growth == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("dim", ["face_dim", "speaker_dim"])
+def test_a_dimension_below_one_is_infeasible(dim):
+    # a 0-d vector has no direction, so sampling one would never end
+    with pytest.raises(InfeasibleConfig):
+        SynthConfig(**{dim: 0})
+
+
 def test_infeasible_more_identities_than_hostable():
     with pytest.raises(InfeasibleConfig):
         generate(SynthConfig(n_channels=5, n_videos=2, n_identities=5, face_dim=8, speaker_dim=8))
