@@ -665,34 +665,27 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
         {"channel_id": c.channel_id, "name": c.name}
         for c in sorted(ds.channels.values(), key=lambda c: c.channel_id)
     ]
-    with open(root / "channels.json", "w", encoding="utf-8") as fh:
-        json.dump(channels, fh, indent=2)
-        fh.write("\n")
+    videos = [
+        {
+            "video_id": v.video_id,
+            "channel_id": v.channel_id,
+            "published_at": format_timestamp(v.published_at),
+            "view_history": None if v.view_history is None else [[format_timestamp(ts), n] for ts, n in v.view_history],
+        }
+        for v in sorted(ds.videos.values(), key=lambda v: v.video_id)
+    ]
+    for name, records in (("channels.json", channels), ("videos.json", videos)):
+        with open(root / name, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=2)
+            fh.write("\n")
 
-    videos = []
-    for v in sorted(ds.videos.values(), key=lambda v: v.video_id):
-        history = None
-        if v.view_history is not None:
-            history = [[format_timestamp(ts), count] for ts, count in v.view_history]
-        videos.append(
-            {
-                "video_id": v.video_id,
-                "channel_id": v.channel_id,
-                "published_at": format_timestamp(v.published_at),
-                "view_history": history,
-            }
-        )
-    with open(root / "videos.json", "w", encoding="utf-8") as fh:
-        json.dump(videos, fh, indent=2)
-        fh.write("\n")
-
-    face_rows: list[np.ndarray] = []
+    tracks = sorted(ds.tracks.values(), key=lambda t: t.track_id)
     with open(root / "tracks.jsonl", "w", encoding="utf-8") as fh:
-        for t in sorted(ds.tracks.values(), key=lambda t: t.track_id):
-            refs = []
-            for row, frame in zip(t.embeddings, t.embedding_frames):
-                refs.append({"file": "faces.emb", "row": len(face_rows), "frame": frame})
-                face_rows.append(np.asarray(row, dtype=np.float32))
+        row = 0
+        for t in tracks:
+            frames = t.embedding_frames[: len(t.embeddings)]
+            refs = [{"file": "faces.emb", "row": row + k, "frame": frame} for k, frame in enumerate(frames)]
+            row += len(frames)
             rec = {
                 "track_id": t.track_id,
                 "video_id": t.video_id,
@@ -702,14 +695,17 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
                 "embeddings": refs,
             }
             fh.write(json.dumps(rec) + "\n")
+    # one matrix at a time: faces.emb is written before the speaker rows are gathered
+    _write_rows(root / "faces.emb", ds.face_dim, (t.embeddings[: len(t.embedding_frames)] for t in tracks))
 
-    speaker_rows: list[np.ndarray] = []
+    segments = sorted(ds.segments.values(), key=lambda s: s.segment_id)
     with open(root / "segments.jsonl", "w", encoding="utf-8") as fh:
-        for s in sorted(ds.segments.values(), key=lambda s: s.segment_id):
+        row = 0
+        for s in segments:
             ref = None
             if s.embedding is not None:
-                ref = {"file": "speakers.emb", "row": len(speaker_rows)}
-                speaker_rows.append(np.asarray(s.embedding, dtype=np.float32))
+                ref = {"file": "speakers.emb", "row": row}
+                row += 1
             rec = {
                 "segment_id": s.segment_id,
                 "video_id": s.video_id,
@@ -718,12 +714,9 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
                 "embedding": ref,
             }
             fh.write(json.dumps(rec) + "\n")
+    _write_rows(root / "speakers.emb", ds.speaker_dim, (s.embedding[None] for s in segments if s.embedding is not None))
 
-    face_matrix = (
-        np.stack(face_rows) if face_rows else np.zeros((0, ds.face_dim), dtype=np.float32)
-    )
-    speaker_matrix = (
-        np.stack(speaker_rows) if speaker_rows else np.zeros((0, ds.speaker_dim), dtype=np.float32)
-    )
-    write_emb(root / "faces.emb", face_matrix)
-    write_emb(root / "speakers.emb", speaker_matrix)
+
+def _write_rows(path: Path, dim: int, matrices) -> None:
+    """Write the matrices' rows in order as one float32 matrix; a zero-row head covers no matrices."""
+    write_emb(path, np.concatenate([np.zeros((0, dim), dtype=np.float32), *matrices], dtype=np.float32))

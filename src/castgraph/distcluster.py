@@ -59,27 +59,17 @@ INFTY = float("inf")
 
 # --- distances ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Extent:
-    """The condensed shape of a matrix's distances, (G, n(n-1)/2): their count, no values."""
-
-    shape: tuple[int, int]
-
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-
 class DistanceMatrix:
     """Pairwise distances of G groups of n points as G row-major n x n float64 squares.
 
     Row i of a group's square holds d(i, j) for every j; d(j, i) has the bits
     of d(i, j) and d(i, i) is 0. ``distinct`` flags the groups with a nonzero
-    distance and ``entries`` gives the condensed count of the distances
-    without holding them. A medium subclass holds the squares and implements
-    _read(first, count, out), which fills out[g] with square rows first[g] ..
-    first[g] + count - 1 (first is one index for every group or an array of
-    one per group), _write(lo, block, stripe) and close.
+    distance and ``entries`` is a read-only view of the condensed shape
+    (G, n(n-1)/2) that counts the distances and holds no values. A medium
+    subclass holds the squares and implements _read(first, count, out),
+    which fills out[g] with square rows first[g] .. first[g] + count - 1
+    (first is one index for every group or an array of one per group),
+    _write(lo, block, stripe) and close.
     """
 
     def __init__(self, n: int, distinct: np.ndarray):
@@ -90,8 +80,8 @@ class DistanceMatrix:
         return len(self.distinct)
 
     @property
-    def entries(self) -> _Extent:
-        return _Extent((self.groups, self.n * (self.n - 1) // 2))
+    def entries(self) -> np.ndarray:
+        return np.broadcast_to(np.float64(0.0), (self.groups, self.n * (self.n - 1) // 2))
 
     def row(self, v, out: np.ndarray | None = None) -> np.ndarray:
         """Row v of the square per group, d(v, j) for every j; v is one index or one per group."""

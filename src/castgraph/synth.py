@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -61,6 +62,13 @@ class SynthConfig:
             raise InfeasibleConfig("angular_noise_deg must be finite and >= 0")
         if self.planted_growth_ratio is not None and not 0.0 <= self.planted_growth_ratio < math.inf:
             raise InfeasibleConfig("planted_growth_ratio must be finite and >= 0")
+        # homes and videos both go round-robin over channels, so every home
+        # channel gets a video exactly when there are this many videos
+        if self.n_videos < min(self.n_identities, self.n_channels):
+            raise InfeasibleConfig(
+                f"{self.n_videos} videos cannot host {self.n_identities} identities"
+                f" on {self.n_channels} channels: each home channel needs a video"
+            )
 
 
 @dataclass
@@ -118,25 +126,6 @@ def rotate_within(rng: np.random.Generator, centroid: np.ndarray, max_angle_deg:
     return rotated / np.linalg.norm(rotated)
 
 
-def sample_blobs(
-    n_points: int,
-    n_identities: int,
-    dim: int,
-    noise_deg: float,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Labeled points on the sphere, identities round-robin. Returns (points, labels)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    centroids = [random_unit(rng, dim) for _ in range(n_identities)]
-    points = np.empty((n_points, dim), dtype=np.float64)
-    labels = np.empty(n_points, dtype=np.int64)
-    for i in range(n_points):
-        identity = i % n_identities
-        points[i] = rotate_within(rng, centroids[identity], noise_deg)
-        labels[i] = identity
-    return points, labels
-
-
 # --- dataset generation ----------------------------------------------------------
 
 def _onscreen_allocation(per_channel_videos: dict[str, list[str]], n_onscreen: int):
@@ -188,57 +177,37 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     face_centroids = {i: random_unit(rng, cfg.face_dim) for i in range(cfg.n_identities)}
     voice_centroids = {i: random_unit(rng, cfg.speaker_dim) for i in range(cfg.n_identities)}
-    for identity in range(cfg.n_identities):
-        truth.identity_homes[identity] = channel_ids[identity % cfg.n_channels]
+    truth.identity_homes = {i: channel_ids[i % cfg.n_channels] for i in range(cfg.n_identities)}
 
     # videos round-robin over channels; host identity round-robin per channel
+    channel_of = {f"v{idx:04d}": channel_ids[idx % cfg.n_channels] for idx in range(cfg.n_videos)}
     per_channel_videos: dict[str, list[str]] = {c: [] for c in channel_ids}
-    video_ids = []
-    for idx in range(cfg.n_videos):
-        channel_id = channel_ids[idx % cfg.n_channels]
-        video_id = f"v{idx:04d}"
-        video_ids.append(video_id)
+    for video_id, channel_id in channel_of.items():
         per_channel_videos[channel_id].append(video_id)
-
-    channel_identities: dict[str, list[int]] = {c: [] for c in channel_ids}
-    for identity, home in truth.identity_homes.items():
-        channel_identities[home].append(identity)
-    for identity, home in truth.identity_homes.items():
-        if not per_channel_videos[home]:
-            raise InfeasibleConfig(
-                f"identity {identity} has no videos to host on channel {home}"
-            )
-
     hosts: dict[str, int | None] = {}
-    for channel_id, videos in per_channel_videos.items():
-        owners = channel_identities[channel_id]
+    for c, (channel_id, videos) in enumerate(per_channel_videos.items()):
+        owners = range(c, cfg.n_identities, cfg.n_channels)
         for k, video_id in enumerate(videos):
             hosts[video_id] = owners[k % len(owners)] if owners else None
 
     n_onscreen = cfg.n_videos - round(cfg.offscreen_speaker_fraction * cfg.n_videos)
     hosted = {c: [v for v in vids if hosts[v] is not None] for c, vids in per_channel_videos.items()}
     onscreen = _onscreen_allocation(hosted, n_onscreen)
-    truth.offscreen_videos = sorted(v for v in video_ids if v not in onscreen)
+    truth.offscreen_videos = sorted(v for v in channel_of if v not in onscreen)
 
     # plant collaborations: at most one guest per video, never tipping the
     # guest's appearance count on a foreign channel up to its home count
     n_collab = round(cfg.collaboration_rate * cfg.n_videos)
-    home_counts = {
-        identity: sum(1 for v in video_ids if hosts[v] == identity)
-        for identity in range(cfg.n_identities)
-    }
+    home_counts = Counter(hosts.values())
     foreign_counts: dict[tuple[int, str], int] = {}
     guests: dict[str, int] = {}
-    video_channel = {
-        video_id: channel_ids[idx % cfg.n_channels] for idx, video_id in enumerate(video_ids)
-    }
-    video_order = list(video_ids)
+    video_order = list(channel_of)
     rng.shuffle(video_order)
     rotation = 0
     for video_id in video_order:
         if len(guests) == n_collab:
             break
-        host_channel = video_channel[video_id]
+        host_channel = channel_of[video_id]
         for offset in range(cfg.n_identities):
             identity = (rotation + offset) % cfg.n_identities
             home = truth.identity_homes[identity]
@@ -254,25 +223,6 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     if len(guests) < n_collab:
         raise InfeasibleConfig(
             f"could only plant {len(guests)} of {n_collab} collaborations"
-        )
-
-    collab_videos = set(guests)
-    for idx, video_id in enumerate(video_ids):
-        channel_id = channel_ids[idx % cfg.n_channels]
-        published = EPOCH + timedelta(days=idx)
-        history = None
-        if cfg.planted_growth_ratio is not None:
-            growth = cfg.planted_growth_ratio if video_id in collab_videos else 1.0
-            final = BASE_VIEWS + round(BASE_VIEWS * growth)
-            history = (
-                (published, BASE_VIEWS),
-                (published + timedelta(days=30), final),
-            )
-        ds.videos[video_id] = Video(
-            video_id=video_id,
-            channel_id=channel_id,
-            published_at=published,
-            view_history=history,
         )
 
     def emit_onscreen(video_id: str, identity: int, slot: int) -> None:
@@ -322,28 +272,23 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             )
             truth.segment_identity[segment_id] = identity
 
-    for video_id in video_ids:
-        participants: list[int] = []
-        host = hosts[video_id]
-        visible = video_id in onscreen
-        if host is not None:
-            participants.append(host)
-            if visible:
-                emit_onscreen(video_id, host, slot=0)
-            else:
-                emit_voice_only(video_id, host, slot=0)
+    for idx, (video_id, channel_id) in enumerate(channel_of.items()):
+        published = EPOCH + timedelta(days=idx)
+        history = None
         guest = guests.get(video_id)
+        if cfg.planted_growth_ratio is not None:
+            growth = cfg.planted_growth_ratio if guest is not None else 1.0
+            final = BASE_VIEWS + round(BASE_VIEWS * growth)
+            history = ((published, BASE_VIEWS), (published + timedelta(days=30), final))
+        ds.videos[video_id] = Video(video_id, channel_id, published, history)
+        host = hosts[video_id]
+        emit = emit_onscreen if video_id in onscreen else emit_voice_only
+        for slot, identity in enumerate((host, guest)):
+            if identity is not None:
+                emit(video_id, identity, slot)
         if guest is not None:
-            participants.append(guest)
-            if visible:
-                emit_onscreen(video_id, guest, slot=1)
-            else:
-                emit_voice_only(video_id, guest, slot=1)
-            host_channel = ds.videos[video_id].channel_id
-            truth.planted_events.append(
-                (truth.identity_homes[guest], host_channel, video_id, guest)
-            )
-        truth.video_identities[video_id] = sorted(set(participants))
+            truth.planted_events.append((truth.identity_homes[guest], channel_id, video_id, guest))
+        truth.video_identities[video_id] = sorted({host, guest} - {None})
         truth.video_hosts[video_id] = host
     truth.planted_events.sort()
     return ds, truth
@@ -375,12 +320,9 @@ def corrupt(
         conf = track.speaker_confidence
         if conf is not None and confidence_noise > 0.0:
             conf = float(np.clip(conf + rng.uniform(-confidence_noise, confidence_noise), 0.0, 1.0))
-        out.tracks[track_id] = FaceTrack(
-            track_id=track.track_id,
-            video_id=track.video_id,
-            start_frame=track.start_frame,
-            end_frame=track.end_frame,
-            embeddings=track.embeddings[keep].copy(),
+        out.tracks[track_id] = replace(
+            track,
+            embeddings=track.embeddings[keep],
             embedding_frames=tuple(track.embedding_frames[i] for i in keep),
             speaker_confidence=conf,
         )

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here favors directness over speed: naive double loops, recursive
-tree walks, exhaustive enumeration. None of it shares code with the package.
+tree walks, exhaustive enumeration. None of it shares code with the package,
+except sample_blobs, which draws test points with the package's sphere
+sampler rather than checking anything.
 """
 
 from __future__ import annotations
@@ -10,7 +12,32 @@ import itertools
 import math
 from collections import Counter, deque
 
+import numpy as np
+
+from castgraph.synth import random_unit, rotate_within
+
 INF = float("inf")
+
+
+# --- test points ----------------------------------------------------------------
+
+def sample_blobs(
+    n_points: int,
+    n_identities: int,
+    dim: int,
+    noise_deg: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labeled points on the sphere, identities round-robin. Returns (points, labels)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = [random_unit(rng, dim) for _ in range(n_identities)]
+    points = np.empty((n_points, dim), dtype=np.float64)
+    labels = np.empty(n_points, dtype=np.int64)
+    for i in range(n_points):
+        identity = i % n_identities
+        points[i] = rotate_within(rng, centroids[identity], noise_deg)
+        labels[i] = identity
+    return points, labels
 
 
 # --- pairwise distances ------------------------------------------------------

@@ -21,10 +21,10 @@ from castgraph.distcluster import HdbscanParams, cluster_with_fallback, distance
 from castgraph.metrics import completeness, der, homogeneity, v_from_scores, v_measure
 from castgraph.collabgraph import graph_stats
 from castgraph.pipeline import PipelineConfig, PipelineRun, run_pipeline
-from castgraph.synth import SynthConfig, corrupt, generate, random_unit, rotate_within, sample_blobs
+from castgraph.synth import SynthConfig, corrupt, generate, random_unit, rotate_within
 from castgraph.tracks import split_tracks_with_sources
 
-from oracles import n_clusters, oracle_der, oracle_hdbscan, oracle_homogeneity_completeness
+from oracles import n_clusters, oracle_der, oracle_hdbscan, oracle_homogeneity_completeness, sample_blobs
 from test_tracks import merge
 
 PARAMS = HdbscanParams(min_cluster_size=2, min_samples=2)

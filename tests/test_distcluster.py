@@ -34,7 +34,6 @@ from castgraph.distcluster import (
     labels_from_text,
 )
 from castgraph.errors import DimensionMismatch, ZeroVector
-from castgraph.synth import sample_blobs
 
 from oracles import (
     n_clusters,
@@ -43,6 +42,7 @@ from oracles import (
     oracle_dbscan_core_points,
     oracle_hdbscan,
     oracle_mst_edges,
+    sample_blobs,
     squares_from_condensed,
 )
 

@@ -929,6 +929,24 @@ def test_cli_bad_synth_setting_is_a_usage_error(tmp_path, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_synth_that_cannot_host_every_identity_is_a_usage_error(tmp_path, capsys):
+    # 2 videos reach 2 of the 5 home channels
+    counts = ["--channels", "5", "--videos", "2", "--identities", "5", "--face-dim", "8", "--speaker-dim", "8"]
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "out"), *counts])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert "each home channel needs a video" in capsys.readouterr().err
+
+
+def test_cli_synth_guest_spot_shortfall_exits_1(tmp_path, capsys):
+    # 2 identities hosting 1 video each: no guest spot stays below its home count
+    counts = ["--channels", "2", "--videos", "2", "--identities", "2", "--face-dim", "8", "--speaker-dim", "8"]
+    assert main(["synth", "--out", str(tmp_path / "out"), *counts, "--collab-rate", "1"]) == 1
+    assert not (tmp_path / "out").exists()
+    assert "could only plant 0 of 2 collaborations" in capsys.readouterr().err
+
+
 # --- degenerate inputs through cli.main: one policy per row -------------------------
 
 def one_video_dataset(faces, voices) -> catalog.Dataset:

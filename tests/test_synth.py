@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -106,6 +108,70 @@ def test_same_seed_identical_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# SHA-256 of every file of small written corpora; the benchmark's corpora come
+# from the same generate, corrupt and write, so any drift here changes its data
+CORPUS_CFG = SynthConfig(
+    n_channels=4,
+    n_videos=24,
+    n_identities=5,
+    face_dim=8,
+    speaker_dim=6,
+    angular_noise_deg=5.0,
+    offscreen_speaker_fraction=0.5,
+    collaboration_rate=0.25,
+    planted_growth_ratio=1.34,
+)
+ZERO_NOISE_CFG = SynthConfig(
+    n_channels=3,
+    n_videos=12,
+    n_identities=3,
+    face_dim=8,
+    speaker_dim=6,
+    offscreen_speaker_fraction=0.25,
+    collaboration_rate=0.25,
+)
+# (config, seed, corrupt dropout and confidence noise or None, file digests)
+CORPUS_SHA256 = [
+    (CORPUS_CFG, 3, (0.2, 0.1), {
+        "channels.json": "72c073353e353cc0bac6aa3bf0476b6334541b9a629add43e43ec7aac412e514",
+        "faces.emb": "8731a8e1f9006b8ed01a01ac5e9132229b18ac7f8c7d2019f6863bdaadbd2128",
+        "ground_truth.json": "10aa4e66d0bfa8142e231ae2c2b169b4cd9d9145230aa75de4f83541778f2d12",
+        "segments.jsonl": "46184179795b74a2cc7c8538b2f7ca6c9120f5ffd166930f1b9647982dce613e",
+        "speakers.emb": "d1aff40f6fdaf0ad975ba34bbfdf9e2fa45289600773d1c481102dddc08a36f8",
+        "tracks.jsonl": "da8bae0e64373390b21767fcf11897a34f01c0a66e132d4213e53cf75241d4c9",
+        "videos.json": "c5021555130d445717cd2fabc25a65a0872acbda34496fe373afefe3b0e8e73a",
+    }),
+    (CORPUS_CFG, 4, (0.2, 0.1), {
+        "channels.json": "72c073353e353cc0bac6aa3bf0476b6334541b9a629add43e43ec7aac412e514",
+        "faces.emb": "70006909716b988107cb09bcc67fc85f4305ac5e7bc4bee3d3ba86c18dd922be",
+        "ground_truth.json": "540d28bf06160ab680a1f7b5aae10c762532853d64a038ca7bf9a4ffd83758d9",
+        "segments.jsonl": "f3b12ad4a0fe8e3afa2730a0bd1deff8f2229c156cc354dbe0e796c22a89f397",
+        "speakers.emb": "ff53dd0ffaa7fac6b730081845b2943ed525be54dc7822bd8d04532d6123bdd8",
+        "tracks.jsonl": "8a2d56e1964eb4eb911a18c48beb0313c8620e3e6041961478280e6d6fd9bb59",
+        "videos.json": "6a57f75a1e675fadc1176c3e00c6bb4533aef2315d9c1c902c6456f5ba2967ff",
+    }),
+    (ZERO_NOISE_CFG, 5, None, {
+        "channels.json": "ffebeeeb54ec97992907e24d14e0172a371820c9c098aff83ce8ade0d3991de4",
+        "faces.emb": "7664fe75bd96104d16b292503609d87a940b84cfd683a741daae76284d6e52d3",
+        "ground_truth.json": "281c93b0a79219c28373e79c392f3553b9dd30e0d47fd49551c29994080a3dd5",
+        "segments.jsonl": "89119f7ea2eab04b200a48430d0d0120959cde8092a9cd9abf2254d227758e2d",
+        "speakers.emb": "4e6a0dcd4f8591ca91d1434dbcde1a49465a282257b44b957805e956b49ab0e6",
+        "tracks.jsonl": "7c8a426e3e593dce5e051f849fd887ec3821b49babcc833d90a7b53777fdcef2",
+        "videos.json": "eaa0efb2e2a4ba8de3dd099e208826ae01308946e19527ac72321bfd2eadabe2",
+    }),
+]
+
+
+@pytest.mark.parametrize("cfg, seed, damage, expected", CORPUS_SHA256)
+def test_written_corpus_bytes_are_golden(tmp_path, cfg, seed, damage, expected):
+    ds, truth = generate(SynthConfig(**{**cfg.__dict__, "rng_seed": seed}))
+    if damage is not None:
+        ds = corrupt(ds, *damage, seed=seed)
+    write(ds, tmp_path)
+    truth.save(tmp_path / "ground_truth.json")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == expected
+
+
 def test_different_seed_differs():
     ds1, _ = generate(TABLE_CFG)
     ds2, _ = generate(SynthConfig(**{**TABLE_CFG.__dict__, "rng_seed": 8}))
@@ -140,8 +206,22 @@ def test_a_dimension_below_one_is_infeasible(dim):
 
 
 def test_infeasible_more_identities_than_hostable():
+    # homes ch00-ch04, but 2 videos reach only ch00 and ch01: rejected before any draw
     with pytest.raises(InfeasibleConfig):
-        generate(SynthConfig(n_channels=5, n_videos=2, n_identities=5, face_dim=8, speaker_dim=8))
+        SynthConfig(n_channels=5, n_videos=2, n_identities=5, face_dim=8, speaker_dim=8)
+
+
+@pytest.mark.parametrize("n_channels", range(1, 7))
+def test_a_config_is_accepted_exactly_when_every_identity_can_host(n_channels):
+    for n_videos, n_identities in itertools.product(range(1, 9), range(1, 9)):
+        counts = dict(n_channels=n_channels, n_videos=n_videos, n_identities=n_identities)
+        if n_videos < min(n_identities, n_channels):
+            with pytest.raises(InfeasibleConfig):
+                SynthConfig(**counts)
+            continue
+        ds, truth = generate(SynthConfig(**counts, face_dim=4, speaker_dim=4))
+        # every identity's home channel hosts a video
+        assert set(truth.identity_homes.values()) <= {v.channel_id for v in ds.videos.values()}
 
 
 def test_infeasible_collaboration_overload():

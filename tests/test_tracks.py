@@ -92,6 +92,16 @@ def test_split_sources_map():
     assert {p.track_id for p in pieces} == set(sources)
 
 
+def test_split_drops_piece_without_rows():
+    # every row lies in frames 0-49: piece 50-99 covers none, 100-119 is a short remainder
+    rows = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
+    track = FaceTrack("t", "v1", 0, 119, rows, (0, 20, 49), None)
+    pieces, sources = split_tracks_with_sources([track])
+    assert [(p.track_id, p.start_frame, p.end_frame) for p in pieces] == [("t#0", 0, 49)]
+    assert pieces[0].representative.tobytes() == unit_mean(rows).tobytes()
+    assert sources == {"t#0": "t"}
+
+
 # --- pairing ---------------------------------------------------------------------
 
 def test_pairing_full_overlap():
