@@ -10,7 +10,8 @@ A dataset directory holds:
   little-endian float32, row-major.
 
 ``ingest`` reads only the fields of these records that a stage uses; any
-other key or file is ignored.
+other key or file is ignored. It reads each ``.emb`` file once into one
+read-only array, and the tracks and segments hold views of it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timedelta, timezone
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -241,24 +243,36 @@ class Violation:
 # --- embedding matrix files -------------------------------------------------
 
 def write_emb(path: Path, matrix: np.ndarray) -> None:
-    matrix = np.ascontiguousarray(matrix, dtype="<f4")
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("embedding matrix must be 2-D")
-    count, dim = matrix.shape
+    _write_rows(path, matrix.shape[1], [matrix])
+
+
+def _write_rows(path: Path, dim: int, matrices: list) -> None:
+    """Write the matrices' rows in order as one float32 matrix of width dim, without joining them."""
+    if any(m.shape[1] != dim for m in matrices):
+        raise ValueError(f"embedding matrix width differs from {dim}")
     with open(path, "wb") as fh:
-        fh.writelines((EMB_MAGIC + struct.pack("<IQ", dim, count), matrix))
+        fh.write(EMB_MAGIC + struct.pack("<IQ", dim, sum(map(len, matrices))))
+        fh.writelines(np.ascontiguousarray(m, dtype="<f4") for m in matrices)
 
 
 def read_emb(path: Path) -> np.ndarray:
+    """The matrix of an .emb file as a new writable array; its header is checked against the file size first."""
     if not path.is_file():
         raise MissingFile(path)
-    data = path.read_bytes()
-    if len(data) < 16 or data[:4] != EMB_MAGIC:
-        raise MalformedRecord(path, 0, "bad embedding file header")
-    dim, count = struct.unpack("<IQ", data[4:16])
-    if len(data) < 16 + 4 * dim * count:
-        raise MalformedRecord(path, 0, "truncated embedding payload")
-    return np.frombuffer(data, dtype="<f4", count=dim * count, offset=16).reshape(count, dim).copy()
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != EMB_MAGIC:
+            raise MalformedRecord(path, 0, "bad embedding file header")
+        dim, count = struct.unpack("<IQ", header[4:])
+        if os.fstat(fh.fileno()).st_size < 16 + 4 * dim * count:
+            raise MalformedRecord(path, 0, "truncated embedding payload")
+        matrix = np.empty((count, dim), dtype="<f4")
+        if fh.readinto(matrix) != matrix.nbytes:
+            raise MalformedRecord(path, 0, "truncated embedding payload")
+    return matrix
 
 
 # --- timestamps ---------------------------------------------------------------
@@ -497,17 +511,23 @@ def _entries(root: Path, name: str):
 _REQUIRED = object()
 
 
-def _field(rec, key: str, convert, default=_REQUIRED, where: str = ""):
-    """convert(rec[key]) (default if absent; null allowed if default is None); faults name where + key."""
+def _field(rec, key: str, kind, default=_REQUIRED, where: str = ""):
+    """rec[key] read as kind (default if absent; null allowed if default is None); faults name where + key.
+
+    kind is a converter, or a JSON type read under _expect's rules: a value of that
+    type is taken as it is (an int if it fits in 64 bits), any other goes to _CONVERT.
+    """
+    value = rec.get(key, default) if type(rec) is dict else _REQUIRED
+    if type(value) is kind and (kind is not int or -(2**63) <= value < 2**63):
+        return value
     if not isinstance(rec, dict):
         raise ValueError(f"field {where.rstrip('.')!r}: not an object")
-    value = rec.get(key, default)
     if value is _REQUIRED:
         raise KeyError(where + key)
     if value is None and default is None:
         return None
     try:
-        return convert(value)
+        return _CONVERT.get(kind, kind)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {where + key!r}: {exc}") from exc
 
@@ -520,45 +540,72 @@ def _int(value) -> int:
     return value
 
 
-def _float(value) -> float:
-    """A JSON number field's value as a float, read by _field."""
-    return float(_expect(value, float))
+# how _field reads a value not of its kind's type; a float may be written as an int
+_CONVERT = {
+    int: _int,
+    float: lambda value: float(_expect(value, float)),
+    str: partial(_expect, json_type=str),
+    list: partial(_expect, json_type=list),
+}
 
 
-def _str(value) -> str:
-    """An id, a name or a file reference, read by _field: a JSON string."""
-    return _expect(value, str)
+def _emb(matrices: dict, root: Path, name: str) -> tuple[np.ndarray, list[bool]]:
+    """The read-only matrix of the .emb file name and its ``_usable_rows``, read on first use."""
+    if name not in matrices:
+        matrix = read_emb(root / name)
+        matrix.flags.writeable = False
+        matrices[name] = matrix, _usable_rows(matrix).tolist()
+    return matrices[name]
 
 
-class _EmbStore:
-    """Lazily loaded .emb matrices and their ``_usable_rows``, keyed by file name."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self._cache: dict[str, tuple[np.ndarray, list[bool]]] = {}
-
-    def row(self, ref, where: str) -> tuple[np.ndarray, bool]:
-        """The row a ``{"file", "row"}`` reference names, and whether it is usable."""
-        name, index = _field(ref, "file", _str, where=where), _field(ref, "row", _int, where=where)
-        if name not in self._cache:
-            matrix = read_emb(self.root / name)
-            self._cache[name] = matrix, _usable_rows(matrix).tolist()
-        matrix, usable = self._cache[name]
-        if not 0 <= index < matrix.shape[0]:
-            raise ValueError(f"field {where + 'row'!r}: {index} out of range for {name}")
-        return matrix[index], usable[index]
+def _emb_row(ref, emb, where: str) -> tuple[np.ndarray, bool]:
+    """The row a ``{"file", "row"}`` reference names, as a view, and whether it is usable."""
+    name, index = _field(ref, "file", str, where=where), _field(ref, "row", int, where=where)
+    matrix, usable = emb(name)
+    if not 0 <= index < len(matrix):
+        raise ValueError(f"field {where + 'row'!r}: {index} out of range for {name}")
+    return matrix[index], usable[index]
 
 
-# Each parser returns (id, record, extra rule arguments) for one JSON object.
-def _parse_channel(rec: dict, ds: Dataset, store: _EmbStore):
-    channel = Channel(_field(rec, "channel_id", _str), _field(rec, "name", _str, ""))
+def _track_rows(refs: list, emb):
+    """A track's rows, frames and usable flag, its references read and checked as columns.
+
+    Rows of one file come as one array, a view for an ascending run; several files,
+    and any fault, go one reference at a time (a list of row views, or the first fault).
+    """
+    try:
+        files, rows, frames = zip(*[(ref["file"], ref["row"], ref["frame"]) for ref in refs])
+        numbers = rows + frames
+    except (TypeError, KeyError, ValueError):  # a reference that is no object or lacks a field; no references
+        files = ()
+    if (files and files.count(files[0]) == len(files) and type(files[0]) is str
+            and {*map(type, numbers)} == {int} and -(2**63) <= min(numbers) and max(numbers) < 2**63):
+        matrix, usable = emb(files[0])
+        if min(rows) >= 0 and max(rows) < len(matrix):
+            first, stop = rows[0], rows[0] + len(rows)
+            if rows == tuple(range(first, stop)):
+                return matrix[first:stop], frames, all(usable[first:stop])
+            return matrix[list(rows)], frames, all(usable[row] for row in rows)
+    rows, frames, usable = [], [], True
+    for i, ref in enumerate(refs):
+        row, ok = _emb_row(ref, emb, f"embeddings[{i}].")
+        rows.append(row)
+        frames.append(_field(ref, "frame", int, where=f"embeddings[{i}]."))
+        usable = usable and ok
+    return rows, tuple(frames), usable
+
+
+# Each parser returns (id, record, extra rule arguments) for one JSON object;
+# emb(name) is the (matrix, usable rows) of an .emb file.
+def _parse_channel(rec: dict, ds: Dataset, emb):
+    channel = Channel(_field(rec, "channel_id", str), _field(rec, "name", str, ""))
     return channel.channel_id, channel, ()
 
 
-def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
+def _parse_video(rec: dict, ds: Dataset, emb):
     video = Video(
-        video_id=_field(rec, "video_id", _str),
-        channel_id=_field(rec, "channel_id", _str),
+        video_id=_field(rec, "video_id", str),
+        channel_id=_field(rec, "channel_id", str),
         published_at=_field(rec, "published_at", parse_timestamp),
         view_history=_field(
             rec, "view_history", lambda h: tuple((parse_timestamp(t), _int(n)) for t, n in h), None
@@ -567,43 +614,40 @@ def _parse_video(rec: dict, ds: Dataset, store: _EmbStore):
     return video.video_id, video, ()
 
 
-def _parse_track(rec: dict, ds: Dataset, store: _EmbStore):
-    rows, frames, usable = [], [], True
-    for i, ref in enumerate(_field(rec, "embeddings", lambda refs: _expect(refs, list))):
-        row, ok = store.row(ref, f"embeddings[{i}].")
-        rows.append(row)
-        frames.append(_field(ref, "frame", _int, where=f"embeddings[{i}]."))
-        usable = usable and ok
-    if ds.face_dim is None and rows:
+def _parse_track(rec: dict, ds: Dataset, emb):
+    rows, frames, usable = _track_rows(_field(rec, "embeddings", list), emb)
+    if ds.face_dim is None and len(rows):
         ds.face_dim = len(rows[0])
-    if len({len(row) for row in rows}) > 1:
-        got = next(len(row) for row in rows if len(row) != ds.face_dim)
-        detail = f"expected {ds.face_dim}, got {got}"
-        raise DimensionMismatch(f"{_field(rec, 'track_id', _str)}: DimensionMismatch: {detail}")
-    embeddings = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
+    if type(rows) is list:
+        if len({len(row) for row in rows}) > 1:
+            got = next(len(row) for row in rows if len(row) != ds.face_dim)
+            detail = f"expected {ds.face_dim}, got {got}"
+            raise DimensionMismatch(f"{_field(rec, 'track_id', str)}: DimensionMismatch: {detail}")
+        rows = np.array(rows) if rows else np.zeros((0, ds.face_dim or 0), dtype=np.float32)
+    rows.flags.writeable = False
     track = FaceTrack(
-        track_id=_field(rec, "track_id", _str),
-        video_id=_field(rec, "video_id", _str),
-        start_frame=_field(rec, "start_frame", _int),
-        end_frame=_field(rec, "end_frame", _int),
-        embeddings=embeddings,
-        embedding_frames=tuple(frames),
-        speaker_confidence=_field(rec, "speaker_confidence", _float, None),
+        track_id=_field(rec, "track_id", str),
+        video_id=_field(rec, "video_id", str),
+        start_frame=_field(rec, "start_frame", int),
+        end_frame=_field(rec, "end_frame", int),
+        embeddings=rows,
+        embedding_frames=frames,
+        speaker_confidence=_field(rec, "speaker_confidence", float, None),
     )
     return track.track_id, track, (usable,)
 
 
-def _parse_segment(rec: dict, ds: Dataset, store: _EmbStore):
+def _parse_segment(rec: dict, ds: Dataset, emb):
     embedding, usable, ref = None, True, rec.get("embedding")
     if ref is not None:
-        embedding, usable = store.row(ref, "embedding.")
+        embedding, usable = _emb_row(ref, emb, "embedding.")
         if ds.speaker_dim is None:
             ds.speaker_dim = embedding.shape[0]
     segment = SpeechSegment(
-        segment_id=_field(rec, "segment_id", _str),
-        video_id=_field(rec, "video_id", _str),
-        start_s=_field(rec, "start_s", _float),
-        end_s=_field(rec, "end_s", _float),
+        segment_id=_field(rec, "segment_id", str),
+        video_id=_field(rec, "video_id", str),
+        start_s=_field(rec, "start_s", float),
+        end_s=_field(rec, "end_s", float),
         embedding=embedding,
     )
     return segment.segment_id, segment, (usable,)
@@ -620,9 +664,14 @@ def ingest(manifest_dir: str | Path) -> Dataset:
     naming ``file:line`` and the record. Each modality's embedding dimension is
     that of its first referenced row; with no embeddings at all the defaults
     (1792 faces, 1024 speakers) apply.
+
+    Each ``.emb`` file is read once, by ``read_emb``, into one read-only array.
+    A segment holds a view of its row, a track whose references are one
+    ascending run of one file a view of those rows, and any other track a
+    read-only copy; a caller that edits rows copies them first.
     """
     root = Path(manifest_dir)
-    store = _EmbStore(root)
+    emb = partial(_emb, {}, root)
     ds = Dataset(face_dim=None, speaker_dim=None)
     for name, parse, rules, table in (
         ("channels.json", _parse_channel, _channel_rules, ds.channels),
@@ -634,7 +683,7 @@ def ingest(manifest_dir: str | Path) -> Dataset:
             if not isinstance(rec, dict):
                 raise MalformedRecord(name, lineno, "record is not an object")
             try:
-                key, record, extra = parse(rec, ds, store)
+                key, record, extra = parse(rec, ds, emb)
             except KeyError as exc:
                 raise MalformedRecord(name, lineno, f"missing field {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
@@ -695,8 +744,7 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
                 "embeddings": refs,
             }
             fh.write(json.dumps(rec) + "\n")
-    # one matrix at a time: faces.emb is written before the speaker rows are gathered
-    _write_rows(root / "faces.emb", ds.face_dim, (t.embeddings[: len(t.embedding_frames)] for t in tracks))
+    _write_rows(root / "faces.emb", ds.face_dim, [t.embeddings[: len(t.embedding_frames)] for t in tracks])
 
     segments = sorted(ds.segments.values(), key=lambda s: s.segment_id)
     with open(root / "segments.jsonl", "w", encoding="utf-8") as fh:
@@ -714,9 +762,4 @@ def write(ds: Dataset, out_dir: str | Path) -> None:
                 "embedding": ref,
             }
             fh.write(json.dumps(rec) + "\n")
-    _write_rows(root / "speakers.emb", ds.speaker_dim, (s.embedding[None] for s in segments if s.embedding is not None))
-
-
-def _write_rows(path: Path, dim: int, matrices) -> None:
-    """Write the matrices' rows in order as one float32 matrix; a zero-row head covers no matrices."""
-    write_emb(path, np.concatenate([np.zeros((0, dim), dtype=np.float32), *matrices], dtype=np.float32))
+    _write_rows(root / "speakers.emb", ds.speaker_dim, [s.embedding[None] for s in segments if s.embedding is not None])

@@ -3,7 +3,8 @@
 Everything here favors directness over speed: naive double loops, recursive
 tree walks, exhaustive enumeration. None of it shares code with the package,
 except sample_blobs, which draws test points with the package's sphere
-sampler rather than checking anything.
+sampler rather than checking anything, and oracle_reference_rows, which reads each
+row with the package's .emb reader.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 
+from castgraph.catalog import read_emb
 from castgraph.synth import random_unit, rotate_within
 
 INF = float("inf")
@@ -38,6 +41,13 @@ def sample_blobs(
         points[i] = rotate_within(rng, centroids[identity], noise_deg)
         labels[i] = identity
     return points, labels
+
+
+# --- manifest references ---------------------------------------------------------
+
+def oracle_reference_rows(root, refs) -> np.ndarray:
+    """The rows a track's embedding references name: one whole-file read_emb per reference."""
+    return np.array([read_emb(Path(root) / ref["file"])[ref["row"]] for ref in refs])
 
 
 # --- pairwise distances ------------------------------------------------------

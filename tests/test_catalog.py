@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castgraph import cli
+from castgraph import catalog, cli
 from castgraph.bridge import AssociationEdge, AssociationGraph, ConflictEntry, IdentityComponent
 from castgraph.catalog import (
     AVPair,
@@ -46,6 +47,7 @@ from castgraph.errors import DanglingReference, DimensionMismatch, MalformedReco
 from castgraph.synth import GroundTruth, SynthConfig, generate
 from castgraph.tracks import TrackEntity
 
+from oracles import oracle_reference_rows
 from test_pipeline_cli import child_env
 
 
@@ -140,6 +142,7 @@ def test_emb_round_trip_bit_exact(tmp_path):
     loaded = read_emb(path)
     assert loaded.dtype == np.float32
     assert np.array_equal(loaded, matrix)
+    assert loaded.flags.writeable
     raw = path.read_bytes()
     assert raw[:4] == b"EMB1"
     assert int.from_bytes(raw[4:8], "little") == 12
@@ -151,6 +154,19 @@ def test_emb_bad_header(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(MalformedRecord):
         read_emb(path)
+
+
+def test_emb_header_claiming_more_rows_than_the_file_holds_allocates_nothing(tmp_path):
+    path = tmp_path / "huge.emb"
+    path.write_bytes(b"EMB1" + (8).to_bytes(4, "little") + (2**40).to_bytes(8, "little") + bytes(4 * 8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedRecord, match="truncated embedding payload"):
+            read_emb(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_emb_missing_file(tmp_path):
@@ -165,6 +181,55 @@ def test_ingest_write_round_trip(tmp_path, synth_dataset):
     write(ds, tmp_path / "d")
     loaded = ingest(tmp_path / "d")
     assert loaded.digest() == ds.digest()
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    """A written corpus whose embedding payload outweighs its JSON text by far."""
+    cfg = SynthConfig(n_channels=4, n_videos=48, n_identities=4, face_dim=4096, speaker_dim=4096, rng_seed=5)
+    root = tmp_path_factory.mktemp("wide") / "data"
+    write(generate(cfg)[0], root)
+    return root
+
+
+def test_ingest_reads_each_emb_file_once_and_records_share_its_read_only_array(wide_corpus, monkeypatch):
+    matrices = {}
+
+    def read_once(path):
+        assert path.name not in matrices
+        matrices[path.name] = read_emb(path)
+        return matrices[path.name]
+
+    monkeypatch.setattr(catalog, "read_emb", read_once)
+    ds = ingest(wide_corpus)
+    assert sorted(matrices) == ["faces.emb", "speakers.emb"]
+    assert not any(matrix.flags.writeable for matrix in matrices.values())
+    vectors = [(t.embeddings, "faces.emb") for t in ds.tracks.values()]
+    vectors += [(s.embedding, "speakers.emb") for s in ds.segments.values() if s.embedding is not None]
+    assert len(vectors) > len(matrices)
+    for vector, name in vectors:
+        assert not vector.flags.writeable
+        assert np.shares_memory(vector, matrices[name])
+
+
+def test_ingest_holds_no_second_copy_of_the_embeddings_at_its_peak(wide_corpus):
+    payload = sum(path.stat().st_size for path in wide_corpus.glob("*.emb"))
+    tracemalloc.start()
+    try:
+        ds = ingest(wide_corpus)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.tracks and held > payload
+    assert peak - held < 0.1 * payload
+
+
+def test_write_refuses_a_row_of_another_width(tmp_path, synth_dataset):
+    ds = copy.deepcopy(synth_dataset[0])
+    track = next(iter(ds.tracks.values()))
+    track.embeddings = np.ones((len(track.embedding_frames), ds.face_dim + 1), dtype=np.float32)
+    with pytest.raises(ValueError):
+        write(ds, tmp_path / "d")
 
 
 def test_ingest_empty_tracks(tmp_path):
@@ -554,6 +619,33 @@ def odd_dimension_row(index):
     return mutate
 
 
+def middle_reference(index, key, value):
+    """A mutation giving the first track five references, its rows again and again, and
+    setting field key of embeddings[index] to value (value(root) when it is callable)."""
+
+    def mutate(root, ds):
+        def change(record):
+            refs = record["embeddings"]
+            record["embeddings"] = [dict(refs[i % len(refs)]) for i in range(5)]
+            record["embeddings"][index][key] = value(root) if callable(value) else value
+
+        edit_record(root, "tracks.jsonl", change)
+
+    mutate.__name__ = f"embeddings[{index}].{key}={getattr(value, '__name__', value)}"
+    return mutate
+
+
+def face_row_count(root):
+    return read_emb(root / "faces.emb").shape[0]
+
+
+def huge_face_header(root, ds):
+    path = root / "faces.emb"
+    with open(path, "r+b") as fh:
+        fh.seek(8)
+        fh.write((2**40).to_bytes(8, "little"))
+
+
 # a field of another JSON type, as (file, path to the field, value, field name in the message):
 # an integer field takes a JSON integer that fits in 64 bits, a float field any JSON number,
 # and a bool is neither; ids, names and file references take a JSON string, never null,
@@ -582,6 +674,8 @@ WRONG_TYPES = [
     ("tracks.jsonl", ("video_id",), 7, "video_id"),
     ("tracks.jsonl", ("embeddings",), "ab", "embeddings"),
     ("tracks.jsonl", ("embeddings", 0, "file"), None, "embeddings[0].file"),
+    ("segments.jsonl", ("embedding", "row"), 2**63, "embedding.row"),
+    ("segments.jsonl", ("embedding", "file"), ["speakers.emb"], "embedding.file"),
     ("segments.jsonl", ("segment_id",), {"a": 1}, "segment_id"),
 ]
 
@@ -618,6 +712,16 @@ BAD_MANIFESTS = [
     (dangling_segment_video, "segments.jsonl", DanglingReference, "DanglingReference", None),
     *((odd_dimension_row(index), "tracks.jsonl", DimensionMismatch, None,
        ":1: v0000/t0: DimensionMismatch: expected ") for index in (0, 1)),
+    (middle_reference(2, "row", -1), "tracks.jsonl", MalformedRecord, None,
+     ":1: bad record: field 'embeddings[2].row': -1 out of range for faces.emb"),
+    (middle_reference(2, "row", face_row_count), "tracks.jsonl", MalformedRecord, None,
+     ":1: bad record: field 'embeddings[2].row': "),
+    (middle_reference(3, "frame", 2**63), "tracks.jsonl", MalformedRecord, None,
+     ":1: bad record: field 'embeddings[3].frame': expected a 64-bit int, got 9223372036854775808"),
+    (middle_reference(2, "file", 7), "tracks.jsonl", MalformedRecord, None,
+     ":1: bad record: field 'embeddings[2].file': expected str, got int"),
+    # an .emb fault names the file by its path
+    (huge_face_header, "faces.emb", MalformedRecord, None, ":0: truncated embedding payload"),
     *((wrong_number(source, path, value), source, MalformedRecord, None,
        f":1: bad record: field '{name}': expected ") for source, path, value, name in WRONG_TYPES),
 ]
@@ -634,6 +738,8 @@ def test_bad_manifest_is_one_typed_error_everywhere(
     root = tmp_path / "data"
     write(ds, root)
     mutate(root, ds)
+    if source.endswith(".emb"):
+        source = str(root / source)
 
     with pytest.raises(error) as raised:
         ingest(root)
@@ -724,6 +830,79 @@ def test_float_field_written_as_an_integer_reads_as_a_float(tmp_path, small_mani
     segment_id = edit_record(root, "segments.jsonl", lambda r: r.update(start_s=1))["segment_id"]
     ds = ingest(root)
     assert type(ds.segments[segment_id].start_s) is float and ds.segments[segment_id].start_s == 1.0
+
+
+# --- embedding reference layouts --------------------------------------------------------
+
+def relayout(root: Path, layout: str) -> list:
+    """Point every track's references at the same values laid out another way, or for
+    "repeated" at repeated rows; returns the track records."""
+    faces = read_emb(root / "faces.emb")
+    tracks = read_records(root / "tracks.jsonl")
+    refs = [ref for record in tracks for ref in record["embeddings"]]
+    if layout == "repeated":
+        for record in tracks:
+            rows = [ref["row"] for ref in record["embeddings"]]
+            for i, ref in enumerate(record["embeddings"]):
+                ref["row"] = rows[i // 2]
+    elif layout == "two_files":
+        write_emb(root / "even.emb", faces[0::2])
+        write_emb(root / "odd.emb", faces[1::2])
+        for ref in refs:
+            ref.update(file=("even.emb", "odd.emb")[ref["row"] % 2], row=ref["row"] // 2)
+    else:
+        position = np.arange(len(faces))
+        if layout == "reversed":
+            position = position[::-1]
+        elif layout == "shuffled":
+            position = np.random.default_rng(3).permutation(len(faces))
+        moved = np.empty_like(faces)
+        moved[position] = faces
+        write_emb(root / "faces.emb", moved)
+        for ref in refs:
+            ref["row"] = int(position[ref["row"]])
+    write_records(root / "tracks.jsonl", tracks)
+    return tracks
+
+
+@pytest.mark.parametrize("layout", ["ascending", "reversed", "shuffled", "repeated", "two_files"])
+def test_ingest_reads_each_reference_layout_as_the_brute_force_reader_does(tmp_path, small_manifest, layout):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    tracks = relayout(root, layout)
+    assert max(len(record["embeddings"]) for record in tracks) > 1
+    ds = ingest(root)
+    for record in tracks:
+        embeddings = ds.tracks[record["track_id"]].embeddings
+        assert embeddings.dtype == np.float32 and not embeddings.flags.writeable
+        assert np.array_equal(embeddings, oracle_reference_rows(root, record["embeddings"]))
+    assert validate(ds) == []
+    if layout != "repeated":
+        assert ds.digest() == ingest(small_manifest).digest()
+
+
+@pytest.mark.parametrize("layout", ["ascending", "reversed", "shuffled", "repeated", "two_files"])
+def test_a_zero_row_is_found_in_each_reference_layout(tmp_path, small_manifest, layout):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    ref = relayout(root, layout)[0]["embeddings"][-1]
+    matrix = read_emb(root / ref["file"])
+    matrix[ref["row"]] = 0.0
+    write_emb(root / ref["file"], matrix)
+    with pytest.raises(MalformedRecord, match="^tracks.jsonl:1: .*: ZeroVector: "):
+        ingest(root)
+
+
+def test_a_track_reading_files_of_two_dimensions_is_a_dimension_mismatch_on_its_line(tmp_path, small_manifest):
+    root = tmp_path / "data"
+    shutil.copytree(small_manifest, root)
+    tracks = read_records(root / "tracks.jsonl")
+    line, record = next((i, r) for i, r in enumerate(tracks, start=1) if i > 1 and len(r["embeddings"]) > 1)
+    record["embeddings"][-1].update(file="speakers.emb", row=0)
+    write_records(root / "tracks.jsonl", tracks)
+    with pytest.raises(DimensionMismatch) as raised:
+        ingest(root)
+    assert str(raised.value) == f"tracks.jsonl:{line}: {record['track_id']}: DimensionMismatch: expected 8, got 6"
 
 
 # --- keys and files that no stage reads -----------------------------------------------
