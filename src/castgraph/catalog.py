@@ -250,12 +250,17 @@ def write_emb(path: Path, matrix: np.ndarray) -> None:
 
 
 def _write_rows(path: Path, dim: int, matrices: list) -> None:
-    """Write the matrices' rows in order as one float32 matrix of width dim, without joining them."""
+    """Write the matrices' rows in order as one float32 matrix of width dim, without joining them.
+
+    Each matrix is cast (a view if it is float32 already) before the file is opened,
+    so a matrix that cannot be cast leaves no file.
+    """
+    matrices = [np.ascontiguousarray(m, dtype="<f4") for m in matrices]
     if any(m.shape[1] != dim for m in matrices):
         raise ValueError(f"embedding matrix width differs from {dim}")
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC + struct.pack("<IQ", dim, sum(map(len, matrices))))
-        fh.writelines(np.ascontiguousarray(m, dtype="<f4") for m in matrices)
+        fh.writelines(matrices)
 
 
 def read_emb(path: Path) -> np.ndarray:
@@ -558,41 +563,27 @@ def _emb(matrices: dict, root: Path, name: str) -> tuple[np.ndarray, list[bool]]
     return matrices[name]
 
 
-def _emb_row(ref, emb, where: str) -> tuple[np.ndarray, bool]:
-    """The row a ``{"file", "row"}`` reference names, as a view, and whether it is usable."""
+def _emb_ref(ref, emb, where: str) -> tuple[np.ndarray, int, bool]:
+    """The matrix a ``{"file", "row"}`` reference names, the row, and whether that row is usable."""
     name, index = _field(ref, "file", str, where=where), _field(ref, "row", int, where=where)
     matrix, usable = emb(name)
     if not 0 <= index < len(matrix):
         raise ValueError(f"field {where + 'row'!r}: {index} out of range for {name}")
-    return matrix[index], usable[index]
+    return matrix, index, usable[index]
 
 
 def _track_rows(refs: list, emb):
-    """A track's rows, frames and usable flag, its references read and checked as columns.
-
-    Rows of one file come as one array, a view for an ascending run; several files,
-    and any fault, go one reference at a time (a list of row views, or the first fault).
-    """
-    try:
-        files, rows, frames = zip(*[(ref["file"], ref["row"], ref["frame"]) for ref in refs])
-        numbers = rows + frames
-    except (TypeError, KeyError, ValueError):  # a reference that is no object or lacks a field; no references
-        files = ()
-    if (files and files.count(files[0]) == len(files) and type(files[0]) is str
-            and {*map(type, numbers)} == {int} and -(2**63) <= min(numbers) and max(numbers) < 2**63):
-        matrix, usable = emb(files[0])
-        if min(rows) >= 0 and max(rows) < len(matrix):
-            first, stop = rows[0], rows[0] + len(rows)
-            if rows == tuple(range(first, stop)):
-                return matrix[first:stop], frames, all(usable[first:stop])
-            return matrix[list(rows)], frames, all(usable[row] for row in rows)
-    rows, frames, usable = [], [], True
+    """A track's rows, frames and usable flag; rows that are one ascending run of one file are a view of it."""
+    picks, frames = [], []
     for i, ref in enumerate(refs):
-        row, ok = _emb_row(ref, emb, f"embeddings[{i}].")
-        rows.append(row)
-        frames.append(_field(ref, "frame", int, where=f"embeddings[{i}]."))
-        usable = usable and ok
-    return rows, tuple(frames), usable
+        where = f"embeddings[{i}]."
+        picks.append(_emb_ref(ref, emb, where))
+        frames.append(_field(ref, "frame", int, where=where))
+    usable = all(ok for _, _, ok in picks)
+    matrix, first, _ = picks[0] if picks else (None, 0, True)
+    if picks and all(m is matrix and row == first + k for k, (m, row, _) in enumerate(picks)):
+        return matrix[first : first + len(picks)], tuple(frames), usable
+    return [m[row] for m, row, _ in picks], tuple(frames), usable
 
 
 # Each parser returns (id, record, extra rule arguments) for one JSON object;
@@ -640,7 +631,8 @@ def _parse_track(rec: dict, ds: Dataset, emb):
 def _parse_segment(rec: dict, ds: Dataset, emb):
     embedding, usable, ref = None, True, rec.get("embedding")
     if ref is not None:
-        embedding, usable = _emb_row(ref, emb, "embedding.")
+        matrix, row, usable = _emb_ref(ref, emb, "embedding.")
+        embedding = matrix[row]
         if ds.speaker_dim is None:
             ds.speaker_dim = embedding.shape[0]
     segment = SpeechSegment(

@@ -230,6 +230,17 @@ def test_write_refuses_a_row_of_another_width(tmp_path, synth_dataset):
     track.embeddings = np.ones((len(track.embedding_frames), ds.face_dim + 1), dtype=np.float32)
     with pytest.raises(ValueError):
         write(ds, tmp_path / "d")
+    assert not (tmp_path / "d" / "faces.emb").exists()
+
+
+def test_a_write_that_cannot_cast_a_row_leaves_no_emb_file(tmp_path, synth_dataset):
+    ds = copy.deepcopy(synth_dataset[0])
+    track = sorted(ds.tracks.values(), key=lambda t: t.track_id)[-1]
+    track.embeddings = np.full((len(track.embedding_frames), ds.face_dim), "not a float")
+    with pytest.raises(ValueError):
+        write(ds, tmp_path / "d")
+    assert (tmp_path / "d" / "tracks.jsonl").exists()
+    assert not (tmp_path / "d" / "faces.emb").exists()
 
 
 def test_ingest_empty_tracks(tmp_path):
