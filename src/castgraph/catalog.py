@@ -250,11 +250,7 @@ def write_emb(path: Path, matrix: np.ndarray) -> None:
 
 
 def _write_rows(path: Path, dim: int, matrices: list) -> None:
-    """Write the matrices' rows in order as one float32 matrix of width dim, without joining them.
-
-    Each matrix is cast (a view if it is float32 already) before the file is opened,
-    so a matrix that cannot be cast leaves no file.
-    """
+    """Write the matrices' rows in order as one float32 matrix of width dim, cast before the file is opened."""
     matrices = [np.ascontiguousarray(m, dtype="<f4") for m in matrices]
     if any(m.shape[1] != dim for m in matrices):
         raise ValueError(f"embedding matrix width differs from {dim}")

@@ -224,19 +224,17 @@ def test_ingest_holds_no_second_copy_of_the_embeddings_at_its_peak(wide_corpus):
     assert peak - held < 0.1 * payload
 
 
-def test_write_refuses_a_row_of_another_width(tmp_path, synth_dataset):
-    ds = copy.deepcopy(synth_dataset[0])
-    track = next(iter(ds.tracks.values()))
-    track.embeddings = np.ones((len(track.embedding_frames), ds.face_dim + 1), dtype=np.float32)
-    with pytest.raises(ValueError):
-        write(ds, tmp_path / "d")
-    assert not (tmp_path / "d" / "faces.emb").exists()
-
-
-def test_a_write_that_cannot_cast_a_row_leaves_no_emb_file(tmp_path, synth_dataset):
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(lambda n, dim: np.ones((n, dim + 1), dtype=np.float32), id="another_width"),
+        pytest.param(lambda n, dim: np.full((n, dim), "not a float"), id="not_a_float"),
+    ],
+)
+def test_write_refuses_a_face_row_and_leaves_no_emb_file(tmp_path, synth_dataset, rows):
     ds = copy.deepcopy(synth_dataset[0])
     track = sorted(ds.tracks.values(), key=lambda t: t.track_id)[-1]
-    track.embeddings = np.full((len(track.embedding_frames), ds.face_dim), "not a float")
+    track.embeddings = rows(len(track.embedding_frames), ds.face_dim)
     with pytest.raises(ValueError):
         write(ds, tmp_path / "d")
     assert (tmp_path / "d" / "tracks.jsonl").exists()
