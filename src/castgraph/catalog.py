@@ -154,66 +154,35 @@ class Dataset:
         if isinstance(faces[0], BaseException):
             raise faces[0]
         h = hashlib.sha256()
-        for column in (
-            json.dumps(list(self._strings())).encode(),
-            np.fromiter(self._integers(), dtype="<i8").tobytes(),
-            np.fromiter(self._floats(), dtype="<f8").tobytes(),
-        ):
+        for column in self._columns():
             h.update(len(column).to_bytes(8, "little"))
             h.update(column)
         h.update(faces[0])
         h.update(speakers)
         return h.hexdigest()
 
-    def _strings(self):
-        """The digest's string column: each record's ids, name and references."""
+    def _columns(self) -> tuple[bytes, bytes, bytes]:
+        """The digest's string, int64 and float64 columns, each record's fields appended in one walk per table."""
+        strings, floats = [], []
+        ints = [*map(len, (self.channels, self.videos, self.tracks, self.segments)), self.face_dim, self.speaker_dim]
         for c in self.channels.values():
-            yield c.channel_id
-            yield c.name
+            strings += c.channel_id, c.name
         for v in self.videos.values():
-            yield v.video_id
-            yield v.channel_id
+            strings += v.video_id, v.channel_id
+            history = v.view_history
+            ints += _micros(v.published_at), -1 if history is None else len(history)
+            for ts, count in history or ():
+                ints += _micros(ts), count
         for t in self.tracks.values():
-            yield t.track_id
-            yield t.video_id
+            strings += t.track_id, t.video_id
+            ints += t.start_frame, t.end_frame, len(t.embedding_frames), *t.embedding_frames
+            ints += *t.embeddings.shape, t.speaker_confidence is None
+            floats.append(math.nan if t.speaker_confidence is None else t.speaker_confidence)
         for s in self.segments.values():
-            yield s.segment_id
-            yield s.video_id
-
-    def _integers(self):
-        """The digest's int64 column: sizes, times, counts, frames, and the lengths and flags between them."""
-        yield len(self.channels)
-        yield len(self.videos)
-        yield len(self.tracks)
-        yield len(self.segments)
-        yield self.face_dim
-        yield self.speaker_dim
-        for v in self.videos.values():
-            yield _micros(v.published_at)
-            if v.view_history is None:
-                yield -1
-                continue
-            yield len(v.view_history)
-            for ts, count in v.view_history:
-                yield _micros(ts)
-                yield count
-        for t in self.tracks.values():
-            yield t.start_frame
-            yield t.end_frame
-            yield len(t.embedding_frames)
-            yield from t.embedding_frames
-            yield from t.embeddings.shape
-            yield t.speaker_confidence is None
-        for s in self.segments.values():
-            yield -1 if s.embedding is None else len(s.embedding)
-
-    def _floats(self):
-        """The digest's float64 column: speaker confidences (NaN for None), then segment times."""
-        for t in self.tracks.values():
-            yield math.nan if t.speaker_confidence is None else t.speaker_confidence
-        for s in self.segments.values():
-            yield s.start_s
-            yield s.end_s
+            strings += s.segment_id, s.video_id
+            ints.append(-1 if s.embedding is None else len(s.embedding))
+            floats += s.start_s, s.end_s
+        return json.dumps(strings).encode(), np.array(ints, "<i8").tobytes(), np.array(floats, "<f8").tobytes()
 
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -259,20 +228,24 @@ def _write_rows(path: Path, dim: int, matrices: list) -> None:
         fh.writelines(matrices)
 
 
-def read_emb(path: Path) -> np.ndarray:
-    """The matrix of an .emb file as a new writable array; its header is checked against the file size first."""
+def read_emb(path: Path, source=None) -> np.ndarray:
+    """The matrix of an .emb file as a new writable array; its header is checked against the file size first.
+
+    A damaged file raises MalformedRecord naming source (default: the path).
+    """
+    source = path if source is None else source
     if not path.is_file():
         raise MissingFile(path)
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:4] != EMB_MAGIC:
-            raise MalformedRecord(path, 0, "bad embedding file header")
+            raise MalformedRecord(source, 0, "bad embedding file header")
         dim, count = struct.unpack("<IQ", header[4:])
         if os.fstat(fh.fileno()).st_size < 16 + 4 * dim * count:
-            raise MalformedRecord(path, 0, "truncated embedding payload")
+            raise MalformedRecord(source, 0, "truncated embedding payload")
         matrix = np.empty((count, dim), dtype="<f4")
         if fh.readinto(matrix) != matrix.nbytes:
-            raise MalformedRecord(path, 0, "truncated embedding payload")
+            raise MalformedRecord(source, 0, "truncated embedding payload")
     return matrix
 
 
@@ -553,7 +526,7 @@ _CONVERT = {
 def _emb(matrices: dict, root: Path, name: str) -> tuple[np.ndarray, list[bool]]:
     """The read-only matrix of the .emb file name and its ``_usable_rows``, read on first use."""
     if name not in matrices:
-        matrix = read_emb(root / name)
+        matrix = read_emb(root / name, name)
         matrix.flags.writeable = False
         matrices[name] = matrix, _usable_rows(matrix).tolist()
     return matrices[name]

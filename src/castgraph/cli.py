@@ -37,6 +37,17 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
 
 
+# each pipeline command: its help and the last stage it runs
+COMMANDS = {
+    "run": ("run the full pipeline", "report"),
+    "diarize": ("run through per-video diarization", "diarize"),
+    "cluster": ("run through global clustering", "cluster_speakers"),
+    "bridge": ("run through identity resolution", "bridge"),
+    "graph": ("run through the collaboration graph", "graph"),
+    "eval": ("run everything and score against ground truth", "report"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="castgraph",
@@ -46,30 +57,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--channels", type=int, default=9)
-    p.add_argument("--videos", type=int, default=72)
-    p.add_argument("--identities", type=int, default=9)
-    p.add_argument("--face-dim", type=int, default=catalog.DEFAULT_FACE_DIM)
-    p.add_argument("--speaker-dim", type=int, default=catalog.DEFAULT_SPEAKER_DIM)
-    p.add_argument("--noise-deg", type=float, default=0.0)
-    p.add_argument("--offscreen-fraction", type=float, default=0.0)
-    p.add_argument("--collab-rate", type=float, default=0.0)
-    p.add_argument("--growth-ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    # a flag per SynthConfig field, defaulting as that field
+    synth = SynthConfig()
+    p.add_argument("--channels", dest="n_channels", type=int, default=synth.n_channels)
+    p.add_argument("--videos", dest="n_videos", type=int, default=synth.n_videos)
+    p.add_argument("--identities", dest="n_identities", type=int, default=synth.n_identities)
+    p.add_argument("--face-dim", dest="face_dim", type=int, default=synth.face_dim)
+    p.add_argument("--speaker-dim", dest="speaker_dim", type=int, default=synth.speaker_dim)
+    p.add_argument("--noise-deg", dest="angular_noise_deg", type=float, default=synth.angular_noise_deg)
+    p.add_argument("--offscreen-fraction", dest="offscreen_speaker_fraction", type=float,
+                   default=synth.offscreen_speaker_fraction)
+    p.add_argument("--collab-rate", dest="collaboration_rate", type=float, default=synth.collaboration_rate)
+    p.add_argument("--growth-ratio", dest="planted_growth_ratio", type=float, default=synth.planted_growth_ratio)
+    p.add_argument("--seed", dest="rng_seed", type=int, default=synth.rng_seed)
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--conf-noise", type=float, default=0.0)
 
     p = sub.add_parser("validate", help="check a dataset directory")
     p.add_argument("dataset", type=Path)
 
-    for name, help_text in (
-        ("run", "run the full pipeline"),
-        ("diarize", "run through per-video diarization"),
-        ("cluster", "run through global clustering"),
-        ("bridge", "run through identity resolution"),
-        ("graph", "run through the collaboration graph"),
-        ("eval", "run everything and score against ground truth"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("dataset", type=Path)
         p.add_argument("--out", type=Path, required=True)
@@ -80,16 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="pipeline output directory")
 
     return parser
-
-
-_STAGE_CUTOFF = {
-    "diarize": "diarize",
-    "cluster": "cluster_speakers",
-    "bridge": "bridge",
-    "graph": "graph",
-    "run": "report",
-    "eval": "report",
-}
 
 
 def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = False) -> int:
@@ -115,21 +112,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # a bad setting is a usage error, found before any input is read or written
     try:
-        if args.command in _STAGE_CUTOFF:
+        if args.command in COMMANDS:
             config = _config(args)
         if args.command == "synth":
-            cfg = SynthConfig(
-                n_channels=args.channels,
-                n_videos=args.videos,
-                n_identities=args.identities,
-                face_dim=args.face_dim,
-                speaker_dim=args.speaker_dim,
-                angular_noise_deg=args.noise_deg,
-                offscreen_speaker_fraction=args.offscreen_fraction,
-                collaboration_rate=args.collab_rate,
-                planted_growth_ratio=args.growth_ratio,
-                rng_seed=args.seed,
-            )
+            cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
             if not (0.0 <= args.dropout <= 1.0 and args.conf_noise >= 0.0):
                 raise ValueError("--dropout must be in [0, 1] and --conf-noise >= 0")
     except (ValueError, CastgraphError) as exc:
@@ -140,8 +126,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             ds, truth = generate(cfg)
             if args.dropout > 0.0 or args.conf_noise > 0.0:
-                ds = corrupt(ds, args.dropout, args.conf_noise, seed=args.seed)
-            args.out.mkdir(parents=True, exist_ok=True)
+                ds = corrupt(ds, args.dropout, args.conf_noise, seed=cfg.rng_seed)
             catalog.write(ds, args.out)
             truth.save(args.out / "ground_truth.json")
             print(f"wrote {len(ds.videos)} videos, {len(ds.tracks)} tracks, "
@@ -164,9 +149,9 @@ def main(argv=None) -> int:
             sys.stdout.write(collabgraph.collab_graph_dot(ds, edges))
             return 0
 
-        return _run_stages(args, config, _STAGE_CUTOFF[args.command], show_table=args.command == "eval")
+        return _run_stages(args, config, COMMANDS[args.command][1], show_table=args.command == "eval")
 
-    except (MissingFile, MalformedRecord, DanglingReference, DimensionMismatch) as exc:
+    except (MissingFile, MalformedRecord, DanglingReference, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CastgraphError as exc:

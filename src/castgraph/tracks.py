@@ -50,7 +50,8 @@ def split_tracks_with_sources(tracks) -> tuple[list[TrackPiece], dict[str, str]]
     representative is the unit_mean of the track rows whose source frames it
     covers, and it keeps no rows. Pieces that end up shorter than
     MIN_PIECE_FRAMES, or with no rows at all, are dropped; rows that cancel
-    to a zero mean raise ZeroVector. The evaluation reads the map.
+    to a zero mean raise ZeroVector. A piece is named ``id``, or ``id#k`` as the
+    k-th of several; an id minted twice raises ValueError. The evaluation reads the map.
     """
     sources: dict[str, str] = {}
     out: list[TrackPiece] = []
@@ -65,6 +66,8 @@ def split_tracks_with_sources(tracks) -> tuple[list[TrackPiece], dict[str, str]]
             if not rows:
                 continue
             piece_id = track.track_id if single else f"{track.track_id}#{k}"
+            if piece_id in sources:
+                raise ValueError(f"tracks {sources[piece_id]!r} and {track.track_id!r} share the piece id {piece_id!r}")
             sources[piece_id] = track.track_id
             out.append(TrackPiece(piece_id, track.video_id, piece_start, piece_end,
                                   track.speaker_confidence, unit_mean(track.embeddings[rows])))

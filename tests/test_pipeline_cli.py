@@ -21,7 +21,7 @@ import castgraph
 from castgraph import catalog, cli, distcluster, pipeline
 from castgraph.cli import main
 from castgraph.diarize import filter_segments
-from castgraph.errors import PipelineStageError
+from castgraph.errors import InfeasibleConfig, PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
 from castgraph.synth import SynthConfig, generate
 
@@ -113,6 +113,17 @@ def test_small_run_checkpoint_bytes_are_golden(small_run):
     _, _, out, _ = small_run
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CFG_RECORDS_SHA256}
     assert digests == CFG_RECORDS_SHA256
+
+
+# Dataset.digest() of the CFG corpus, which every stamp of the CFG run holds;
+# write and ingest keep it, since generate's records come in id order
+CFG_DIGEST = "d65a19be27e7aac21032bc9b32874eb2486d6c1c2e75918b53904ceacd004f7a"
+
+
+def test_cfg_dataset_digest_is_golden(tmp_path):
+    ds, _ = generate(CFG)
+    catalog.write(ds, tmp_path / "data")
+    assert (ds.digest(), catalog.ingest(tmp_path / "data").digest()) == (CFG_DIGEST, CFG_DIGEST)
 
 
 # twelve identities: int-keyed maps (creators, identity_homes) reach "10", which
@@ -759,6 +770,19 @@ def test_cli_missing_manifest_exits_2(tmp_path):
     assert "missing" in result.stderr.lower()
 
 
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_cli_io_error_outside_a_stage_exits_2(tmp_path, tiny_data, command):
+    # --out names a file: run cannot make its output directory, synth cannot write under it
+    (tmp_path / "file").write_text("")
+    if command == "run":
+        result = run_cli("run", tiny_data, "--out", tmp_path / "file")
+    else:
+        result = run_cli("synth", "--out", tmp_path / "file" / "x", "--face-dim", 8, "--speaker-dim", 8)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_rerun_with_resume_identical(tmp_path):
     data = tmp_path / "data"
     out = tmp_path / "out"
@@ -887,6 +911,27 @@ def test_cli_flags_build_the_pipeline_config(tmp_path, monkeypatch, flags, confi
     assert built == [config]
 
 
+@pytest.mark.parametrize("flags, config", [
+    ([], SynthConfig()),
+    (["--channels", "2", "--videos", "5", "--identities", "3", "--face-dim", "7", "--speaker-dim", "6",
+      "--noise-deg", "1.5", "--offscreen-fraction", "0.25", "--collab-rate", "0.5", "--growth-ratio", "1.2",
+      "--seed", "9"],
+     SynthConfig(n_channels=2, n_videos=5, n_identities=3, face_dim=7, speaker_dim=6, angular_noise_deg=1.5,
+                 offscreen_speaker_fraction=0.25, collaboration_rate=0.5, planted_growth_ratio=1.2, rng_seed=9)),
+])
+def test_cli_flags_build_the_synth_config(tmp_path, monkeypatch, flags, config):
+    # with no flags, every setting is SynthConfig's own default
+    built = []
+
+    def generate(cfg):
+        built.append(cfg)
+        raise InfeasibleConfig("generation stopped by the test")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    assert main(["synth", "--out", str(tmp_path / "out"), *flags]) == 1
+    assert built == [config]
+
+
 def test_cli_threads_option_is_a_usage_error(tmp_path, tiny_data):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(tiny_data), "--out", str(tmp_path / "out"), "--threads", "2"])
@@ -1002,6 +1047,19 @@ def test_cli_degenerate_inputs(tmp_path, capsys, faces, voices, options, code, e
         ids, found = distcluster.labels_from_text((out / CHECKPOINTS[stage]).read_text())
         labels.append(dict(zip(ids, found.tolist())))
     assert tuple(labels) == expected
+
+
+def test_cli_piece_id_minted_twice_fails_split(tmp_path, capsys):
+    # the second piece of the 100-frame track "a" would share the one-piece track "a#1"'s id
+    ds = one_video_dataset([], [[1, 0, 0]])
+    rows = np.eye(4, dtype=np.float32)
+    ds.tracks = {
+        "a": catalog.FaceTrack("a", "v0", 0, 99, rows[:2], (0, 50), 1.0),
+        "a#1": catalog.FaceTrack("a#1", "v0", 200, 229, rows[2:3], (200,), 1.0),
+    }
+    catalog.write(ds, tmp_path / "data")
+    assert main(["run", str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: stage 'split' failed: tracks 'a' and 'a#1' share the piece id 'a#1'\n"
 
 
 # --- distance files: the I/O failure policy ----------------------------------------

@@ -92,6 +92,14 @@ def test_split_sources_map():
     assert {p.track_id for p in pieces} == set(sources)
 
 
+@pytest.mark.parametrize("short_start, named", [(0, "'a#1' and 'a'"), (200, "'a' and 'a#1'")])
+def test_split_refuses_a_piece_id_minted_twice(short_start, named):
+    # the second piece of the two-piece track "a" is named "a#1", as is the one-piece track "a#1"
+    tracks = [make_track("a", 100, 199, [1, 0]), make_track("a#1", short_start, short_start + 30, [0, 1])]
+    with pytest.raises(ValueError, match=f"^tracks {named} share the piece id 'a#1'$"):
+        split_tracks_with_sources(tracks)
+
+
 def test_split_drops_piece_without_rows():
     # every row lies in frames 0-49: piece 50-99 covers none, 100-119 is a short remainder
     rows = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
