@@ -13,11 +13,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import catalog, collabgraph
+from . import catalog
 from .errors import CastgraphError, DanglingReference, DimensionMismatch, MalformedRecord, MissingFile
-from .metrics import format_evaluation_table
-from .pipeline import CHECKPOINTS, PipelineConfig, PipelineRun
-from .synth import GroundTruth, SynthConfig, corrupt, generate
+from .pipeline import CHECKPOINTS, TABLE, PipelineConfig, PipelineRun
+from .synth import GroundTruth, SynthConfig, check_corruption, corrupt, generate
 
 
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
@@ -31,10 +30,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-segment-s", type=float, default=defaults.min_segment_s)
     parser.add_argument("--resume", action="store_true", default=defaults.resume)
     parser.add_argument("--ground-truth", type=Path, default=None)
-
-
-def _config(args) -> PipelineConfig:
-    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
 
 
 # each pipeline command: its help and the last stage it runs
@@ -82,28 +77,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True)
         _add_cluster_flags(p)
 
-    p = sub.add_parser("export-dot", help="print the collaboration graph as DOT")
-    p.add_argument("dataset", type=Path)
+    p = sub.add_parser("export-dot", help="print the collaboration graph a run wrote, as DOT")
     p.add_argument("--out", type=Path, required=True, help="pipeline output directory")
 
     return parser
 
 
+def _print_files(*paths: Path) -> None:
+    """Write the files to stdout byte for byte, an empty line between two."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(b"\n".join(path.read_bytes() for path in paths))
+
+
 def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = False) -> int:
+    args.out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the dataset is read
     ds = catalog.ingest(args.dataset)
-    truth = None
-    if args.ground_truth is not None:
-        truth = GroundTruth.load(args.ground_truth)
+    truth = None if args.ground_truth is None else GroundTruth.load(args.ground_truth)
     run = PipelineRun(ds, args.out, config)
-    if upto == "report":
-        report = run.run(truth)
-    else:
+    if upto != "report":
         run.run_until(upto)
-        report = {"completed_through": upto}
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if show_table:
-        print()
-        print(format_evaluation_table(report["evaluation"]), end="")
+        print(json.dumps({"completed_through": upto}, indent=2))
+        return 0
+    run.run(truth)
+    _print_files(args.out / CHECKPOINTS["report"], *([args.out / TABLE] if show_table else []))
     return 0
 
 
@@ -113,11 +109,10 @@ def main(argv=None) -> int:
     # a bad setting is a usage error, found before any input is read or written
     try:
         if args.command in COMMANDS:
-            config = _config(args)
+            config = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
         if args.command == "synth":
             cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
-            if not (0.0 <= args.dropout <= 1.0 and args.conf_noise >= 0.0):
-                raise ValueError("--dropout must be in [0, 1] and --conf-noise >= 0")
+            check_corruption(args.dropout, args.conf_noise)
     except (ValueError, CastgraphError) as exc:
         parser.error(str(exc))
     if args.command == "eval" and args.ground_truth is None:
@@ -139,14 +134,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "export-dot":
-            graph_file = args.out / CHECKPOINTS["graph"]
-            payload = catalog.load_json(graph_file)
-            ds = catalog.ingest(args.dataset)
-            try:
-                edges = catalog.from_plain(list[collabgraph.CollaborationEdge], payload["edges"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(graph_file, 0, f"bad graph: {exc!r}") from exc
-            sys.stdout.write(collabgraph.collab_graph_dot(ds, edges))
+            _print_files(args.out / "graph.dot")
             return 0
 
         return _run_stages(args, config, COMMANDS[args.command][1], show_table=args.command == "eval")

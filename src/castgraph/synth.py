@@ -35,7 +35,8 @@ from .catalog import (
 from .errors import InfeasibleConfig, MalformedRecord
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
-BASE_VIEWS = 10_000
+BASE_VIEWS = 10_000  # every video's first view count; a planted video ends at BASE_VIEWS + round(BASE_VIEWS * ratio)
+MAX_VIEWS = 2**63 - 1  # a view count is a 64-bit int
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ class SynthConfig:
             raise InfeasibleConfig("collaboration_rate must be in [0, 1]")
         if not 0.0 <= self.angular_noise_deg < math.inf:
             raise InfeasibleConfig("angular_noise_deg must be finite and >= 0")
-        if self.planted_growth_ratio is not None and not 0.0 <= self.planted_growth_ratio < math.inf:
-            raise InfeasibleConfig("planted_growth_ratio must be finite and >= 0")
+        if self.angular_noise_deg > 0.0 and min(self.face_dim, self.speaker_dim) < 2:
+            raise InfeasibleConfig("angular noise needs both dimensions >= 2: a 1-d vector has no axis to turn about")
+        if not 0.0 <= BASE_VIEWS * (self.planted_growth_ratio or 0.0) <= MAX_VIEWS - BASE_VIEWS:
+            raise InfeasibleConfig("planted_growth_ratio must be >= 0 and keep every view count a 64-bit int")
         # homes and videos both go round-robin over channels, so every home
         # channel gets a video exactly when there are this many videos
         if self.n_videos < min(self.n_identities, self.n_channels):
@@ -294,6 +297,12 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     return ds, truth
 
 
+def check_corruption(dropout_rate: float, confidence_noise: float) -> None:
+    """Raise ValueError unless corrupt can run: numpy draws a confidence shift only while 2 * noise is finite."""
+    if not (0.0 <= dropout_rate <= 1.0 and 0.0 <= confidence_noise and math.isfinite(2 * confidence_noise)):
+        raise ValueError("dropout_rate must be in [0, 1], and confidence_noise >= 0 with 2 * confidence_noise finite")
+
+
 def corrupt(
     ds: Dataset, dropout_rate: float, confidence_noise: float, seed: int = 0
 ) -> Dataset:
@@ -305,8 +314,7 @@ def corrupt(
     [-confidence_noise, +confidence_noise], clipped to [0, 1]. The input
     dataset is never mutated.
     """
-    if not 0.0 <= dropout_rate <= 1.0 or confidence_noise < 0.0:
-        raise ValueError("dropout_rate in [0,1] and confidence_noise >= 0 required")
+    check_corruption(dropout_rate, confidence_noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     out = Dataset(face_dim=ds.face_dim, speaker_dim=ds.speaker_dim)
     out.channels = dict(ds.channels)

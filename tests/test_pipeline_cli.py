@@ -706,13 +706,14 @@ def child_env(**env) -> dict[str, str]:
     return {**os.environ, **env, "PYTHONPATH": path}
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "castgraph.cli", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=child_env(),
+        timeout=timeout,
     )
 
 
@@ -737,9 +738,9 @@ def test_cli_synth_validate_run_eval(tmp_path):
     assert report["evaluation"]["collaborations"]["incorrect"] == 0
     assert (out / "graph.dot").read_text().startswith("digraph")
 
-    dot = run_cli("export-dot", data, "--out", out)
-    assert dot.returncode == 0
-    assert dot.stdout.startswith("digraph")
+    dot = run_cli("export-dot", "--out", out)
+    assert dot.returncode == 0, dot.stderr
+    assert dot.stdout == (out / "graph.dot").read_text()
 
 
 def test_cli_eval_without_ground_truth_is_a_usage_error(tmp_path, tiny_data, capsys):
@@ -771,16 +772,18 @@ def test_cli_missing_manifest_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "synth"])
-def test_cli_io_error_outside_a_stage_exits_2(tmp_path, tiny_data, command):
-    # --out names a file: run cannot make its output directory, synth cannot write under it
+def test_cli_io_error_outside_a_stage_exits_2(tmp_path, tiny_data, monkeypatch, capsys, command):
+    # --out names a file: run cannot make its output directory, which it makes before it reads
+    # the dataset, and synth cannot write under it
     (tmp_path / "file").write_text("")
+    monkeypatch.setattr(catalog, "ingest", lambda *args: pytest.fail("the dataset was read"))
     if command == "run":
-        result = run_cli("run", tiny_data, "--out", tmp_path / "file")
+        code = main(["run", str(tiny_data), "--out", str(tmp_path / "file")])
     else:
-        result = run_cli("synth", "--out", tmp_path / "file" / "x", "--face-dim", 8, "--speaker-dim", 8)
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
-    assert "Traceback" not in result.stderr
+        code = main(["synth", "--out", str(tmp_path / "file" / "x"), "--face-dim", "8", "--speaker-dim", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_rerun_with_resume_identical(tmp_path):
@@ -885,16 +888,18 @@ def test_cli_bad_ground_truth_exits_2(tmp_path, tiny_data, content):
         assert "truth.json:2: byte 0xff is not UTF-8" in result.stderr
 
 
-@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
-def test_cli_export_dot_bad_graph_exits_2(tmp_path, tiny_data, content):
-    out = tmp_path / "out"
-    out.mkdir()
-    if content is not None:
-        (out / CHECKPOINTS["graph"]).write_bytes(content)
-    result = run_cli("export-dot", tiny_data, "--out", out)
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
-    assert CHECKPOINTS["graph"] in result.stderr
+def test_cli_export_dot_without_graph_dot_exits_2(tmp_path, capsys):
+    assert main(["export-dot", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "graph.dot" in err
+
+
+def test_cli_export_dot_takes_no_dataset(tmp_path, tiny_data, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-dot", str(tiny_data), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -971,6 +976,24 @@ def test_cli_bad_synth_setting_is_a_usage_error(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--out", str(tmp_path / "out"), flag, value])
     assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--face-dim", "1", "--noise-deg", "5"],
+    ["--speaker-dim", "1", "--noise-deg", "5"],
+    ["--collab-rate", "0.3", "--growth-ratio", "1e16"],
+    ["--collab-rate", "0.3", "--growth-ratio", "1e308"],
+    ["--conf-noise", "inf"],
+    ["--conf-noise", "1e308"],
+], ids=["face-dim-1", "speaker-dim-1", "growth-1e16", "growth-1e308", "conf-noise-inf", "conf-noise-1e308"])
+def test_cli_synth_setting_no_dataset_can_hold_is_a_usage_error(tmp_path, flags):
+    # in a child with a timeout, since generating a 1-d dataset with noise never ended: a 1-d
+    # space has no axis to rotate about. A view count past 64 bits wrote a corpus that
+    # validate rejects, or overflowed; so did a noise numpy cannot draw from
+    result = run_cli("synth", "--out", tmp_path / "out", *flags, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -1139,6 +1162,47 @@ def run_cfg_in_subprocess(data: Path, out: Path, **env) -> dict:
     status = json.loads(result.stdout.splitlines()[-1])
     assert status["code"] == 0
     return status
+
+
+# SHA-256 of the CFG corpus's stdout: report.json, then for eval an empty line and report_table.txt
+CFG_STDOUT_SHA256 = {
+    "run": "88e636593434ac3e0dd9fe4b5450f46586d902803a59d2e5e40ec257d61cbeed",
+    "run --ground-truth": CFG_SHA256["report.json"],
+    "eval --ground-truth": "f70dec9b0ef7168ab1edae58f459e4ede95efd1b610345ce0a84056f45196889",
+}
+
+
+@pytest.mark.parametrize("command", CFG_STDOUT_SHA256)
+def test_cli_prints_the_report_the_run_wrote(tmp_path, cfg_data, capsysbinary, command):
+    name, *flags = command.split()
+    out = tmp_path / "out"
+    truth = [str(cfg_data / "ground_truth.json")] if flags else []
+    assert main([name, str(cfg_data), "--out", str(out), *flags, *truth]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == CFG_STDOUT_SHA256[command]
+    files = [out / "report.json", *([out / pipeline.TABLE] if name == "eval" else [])]
+    assert stdout == b"\n".join(path.read_bytes() for path in files)
+
+
+@pytest.fixture(scope="module")
+def cfg_out(tmp_path_factory, cfg_data):
+    out = tmp_path_factory.mktemp("cfg_out") / "out"
+    assert main(["run", str(cfg_data), "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_export_dot_prints_graph_dot(cfg_out, capsysbinary):
+    assert main(["export-dot", "--out", str(cfg_out)]) == 0
+    assert capsysbinary.readouterr().out == (cfg_out / "graph.dot").read_bytes()
+
+
+def test_cli_export_dot_reads_neither_the_dataset_nor_the_graph_checkpoint(tmp_path, cfg_out, monkeypatch,
+                                                                          capsysbinary):
+    shutil.copy(cfg_out / "graph.dot", tmp_path)
+    monkeypatch.setattr(catalog, "ingest", lambda *args: pytest.fail("the dataset was read"))
+    assert main(["export-dot", "--out", str(tmp_path)]) == 0
+    assert not (tmp_path / CHECKPOINTS["graph"]).exists()
+    assert capsysbinary.readouterr().out == (cfg_out / "graph.dot").read_bytes()
 
 
 def test_cli_run_never_imports_scipy(tmp_path, cfg_data):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from castgraph.catalog import validate, write
+from castgraph.catalog import ingest, validate, write
 from castgraph.errors import InfeasibleConfig
 from castgraph.synth import GroundTruth, SynthConfig, corrupt, generate
 
@@ -205,6 +206,33 @@ def test_a_dimension_below_one_is_infeasible(dim):
         SynthConfig(**{dim: 0})
 
 
+@pytest.mark.parametrize("dim", ["face_dim", "speaker_dim"])
+def test_angular_noise_needs_two_dimensions(dim):
+    # a 1-d space has no axis orthogonal to a centroid, so rotating one by any angle would never end
+    with pytest.raises(InfeasibleConfig):
+        SynthConfig(**{dim: 1}, angular_noise_deg=5.0)
+    # without noise every observation is its centroid, which one dimension holds
+    dims = {"face_dim": 4, "speaker_dim": 4, dim: 1}
+    ds, _ = generate(SynthConfig(n_channels=2, n_videos=4, n_identities=2, **dims))
+    assert validate(ds) == []
+
+
+def test_a_growth_ratio_is_accepted_exactly_while_every_view_count_is_a_64_bit_int(tmp_path):
+    # a planted video's last view count is 10000 + round(10000 * ratio)
+    largest = 922337203685476.5
+    over = math.nextafter(largest, math.inf)
+    assert 10_000 + round(10_000 * largest) <= 2**63 - 1 < 10_000 + round(10_000 * over)
+    for ratio in (over, 1e16, 1e308, math.inf, math.nan, -1.0):
+        with pytest.raises(InfeasibleConfig):
+            SynthConfig(planted_growth_ratio=ratio)
+    cfg = SynthConfig(n_channels=2, n_videos=6, n_identities=2, face_dim=4, speaker_dim=4,
+                      collaboration_rate=0.3, planted_growth_ratio=largest)
+    ds, _ = generate(cfg)
+    write(ds, tmp_path / "data")
+    views = [v.view_history[-1][1] for v in ingest(tmp_path / "data").videos.values()]
+    assert max(views) == 10_000 + round(10_000 * largest)
+
+
 def test_infeasible_more_identities_than_hostable():
     # homes ch00-ch04, but 2 videos reach only ch00 and ch01: rejected before any draw
     with pytest.raises(InfeasibleConfig):
@@ -305,3 +333,16 @@ def test_corrupt_leaves_input_untouched(table_dataset):
     corrupt(ds, 0.5, 0.2, seed=3)
     after_segments = sum(1 for s in ds.segments.values() if s.embedding is not None)
     assert before_segments == after_segments
+
+
+@pytest.mark.parametrize("dropout, noise", [(0.0, math.nan), (0.0, math.inf), (0.0, 1e308), (math.nan, 0.0)])
+def test_corrupt_rejects_rates_it_cannot_draw_with(table_dataset, dropout, noise):
+    # a shift is drawn from [-noise, noise], which numpy samples only while its width is finite
+    with pytest.raises(ValueError):
+        corrupt(table_dataset[0], dropout, noise)
+
+
+def test_corrupt_draws_up_to_the_widest_finite_noise(table_dataset):
+    ds, _ = table_dataset
+    out = corrupt(ds, 0.0, 8.98e307, seed=1)  # 2 * 8.99e307 overflows
+    assert {t.speaker_confidence for t in out.tracks.values()} <= {0.0, 1.0}
