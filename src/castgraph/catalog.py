@@ -387,8 +387,12 @@ def load_json(path: Path, source=None):
 
 
 # --- record codec -------------------------------------------------------------
-# Every JSON checkpoint record, the ground truth file and export-dot's graph go
-# through these two: json.dumps(..., default=plain) writes, from_plain reads.
+# Every JSON checkpoint record and the ground truth: json_document writes, from_plain reads.
+
+def json_document(value) -> bytes:
+    """value as an indented JSON document with sorted keys and a closing line feed."""
+    return (json.dumps(value, indent=2, sort_keys=True, default=plain) + "\n").encode()
+
 
 def plain(value):
     """The JSON form of a dataclass or a set, for json.dumps(default=plain).

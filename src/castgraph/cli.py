@@ -20,7 +20,7 @@ from .synth import GroundTruth, SynthConfig, check_corruption, corrupt, generate
 
 
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
-    """A flag per PipelineConfig field, named and defaulting as that field, and --ground-truth."""
+    """A flag per PipelineConfig field, named and defaulting as that field."""
     defaults = PipelineConfig()
     parser.add_argument("--min-cluster-size", type=int, default=defaults.min_cluster_size)
     parser.add_argument("--min-samples", type=int, default=defaults.min_samples)
@@ -29,7 +29,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-votes", type=int, default=defaults.min_votes)
     parser.add_argument("--min-segment-s", type=float, default=defaults.min_segment_s)
     parser.add_argument("--resume", action="store_true", default=defaults.resume)
-    parser.add_argument("--ground-truth", type=Path, default=None)
 
 
 # each pipeline command: its help and the last stage it runs
@@ -71,11 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a dataset directory")
     p.add_argument("dataset", type=Path)
 
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, upto) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("dataset", type=Path)
         p.add_argument("--out", type=Path, required=True)
         _add_cluster_flags(p)
+        if upto == "report":  # only the report reads a ground truth
+            p.add_argument("--ground-truth", type=Path, required=name == "eval")
 
     p = sub.add_parser("export-dot", help="print the collaboration graph a run wrote, as DOT")
     p.add_argument("--out", type=Path, required=True, help="pipeline output directory")
@@ -90,9 +91,9 @@ def _print_files(*paths: Path) -> None:
 
 
 def _run_stages(args, config: PipelineConfig, upto: str, show_table: bool = False) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the dataset is read
+    truth = GroundTruth.load(args.ground_truth) if vars(args).get("ground_truth") else None
+    args.out.mkdir(parents=True, exist_ok=True)  # a bad ground truth or --out fails before any ingest
     ds = catalog.ingest(args.dataset)
-    truth = None if args.ground_truth is None else GroundTruth.load(args.ground_truth)
     run = PipelineRun(ds, args.out, config)
     if upto != "report":
         run.run_until(upto)
@@ -115,8 +116,6 @@ def main(argv=None) -> int:
             check_corruption(args.dropout, args.conf_noise)
     except (ValueError, CastgraphError) as exc:
         parser.error(str(exc))
-    if args.command == "eval" and args.ground_truth is None:
-        parser.error("eval requires --ground-truth")
     try:
         if args.command == "synth":
             ds, truth = generate(cfg)

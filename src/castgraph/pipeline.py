@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, make_dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Callable
 
 from . import __version__, collabgraph, metrics
 from . import bridge as bridge_mod
-from .catalog import Dataset, from_plain, plain, unit_mean
+from .catalog import Dataset, from_plain, json_document, plain, unit_mean
 from .diarize import DEFAULT_MIN_SEGMENT_S, diarize_video, filter_segments
 from .distcluster import (
     FALLBACK_EPS,
@@ -71,10 +72,6 @@ class PipelineConfig:
     @property
     def hdbscan_params(self) -> HdbscanParams:
         return HdbscanParams(self.min_cluster_size, self.min_samples)
-
-
-def _json(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True, default=plain) + "\n").encode()
 
 
 def _jsonl(rows) -> bytes:
@@ -142,7 +139,7 @@ def _object_codec(name: str, **kinds):
     record = make_dataclass("Checkpoint", kinds.items())
 
     def encode(run) -> dict[str, bytes]:
-        return {name: _json(record(**{attr: getattr(run, attr) for attr in kinds}))}
+        return {name: json_document(record(**{attr: getattr(run, attr) for attr in kinds}))}
 
     def decode(run, files: dict[str, bytes]) -> None:
         for attr, value in vars(from_plain(record, json.loads(files[name]))).items():
@@ -159,7 +156,7 @@ class Stage:
     """
 
     name: str
-    files: tuple[str, ...]  # checkpoint files; the first one names the stamp file
+    files: tuple[str, ...]  # checkpoint files; the first one, always written, names the stamp file
     fields: tuple[str, ...]  # PipelineConfig fields the stage reads
     upstream: tuple[str, ...]  # earlier stages whose results it reads; "truth" is run()'s ground truth
     compute: Callable  # (run) -> None
@@ -196,12 +193,12 @@ class PipelineRun:
         return by_video
 
     def stamp(self, stage: Stage, files: dict[str, bytes]) -> bytes:
-        """Record the stage's stamp over its inputs and these checkpoint bytes; return the stamp line."""
+        """Record the stage's stamp over its inputs and the given stage files; return the stamp line."""
         config = {field: getattr(self.config, field) for field in stage.fields}
         upstream = [self.stamps[name] for name in stage.upstream]
         head = [stage.name, __version__, self.dataset_digest, config, upstream]
         h = hashlib.sha256(json.dumps(head).encode())
-        for name in stage.files:
+        for name in (name for name in stage.files if name in files):  # in table order
             h.update(f"\n{name} {len(files[name])}\n".encode())
             h.update(files[name])
         self.stamps[stage.name] = h.hexdigest()
@@ -210,31 +207,29 @@ class PipelineRun:
     def step(self, stage: Stage) -> None:
         """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it.
 
-        A reused checkpoint's decode is registered as the step that sets its
-        results (see __getattr__), so a resumed run decodes only what it reads.
-        Writing a checkpoint also removes every other ``<stem>.*`` file in the
-        output directory, stem being that of the stage's first file: sidecars
-        an older version wrote, or temporary files a killed run left.
+        The stamp covers the stage's files that exist (the report writes its
+        table only with an evaluation). A reused checkpoint is decoded when one
+        of its results is first read (see __getattr__). A computed one removes
+        every other file of the stage and every other ``<stem>.*`` file, stem
+        being its first file's: sidecars an older version wrote, temporary
+        files a killed run left. No other code writes into out_dir.
         """
         stem = Path(stage.files[0]).stem
-        stamp_path = self.out / (stem + ".stamp")
+        stamp_name = stem + ".stamp"
         if self.config.resume:
-            try:
-                files = {name: (self.out / name).read_bytes() for name in stage.files}
-                stored = stamp_path.read_bytes()
-            except FileNotFoundError:
-                stored = None
-            if stored is not None and stored == self.stamp(stage, files):
+            files = {}
+            for name in (*stage.files, stamp_name):  # a file that vanishes before it is read is absent
+                with suppress(FileNotFoundError):
+                    files[name] = (self.out / name).read_bytes()
+            if files.pop(stamp_name, None) == self.stamp(stage, files):
                 self.pending.update(dict.fromkeys(stage.results, lambda run: stage.decode(run, files)))
                 return
         stage.compute(self)
         files = stage.encode(self)
-        for name, data in files.items():
+        for name, data in {**files, stamp_name: self.stamp(stage, files)}.items():  # the stamp last
             _write_atomic(self.out / name, data)
-        _write_atomic(stamp_path, self.stamp(stage, files))
-        for path in self.out.glob(f"{stem}.*"):
-            if path.name not in files and path != stamp_path:
-                path.unlink()
+        for name in {*stage.files, *(path.name for path in self.out.glob(f"{stem}.*"))} - {*files, stamp_name}:
+            (self.out / name).unlink(missing_ok=True)
 
     def __getattr__(self, attr: str):
         """A pending result, set when first read by its step (split, pair or a reused stage's decode)."""
@@ -354,13 +349,13 @@ class PipelineRun:
         dot = collabgraph.collab_graph_dot(self.ds, self.edges)
         return {**self._encode_graph_json(), "graph.dot": dot.encode()}
 
-    def compute_report(self) -> None:
-        """The run's counts, and its evaluation when run() was given a ground truth.
+    def encode_report(self) -> dict[str, bytes]:
+        evaluation = self.report.get("evaluation")
+        table = {} if evaluation is None else {TABLE: metrics.format_evaluation_table(evaluation).encode()}
+        return {"report.json": json_document(self.report), **table}
 
-        Computing the report removes report_table.txt; run() writes it again
-        when the report holds an evaluation.
-        """
-        (self.out / TABLE).unlink(missing_ok=True)
+    def compute_report(self) -> None:
+        """The run's counts, and its evaluation when run() was given a ground truth."""
         self.report = {
             "videos": len(self.ds.videos),
             "tracks": len(self.ds.tracks),
@@ -402,9 +397,9 @@ class PipelineRun:
         Stage("graph", ("08_graph.json", "graph.dot"), (),
               ("merge", "cluster_faces", "cluster_speakers", "bridge"),
               compute_graph, _graph_results, encode_graph, decode_graph),
-        Stage("report", ("report.json",), ("conf_threshold",),
+        Stage("report", ("report.json", TABLE), ("conf_threshold",),
               ("merge", "cluster_faces", "cluster_speakers", "bridge", "graph", "truth"),
-              compute_report, ("report",), lambda run: {"report.json": _json(run.report)},
+              compute_report, ("report",), encode_report,
               lambda run, files: setattr(run, "report", json.loads(files["report.json"]))),
     )))
 
@@ -431,9 +426,6 @@ class PipelineRun:
             json.dumps(truth, sort_keys=True, default=plain).encode()
         ).hexdigest()
         self.run_until("report")
-        table = self.out / TABLE
-        if truth is not None and not table.exists():
-            _write_atomic(table, metrics.format_evaluation_table(self.report["evaluation"]).encode())
         return self.report
 
 

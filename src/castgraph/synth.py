@@ -10,7 +10,6 @@ PCG64; one seed fixes the dataset byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -29,8 +28,8 @@ from .catalog import (
     SpeechSegment,
     Video,
     from_plain,
+    json_document,
     load_json,
-    plain,
 )
 from .errors import InfeasibleConfig, MalformedRecord
 
@@ -90,9 +89,7 @@ class GroundTruth:
         return {(a, b, v) for a, b, v, _ in self.planted_events}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self, fh, indent=2, sort_keys=True, default=plain)
-            fh.write("\n")
+        Path(path).write_bytes(json_document(self))
 
     @classmethod
     def load(cls, path) -> "GroundTruth":

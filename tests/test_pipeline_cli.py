@@ -68,12 +68,12 @@ def patch_stage_rows(monkeypatch, change) -> None:
 
 def test_all_checkpoints_written(small_run):
     # exactly the Stage rows' files and stamps: split and pair write nothing,
-    # and vectors live only in the dataset
+    # vectors live only in the dataset, and the report owns report_table.txt
     _, _, out, _ = small_run
     checkpoints = {name for _, stage in stage_rows() for name in stage.files}
     stamps = {Path(stage.files[0]).stem + ".stamp" for _, stage in stage_rows()}
     assert "graph.dot" in checkpoints and "report.stamp" in stamps and len(stamps) == 7
-    assert {p.name for p in out.iterdir()} == checkpoints | stamps | {"report_table.txt"}
+    assert {p.name for p in out.iterdir()} == checkpoints | stamps
 
 
 def test_small_run_recovers_planted_graph(small_run):
@@ -409,11 +409,15 @@ def truncate_at_a_line(text: str) -> str:
         ("04_diarization.stamp", lambda text: "0" * 64 + "\n"),
         ("report.json", lambda text: text.replace('"conflicts": 0', '"conflicts": 1', 1)),
         ("report.stamp", lambda text: "0" * 64 + "\n"),
+        ("report_table.txt", lambda text: text.replace("1.00", "0.99", 1)),
+        ("report_table.txt", lambda text: None),
+        ("graph.dot", lambda text: text.replace("videos)", "video)", 1)),
     ],
     ids=["truncated-at-a-line", "edited-same-length", "diarization-truncated", "diarization-stamp-edited",
-         "report-edited", "report-stamp-edited"],
+         "report-edited", "report-stamp-edited", "table-edited", "table-deleted", "graph-dot-edited"],
 )
 def test_resume_over_damaged_checkpoint_recomputes(tmp_path, name, damage):
+    # a damage of None deletes the file
     ds, truth = generate(CFG)
     out = tmp_path / "chk"
     fresh = run_pipeline(ds, out, PipelineConfig(), truth)
@@ -421,7 +425,10 @@ def test_resume_over_damaged_checkpoint_recomputes(tmp_path, name, damage):
     path = out / name
     damaged = damage(path.read_text())
     assert damaged != path.read_text()
-    path.write_text(damaged)
+    if damaged is None:
+        path.unlink()
+    else:
+        path.write_text(damaged)
     assert run_pipeline(ds, out, PipelineConfig(resume=True), truth) == fresh
     assert read_tree(out) == before
 
@@ -475,19 +482,6 @@ def test_the_table_follows_the_report(tmp_path, resume):
         assert read_tree(out) == read_tree(fresh[given is None])
         stamps.append((out / "report.stamp").read_bytes())
     assert stamps[0] != stamps[1] and stamps[2] == stamps[0]
-
-
-def test_a_reused_report_writes_back_only_a_missing_table(tmp_path):
-    ds, truth = generate(CFG)
-    out = tmp_path / "chk"
-    run_pipeline(ds, out, PipelineConfig(), truth)
-    table = (out / "report_table.txt").read_bytes()
-    (out / "report_table.txt").unlink()
-    before = file_ids(out)
-    run_pipeline(ds, out, PipelineConfig(resume=True), truth)
-    after = file_ids(out)
-    assert {name for name in after if after[name] != before.get(name)} == {"report_table.txt"}
-    assert (out / "report_table.txt").read_bytes() == table
 
 
 def test_a_failed_evaluation_is_named_eval(tmp_path):
@@ -763,6 +757,25 @@ def test_cli_eval_without_usable_view_histories_leaves_growth_out(tmp_path):
     assert "growth_factor" not in evaluation
     assert evaluation["collaborations"]["collaboration_count"] == 0
     assert "growth" not in (out / "report_table.txt").read_text()
+
+
+def test_cli_ground_truth_is_read_before_the_dataset(tmp_path, tiny_data, monkeypatch, capsys):
+    monkeypatch.setattr(catalog, "ingest", lambda *args: pytest.fail("the dataset was read"))
+    out, truth = tmp_path / "out", tmp_path / "absent.json"
+    assert main(["run", str(tiny_data), "--out", str(out), "--ground-truth", str(truth)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: required file missing") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["diarize", "cluster", "bridge", "graph"])
+def test_cli_partial_command_takes_no_ground_truth(tmp_path, tiny_data, capsys, command):
+    # a partial command stops before the report, which alone reads a ground truth
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tiny_data), "--out", str(tmp_path / "out"), "--ground-truth", str(tiny_data / "x.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert "unrecognized arguments: --ground-truth" in capsys.readouterr().err
 
 
 def test_cli_missing_manifest_exits_2(tmp_path):
