@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from . import collabgraph
 from .errors import EmptyReference, InsufficientHistory, KeyMismatch, LengthMismatch
 
@@ -100,15 +102,6 @@ def assignment_accuracy(video_truth: dict, video_pred: dict) -> float:
 
 # --- diarization error rate ------------------------------------------------------
 
-def _active_sets(timeline, at):
-    """Speaker set per interval of the grid; interval k lies in [start, end) when at[start] <= k < at[end]."""
-    sets = [set() for _ in range(len(at) - 1)]
-    for start, end, speaker in timeline:
-        for k in range(at[start], at[end]):
-            sets[k].add(speaker)
-    return sets
-
-
 def linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
     """Minimum-cost one-to-one assignment of rows to columns of a rectangular matrix.
 
@@ -189,50 +182,135 @@ def der(reference, hypothesis) -> float:
     (missed speech + false alarm + speaker confusion) / total reference
     speech time, under the overlap-maximizing one-to-one speaker mapping,
     solved exactly by linear_sum_assignment (shortest augmenting paths).
-    Both timelines are lists of (start_s, end_s, speaker) triples.
+    Both timelines are lists of (start_s, end_s, speaker) triples. The
+    one-video case of video_ders, which gives the definition in full.
     """
     if not reference:
         raise EmptyReference("reference timeline is empty")
+    return video_ders(*timeline_table([(reference, hypothesis)]))[0]
 
-    boundaries = sorted({t for start, end, _ in (*reference, *hypothesis) for t in (start, end)})
-    at = {t: k for k, t in enumerate(boundaries)}
-    ref_sets = _active_sets(reference, at)
-    hyp_sets = _active_sets(hypothesis, at)
-    widths = [boundaries[k + 1] - boundaries[k] for k in range(len(boundaries) - 1)]
 
-    ref_speakers = sorted({speaker for _, _, speaker in reference})
-    hyp_speakers = sorted({speaker for _, _, speaker in hypothesis})
-    overlap = [[0.0] * len(hyp_speakers) for _ in ref_speakers]
-    for k, width in enumerate(widths):
-        for i, r in enumerate(ref_speakers):
-            if r not in ref_sets[k]:
-                continue
-            for j, h in enumerate(hyp_speakers):
-                if h in hyp_sets[k]:
-                    overlap[i][j] += width
+def timeline_table(pairs) -> tuple[list, list, list, list, list]:
+    """The segment table of (reference, hypothesis) timeline pairs, as video_ders reads it.
 
-    mapping: dict[str, str] = {}
-    if ref_speakers and hyp_speakers:
-        cost = [[-overlap[i][j] for j in range(len(hyp_speakers))] for i in range(len(ref_speakers))]
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if overlap[i][j] > 0.0:
-                mapping[hyp_speakers[j]] = ref_speakers[i]
+    Pair k is video k, and each (start_s, end_s, speaker) triple is one row
+    with its speaker on its own side only. Each side's speakers are ranked
+    in their own sort order.
+    """
+    rows = [
+        (k, start, end, speaker, side)
+        for k, pair in enumerate(pairs)
+        for side, timeline in enumerate(pair)
+        for start, end, speaker in timeline
+    ]
+    columns = [[row[c] for row in rows] for c in range(3)]
+    for side in (0, 1):
+        rank = {speaker: r for r, speaker in enumerate(sorted({row[3] for row in rows if row[4] == side}))}
+        columns.append([rank[row[3]] if row[4] == side else -1 for row in rows])
+    return tuple(columns)
 
-    total_ref = 0.0
-    error = 0.0
-    for k, width in enumerate(widths):
-        n_ref = len(ref_sets[k])
-        n_hyp = len(hyp_sets[k])
-        matched = sum(
-            1 for h in hyp_sets[k] if h in mapping and mapping[h] in ref_sets[k]
-        )
-        total_ref += n_ref * width
-        # missed + false alarm + confused speakers: |n_ref - n_hyp| + min(n_ref, n_hyp) - matched
-        error += (max(n_ref, n_hyp) - matched) * width
-    if total_ref == 0.0:
+
+def _ranges(first, last):
+    """Every first[k] <= x < last[k], k in order, as (k, x) columns; none for a k with last[k] <= first[k]."""
+    counts = np.maximum(last - first, 0)
+    row = np.repeat(np.arange(len(first)), counts)
+    return row, first[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def video_ders(video, start, end, reference, hypothesis) -> list[float]:
+    """Diarization error rate of every video of a segment table, videos 0, 1, ... in order.
+
+    Row k runs from start[k] to end[k] in video video[k] and is spoken by
+    reference[k] in the reference and by hypothesis[k] in the hypothesis.
+    A speaker is an integer rank, a smaller rank sorting first, and -1 marks
+    a side the row is absent from. Each video is scored by one definition,
+    whose float operations run in this order:
+    - the grid is the video's row starts and ends, sorted and distinct; a
+      row is active on the grid intervals from its start to its end, so a
+      reversed or zero-length row adds grid points but no activity;
+    - overlap[i][j] adds up, interval after interval, the widths of the
+      intervals where reference speaker i and hypothesis speaker j are both
+      active;
+    - hypothesis speakers map one-to-one to reference speakers by
+      linear_sum_assignment on -overlap, a pair only when its overlap is
+      positive; with one speaker on either side, the first maximal cell,
+      which is the pair linear_sum_assignment picks;
+    - interval after interval, speech time adds n_ref * width and the error
+      adds (max(n_ref, n_hyp) - matched) * width, matched being the mapped
+      pairs active there; the DER is error / speech time.
+    All videos go through each step together. EmptyReference is raised
+    when a video has no reference row or no reference speech time.
+    """
+    video = np.asarray(video, dtype=np.int64)
+    start = np.asarray(start, dtype=np.float64)
+    end = np.asarray(end, dtype=np.float64)
+    sides = np.asarray(reference, dtype=np.int64), np.asarray(hypothesis, dtype=np.int64)
+    n_videos = int(video.max(initial=-1)) + 1
+    if not np.bincount(video[sides[0] >= 0], minlength=n_videos).all():
+        raise EmptyReference("reference timeline is empty")
+
+    # the grid: each video's distinct points, video after video, and each
+    # row end's place on it; interval g runs from grid point g to g + 1
+    points = np.concatenate([start, end])
+    owners = np.concatenate([video, video])
+    order = np.lexsort((points, owners))
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (np.diff(points[order]) != 0) | (np.diff(owners[order]) != 0)
+    place = np.empty(len(order), dtype=np.int64)
+    place[order] = np.cumsum(fresh) - 1
+    grid, grid_owner = points[order][fresh], owners[order][fresh]
+    widths = np.diff(grid)
+    owner = grid_owner[:-1]
+    widths[owner != grid_owner[1:]] = 0.0  # from one video's last point to the next video's first
+
+    # each side's distinct (interval, speaker) activity, by interval and then
+    # speaker; a side's speakers are numbered within their video in rank order
+    activity, n_active, n_speakers = [], [], []
+    for side in sides:
+        rows = np.flatnonzero(side >= 0)
+        span = int(side.max(initial=0)) + 1
+        keys, key = np.unique(video[rows] * span + side[rows], return_inverse=True)
+        counts = np.bincount(keys // span, minlength=n_videos)
+        row, interval = _ranges(place[rows], place[rows + len(video)])
+        interval, key = np.divmod(np.unique(interval * len(keys) + key[row]), max(len(keys), 1))
+        activity.append((interval, key - (np.cumsum(counts) - counts)[owner[interval]]))
+        n_active.append(np.bincount(interval, minlength=len(widths)))
+        n_speakers.append(counts)
+    (ref_interval, ref_speaker), (_, hyp_speaker) = activity
+    n_ref, n_hyp = n_active
+    n_rows, n_cols = n_speakers
+
+    # every co-active (reference, hypothesis) pair of each interval, intervals in order
+    hyp_first = (np.cumsum(n_hyp) - n_hyp)[ref_interval]
+    pair_ref, pair_hyp = _ranges(hyp_first, hyp_first + n_hyp[ref_interval])
+    pair_interval = ref_interval[pair_ref]
+    sizes = n_rows * n_cols
+    base = np.cumsum(sizes) - sizes
+    pair_owner = owner[pair_interval]
+    cell = base[pair_owner] + ref_speaker[pair_ref] * n_cols[pair_owner] + hyp_speaker[pair_hyp]
+    overlap = np.zeros(int(sizes.sum()))
+    np.add.at(overlap, cell, widths[pair_interval])
+
+    # a video's cells sorted stably by overlap, largest first: its first cell is the first maximal one
+    mapped = np.zeros(len(overlap), dtype=bool)
+    narrow = np.minimum(n_rows, n_cols)
+    mapped[np.lexsort((-overlap, np.repeat(np.arange(n_videos), sizes)))[base[narrow == 1]]] = True
+    for v in np.flatnonzero(narrow > 1).tolist():
+        block = overlap[base[v]:base[v] + sizes[v]].reshape(n_rows[v], n_cols[v])
+        for i, j in zip(*linear_sum_assignment((-block).tolist())):
+            mapped[base[v] + i * n_cols[v] + j] = True
+    mapped &= overlap > 0.0
+    matched = np.bincount(pair_interval[mapped[cell]], minlength=len(widths))
+
+    speech = n_ref * widths
+    wrong = (np.maximum(n_ref, n_hyp) - matched) * widths
+    # each video's sums run interval by interval: np.add.at adds in index order
+    total, error = np.zeros(n_videos), np.zeros(n_videos)
+    np.add.at(total, owner, speech)
+    np.add.at(error, owner, wrong)
+    if (total == 0.0).any():
         raise EmptyReference("reference timeline has zero speech time")
-    return error / total_ref
+    return (error / total).tolist()
 
 
 # --- pipeline evaluation -----------------------------------------------------------
@@ -242,15 +320,62 @@ def _scores(truth_labels, pred_labels) -> dict:
     return {"homogeneity": h, "completeness": c, "v_measure": v_from_scores(h, c)}
 
 
+def _video_scores(run, truth) -> tuple[dict, dict, list[float]]:
+    """Every video's true and predicted host where it has a host and labels, and its DER where it has reference speech.
+
+    One walk of run.segments_by_video in sorted video order gives the
+    segment table: a row per segment with a true identity or a label, each
+    speaker ranked by its string, as der ranks str(identity) and str(label).
+    """
+    video_ids = sorted(run.ds.videos)
+    identities, labels = truth.segment_identity, run.speaker_labels
+    ref_order, hyp_order = (sorted(set(values), key=str) for values in (identities.values(), labels.values()))
+    ref_rank, hyp_rank = ({None: -1, **{value: r for r, value in enumerate(order)}} for order in (ref_order, hyp_order))
+    table = np.array(
+        [
+            (v, s.start_s, s.end_s, ref_rank[identities.get(s.segment_id)], hyp_rank[labels.get(s.segment_id)])
+            for v, video_id in enumerate(video_ids)
+            for s in run.segments_by_video.get(video_id, ())
+        ],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+    table = table[(table[:, 3] >= 0) | (table[:, 4] >= 0)]
+    video, ref, hyp = (table[:, c].astype(np.int64) for c in (0, 3, 4))
+
+    # the host vote: the most frequent label, the smallest on ties
+    hosts = [truth.video_hosts.get(video_id) for video_id in video_ids]
+    label_values = np.array(hyp_order, dtype=np.int64)
+    voters = (hyp >= 0) & np.array([host is not None for host in hosts], dtype=bool)[video]
+    low = int(label_values.min(initial=0))
+    span = int(label_values.max(initial=0)) - low + 1
+    keys, counts = np.unique(video[voters] * span + label_values[hyp[voters]] - low, return_counts=True)
+    # keys ascend by video and then label, and the sort is stable: the smallest label leads its ties
+    ordered = keys[np.lexsort((-counts, keys // span))]
+    winners = ordered[np.unique(ordered // span, return_index=True)[1]]
+    video_truth: dict[str, int] = {}
+    video_pred: dict[str, int] = {}
+    for v, label in zip((winners // span).tolist(), (winners % span + low).tolist()):
+        video_truth[video_ids[v]] = hosts[v]
+        video_pred[video_ids[v]] = label
+
+    spoken = np.bincount(video[ref >= 0], minlength=len(video_ids)) > 0
+    rows = spoken[video]
+    ders = video_ders((np.cumsum(spoken) - 1)[video[rows]], table[rows, 1], table[rows, 2], ref[rows], hyp[rows])
+    return video_truth, video_pred, ders
+
+
 def evaluate_run(run, truth) -> dict:
     """Score a finished PipelineRun's results against generator ground truth.
 
     An entity's true identity is the most frequent one among its member
     tracks, and a video's predicted host is its most frequent speaker
     label; both take the smallest on ties. DER is averaged over videos
-    with reference speech. growth_factor is left out when no channel has
-    both collaboration and non-collaboration view histories, as mean_der is
-    when no video has reference speech.
+    with reference speech. The host votes and the DERs of all videos come
+    from one segment table, in numpy passes over every video at once;
+    video_ders gives each video the DER der gives it, bit for bit.
+    growth_factor is left out when no channel has both collaboration and
+    non-collaboration view histories, as mean_der is when no video has
+    reference speech.
     """
     report: dict = {}
     entity_truth = []
@@ -267,29 +392,7 @@ def evaluate_run(run, truth) -> dict:
             [truth.segment_identity[i] for i in segment_ids], [run.speaker_labels[i] for i in segment_ids]
         )
 
-    video_truth: dict[str, int] = {}
-    video_pred: dict[str, int] = {}
-    ders = []
-    for video_id in sorted(run.ds.videos):
-        segments = run.segments_by_video.get(video_id, [])
-        hyp = [
-            (s.start_s, s.end_s, run.speaker_labels[s.segment_id])
-            for s in segments
-            if s.segment_id in run.speaker_labels
-        ]
-        host = truth.video_hosts.get(video_id)
-        if hyp and host is not None:
-            counts = Counter(label for _, _, label in hyp)
-            best = max(counts.values())
-            video_pred[video_id] = min(l for l, c in counts.items() if c == best)
-            video_truth[video_id] = host
-        ref = [
-            (s.start_s, s.end_s, str(truth.segment_identity[s.segment_id]))
-            for s in segments
-            if s.segment_id in truth.segment_identity
-        ]
-        if ref:
-            ders.append(der(ref, [(start, end, str(label)) for start, end, label in hyp]))
+    video_truth, video_pred, ders = _video_scores(run, truth)
     if video_truth:
         report["assignment_accuracy"] = assignment_accuracy(video_truth, video_pred)
     if ders:

@@ -3,8 +3,9 @@
 Everything here favors directness over speed: naive double loops, recursive
 tree walks, exhaustive enumeration. None of it shares code with the package,
 except sample_blobs, which draws test points with the package's sphere
-sampler rather than checking anything, and oracle_reference_rows, which reads each
-row with the package's .emb reader.
+sampler rather than checking anything, oracle_reference_rows, which reads each
+row with the package's .emb reader, and loop_der, which maps speakers with the
+package's linear_sum_assignment.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from castgraph.catalog import read_emb
+from castgraph.metrics import linear_sum_assignment
 from castgraph.synth import random_unit, rotate_within
 
 INF = float("inf")
@@ -368,6 +370,39 @@ def oracle_der(reference, hypothesis):
         if best is None or err < best:
             best = err
     return best / total_ref
+
+
+def loop_der(reference, hypothesis):
+    """der one video at a time with Python sets and loops: the float operations
+    metrics.video_ders must repeat, in the same order, for the same bits."""
+    boundaries = sorted({t for start, end, _ in (*reference, *hypothesis) for t in (start, end)})
+    at = {t: k for k, t in enumerate(boundaries)}
+    ref_sets, hyp_sets = ([set() for _ in boundaries[1:]] for _ in range(2))
+    for timeline, sets in ((reference, ref_sets), (hypothesis, hyp_sets)):
+        for start, end, speaker in timeline:
+            for k in range(at[start], at[end]):
+                sets[k].add(speaker)
+    widths = [boundaries[k + 1] - boundaries[k] for k in range(len(boundaries) - 1)]
+
+    ref_speakers = sorted({speaker for _, _, speaker in reference})
+    hyp_speakers = sorted({speaker for _, _, speaker in hypothesis})
+    overlap = [[0.0] * len(hyp_speakers) for _ in ref_speakers]
+    for k, width in enumerate(widths):
+        for i, r in enumerate(ref_speakers):
+            for j, h in enumerate(hyp_speakers):
+                if r in ref_sets[k] and h in hyp_sets[k]:
+                    overlap[i][j] += width
+    mapping = {}
+    if ref_speakers and hyp_speakers:
+        rows, cols = linear_sum_assignment([[-x for x in row] for row in overlap])
+        mapping = {hyp_speakers[j]: ref_speakers[i] for i, j in zip(rows, cols) if overlap[i][j] > 0.0}
+
+    total_ref = error = 0.0
+    for k, width in enumerate(widths):
+        matched = sum(1 for h in hyp_sets[k] if h in mapping and mapping[h] in ref_sets[k])
+        total_ref += len(ref_sets[k]) * width
+        error += (max(len(ref_sets[k]), len(hyp_sets[k])) - matched) * width
+    return error / total_ref
 
 
 # --- track splitting -----------------------------------------------------------------

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from castgraph import metrics
+from castgraph.catalog import SpeechSegment
 from castgraph.errors import EmptyReference, KeyMismatch, LengthMismatch
 from castgraph.metrics import (
     assignment_accuracy,
@@ -24,6 +25,7 @@ from castgraph.metrics import (
 from castgraph.synth import GroundTruth
 
 from oracles import (
+    loop_der,
     oracle_best_assignment_accuracy,
     oracle_der,
     oracle_homogeneity_completeness,
@@ -221,6 +223,67 @@ def test_der_on_ties_matches_scipy_assignment(monkeypatch):
     assert ours == [der(ref, hyp) for ref, hyp in pairs]
 
 
+def _entries(speakers):
+    """Timeline entries that start on the integer grid, so overlaps tie, or anywhere;
+    overlapping, reversed and zero-length ones included."""
+    return st.tuples(
+        st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 6.0)),
+        st.one_of(st.integers(-1, 3).map(float), st.floats(-1.0, 3.0)),
+        st.sampled_from(speakers),
+    ).map(lambda entry: (entry[0], entry[0] + entry[1], entry[2]))
+
+
+# "10" sorts before "9" as a string and after it as a number; "-1" is the noise label
+timeline_batches = st.lists(
+    st.tuples(
+        st.lists(_entries(["1", "2", "9", "10"]), min_size=1, max_size=5).filter(
+            lambda timeline: any(end > start for start, end, _ in timeline)
+        ),
+        st.lists(_entries(["9", "10", "-1"]), max_size=5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(timeline_batches)
+@example([([(0.0, 4.0, "9"), (3.0, 1.0, "10"), (2.0, 2.0, "1")], [])])
+@example([([(0.0, 2.0, "10"), (1.0, 3.0, "9")], [(0.0, 2.0, "-1"), (2.0, 3.0, "10"), (5.0, 4.0, "9")])])
+@settings(max_examples=60, deadline=None)
+def test_video_ders_equal_der_bit_for_bit(batch):
+    ders = [x.hex() for x in metrics.video_ders(*metrics.timeline_table(batch))]
+    assert ders == [der(ref, hyp).hex() for ref, hyp in batch] == [loop_der(ref, hyp).hex() for ref, hyp in batch]
+    for value, (ref, hyp) in zip(ders, batch):
+        assert float.fromhex(value) == pytest.approx(oracle_der(ref, hyp), abs=1e-9)
+
+
+def _tenth_grid_timeline(rng, speakers, max_segments):
+    """Segments on a grid of tenths, which binary floats miss: equal overlaps whose sums round apart."""
+    starts = rng.integers(0, 12, size=rng.integers(1, max_segments + 1))
+    return [(s * 0.1, s * 0.1 + int(rng.integers(1, 5)) * 0.1, str(rng.choice(speakers))) for s in starts.tolist()]
+
+
+def test_video_ders_keep_the_bits_of_the_loop_der():
+    rng = np.random.default_rng(4242)
+    # up to 12 segments a side, so a video's sums run past the 8 terms below
+    # which a pairwise sum is still sequential; half on the integer grid, so mappings tie
+    draws = [_random_timeline, _tie_heavy_timeline] * 150
+    pairs = [(draw(rng, ["a", "b", "c"], 12), draw(rng, ["9", "10", "-1", "x"], 12)) for draw in draws]
+    # one speaker on a side: which of its equal overlaps the mapping takes shows in the last bit
+    for few, many in [(["a"], ["x", "y", "z"]), (["x", "y", "z"], ["a"])] * 1850:
+        pairs.append((_tenth_grid_timeline(rng, few, 7), _tenth_grid_timeline(rng, many, 7)))
+    ders = metrics.video_ders(*metrics.timeline_table(pairs))
+    assert [x.hex() for x in ders] == [loop_der(ref, hyp).hex() for ref, hyp in pairs]
+
+
+def test_video_ders_reject_a_video_without_reference_speech():
+    with pytest.raises(EmptyReference, match="is empty"):
+        metrics.video_ders(*metrics.timeline_table([([(0.0, 1.0, "a")], []), ([], [(0.0, 1.0, "x")])]))
+    with pytest.raises(EmptyReference, match="zero speech time"):
+        der([(1.0, 1.0, "a"), (2.0, 1.0, "b")], [(0.0, 3.0, "x")])
+    assert metrics.video_ders([], [], [], [], []) == []
+
+
 # --- linear sum assignment -------------------------------------------------------
 
 def _cost_matrices(kind: str, count: int = 400):
@@ -316,3 +379,40 @@ def test_evaluate_run_scores_equal_the_metric_functions():
         }
         assert all(0.0 < value < 1.0 for value in expected.values()), key
         assert report[key] == expected, key
+
+
+def test_evaluate_run_scores_each_video_as_der_and_the_host_vote_do(monkeypatch):
+    # v0: two -1 labels beat one 5; v1: 9 and 10 tie, and 9 wins though "10"
+    # sorts first as a string; v2 has speech but no labels, so no host vote;
+    # v3 has no segments, so neither a vote nor a DER
+    spans = {
+        "v0": [(0.0, 2.0, 1, -1), (2.0, 3.0, 1, -1), (3.0, 5.0, 10, 5)],
+        "v1": [(0.0, 1.0, 2, 10), (0.5, 2.0, 9, 9), (2.0, 2.5, 10, None)],
+        "v2": [(1.0, 3.0, 2, None)],
+        "v3": [],
+    }
+    segments = {
+        video: [SpeechSegment(f"{video}/s{k}", video, start, end) for k, (start, end, _, _) in enumerate(rows)]
+        for video, rows in spans.items()
+    }
+    identity = {f"{v}/s{k}": row[2] for v, rows in spans.items() for k, row in enumerate(rows) if row[2] is not None}
+    labels = {f"{v}/s{k}": row[3] for v, rows in spans.items() for k, row in enumerate(rows) if row[3] is not None}
+    run = SimpleNamespace(
+        entities=[], piece_sources={}, face_labels={}, speaker_labels=labels, segments_by_video=segments, edges=[],
+        ds=SimpleNamespace(videos=dict.fromkeys(spans), channels={}),
+    )
+    truth = GroundTruth(segment_identity=identity, video_hosts={"v0": 1, "v1": 9, "v2": 2, "v3": 3})
+    votes = []
+    monkeypatch.setattr(metrics, "assignment_accuracy", lambda t, p: votes.append((t, p)) or 0.5)
+    report = metrics.evaluate_run(run, truth)
+    assert votes == [({"v0": 1, "v1": 9}, {"v0": -1, "v1": 9})]
+    ders = [
+        der(
+            [(start, end, str(i)) for start, end, i, _ in rows if i is not None],
+            [(start, end, str(l)) for start, end, _, l in rows if l is not None],
+        )
+        for video, rows in spans.items()
+        if video != "v3"
+    ]
+    assert 0.0 < ders[1] < 1.0 and ders[2] == 1.0
+    assert report["mean_der"].hex() == (sum(ders) / 3).hex()

@@ -16,14 +16,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import castgraph
-from castgraph import catalog, cli, distcluster, pipeline
+from castgraph import catalog, cli, distcluster, metrics, pipeline
 from castgraph.cli import main
 from castgraph.diarize import filter_segments
 from castgraph.errors import InfeasibleConfig, PipelineStageError
 from castgraph.pipeline import CHECKPOINTS, PipelineConfig, PipelineRun, run_pipeline
-from castgraph.synth import SynthConfig, generate
+from castgraph.synth import SynthConfig, corrupt, generate
 
 from oracles import record_fields
 
@@ -85,7 +87,8 @@ def test_small_run_recovers_planted_graph(small_run):
 
 
 # SHA-256 of the CFG run's 05 to 08 and report.json. Labels are integers and
-# the report's floats come from pure Python, so they do not depend on the BLAS build
+# the report's floats come from pure Python and elementwise numpy, which makes
+# no BLAS call, so they do not depend on the BLAS build
 CFG_SHA256 = {
     "05_face_labels.csv": "ab5530274ec8911ce965f8aa0ada1c4d07bf495835820bfdf8d6f388cb124a69",
     "06_speaker_labels.csv": "c65582caffb8f04c9c1bd253c11dd63fe4528a7a06e82042c56429f320d85bc1",
@@ -142,6 +145,75 @@ def test_int_keys_sort_as_strings_in_graph_and_ground_truth(tmp_path):
     creators = list(json.loads((tmp_path / "08_graph.json").read_text())["creators"])
     assert creators == sorted(creators) and "10" in creators
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in WIDE_SHA256} == WIDE_SHA256
+
+
+# CFG's DER is 0.0, so a corpus that scores speakers imperfectly pins the DER's
+# bits: 60 degrees of noise, and a tenth of the embeddings dropped
+NOISY = replace(
+    CFG, n_channels=6, n_videos=96, n_identities=12, angular_noise_deg=60.0, collaboration_rate=0.3, rng_seed=7
+)
+NOISY_MEAN_DER = "0x1.c3af23e88e32dp-4"
+NOISY_REPORT_SHA256 = "e2129d24dece52fb7d9d26458a21cdf59c5630f134b88d2e6598689036830fa8"
+
+
+def noisy_corpus():
+    ds, truth = generate(NOISY)
+    return corrupt(ds, 0.1, 0.2, seed=7), truth
+
+
+def test_noisy_run_pins_the_der_bits_on_both_mapping_paths(tmp_path, monkeypatch):
+    tables, assignments = [], []
+    real_ders, real_assignment = metrics.video_ders, metrics.linear_sum_assignment
+    monkeypatch.setattr(metrics, "video_ders", lambda *table: tables.append(table) or real_ders(*table))
+    monkeypatch.setattr(metrics, "linear_sum_assignment", lambda cost: assignments.append(cost) or real_assignment(cost))
+    ds, truth = noisy_corpus()
+    report = run_pipeline(ds, tmp_path, PipelineConfig(), truth)
+    assert report["evaluation"]["mean_der"].hex() == NOISY_MEAN_DER
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == NOISY_REPORT_SHA256
+    # the fewer of each video's reference and hypothesis speakers
+    [(video, _, _, reference, hypothesis)] = tables
+    narrow = [
+        min(len(set(reference[video == v]) - {-1}), len(set(hypothesis[video == v]) - {-1}))
+        for v in range(video.max() + 1)
+    ]
+    assert narrow.count(1) > 0
+    assert len(assignments) == sum(n > 1 for n in narrow) > 0
+
+
+# every file a run writes but the stamps
+OUTPUTS = [
+    "03_entities.jsonl", "04_diarization.csv", "05_face_labels.csv", "06_speaker_labels.csv",
+    "07_identities.json", "08_graph.json", "graph.dot", "report.json", "report_table.txt",
+]
+
+
+@pytest.fixture(scope="module")
+def noisy_outputs(tmp_path_factory):
+    ds, truth = noisy_corpus()
+    root = tmp_path_factory.mktemp("noisy")
+    catalog.write(ds, root / "data")
+    run_pipeline(catalog.ingest(root / "data"), root / "out", PipelineConfig(), truth)
+    return root / "data", truth, {name: (root / "out" / name).read_bytes() for name in OUTPUTS}
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_record_order_leaves_every_output_byte_unchanged(noisy_outputs, seed, tmp_path_factory):
+    # every .jsonl line and every top-level .json array entry shuffled; only
+    # the stamps, which hold the dataset digest, may change
+    data, truth, expected = noisy_outputs
+    rng = np.random.default_rng(seed)
+    root = tmp_path_factory.mktemp("shuffled")
+    shutil.copytree(data, root / "data")
+    for path in (root / "data").iterdir():
+        if path.suffix == ".jsonl":
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[k] for k in rng.permutation(len(lines))))
+        elif path.suffix == ".json":
+            records = json.loads(path.read_text())
+            path.write_text(json.dumps([records[k] for k in rng.permutation(len(records))]))
+    run_pipeline(catalog.ingest(root / "data"), root / "out", PipelineConfig(), truth)
+    assert {name: (root / "out" / name).read_bytes() for name in OUTPUTS} == expected
 
 
 # the benchmark's duplicate-points corpus shrunk to CFG's size: 0 degrees of
