@@ -14,10 +14,11 @@ form a cluster, 0, and any other set is noise at once. The fallback,
 min_pts 2), at one fixed cosine distance, FALLBACK_EPS, unless the caller
 gives another.
 
-Recognition across videos is two-level, channel then global
-(:func:`cluster_by_channel`): each channel's sets through one cluster_groups
-call by dbscan alone, then one cluster_points call over a few real members
-of each channel cluster and the channel noise.
+Recognition across videos is two-level (:func:`cluster_by_channel`): points
+arrive one channel at a time, each channel is clustered by dbscan alone as
+it arrives and keeps the vectors of only a few real members of each cluster
+and of its noise, and one cluster_points call runs over those. A global
+stage never holds every point at once.
 
 One calling convention: every matrix is a stack. cluster_groups stacks point
 sets of one size n, at most BLOCK points per stack (a larger set is a stack
@@ -34,14 +35,14 @@ One layout in two media. Every matrix is G row-major n x n float64 squares.
 Sets of at most BLOCK points (every per-video stack, and every channel on
 the benchmark corpora) keep them in memory, a SquareDistanceArray of
 8 * G * n^2 <= 8 * BLOCK * n bytes. A larger set (every global call after
-the channel step) writes them to a SquareDistanceFile, an
-unlinked temporary file under TMPDIR. The rule is fixed. Clustering reads
-either medium only through row and rows, into buffers it owns; the file is
-read with pread, never mapped, so its pages are page cache, not the
-process's memory. A call over a file holds one n x d float64 buffer of unit
-vectors and one BLOCK-row GEMM block with its transposed stripe while
-distance_matrix runs (6.8 + 2 + 2 MB at n = 831, d = 1024), then
-O(BLOCK * n) row blocks.
+the channel step) writes them to a SquareDistanceFile, an unlinked temporary
+file under TMPDIR. The rule is fixed. Clustering reads either medium only
+through row and rows, into buffers it owns; the file is read with pread,
+never mapped, so its pages are page cache, not the process's memory. A call
+over a file holds one n x d float64 buffer of unit vectors, one of BLOCK^2
+squared entries and one BLOCK-row GEMM block with its transposed stripe
+while distance_matrix runs (6.8 + 0.5 + 1.7 + 1.7 MB at n = 831, d = 1024),
+then O(BLOCK * n) row blocks.
 """
 
 from __future__ import annotations
@@ -220,18 +221,19 @@ def distance_matrix(points) -> DistanceMatrix:
     """Pairwise cosine distances within each of G sets of n points, given as (G, n, d).
 
     The points are copied once into a float64 buffer (the caller's array is
-    never touched), normalized there in place a few rows at a time, and
+    never touched), normalized there in place BLOCK^2 values at a time, and
     multiplied in fixed row blocks against every column at or after the
     block's first row, all groups in one stacked product. Each block goes
     straight to the squares: a SquareDistanceArray when n <= BLOCK, else a
     SquareDistanceFile. The caller closes the matrix (either medium is a
-    context manager). That one buffer and one BLOCK-row product, with its
-    transposed stripe, are all a call holds besides the squares in memory.
+    context manager). That buffer, BLOCK^2 values of squared entries and one
+    BLOCK-row product, with its transposed stripe, are all a call holds
+    besides the squares in memory.
     One point per set gives (G, 1, 1) zero squares; a zero vector raises
     ZeroVector, and a failed write closes the file and raises its OSError.
     """
     try:
-        unit = np.array(points, dtype=np.float64)
+        unit = np.array(points, dtype=np.float64, order="C")
     except ValueError as exc:
         # numpy's error for rows of different lengths (numpy >= 1.24)
         if "inhomogeneous" not in str(exc):
@@ -239,22 +241,23 @@ def distance_matrix(points) -> DistanceMatrix:
         raise DimensionMismatch("distance_matrix input rows differ in length") from exc
     if unit.ndim != 3:
         raise DimensionMismatch("distance_matrix input is not a (groups, points, dimension) stack")
-    n = unit.shape[1]
-    # normalized a chunk of rows at a time, each chunk's temporaries no
-    # larger than one GEMM block; a row's norm does not depend on the rows
-    # around it, so the bits are those of one norm call over all rows
-    step = max(1, min(BLOCK, BLOCK * n // max(1, unit.shape[2])))
-    for lo in range(0, n, step):
-        rows = unit[:, lo : lo + step]
-        norms = np.linalg.norm(rows, axis=-1)
+    groups, n, d = unit.shape
+    # normalized BLOCK^2 values at a time, the squares in one reused buffer,
+    # by np.linalg.norm's own formula for real rows; a row's norm does not
+    # depend on the rows around it, so the bits are those of one norm call
+    flat = unit.reshape(groups * n, d)
+    step = max(1, BLOCK * BLOCK // max(1, d))
+    squares = np.empty((min(step, len(flat)), d))
+    for lo in range(0, len(flat), step):
+        rows = flat[lo : lo + step]
+        norms = np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares[: len(rows)]), axis=-1))
         if np.any(norms == 0.0):
             raise ZeroVector("distance_matrix input contains a zero vector")
-        rows /= norms[..., None]
+        rows /= norms[:, None]
     classes = _duplicate_classes(unit)
 
     # the one cell no block writes, the last row's diagonal, is the zero fill
     # of the array or of the file, which is sized up front
-    groups = len(unit)
     if n > BLOCK:
         matrix = SquareDistanceFile(n, tempfile.TemporaryFile(buffering=0), np.zeros(groups, dtype=bool))
     else:
@@ -725,61 +728,50 @@ def channel_representatives(vectors, k: int) -> list[int]:
 
 
 def cluster_by_channel(
-    vectors,
     channels,
-    sizes,
     params: HdbscanParams,
     eps: float = FALLBACK_EPS,
-) -> np.ndarray:
-    """Labels for vectors across channels: each channel's vectors first, then one global call.
+) -> dict:
+    """Labels by key for points given one channel at a time: each channel first, then one global call.
 
-    The channel step clusters each channel's vectors by dbscan alone at eps,
-    all channels in one cluster_groups call. It is not HDBSCAN:
-    at min_cluster_size 2 the hierarchy joins mutually far points that no
-    other point is near. Each channel cluster enters the one cluster_points
-    call as its channel_representatives, k = max(min_cluster_size, effective
-    min_samples): real points, so the global pass keeps the density it
-    needs. Each channel-noise vector enters as itself. Entered vectors keep
-    their order. Every member of a channel cluster takes the global label of
-    its first representative, and cluster labels are numbered 0..k-1 by
-    smallest member, as one call over all vectors numbers them.
-
-    A unit is a channel cluster or a channel-noise vector. A unit left as
-    global noise that stands for more than one item (sizes gives each
-    vector's item count) takes a fresh label after the cluster labels, in
-    the order of its smallest index; a one-item unit stays -1. Channels are
-    grouped in first-seen order, never in hash order.
+    channels yields each channel's points as a list of (key, unit vector,
+    item count), keys distinct and comparable. A channel is clustered in key
+    order by dbscan alone at eps when it arrives: at min_cluster_size 2
+    HDBSCAN would join mutually far points that no other point is near. A
+    unit is a channel cluster or a channel-noise point. Only each unit's
+    channel_representatives, k = max(min_cluster_size, effective
+    min_samples), keep their vectors before the next channel is asked for:
+    real points, so the global pass keeps the density it needs. The one
+    cluster_points call runs over the kept vectors in key order. A unit's
+    members take the global label of its first representative, clusters
+    numbered 0..k-1 by smallest member key. A unit of several items left
+    as global noise takes a fresh label after them, in the order of its
+    smallest key; a one-item unit stays -1. So the order in which channels
+    arrive cannot change a label.
     """
-    by_channel: dict = {}
-    for index, channel in enumerate(channels):
-        by_channel.setdefault(channel, []).append(index)
-    members = list(by_channel.values())
-    flat = cluster_groups([[vectors[i] for i in m] for m in members], None, eps)
-    units = sorted(
-        ([m[i] for i in idxs] for m, (labels, _) in zip(members, flat) for idxs in label_groups(labels)),
-        key=lambda unit: unit[0],
-    )
-
     k = max(params.min_cluster_size, params.effective_min_samples)
-    entered, firsts = [], []
-    for unit in units:
-        representatives = [unit[j] for j in channel_representatives([vectors[i] for i in unit], k)]
-        entered += representatives
-        firsts.append(representatives[0])
-    entered.sort()
-    found, _ = cluster_points([vectors[i] for i in entered], params, eps)
-    by_point = dict(zip(entered, found.tolist()))
+    kept = {}  # representative key -> vector
+    units = []  # (member keys ascending, first representative key, items)
+    for channel in channels:
+        channel = sorted(channel, key=lambda point: point[0])
+        (flat, _), = cluster_groups([[vector for _, vector, _ in channel]], None, eps)
+        for idxs in label_groups(flat):
+            representatives = [idxs[j] for j in channel_representatives([channel[i][1] for i in idxs], k)]
+            kept.update((channel[i][0], channel[i][1]) for i in representatives)
+            units.append(([channel[i][0] for i in idxs], channel[representatives[0]][0],
+                          sum(channel[i][2] for i in idxs)))
+        del channel  # freed before the next channel is asked for
+    keys = sorted(kept)
+    found, _ = cluster_points([kept[key] for key in keys], params, eps)
+    by_key = dict(zip(keys, found.tolist()))
 
-    unit_labels = [by_point[first] for first in firsts]
-    rank: dict[int, int] = {}
-    for label in unit_labels:
-        if label != -1:
-            rank.setdefault(label, len(rank))
-    labels = np.full(len(vectors), -1, dtype=np.int64)
-    fresh = len(rank)
-    for unit, label in zip(units, unit_labels):
-        if label != -1:
-            labels[unit] = rank[label]
-        elif sum(sizes[i] for i in unit) > 1:
-            labels[unit], fresh = fresh, fresh + 1
+    units.sort(key=lambda unit: unit[0][0])
+    found = [by_key[first] for _, first, _ in units]
+    rank = {label: r for r, label in enumerate(dict.fromkeys(label for label in found if label != -1))}
+    labels, fresh = {}, len(rank)
+    for (members, _, items), label in zip(units, found):
+        label = rank.get(label, -1)
+        if label == -1 and items > 1:
+            label, fresh = fresh, fresh + 1
+        labels.update(dict.fromkeys(members, label))
     return labels

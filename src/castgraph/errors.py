@@ -42,8 +42,8 @@ class LengthMismatch(CastgraphError):
         super().__init__(f"label vectors differ in length: {len_a} vs {len_b}")
 
 
-class KeyMismatch(CastgraphError):
-    pass
+class KeyMismatch(CastgraphError, KeyError):
+    __str__ = Exception.__str__  # the message as given, not KeyError's repr of it
 
 
 class EmptyReference(CastgraphError):

@@ -254,14 +254,15 @@ def video_ders(video, start, end, reference, hypothesis) -> list[float]:
     points = np.concatenate([start, end])
     owners = np.concatenate([video, video])
     order = np.lexsort((points, owners))
+    points, owners = points[order], owners[order]
     fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = (np.diff(points[order]) != 0) | (np.diff(owners[order]) != 0)
+    fresh[1:] = (np.diff(points) != 0) | (np.diff(owners) != 0)
     place = np.empty(len(order), dtype=np.int64)
     place[order] = np.cumsum(fresh) - 1
-    grid, grid_owner = points[order][fresh], owners[order][fresh]
-    widths = np.diff(grid)
-    owner = grid_owner[:-1]
-    widths[owner != grid_owner[1:]] = 0.0  # from one video's last point to the next video's first
+    widths, owners = np.diff(points[fresh]), owners[fresh]
+    owner = owners[:-1]
+    widths[owner != owners[1:]] = 0.0  # from one video's last point to the next video's first
+    del points, owners, order, fresh  # each array here and below is freed when it dies
 
     # each side's distinct (interval, speaker) activity, by interval and then
     # speaker; a side's speakers are numbered within their video in rank order
@@ -276,7 +277,8 @@ def video_ders(video, start, end, reference, hypothesis) -> list[float]:
         activity.append((interval, key - (np.cumsum(counts) - counts)[owner[interval]]))
         n_active.append(np.bincount(interval, minlength=len(widths)))
         n_speakers.append(counts)
-    (ref_interval, ref_speaker), (_, hyp_speaker) = activity
+    del place, rows, keys, key, row, interval
+    (ref_interval, ref_speaker), (hyp_interval, hyp_speaker) = activity
     n_ref, n_hyp = n_active
     n_rows, n_cols = n_speakers
 
@@ -288,6 +290,7 @@ def video_ders(video, start, end, reference, hypothesis) -> list[float]:
     base = np.cumsum(sizes) - sizes
     pair_owner = owner[pair_interval]
     cell = base[pair_owner] + ref_speaker[pair_ref] * n_cols[pair_owner] + hyp_speaker[pair_hyp]
+    del activity, hyp_first, pair_ref, pair_hyp, pair_owner, ref_interval, ref_speaker, hyp_interval, hyp_speaker
     overlap = np.zeros(int(sizes.sum()))
     np.add.at(overlap, cell, widths[pair_interval])
 
@@ -302,12 +305,10 @@ def video_ders(video, start, end, reference, hypothesis) -> list[float]:
     mapped &= overlap > 0.0
     matched = np.bincount(pair_interval[mapped[cell]], minlength=len(widths))
 
-    speech = n_ref * widths
-    wrong = (np.maximum(n_ref, n_hyp) - matched) * widths
     # each video's sums run interval by interval: np.add.at adds in index order
     total, error = np.zeros(n_videos), np.zeros(n_videos)
-    np.add.at(total, owner, speech)
-    np.add.at(error, owner, wrong)
+    np.add.at(total, owner, n_ref * widths)
+    np.add.at(error, owner, (np.maximum(n_ref, n_hyp) - matched) * widths)
     if (total == 0.0).any():
         raise EmptyReference("reference timeline has zero speech time")
     return (error / total).tolist()
@@ -375,8 +376,14 @@ def evaluate_run(run, truth) -> dict:
     video_ders gives each video the DER der gives it, bit for bit.
     growth_factor is left out when no channel has both collaboration and
     non-collaboration view histories, as mean_der is when no video has
-    reference speech.
+    reference speech. A track or segment the ground truth lacks raises
+    KeyMismatch, a KeyError that names it.
     """
+    for kind, ids, known in (("track", run.piece_sources.values(), truth.track_identity),
+                             ("segment", run.speaker_labels, truth.segment_identity)):
+        missing = next((i for i in ids if i not in known), None)
+        if missing is not None:
+            raise KeyMismatch(f"the ground truth has no {kind} {missing!r}")
     report: dict = {}
     entity_truth = []
     for entity in run.entities:

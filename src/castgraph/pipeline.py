@@ -2,16 +2,17 @@
 
 Stage order: split -> pair -> merge -> diarize -> global face clustering ->
 global speaker clustering -> bridge -> graph -> report. Both global stages
-cluster each channel's points first, then all channels in one call. split
-gives each piece its representative, the one vector that merge and global
-face clustering read of it. split and pair cost less to recompute than to
-read back, so they keep no checkpoint and run when their results are first
-read. Every later stage is a row of the stage table, run by one generic
-step (:meth:`PipelineRun.step`); a reused row is decoded when first read.
-The report, with its evaluation, is the last row, so a resume whose stamps
-all match computes nothing. Every file is written to a temporary name and
-renamed into place. For a fixed dataset and configuration the bytes do not
-depend on the BLAS thread count, the hash seed or the output path.
+cluster one channel's points at a time, then the channels' representatives
+in one call. split gives each piece its representative, the one vector that
+merge and global face clustering read of it. split and pair cost less to
+recompute than to read back, so they keep no checkpoint and run when their
+results are first read. Every later stage is a row of the stage table, run
+by one generic step (:meth:`PipelineRun.step`); a reused row is decoded
+when first read. The report, with its evaluation, is the last row, so a
+resume whose stamps all match computes nothing. Every file is written to a
+temporary name and renamed into place. For a fixed dataset and
+configuration the bytes do not depend on the BLAS thread count, the hash
+seed or the output path.
 """
 
 from __future__ import annotations
@@ -264,64 +265,64 @@ class PipelineRun:
         videos = diarize_video([k for k in kept if k], config.hdbscan_params, config.dbscan_eps)
         self.diarization = {i: label for labels in videos for i, label in labels.items()}
 
-    def _cluster(self, points) -> dict:
-        """Global labels by id, for points given as (video id, ids, unit vector) in point order.
+    def _cluster(self, keys, points) -> dict:
+        """Global labels by point key, for keys given as (video id, key) and points(key), a key's points.
 
-        Each channel's points are clustered first, then one global call runs
-        over the channel clusters' representatives and the channel noise
-        (distcluster.cluster_by_channel); a point's channel is its video's.
-        Every id takes its point's label, and a point of several ids counts
-        as that many items.
+        A point is (key, unit vector, item count). A key's points are built
+        only when distcluster.cluster_by_channel asks for its video's
+        channel, and the channel step keeps only its representatives.
         """
-        labels = cluster_by_channel(
-            [unit for _, _, unit in points],
-            [self.ds.videos[video_id].channel_id for video_id, _, _ in points],
-            [len(ids) for _, ids, _ in points],
-            self.config.hdbscan_params,
-            self.config.dbscan_eps,
-        )
-        return {i: label for (_, ids, _), label in zip(points, labels.tolist()) for i in ids}
+        by_channel: dict[str, list] = {}
+        for video_id, key in keys:
+            by_channel.setdefault(self.ds.videos[video_id].channel_id, []).append(key)
+        channels = ([point for key in members for point in points(key)] for members in by_channel.values())
+        return cluster_by_channel(channels, self.config.hdbscan_params, self.config.dbscan_eps)
 
     def compute_cluster_faces(self) -> None:
         """Recognize the entities across videos.
 
-        One point per entity, the unit mean of its pieces' representatives.
-        An entity whose pieces cancel to a zero mean has no direction, so
-        the stage fails with ZeroVector; the speaker side instead splits
-        such a speaker into its segments. Points are in entity order.
+        One point per entity, keyed by its place in the entities, the unit
+        mean of its pieces' representatives. An entity whose pieces cancel
+        to a zero mean has no direction, so the stage fails with ZeroVector;
+        the speaker side instead splits such a speaker into its segments.
         """
         representatives = {p.track_id: p.representative for p in self.pieces}
-        points = [
-            (e.video_id, [e.entity_id], unit_mean([representatives[t] for t in e.member_track_ids]))
-            for e in self.entities
-        ]
-        self.face_labels = self._cluster(points)
+        labels = self._cluster(
+            [(e.video_id, key) for key, e in enumerate(self.entities)],
+            lambda key: [(key, unit_mean([representatives[t] for t in self.entities[key].member_track_ids]), 1)],
+        )
+        self.face_labels = {e.entity_id: labels[key] for key, e in enumerate(self.entities)}
 
     def compute_cluster_speakers(self) -> None:
         """Recognize the diarized speakers across videos; each segment takes its speaker's label.
 
-        One point per diarized speaker, the unit mean of its segments'
-        embeddings, and one per diarization-noise segment, the same formula
-        over one segment. A speaker whose embeddings cancel to a zero
-        mean has no direction, so each of its segments is its own point.
-        Points are ordered by their smallest segment id. A speaker of several
+        One point per diarized speaker, keyed by its smallest segment id, the
+        unit mean of its segments' embeddings, and one per diarization-noise
+        segment, the same formula over one segment. A speaker whose
+        embeddings cancel to a zero mean has no direction, so each of its
+        segments is its own point, keyed by its id. A speaker of several
         segments that is left as noise is still one speaker: it takes a
-        fresh label (see _cluster).
+        fresh label (see distcluster.cluster_by_channel).
         """
         by_video: dict[str, list[str]] = {}
         for segment_id in sorted(self.diarization):
             by_video.setdefault(self.ds.segments[segment_id].video_id, []).append(segment_id)
-        points = []  # (video id, sorted segment ids, unit vector)
+        speakers = {}  # a speaker's smallest segment id -> its video and its segment ids, ascending
         for video_id, segment_ids in by_video.items():
             for idxs in label_groups([self.diarization[i] for i in segment_ids]):
-                ids = [segment_ids[i] for i in idxs]
-                embeddings = [self.ds.segments[i].embedding for i in ids]
-                try:
-                    points.append((video_id, ids, unit_mean(embeddings)))
-                except ZeroVector:
-                    points += [(video_id, [i], unit_mean([e])) for i, e in zip(ids, embeddings)]
-        points.sort(key=lambda point: point[1][0])
-        self.speaker_labels = dict(sorted(self._cluster(points).items()))
+                speakers[segment_ids[idxs[0]]] = video_id, [segment_ids[i] for i in idxs]
+
+        def points(key):
+            embeddings = [self.ds.segments[i].embedding for i in speakers[key][1]]
+            try:
+                return [(key, unit_mean(embeddings), len(embeddings))]
+            except ZeroVector:
+                return [(i, unit_mean([e]), 1) for i, e in zip(speakers[key][1], embeddings)]
+
+        found = self._cluster([(video_id, key) for key, (video_id, _) in speakers.items()], points)
+        # a split speaker's segments are keys themselves, its first one included
+        labels = {i: found.get(i, found[key]) for key, (_, ids) in speakers.items() for i in ids}
+        self.speaker_labels = dict(sorted(labels.items()))
 
     def compute_bridge(self) -> None:
         track_to_entity = {t: e.entity_id for e in self.entities for t in e.member_track_ids}

@@ -130,8 +130,8 @@ def merge_tracks(pieces, params: HdbscanParams, eps: float) -> list[TrackEntity]
     if not ordered:
         return []
     videos = [list(members) for _, members in groupby(ordered, key=lambda p: p.video_id)]
-    reps = [np.stack([p.representative for p in members]) for members in videos]
-    clustered = cluster_groups(reps, params, eps)
+    # distance_matrix makes the one float64 copy of the representatives
+    clustered = cluster_groups([[p.representative for p in members] for members in videos], params, eps)
 
     entities: list[TrackEntity] = []
     for members, (labels, _) in zip(videos, clustered):

@@ -4,8 +4,9 @@ Everything here favors directness over speed: naive double loops, recursive
 tree walks, exhaustive enumeration. None of it shares code with the package,
 except sample_blobs, which draws test points with the package's sphere
 sampler rather than checking anything, oracle_reference_rows, which reads each
-row with the package's .emb reader, and loop_der, which maps speakers with the
-package's linear_sum_assignment.
+row with the package's .emb reader, loop_der, which maps speakers with the
+package's linear_sum_assignment, and eager_cluster_by_channel, which clusters
+with the package's distcluster.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from castgraph import distcluster
 from castgraph.catalog import read_emb
 from castgraph.metrics import linear_sum_assignment
 from castgraph.synth import random_unit, rotate_within
@@ -417,3 +419,51 @@ def oracle_split_ranges(start, end, max_len, min_len):
             pieces.append((s, e))
         s = e + 1
     return pieces
+
+
+# --- two-level clustering ---------------------------------------------------------
+
+def eager_cluster_by_channel(vectors, channels, sizes, params, eps=distcluster.FALLBACK_EPS) -> np.ndarray:
+    """Labels by index, from every point at once: the reference for distcluster.cluster_by_channel.
+
+    The whole-corpus form the streaming one replaced: every channel through
+    one cluster_groups call by dbscan alone, then one cluster_points call
+    over the units' channel_representatives in index order. A point's index
+    plays the part of its key; a unit's members take the global label of its
+    first representative, clusters are numbered by smallest member, and a
+    unit of several items left as noise takes a fresh label in the order of
+    its smallest index.
+    """
+    by_channel: dict = {}
+    for index, channel in enumerate(channels):
+        by_channel.setdefault(channel, []).append(index)
+    members = list(by_channel.values())
+    flat = distcluster.cluster_groups([[vectors[i] for i in m] for m in members], None, eps)
+    units = sorted(
+        ([m[i] for i in idxs] for m, (labels, _) in zip(members, flat) for idxs in distcluster.label_groups(labels)),
+        key=lambda unit: unit[0],
+    )
+
+    k = max(params.min_cluster_size, params.effective_min_samples)
+    entered, firsts = [], []
+    for unit in units:
+        representatives = [unit[j] for j in distcluster.channel_representatives([vectors[i] for i in unit], k)]
+        entered += representatives
+        firsts.append(representatives[0])
+    entered.sort()
+    found, _ = distcluster.cluster_points([vectors[i] for i in entered], params, eps)
+    by_point = dict(zip(entered, found.tolist()))
+
+    unit_labels = [by_point[first] for first in firsts]
+    rank: dict[int, int] = {}
+    for label in unit_labels:
+        if label != -1:
+            rank.setdefault(label, len(rank))
+    labels = np.full(len(vectors), -1, dtype=np.int64)
+    fresh = len(rank)
+    for unit, label in zip(units, unit_labels):
+        if label != -1:
+            labels[unit] = rank[label]
+        elif sum(sizes[i] for i in unit) > 1:
+            labels[unit], fresh = fresh, fresh + 1
+    return labels

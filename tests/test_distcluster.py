@@ -5,9 +5,12 @@ from __future__ import annotations
 import os
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castgraph import distcluster
 from castgraph.distcluster import (
@@ -36,6 +39,7 @@ from castgraph.distcluster import (
 from castgraph.errors import DimensionMismatch, ZeroVector
 
 from oracles import (
+    eager_cluster_by_channel,
     n_clusters,
     naive_cosine_matrix,
     oracle_dbscan,
@@ -112,6 +116,34 @@ def test_matrix_blocks_are_exact_and_worker_count_invisible(n):
     np.fill_diagonal(reference, 0.0)
     assert np.allclose(square, reference, rtol=0.0, atol=1e-12)
     assert square[3, n // 2] == 0.0
+
+
+class UnitRows(Exception):
+    """Carries the unit buffer distance_matrix hands to _duplicate_classes."""
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 300), st.sampled_from([1, 3, 64, 255, 257, 1024])),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    scale=st.sampled_from([1e-20, 1e-3, 1.0, 1e20]),
+)
+@settings(max_examples=40, deadline=None)
+def test_matrix_unit_rows_are_linalg_norm_rows_bit_for_bit(seed, shape, dtype, scale):
+    # the rows are normalized in chunks through one buffer; every bit must be
+    # that of dividing each row by np.linalg.norm over the whole stack
+    points = (np.random.default_rng(seed).standard_normal(shape) * scale).astype(dtype)
+
+    def capture(unit):
+        raise UnitRows(unit.copy())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distcluster, "_duplicate_classes", capture)
+        with pytest.raises(UnitRows) as got:
+            distance_matrix(points)
+    rows = points.astype(np.float64)
+    expected = rows / np.linalg.norm(rows, axis=-1)[..., None]
+    assert got.value.args[0].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -894,6 +926,16 @@ def unit(*coords) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def channel_labels(vectors, channels, sizes, params, eps=FALLBACK_EPS) -> list[int]:
+    """cluster_by_channel over vectors keyed by index, channels in first-seen order; the labels by index."""
+    grouped: dict = {}
+    for index, (vector, channel, size) in enumerate(zip(vectors, channels, sizes)):
+        grouped.setdefault(channel, []).append((index, vector, size))
+    labels = cluster_by_channel(iter(grouped.values()), params, eps)
+    assert sorted(labels) == list(range(len(vectors)))
+    return [labels[index] for index in range(len(vectors))]
+
+
 def global_call_stub(monkeypatch, label_of):
     """Stub the global cluster_points call, labelling each entered vector v with label_of(v).
 
@@ -920,18 +962,18 @@ def test_three_far_points_in_one_channel_stay_apart():
     joined, _ = cluster_points(channel_a, HdbscanParams(2))
     assert joined.tolist() == [0, 0, 1, 1, 1]
     vectors = channel_a + [g + 0.01 * e[5] for g in guests]
-    labels = cluster_by_channel(vectors, ["a"] * 5 + ["b", "c", "d"], [1] * 8, HdbscanParams(2))
-    assert labels.tolist() == [0, 0, 1, 2, 3, 1, 2, 3]
+    labels = channel_labels(vectors, ["a"] * 5 + ["b", "c", "d"], [1] * 8, HdbscanParams(2))
+    assert labels == [0, 0, 1, 2, 3, 1, 2, 3]
 
 
 def test_a_one_point_channel_passes_through_unchanged(monkeypatch):
     vectors = [unit(1, 0, 0), unit(1, 0.01, 0), unit(0, 1, 0), unit(0, 1, 0.01), unit(0, 0, 1)]
     entered = global_call_stub(monkeypatch, lambda v: int(np.argmax(v)))
-    labels = cluster_by_channel(vectors, ["a", "a", "b", "b", "c"], [1] * 5, PARAMS)
+    labels = channel_labels(vectors, ["a", "a", "b", "b", "c"], [1] * 5, PARAMS)
     # two-member channel clusters enter whole at k = 2; the lone point of c enters as itself
     assert len(entered) == 1 and len(entered[0]) == 5
     assert entered[0][4] is vectors[4]
-    assert labels.tolist() == [0, 0, 1, 1, 2]
+    assert labels == [0, 0, 1, 1, 2]
 
 
 def test_representatives_are_the_members_nearest_the_mean():
@@ -957,12 +999,12 @@ def test_members_take_their_representatives_label_or_a_fresh_one(monkeypatch):
     ]
     channels = ["b", "a", "c", "a", "c", "a", "b"]
     entered = global_call_stub(monkeypatch, lambda v: 5 if np.argmax(v) == 0 else -1)
-    labels = cluster_by_channel(vectors, channels, [1, 1, 1, 1, 3, 1, 1], PARAMS)
+    labels = channel_labels(vectors, channels, [1, 1, 1, 1, 3, 1, 1], PARAMS)
     assert len(entered[0]) == 6
     # the x cluster is renumbered 0, all three members included; the y
     # cluster and the three-item w point take fresh labels by smallest
     # index; the one-item z point stays noise
-    assert labels.tolist() == [1, 0, -1, 0, 2, 0, 1]
+    assert labels == [1, 0, -1, 0, 2, 0, 1]
 
 
 def test_a_channel_cluster_of_zero_mean_enters_as_all_its_members(monkeypatch):
@@ -972,13 +1014,75 @@ def test_a_channel_cluster_of_zero_mean_enters_as_all_its_members(monkeypatch):
     entered = global_call_stub(monkeypatch, lambda v: 0)
     # at eps 2.5 the channel step joins antipodal points: one cluster of five
     # with mean e2, and one of four with a zero mean
-    labels = cluster_by_channel(vectors + vectors[:4], ["a"] * 5 + ["b"] * 4, [1] * 9, PARAMS, eps=2.5)
+    labels = channel_labels(vectors + vectors[:4], ["a"] * 5 + ["b"] * 4, [1] * 9, PARAMS, eps=2.5)
     assert [len(vs) for vs in entered] == [2 + 4]
-    assert labels.tolist() == [0] * 9
+    assert labels == [0] * 9
 
 
 def test_cluster_by_channel_without_points():
-    assert cluster_by_channel([], [], [], PARAMS).tolist() == []
+    assert cluster_by_channel(iter([]), PARAMS) == {}
+
+
+def test_a_channel_keeps_only_its_representatives_once_the_next_is_asked_for(monkeypatch):
+    # channel c: five points near e_c, one channel cluster of which k = 2
+    # are representatives, and e_(c+4), channel noise that is its own
+    entered = global_call_stub(monkeypatch, lambda v: 0)
+    refs = []  # a weak reference to each vector, channel by channel
+    e = np.eye(10)
+
+    def channel(c):
+        vectors = [unit(*(e[c] + 0.01 * j * e[9])) for j in range(5)] + [unit(*e[c + 4])]
+        refs.append([weakref.ref(v) for v in vectors])
+        return [(6 * c + i, v, 1) for i, v in enumerate(vectors)]
+
+    def channels():
+        for c in range(4):
+            # the earlier channels hold only their representatives and their noise
+            assert [sum(ref() is not None for ref in r) for r in refs] == [3] * c
+            yield channel(c)
+
+    labels = cluster_by_channel(channels(), PARAMS)
+    assert sorted(labels) == list(range(24))
+    alive = [ref() for r in refs for ref in r if ref() is not None]
+    assert len(alive) == 12
+    # the vectors kept are the ones the global call ran over, in key order
+    assert [id(v) for v in entered[0]] == [id(v) for v in alive]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    n_channels=st.integers(1, 6),
+    min_cluster_size=st.integers(2, 4),
+    min_samples=st.none() | st.integers(1, 3),
+    eps=st.sampled_from([0.05, 0.3, FALLBACK_EPS, 1.2]),
+    shuffler=st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_streamed_labels_equal_the_eager_oracle_in_any_channel_order(
+    seed, n, n_channels, min_cluster_size, min_samples, eps, shuffler
+):
+    # points around four centres at three spreads, bitwise duplicates
+    # included, in random channels; each point stands for 1 to 3 items
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((4, 6))
+    spread = rng.choice([0.0, 0.05, 0.4], size=n)
+    points = centres[rng.integers(0, 4, size=n)] + spread[:, None] * rng.standard_normal((n, 6))
+    vectors = [p / np.linalg.norm(p) for p in points]
+    channels = rng.integers(0, n_channels, size=n).tolist()
+    sizes = rng.integers(1, 4, size=n).tolist()
+    params = HdbscanParams(min_cluster_size, min_samples)
+    expected = eager_cluster_by_channel(vectors, channels, sizes, params, eps).tolist()
+
+    grouped: dict = {}
+    for index, (vector, channel, size) in enumerate(zip(vectors, channels, sizes)):
+        grouped.setdefault(channel, []).append((index, vector, size))
+    layout = list(grouped.values())
+    shuffler.shuffle(layout)
+    for points_of_channel in layout:
+        shuffler.shuffle(points_of_channel)
+    labels = cluster_by_channel(iter(layout), params, eps)
+    assert [labels[index] for index in range(n)] == expected
 
 
 # --- labels ----------------------------------------------------------------------

@@ -658,6 +658,55 @@ def test_a_speaker_of_opposite_voices_is_clustered_by_segment(tmp_path):
     assert run.speaker_labels == {"a0": 0, "a1": 0, "b0": 0}
 
 
+def test_a_zero_mean_speakers_segments_are_keyed_among_the_other_speakers_keys(tmp_path):
+    # one channel: v0's eight voices step 45 degrees round a circle, each
+    # within eps 0.5 of the next, so diarization joins them into one speaker
+    # whose mean is exactly zero; its segments a1 ... c5 become points of
+    # their own, keyed by their ids, around w's key a0 and z's key a4
+    s = float(np.float32(np.sqrt(0.5)))
+    ring = [[1, 0], [s, s], [0, 1], [-s, s], [-1, 0], [-s, -s], [0, -1], [s, -s]]
+    ring_ids = ["a1", "a3", "a5", "a7", "a9", "c1", "c3", "c5"]
+    e3, e4 = np.eye(4)[2:].tolist()
+    ds = voices_dataset({
+        "v0": [(i, [x, y, 0, 0]) for i, (x, y) in zip(ring_ids, ring)],
+        "v1": [("a0", e3), ("z0", e3)],
+        "v2": [("a4", e4), ("a6", e4)],
+    })
+    # every set is below 2 * min_cluster_size points, so each goes to the fallback
+    run = PipelineRun(ds, tmp_path, PipelineConfig(min_cluster_size=6))
+    run.run_until("cluster_speakers")
+    assert set(run.diarization.values()) == {0}
+    # the channel step joins the ring's segments into one cluster; its
+    # representatives are all eight, as their mean is zero, and the global
+    # pass keeps them together, cluster 0 by its smallest key a1. w and z are
+    # global noise of two segments each: fresh labels, by smallest key
+    assert run.speaker_labels == {**dict.fromkeys(ring_ids, 0), "a0": 1, "z0": 1, "a4": 2, "a6": 2}
+
+
+def test_global_stages_build_a_channels_points_when_it_is_asked_for(tmp_path, monkeypatch):
+    ds, _ = generate(CFG)
+    run = PipelineRun(ds, tmp_path, PipelineConfig())
+    run.run_until("diarize")
+    made = []  # one entry per unit mean the global stages build
+    monkeypatch.setattr(pipeline, "unit_mean", lambda rows: made.append(1) or catalog.unit_mean(rows))
+    real, grown = pipeline.cluster_by_channel, []
+
+    def streamed(channels, params, eps):
+        received, before = [], len(made)
+        for channel in channels:
+            received.append(channel)
+            grown.append((len(made) - before, len(channel)))
+            before = len(made)
+        return real(iter(received), params, eps)
+
+    monkeypatch.setattr(pipeline, "cluster_by_channel", streamed)
+    run.run_until("cluster_speakers")
+    # both stages, CFG's four channels each; no zero mean, so a point is one
+    # unit mean, and each channel's are built while it is asked for
+    assert len(grown) == 2 * CFG.n_channels
+    assert all(built == points > 0 for built, points in grown), grown
+
+
 def test_ids_keep_every_character_but_a_line_feed_through_resume(tmp_path):
     # str.splitlines breaks a line at U+2028 and at a carriage return too, and a
     # resume decodes the label files: such ids must survive it
@@ -816,6 +865,18 @@ def test_cli_eval_without_ground_truth_is_a_usage_error(tmp_path, tiny_data, cap
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
     assert "--ground-truth" in capsys.readouterr().err
+
+
+def test_cli_eval_against_another_corpus_truth_names_the_missing_id(tmp_path):
+    # the 24-video corpus has tracks the 16-video corpus's truth never heard of
+    synth = ["--channels", "4", "--identities", "4", "--face-dim", "16", "--speaker-dim", "12"]
+    for name, videos, seed in (("d16", 16, 1), ("d24", 24, 2)):
+        assert run_cli("synth", "--out", tmp_path / name, "--videos", videos, "--seed", seed, *synth).returncode == 0
+    result = run_cli("eval", tmp_path / "d24", "--out", tmp_path / "out",
+                     "--ground-truth", tmp_path / "d16" / "ground_truth.json")
+    assert result.returncode == 1
+    assert result.stderr == "error: stage 'eval' failed: the ground truth has no track 'v0016/t0'\n"
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_eval_without_usable_view_histories_leaves_growth_out(tmp_path):
