@@ -10,7 +10,7 @@ directed channel-collaboration graph plus evaluation metrics.
 __version__ = "0.2.0"
 
 from .catalog import Dataset, ingest, normalize, validate, write
-from .distcluster import HdbscanParams, cluster_points
+from .distcluster import HdbscanParams, cluster_groups
 from .pipeline import PipelineConfig, PipelineRun, run_pipeline
 from .synth import GroundTruth, SynthConfig, corrupt, generate
 
@@ -21,7 +21,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineRun",
     "SynthConfig",
-    "cluster_points",
+    "cluster_groups",
     "corrupt",
     "generate",
     "ingest",

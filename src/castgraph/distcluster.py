@@ -1,12 +1,12 @@
 """Cosine distances and density-based clustering, over stacks of point sets.
 
-Everything here is a pure function of its inputs. The clustering entry point
-used by the rest of the pipeline is :func:`cluster_groups`: point sets in,
-one label per point and whether the fallback ran out, per set;
-:func:`cluster_points` is its one-set case. The distance matrix is built
-inside it, and :func:`cluster_with_fallback` then runs hierarchical density
-clustering and falls back to plain density clustering when the hierarchy
-labels everything as noise (the single-identity failure mode). One rule
+Everything here is a pure function of its inputs. The one clustering entry
+point used by the rest of the pipeline is :func:`cluster_groups`: point sets
+in, one label per point and whether the fallback ran out, per set. The
+distance matrix is built inside it, and :func:`cluster_with_fallback` then
+runs hierarchical density clustering and falls back to plain density
+clustering when the hierarchy labels everything as noise (the
+single-identity failure mode). One rule
 decides small sets: the hierarchy never selects its root, so below
 2 * min_cluster_size points only all-identical ones (a lone point included)
 form a cluster, 0, and any other set is noise at once. The fallback,
@@ -15,10 +15,11 @@ min_pts 2), at one fixed cosine distance, FALLBACK_EPS, unless the caller
 gives another.
 
 Recognition across videos is two-level (:func:`cluster_by_channel`): points
-arrive one channel at a time, each channel is clustered by dbscan alone as
-it arrives and keeps the vectors of only a few real members of each cluster
-and of its noise, and one cluster_points call runs over those. A global
-stage never holds every point at once.
+arrive one channel at a time, each channel is clustered by :func:`dbscan`
+over its own distance matrix as it arrives and keeps the vectors of only a
+few real members of each cluster and of its noise, and one cluster_groups
+call runs over those as one set. A global stage never holds every point at
+once.
 
 One calling convention: every matrix is a stack. cluster_groups stacks point
 sets of one size n, at most BLOCK points per stack (a larger set is a stack
@@ -374,9 +375,11 @@ def _prim_mst(m: DistanceMatrix, core: np.ndarray) -> list[list[tuple[int, int, 
     reachability in place, and each point still outside keeps the better of
     its edge and its best edge so far; no n x n weight matrix exists. Every
     group adds its k-th edge in the same step. Returns (n-1) edges as
-    (i, j, w) with i < j, one list per group. On equal weights the
-    edge with the smaller (i, j) pair wins, which pins down the tree (and
-    hence the whole hierarchy) for inputs with duplicate distances.
+    (i, j, w) with i < j, one list per group. Edges are ordered by
+    (w, i, j), a strict order under which the tree, and hence the whole
+    hierarchy, is unique for inputs with duplicate distances: on equal
+    weights a point outside keeps the edge to the smaller tree end, which
+    that order reduces to, and the next edge is the one of smallest (i, j).
     """
     n = m.n
     groups = len(core)
@@ -401,17 +404,14 @@ def _prim_mst(m: DistanceMatrix, core: np.ndarray) -> list[list[tuple[int, int, 
         w = m.row(v, row)
         np.maximum(w, core, out=w)
         np.maximum(w, core[by_group, v][:, None], out=w)
-        # only points outside the tree take a better edge or break a tie
-        tie = (w == best_w) & outside
-        closer = (w < best_w) & outside
+        # on equal weights, edge (v, u) beats (p, u) when v < p: u below both
+        # ends or above both, the ends decide the (min, max) order directly;
+        # u between them, the smaller end gives the smaller first component.
+        # Only points outside the tree take the edge
+        closer = (w < best_w) | ((w == best_w) & (at_v < best_parent))
+        closer &= outside
         np.copyto(best_parent, at_v, where=closer)
         np.copyto(best_w, w, where=closer)
-        if tie.any():
-            # on exact weight ties prefer the lexicographically smaller pair
-            new_lo, old_lo = np.minimum(at_v, points), np.minimum(best_parent, points)
-            new_hi, old_hi = np.maximum(at_v, points), np.maximum(best_parent, points)
-            tie &= (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
-            np.copyto(best_parent, at_v, where=tie)
 
         v = best_w.argmin(axis=1)
         w_min = best_w[by_group, v]
@@ -637,19 +637,18 @@ def k_distance_eps(m: DistanceMatrix, k: int = 4, percentile: float = 90.0) -> n
 
 def cluster_with_fallback(
     m: DistanceMatrix,
-    params: HdbscanParams | None,
+    params: HdbscanParams,
     eps: float = FALLBACK_EPS,
 ) -> tuple[np.ndarray, list[bool]]:
     """Hierarchical clustering with a flat-density escape hatch.
 
     One path: a group the hierarchy labels all noise takes dbscan at radius
     eps. Small sets follow hdbscan's one rule: a lone point is its cluster 0.
-    With params None every group is noise and takes the fallback.
     Returns the (G, n) labels and one used_fallback flag per group. The
     fallback runs over the whole stack when any group needs it, and its rows
     replace only those groups' labels.
     """
-    labels = hdbscan(m, params) if params is not None else np.full((m.groups, m.n), -1)
+    labels = hdbscan(m, params)
     used = (labels == -1).all(axis=1)
     if used.any():
         labels[used] = dbscan(m, eps)[used]
@@ -658,14 +657,13 @@ def cluster_with_fallback(
 
 def cluster_groups(
     groups,
-    params: HdbscanParams | None,
+    params: HdbscanParams,
     eps: float = FALLBACK_EPS,
 ) -> list[tuple[np.ndarray, bool]]:
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
-    Each set is clustered on its own, exactly as if it were the only one;
-    with params None, by dbscan alone (see cluster_with_fallback).
-    Sets of one size n (and one dimension) are stacked, at most BLOCK points
+    Each set is clustered on its own, exactly as if it were the only one
+    (see cluster_with_fallback). Sets of one size n (and one dimension) are stacked, at most BLOCK points
     per stack (a set larger than BLOCK is a stack of one), and each stack
     takes one distance_matrix and one cluster_with_fallback call; an error
     in any set is the whole call's error. An empty set gives no labels and
@@ -694,18 +692,6 @@ def cluster_groups(
             for index, group_labels, group_used in zip(chunk, labels, used):
                 results[index] = group_labels, group_used
     return results
-
-
-def cluster_points(
-    vectors,
-    params: HdbscanParams,
-    eps: float = FALLBACK_EPS,
-) -> tuple[np.ndarray, bool]:
-    """Cluster labels for one set of vectors, one per vector in order, and whether the fallback ran.
-
-    The one-set case of cluster_groups.
-    """
-    return cluster_groups([vectors], params, eps)[0]
 
 
 def channel_representatives(vectors, k: int) -> list[int]:
@@ -738,11 +724,12 @@ def cluster_by_channel(
     item count), keys distinct and comparable. A channel is clustered in key
     order by dbscan alone at eps when it arrives: at min_cluster_size 2
     HDBSCAN would join mutually far points that no other point is near. A
-    unit is a channel cluster or a channel-noise point. Only each unit's
-    channel_representatives, k = max(min_cluster_size, effective
-    min_samples), keep their vectors before the next channel is asked for:
-    real points, so the global pass keeps the density it needs. The one
-    cluster_points call runs over the kept vectors in key order. A unit's
+    unit is a channel cluster or a channel-noise point; an empty channel
+    has none. Only each unit's channel_representatives, k =
+    max(min_cluster_size, effective min_samples), keep their vectors before
+    the next channel is asked for: real points, so the global pass keeps
+    the density it needs. The one global cluster_groups call runs over the
+    kept vectors, one set in key order. A unit's
     members take the global label of its first representative, clusters
     numbered 0..k-1 by smallest member key. A unit of several items left
     as global noise takes a fresh label after them, in the order of its
@@ -753,8 +740,11 @@ def cluster_by_channel(
     kept = {}  # representative key -> vector
     units = []  # (member keys ascending, first representative key, items)
     for channel in channels:
+        if not channel:  # an empty channel has no unit
+            continue
         channel = sorted(channel, key=lambda point: point[0])
-        (flat, _), = cluster_groups([[vector for _, vector, _ in channel]], None, eps)
+        with distance_matrix([[vector for _, vector, _ in channel]]) as matrix:
+            [flat] = dbscan(matrix, eps)
         for idxs in label_groups(flat):
             representatives = [idxs[j] for j in channel_representatives([channel[i][1] for i in idxs], k)]
             kept.update((channel[i][0], channel[i][1]) for i in representatives)
@@ -762,7 +752,7 @@ def cluster_by_channel(
                           sum(channel[i][2] for i in idxs)))
         del channel  # freed before the next channel is asked for
     keys = sorted(kept)
-    found, _ = cluster_points([kept[key] for key in keys], params, eps)
+    [(found, _)] = cluster_groups([[kept[key] for key in keys]], params, eps)
     by_key = dict(zip(keys, found.tolist()))
 
     units.sort(key=lambda unit: unit[0][0])

@@ -426,9 +426,9 @@ def oracle_split_ranges(start, end, max_len, min_len):
 def eager_cluster_by_channel(vectors, channels, sizes, params, eps=distcluster.FALLBACK_EPS) -> np.ndarray:
     """Labels by index, from every point at once: the reference for distcluster.cluster_by_channel.
 
-    The whole-corpus form the streaming one replaced: every channel through
-    one cluster_groups call by dbscan alone, then one cluster_points call
-    over the units' channel_representatives in index order. A point's index
+    The whole-corpus form the streaming one replaced: one dbscan call per
+    channel, then one cluster_groups call over the units'
+    channel_representatives, one set in index order. A point's index
     plays the part of its key; a unit's members take the global label of its
     first representative, clusters are numbered by smallest member, and a
     unit of several items left as noise takes a fresh label in the order of
@@ -437,12 +437,12 @@ def eager_cluster_by_channel(vectors, channels, sizes, params, eps=distcluster.F
     by_channel: dict = {}
     for index, channel in enumerate(channels):
         by_channel.setdefault(channel, []).append(index)
-    members = list(by_channel.values())
-    flat = distcluster.cluster_groups([[vectors[i] for i in m] for m in members], None, eps)
-    units = sorted(
-        ([m[i] for i in idxs] for m, (labels, _) in zip(members, flat) for idxs in distcluster.label_groups(labels)),
-        key=lambda unit: unit[0],
-    )
+    units = []
+    for members in by_channel.values():
+        with distcluster.distance_matrix([[vectors[i] for i in members]]) as m:
+            [labels] = distcluster.dbscan(m, eps)
+        units += [[members[i] for i in idxs] for idxs in distcluster.label_groups(labels)]
+    units.sort(key=lambda unit: unit[0])
 
     k = max(params.min_cluster_size, params.effective_min_samples)
     entered, firsts = [], []
@@ -451,7 +451,7 @@ def eager_cluster_by_channel(vectors, channels, sizes, params, eps=distcluster.F
         entered += representatives
         firsts.append(representatives[0])
     entered.sort()
-    found, _ = distcluster.cluster_points([vectors[i] for i in entered], params, eps)
+    [(found, _)] = distcluster.cluster_groups([[vectors[i] for i in entered]], params, eps)
     by_point = dict(zip(entered, found.tolist()))
 
     unit_labels = [by_point[first] for first in firsts]

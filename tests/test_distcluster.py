@@ -26,7 +26,6 @@ from castgraph.distcluster import (
     channel_representatives,
     cluster_by_channel,
     cluster_groups,
-    cluster_points,
     cluster_with_fallback,
     dbscan,
     distance_matrix,
@@ -256,7 +255,7 @@ def test_ragged_rows_raise_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         cluster_groups([[np.ones(3), np.ones(4)]], PARAMS)
     with pytest.raises(DimensionMismatch):
-        cluster_points([np.ones(3), np.ones(3), np.ones(4)], PARAMS)
+        cluster_groups([[np.ones(3), np.ones(3), np.ones(4)]], PARAMS)[0]
     with pytest.raises(DimensionMismatch):
         distance_matrix([[np.ones(3), np.ones(4)]])
     with pytest.raises(DimensionMismatch):  # a set of scalars, one point or more
@@ -721,7 +720,7 @@ def test_one_point_sets_make_no_dbscan_call(monkeypatch):
     assert calls == []
 
 
-# --- cluster_points: one policy per degenerate input ------------------------------
+# --- cluster_groups over one set: one policy per degenerate input -----------------
 
 # (id, vectors, expected labels or the error raised, whether the fallback ran)
 DEGENERATE_INPUTS = [
@@ -748,9 +747,9 @@ DEGENERATE_INPUTS = [
 def test_cluster_points_degenerate_inputs(vectors, expected, used):
     if expected is ZeroVector:
         with pytest.raises(ZeroVector):
-            cluster_points(vectors, PARAMS)
+            cluster_groups([vectors], PARAMS)[0]
         return
-    labels, used_fallback = cluster_points(vectors, PARAMS)
+    labels, used_fallback = cluster_groups([vectors], PARAMS)[0]
     assert labels.tolist() == expected
     assert labels.dtype == np.int64
     assert used_fallback is used
@@ -764,21 +763,21 @@ def test_cluster_points_rejects_a_nan_eps():
     for vectors in sets:
         for eps in (float("nan"), -1.0):
             with pytest.raises(ValueError):
-                cluster_points(vectors, HdbscanParams(2), eps=eps)
+                cluster_groups([vectors], HdbscanParams(2), eps=eps)[0]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_fallback_keeps_equidistant_small_sets_apart(n):
     # n mutually orthogonal points: the hierarchy finds only noise, and a
     # data-derived eps would equal their common distance and join them all
-    labels, used = cluster_points(np.eye(n), HdbscanParams(2))
+    labels, used = cluster_groups([np.eye(n)], HdbscanParams(2))[0]
     assert used
     assert n_clusters(labels) == 0
 
 
 def test_cluster_points_matches_matrix_path():
     points, _ = sample_blobs(30, 3, 64, 8.0, seed=8)
-    labels, used = cluster_points(list(points), PARAMS)
+    labels, used = cluster_groups([list(points)], PARAMS)[0]
     [expected], [expected_used] = cluster_with_fallback(distance_matrix([points]), PARAMS)
     assert labels.tolist() == expected.tolist()
     assert used == expected_used
@@ -795,7 +794,7 @@ def test_cluster_points_holds_no_square(blobs, used):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        labels, used_fallback = cluster_points(points, HdbscanParams(50, 5))
+        labels, used_fallback = cluster_groups([points], HdbscanParams(50, 5))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -814,7 +813,7 @@ def test_cluster_points_peak_is_condensed_unit_buffer_and_one_block(n, d):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        labels, _ = cluster_points(points, HdbscanParams(50, 5))
+        labels, _ = cluster_groups([points], HdbscanParams(50, 5))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -831,7 +830,7 @@ def test_cluster_points_over_a_file_holds_no_n_squared_term(n, d):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        labels, _ = cluster_points(points, HdbscanParams(50, 5))
+        labels, _ = cluster_groups([points], HdbscanParams(50, 5))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -873,7 +872,7 @@ def test_cluster_groups_matches_each_group_alone(mcs, min_samples, eps):
     together = cluster_groups(groups, params, eps=eps)
     assert len(together) == len(groups)
     for group, (got, got_used) in zip(groups, together):
-        labels, used = cluster_points(group, params, eps=eps)
+        labels, used = cluster_groups([group], params, eps=eps)[0]
         assert got.tolist() == labels.tolist()
         assert got_used is used
 
@@ -937,17 +936,19 @@ def channel_labels(vectors, channels, sizes, params, eps=FALLBACK_EPS) -> list[i
 
 
 def global_call_stub(monkeypatch, label_of):
-    """Stub the global cluster_points call, labelling each entered vector v with label_of(v).
+    """Stub the global cluster_groups call, labelling each entered vector v with label_of(v).
 
+    The channel step calls dbscan, so only the global call meets the stub.
     Returns the list the stub appends each call's entered vectors to.
     """
     entered = []
 
-    def fake(vectors, params, eps=FALLBACK_EPS):
+    def fake(groups, params, eps=FALLBACK_EPS):
+        [vectors] = groups
         entered.append([np.asarray(v) for v in vectors])
-        return np.asarray([label_of(v) for v in vectors], dtype=np.int64), False
+        return [(np.asarray([label_of(v) for v in vectors], dtype=np.int64), False)]
 
-    monkeypatch.setattr(distcluster, "cluster_points", fake)
+    monkeypatch.setattr(distcluster, "cluster_groups", fake)
     return entered
 
 
@@ -959,7 +960,7 @@ def test_three_far_points_in_one_channel_stay_apart():
     channel_a = [e[0], e[0] + 0.01 * e[5], *guests]
     # HDBSCAN at min_cluster_size 2 joins the three guests into one cluster,
     # which is why the channel step is DBSCAN
-    joined, _ = cluster_points(channel_a, HdbscanParams(2))
+    joined, _ = cluster_groups([channel_a], HdbscanParams(2))[0]
     assert joined.tolist() == [0, 0, 1, 1, 1]
     vectors = channel_a + [g + 0.01 * e[5] for g in guests]
     labels = channel_labels(vectors, ["a"] * 5 + ["b", "c", "d"], [1] * 8, HdbscanParams(2))
