@@ -209,14 +209,18 @@ class PipelineRun:
         """Reuse the stage's checkpoint if resuming and its stamp matches, else compute and write it.
 
         The stamp covers the stage's files that exist (the report writes its
-        table only with an evaluation). A reused checkpoint is decoded when one
-        of its results is first read (see __getattr__). A computed one removes
-        every other file of the stage and every other ``<stem>.*`` file, stem
-        being its first file's: sidecars an older version wrote, temporary
-        files a killed run left. No other code writes into out_dir.
+        table only with an evaluation). Either way, the ``.tmp`` file of each
+        stage file and of the stamp, which a killed run may have left, is
+        removed first. A reused checkpoint is decoded when one of its results
+        is first read (see __getattr__). A computed one removes every other
+        file of the stage and every other ``<stem>.*`` file, stem being its
+        first file's: sidecars an older version wrote. No other code writes
+        into out_dir.
         """
         stem = Path(stage.files[0]).stem
         stamp_name = stem + ".stamp"
+        for name in (*stage.files, stamp_name):
+            (self.out / f"{name}.tmp").unlink(missing_ok=True)
         if self.config.resume:
             files = {}
             for name in (*stage.files, stamp_name):  # a file that vanishes before it is read is absent

@@ -743,6 +743,49 @@ def test_writes_are_atomic_and_leave_no_temporary_files(tmp_path, monkeypatch):
     assert not list(out.glob("*.tmp"))
 
 
+KILLED = 7  # the exit status of a child that died at its planned rename
+
+
+@pytest.mark.parametrize("primed_with", [PipelineConfig(), PipelineConfig(min_votes=2)], ids=["same", "other"])
+def test_a_run_killed_at_any_write_resumes_to_a_fresh_runs_bytes(tmp_path, monkeypatch, primed_with):
+    # a child runs over a directory that a complete run wrote and dies with
+    # os._exit just before or just after its k-th rename, for every k; a
+    # resume must then leave a fresh run's file names and bytes, so no
+    # temporary file a killed run left survives a stage that is reused
+    ds, truth = generate(CFG)
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(pipeline.os, "replace", lambda src, dst: (renames.append(dst), replace(src, dst)))
+    run_pipeline(ds, tmp_path / "fresh", PipelineConfig(), truth)
+    monkeypatch.undo()
+    expected = read_tree(tmp_path / "fresh")
+    assert len(renames) == len(expected) == 16
+    run_pipeline(ds, tmp_path / "primed", primed_with, truth)
+
+    for k in range(len(renames)):
+        for after in (False, True):
+            out = shutil.copytree(tmp_path / "primed", tmp_path / f"{k}-{after}")
+            pid = os.fork()
+            if pid == 0:  # the child leaves only through os._exit
+                try:
+                    done = []
+
+                    def dying_replace(src, dst):
+                        if len(done) == k and not after:
+                            os._exit(KILLED)
+                        done.append(replace(src, dst))
+                        if len(done) == k + 1:
+                            os._exit(KILLED)
+
+                    os.replace = dying_replace
+                    run_pipeline(ds, out, PipelineConfig(), truth)
+                finally:
+                    os._exit(1)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == KILLED, (k, after)
+            run_pipeline(ds, out, PipelineConfig(resume=True), truth)
+            assert read_tree(out) == expected, (k, after)
+
+
 def test_a_computed_stage_removes_its_stale_checkpoint_files(tmp_path):
     # an older version wrote a 03_entities.emb sidecar; nothing names it now
     ds, truth = generate(CFG)
