@@ -7,7 +7,7 @@ directed channel-collaboration graph plus evaluation metrics.
 """
 
 # set before the submodule imports: pipeline stamps its checkpoints with it
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .catalog import Dataset, ingest, normalize, validate, write
 from .distcluster import HdbscanParams, cluster_groups

@@ -4,7 +4,8 @@ Face clusters and speaker clusters are nodes of a bipartite association
 graph; every AV pair whose track landed in a face cluster and whose segment
 landed in a speaker cluster casts one vote on the edge between them.
 Connected components over the kept edges (:func:`kept_edges`: enough votes,
-and the top-voted edge of one of its two clusters) are the resolved
+and the top-voted edge of one of its two clusters, the only one at one vote)
+are the resolved
 identities: a component with both modalities is a person seen and heard, a
 bare speaker cluster is an off-screen voice, a bare face cluster someone who
 never speaks on camera. The components come from the union-find of the flat
@@ -81,20 +82,29 @@ def build_graph(
 
 def kept_edges(graph: AssociationGraph, min_votes: int = 1) -> list[AssociationEdge]:
     """Edges with at least min_votes votes that are the top-voted edge of their
-    face cluster or of their speaker cluster; tied top edges are all kept.
+    face cluster or of their speaker cluster; tied top edges are all kept,
+    except at one vote, where a cluster's top edge must be its only edge.
 
     A stray vote from one mispaired segment then cannot join two identities,
-    while a person split over two face clusters still joins their voice.
+    while a person split over two face clusters still joins their voice. Nor
+    can a stray cluster with one vote to each of two people, such as a
+    speaker that diarization made of two people's segments.
     """
-    top_face: dict[int, int] = {}
-    top_speaker: dict[int, int] = {}
+    votes: dict[tuple[str, int], list[int]] = {}
     for e in graph.edges:
-        top_face[e.face] = max(top_face.get(e.face, 0), e.votes)
-        top_speaker[e.speaker] = max(top_speaker.get(e.speaker, 0), e.votes)
+        votes.setdefault(("face", e.face), []).append(e.votes)
+        votes.setdefault(("speaker", e.speaker), []).append(e.votes)
+    # per cluster, its top vote count and its edge count
+    top = {end: (max(counts), len(counts)) for end, counts in votes.items()}
+
+    def on_top(e: AssociationEdge, end) -> bool:
+        most, edges = top[end]
+        return e.votes == most and (most > 1 or edges == 1)
+
     return [
         e
         for e in graph.edges
-        if e.votes >= min_votes and e.votes in (top_face[e.face], top_speaker[e.speaker])
+        if e.votes >= min_votes and (on_top(e, ("face", e.face)) or on_top(e, ("speaker", e.speaker)))
     ]
 
 

@@ -13,7 +13,10 @@ from castgraph.bridge import (
     resolve_identities,
 )
 from castgraph.catalog import AVPair
+from castgraph.collabgraph import graph_stats
 from castgraph.errors import DanglingReference
+from castgraph.pipeline import PipelineRun
+from castgraph.synth import SynthConfig, generate
 
 
 def fig_style_inputs():
@@ -197,6 +200,39 @@ def test_resolve_keeps_every_tied_top_edge():
     assert identity_sets(resolve_identities(graph)) == {(frozenset({0, 1}), frozenset({0, 1}))}
     # a tied top edge still needs min_votes
     assert kept_edges(graph, min_votes=4) == [AssociationEdge(1, 1, 5)]
+
+
+def test_resolve_drops_tied_one_vote_top_edges():
+    # speaker 2 holds one vote for each of two people: both are its top edge,
+    # tied at one vote, and neither is the top edge of its face cluster
+    stray = (AssociationEdge(0, 2, 1), AssociationEdge(1, 2, 1))
+    graph = AssociationGraph(
+        (0, 1), (0, 1, 2), (AssociationEdge(0, 0, 4), stray[0], AssociationEdge(1, 1, 3), stray[1])
+    )
+    assert kept_edges(graph) == [AssociationEdge(0, 0, 4), AssociationEdge(1, 1, 3)]
+    identities = resolve_identities(graph)
+    assert identity_sets(identities) == {
+        (frozenset({0}), frozenset({0})), (frozenset({1}), frozenset({1})), (frozenset(), frozenset({2}))
+    }
+    assert conflict_report(graph, identities) == []
+    # a one-vote edge that is its cluster's only edge is still kept
+    lone = AssociationGraph((0, 1), (0, 1, 2, 3), (*graph.edges, AssociationEdge(1, 3, 1)))
+    assert AssociationEdge(1, 3, 1) in kept_edges(lone)
+
+
+def test_a_stray_speaker_cluster_does_not_join_two_identities(tmp_path):
+    # at 86 degrees every speaker is on screen, and diarization can make one
+    # speaker of two people's segments; the global pass leaves it as noise
+    # with a fresh label and one vote for each person's face cluster. Keeping
+    # both tied one-vote edges joined two identities (40/11/3, 1 conflict)
+    ds, truth = generate(SynthConfig(
+        n_channels=9, n_identities=18, n_videos=144, collaboration_rate=0.3,
+        offscreen_speaker_fraction=0.0, angular_noise_deg=86.0, rng_seed=39,
+    ))
+    run = PipelineRun(ds, tmp_path)
+    run.run_until("graph")
+    stats = graph_stats(run.edges, ds.channels.keys(), truth.event_triples())
+    assert (stats["correct"], stats["incorrect"], stats["missed"], len(run.conflicts)) == (43, 2, 0, 0)
 
 
 def test_conflict_report_clean_cases():
