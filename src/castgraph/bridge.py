@@ -94,17 +94,12 @@ def kept_edges(graph: AssociationGraph, min_votes: int = 1) -> list[AssociationE
     for e in graph.edges:
         votes.setdefault(("face", e.face), []).append(e.votes)
         votes.setdefault(("speaker", e.speaker), []).append(e.votes)
-    # per cluster, its top vote count and its edge count
-    top = {end: (max(counts), len(counts)) for end, counts in votes.items()}
-
-    def on_top(e: AssociationEdge, end) -> bool:
-        most, edges = top[end]
-        return e.votes == most and (most > 1 or edges == 1)
-
+    # each cluster's top vote count, or 0 (no edge's) when its top is a tie at one vote
+    top = {end: max(v) if max(v) > 1 or len(v) == 1 else 0 for end, v in votes.items()}
     return [
         e
         for e in graph.edges
-        if e.votes >= min_votes and (on_top(e, ("face", e.face)) or on_top(e, ("speaker", e.speaker)))
+        if e.votes >= min_votes and e.votes in (top["face", e.face], top["speaker", e.speaker])
     ]
 
 

@@ -750,7 +750,7 @@ def cluster_by_channel(
             kept.update((channel[i][0], channel[i][1]) for i in representatives)
             units.append(([channel[i][0] for i in idxs], channel[representatives[0]][0],
                           sum(channel[i][2] for i in idxs)))
-        del channel  # freed before the next channel is asked for
+        del channel, matrix  # freed before the next channel is asked for
     keys = sorted(kept)
     [(found, _)] = cluster_groups([[kept[key] for key in keys]], params, eps)
     by_key = dict(zip(keys, found.tolist()))

@@ -910,6 +910,22 @@ def test_stacked_prim_edges_match_kruskal_per_group(min_samples):
                 assert [group_edges] == _prim_mst(SquareDistanceArray(squares[g : g + 1]), core[g : g + 1])
 
 
+@pytest.mark.parametrize("min_samples", [1, 2, 3])
+@pytest.mark.parametrize("n", [BLOCK + 1, 300])
+def test_prim_ties_in_the_file_medium_match_kruskal(n, min_samples):
+    # bitwise copies of five centres, three of them orthogonal: distances
+    # are 0 within a centre and exactly 1 between orthogonal ones, so most of
+    # the update and selection steps' comparisons are ties
+    rng = np.random.default_rng(n + min_samples)
+    centres = np.vstack([np.eye(16)[:3], rng.standard_normal((2, 16))])
+    with distance_matrix([centres[rng.integers(0, 5, size=n)]]) as m:
+        assert isinstance(m, SquareDistanceFile)
+        core = _core_distances(m, min_samples)
+        mr = np.maximum(m.to_square()[0], np.maximum.outer(core[0], core[0]))
+        np.fill_diagonal(mr, 0.0)
+        assert sorted(_prim_mst(m, core)[0]) == sorted(oracle_mst_edges(mr.tolist()))
+
+
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_cluster_groups_zero_vector_in_any_group_raises(size):
     groups = mixed_groups(5)
@@ -1022,6 +1038,52 @@ def test_a_channel_cluster_of_zero_mean_enters_as_all_its_members(monkeypatch):
 
 def test_cluster_by_channel_without_points():
     assert cluster_by_channel(iter([]), PARAMS) == {}
+
+
+def test_the_channel_step_calls_dbscan_once_per_channel_and_skips_an_empty_one(monkeypatch):
+    calls = []
+
+    def counting(m, eps):
+        calls.append((m.groups, m.n))
+        return dbscan(m, eps)
+
+    monkeypatch.setattr(distcluster, "dbscan", counting)
+    global_call_stub(monkeypatch, lambda v: 0)
+    channels = [[], [(0, unit(1, 0, 0), 1), (1, unit(1, 0.01, 0), 1)], [], [(2, unit(0, 1, 0), 1)]]
+    assert cluster_by_channel(iter(channels), PARAMS) == {0: 0, 1: 0, 2: 0}
+    assert calls == [(1, 2), (1, 1)]
+    monkeypatch.undo()
+    # an empty channel yields no label, and no error
+    assert cluster_by_channel(iter([[], [(0, unit(1, 0, 0), 1)], []]), PARAMS) == {0: 0}
+    assert cluster_by_channel(iter([[], []]), PARAMS) == {}
+
+
+def test_a_channel_past_block_points_is_clustered_in_the_file_medium_as_the_oracle_does(monkeypatch):
+    # one channel of BLOCK + 20 points around five orthogonal centres,
+    # bitwise copies included, and one small channel; the first is
+    # clustered over a file
+    rng = np.random.default_rng(17)
+    n = BLOCK + 20
+    centres = np.eye(12)[:5]
+    points = np.vstack([centres[rng.integers(0, 5, size=n)], centres[rng.integers(0, 5, size=12)]])
+    points += 0.05 * rng.standard_normal(points.shape)
+    points[::9] = points[0]
+    vectors = [p / np.linalg.norm(p) for p in points]
+    channels = ["big"] * n + ["small"] * 12
+    sizes = rng.integers(1, 3, size=len(vectors)).tolist()
+    media = []
+
+    def recording(points):
+        m = distance_matrix(points)
+        media.append(type(m))
+        return m
+
+    monkeypatch.setattr(distcluster, "distance_matrix", recording)
+    labels = channel_labels(vectors, channels, sizes, PARAMS)
+    monkeypatch.undo()
+    assert media[:2] == [SquareDistanceFile, SquareDistanceArray]
+    assert n_clusters(labels) == 5
+    assert labels == eager_cluster_by_channel(vectors, channels, sizes, PARAMS).tolist()
 
 
 def test_a_channel_keeps_only_its_representatives_once_the_next_is_asked_for(monkeypatch):

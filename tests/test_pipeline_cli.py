@@ -7,8 +7,10 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -746,6 +748,18 @@ def test_writes_are_atomic_and_leave_no_temporary_files(tmp_path, monkeypatch):
 KILLED = 7  # the exit status of a child that died at its planned rename
 
 
+def exit_code(pid: int, timeout: float = 60.0) -> int:
+    """The exit code of child pid; a child still running after timeout seconds is killed and fails the test."""
+    deadline = time.monotonic() + timeout
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"child {pid} still ran after {timeout} s")
+        time.sleep(0.001)
+    return os.waitstatus_to_exitcode(ended[1])
+
+
 @pytest.mark.parametrize("primed_with", [PipelineConfig(), PipelineConfig(min_votes=2)], ids=["same", "other"])
 def test_a_run_killed_at_any_write_resumes_to_a_fresh_runs_bytes(tmp_path, monkeypatch, primed_with):
     # a child runs over a directory that a complete run wrote and dies with
@@ -754,8 +768,8 @@ def test_a_run_killed_at_any_write_resumes_to_a_fresh_runs_bytes(tmp_path, monke
     # temporary file a killed run left survives a stage that is reused
     ds, truth = generate(CFG)
     renames = []
-    replace = os.replace
-    monkeypatch.setattr(pipeline.os, "replace", lambda src, dst: (renames.append(dst), replace(src, dst)))
+    rename = os.replace
+    monkeypatch.setattr(pipeline.os, "replace", lambda src, dst: (renames.append(dst), rename(src, dst)))
     run_pipeline(ds, tmp_path / "fresh", PipelineConfig(), truth)
     monkeypatch.undo()
     expected = read_tree(tmp_path / "fresh")
@@ -773,7 +787,7 @@ def test_a_run_killed_at_any_write_resumes_to_a_fresh_runs_bytes(tmp_path, monke
                     def dying_replace(src, dst):
                         if len(done) == k and not after:
                             os._exit(KILLED)
-                        done.append(replace(src, dst))
+                        done.append(rename(src, dst))
                         if len(done) == k + 1:
                             os._exit(KILLED)
 
@@ -781,7 +795,7 @@ def test_a_run_killed_at_any_write_resumes_to_a_fresh_runs_bytes(tmp_path, monke
                     run_pipeline(ds, out, PipelineConfig(), truth)
                 finally:
                     os._exit(1)
-            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == KILLED, (k, after)
+            assert exit_code(pid) == KILLED, (k, after)
             run_pipeline(ds, out, PipelineConfig(resume=True), truth)
             assert read_tree(out) == expected, (k, after)
 
