@@ -5,10 +5,9 @@ graph; every AV pair whose track landed in a face cluster and whose segment
 landed in a speaker cluster casts one vote on the edge between them.
 Connected components over the kept edges (:func:`kept_edges`: enough votes,
 and the top-voted edge of one of its two clusters, the only one at one vote)
-are the resolved
-identities: a component with both modalities is a person seen and heard, a
-bare speaker cluster is an off-screen voice, a bare face cluster someone who
-never speaks on camera. The components come from the union-find of the flat
+are the resolved identities: a component with both modalities is a person
+seen and heard, a bare speaker cluster is an off-screen voice, a bare face
+cluster someone who never speaks on camera. The components come from the union-find of the flat
 clustering, :func:`distcluster.union`.
 """
 

@@ -6,13 +6,12 @@ in, one label per point and whether the fallback ran out, per set. The
 distance matrix is built inside it, and :func:`cluster_with_fallback` then
 runs hierarchical density clustering and falls back to plain density
 clustering when the hierarchy labels everything as noise (the
-single-identity failure mode). One rule
-decides small sets: the hierarchy never selects its root, so below
-2 * min_cluster_size points only all-identical ones (a lone point included)
-form a cluster, 0, and any other set is noise at once. The fallback,
-:func:`dbscan`, is the connected components of the eps-graph (DBSCAN at
-min_pts 2), at one fixed cosine distance, FALLBACK_EPS, unless the caller
-gives another.
+single-identity failure mode). One rule decides small sets: the hierarchy
+never selects its root, so below 2 * min_cluster_size points only
+all-identical ones (a lone point included) form a cluster, 0, and any other
+set is noise at once. The fallback, :func:`dbscan`, is the connected
+components of the eps-graph (DBSCAN at min_pts 2), at one fixed cosine
+distance, FALLBACK_EPS, unless the caller gives another.
 
 Recognition across videos is two-level (:func:`cluster_by_channel`): points
 arrive one channel at a time, each channel is clustered by :func:`dbscan`
@@ -663,13 +662,14 @@ def cluster_groups(
     """Cluster labels for each of several vector sets, and whether its fallback ran.
 
     Each set is clustered on its own, exactly as if it were the only one
-    (see cluster_with_fallback). Sets of one size n (and one dimension) are stacked, at most BLOCK points
-    per stack (a set larger than BLOCK is a stack of one), and each stack
-    takes one distance_matrix and one cluster_with_fallback call; an error
-    in any set is the whole call's error. An empty set gives no labels and
-    no fallback; small sets follow hdbscan's one rule (a lone vector is 0).
-    A zero vector in any set raises ZeroVector, and a negative or NaN eps
-    raises ValueError before any set is clustered.
+    (see cluster_with_fallback). Sets of one size n (and one dimension) are
+    stacked, at most BLOCK points per stack (a set larger than BLOCK is a
+    stack of one), and each stack takes one distance_matrix and one
+    cluster_with_fallback call; an error in any set is the whole call's
+    error. An empty set gives no labels and no fallback; small sets follow
+    hdbscan's one rule (a lone vector is 0). A zero vector in any set raises
+    ZeroVector, and a negative or NaN eps raises ValueError before any set
+    is clustered.
     """
     if not eps >= 0:
         raise ValueError("eps must be a non-negative number")
@@ -729,12 +729,11 @@ def cluster_by_channel(
     max(min_cluster_size, effective min_samples), keep their vectors before
     the next channel is asked for: real points, so the global pass keeps
     the density it needs. The one global cluster_groups call runs over the
-    kept vectors, one set in key order. A unit's
-    members take the global label of its first representative, clusters
-    numbered 0..k-1 by smallest member key. A unit of several items left
-    as global noise takes a fresh label after them, in the order of its
-    smallest key; a one-item unit stays -1. So the order in which channels
-    arrive cannot change a label.
+    kept vectors, one set in key order. A unit's members take the global
+    label of its first representative, clusters numbered 0..k-1 by smallest
+    member key. A unit of several items left as global noise takes a fresh
+    label after them, in the order of its smallest key; a one-item unit
+    stays -1. So the order in which channels arrive cannot change a label.
     """
     k = max(params.min_cluster_size, params.effective_min_samples)
     kept = {}  # representative key -> vector
