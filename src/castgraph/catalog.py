@@ -417,7 +417,9 @@ def from_plain(kind, data):
     kind is a dataclass, dict[K, V] (K str or int), list[X],
     tuple[X, ...], a fixed tuple, frozenset[X], X | None, str, int, float or
     bool. Every field is required: a missing one raises KeyError, and a value
-    of the wrong shape or type TypeError or ValueError.
+    of the wrong shape or type TypeError or ValueError. Scalars follow the
+    manifests' rules (_CONVERT): an int must fit in 64 bits, and a float
+    written as an int is read as a float.
     """
     return _reader(kind)(data)
 
@@ -437,8 +439,8 @@ def _expect(data, json_type):
 
 
 def _int_key(text: str) -> int:
-    """An int dict key from its JSON object key, accepted only as plain writes it (str(k))."""
-    key = int(text)
+    """A 64-bit int dict key from its JSON object key, accepted only as plain writes it (str(k))."""
+    key = _int(int(text))
     if str(key) != text:
         raise ValueError(f"int key {text!r} is not written as {str(key)!r}")
     return key
@@ -466,7 +468,7 @@ def _reader(kind):
         item = _reader(args[0])
         return lambda data: origin(map(item, _expect(data, list)))
     if kind in (str, int, float, bool):
-        return lambda data: _expect(data, kind)
+        return _CONVERT[kind]
     raise TypeError(f"no JSON form for {kind!r}")
 
 
@@ -518,11 +520,12 @@ def _int(value) -> int:
     return value
 
 
-# how _field reads a value not of its kind's type; a float may be written as an int
+# how from_plain reads a scalar, and _field a value not of its kind's type; a float may be written as an int
 _CONVERT = {
     int: _int,
     float: lambda value: float(_expect(value, float)),
     str: partial(_expect, json_type=str),
+    bool: partial(_expect, json_type=bool),
     list: partial(_expect, json_type=list),
 }
 

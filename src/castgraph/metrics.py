@@ -75,25 +75,28 @@ def v_measure(truth_labels, pred_labels) -> float:
     )
 
 
+def plurality(values):
+    """The most frequent of values, the smallest on ties."""
+    counts = Counter(values)
+    return min(counts, key=lambda value: (-counts[value], value))
+
+
 def assignment_accuracy(video_truth: dict, video_pred: dict) -> float:
     """Fraction of videos whose predicted cluster maps to the right person.
 
     Each cluster is mapped to its plurality person over the videos it was
     predicted for (several clusters may map to the same person); a video is
     correct when the mapping of its predicted cluster equals its true person.
-    Plurality ties resolve to the smallest person id under sort order.
+    Plurality ties resolve to the smallest person id.
     """
     if set(video_truth.keys()) != set(video_pred.keys()):
         raise KeyMismatch("video_truth and video_pred cover different videos")
     if not video_truth:
         raise KeyMismatch("no videos to score")
-    by_cluster: dict = defaultdict(Counter)
+    by_cluster: dict = defaultdict(list)
     for video, cluster in video_pred.items():
-        by_cluster[cluster][video_truth[video]] += 1
-    mapped = {}
-    for cluster, persons in by_cluster.items():
-        best = max(persons.values())
-        mapped[cluster] = sorted(p for p, c in persons.items() if c == best)[0]
+        by_cluster[cluster].append(video_truth[video])
+    mapped = {cluster: plurality(persons) for cluster, persons in by_cluster.items()}
     correct = sum(
         1 for video, cluster in video_pred.items() if mapped[cluster] == video_truth[video]
     )
@@ -343,7 +346,7 @@ def _video_scores(run, truth) -> tuple[dict, dict, list[float]]:
     table = table[(table[:, 3] >= 0) | (table[:, 4] >= 0)]
     video, ref, hyp = (table[:, c].astype(np.int64) for c in (0, 3, 4))
 
-    # the host vote: the most frequent label, the smallest on ties
+    # the host vote: each video's plurality label, in numpy passes over every video at once
     hosts = [truth.video_hosts.get(video_id) for video_id in video_ids]
     label_values = np.array(hyp_order, dtype=np.int64)
     voters = (hyp >= 0) & np.array([host is not None for host in hosts], dtype=bool)[video]
@@ -385,11 +388,10 @@ def evaluate_run(run, truth) -> dict:
         if missing is not None:
             raise KeyMismatch(f"the ground truth has no {kind} {missing!r}")
     report: dict = {}
-    entity_truth = []
-    for entity in run.entities:
-        identities = [truth.track_identity[run.piece_sources[t]] for t in entity.member_track_ids]
-        # max keeps the first of equal counts: the smallest id
-        entity_truth.append(max(sorted(set(identities)), key=identities.count))
+    entity_truth = [
+        plurality(truth.track_identity[run.piece_sources[t]] for t in entity.member_track_ids)
+        for entity in run.entities
+    ]
     if entity_truth:
         entity_pred = [run.face_labels[e.entity_id] for e in run.entities]
         report["face_clustering"] = _scores(entity_truth, entity_pred)

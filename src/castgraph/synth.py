@@ -128,34 +128,20 @@ def rotate_within(rng: np.random.Generator, centroid: np.ndarray, max_angle_deg:
 
 # --- dataset generation ----------------------------------------------------------
 
-def _onscreen_allocation(per_channel_videos: dict[str, list[str]], n_onscreen: int):
+def _onscreen_allocation(per_channel_videos: dict[str, list[str]], n_onscreen: int) -> set[str]:
     """Pick which videos show faces: never exactly one per channel.
 
     A channel with a single on-screen appearance of its creator would put a
     lone face point into the global clustering, which density clustering
     cannot keep apart from its nearest blob; zero or at-least-two keeps the
-    ground truth recoverable.
+    ground truth recoverable. So the first n_onscreen // 2 channels, in
+    sorted order, with two videos or more each show their first two, and
+    their later videos, in the same order, fill what is left.
     """
-    chosen: list[str] = []
-    remaining = n_onscreen
-    channels = sorted(per_channel_videos)
-    # first pass: two per channel while supply lasts
-    for channel in channels:
-        videos = per_channel_videos[channel]
-        if remaining >= 2 and len(videos) >= 2:
-            chosen.extend(videos[:2])
-            remaining -= 2
-    # second pass: top up channels that already show faces
-    for channel in channels:
-        videos = per_channel_videos[channel]
-        if len(videos) < 2 or videos[0] not in chosen:
-            continue
-        for video in videos[2:]:
-            if remaining == 0:
-                break
-            chosen.append(video)
-            remaining -= 1
-    return set(chosen)
+    shown = [videos for _, videos in sorted(per_channel_videos.items()) if len(videos) >= 2][: n_onscreen // 2]
+    firsts = [video for videos in shown for video in videos[:2]]
+    later = [video for videos in shown for video in videos[2:]]
+    return set((firsts + later)[:n_onscreen])
 
 
 def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
@@ -225,6 +211,11 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             f"could only plant {len(guests)} of {n_collab} collaborations"
         )
 
+    def speak(video_id: str, segment_id: str, start_s: float, end_s: float, identity: int) -> None:
+        voice = rotate_within(rng, voice_centroids[identity], cfg.angular_noise_deg)
+        ds.segments[segment_id] = SpeechSegment(segment_id, video_id, start_s, end_s, voice.astype(np.float32))
+        truth.segment_identity[segment_id] = identity
+
     def emit_onscreen(video_id: str, identity: int, slot: int) -> None:
         base_frame = 25 + slot * 150
         length = int(rng.integers(26, 51))
@@ -244,33 +235,13 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             speaker_confidence=1.0,
         )
         truth.track_identity[track_id] = identity
-        segment_id = f"{video_id}/s{slot}"
-        start_s = base_frame / FRAME_RATE
-        end_s = (base_frame + length) / FRAME_RATE
-        voice = rotate_within(rng, voice_centroids[identity], cfg.angular_noise_deg)
-        ds.segments[segment_id] = SpeechSegment(
-            segment_id=segment_id,
-            video_id=video_id,
-            start_s=start_s,
-            end_s=end_s,
-            embedding=voice.astype(np.float32),
-        )
-        truth.segment_identity[segment_id] = identity
+        speak(video_id, f"{video_id}/s{slot}", base_frame / FRAME_RATE, (base_frame + length) / FRAME_RATE, identity)
 
     def emit_voice_only(video_id: str, identity: int, slot: int) -> None:
         base_s = 1.0 + slot * 6.0
         for part in range(2):
-            segment_id = f"{video_id}/s{slot}.{part}"
             start_s = base_s + part * 2.5
-            voice = rotate_within(rng, voice_centroids[identity], cfg.angular_noise_deg)
-            ds.segments[segment_id] = SpeechSegment(
-                segment_id=segment_id,
-                video_id=video_id,
-                start_s=start_s,
-                end_s=start_s + 2.0,
-                embedding=voice.astype(np.float32),
-            )
-            truth.segment_identity[segment_id] = identity
+            speak(video_id, f"{video_id}/s{slot}.{part}", start_s, start_s + 2.0, identity)
 
     for idx, (video_id, channel_id) in enumerate(channel_of.items()):
         published = EPOCH + timedelta(days=idx)

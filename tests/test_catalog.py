@@ -1063,10 +1063,41 @@ def test_codec_requires_every_field():
     # an int key is read only as plain writes it, so no two keys read as one
     *((dict[int, str], {key: "ch0"}) for key in ("01", " 2", "1_0", "+3", "-0")),
     (dict[int, str], {"1": "ch0", "01": "ch1"}),
+    # an int, a key included, fits in 64 bits, as in a manifest; a bool is no number
+    (dict[int, str], {str(2**63): "ch0"}),
+    (list[int], [0, -(2**63) - 1]),
+    (bool, 1),
+    (int, True),
 ])
 def test_codec_rejects_a_wrong_shape(kind, data):
     with pytest.raises((TypeError, ValueError)):
         from_plain(kind, data)
+
+
+SCALARS = [1, -1, 1.5, 2**63 - 1, 2**63, 2**70, -(2**63), -(2**63) - 1, True, False, "1", None, [1]]
+
+
+@pytest.mark.parametrize("kind", [int, float, str])
+@pytest.mark.parametrize("data", SCALARS, ids=map(repr, SCALARS))
+def test_codec_reads_a_scalar_as_a_manifest_field_does(kind, data):
+    # checkpoints and the ground truth follow the manifests' int and float rules
+    try:
+        expected = catalog._field({"x": data}, "x", kind)
+    except ValueError:
+        with pytest.raises((TypeError, ValueError)):
+            from_plain(kind, data)
+    else:
+        got = from_plain(kind, data)
+        assert (got, type(got)) == (expected, type(expected))
+
+
+def test_a_ground_truth_growth_ratio_written_as_an_int_loads_as_a_float(tmp_path):
+    payload = json.loads(encoded(TRUTH))
+    payload["planted_growth_ratio"] = 2
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(payload))
+    ratio = GroundTruth.load(path).planted_growth_ratio
+    assert (ratio, type(ratio)) == (2.0, float)
 
 
 def test_plain_refuses_a_value_without_a_json_form():

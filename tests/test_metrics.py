@@ -19,6 +19,7 @@ from castgraph.metrics import (
     der,
     homogeneity,
     linear_sum_assignment,
+    plurality,
     v_from_scores,
     v_measure,
 )
@@ -140,6 +141,56 @@ def test_assignment_greedy_matches_exhaustive(seed):
     assert assignment_accuracy(truth, pred) == pytest.approx(
         oracle_best_assignment_accuracy(truth, pred)
     )
+
+
+# --- plurality ------------------------------------------------------------------
+
+def test_plurality_is_the_most_frequent_value_and_the_smallest_on_ties():
+    assert plurality([3, 1, 3]) == 3
+    assert plurality([10, 9]) == 9  # ints tie by value, not as the strings "10" < "9"
+    assert plurality([2, -1, 5, -1, 2]) == -1
+    assert plurality(iter([7])) == 7
+    with pytest.raises(ValueError):
+        plurality([])
+
+
+# per video: its host, and each segment's (true identity, speaker label)
+video_rows = st.lists(
+    st.tuples(
+        st.sampled_from([None, 0, 1, 2]),
+        st.lists(st.tuples(st.sampled_from([None, 0, 1]), st.sampled_from([None, -1, 0, 1, 9, 10])), max_size=6),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(videos=video_rows)
+@example(videos=[(0, [(None, 10), (None, 9), (0, -1), (0, 9), (1, 10), (None, -1)]), (None, [(0, 1)])])
+@settings(max_examples=200, deadline=None)
+def test_the_host_vote_is_each_videos_plurality_label(videos):
+    # the vectorized vote gives each video with a host and a labelled segment
+    # the plurality of its labels, noise (-1) votes included
+    hosts, segments, identities, labels = {}, {}, {}, {}
+    for v, (host, rows) in enumerate(videos):
+        video_id = f"v{v}"
+        hosts[video_id] = host
+        segments[video_id] = [SpeechSegment(f"{video_id}/s{k}", video_id, k, k + 1.0) for k in range(len(rows))]
+        for segment, (identity, label) in zip(segments[video_id], rows):
+            if identity is not None:
+                identities[segment.segment_id] = identity
+            if label is not None:
+                labels[segment.segment_id] = label
+    run = SimpleNamespace(speaker_labels=labels, segments_by_video=segments, ds=SimpleNamespace(videos=hosts))
+    video_truth, video_pred, _ = metrics._video_scores(run, GroundTruth(segment_identity=identities, video_hosts=hosts))
+    votes = {
+        video_id: [labels[s.segment_id] for s in segments[video_id] if s.segment_id in labels]
+        for video_id, host in hosts.items()
+        if host is not None
+    }
+    expected = {video_id: plurality(video_votes) for video_id, video_votes in votes.items() if video_votes}
+    assert video_pred == expected
+    assert video_truth == {video_id: hosts[video_id] for video_id in expected}
 
 
 # --- diarization error rate --------------------------------------------------------

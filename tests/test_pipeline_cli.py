@@ -15,10 +15,11 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import castgraph
@@ -800,6 +801,74 @@ def test_a_run_killed_at_any_write_resumes_to_a_fresh_runs_bytes(tmp_path, monke
             assert read_tree(out) == expected, (k, after)
 
 
+TINY_CONFIGS = st.builds(
+    SynthConfig,
+    n_channels=st.integers(2, 3),
+    n_videos=st.integers(6, 12),
+    n_identities=st.integers(2, 4),
+    face_dim=st.just(8),
+    speaker_dim=st.just(6),
+    angular_noise_deg=st.sampled_from([0.0, 5.0]),
+    offscreen_speaker_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    collaboration_rate=st.sampled_from([0.0, 0.25]),
+    planted_growth_ratio=st.sampled_from([None, 1.34]),
+    rng_seed=st.integers(0, 2**16),
+)
+
+
+def damaged(data: bytes, how: str, at: int) -> bytes | None:
+    """data as damage how leaves it: cut in half, one byte changed, or None for deleted."""
+    if how == "truncate":
+        return data[: len(data) // 2]
+    if how == "edit":
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:] if data else b"0"
+    return None
+
+
+@given(
+    cfg=TINY_CONFIGS,
+    older=st.booleans(),
+    primed_with=st.sampled_from([PipelineConfig(), PipelineConfig(min_votes=2)]),
+    primed_truth=st.booleans(),
+    resumed_truth=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_resume_over_any_damage_writes_a_fresh_runs_bytes(
+    tmp_path_factory, cfg, older, primed_with, primed_truth, resumed_truth, data
+):
+    # a directory written by an older version (which also left sidecars), or
+    # under another config or ground truth, then any stage file or stamp
+    # truncated, edited or deleted and any killed write's .tmp left: a resume
+    # must leave a fresh run's file names and bytes
+    try:
+        ds, truth = generate(cfg)
+    except InfeasibleConfig:
+        assume(False)
+    root = tmp_path_factory.mktemp("damaged")
+    out = root / "out"
+    with patch.object(pipeline, "__version__", "0.0.0" if older else pipeline.__version__):
+        run_pipeline(ds, out, primed_with, truth if primed_truth else None)
+    names = sorted(p.name for p in out.iterdir())
+    for name in sorted(data.draw(st.sets(st.sampled_from(names)), label="damaged")):
+        how = data.draw(st.sampled_from(["truncate", "edit", "delete"]), label=name)
+        before = (out / name).read_bytes()
+        after = damaged(before, how, data.draw(st.integers(0, max(len(before) - 1, 0))))
+        if after is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_bytes(after)
+    for name in data.draw(st.sets(st.sampled_from(names)), label="killed writes"):
+        (out / f"{name}.tmp").write_bytes(b"half a file")
+    if older:
+        for stem in data.draw(st.sets(st.sampled_from([Path(f).stem for f in CHECKPOINTS.values()])), label="sidecars"):
+            (out / f"{stem}.old").write_bytes(b"a file an older version wrote")
+    resumed_with = truth if resumed_truth else None
+    resumed = run_pipeline(ds, out, PipelineConfig(resume=True), resumed_with)
+    assert resumed == run_pipeline(ds, root / "fresh", PipelineConfig(), resumed_with)
+    assert read_tree(out) == read_tree(root / "fresh")
+
+
 def test_a_computed_stage_removes_its_stale_checkpoint_files(tmp_path):
     # an older version wrote a 03_entities.emb sidecar; nothing names it now
     ds, truth = generate(CFG)
@@ -1089,6 +1158,22 @@ def test_cli_bad_ground_truth_exits_2(tmp_path, tiny_data, content):
     assert "truth.json" in result.stderr
     if content == BAD_JSON_FILES["not_utf8"]:
         assert "truth.json:2: byte 0xff is not UTF-8" in result.stderr
+
+
+@pytest.mark.parametrize("where", ["value", "key"])
+def test_cli_eval_rejects_an_identity_id_past_64_bits(tmp_path, tiny_data, where):
+    # the ground truth follows the manifests' int rule, keys included
+    truth = json.loads((tiny_data / "ground_truth.json").read_text())
+    if where == "value":
+        truth["track_identity"][min(truth["track_identity"])] = 2**63
+    else:
+        truth["identity_homes"][str(2**63)] = "ch00"
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    result = run_cli("eval", tiny_data, "--out", tmp_path / "out", "--ground-truth", path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert f"truth.json:0: bad ground truth: ValueError('expected a 64-bit int, got {2**63}')" in result.stderr
 
 
 def test_cli_export_dot_without_graph_dot_exits_2(tmp_path, capsys):

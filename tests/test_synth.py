@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from castgraph.catalog import ingest, validate, write
 from castgraph.errors import InfeasibleConfig
-from castgraph.synth import GroundTruth, SynthConfig, corrupt, generate
+from castgraph.synth import GroundTruth, SynthConfig, _onscreen_allocation, corrupt, generate
 
 TABLE_CFG = SynthConfig(
     n_channels=9,
@@ -78,6 +80,41 @@ def test_onscreen_counts_never_one(table_dataset):
         per_identity_segments[identity] = per_identity_segments.get(identity, 0) + 1
     for count in per_identity_segments.values():
         assert count >= 2
+
+
+# ch00 has one video, so it never shows a face; listed out of order, since channels go in sorted order
+LAYOUT = {"ch02": ["a0", "a1", "a2", "a3"], "ch00": ["b0"], "ch01": ["c0", "c1", "c2"]}
+ALLOCATIONS = [
+    (0, set()),
+    (1, set()),  # one video would be one face on a channel
+    (2, {"c0", "c1"}),
+    (3, {"c0", "c1", "c2"}),  # a shown channel's third video tops up
+    (4, {"c0", "c1", "a0", "a1"}),  # two per channel come first
+    (5, {"c0", "c1", "a0", "a1", "c2"}),  # then the top-up, in channel order
+    (6, {"c0", "c1", "a0", "a1", "c2", "a2"}),
+    (7, {"c0", "c1", "c2", "a0", "a1", "a2", "a3"}),
+    (9, {"c0", "c1", "c2", "a0", "a1", "a2", "a3"}),  # supply runs out
+]
+
+
+@pytest.mark.parametrize("n_onscreen, expected", ALLOCATIONS)
+def test_onscreen_allocation_takes_two_per_channel_and_then_tops_up(n_onscreen, expected):
+    assert _onscreen_allocation(LAYOUT, n_onscreen) == expected
+
+
+@given(sizes=st.lists(st.integers(0, 5), max_size=6), n_onscreen=st.integers(0, 40))
+def test_onscreen_allocation_never_shows_one_face_on_a_channel(sizes, n_onscreen):
+    layout = {f"ch{c:02d}": [f"v{c}.{k}" for k in range(size)] for c, size in enumerate(sizes)}
+    chosen = _onscreen_allocation(layout, n_onscreen)
+    shown = [len(chosen & set(videos)) for videos in layout.values()]
+    assert 1 not in shown
+    # every shown channel shows its first two videos, and a channel is shown
+    # only when every earlier channel with two videos is
+    assert all(set(videos[:2]) <= chosen for videos in layout.values() if chosen & set(videos))
+    eligible = [bool(chosen & set(videos)) for videos in layout.values() if len(videos) >= 2]
+    assert eligible == sorted(eligible, reverse=True)
+    assert len(chosen) == min(n_onscreen, sum(len(videos) for videos in layout.values() if chosen & set(videos)))
+    assert sum(eligible) == min(n_onscreen // 2, len(eligible))
 
 
 def test_home_appearances_dominate(table_dataset):
